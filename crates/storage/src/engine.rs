@@ -11,15 +11,16 @@
 //!   lookups standing in for game logic), applying updates to the
 //!   [`Shared`] table with the copy-on-update slow path (lock, re-check,
 //!   arena save), and the paced sleep phase;
-//! * a **pluggable writer backend** ([`crate::writer`]) executing every
-//!   shard's flush jobs against its disk organization — the [`BackupSet`]
-//!   double backup (sorted offset-ordered writes) or the [`LogStore`]
-//!   (sequential segment appends) — publishing each shard's sweep
-//!   frontier for the bookkeeper's copy-on-update decisions. Two backends
-//!   exist behind the one seam: the shared worker-thread pool (a
+//! * the **writer** ([`crate::writer`]) executing every shard's flush
+//!   jobs against its disk organization — the [`BackupSet`] double backup
+//!   (sorted offset-ordered writes) or the [`LogStore`] (sequential
+//!   segment appends) — publishing each shard's sweep frontier for the
+//!   bookkeeper's copy-on-update decisions. It is one flush-round loop in
+//!   one of three configurations — the shared worker-thread pool (a
 //!   single-shard run with one worker is exactly the old dedicated writer
-//!   thread) and the io_uring-style batched-submission engine, selected
-//!   by [`RealConfig::writer_backend`] or the builder's `.writer(…)`;
+//!   thread), a batched-submission loop, or that loop over a real
+//!   `io_uring` ring — selected by [`RealConfig::writer_backend`] or the
+//!   builder's `.writer(…)`;
 //! * real **durability**: data `fsync` before metadata commit, and a
 //!   wall-clock recovery measurement (restore the newest consistent image,
 //!   replay the deterministic update stream).
@@ -806,7 +807,10 @@ mod tests {
             let report = run_single(alg, &config(dir.path()), || cfg.build()).unwrap();
             let rec = report.recovery.expect("recovery measured");
             assert!(rec.state_matches, "{alg}: hot-contention recovery diverged");
-            assert!(report.checkpoints_completed > 1, "{alg}");
+            // How many flushes finish inside 200 unpaced sub-millisecond
+            // ticks is the scheduler's call; the drain path guarantees
+            // the one that was started.
+            assert!(report.checkpoints_completed >= 1, "{alg}");
         }
     }
 }

@@ -20,12 +20,13 @@
 //! * an **asynchronous writer** flushes consistent checkpoints to the
 //!   algorithm's disk organization — a double-backup pair of files with
 //!   sorted (offset-ordered) writes, or an append-only segment log —
-//!   publishing its sweep frontier for copy-on-update coordination. Three
-//!   interchangeable writer backends sit behind one seam ([`writer`]):
-//!   the worker-thread pool, an io_uring-style batched-submission engine,
-//!   and a real `io_uring` ring driven by raw syscalls (capability-probed,
-//!   falling back to the batched engine on kernels without it), selected
-//!   by [`RealConfig::writer_backend`] or the builder's `.writer(…)` and
+//!   publishing its sweep frontier for copy-on-update coordination. One
+//!   flush-round loop ([`writer`]) runs in three interchangeable
+//!   configurations: a worker-thread pool, a single batched-submission
+//!   loop, and the same loop issuing its writes through a real `io_uring`
+//!   ring driven by raw syscalls (capability-probed, falling back to the
+//!   batched loop on kernels without it), selected by
+//!   [`RealConfig::writer_backend`] or the builder's `.writer(…)` and
 //!   proven recovery-equivalent by the differential matrix in
 //!   `tests/writer_equivalence.rs`;
 //! * real **crash recovery**: read back the newest consistent image

@@ -1,86 +1,64 @@
-//! The writer seam: pluggable backends executing the shards' checkpoint
+//! The writer: one flush-round loop executing the shards' checkpoint
 //! flush jobs.
 //!
 //! The real engine's mutator side (`crate::engine::RealBackend`) and the
 //! asynchronous writer meet at exactly one interface: tagged flush jobs
 //! (`PoolJob`) go in through a bounded channel, one `Done` per job
 //! comes back through the owning shard's completion channel, and sweep
-//! progress is published through the shard's frontier. Everything a
-//! backend needs to execute a job lives in the shard's `ShardCtx`. The
-//! `WriterBackend` trait is that seam made explicit — extracted from the
-//! historical writer-pool worker loop so the scheduling policy can vary
-//! while `ShardCtx`/`Job` stay unchanged.
+//! progress is published through the shard's frontier. Everything the
+//! writer needs to execute a job lives in the shard's `ShardCtx`.
 //!
-//! Three backends implement it:
+//! Behind that interface runs one loop (`run_rounds`); every round is
+//! *collect a batch* (`collect_batch`: drain the queue, hold a shallow
+//! batch open for the adaptive window) → *issue its data writes* →
+//! *schedule durability* (`schedule_durability`: one data `fsync` per
+//! distinct target file, or one `syncfs` barrier per device, all before
+//! any metadata commit) → *ack in reap order* (`ack_in_reap_order`: each
+//! job's completion phase and its `Done`, newest shard first, FIFO
+//! within a shard). Issuing the data writes — and fsyncing a list of
+//! distinct files — is the only strategy point (`DataPath`): one
+//! `pwrite` per object through `submit_job`, or per-shard FIFO waves of
+//! `IORING_OP_WRITEV` SQEs on a real kernel ring (`crate::uring`).
 //!
-//! * **`WriterPool`** (`thread-pool`): N worker threads pull jobs off
-//!   the shared queue and execute each one end to end — data writes, data
-//!   sync, metadata commit — before acking it. A single-shard run with one
-//!   worker is exactly the classic dedicated writer thread.
-//! * **`AsyncBatchedWriter`** (`async-batched`): an io_uring-style
-//!   submission/completion engine on a single loop thread. Each round it
-//!   coalesces every queued job into a batch — waiting up to the
-//!   configured **adaptive batch window** for stragglers while the queue
-//!   is shallow — issues all data writes in the **submission phase**,
-//!   then hands the batch to the **durability scheduler**: collect every
-//!   pending durability target across the batch, issue **one data
-//!   `fsync` per distinct target file** — or, when several distinct
-//!   files share a device and `syncfs` is available, **one device
-//!   barrier per device** — then run all metadata commits and ack
-//!   completions **out of submission order** (newest shard first, FIFO
-//!   within a shard so pipelined checkpoints ack in order). Syncs
-//!   thereby coalesce at the batch tail instead of interleaving with
-//!   writes, the way a ring's reaped CQEs trail its submitted SQEs, and
-//!   same-file targets within a batch pay a single call.
-//! * **`UringWriter`** (`io-uring`): the same batching discipline driven
-//!   through a **real kernel ring** (`crate::uring`, raw
-//!   `io_uring_setup`/`io_uring_enter` syscalls). Each batch is processed
-//!   in per-shard FIFO *waves* (wave *k* holds every shard's *k*-th job);
-//!   a wave's data writes become `IORING_OP_WRITEV` SQEs — contiguous-id
-//!   runs for the double-backup files, whole serialized segments for the
-//!   log — reaped out of order by `user_data`. Durability either rides
-//!   the ring too (`IORING_OP_FSYNC` SQEs: chained per job via
-//!   `IOSQE_IO_LINK` with coalescing off, one per distinct target file
-//!   per wave with coalescing on) or falls back to the synchronous
-//!   per-job fsync in the completion phase. Availability is probed once
-//!   per process; where the kernel has no io_uring the selection seam
-//!   silently substitutes `AsyncBatchedWriter` and reports the fallback.
+//! The three `WriterBackendKind`s are configurations of that loop:
+//! `thread-pool` is N loop threads taking one job per round with no
+//! window and inline per-job durability (the only mode that holds the
+//! shard's `TurnGate`; one shard with one loop is the classic dedicated
+//! writer thread), `async-batched` is one loop on the syscall data path,
+//! `io-uring` one loop on the ring. Ring availability is probed once per
+//! process; where the kernel has no io_uring, `spawn_writer` runs
+//! `async-batched` instead and returns that kind, so the substitution is
+//! surfaced in every report, never silent. A ring that fails mid-run
+//! finishes its round on synchronous redo and the loop swaps to the
+//! syscall data path for good (`Done::degraded`).
 //!
-//! The first two backends execute the *same* two phase functions
-//! (`submit_job`, `complete_job`); they differ only in scheduling, and
-//! the ring backend shares the completion phase (and reproduces the
-//! submission phase's bytes exactly — pinned by the differential tests
-//! and `log_store`'s serializer test). That shared core is
-//! what makes the recovery-equivalence contract auditable: identical job
-//! streams produce byte-identical files (pinned by the differential tests
-//! below and in `tests/writer_equivalence.rs`), because per shard the
-//! phases always run in order and the durability ordering — data sync
-//! *before* metadata commit — is a property of the completion machinery,
-//! not of the scheduler. The scheduler only *strengthens* the ordering:
-//! with coalescing on, **all** of a batch's data syncs precede **any** of
-//! its metadata commits, so the invariant holds batch-globally instead of
-//! per job (see DESIGN.md § "Durability scheduling").
-//!
-//! Adding a fourth backend (a replicated remote store, `O_DIRECT`
-//! preallocated images) means: implement `WriterBackend` over the two
-//! phase functions (or your own transport), add a `WriterBackendKind`
-//! variant, and wire it in `spawn_writer`; the facade, the builder's
-//! `.writer(…)` option and the comparison matrix pick it up. See
-//! DESIGN.md § "The writer backends".
+//! The completion phase is shared and the ring reproduces the
+//! submission phase's bytes exactly, so identical job streams produce
+//! byte-identical files under every configuration (pinned by the
+//! differential tests below and in `tests/writer_equivalence.rs`): the
+//! durability ordering — data sync *before* metadata commit — is a
+//! property of the completion machinery, and scheduling only
+//! *strengthens* it from per job to batch-global. A new transport (a
+//! replicated remote store, `O_DIRECT` preallocated images) is a new
+//! data-write strategy in `DataPath`, not a new loop. See DESIGN.md
+//! § "The writer".
 
+use crate::crash::{CrashAction, CrashPoint, CrashState};
 use crate::engine::{Done, Job, PoolJob, ShardCtx, Store};
 use crate::fault::{FaultSite, RetryCounters};
 use crate::files::SyncTarget;
+use crate::uring::{pwrite_all, Iovec, Ring, Sqe};
 use mmoc_core::run::WriterBackend as WriterBackendKind;
 use mmoc_core::{CursorKind, ObjectId};
 use std::io;
+use std::os::unix::io::RawFd;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// The durability-scheduling policy a writer backend runs under.
-/// Interpreted by the batched engine; the thread pool completes jobs one
-/// at a time and ignores both knobs.
+/// The durability-scheduling policy the writer runs under. Interpreted
+/// by the batching configurations; the thread pool completes jobs one
+/// at a time and ignores every knob but the depth.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct DurabilityConfig {
     /// Adaptive batch window: how long a shallow batch (fewer jobs than
@@ -104,26 +82,12 @@ pub(crate) struct DurabilityConfig {
     /// falls back to per-file fsync where `syncfs` is unavailable).
     /// Requires `coalesce_fsync`.
     pub(crate) device_sync: bool,
-    /// Checkpoint pipeline depth the engine runs at. The batched writer
-    /// considers a batch *full* at `n_shards × pipeline_depth` jobs —
-    /// everything the driver can possibly have in flight — so at depth
-    /// ≥ 2 the window keeps a batch open past one-job-per-shard and
-    /// same-file (same-shard) jobs coalesce under one fsync.
+    /// Checkpoint pipeline depth the engine runs at. A batch is *full*
+    /// at `n_shards × pipeline_depth` jobs — everything the driver can
+    /// possibly have in flight — so at depth ≥ 2 the window keeps a
+    /// batch open past one-job-per-shard and same-file (same-shard) jobs
+    /// coalesce under one fsync.
     pub(crate) pipeline_depth: u32,
-}
-
-impl DurabilityConfig {
-    /// The historical policy: no waiting, per-job durability.
-    #[cfg(test)]
-    pub(crate) fn legacy() -> Self {
-        DurabilityConfig {
-            batch_window: Duration::ZERO,
-            auto_window: false,
-            coalesce_fsync: false,
-            device_sync: false,
-            pipeline_depth: 1,
-        }
-    }
 }
 
 /// Upper bound on the auto-tuned batch window, so a stalling mutator
@@ -134,24 +98,45 @@ const MAX_AUTO_WINDOW: Duration = Duration::from_millis(2);
 /// EWMA smoothing factor for the observed job inter-arrival gap.
 const ARRIVAL_EWMA_ALPHA: f64 = 0.25;
 
-/// The seam between the engine and its asynchronous writer: anything that
-/// drains tagged flush jobs over the shards' contexts, sends one [`Done`]
-/// per job on the owning shard's completion channel, and joins cleanly.
+/// The running writer: its loop threads, joined on shutdown.
 ///
-/// Lifecycle contract (shared with the historical pool): backends run
-/// until every job sender is dropped; callers drop their senders and then
-/// call [`WriterBackend::shutdown`] before touching the shards' files.
-pub(crate) trait WriterBackend: Send {
-    /// Join the backend's threads. Callers must have dropped every job
-    /// sender first, or this blocks forever.
-    fn shutdown(&mut self);
+/// Lifecycle contract: the loops run until every job sender is dropped;
+/// callers drop their senders and then call [`Writer::shutdown`] before
+/// touching the shards' files.
+pub(crate) struct Writer {
+    loops: Vec<std::thread::JoinHandle<()>>,
 }
 
-/// Spawn the writer backend `kind` selects, draining `job_rx` over the
-/// given shard contexts. `threads` sizes the thread pool; the batched
-/// and ring engines always run one submission/completion loop.
+impl Writer {
+    /// Join the loop threads. Callers must have dropped every job
+    /// sender first, or this blocks forever.
+    pub(crate) fn shutdown(&mut self) {
+        for h in self.loops.drain(..) {
+            h.join().expect("writer loop");
+        }
+    }
+}
+
+impl Drop for Writer {
+    fn drop(&mut self) {
+        // A writer dropped without `shutdown` (an early `?` return) must
+        // still report a loop's panic — except during an unwind, where
+        // re-raising it would abort.
+        for h in self.loops.drain(..) {
+            if let Err(panic) = h.join() {
+                if !std::thread::panicking() {
+                    std::panic::resume_unwind(panic);
+                }
+            }
+        }
+    }
+}
+
+/// Spawn the writer configuration `kind` selects, draining `job_rx` over
+/// the given shard contexts. `threads` sizes the thread pool; the
+/// batching configurations always run one loop.
 ///
-/// Returns the backend together with the kind that **actually** runs:
+/// Returns the writer together with the kind that **actually** runs:
 /// `io-uring` falls back to `async-batched` when the kernel capability
 /// probe fails (or ring setup errors), and callers surface the
 /// substitution in their reports so results never silently lie about
@@ -162,30 +147,40 @@ pub(crate) fn spawn_writer(
     threads: usize,
     job_rx: crossbeam::channel::Receiver<PoolJob>,
     sched: DurabilityConfig,
-) -> (Box<dyn WriterBackend>, WriterBackendKind) {
-    match kind {
-        WriterBackendKind::ThreadPool => (
-            Box::new(WriterPool::spawn(ctxs, threads, job_rx)),
-            WriterBackendKind::ThreadPool,
-        ),
-        WriterBackendKind::AsyncBatched => (
-            Box::new(AsyncBatchedWriter::spawn(ctxs, job_rx, sched)),
-            WriterBackendKind::AsyncBatched,
-        ),
-        WriterBackendKind::IoUring => {
-            if crate::uring::ring_available() {
-                // Setup can still fail post-probe (fd limits, mmap
-                // pressure): fall back exactly like a failed probe.
-                if let Ok(w) = UringWriter::try_spawn(Arc::clone(&ctxs), job_rx.clone(), sched) {
-                    return (Box::new(w), WriterBackendKind::IoUring);
-                }
-            }
-            (
-                Box::new(AsyncBatchedWriter::spawn(ctxs, job_rx, sched)),
-                WriterBackendKind::AsyncBatched,
-            )
-        }
-    }
+) -> (Writer, WriterBackendKind) {
+    // The ring is created *before* its thread so every failure mode —
+    // `ENOSYS`, `EPERM`, memlock limits, fd limits post-probe — surfaces
+    // here and the run falls back instead of panicking mid-run. Room
+    // for several WRITEV runs plus a chained fsync per shard; the
+    // submission loop drains mid-wave when a batch wants more.
+    let entries = (ctxs.len() * 4).clamp(32, 256) as u32;
+    let mut ring = (kind == WriterBackendKind::IoUring && crate::uring::ring_available())
+        .then(|| Ring::new(entries).ok())
+        .flatten()
+        .map(|ring| RingPath {
+            ring,
+            chain_fsync: crate::uring::links_available() && !sched.coalesce_fsync,
+            dead: false,
+        });
+    let effective = match kind {
+        WriterBackendKind::IoUring if ring.is_none() => WriterBackendKind::AsyncBatched,
+        kind => kind,
+    };
+    let batching = effective != WriterBackendKind::ThreadPool;
+    let n_loops = if batching { 1 } else { threads.max(1) };
+    // The loops compete for jobs directly on one MPMC queue (the
+    // channel's `Receiver` is clonable), with no external mutex
+    // serializing the handoff; they exit when every job sender has been
+    // dropped and the queue is empty.
+    let loops = (0..n_loops)
+        .map(|_| {
+            let ctxs = Arc::clone(&ctxs);
+            let job_rx = job_rx.clone();
+            let ring = ring.take();
+            std::thread::spawn(move || run_rounds(&ctxs, &job_rx, batching, sched, ring))
+        })
+        .collect();
+    (Writer { loops }, effective)
 }
 
 // ---------------------------------------------------------------------------
@@ -200,25 +195,69 @@ pub(crate) fn spawn_writer(
 /// target backup invalidated (or the log tail torn) and recovery must
 /// fall back to the previous consistent image.
 pub(crate) struct InFlight {
+    /// The shard whose store this job targets.
     shard: usize,
     t0: Instant,
     objects: u32,
     recycled: Option<(Vec<u32>, Vec<u8>)>,
     state: io::Result<PendingDurability>,
-    /// Set by the durability scheduler when it has already brought (or
-    /// failed to bring) this job's data to stable storage batch-globally;
-    /// `None` means the completion phase syncs inline, per job.
-    presync: Option<Presync>,
+    /// Outcome of a data sync issued for this job ahead of its completion
+    /// phase — by the durability scheduler batch-globally, or by the
+    /// ring's chained fsync; `None` means the completion phase syncs
+    /// inline, per job. Jobs sharing a coalesced `fsync` (or a
+    /// whole-device barrier) share its outcome: if the call failed, none
+    /// of them may commit metadata.
+    presync: Option<io::Result<()>>,
+    /// Data `fsync` calls and `syncfs` device barriers attributed to this
+    /// job: 1 for the job that triggered a call, 0 for jobs riding on a
+    /// coalesced one, so summing over jobs counts actual calls. The
+    /// retries behind a scheduled sync are charged to the triggering
+    /// job's `counters` the same way.
+    data_syncs: u32,
+    device_syncs: u32,
     /// The checkpoint delta destined for the shard's peer mirrors, captured
     /// at submission when the run has a replica tier; published by the
     /// completion phase only after the durability point (publish-on-commit).
     replica: Option<ReplicaDelta>,
     /// Transient-fault bookkeeping accumulated so far (submission-phase
-    /// retries; the completion phase adds its own and any presync share).
+    /// and scheduled-sync retries; the completion phase adds its own).
     counters: RetryCounters,
+    /// Occupancy of the ring submission round that carried this job's
+    /// data writes (0 on the syscall data path).
+    sqe_batch: u32,
     /// The job completed under a degraded backend (the ring died and its
     /// remaining I/O was redone through the syscall path).
     degraded: bool,
+}
+
+impl InFlight {
+    /// A freshly submitted job: durability not yet scheduled. The job's
+    /// clock starts at `queued_at`, its enqueue instant, so its reported
+    /// duration spans the channel wait and any window hold it sat
+    /// through — exactly the latency the window trades away.
+    fn new(
+        shard: usize,
+        queued_at: Instant,
+        objects: u32,
+        recycled: Option<(Vec<u32>, Vec<u8>)>,
+        state: io::Result<PendingDurability>,
+        replica: Option<ReplicaDelta>,
+    ) -> InFlight {
+        InFlight {
+            shard,
+            t0: queued_at,
+            objects,
+            recycled,
+            state,
+            presync: None,
+            data_syncs: 0,
+            device_syncs: 0,
+            replica,
+            counters: RetryCounters::default(),
+            sqe_batch: 0,
+            degraded: false,
+        }
+    }
 }
 
 /// One checkpoint's delta for the replica tier: the flushed object ids and
@@ -230,31 +269,22 @@ pub(crate) struct ReplicaDelta {
     data: Vec<u8>,
 }
 
-impl InFlight {
-    /// The shard whose store this job targets.
-    pub(crate) fn shard(&self) -> usize {
-        self.shard
+impl ReplicaDelta {
+    /// Capture the delta of the checkpoint at `tick` as a by-product of
+    /// staging its data writes, when the run has a replica tier. `data`
+    /// holds the images known now; a streamed sweep appends the rest as
+    /// it reads them (room for all of them is reserved here).
+    fn capture(ctx: &ShardCtx, tick: u64, ids: &[u32], data: &[u8]) -> Option<ReplicaDelta> {
+        ctx.replicas.as_ref().map(|_| {
+            let mut images = Vec::with_capacity(ids.len() * ctx.geometry.object_size as usize);
+            images.extend_from_slice(data);
+            ReplicaDelta {
+                tick,
+                ids: ids.to_vec(),
+                data: images,
+            }
+        })
     }
-}
-
-/// Outcome of a scheduled (batch-global) data sync for one job.
-struct Presync {
-    /// The sync result this job's durability depends on. Jobs sharing a
-    /// coalesced `fsync` (or a whole-device barrier) share its outcome:
-    /// if the call failed, none of them may commit metadata.
-    result: io::Result<()>,
-    /// Data `fsync` calls attributed to this job: 1 for the job that
-    /// triggered the call, 0 for jobs riding on a coalesced one. Summing
-    /// over jobs therefore counts actual calls.
-    data_syncs: u32,
-    /// `syncfs` device barriers attributed to this job, counted the same
-    /// way: 1 for the triggering job, 0 for riders.
-    device_syncs: u32,
-    /// Transient-fault retries the scheduled sync burned, attributed to
-    /// the triggering job (0 for riders, like the call counts above).
-    retries: u64,
-    /// Retry budgets exhausted during the scheduled sync, same attribution.
-    exhausted: u64,
 }
 
 /// What remains between a submitted job and its durability point.
@@ -268,22 +298,16 @@ enum PendingDurability {
     Log,
 }
 
-/// Identity of the file a pending job's data sync targets (cached by the
-/// store at create/open; no syscall).
-fn sync_target_of(store: &Store, pending: &PendingDurability) -> SyncTarget {
+/// Identity of the file a pending job's data sync targets, plus its raw
+/// descriptor for the ring's FSYNC SQE and the `syncfs` device barrier
+/// (any fd on the device names the filesystem). Both are cached by the
+/// store at create/open; no syscall.
+fn sync_point_of(store: &Store, pending: &PendingDurability) -> (SyncTarget, RawFd) {
     match (pending, store) {
-        (PendingDurability::Double { target, .. }, Store::Double(set)) => set.sync_target(*target),
-        (PendingDurability::Log, Store::Log(log)) => log.sync_target(),
-        _ => unreachable!("pending durability matches the shard's disk organization"),
-    }
-}
-
-/// Raw descriptor of the file a pending job's data sync targets, for the
-/// `syncfs` device barrier (any fd on the device names the filesystem).
-fn sync_fd_of(store: &Store, pending: &PendingDurability) -> std::os::unix::io::RawFd {
-    match (pending, store) {
-        (PendingDurability::Double { target, .. }, Store::Double(set)) => set.sync_fd(*target),
-        (PendingDurability::Log, Store::Log(log)) => log.sync_fd(),
+        (PendingDurability::Double { target, .. }, Store::Double(set)) => {
+            (set.sync_target(*target), set.sync_fd(*target))
+        }
+        (PendingDurability::Log, Store::Log(log)) => (log.sync_target(), log.sync_fd()),
         _ => unreachable!("pending durability matches the shard's disk organization"),
     }
 }
@@ -310,12 +334,83 @@ fn commit_pending(store: &mut Store, pending: PendingDurability) -> io::Result<(
     }
 }
 
-/// Duplicate an `io::Result<()>` for jobs sharing one coalesced sync
-/// (`io::Error` is not `Clone`; kind and message survive the copy).
+/// Duplicate an `io::Result<()>` for jobs sharing one coalesced sync.
+/// `io::Error` is not `Clone`; an OS error is rebuilt from its errno so
+/// every sharer still sees `raw_os_error()`, anything else keeps its
+/// kind and message.
 fn share_sync_result(r: &io::Result<()>) -> io::Result<()> {
     match r {
         Ok(()) => Ok(()),
-        Err(e) => Err(io::Error::new(e.kind(), e.to_string())),
+        Err(e) => Err(match e.raw_os_error() {
+            Some(errno) => io::Error::from_raw_os_error(errno),
+            None => io::Error::new(e.kind(), e.to_string()),
+        }),
+    }
+}
+
+/// Reach `point` on the run's crash lattice (`None` in production) and,
+/// if the armed plan fires there, freeze the disk exactly as the kill
+/// would leave it. Returns whether it fired.
+fn crash_at(crash: Option<&CrashState>, point: CrashPoint) -> bool {
+    let Some(c) = crash else { return false };
+    let fired = c.reach(point).is_some();
+    if fired {
+        c.go_down();
+    }
+    fired
+}
+
+/// Reach one of the ring-boundary crash points, which take either
+/// action: a simulated kill freezes the disk, a ring death latches
+/// `dead` mid-batch *without* crashing.
+fn ring_crash_at(crash: Option<&CrashState>, point: CrashPoint, dead: &mut bool) {
+    let Some(c) = crash else { return };
+    match c.reach(point).map(|plan| plan.action) {
+        Some(CrashAction::RingDeath) => *dead = true,
+        Some(CrashAction::Crash) => c.go_down(),
+        None => {}
+    }
+}
+
+/// The crash-lattice handle of the run: one state serves the whole run,
+/// so any shard's clone names it.
+fn run_crash(ctxs: &[ShardCtx]) -> Option<&CrashState> {
+    ctxs.first().and_then(|ctx| ctx.crash.as_deref())
+}
+
+/// The copy-on-update sweep protocol, writer side: how a sweep job reads
+/// one live object and publishes its progress. Shared by the streamed
+/// sweep ([`submit_job`]) and the ring's captured one
+/// ([`stage_ring_job`]).
+struct Sweep<'a> {
+    ctx: &'a ShardCtx,
+    cursor: CursorKind,
+}
+
+impl Sweep<'_> {
+    /// Read one object under the copy-on-update protocol: lock, prefer
+    /// the saved pre-update image, mark flushed.
+    fn read_object(&self, o: u32, buf: &mut [u8]) {
+        let shared = &self.ctx.shared;
+        let obj = ObjectId(o);
+        let _guard = shared.locks[o as usize].lock();
+        if shared.copied.get(o) {
+            shared.read_arena_into(obj, buf);
+        } else {
+            shared.table.read_object_into(obj, buf);
+        }
+        shared.flushed.set(o);
+    }
+
+    /// Publish progress *after* the object is read and queued: the
+    /// frontier must under-approximate what is flushed, so a racing
+    /// update copies once too often, never too rarely.
+    fn publish(&self, position: usize, o: u32) {
+        let slots = match self.cursor {
+            CursorKind::ByIndex => u64::from(o) + 1,
+            CursorKind::ByPosition => position as u64 + 1,
+        };
+        self.ctx.frontier.store(slots, Ordering::Release);
     }
 }
 
@@ -328,8 +423,8 @@ fn share_sync_result(r: &io::Result<()>) -> io::Result<()> {
 ///
 /// `queued_at` is the instant the mutator enqueued the job
 /// ([`PoolJob::queued_at`]); it seeds the job's duration clock here so
-/// every backend — current and future — reports durations spanning the
-/// queue wait and any batch-window hold by construction.
+/// every configuration reports durations spanning the queue wait and any
+/// batch-window hold by construction.
 pub(crate) fn submit_job(
     ctx: &ShardCtx,
     store: &mut Store,
@@ -340,12 +435,6 @@ pub(crate) fn submit_job(
 ) -> InFlight {
     let obj_size = ctx.geometry.object_size as usize;
     buf.resize(obj_size, 0);
-    let shared = &ctx.shared;
-    let t0 = queued_at;
-    // Capture the checkpoint delta for the replica tier as a by-product
-    // of staging the data writes; the completion phase publishes it to
-    // the peer mirrors only after the durability point.
-    let want_delta = ctx.replicas.is_some();
     let mut counters = RetryCounters::default();
     let retry = &ctx.retry;
     let (objects, state, recycled, replica) = match job {
@@ -358,11 +447,7 @@ pub(crate) fn submit_job(
             full_image,
         } => {
             let count = ids.len() as u32;
-            let replica = want_delta.then(|| ReplicaDelta {
-                tick,
-                ids: ids.clone(),
-                data: data.clone(),
-            });
+            let replica = ReplicaDelta::capture(ctx, tick, &ids, &data);
             let state = match store {
                 Store::Double(set) => (|| {
                     set.invalidate(target)?;
@@ -407,43 +492,18 @@ pub(crate) fn submit_job(
             full_image,
         } => {
             let count = list.len() as u32;
-            let mut delta = want_delta.then(|| ReplicaDelta {
-                tick,
-                ids: list.clone(),
-                data: Vec::with_capacity(list.len() * obj_size),
-            });
-            // Read one object under the copy-on-update protocol:
-            // lock, prefer the saved pre-update image, mark flushed.
-            let read_object = |o: u32, buf: &mut [u8]| {
-                let obj = ObjectId(o);
-                let _guard = shared.locks[o as usize].lock();
-                if shared.copied.get(o) {
-                    shared.read_arena_into(obj, buf);
-                } else {
-                    shared.table.read_object_into(obj, buf);
-                }
-                shared.flushed.set(o);
-            };
-            // Publish progress *after* the object is read and queued:
-            // the frontier must under-approximate what is flushed, so
-            // a racing update copies once too often, never too rarely.
-            let publish = |position: usize, o: u32| {
-                let slots = match cursor {
-                    CursorKind::ByIndex => u64::from(o) + 1,
-                    CursorKind::ByPosition => position as u64 + 1,
-                };
-                ctx.frontier.store(slots, Ordering::Release);
-            };
+            let mut delta = ReplicaDelta::capture(ctx, tick, &list, &[]);
+            let sweep = Sweep { ctx, cursor };
             let state = match store {
                 Store::Double(set) => (|| {
                     set.invalidate(target)?;
                     for (p, &o) in list.iter().enumerate() {
-                        read_object(o, buf);
+                        sweep.read_object(o, buf);
                         if let Some(d) = delta.as_mut() {
                             d.data.extend_from_slice(buf);
                         }
                         retry.run(&mut counters, || set.write_object(target, ObjectId(o), buf))?;
-                        publish(p, o);
+                        sweep.publish(p, o);
                     }
                     Ok(PendingDurability::Double { target, tick })
                 })(),
@@ -455,12 +515,12 @@ pub(crate) fn submit_job(
                     retry.run(&mut counters, || log.preflight_append())?;
                     let mut seg = log.begin_segment(seq, tick, full_image)?;
                     for (p, &o) in list.iter().enumerate() {
-                        read_object(o, buf);
+                        sweep.read_object(o, buf);
                         if let Some(d) = delta.as_mut() {
                             d.data.extend_from_slice(buf);
                         }
                         seg.write_object(ObjectId(o), buf)?;
-                        publish(p, o);
+                        sweep.publish(p, o);
                     }
                     seg.finish(false).map(|_| PendingDurability::Log)
                 })(),
@@ -468,22 +528,11 @@ pub(crate) fn submit_job(
             (count, state, None, delta)
         }
     };
-    if let Some(c) = &ctx.crash {
-        // All data writes staged, nothing synced or committed yet.
-        if c.reach(crate::crash::CrashPoint::JobSubmitted).is_some() {
-            c.go_down();
-        }
-    }
+    // All data writes staged, nothing synced or committed yet.
+    crash_at(ctx.crash.as_deref(), CrashPoint::JobSubmitted);
     InFlight {
-        shard,
-        t0,
-        objects,
-        recycled,
-        state,
-        presync: None,
-        replica,
         counters,
-        degraded: false,
+        ..InFlight::new(shard, queued_at, objects, recycled, state, replica)
     }
 }
 
@@ -492,52 +541,33 @@ pub(crate) fn submit_job(
 /// correctness argument rests on — and assemble its [`Done`]. The job is
 /// only acked to the mutator after this returns.
 ///
-/// When the durability scheduler has already synced the job's data
-/// batch-globally (`inflight.presync` set), only the metadata commit
-/// remains here; otherwise the sync happens inline, per job — the
-/// historical path, still used by the thread pool and by the batched
-/// engine with coalescing off. `batch_jobs` is the occupancy of the
-/// batch this job completed in (1 for the thread pool), and `sqe_batch`
-/// the occupancy of the ring submission round that carried the job's
-/// data writes (0 for the syscall-per-write backends), both reported
-/// through [`Done`] for the writer instrumentation.
+/// When the job's data has already been synced (`inflight.presync` set —
+/// by the durability scheduler batch-globally, or by the ring's chained
+/// fsync), only the metadata commit remains here; otherwise the sync
+/// happens inline, per job — the historical path, which the thread pool
+/// always takes and the batching configurations take with coalescing
+/// off. `batch_jobs` is the occupancy of the batch this job completed in
+/// (1 for the thread pool), reported through [`Done`] for the writer
+/// instrumentation next to the job's ring-round occupancy.
 pub(crate) fn complete_job(
     ctx: &ShardCtx,
     store: &mut Store,
     inflight: InFlight,
     batch_jobs: u32,
-    sqe_batch: u32,
 ) -> Done {
+    let crash = ctx.crash.as_deref();
+    let is_down = || crash.is_some_and(CrashState::is_down);
     let InFlight {
         shard,
-        t0,
-        objects,
-        recycled,
-        state,
-        presync,
         replica,
         mut counters,
-        degraded,
+        mut data_syncs,
+        ..
     } = inflight;
-    let mut data_syncs = 0;
-    let mut device_syncs = 0;
-    let is_down = || ctx.crash.as_ref().is_some_and(|c| c.is_down());
-    let result = state.and_then(|pending| {
-        if let Some(c) = &ctx.crash {
-            if c.reach(crate::crash::CrashPoint::CompleteBeforeSync)
-                .is_some()
-            {
-                c.go_down();
-            }
-        }
-        match presync {
-            Some(p) => {
-                data_syncs = p.data_syncs;
-                device_syncs = p.device_syncs;
-                counters.retries += p.retries;
-                counters.exhausted += p.exhausted;
-                p.result?;
-            }
+    let result = inflight.state.and_then(|pending| {
+        crash_at(crash, CrashPoint::CompleteBeforeSync);
+        match inflight.presync {
+            Some(synced) => synced?,
             None if ctx.sync_data => {
                 data_syncs = 1;
                 ctx.retry
@@ -545,15 +575,9 @@ pub(crate) fn complete_job(
             }
             None => {}
         }
-        if let Some(c) = &ctx.crash {
-            // Data is durable (or frozen), metadata is not committed:
-            // the seam the double-backup correctness argument names.
-            if c.reach(crate::crash::CrashPoint::CompleteBeforeCommit)
-                .is_some()
-            {
-                c.go_down();
-            }
-        }
+        // Data is durable (or frozen), metadata is not committed: the
+        // seam the double-backup correctness argument names.
+        crash_at(crash, CrashPoint::CompleteBeforeCommit);
         // Publish-on-commit, step 1: open the replica push transaction.
         // The shard's peer mirrors go incomplete *before* the durability
         // point, so a crash between here and the publish below leaves no
@@ -562,13 +586,7 @@ pub(crate) fn complete_job(
         let push_open = match (&ctx.replicas, &replica) {
             (Some(set), Some(_)) if !is_down() => {
                 set.invalidate(shard as u32);
-                if let Some(c) = &ctx.crash {
-                    if c.reach(crate::crash::CrashPoint::ReplicaPushPreCommit)
-                        .is_some()
-                    {
-                        c.go_down();
-                    }
-                }
+                crash_at(crash, CrashPoint::ReplicaPushPreCommit);
                 true
             }
             _ => false,
@@ -589,489 +607,471 @@ pub(crate) fn complete_job(
                     &d.data,
                     ctx.geometry.object_size,
                 );
-                if let Some(c) = &ctx.crash {
-                    if c.reach(crate::crash::CrashPoint::ReplicaPushPostCommit)
-                        .is_some()
-                    {
-                        c.go_down();
-                    }
-                }
+                crash_at(crash, CrashPoint::ReplicaPushPostCommit);
             }
         }
         Ok(())
     });
     Done {
-        result: result.map(|()| t0.elapsed().as_secs_f64()),
-        objects,
-        bytes: u64::from(objects) * u64::from(ctx.geometry.object_size),
-        recycled,
+        result: result.map(|()| inflight.t0.elapsed().as_secs_f64()),
+        objects: inflight.objects,
+        bytes: u64::from(inflight.objects) * u64::from(ctx.geometry.object_size),
+        recycled: inflight.recycled,
         data_syncs,
-        device_syncs,
+        device_syncs: inflight.device_syncs,
         batch_jobs,
-        sqe_batch,
+        sqe_batch: inflight.sqe_batch,
         retries: counters.retries,
         retry_exhausted: counters.exhausted,
-        degraded,
-    }
-}
-
-/// Both phases back to back: the thread-pool path, identical to the
-/// historical single-phase `execute_job`. The duration clock starts at
-/// `queued_at`, so the pool's reported durations span the job-channel
-/// wait, measured the same way as the batched engine's window hold.
-pub(crate) fn execute_job(
-    ctx: &ShardCtx,
-    store: &mut Store,
-    buf: &mut Vec<u8>,
-    shard: usize,
-    job: Job,
-    queued_at: Instant,
-) -> Done {
-    let inflight = submit_job(ctx, store, buf, shard, job, queued_at);
-    complete_job(ctx, store, inflight, 1, 0)
-}
-
-// ---------------------------------------------------------------------------
-// Backend 1: the thread pool
-// ---------------------------------------------------------------------------
-
-/// The shared pool of writer workers serving all shards' checkpoint work.
-///
-/// Workers pull tagged jobs off one MPMC queue (the channel's `Receiver`
-/// is clonable; each worker owns a clone and they compete for messages
-/// directly, with no external mutex serializing the handoff). Any worker
-/// can flush any shard. With one shard and one worker this degenerates
-/// to the classic dedicated writer thread. The queue backs up at most
-/// `pipeline_depth` jobs per shard; when a shard has more than one job
-/// queued, the channel's FIFO guarantees worker *pickup* order but not
-/// *execution* order, so each worker holds the shard's [`TurnGate`]
-/// slot for its job's submission index — store mutation and the ack both
-/// happen in submission order, which the log organization's
-/// scan-forward recovery and the driver's FIFO completion draining
-/// depend on. At depth 1 the gate never waits.
-///
-/// [`TurnGate`]: crate::engine::TurnGate
-pub(crate) struct WriterPool {
-    workers: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl WriterPool {
-    /// Spawn `threads` workers draining `job_rx` over the given shard
-    /// contexts. Workers exit when every job sender has been dropped.
-    pub(crate) fn spawn(
-        ctxs: Arc<Vec<ShardCtx>>,
-        threads: usize,
-        job_rx: crossbeam::channel::Receiver<PoolJob>,
-    ) -> WriterPool {
-        let workers = (0..threads.max(1))
-            .map(|_| {
-                let ctxs = Arc::clone(&ctxs);
-                let job_rx = job_rx.clone();
-                std::thread::spawn(move || {
-                    let mut buf = Vec::new();
-                    while let Ok(PoolJob {
-                        shard,
-                        job,
-                        queued_at,
-                        order,
-                    }) = job_rx.recv()
-                    {
-                        let ctx = &ctxs[shard];
-                        // Deadlock-free: the channel is FIFO, so a
-                        // worker holding order N was dispatched before
-                        // any worker holding order N+1 of the same
-                        // shard, and the done channel holds one slot
-                        // per in-flight checkpoint — the gate's owner
-                        // can always finish.
-                        ctx.turn.wait_for(order);
-                        let mut store = ctx.store.lock();
-                        let done = execute_job(ctx, &mut store, &mut buf, shard, job, queued_at);
-                        drop(store);
-                        let _ = ctx.done_tx.send(done);
-                        ctx.turn.advance();
-                    }
-                })
-            })
-            .collect();
-        WriterPool { workers }
-    }
-}
-
-impl WriterBackend for WriterPool {
-    fn shutdown(&mut self) {
-        for w in self.workers.drain(..) {
-            w.join().expect("writer pool worker");
-        }
-    }
-}
-
-impl Drop for WriterPool {
-    fn drop(&mut self) {
-        self.shutdown();
+        degraded: inflight.degraded,
     }
 }
 
 // ---------------------------------------------------------------------------
-// Backend 2: the io_uring-style batched submission engine
+// The flush round: collect → issue data writes → schedule durability → ack
 // ---------------------------------------------------------------------------
 
-/// Single-loop batched-submission writer: coalesce every queued job into
-/// a batch (waiting up to the adaptive batch window for stragglers while
-/// the queue is shallow), submit all data writes, then run the
-/// durability scheduler — one data `fsync` per distinct target file,
-/// then all metadata commits — and ack out of submission order. See the
-/// module docs for the model.
-pub(crate) struct AsyncBatchedWriter {
-    handle: Option<std::thread::JoinHandle<()>>,
+/// Round-to-round scratch space, reused so the steady state allocates
+/// little per batch.
+#[derive(Default)]
+struct Round {
+    /// The jobs collected for this round, in queue order.
+    batch: Vec<PoolJob>,
+    /// The completion queue: the batch's jobs once their data writes are
+    /// issued, in issue order.
+    queue: Vec<InFlight>,
+    /// Shard of each queued job: the input of the reap order.
+    shards: Vec<usize>,
+    /// Target each queued job still has to sync, if any.
+    targets: Vec<Option<SyncTarget>>,
+    /// Distinct durability targets of the batch and their sync outcomes.
+    points: Vec<SyncPoint>,
+    /// Per-device barrier outcomes: (dev, shared `syncfs` result).
+    barriers: Vec<(u64, io::Result<()>)>,
+    /// Ack scratch: the completion queue, taken from in reap order.
+    reaped: Vec<Option<InFlight>>,
+    // Ring data path only.
+    /// The current wave's staged operations, and per op its iovec and
+    /// its CQE result.
+    ops: Vec<RingOp>,
+    iovecs: Vec<Iovec>,
+    outcomes: Vec<Option<i32>>,
+    /// Wave-owned buffers (sweep images, serialized segments) the ops
+    /// point into; alive until the next ring round.
+    arena: Vec<Vec<u8>>,
 }
 
-impl AsyncBatchedWriter {
-    /// Spawn the submission/completion loop draining `job_rx` over the
-    /// given shard contexts under the given durability policy. The loop
-    /// exits when every job sender has been dropped and the queue is
-    /// empty.
-    pub(crate) fn spawn(
-        ctxs: Arc<Vec<ShardCtx>>,
-        job_rx: crossbeam::channel::Receiver<PoolJob>,
-        sched: DurabilityConfig,
-    ) -> AsyncBatchedWriter {
-        let handle = std::thread::spawn(move || {
-            let mut buf = Vec::new();
-            // Round-to-round scratch space, reused so the steady state
-            // allocates nothing per batch.
-            let mut batch: Vec<PoolJob> = Vec::new();
-            let mut completion_queue: Vec<InFlight> = Vec::new();
-            let mut synced: Vec<(SyncTarget, io::Result<()>)> = Vec::new();
-            // Per-device barrier outcomes: (dev, shared syncfs result,
-            // already attributed to a job).
-            let mut device_synced: Vec<(u64, io::Result<()>, bool)> = Vec::new();
-            // Distinct targets of the current batch, for the barrier's
-            // ≥ 2-files-per-device engagement test.
-            let mut batch_targets: Vec<(SyncTarget, std::os::unix::io::RawFd)> = Vec::new();
-            // Reap-order scratch (indices into the completion queue).
-            let mut reap_order: Vec<usize> = Vec::new();
-            let mut reaped: Vec<Option<InFlight>> = Vec::new();
-            // Auto-window state: EWMA of the observed job inter-arrival
-            // gap, and whether the previous batch closed full.
-            let mut ewma_gap_s: Option<f64> = None;
-            let mut prev_arrival: Option<Instant> = None;
-            let mut last_batch_full = false;
-            // A batch is full when it holds everything the driver can
-            // possibly have in flight: one job per shard at depth 1 (the
-            // historical notion), `depth` per shard when pipelining.
-            let full_batch = ctxs.len() * sched.pipeline_depth.max(1) as usize;
-            // Crash-point lattice handle: one state serves the whole
-            // run, so any shard's clone names it.
-            let crash = ctxs.first().and_then(|ctx| ctx.crash.clone());
-            // Block for the first job, then coalesce everything that is
-            // already queued: one batch per loop round. Within a shard
-            // the channel is FIFO and this loop is single-threaded, so a
-            // pipelined shard's jobs enter the batch — and hit its store
-            // — in submission order.
-            while let Ok(first) = job_rx.recv() {
-                batch.push(first);
-                while let Ok(job) = job_rx.try_recv() {
-                    batch.push(job);
-                }
-                // Adaptive batch window: a full batch (`depth` jobs per
-                // shard) can never grow, but a shallow one may — wait briefly
-                // for stragglers so their durability points coalesce,
-                // trading bounded ack latency for fewer fsyncs. Zero
-                // reproduces the historical close-immediately policy.
-                // Auto-tuning derives the window from the occupancy
-                // counters: zero while batches close full (the queue is
-                // keeping up), else the inter-arrival EWMA scaled to the
-                // shard count, capped at MAX_AUTO_WINDOW.
-                let window = if sched.auto_window {
-                    match ewma_gap_s {
-                        Some(gap) if !last_batch_full => Duration::from_secs_f64(
-                            (gap * full_batch as f64).min(MAX_AUTO_WINDOW.as_secs_f64()),
-                        ),
-                        _ => Duration::ZERO,
-                    }
-                } else {
-                    sched.batch_window
-                };
-                if !window.is_zero() {
-                    let deadline = Instant::now() + window;
-                    while batch.len() < full_batch {
-                        let Some(left) = deadline.checked_duration_since(Instant::now()) else {
-                            break;
-                        };
-                        match job_rx.recv_timeout(left) {
-                            Ok(job) => batch.push(job),
-                            Err(_) => break, // window elapsed, or senders gone
-                        }
-                    }
-                }
-                // Feed the auto-window estimator from the enqueue
-                // timestamps the jobs already carry (no extra clock
-                // reads on the mutator side).
-                for job in &batch {
-                    if let Some(prev) = prev_arrival {
-                        let gap = job.queued_at.saturating_duration_since(prev).as_secs_f64();
-                        ewma_gap_s = Some(match ewma_gap_s {
-                            Some(e) => e + ARRIVAL_EWMA_ALPHA * (gap - e),
-                            None => gap,
-                        });
-                    }
-                    prev_arrival = Some(job.queued_at);
-                }
-                last_batch_full = batch.len() >= full_batch;
-                let occupancy = batch.len() as u32;
-                // Submission phase: issue every job's data writes;
-                // durability is deferred past the whole batch.
-                for PoolJob {
-                    shard,
-                    job,
-                    queued_at,
-                    order: _,
-                } in batch.drain(..)
-                {
-                    let ctx = &ctxs[shard];
-                    let mut store = ctx.store.lock();
-                    // The job's clock starts at its enqueue instant, so
-                    // its reported duration spans the channel wait and
-                    // the window hold it sat through — exactly the
-                    // latency the window trades away.
-                    completion_queue
-                        .push(submit_job(ctx, &mut store, &mut buf, shard, job, queued_at));
-                }
-                // Durability scheduler, phase one: bring every pending
-                // target's *data* to stable storage — one fsync per
-                // distinct file, jobs sharing a file sharing the call
-                // (and its outcome). Runs before any metadata commit, so
-                // the sync-before-commit invariant holds batch-globally.
-                //
-                // Device barriers strengthen the collapse one level:
-                // when the batch holds ≥ 2 distinct files on one device
-                // and `syncfs` is available, a single whole-device call
-                // replaces all of that device's per-file fsyncs (it
-                // flushes a superset of their dirty pages, so the
-                // sync-before-commit ordering is preserved a fortiori).
-                if sched.coalesce_fsync {
-                    synced.clear();
-                    device_synced.clear();
-                    if sched.device_sync {
-                        batch_targets.clear();
-                        for inflight in &completion_queue {
-                            let ctx = &ctxs[inflight.shard];
-                            let Ok(pending) = &inflight.state else {
-                                continue;
-                            };
-                            if !ctx.sync_data {
-                                continue;
-                            }
-                            let store = ctx.store.lock();
-                            let target = sync_target_of(&store, pending);
-                            if !batch_targets.iter().any(|(t, _)| *t == target) {
-                                batch_targets.push((target, sync_fd_of(&store, pending)));
-                            }
-                        }
-                        for i in 0..batch_targets.len() {
-                            let (target, fd) = batch_targets[i];
-                            let dev = target.dev();
-                            let distinct =
-                                batch_targets.iter().filter(|(t, _)| t.dev() == dev).count();
-                            if distinct < 2 || device_synced.iter().any(|(d, ..)| *d == dev) {
-                                continue;
-                            }
-                            if let Some(c) = &crash {
-                                if c.is_down() {
-                                    continue;
-                                }
-                                // The kill lands before the barrier: no
-                                // device flush, per-file fallback also
-                                // frozen — pure page-cache loss.
-                                if c.reach(crate::crash::CrashPoint::DeviceBarrier).is_some() {
-                                    c.go_down();
-                                    continue;
-                                }
-                            }
-                            match crate::device_sync::sync_device(fd) {
-                                Ok(true) => device_synced.push((dev, Ok(()), false)),
-                                Ok(false) => {} // unavailable: per-file fallback
-                                Err(e) => device_synced.push((dev, Err(e), false)),
-                            }
-                        }
-                    }
-                    for inflight in &mut completion_queue {
-                        let ctx = &ctxs[inflight.shard];
-                        let Ok(pending) = &inflight.state else {
-                            continue; // submission failed; nothing to sync
-                        };
-                        if !ctx.sync_data {
-                            continue;
-                        }
-                        let store = ctx.store.lock();
-                        let target = sync_target_of(&store, pending);
-                        if let Some((_, outcome, charged)) =
-                            device_synced.iter_mut().find(|(d, ..)| *d == target.dev())
-                        {
-                            let device_syncs = u32::from(!*charged);
-                            *charged = true;
-                            inflight.presync = Some(Presync {
-                                result: share_sync_result(outcome),
-                                data_syncs: 0,
-                                device_syncs,
-                                retries: 0,
-                                exhausted: 0,
-                            });
-                            continue;
-                        }
-                        inflight.presync = Some(match synced.iter().find(|(t, _)| *t == target) {
-                            Some((_, outcome)) => Presync {
-                                result: share_sync_result(outcome),
-                                data_syncs: 0,
-                                device_syncs: 0,
-                                retries: 0,
-                                exhausted: 0,
-                            },
-                            None => {
-                                // The triggering job carries the retry
-                                // policy for the coalesced call, exactly
-                                // like the call count itself.
-                                let mut rc = RetryCounters::default();
-                                let outcome =
-                                    ctx.retry.run(&mut rc, || sync_pending(&store, pending));
-                                let presync = Presync {
-                                    result: share_sync_result(&outcome),
-                                    data_syncs: 1,
-                                    device_syncs: 0,
-                                    retries: rc.retries,
-                                    exhausted: rc.exhausted,
-                                };
-                                synced.push((target, outcome));
-                                presync
-                            }
-                        });
-                    }
-                }
-                if let Some(c) = &crash {
-                    // The scheduler's seam: every data sync of the batch
-                    // is done, no metadata commit has happened yet.
-                    if c.reach(crate::crash::CrashPoint::SchedulerCommitSeam)
-                        .is_some()
-                    {
-                        c.go_down();
-                    }
-                }
-                // Durability scheduler, phase two: metadata commits +
-                // acks, reaped newest shard first (deliberately not
-                // batch-FIFO, so consumers cannot grow an accidental
-                // cross-shard ordering dependency) but in submission
-                // order *within* a shard — a pipelined shard's acks must
-                // arrive FIFO for the driver's completion draining.
-                // With one job per shard this is exactly the historical
-                // newest-first reap. With coalescing off each job also
-                // syncs inline here, the historical path.
-                // Wave ordering: every shard's k-th job acks (newest
-                // shard first) before any shard's (k+1)-th, so a
-                // pipelined shard never monopolizes the ack stream while
-                // other shards' completion channels sit full.
-                reap_order.clear();
-                reap_order.extend(0..completion_queue.len());
-                reap_order.sort_by_key(|&i| {
-                    let shard = completion_queue[i].shard();
-                    let wave = completion_queue[..i]
-                        .iter()
-                        .filter(|f| f.shard() == shard)
-                        .count();
-                    let newest = completion_queue
-                        .iter()
-                        .rposition(|f| f.shard() == shard)
-                        .expect("index i itself matches");
-                    (wave, std::cmp::Reverse(newest), i)
-                });
-                reaped.clear();
-                reaped.extend(completion_queue.drain(..).map(Some));
-                for &i in &reap_order {
-                    let inflight = reaped[i].take().expect("each job reaped once");
-                    let ctx = &ctxs[inflight.shard()];
-                    let mut store = ctx.store.lock();
-                    let done = complete_job(ctx, &mut store, inflight, occupancy, 0);
-                    drop(store);
-                    let _ = ctx.done_tx.send(done);
-                }
-            }
+/// One distinct durability target of a batch.
+struct SyncPoint {
+    target: SyncTarget,
+    fd: RawFd,
+    /// Index (into the completion queue) of the first job naming the
+    /// target: it is charged the sync call and the retries behind it,
+    /// every later job naming the target rides for free.
+    job: usize,
+    /// The sync's shared outcome, once issued.
+    outcome: Option<io::Result<()>>,
+}
+
+/// Auto-window state: EWMA of the observed job inter-arrival gap, and
+/// whether the previous batch closed full.
+#[derive(Default)]
+struct Arrivals {
+    ewma_gap_s: Option<f64>,
+    prev: Option<Instant>,
+    last_batch_full: bool,
+}
+
+/// One writer loop thread. With `batching` off this is a thread-pool
+/// worker (one job per round, inline durability, the shard's turn gate
+/// held); with it on, the single submission/completion loop of the
+/// batched and ring configurations. The loop exits when every job sender
+/// has been dropped and the queue is empty.
+fn run_rounds(
+    ctxs: &[ShardCtx],
+    job_rx: &crossbeam::channel::Receiver<PoolJob>,
+    batching: bool,
+    sched: DurabilityConfig,
+    ring: Option<RingPath>,
+) {
+    let mut path = DataPath {
+        ring,
+        buf: Vec::new(),
+    };
+    let mut round = Round::default();
+    let mut arrivals = Arrivals::default();
+    // A batch is full when it holds everything the driver can possibly
+    // have in flight: one job per shard at depth 1 (the historical
+    // notion), `depth` per shard when pipelining.
+    let full_batch = ctxs.len() * sched.pipeline_depth.max(1) as usize;
+    while collect_batch(
+        job_rx,
+        batching,
+        &sched,
+        full_batch,
+        &mut arrivals,
+        &mut round.batch,
+    ) {
+        let occupancy = round.batch.len() as u32;
+        // Multi-loop mode only: the channel's FIFO guarantees loop
+        // *pickup* order but not *execution* order, so each loop holds
+        // the shard's `TurnGate` slot for its job's submission index from
+        // store mutation through the ack (see `TurnGate`). A single
+        // batching loop needs no gate: the channel is FIFO per shard and
+        // the loop is single-threaded, so a pipelined shard's jobs enter
+        // the batch — and hit its store — in submission order.
+        //
+        // Deadlock-free: the channel is FIFO, so a loop holding order N
+        // was dispatched before any loop holding order N+1 of the same
+        // shard, and the done channel holds one slot per in-flight
+        // checkpoint — the gate's owner can always finish.
+        let gate = (!batching).then(|| {
+            let job = &round.batch[0];
+            (&ctxs[job.shard].turn, job.order)
         });
-        AsyncBatchedWriter {
-            handle: Some(handle),
+        if let Some((turn, order)) = gate {
+            turn.wait_for(order);
+        }
+        path.issue_data_writes(ctxs, &mut round);
+        // A one-job round has no batch-global phase: the job syncs
+        // inline in its completion phase, and the scheduler's seam — a
+        // lattice point of the batching configurations — does not exist.
+        if batching {
+            schedule_durability(ctxs, &sched, &mut round, &mut path);
+        }
+        ack_in_reap_order(ctxs, &mut round, occupancy);
+        if let Some((turn, _)) = gate {
+            turn.advance();
         }
     }
 }
 
-impl WriterBackend for AsyncBatchedWriter {
-    fn shutdown(&mut self) {
-        if let Some(h) = self.handle.take() {
-            h.join().expect("batched writer loop");
+/// The window a round holds a shallow batch open for. A fixed window
+/// passes through. Auto-tuning derives it from the occupancy counters:
+/// zero while batches close full (the queue is keeping up) or before
+/// the first inter-arrival estimate, else the inter-arrival EWMA scaled
+/// to the full-batch size, capped.
+fn batch_window(
+    ewma_gap_s: Option<f64>,
+    last_batch_full: bool,
+    full_batch: usize,
+    sched: &DurabilityConfig,
+) -> Duration {
+    if !sched.auto_window {
+        return sched.batch_window;
+    }
+    match ewma_gap_s {
+        Some(gap) if !last_batch_full => {
+            Duration::from_secs_f64((gap * full_batch as f64).min(MAX_AUTO_WINDOW.as_secs_f64()))
+        }
+        _ => Duration::ZERO,
+    }
+}
+
+/// Round step 1: block for the first job, then — when `batching` —
+/// coalesce everything that is already queued and wait out the adaptive
+/// window. Returns `false` once every sender is gone and the queue is
+/// empty.
+fn collect_batch(
+    job_rx: &crossbeam::channel::Receiver<PoolJob>,
+    batching: bool,
+    sched: &DurabilityConfig,
+    full_batch: usize,
+    arrivals: &mut Arrivals,
+    batch: &mut Vec<PoolJob>,
+) -> bool {
+    let Ok(first) = job_rx.recv() else {
+        return false;
+    };
+    batch.push(first);
+    if !batching {
+        return true;
+    }
+    while let Ok(job) = job_rx.try_recv() {
+        batch.push(job);
+    }
+    // Adaptive batch window: a full batch (`depth` jobs per shard) can
+    // never grow, but a shallow one may — wait briefly for stragglers so
+    // their durability points coalesce, trading bounded ack latency for
+    // fewer fsyncs. Zero reproduces the historical close-immediately
+    // policy.
+    let window = batch_window(
+        arrivals.ewma_gap_s,
+        arrivals.last_batch_full,
+        full_batch,
+        sched,
+    );
+    if !window.is_zero() {
+        let deadline = Instant::now() + window;
+        while batch.len() < full_batch {
+            let Some(left) = deadline.checked_duration_since(Instant::now()) else {
+                break;
+            };
+            match job_rx.recv_timeout(left) {
+                Ok(job) => batch.push(job),
+                Err(_) => break, // window elapsed, or senders gone
+            }
         }
     }
+    // Feed the auto-window estimator from the enqueue timestamps the
+    // jobs already carry (no extra clock reads on the mutator side).
+    for job in batch.iter() {
+        if let Some(prev) = arrivals.prev {
+            let gap = job.queued_at.saturating_duration_since(prev).as_secs_f64();
+            arrivals.ewma_gap_s = Some(match arrivals.ewma_gap_s {
+                Some(e) => e + ARRIVAL_EWMA_ALPHA * (gap - e),
+                None => gap,
+            });
+        }
+        arrivals.prev = Some(job.queued_at);
+    }
+    arrivals.last_batch_full = batch.len() >= full_batch;
+    true
 }
 
-impl Drop for AsyncBatchedWriter {
-    fn drop(&mut self) {
-        self.shutdown();
+/// The durability target a job in the completion queue still has to
+/// sync, if any: its submission succeeded and the run syncs data.
+fn pending_target(ctxs: &[ShardCtx], inflight: &InFlight) -> Option<(SyncTarget, RawFd)> {
+    let ctx = &ctxs[inflight.shard];
+    match &inflight.state {
+        Ok(pending) if ctx.sync_data => Some(sync_point_of(&ctx.store.lock(), pending)),
+        _ => None, // submission failed, or syncing is off: nothing to sync
     }
 }
 
-// ---------------------------------------------------------------------------
-// Backend 3: the real io_uring ring
-// ---------------------------------------------------------------------------
-
-/// The batched engine's scheduling discipline driven through a real
-/// kernel `io_uring` (see `crate::uring`): data writes are submitted as
-/// `IORING_OP_WRITEV` SQEs and reaped out of order by `user_data`;
-/// durability rides the ring as `IORING_OP_FSYNC` SQEs (chained per job
-/// via `IOSQE_IO_LINK` with coalescing off, one per distinct target file
-/// per batch with coalescing on) or falls back to the synchronous
-/// per-job fsync. Within a batch, each shard's jobs are written in
-/// per-shard FIFO *waves* so same-file appends stack at precomputed
-/// offsets; the sync-before-commit invariant and the batched engine's
-/// wave-ordered ack discipline are preserved unchanged.
+/// Round step 3, the durability scheduler: bring every pending target's
+/// *data* to stable storage — one fsync per distinct file, jobs sharing
+/// a file sharing the call (and its outcome). Runs before any metadata
+/// commit, so the sync-before-commit invariant holds batch-globally.
+/// With coalescing off nothing is scheduled and each job syncs inline in
+/// its completion phase, the historical path.
 ///
-/// Constructed through [`UringWriter::try_spawn`] only after the
-/// process-global capability probe succeeded; `spawn_writer` substitutes
-/// [`AsyncBatchedWriter`] (and says so) everywhere else.
-pub(crate) struct UringWriter {
-    handle: Option<std::thread::JoinHandle<()>>,
+/// Device barriers strengthen the collapse one level: when the batch
+/// holds ≥ 2 distinct files on one device and `syncfs` is available, a
+/// single whole-device call replaces all of that device's per-file
+/// fsyncs (it flushes a superset of their dirty pages, so the
+/// sync-before-commit ordering is preserved a fortiori). The barriers
+/// stay on their synchronous capability-probed path under every data
+/// path; the per-file fsyncs go through the data path's hook.
+fn schedule_durability(
+    ctxs: &[ShardCtx],
+    sched: &DurabilityConfig,
+    round: &mut Round,
+    path: &mut DataPath,
+) {
+    let crash = run_crash(ctxs);
+    if sched.coalesce_fsync {
+        let Round {
+            queue,
+            targets,
+            points,
+            barriers,
+            ..
+        } = round;
+        targets.clear();
+        points.clear();
+        for (i, inflight) in queue.iter().enumerate() {
+            let pending = pending_target(ctxs, inflight);
+            targets.push(pending.map(|(target, _)| target));
+            let Some((target, fd)) = pending else {
+                continue;
+            };
+            if !points.iter().any(|p| p.target == target) {
+                points.push(SyncPoint {
+                    target,
+                    fd,
+                    job: i,
+                    outcome: None,
+                });
+            }
+        }
+        barriers.clear();
+        if sched.device_sync {
+            for i in 0..points.len() {
+                let dev = points[i].target.dev();
+                let distinct = points.iter().filter(|p| p.target.dev() == dev).count();
+                if distinct < 2 || barriers.iter().any(|(d, _)| *d == dev) {
+                    continue;
+                }
+                // The kill lands before the barrier: no device flush,
+                // per-file fallback also frozen — pure page-cache loss.
+                if crash.is_some_and(CrashState::is_down)
+                    || crash_at(crash, CrashPoint::DeviceBarrier)
+                {
+                    continue;
+                }
+                let outcome = match crate::device_sync::sync_device(points[i].fd) {
+                    Ok(true) => Ok(()),
+                    Ok(false) => continue, // unavailable: per-file fallback
+                    Err(e) => Err(e),
+                };
+                // Points are in first-naming-job order, so this point's
+                // job is the first on its device: it pays the barrier.
+                queue[points[i].job].device_syncs = 1;
+                barriers.push((dev, outcome));
+            }
+            points.retain(|p| !barriers.iter().any(|(d, _)| *d == p.target.dev()));
+        }
+        path.fsync_targets(ctxs, queue, points);
+        for (inflight, target) in queue.iter_mut().zip(targets.iter()) {
+            let Some(target) = *target else {
+                continue;
+            };
+            let outcome = match barriers.iter().find(|(d, _)| *d == target.dev()) {
+                Some((_, outcome)) => outcome,
+                None => points
+                    .iter()
+                    .find(|p| p.target == target)
+                    .and_then(|p| p.outcome.as_ref())
+                    .expect("every distinct target synced"),
+            };
+            inflight.presync = Some(share_sync_result(outcome));
+        }
+    }
+    // The scheduler's seam: every data sync of the batch is done, no
+    // metadata commit has happened yet.
+    crash_at(crash, CrashPoint::SchedulerCommitSeam);
 }
 
-impl UringWriter {
-    /// Create the ring, then spawn the submission/completion loop. The
-    /// ring is created *before* the thread so every failure mode —
-    /// `ENOSYS`, `EPERM`, memlock limits — surfaces here and the caller
-    /// can fall back instead of panicking mid-run.
-    pub(crate) fn try_spawn(
-        ctxs: Arc<Vec<ShardCtx>>,
-        job_rx: crossbeam::channel::Receiver<PoolJob>,
-        sched: DurabilityConfig,
-    ) -> io::Result<UringWriter> {
-        // Room for several WRITEV runs plus a chained fsync per shard;
-        // the submission loop drains mid-wave when a batch wants more.
-        let entries = (ctxs.len() * 4).clamp(32, 256) as u32;
-        let ring = crate::uring::Ring::new(entries)?;
-        let use_links = crate::uring::links_available();
-        let handle =
-            std::thread::spawn(move || run_ring_loop(&ctxs, &job_rx, sched, ring, use_links));
-        Ok(UringWriter {
-            handle: Some(handle),
-        })
+/// The order a round's jobs are completed and acked in, as indices into
+/// the completion queue whose jobs' shards are `shards`: newest shard
+/// first (deliberately not batch-FIFO, so consumers cannot grow an
+/// accidental cross-shard ordering dependency) but in submission order
+/// *within* a shard — a pipelined shard's acks must arrive FIFO for the
+/// driver's completion draining. With one job per shard this is exactly
+/// the historical newest-first reap.
+///
+/// Wave ordering: every shard's k-th job acks (newest shard first)
+/// before any shard's (k+1)-th, so a pipelined shard never monopolizes
+/// the ack stream while other shards' completion channels sit full.
+fn reap_order(shards: &[usize]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..shards.len()).collect();
+    order.sort_by_key(|&i| {
+        // Job i's wave: how many earlier jobs share its shard.
+        let wave = shards[..i].iter().filter(|&&s| s == shards[i]).count();
+        let newest = shards
+            .iter()
+            .rposition(|&s| s == shards[i])
+            .expect("index i itself matches");
+        (wave, std::cmp::Reverse(newest), i)
+    });
+    order
+}
+
+/// Round step 4: metadata commits + acks, in [`reap_order`].
+fn ack_in_reap_order(ctxs: &[ShardCtx], round: &mut Round, occupancy: u32) {
+    round.shards.clear();
+    round.shards.extend(round.queue.iter().map(|f| f.shard));
+    round.reaped.clear();
+    round.reaped.extend(round.queue.drain(..).map(Some));
+    for i in reap_order(&round.shards) {
+        let inflight = round.reaped[i].take().expect("each job reaped once");
+        let ctx = &ctxs[inflight.shard];
+        let mut store = ctx.store.lock();
+        let done = complete_job(ctx, &mut store, inflight, occupancy);
+        drop(store);
+        let _ = ctx.done_tx.send(done);
     }
 }
 
-impl WriterBackend for UringWriter {
-    fn shutdown(&mut self) {
-        if let Some(h) = self.handle.take() {
-            h.join().expect("uring writer loop");
+// ---------------------------------------------------------------------------
+// The strategy point: how a batch's data writes (and fsyncs) are issued
+// ---------------------------------------------------------------------------
+
+/// How one loop issues a batch's data writes and fsyncs a list of
+/// distinct targets: through syscalls (`pwrite` per object, `fsync` per
+/// file), or through a kernel ring.
+struct DataPath {
+    /// The ring, when this loop drives one. A ring that died stays
+    /// parked here: from then on the loop takes the syscall path, and the
+    /// parked ring is what flags its jobs `degraded`. (SQEs of the dead
+    /// ring's last round may still be in flight; the buffers they name
+    /// sit in the round's arena, which only a ring round ever clears.)
+    ring: Option<RingPath>,
+    /// The syscall path's reusable object buffer.
+    buf: Vec<u8>,
+}
+
+impl DataPath {
+    fn live_ring(&mut self) -> Option<&mut RingPath> {
+        self.ring.as_mut().filter(|ring| !ring.dead)
+    }
+
+    /// Round step 2: issue every collected job's data writes, moving the
+    /// batch into the completion queue; durability is deferred past the
+    /// whole batch.
+    fn issue_data_writes(&mut self, ctxs: &[ShardCtx], round: &mut Round) {
+        if let Some(ring) = self.live_ring() {
+            ring.issue_waves(ctxs, round);
+            return;
+        }
+        let degraded = self.ring.is_some();
+        for job in round.batch.drain(..) {
+            let ctx = &ctxs[job.shard];
+            let mut store = ctx.store.lock();
+            let buf = &mut self.buf;
+            let mut inflight = submit_job(ctx, &mut store, buf, job.shard, job.job, job.queued_at);
+            inflight.degraded = degraded;
+            round.queue.push(inflight);
+        }
+    }
+
+    /// The durability scheduler's hook: fsync each of these distinct
+    /// targets once, recording the outcomes in place. The ring carries
+    /// them as one round of FSYNC SQEs; the syscall path — and the
+    /// ring's fallback for ring trouble or an over-capacity tail — is
+    /// the synchronous per-file fsync through the store of the job that
+    /// pays for the call, under its retry budget.
+    fn fsync_targets(
+        &mut self,
+        ctxs: &[ShardCtx],
+        queue: &mut [InFlight],
+        points: &mut [SyncPoint],
+    ) {
+        let down = run_crash(ctxs).is_some_and(CrashState::is_down);
+        if let Some(ring) = self.live_ring().filter(|_| !down) {
+            ring.fsync_round(points);
+        }
+        for p in points.iter_mut() {
+            // The first job naming the target is charged the call and
+            // the retry attempts behind it; every rider pays nothing.
+            let payer = &mut queue[p.job];
+            payer.data_syncs = 1;
+            if p.outcome.is_none() {
+                let ctx = &ctxs[payer.shard];
+                let Ok(pending) = &payer.state else {
+                    unreachable!("a sync point names a job with a pending target");
+                };
+                let store = ctx.store.lock();
+                p.outcome = Some(
+                    ctx.retry
+                        .run(&mut payer.counters, || sync_pending(&store, pending)),
+                );
+            }
         }
     }
 }
 
-impl Drop for UringWriter {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
+/// The ring data path: data writes are submitted as `IORING_OP_WRITEV`
+/// SQEs and reaped out of order by `user_data`; durability rides the
+/// ring as `IORING_OP_FSYNC` SQEs (chained per job via `IOSQE_IO_LINK`
+/// with coalescing off, one per distinct target file per batch with
+/// coalescing on) or falls back to the synchronous fsync. Within a
+/// batch, each shard's jobs are written in per-shard FIFO *waves* so
+/// same-file appends stack at precomputed offsets.
+struct RingPath {
+    ring: Ring,
+    /// A job's fsync rides the ring chained behind its writes (when the
+    /// whole chain fits the ring): only when links are supported and
+    /// coalescing is off — the scheduler owns durability otherwise.
+    chain_fsync: bool,
+    /// Latched on any `io_uring_enter`/push failure: once an enter round
+    /// fails, completions for its in-flight SQEs could surface later and
+    /// a fresh round would misattribute them by `user_data`, so the loop
+    /// stops using the ring for good: the current batch finishes on the
+    /// synchronous redo path (positional rewrites are idempotent; fsyncs
+    /// fall back inline) and later batches take the syscall data path.
+    dead: bool,
 }
 
 /// One staged ring operation of the current wave. `ptr`/`len` name a
@@ -1080,7 +1080,7 @@ impl Drop for UringWriter {
 struct RingOp {
     /// Index into the batch's completion queue.
     job: usize,
-    fd: std::os::unix::io::RawFd,
+    fd: RawFd,
     offset: u64,
     ptr: *const u8,
     len: usize,
@@ -1090,18 +1090,48 @@ struct RingOp {
     link: bool,
 }
 
-/// Outcome of a job's chained (`IOSQE_IO_LINK`) fsync SQE.
-enum ChainedFsync {
-    /// The ring brought the job's data to stable storage.
-    Done,
-    /// The chain broke (`ECANCELED` after a repaired short write, or the
-    /// enter call failed): durability unresolved, sync inline instead.
-    Retry,
-    /// A working fsync reported a real I/O failure.
-    Failed(io::Error),
+impl RingOp {
+    /// A positional write of `bytes` on behalf of completion-queue job
+    /// `job`; the caller keeps `bytes`' buffer alive for the wave.
+    fn write(job: usize, fd: RawFd, offset: u64, bytes: &[u8]) -> RingOp {
+        RingOp {
+            job,
+            fd,
+            offset,
+            ptr: bytes.as_ptr(),
+            len: bytes.len(),
+            fsync: false,
+            link: false,
+        }
+    }
 }
 
 const ECANCELED: i32 = 125;
+
+/// Split `ids` (increasing) into maximal consecutive runs and stage one
+/// WRITEV per run: each run is contiguous in `bytes`, the packed object
+/// buffer, *and* on disk.
+fn push_runs(
+    ops: &mut Vec<RingOp>,
+    job: usize,
+    ids: &[u32],
+    bytes: &[u8],
+    fd: RawFd,
+    geometry: &mmoc_core::StateGeometry,
+) {
+    let obj_size = geometry.object_size as usize;
+    let mut start = 0usize;
+    while start < ids.len() {
+        let mut end = start + 1;
+        while end < ids.len() && ids[end] == ids[end - 1] + 1 {
+            end += 1;
+        }
+        let offset = geometry.object_offset(ObjectId(ids[start]));
+        let run = &bytes[start * obj_size..end * obj_size];
+        ops.push(RingOp::write(job, fd, offset, run));
+        start = end;
+    }
+}
 
 /// Stage one job's data writes as ring operations, mirroring
 /// [`submit_job`] byte for byte: double-backup writes become one WRITEV
@@ -1111,54 +1141,22 @@ const ECANCELED: i32 = 125;
 /// lands after it). Sweep jobs run the copy-on-update read protocol —
 /// lock, prefer the saved pre-update image, publish the frontier after
 /// each object is read and queued — into a wave-local image first.
-#[allow(clippy::too_many_arguments)]
 fn stage_ring_job(
     ctx: &ShardCtx,
     store: &mut Store,
     job_idx: usize,
-    shard: usize,
-    job: Job,
-    queued_at: Instant,
+    job: PoolJob,
     ops: &mut Vec<RingOp>,
     arena: &mut Vec<Vec<u8>>,
 ) -> InFlight {
     let obj_size = ctx.geometry.object_size as usize;
-    let shared = &ctx.shared;
     // Consulted at each staging gate (not cached): a crash point can
     // fire *inside* this function (the invalidate site), and nothing
     // staged after the kill instant may reach the ring.
     let is_down = || ctx.crash.as_ref().is_some_and(|c| c.is_down());
-    // Split `ids` (increasing) into maximal consecutive runs: each run
-    // is contiguous in the packed data buffer *and* on disk, so one
-    // WRITEV covers it. Returns (start_index, end_index) pairs.
-    let push_runs = |ops: &mut Vec<RingOp>,
-                     ids: &[u32],
-                     base: *const u8,
-                     fd,
-                     geometry: &mmoc_core::StateGeometry| {
-        let mut start = 0usize;
-        while start < ids.len() {
-            let mut end = start + 1;
-            while end < ids.len() && ids[end] == ids[end - 1] + 1 {
-                end += 1;
-            }
-            ops.push(RingOp {
-                job: job_idx,
-                fd,
-                offset: geometry.object_offset(ObjectId(ids[start])),
-                // SAFETY-relevant invariant: `base` points at the packed
-                // object buffer; run bytes start at `start * obj_size`.
-                ptr: unsafe { base.add(start * obj_size) },
-                len: (end - start) * obj_size,
-                fsync: false,
-                link: false,
-            });
-            start = end;
-        }
-    };
-    // Delta capture for the replica tier, published at completion.
-    let want_delta = ctx.replicas.is_some();
-    let (objects, state, recycled, replica) = match job {
+    // An eager job brings its private copy of the images; a sweep job
+    // brings the cursor its frontier is denominated in.
+    let (ids, data, cursor, seq, tick, target, full_image) = match job.job {
         Job::Eager {
             ids,
             data,
@@ -1166,56 +1164,7 @@ fn stage_ring_job(
             tick,
             target,
             full_image,
-        } => {
-            let count = ids.len() as u32;
-            let replica = want_delta.then(|| ReplicaDelta {
-                tick,
-                ids: ids.clone(),
-                data: data.clone(),
-            });
-            let state = match store {
-                Store::Double(set) => match set.invalidate(target) {
-                    Err(e) => Err(e),
-                    Ok(()) => {
-                        if !is_down() {
-                            push_runs(ops, &ids, data.as_ptr(), set.sync_fd(target), &ctx.geometry);
-                        }
-                        Ok(PendingDurability::Double { target, tick })
-                    }
-                },
-                Store::Log(log) => {
-                    let mut seg = Vec::new();
-                    crate::log_store::serialize_segment(
-                        seq,
-                        tick,
-                        full_image,
-                        ids.iter()
-                            .enumerate()
-                            .map(|(i, &id)| (ObjectId(id), &data[i * obj_size..][..obj_size])),
-                        &mut seg,
-                    );
-                    let offset = log.append_offset();
-                    if !is_down() {
-                        log.note_appended(seg.len() as u64);
-                        ops.push(RingOp {
-                            job: job_idx,
-                            fd: log.sync_fd(),
-                            offset,
-                            ptr: seg.as_ptr(),
-                            len: seg.len(),
-                            fsync: false,
-                            link: false,
-                        });
-                    }
-                    arena.push(seg);
-                    Ok(PendingDurability::Log)
-                }
-            };
-            // `data` moves into the in-flight record below; a Vec move
-            // never relocates its heap buffer, so the op pointers stay
-            // valid for the life of the wave.
-            (count, state, Some((ids, data)), replica)
-        }
+        } => (ids, Some(data), None, seq, tick, target, full_image),
         Job::Sweep {
             list,
             cursor,
@@ -1223,250 +1172,120 @@ fn stage_ring_job(
             tick,
             target,
             full_image,
-        } => {
-            let count = list.len() as u32;
-            let read_object = |o: u32, buf: &mut [u8]| {
-                let obj = ObjectId(o);
-                let _guard = shared.locks[o as usize].lock();
-                if shared.copied.get(o) {
-                    shared.read_arena_into(obj, buf);
-                } else {
-                    shared.table.read_object_into(obj, buf);
-                }
-                shared.flushed.set(o);
-            };
-            let publish = |position: usize, o: u32| {
-                let slots = match cursor {
-                    CursorKind::ByIndex => u64::from(o) + 1,
-                    CursorKind::ByPosition => position as u64 + 1,
-                };
-                ctx.frontier.store(slots, Ordering::Release);
-            };
-            // Capture the sweep into a wave-local image. The frontier is
-            // published per object once it is read and queued — "queued"
-            // here means captured for ring submission, which is the same
-            // under-approximation the synchronous path provides.
-            let capture = |image: &mut Vec<u8>| {
-                for (p, &o) in list.iter().enumerate() {
-                    read_object(o, &mut image[p * obj_size..][..obj_size]);
-                    publish(p, o);
-                }
-            };
-            let mut replica = None;
-            let state = match store {
-                Store::Double(set) => match set.invalidate(target) {
-                    Err(e) => Err(e),
-                    Ok(()) => {
-                        let mut image = vec![0u8; list.len() * obj_size];
-                        capture(&mut image);
-                        if want_delta {
-                            replica = Some(ReplicaDelta {
-                                tick,
-                                ids: list.clone(),
-                                data: image.clone(),
-                            });
-                        }
-                        if !is_down() {
-                            push_runs(
-                                ops,
-                                &list,
-                                image.as_ptr(),
-                                set.sync_fd(target),
-                                &ctx.geometry,
-                            );
-                        }
-                        arena.push(image);
-                        Ok(PendingDurability::Double { target, tick })
-                    }
-                },
-                Store::Log(log) => {
-                    let mut image = vec![0u8; list.len() * obj_size];
-                    capture(&mut image);
-                    if want_delta {
-                        replica = Some(ReplicaDelta {
-                            tick,
-                            ids: list.clone(),
-                            data: image.clone(),
-                        });
-                    }
-                    let mut seg = Vec::new();
-                    crate::log_store::serialize_segment(
-                        seq,
-                        tick,
-                        full_image,
-                        list.iter()
-                            .enumerate()
-                            .map(|(p, &o)| (ObjectId(o), &image[p * obj_size..][..obj_size])),
-                        &mut seg,
-                    );
-                    let offset = log.append_offset();
-                    if !is_down() {
-                        log.note_appended(seg.len() as u64);
-                        ops.push(RingOp {
-                            job: job_idx,
-                            fd: log.sync_fd(),
-                            offset,
-                            ptr: seg.as_ptr(),
-                            len: seg.len(),
-                            fsync: false,
-                            link: false,
-                        });
-                    }
-                    arena.push(seg);
-                    Ok(PendingDurability::Log)
-                }
-            };
-            (count, state, None, replica)
-        }
+        } => (list, None, Some(cursor), seq, tick, target, full_image),
     };
-    InFlight {
-        shard,
-        t0: queued_at,
-        objects,
-        recycled,
-        state,
-        presync: None,
-        replica,
-        counters: RetryCounters::default(),
-        degraded: false,
-    }
+    let objects = ids.len() as u32;
+    let opened = match store {
+        Store::Double(set) => set.invalidate(target),
+        Store::Log(_) => Ok(()),
+    };
+    let mut replica = None;
+    let state = opened.map(|()| {
+        // Capture a sweep into a wave-local image. The frontier is
+        // published per object once it is read and queued — "queued"
+        // here means captured for ring submission, which is the same
+        // under-approximation the synchronous path provides.
+        let image = cursor.map(|cursor| {
+            let sweep = Sweep { ctx, cursor };
+            let mut image = vec![0u8; ids.len() * obj_size];
+            for (p, &o) in ids.iter().enumerate() {
+                sweep.read_object(o, &mut image[p * obj_size..][..obj_size]);
+                sweep.publish(p, o);
+            }
+            image
+        });
+        let bytes = data.as_deref().or(image.as_deref()).unwrap_or_default();
+        replica = ReplicaDelta::capture(ctx, tick, &ids, bytes);
+        match store {
+            Store::Double(set) => {
+                if !is_down() {
+                    let fd = set.sync_fd(target);
+                    push_runs(ops, job_idx, &ids, bytes, fd, &ctx.geometry);
+                }
+                arena.extend(image);
+                PendingDurability::Double { target, tick }
+            }
+            Store::Log(log) => {
+                let mut seg = Vec::new();
+                crate::log_store::serialize_segment(
+                    seq,
+                    tick,
+                    full_image,
+                    ids.iter()
+                        .enumerate()
+                        .map(|(p, &o)| (ObjectId(o), &bytes[p * obj_size..][..obj_size])),
+                    &mut seg,
+                );
+                let offset = log.append_offset();
+                if !is_down() {
+                    log.note_appended(seg.len() as u64);
+                    ops.push(RingOp::write(job_idx, log.sync_fd(), offset, &seg));
+                }
+                arena.push(seg);
+                PendingDurability::Log
+            }
+        }
+    });
+    // An eager job's `data` moves into the in-flight record here (to be
+    // recycled to the mutator); a Vec move never relocates its heap
+    // buffer — nor does moving an image or segment into the arena — so
+    // the op pointers stay valid for the life of the wave.
+    let recycled = data.map(|data| (ids, data));
+    InFlight::new(job.shard, job.queued_at, objects, recycled, state, replica)
 }
 
-/// The ring backend's submission/completion loop. Structure mirrors
-/// [`AsyncBatchedWriter::spawn`] — batch drain, adaptive window,
-/// batch-global durability scheduling, wave-ordered acks — with the
-/// write phase (and, where possible, the fsyncs) driven through the
-/// kernel ring instead of per-write syscalls.
-fn run_ring_loop(
-    ctxs: &[ShardCtx],
-    job_rx: &crossbeam::channel::Receiver<PoolJob>,
-    sched: DurabilityConfig,
-    mut ring: crate::uring::Ring,
-    use_links: bool,
-) {
-    use crate::uring::{pwrite_all, Iovec, Sqe};
-    let cap = ring.capacity() as usize;
-    // A job's fsync rides the ring as a linked chain only when links are
-    // supported, coalescing is off (the scheduler owns durability
-    // otherwise), and the chain fits the ring.
-    let chain_fsync = use_links && !sched.coalesce_fsync;
-    // Round-to-round scratch, reused so the steady state allocates
-    // little per batch.
-    let mut batch: Vec<PoolJob> = Vec::new();
-    let mut completion_queue: Vec<InFlight> = Vec::new();
-    let mut sqe_batches: Vec<u32> = Vec::new();
-    let mut chained: Vec<Option<ChainedFsync>> = Vec::new();
-    let mut arena: Vec<Vec<u8>> = Vec::new();
-    let mut ops: Vec<RingOp> = Vec::new();
-    let mut outcomes: Vec<Option<i32>> = Vec::new();
-    let mut synced: Vec<(SyncTarget, io::Result<()>, bool, RetryCounters)> = Vec::new();
-    let mut device_synced: Vec<(u64, io::Result<()>, bool)> = Vec::new();
-    let mut batch_targets: Vec<(SyncTarget, std::os::unix::io::RawFd)> = Vec::new();
-    let mut reap_order: Vec<usize> = Vec::new();
-    let mut reaped: Vec<Option<(InFlight, u32)>> = Vec::new();
-    let mut ewma_gap_s: Option<f64> = None;
-    let mut prev_arrival: Option<Instant> = None;
-    let mut last_batch_full = false;
-    // Latched on any `io_uring_enter`/push failure: once an enter round
-    // fails, completions for its in-flight SQEs could surface later and
-    // a fresh round would misattribute them by `user_data`, so the loop
-    // stops using the ring for good and runs the synchronous redo path
-    // (positional rewrites are idempotent; fsyncs fall back inline).
-    let mut ring_dead = false;
-    let full_batch = ctxs.len() * sched.pipeline_depth.max(1) as usize;
-    // Crash-point lattice handle: one state serves the whole run.
-    let crash = ctxs.first().and_then(|ctx| ctx.crash.clone());
-    // Transient-fault layer handle and retry budget, likewise run-global.
-    let fault = ctxs.first().and_then(|ctx| ctx.fault.clone());
-    let retry = ctxs.first().map_or_else(Default::default, |ctx| ctx.retry);
-    while let Ok(first) = job_rx.recv() {
-        batch.push(first);
-        while let Ok(job) = job_rx.try_recv() {
-            batch.push(job);
-        }
-        // Adaptive batch window, identical to the batched engine's.
-        let window = if sched.auto_window {
-            match ewma_gap_s {
-                Some(gap) if !last_batch_full => Duration::from_secs_f64(
-                    (gap * full_batch as f64).min(MAX_AUTO_WINDOW.as_secs_f64()),
-                ),
-                _ => Duration::ZERO,
-            }
-        } else {
-            sched.batch_window
-        };
-        if !window.is_zero() {
-            let deadline = Instant::now() + window;
-            while batch.len() < full_batch {
-                let Some(left) = deadline.checked_duration_since(Instant::now()) else {
-                    break;
-                };
-                match job_rx.recv_timeout(left) {
-                    Ok(job) => batch.push(job),
-                    Err(_) => break,
-                }
-            }
-        }
-        for job in &batch {
-            if let Some(prev) = prev_arrival {
-                let gap = job.queued_at.saturating_duration_since(prev).as_secs_f64();
-                ewma_gap_s = Some(match ewma_gap_s {
-                    Some(e) => e + ARRIVAL_EWMA_ALPHA * (gap - e),
-                    None => gap,
-                });
-            }
-            prev_arrival = Some(job.queued_at);
-        }
-        last_batch_full = batch.len() >= full_batch;
-        let occupancy = batch.len() as u32;
-
-        // Partition into per-shard FIFO waves: wave k holds each shard's
-        // k-th job of the batch, so same-file writes of a pipelined
-        // shard are staged (and their append offsets reserved) in
-        // submission order, wave by wave.
-        let wave_of: Vec<usize> = (0..batch.len())
-            .map(|i| {
-                batch[..i]
-                    .iter()
-                    .filter(|j| j.shard == batch[i].shard)
-                    .count()
-            })
-            .collect();
-        let n_waves = wave_of.iter().max().map_or(0, |w| w + 1);
-        completion_queue.clear();
-        sqe_batches.clear();
-        chained.clear();
+impl RingPath {
+    /// Issue a batch's data writes through the ring, wave by wave,
+    /// moving the batch into the completion queue (in wave order).
+    fn issue_waves(&mut self, ctxs: &[ShardCtx], round: &mut Round) {
+        let RingPath { ring, dead, .. } = self;
+        let cap = ring.capacity() as usize;
+        let crash = run_crash(ctxs);
+        // Transient-fault layer handle and retry budget, likewise
+        // run-global.
+        let fault = ctxs.first().and_then(|ctx| ctx.fault.as_deref());
+        let retry = ctxs.first().map_or_else(Default::default, |ctx| ctx.retry);
+        let Round {
+            batch,
+            queue,
+            ops,
+            iovecs,
+            outcomes,
+            arena,
+            ..
+        } = round;
         arena.clear();
-        let mut pool_jobs: Vec<Option<PoolJob>> = batch.drain(..).map(Some).collect();
-
-        for wave in 0..n_waves {
+        // Per-shard FIFO waves: each wave takes the earliest remaining
+        // job of every shard, so same-file writes of a pipelined shard
+        // are staged (and their append offsets reserved) in submission
+        // order, wave by wave.
+        while !batch.is_empty() {
             // Stage every job of this wave: data writes become RingOps
             // over wave-stable buffers.
             ops.clear();
-            let wave_start = completion_queue.len();
-            for (i, slot) in pool_jobs.iter_mut().enumerate() {
-                if wave_of[i] != wave {
+            let wave_start = queue.len();
+            let mut next = 0;
+            while next < batch.len() {
+                // `queue[wave_start..]` is the wave so far.
+                if queue[wave_start..]
+                    .iter()
+                    .any(|staged| staged.shard == batch[next].shard)
+                {
+                    next += 1;
                     continue;
                 }
-                let PoolJob {
-                    shard,
-                    job,
-                    queued_at,
-                    order: _,
-                } = slot.take().expect("each job staged once");
-                let ctx = &ctxs[shard];
+                let job = batch.remove(next);
+                let ctx = &ctxs[job.shard];
                 let mut store = ctx.store.lock();
-                let job_idx = completion_queue.len();
+                let job_idx = queue.len();
                 let ops_before = ops.len();
-                let inflight = stage_ring_job(
-                    ctx, &mut store, job_idx, shard, job, queued_at, &mut ops, &mut arena,
-                );
+                let inflight = stage_ring_job(ctx, &mut store, job_idx, job, ops, arena);
                 drop(store);
                 // Annotate the job's durability chain: link its writes
                 // and append the trailing fsync when the whole chain
                 // fits the ring.
                 let job_ops = ops.len() - ops_before;
-                if chain_fsync
+                if self.chain_fsync
                     && ctx.sync_data
                     && inflight.state.is_ok()
                     && job_ops >= 1
@@ -1477,22 +1296,15 @@ fn run_ring_loop(
                     }
                     let fd = ops[ops.len() - 1].fd;
                     ops.push(RingOp {
-                        job: job_idx,
-                        fd,
-                        offset: 0,
-                        ptr: std::ptr::null(),
-                        len: 0,
                         fsync: true,
-                        link: false,
+                        ..RingOp::write(job_idx, fd, 0, &[])
                     });
                 }
-                completion_queue.push(inflight);
-                chained.push(None);
-                sqe_batches.push(0);
+                queue.push(inflight);
             }
             let wave_sqes = ops.len() as u32;
-            for sb in &mut sqe_batches[wave_start..] {
-                *sb = wave_sqes;
+            for inflight in &mut queue[wave_start..] {
+                inflight.sqe_batch = wave_sqes;
             }
 
             // Submission: push every op (keeping link chains whole),
@@ -1501,24 +1313,17 @@ fn run_ring_loop(
             // their `outcomes` slot directly.
             outcomes.clear();
             outcomes.resize(ops.len(), None);
-            if let Some(c) = &crash {
-                if let Some(plan) = c.reach(crate::crash::CrashPoint::UringWaveStaged) {
-                    match plan.action {
-                        // Mid-batch ring death: the wave's SQEs never
-                        // reach the kernel; the synchronous redo below
-                        // must finish the batch byte-identically.
-                        crate::crash::CrashAction::RingDeath => ring_dead = true,
-                        // Simulated kill between staging and submission:
-                        // nothing of this wave reaches disk.
-                        crate::crash::CrashAction::Crash => c.go_down(),
-                    }
-                }
-            }
-            let down = crash.as_ref().is_some_and(|c| c.is_down());
-            if !ring_dead && !down {
-                // One iovec per write op, pre-reserved to its final size
+            // Ring death here: the wave's SQEs never reach the kernel and
+            // the synchronous redo below must finish the batch
+            // byte-identically. A kill here lands between staging and
+            // submission: nothing of this wave reaches disk.
+            ring_crash_at(crash, CrashPoint::UringWaveStaged, dead);
+            let down = crash.is_some_and(CrashState::is_down);
+            if !*dead && !down {
+                // One iovec per op, reserved to the final size up front
                 // so the pointers handed to the kernel never move.
-                let mut iovecs: Vec<Iovec> = Vec::with_capacity(ops.len());
+                iovecs.clear();
+                iovecs.reserve(ops.len());
                 let mut awaiting = 0usize;
                 let mut i = 0usize;
                 'submit: while i < ops.len() {
@@ -1539,37 +1344,33 @@ fn run_ring_loop(
                             break;
                         }
                         if ring.submit_and_wait(1).is_err() {
-                            ring_dead = true;
+                            *dead = true;
                             break 'submit;
                         }
                     }
                     for op in &ops[i..j] {
                         let k = iovecs.len();
+                        iovecs.push(Iovec {
+                            iov_base: op.ptr.cast_mut().cast(),
+                            iov_len: op.len,
+                        });
                         let sqe = if op.fsync {
-                            iovecs.push(Iovec {
-                                iov_base: std::ptr::null_mut(),
-                                iov_len: 0,
-                            });
                             Sqe::fsync_data(op.fd, k as u64)
                         } else {
-                            iovecs.push(Iovec {
-                                iov_base: op.ptr.cast_mut().cast(),
-                                iov_len: op.len,
-                            });
                             Sqe::writev(op.fd, &raw const iovecs[k], 1, op.offset, k as u64)
                         };
                         let sqe = if op.link { sqe.link() } else { sqe };
                         if ring.push(sqe).is_err() {
-                            ring_dead = true;
+                            *dead = true;
                             break 'submit;
                         }
                         awaiting += 1;
                     }
                     i = j;
                 }
-                while !ring_dead && awaiting > 0 {
+                while !*dead && awaiting > 0 {
                     if ring.submit_and_wait(awaiting as u32).is_err() {
-                        ring_dead = true;
+                        *dead = true;
                         break;
                     }
                     while let Some(c) = ring.reap() {
@@ -1584,20 +1385,29 @@ fn run_ring_loop(
             // idempotent), surface real errors into the job's state.
             for (k, op) in ops.iter().enumerate() {
                 let mut outcome = outcomes.get(k).copied().flatten();
+                let job = &mut queue[op.job];
                 if op.fsync {
-                    chained[op.job] = Some(match outcome {
-                        Some(r) if r >= 0 => ChainedFsync::Done,
-                        Some(r) if -r == ECANCELED => ChainedFsync::Retry,
-                        None => ChainedFsync::Retry,
-                        Some(r) => ChainedFsync::Failed(io::Error::from_raw_os_error(-r)),
-                    });
+                    // Resolve the job's chained fsync into its presync
+                    // slot: ring durability succeeded (or genuinely
+                    // failed) → the completion phase must not sync
+                    // again; a broken chain (`ECANCELED` after a
+                    // repaired short write, or the enter call failed)
+                    // → leave `presync` empty and the completion phase
+                    // syncs inline, the documented fallback.
+                    let result = match outcome {
+                        Some(r) if r >= 0 => Ok(()),
+                        Some(r) if -r != ECANCELED => Err(io::Error::from_raw_os_error(-r)),
+                        _ => continue,
+                    };
+                    job.presync = Some(result);
+                    job.data_syncs = 1;
                     continue;
                 }
                 // Transient-fault injection at the CQE seam: rewrite a
                 // successful write completion into the scheduled errno.
                 // The bytes did land, so the synchronous redo below is
                 // idempotent — the same contract as short-write repair.
-                if let Some(f) = &fault {
+                if let Some(f) = fault {
                     if matches!(outcome, Some(r) if r >= 0) {
                         if let Some(kind) = f.consult(FaultSite::UringCqe) {
                             outcome = Some(-kind.errno());
@@ -1621,7 +1431,6 @@ fn run_ring_loop(
                         // every later one — finishes on the synchronous
                         // path. A zero budget is the historical engine:
                         // the error propagates into the job's state.
-                        let job = &mut completion_queue[op.job];
                         if retry.max == 0 {
                             let e = io::Error::from_raw_os_error(-r);
                             if job.state.is_ok() {
@@ -1631,7 +1440,7 @@ fn run_ring_loop(
                         }
                         if job.counters.retries >= u64::from(retry.max) {
                             job.counters.exhausted += 1;
-                            ring_dead = true;
+                            *dead = true;
                         } else {
                             job.counters.retries += 1;
                         }
@@ -1639,10 +1448,10 @@ fn run_ring_loop(
                     }
                     None => 0, // enter failed before completion: redo whole
                 };
-                if ring_dead {
+                if *dead {
                     // Any redo performed after the ring latched dead ran
                     // on the degraded synchronous path.
-                    completion_queue[op.job].degraded = true;
+                    job.degraded = true;
                 }
                 if down {
                     continue; // frozen: the redo path writes nothing
@@ -1652,254 +1461,40 @@ fn run_ring_loop(
                 let bytes = unsafe { std::slice::from_raw_parts(op.ptr, op.len) };
                 if let Err(e) = pwrite_all(op.fd, &bytes[redo_from..], op.offset + redo_from as u64)
                 {
-                    if completion_queue[op.job].state.is_ok() {
-                        completion_queue[op.job].state = Err(e);
+                    if job.state.is_ok() {
+                        job.state = Err(e);
                     }
                 }
             }
-            if let Some(c) = &crash {
-                if let Some(plan) = c.reach(crate::crash::CrashPoint::UringWaveComplete) {
-                    match plan.action {
-                        crate::crash::CrashAction::RingDeath => ring_dead = true,
-                        crate::crash::CrashAction::Crash => c.go_down(),
-                    }
-                }
-            }
-        }
-
-        // Resolve each job's chained fsync into its presync slot: ring
-        // durability succeeded (or genuinely failed) → the completion
-        // phase must not sync again; a broken chain → leave `presync`
-        // empty and the completion phase retries inline, the documented
-        // fallback.
-        for (job_idx, outcome) in chained.iter_mut().enumerate() {
-            match outcome.take() {
-                Some(ChainedFsync::Done) => {
-                    completion_queue[job_idx].presync = Some(Presync {
-                        result: Ok(()),
-                        data_syncs: 1,
-                        device_syncs: 0,
-                        retries: 0,
-                        exhausted: 0,
-                    });
-                }
-                Some(ChainedFsync::Failed(e)) => {
-                    completion_queue[job_idx].presync = Some(Presync {
-                        result: Err(e),
-                        data_syncs: 1,
-                        device_syncs: 0,
-                        retries: 0,
-                        exhausted: 0,
-                    });
-                }
-                Some(ChainedFsync::Retry) | None => {}
-            }
-        }
-
-        // Durability scheduler, batch-global exactly as in the batched
-        // engine: one data sync per distinct target file across the
-        // whole batch — all of them before any metadata commit — with
-        // the per-file fsyncs riding the ring as FSYNC SQEs and the
-        // whole-device barriers staying on their synchronous
-        // capability-probed path.
-        if sched.coalesce_fsync {
-            synced.clear();
-            device_synced.clear();
-            batch_targets.clear();
-            for inflight in &completion_queue {
-                let ctx = &ctxs[inflight.shard];
-                let Ok(pending) = &inflight.state else {
-                    continue;
-                };
-                if !ctx.sync_data {
-                    continue;
-                }
-                let store = ctx.store.lock();
-                let target = sync_target_of(&store, pending);
-                if !batch_targets.iter().any(|(t, _)| *t == target) {
-                    batch_targets.push((target, sync_fd_of(&store, pending)));
-                }
-            }
-            if sched.device_sync {
-                for i in 0..batch_targets.len() {
-                    let (target, fd) = batch_targets[i];
-                    let dev = target.dev();
-                    let distinct = batch_targets.iter().filter(|(t, _)| t.dev() == dev).count();
-                    if distinct < 2 || device_synced.iter().any(|(d, ..)| *d == dev) {
-                        continue;
-                    }
-                    if let Some(c) = &crash {
-                        if c.is_down() {
-                            continue;
-                        }
-                        if c.reach(crate::crash::CrashPoint::DeviceBarrier).is_some() {
-                            c.go_down();
-                            continue;
-                        }
-                    }
-                    match crate::device_sync::sync_device(fd) {
-                        Ok(true) => device_synced.push((dev, Ok(()), false)),
-                        Ok(false) => {} // unavailable: per-file fallback
-                        Err(e) => device_synced.push((dev, Err(e), false)),
-                    }
-                }
-            }
-            // One FSYNC SQE per distinct file not covered by a device
-            // barrier, all in one submission round.
-            let fsync_targets: Vec<(SyncTarget, std::os::unix::io::RawFd)> = batch_targets
-                .iter()
-                .filter(|(t, _)| !device_synced.iter().any(|(d, ..)| *d == t.dev()))
-                .copied()
-                .collect();
-            let mut results: Vec<Option<io::Result<()>>> =
-                fsync_targets.iter().map(|_| None).collect();
-            if !ring_dead && !crash.as_ref().is_some_and(|c| c.is_down()) {
-                let mut pushed = 0usize;
-                for (k, (_, fd)) in fsync_targets.iter().enumerate() {
-                    if pushed == cap || ring.push(Sqe::fsync_data(*fd, k as u64)).is_err() {
-                        break; // the rest sync synchronously below
-                    }
-                    pushed += 1;
-                }
-                if pushed > 0 {
-                    if ring.submit_and_wait(pushed as u32).is_err() {
-                        ring_dead = true;
-                    } else {
-                        for _ in 0..pushed {
-                            let Some(c) = ring.reap() else { break };
-                            results[c.user_data as usize] = Some(if c.res >= 0 {
-                                Ok(())
-                            } else {
-                                Err(io::Error::from_raw_os_error(-c.res))
-                            });
-                        }
-                    }
-                }
-            }
-            for (k, (target, _)) in fsync_targets.iter().enumerate() {
-                let mut cnt = RetryCounters::default();
-                let outcome = match results[k].take() {
-                    Some(r) => r,
-                    // Ring trouble (or an over-capacity tail): fall back
-                    // to the synchronous per-file fsync for this target,
-                    // under the retry budget like the batched engine's
-                    // triggering sync.
-                    None => retry.run(&mut cnt, || {
-                        sync_target_fsync(ctxs, &completion_queue, *target)
-                    }),
-                };
-                synced.push((*target, outcome, false, cnt));
-            }
-            for inflight in &mut completion_queue {
-                let ctx = &ctxs[inflight.shard];
-                let Ok(pending) = &inflight.state else {
-                    continue;
-                };
-                if !ctx.sync_data {
-                    continue;
-                }
-                let store = ctx.store.lock();
-                let target = sync_target_of(&store, pending);
-                drop(store);
-                if let Some((_, outcome, charged)) =
-                    device_synced.iter_mut().find(|(d, ..)| *d == target.dev())
-                {
-                    let device_syncs = u32::from(!*charged);
-                    *charged = true;
-                    inflight.presync = Some(Presync {
-                        result: share_sync_result(outcome),
-                        data_syncs: 0,
-                        device_syncs,
-                        retries: 0,
-                        exhausted: 0,
-                    });
-                    continue;
-                }
-                if let Some((_, outcome, charged, cnt)) =
-                    synced.iter_mut().find(|(t, ..)| *t == target)
-                {
-                    let data_syncs = u32::from(!*charged);
-                    // Retry attempts behind a shared sync are charged to
-                    // the same job that pays its fsync.
-                    let (retries, exhausted) = if *charged {
-                        (0, 0)
-                    } else {
-                        (cnt.retries, cnt.exhausted)
-                    };
-                    *charged = true;
-                    inflight.presync = Some(Presync {
-                        result: share_sync_result(outcome),
-                        data_syncs,
-                        device_syncs: 0,
-                        retries,
-                        exhausted,
-                    });
-                }
-            }
-        }
-
-        if let Some(c) = &crash {
-            // The scheduler's seam, exactly as in the batched engine.
-            if c.reach(crate::crash::CrashPoint::SchedulerCommitSeam)
-                .is_some()
-            {
-                c.go_down();
-            }
-        }
-        // Completion: metadata commits + acks in the batched engine's
-        // wave order — every shard's k-th job (newest shard first)
-        // before any shard's (k+1)-th — so pipelined acks stay FIFO per
-        // shard and no shard monopolizes the ack stream.
-        reap_order.clear();
-        reap_order.extend(0..completion_queue.len());
-        reap_order.sort_by_key(|&i| {
-            let shard = completion_queue[i].shard();
-            let wave = completion_queue[..i]
-                .iter()
-                .filter(|f| f.shard() == shard)
-                .count();
-            let newest = completion_queue
-                .iter()
-                .rposition(|f| f.shard() == shard)
-                .expect("index i itself matches");
-            (wave, std::cmp::Reverse(newest), i)
-        });
-        reaped.clear();
-        reaped.extend(
-            completion_queue
-                .drain(..)
-                .zip(sqe_batches.drain(..))
-                .map(Some),
-        );
-        for &i in &reap_order {
-            let (inflight, sqe_batch) = reaped[i].take().expect("each job reaped once");
-            let ctx = &ctxs[inflight.shard()];
-            let mut store = ctx.store.lock();
-            let done = complete_job(ctx, &mut store, inflight, occupancy, sqe_batch);
-            drop(store);
-            let _ = ctx.done_tx.send(done);
+            ring_crash_at(crash, CrashPoint::UringWaveComplete, dead);
         }
     }
-}
 
-/// Synchronous fallback fsync for one durability target, used when the
-/// ring cannot carry the coalesced sync round: find any pending job
-/// naming `target` and sync through its store.
-fn sync_target_fsync(
-    ctxs: &[ShardCtx],
-    completion_queue: &[InFlight],
-    target: SyncTarget,
-) -> io::Result<()> {
-    for inflight in completion_queue {
-        let Ok(pending) = &inflight.state else {
-            continue;
-        };
-        let store = ctxs[inflight.shard].store.lock();
-        if sync_target_of(&store, pending) == target {
-            return sync_pending(&store, pending);
+    /// One FSYNC SQE per target, all in one submission round. A target
+    /// whose outcome stays `None` (ring trouble, or a tail past the
+    /// ring's capacity) is synced synchronously by the caller.
+    fn fsync_round(&mut self, points: &mut [SyncPoint]) {
+        let cap = self.ring.capacity() as usize;
+        let mut pushed = 0usize;
+        for (k, p) in points.iter().enumerate() {
+            if pushed == cap || self.ring.push(Sqe::fsync_data(p.fd, k as u64)).is_err() {
+                break;
+            }
+            pushed += 1;
+        }
+        if pushed > 0 && self.ring.submit_and_wait(pushed as u32).is_err() {
+            self.dead = true;
+            return;
+        }
+        for _ in 0..pushed {
+            let Some(c) = self.ring.reap() else { break };
+            points[c.user_data as usize].outcome = Some(if c.res >= 0 {
+                Ok(())
+            } else {
+                Err(io::Error::from_raw_os_error(-c.res))
+            });
         }
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1921,6 +1516,19 @@ mod tests {
 
     fn geometry() -> StateGeometry {
         StateGeometry::test_micro() // 4 objects of 64 B
+    }
+
+    impl DurabilityConfig {
+        /// The historical policy: no waiting, per-job durability.
+        fn legacy() -> Self {
+            DurabilityConfig {
+                batch_window: Duration::ZERO,
+                auto_window: false,
+                coalesce_fsync: false,
+                device_sync: false,
+                pipeline_depth: 1,
+            }
+        }
     }
 
     /// Build one shard's context + store over `dir`, with a seeded live
@@ -2203,8 +1811,13 @@ mod tests {
                 })
                 .unwrap();
         }
-        let mut backend =
-            AsyncBatchedWriter::spawn(Arc::clone(&ctxs), job_rx, coalescing(Duration::ZERO));
+        let (mut backend, _) = spawn_writer(
+            WriterBackendKind::AsyncBatched,
+            Arc::clone(&ctxs),
+            1,
+            job_rx,
+            coalescing(Duration::ZERO),
+        );
         // Completion within the batch is newest-first. Each job's
         // reported duration spans its own submission through its own
         // completion, so shard 0 — submitted first, completed last —
@@ -2279,7 +1892,13 @@ mod tests {
                         .unwrap();
                 }
             }
-            let mut backend = AsyncBatchedWriter::spawn(Arc::clone(&ctxs), job_rx, sched);
+            let (mut backend, _) = spawn_writer(
+                WriterBackendKind::AsyncBatched,
+                Arc::clone(&ctxs),
+                1,
+                job_rx,
+                sched,
+            );
             // Drain round-robin: each shard's completion channel holds one
             // slot, so the writer blocks mid-batch until earlier Dones are
             // consumed.
@@ -2338,8 +1957,10 @@ mod tests {
         // A generous window: the loop stops waiting as soon as the batch
         // holds one job per shard, so the test does not actually sleep
         // this long unless the machine stalls.
-        let mut backend = AsyncBatchedWriter::spawn(
+        let (mut backend, _) = spawn_writer(
+            WriterBackendKind::AsyncBatched,
             Arc::clone(&ctxs),
+            1,
             job_rx,
             coalescing(Duration::from_secs(2)),
         );
@@ -2427,7 +2048,13 @@ mod tests {
                     })
                     .unwrap();
             }
-            let mut backend = WriterPool::spawn(Arc::clone(&ctxs), 2, job_rx);
+            let (mut backend, _) = spawn_writer(
+                WriterBackendKind::ThreadPool,
+                Arc::clone(&ctxs),
+                2,
+                job_rx,
+                DurabilityConfig::legacy(),
+            );
             let first = done_rx.recv().unwrap();
             let second = done_rx.recv().unwrap();
             assert_eq!(first.objects, g.n_objects(), "order-0 job acks first");
@@ -2491,7 +2118,13 @@ mod tests {
             device_sync: true,
             ..coalescing(Duration::ZERO)
         };
-        let mut backend = AsyncBatchedWriter::spawn(Arc::clone(&ctxs), job_rx, sched);
+        let (mut backend, _) = spawn_writer(
+            WriterBackendKind::AsyncBatched,
+            Arc::clone(&ctxs),
+            1,
+            job_rx,
+            sched,
+        );
         let mut fsyncs = 0u64;
         let mut device_syncs = 0u64;
         for rx in &done_rxs {
@@ -2560,14 +2193,16 @@ mod tests {
     /// Drive the deterministic job stream through the io_uring backend
     /// with a crash plan that latches the **dead flag** (not a crash) at
     /// the `hit`-th staged wave: every ring failure from that wave on is
-    /// redone synchronously. Returns per-shard file snapshots plus
-    /// whether the plan fired (it cannot on kernels without io_uring,
-    /// where `spawn_writer` substitutes the batched engine).
+    /// redone synchronously, and every batch after it takes the syscall
+    /// data path. Returns per-shard file snapshots, each round's
+    /// per-job `degraded` flags, and whether the plan fired (it cannot
+    /// on kernels without io_uring, where `spawn_writer` substitutes the
+    /// batched engine).
     fn drive_ring_death(
         dirs: &[std::path::PathBuf],
         disk_org: DiskOrg,
         hit: u64,
-    ) -> (Vec<DirBytes>, bool) {
+    ) -> (Vec<DirBytes>, Vec<Vec<bool>>, bool) {
         use crate::crash::{CrashAction, CrashPlan, CrashPoint, CrashState};
         let state = Arc::new(CrashState::armed(CrashPlan {
             point: CrashPoint::UringWaveStaged,
@@ -2595,6 +2230,7 @@ mod tests {
             coalescing(Duration::ZERO),
         );
         let stream = job_stream(n);
+        let mut degraded = Vec::new();
         for (round_idx, round) in stream.chunks(n).enumerate() {
             for (shard, job) in round {
                 ctxs[*shard].shared.reset_for_checkpoint();
@@ -2608,13 +2244,18 @@ mod tests {
                     })
                     .unwrap();
             }
+            let mut flags = Vec::new();
             for rx in &done_rxs {
-                rx.recv().unwrap().result.unwrap();
+                let done = rx.recv().unwrap();
+                done.result.unwrap();
+                flags.push(done.degraded);
             }
+            degraded.push(flags);
         }
         drop(job_tx);
         backend.shutdown();
-        (dirs.iter().map(|d| file_bytes(d)).collect(), state.fired())
+        let snapshots = dirs.iter().map(|d| file_bytes(d)).collect();
+        (snapshots, degraded, state.fired())
     }
 
     /// The uring dead-flag redo path: a fuzz point inside the ring loop
@@ -2624,7 +2265,11 @@ mod tests {
     /// identical** to the thread pool's, for both disk organizations.
     /// The redo is idempotent re-submission of the same wave, so dying
     /// at the first wave or in the middle of the stream must not change
-    /// a single byte of images, metadata, or logs.
+    /// a single byte of images, metadata, or logs. The stream keeps
+    /// going after the death — at least one whole round, so at least one
+    /// whole batch — and those later batches run on the swapped-in
+    /// syscall data path: byte-identical too, and every job of them
+    /// flagged `degraded`.
     #[test]
     fn ring_death_mid_batch_redoes_byte_identically() {
         for disk_org in [DiskOrg::DoubleBackup, DiskOrg::Log] {
@@ -2646,9 +2291,26 @@ mod tests {
             for hit in [1, 3] {
                 let root = tempfile::tempdir().unwrap();
                 let dirs: Vec<_> = (0..2).map(|s| root.path().join(format!("s{s}"))).collect();
-                let (snapshots, fired) = drive_ring_death(&dirs, disk_org, hit);
+                let (snapshots, degraded, fired) = drive_ring_death(&dirs, disk_org, hit);
                 if crate::uring::ring_available() {
                     assert!(fired, "{disk_org:?} hit {hit}: dead-flag plan must fire");
+                    // A round stages at most one wave per job, so the
+                    // third wave is staged in round 2 at the earliest:
+                    // round 1 ran on the live ring, and whichever wave
+                    // died, the last round is a batch after the death.
+                    let last = degraded.last().unwrap();
+                    assert!(
+                        last.iter().all(|&d| d),
+                        "{disk_org:?} hit {hit}: post-death batch not flagged degraded: {last:?}"
+                    );
+                    if hit == 3 {
+                        assert!(
+                            degraded[0].iter().all(|&d| !d),
+                            "{disk_org:?}: jobs before the death flagged degraded"
+                        );
+                    }
+                } else {
+                    assert!(degraded.iter().flatten().all(|&d| !d), "no ring, no death");
                 }
                 for (s, snap) in snapshots.iter().enumerate() {
                     assert_eq!(
@@ -2658,5 +2320,151 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The window a round waits, as a pure function of the arrival
+    /// estimate and the policy.
+    #[test]
+    fn batch_window_table() {
+        let fixed = coalescing(Duration::from_micros(300));
+        let auto = DurabilityConfig {
+            auto_window: true,
+            ..fixed
+        };
+        let us = Duration::from_micros;
+        // (ewma gap, last batch full, full-batch size, policy) -> window
+        let table = [
+            // A fixed window passes through, whatever the estimator says.
+            (None, false, 4, fixed, us(300)),
+            (Some(1e-3), true, 4, fixed, us(300)),
+            (None, false, 4, coalescing(Duration::ZERO), Duration::ZERO),
+            // Auto: a full previous batch means the queue keeps up.
+            (Some(100e-6), true, 4, auto, Duration::ZERO),
+            // Auto: no inter-arrival estimate yet.
+            (None, false, 4, auto, Duration::ZERO),
+            // Auto, shallow batch: the gap scaled to the full batch...
+            (Some(100e-6), false, 4, auto, us(400)),
+            (Some(100e-6), false, 1, auto, us(100)),
+            // ...capped.
+            (Some(1e-3), false, 4, auto, MAX_AUTO_WINDOW),
+            (Some(10.0), false, 8, auto, MAX_AUTO_WINDOW),
+        ];
+        for (ewma, last_full, full_batch, sched, want) in table {
+            assert_eq!(
+                batch_window(ewma, last_full, full_batch, &sched),
+                want,
+                "ewma {ewma:?}, last_full {last_full}, full_batch {full_batch}, \
+                 auto {}",
+                sched.auto_window
+            );
+        }
+    }
+
+    /// The ack order, as a pure function of the queued jobs' shards:
+    /// FIFO within a shard, every shard's k-th job before any (k+1)-th,
+    /// newest shard first within a wave.
+    #[test]
+    fn reap_order_table() {
+        let table: [(&[usize], &[usize]); 7] = [
+            (&[], &[]),
+            (&[5], &[0]),
+            // One job per shard: the historical newest-first reap.
+            (&[0, 1, 2], &[2, 1, 0]),
+            // One pipelined shard: plain FIFO.
+            (&[3, 3, 3], &[0, 1, 2]),
+            // Two jobs per shard, interleaved: wave 0 (newest shard
+            // first) before wave 1.
+            (&[0, 1, 0, 1], &[1, 0, 3, 2]),
+            // "Newest" is the shard's *last* job: shard 0's job at index
+            // 3 makes shard 0 the newest shard of both waves.
+            (&[0, 1, 2, 0], &[0, 2, 1, 3]),
+            // Queue already in wave order (how the ring path leaves it).
+            (&[0, 1, 2, 1, 2, 2], &[2, 1, 0, 4, 3, 5]),
+        ];
+        for (shards, want) in table {
+            let order = reap_order(shards);
+            assert_eq!(order, want, "shards {shards:?}");
+            // The properties, stated directly.
+            for (pos, &i) in order.iter().enumerate() {
+                for &j in &order[pos + 1..] {
+                    let wave = |k: usize| shards[..k].iter().filter(|&&s| s == shards[k]).count();
+                    assert!(wave(i) <= wave(j), "{shards:?}: wave order broken");
+                    if shards[i] == shards[j] {
+                        assert!(i < j, "{shards:?}: shard {} not FIFO", shards[i]);
+                    }
+                }
+            }
+        }
+    }
+
+    /// A failed coalesced fsync reaches every job sharing it with the OS
+    /// errno intact — the triggering job included — and none of them
+    /// commits metadata: two jobs of one shard naming the same backup
+    /// image share one `fsync`, the `backup-sync` failpoint fails it with
+    /// `EIO`, and the retry budget is zero so the error propagates.
+    #[test]
+    fn shared_sync_failure_keeps_its_errno_for_every_job() {
+        use crate::fault::{FaultPlan, FaultState};
+        let root = tempfile::tempdir().unwrap();
+        let (mut ctx, done_rx) = make_ctx(root.path(), DiskOrg::DoubleBackup, 3);
+        let fault = Arc::new(FaultState::armed(FaultPlan::at(FaultSite::BackupSync)));
+        ctx.fault = Some(Arc::clone(&fault));
+        ctx.store.lock().attach_fault(Some(Arc::clone(&fault)));
+        assert_eq!(ctx.retry.max, 0, "the error must propagate unretried");
+        let g = geometry();
+        let ctxs = Arc::new(vec![ctx]);
+        // Queue both jobs *before* spawning, so one round coalesces them.
+        let (job_tx, job_rx) = crossbeam::channel::bounded::<PoolJob>(2);
+        for order in 0u64..2 {
+            let ids: Vec<u32> = (0..g.n_objects()).collect();
+            let data = vec![order as u8 + 1; ids.len() * g.object_size as usize];
+            job_tx
+                .send(PoolJob {
+                    shard: 0,
+                    job: Job::Eager {
+                        ids,
+                        data,
+                        seq: order,
+                        tick: order * 10 + 1,
+                        target: 1,
+                        full_image: true,
+                    },
+                    queued_at: Instant::now(),
+                    order,
+                })
+                .unwrap();
+        }
+        let (mut backend, _) = spawn_writer(
+            WriterBackendKind::AsyncBatched,
+            Arc::clone(&ctxs),
+            1,
+            job_rx,
+            coalescing(Duration::ZERO),
+        );
+        // Senders gone before the first assertion, so a failure unwinds
+        // through the writer's joining drop instead of hanging in it.
+        drop(job_tx);
+        let mut fsyncs = 0;
+        for job in 0..2 {
+            let done = done_rx.recv().unwrap();
+            assert_eq!(done.batch_jobs, 2, "both jobs share one batch");
+            fsyncs += done.data_syncs;
+            let err = done.result.expect_err("the shared fsync failed");
+            assert_eq!(
+                err.raw_os_error(),
+                Some(5),
+                "job {job}: EIO errno lost: {err:?}"
+            );
+        }
+        assert_eq!(fsyncs, 1, "one fsync for the shared target");
+        assert_eq!(fault.injected(), 1);
+        backend.shutdown();
+        drop(ctxs);
+        let set = crate::files::BackupSet::open(root.path(), g).unwrap();
+        assert_eq!(
+            set.newest_consistent(),
+            Some((0, 0)),
+            "target 1 stays invalidated: neither job committed metadata"
+        );
     }
 }
