@@ -35,8 +35,9 @@ use std::time::Duration;
 /// per-site reach counters; new sites append at the end.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultSite {
-    /// A positional data write into a double-backup image file
-    /// (`BackupSet::write_object` / `write_full`).
+    /// A positional data write into a double-backup image file: one
+    /// consult per issued write (`BackupSet::write_run`, whatever the
+    /// number of objects in the run).
     BackupWrite = 0,
     /// A data `fsync` of a backup image file (`BackupSet::sync`).
     BackupSync = 1,

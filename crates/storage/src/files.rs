@@ -4,7 +4,10 @@
 //! files that checkpoints alternate between, so at least one consistent
 //! image exists at all times. Every atomic object has a fixed offset
 //! (`object_id × object_size`) and dirty objects are written in increasing
-//! offset order (the "sorted I/O" optimization the paper calls crucial).
+//! offset order (the "sorted I/O" optimization the paper calls crucial):
+//! [`BackupSet::write_run`] moves a run of neighbouring objects as one
+//! sequential transfer, and the writer (`crate::writer`) splits every
+//! flush job's increasing ids into such runs under both data paths.
 //!
 //! Durability protocol: data writes are flushed with `fsync` *before* the
 //! small metadata file naming the backup's consistent tick is rewritten,
@@ -177,71 +180,55 @@ impl BackupSet {
         self.fault.as_ref().and_then(|f| f.consult(site))
     }
 
-    /// Write one object's bytes at its fixed offset in backup `idx`.
-    /// Callers must write objects in increasing id order for sorted I/O.
+    /// Write one object's bytes at its fixed offset in backup `idx`: the
+    /// one-object case of [`BackupSet::write_run`].
     pub fn write_object(&self, idx: usize, obj: ObjectId, data: &[u8]) -> io::Result<()> {
         debug_assert_eq!(data.len(), self.geometry.object_size as usize);
-        if let Some(c) = &self.crash {
-            if c.is_down() {
-                return Ok(());
-            }
-            if let Some(plan) = c.reach(CrashPoint::BackupWriteObject) {
-                // Torn object write: only the first `torn` bytes land.
-                let torn = (plan.torn as usize).min(data.len());
-                self.backups[idx]
-                    .file
-                    .write_all_at(&data[..torn], self.geometry.object_offset(obj))?;
-                c.go_down();
-                return Ok(());
-            }
-        }
-        if let Some(kind) = self.faulted(FaultSite::BackupWrite) {
-            if kind == FaultKind::ShortWrite {
-                // A short write's partial effect: half the object lands.
-                // Retries overwrite the same fixed offset, so the repair
-                // is positionally idempotent.
-                self.backups[idx]
-                    .file
-                    .write_all_at(&data[..data.len() / 2], self.geometry.object_offset(obj))?;
-            }
-            return Err(kind.to_error());
-        }
-        self.backups[idx]
-            .file
-            .write_all_at(data, self.geometry.object_offset(obj))
+        self.write_run(idx, obj, data)
     }
 
-    /// Write the entire image sequentially into backup `idx`
-    /// (Naive-Snapshot's flush).
-    pub fn write_full(&mut self, idx: usize, image: &[u8]) -> io::Result<()> {
-        let mut image = image;
+    /// Write a run of consecutive objects, `first` onwards, into backup
+    /// `idx` with one positional write (`bytes` is a whole number of
+    /// object images, packed in id order). Callers issue runs in
+    /// increasing id order for sorted I/O.
+    pub fn write_run(&self, idx: usize, first: ObjectId, bytes: &[u8]) -> io::Result<()> {
+        let obj_size = self.geometry.object_size as usize;
+        debug_assert_eq!(bytes.len() % obj_size, 0);
+        let mut torn_at = None;
         if let Some(c) = &self.crash {
             if c.is_down() {
                 return Ok(());
             }
-            if let Some(plan) = c.reach(CrashPoint::BackupWriteObject) {
-                // Torn full-image write: a prefix of the image lands.
-                image = &image[..(plan.torn as usize).min(image.len())];
-                let f = &mut self.backups[idx].file;
-                f.seek(SeekFrom::Start(0))?;
-                f.write_all(image)?;
+            // The lattice point is reached once per object, in order: a
+            // plan firing on the k-th lands the k-1 objects before it
+            // plus `torn` bytes of the k-th, and the store is down.
+            torn_at = (0..bytes.len() / obj_size).find_map(|k| {
+                let plan = c.reach(CrashPoint::BackupWriteObject)?;
+                Some(k * obj_size + (plan.torn as usize).min(obj_size))
+            });
+            if torn_at.is_some() {
                 c.go_down();
-                return Ok(());
             }
         }
-        if let Some(kind) = self.faulted(FaultSite::BackupWrite) {
-            if kind == FaultKind::ShortWrite {
-                // Half the image lands; the retry rewrites from offset 0.
-                let f = &mut self.backups[idx].file;
-                f.seek(SeekFrom::Start(0))?;
-                f.write_all(&image[..image.len() / 2])?;
-            }
-            return Err(kind.to_error());
-        }
-        let f = &mut self.backups[idx].file;
-        f.seek(SeekFrom::Start(0))?;
-        f.write_all(image)?;
-        Ok(())
+        let (landed, outcome) = if let Some(torn_at) = torn_at {
+            (torn_at, Ok(()))
+        } else if let Some(kind) = self.faulted(FaultSite::BackupWrite) {
+            // Faults are per issued write. A short write lands half the
+            // run; retries rewrite the same fixed offsets, so the repair
+            // is positionally idempotent.
+            let half = if kind == FaultKind::ShortWrite {
+                bytes.len() / 2
+            } else {
+                0
+            };
+            (half, Err(kind.to_error()))
+        } else {
+            (bytes.len(), Ok(()))
+        };
+        self.backups[idx]
+            .file
+            .write_all_at(&bytes[..landed], self.geometry.object_offset(first))?;
+        outcome
     }
 
     /// Flush backup `idx`'s data to stable storage.
@@ -452,12 +439,18 @@ mod tests {
     }
 
     #[test]
-    fn full_write_replaces_image() {
+    fn run_write_lands_consecutive_objects_in_one_transfer() {
         let dir = tempfile::tempdir().unwrap();
         let mut set = BackupSet::create(dir.path(), geometry(), &image(1)).unwrap();
-        set.write_full(0, &image(8)).unwrap();
+        set.write_run(0, ObjectId(1), &[8u8; 2 * 64]).unwrap();
         set.sync(0).unwrap();
-        assert_eq!(set.read_full(0).unwrap(), image(8));
+        let full = set.read_full(0).unwrap();
+        assert!(full[..64].iter().all(|&b| b == 1));
+        assert!(full[64..192].iter().all(|&b| b == 8));
+        assert!(full[192..].iter().all(|&b| b == 1));
+        // The whole image is the run starting at object 0.
+        set.write_run(0, ObjectId(0), &image(9)).unwrap();
+        assert_eq!(set.read_full(0).unwrap(), image(9));
         assert_eq!(set.read_full(1).unwrap(), image(1));
     }
 }

@@ -17,8 +17,9 @@
 //! job's completion phase and its `Done`, newest shard first, FIFO
 //! within a shard). Issuing the data writes — and fsyncing a list of
 //! distinct files — is the only strategy point (`DataPath`): one
-//! `pwrite` per object through `submit_job`, or per-shard FIFO waves of
-//! `IORING_OP_WRITEV` SQEs on a real kernel ring (`crate::uring`).
+//! `pwrite` per run of consecutive objects through `submit_job`, or
+//! per-shard FIFO waves of `IORING_OP_WRITEV` SQEs on a real kernel ring
+//! (`crate::uring`).
 //!
 //! The three `WriterBackendKind`s are configurations of that loop:
 //! `thread-pool` is N loop threads taking one job per round with no
@@ -378,6 +379,33 @@ fn run_crash(ctxs: &[ShardCtx]) -> Option<&CrashState> {
     ctxs.first().and_then(|ctx| ctx.crash.as_deref())
 }
 
+/// Split `ids` (increasing) into maximal runs of consecutive ids, none
+/// longer than `max` (≥ 1): the index ranges whose objects are contiguous
+/// on disk — and in a buffer packed in id order — so each moves as one
+/// sequential write.
+fn id_runs(ids: &[u32], max: usize) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
+    let mut start = 0usize;
+    std::iter::from_fn(move || {
+        if start == ids.len() {
+            return None;
+        }
+        let mut end = start + 1;
+        while end < ids.len() && end - start < max && ids[end] == ids[end - 1] + 1 {
+            end += 1;
+        }
+        let run = start..end;
+        start = end;
+        Some(run)
+    })
+}
+
+/// Cap, in bytes, on one syscall-path run write — and so the size of a
+/// loop's run buffer, the grain a streamed sweep interleaves reads and
+/// writes at, and the most a retry re-issues or a crash tears. Measured
+/// on the 40 MB `naive-64k` flush: the gain saturates by 256 KiB (see
+/// ROADMAP item 5).
+const RUN_BYTES: usize = 256 << 10;
+
 /// The copy-on-update sweep protocol, writer side: how a sweep job reads
 /// one live object and publishes its progress. Shared by the streamed
 /// sweep ([`submit_job`]) and the ring's captured one
@@ -416,10 +444,12 @@ impl Sweep<'_> {
 
 /// Submission phase: issue one flush job's data writes against one
 /// shard's store, durability deferred. Runs on a writer thread; `buf` is
-/// the thread's reusable object buffer. For sweep jobs the frontier is
-/// published object by object, exactly as in the historical single-phase
-/// path — frontier semantics are "read from live state and queued", not
-/// "durable", so deferral does not change the copy-on-update protocol.
+/// the thread's reusable run buffer (one object for a log sweep, up to
+/// [`RUN_BYTES`] for a double-backup one). For sweep jobs the frontier is
+/// published object by object as each is read into `buf` — frontier
+/// semantics are "read from live state and queued", not "durable", so
+/// neither the buffered run nor the deferred sync changes the
+/// copy-on-update protocol.
 ///
 /// `queued_at` is the instant the mutator enqueued the job
 /// ([`PoolJob::queued_at`]); it seeds the job's duration clock here so
@@ -435,6 +465,7 @@ pub(crate) fn submit_job(
 ) -> InFlight {
     let obj_size = ctx.geometry.object_size as usize;
     buf.resize(obj_size, 0);
+    let max_run = (RUN_BYTES / obj_size).max(1);
     let mut counters = RetryCounters::default();
     let retry = &ctx.retry;
     let (objects, state, recycled, replica) = match job {
@@ -451,15 +482,16 @@ pub(crate) fn submit_job(
             let state = match store {
                 Store::Double(set) => (|| {
                     set.invalidate(target)?;
-                    for (i, &id) in ids.iter().enumerate() {
-                        // Sorted I/O: ids are in increasing offset order.
-                        // Each object write is retried independently: a
-                        // transient fault (even a short write) leaves the
-                        // target invalidated, so re-writing in place is safe.
-                        let bytes = &data[i * obj_size..][..obj_size];
-                        retry.run(&mut counters, || {
-                            set.write_object(target, ObjectId(id), bytes)
-                        })?;
+                    for run in id_runs(&ids, max_run) {
+                        // Sorted I/O: `data` is packed in id order, so a
+                        // run of consecutive ids is one slice of it and
+                        // one sequential write. Each run is retried
+                        // independently: a transient fault (even a short
+                        // write) leaves the target invalidated, so
+                        // re-writing in place is safe.
+                        let first = ObjectId(ids[run.start]);
+                        let bytes = &data[run.start * obj_size..run.end * obj_size];
+                        retry.run(&mut counters, || set.write_run(target, first, bytes))?;
                     }
                     Ok(PendingDurability::Double { target, tick })
                 })(),
@@ -497,13 +529,20 @@ pub(crate) fn submit_job(
             let state = match store {
                 Store::Double(set) => (|| {
                     set.invalidate(target)?;
-                    for (p, &o) in list.iter().enumerate() {
-                        sweep.read_object(o, buf);
-                        if let Some(d) = delta.as_mut() {
-                            d.data.extend_from_slice(buf);
+                    // Still a stream, at the grain of one run: read its
+                    // objects into the run buffer (publishing each as it
+                    // is queued there), write the buffer, move on.
+                    for run in id_runs(&list, max_run) {
+                        buf.resize(run.len() * obj_size, 0);
+                        for (p, image) in run.clone().zip(buf.chunks_exact_mut(obj_size)) {
+                            sweep.read_object(list[p], image);
+                            if let Some(d) = delta.as_mut() {
+                                d.data.extend_from_slice(image);
+                            }
+                            sweep.publish(p, list[p]);
                         }
-                        retry.run(&mut counters, || set.write_object(target, ObjectId(o), buf))?;
-                        sweep.publish(p, o);
+                        let first = ObjectId(list[run.start]);
+                        retry.run(&mut counters, || set.write_run(target, first, buf))?;
                     }
                     Ok(PendingDurability::Double { target, tick })
                 })(),
@@ -979,7 +1018,7 @@ fn ack_in_reap_order(ctxs: &[ShardCtx], round: &mut Round, occupancy: u32) {
 // ---------------------------------------------------------------------------
 
 /// How one loop issues a batch's data writes and fsyncs a list of
-/// distinct targets: through syscalls (`pwrite` per object, `fsync` per
+/// distinct targets: through syscalls (`pwrite` per run, `fsync` per
 /// file), or through a kernel ring.
 struct DataPath {
     /// The ring, when this loop drives one. A ring that died stays
@@ -988,7 +1027,7 @@ struct DataPath {
     /// ring's last round may still be in flight; the buffers they name
     /// sit in the round's arena, which only a ring round ever clears.)
     ring: Option<RingPath>,
-    /// The syscall path's reusable object buffer.
+    /// The syscall path's reusable run buffer.
     buf: Vec<u8>,
 }
 
@@ -1108,9 +1147,8 @@ impl RingOp {
 
 const ECANCELED: i32 = 125;
 
-/// Split `ids` (increasing) into maximal consecutive runs and stage one
-/// WRITEV per run: each run is contiguous in `bytes`, the packed object
-/// buffer, *and* on disk.
+/// Stage one WRITEV per maximal consecutive-id run of `ids`: each run is
+/// contiguous in `bytes`, the packed object buffer, *and* on disk.
 fn push_runs(
     ops: &mut Vec<RingOp>,
     job: usize,
@@ -1120,16 +1158,10 @@ fn push_runs(
     geometry: &mmoc_core::StateGeometry,
 ) {
     let obj_size = geometry.object_size as usize;
-    let mut start = 0usize;
-    while start < ids.len() {
-        let mut end = start + 1;
-        while end < ids.len() && ids[end] == ids[end - 1] + 1 {
-            end += 1;
-        }
-        let offset = geometry.object_offset(ObjectId(ids[start]));
-        let run = &bytes[start * obj_size..end * obj_size];
-        ops.push(RingOp::write(job, fd, offset, run));
-        start = end;
+    for run in id_runs(ids, usize::MAX) {
+        let offset = geometry.object_offset(ObjectId(ids[run.start]));
+        let bytes = &bytes[run.start * obj_size..run.end * obj_size];
+        ops.push(RingOp::write(job, fd, offset, bytes));
     }
 }
 
@@ -1538,7 +1570,15 @@ mod tests {
         disk_org: DiskOrg,
         seed: u32,
     ) -> (ShardCtx, crossbeam::channel::Receiver<Done>) {
-        let g = geometry();
+        make_ctx_over(dir, geometry(), disk_org, seed)
+    }
+
+    fn make_ctx_over(
+        dir: &Path,
+        g: StateGeometry,
+        disk_org: DiskOrg,
+        seed: u32,
+    ) -> (ShardCtx, crossbeam::channel::Receiver<Done>) {
         let table = SharedTable::new(g);
         for i in 0..g.rows {
             for c in 0..g.cols {
@@ -2318,6 +2358,212 @@ mod tests {
                         "{disk_org:?} hit {hit} shard {s}: dead-ring redo diverged from the pool"
                     );
                 }
+            }
+        }
+    }
+    #[test]
+    fn id_runs_table() {
+        /// (label, ids, cap, expected runs as (start, end) index pairs)
+        type Case = (
+            &'static str,
+            &'static [u32],
+            usize,
+            &'static [(usize, usize)],
+        );
+        let cases: [Case; 6] = [
+            ("empty", &[], 4, &[]),
+            ("single id", &[7], 4, &[(0, 1)]),
+            ("all consecutive", &[3, 4, 5, 6], usize::MAX, &[(0, 4)]),
+            ("every other id", &[0, 2, 4], 4, &[(0, 1), (1, 2), (2, 3)]),
+            (
+                "gap exactly at the cap",
+                &[0, 1, 2, 4, 5],
+                3,
+                &[(0, 3), (3, 5)],
+            ),
+            (
+                "run longer than the cap",
+                &[0, 1, 2, 3, 4, 5, 6],
+                3,
+                &[(0, 3), (3, 6), (6, 7)],
+            ),
+        ];
+        for (label, ids, max, want) in cases {
+            let runs: Vec<_> = id_runs(ids, max).map(|r| (r.start, r.end)).collect();
+            assert_eq!(runs, want, "{label}");
+        }
+    }
+
+    /// 16 objects of 64 B: room for a job whose ids form three runs.
+    fn run_geometry() -> StateGeometry {
+        StateGeometry::small(64, 4)
+    }
+
+    /// Runs of three, two and one objects.
+    const THREE_RUNS: [u32; 6] = [1, 2, 3, 6, 7, 10];
+
+    /// The three-run job over `ctx` in either shape, with the images it
+    /// writes: an eager job brings its own, a sweep job reads the live
+    /// table.
+    fn three_run_job(ctx: &ShardCtx, sweep: bool) -> (Job, Vec<u8>) {
+        let obj_size = ctx.geometry.object_size as usize;
+        let ids = THREE_RUNS.to_vec();
+        let mut data = vec![0xAB; ids.len() * obj_size];
+        let (seq, tick, target, full_image) = (1, 9, 1, false);
+        let job = if sweep {
+            for (&id, image) in ids.iter().zip(data.chunks_exact_mut(obj_size)) {
+                ctx.shared.table.read_object_into(ObjectId(id), image);
+            }
+            let cursor = CursorKind::ByIndex;
+            Job::Sweep {
+                list: ids,
+                cursor,
+                seq,
+                tick,
+                target,
+                full_image,
+            }
+        } else {
+            let data = data.clone();
+            Job::Eager {
+                ids,
+                data,
+                seq,
+                tick,
+                target,
+                full_image,
+            }
+        };
+        (job, data)
+    }
+
+    /// One job through the syscall data path and the completion phase.
+    fn run_job(ctx: &ShardCtx, job: Job) -> Done {
+        let mut store = ctx.store.lock();
+        let inflight = submit_job(ctx, &mut store, &mut Vec::new(), 0, job, Instant::now());
+        complete_job(ctx, &mut store, inflight, 1)
+    }
+
+    /// The reference the run writes are held to: the per-object loop
+    /// `submit_job` ran before it wrote runs — one `write_object` per id
+    /// of [`THREE_RUNS`] under the shard's retry policy — then the shared
+    /// completion phase.
+    fn per_object_reference(ctx: &ShardCtx, data: &[u8]) -> Done {
+        let obj_size = ctx.geometry.object_size as usize;
+        let mut store = ctx.store.lock();
+        let mut counters = RetryCounters::default();
+        let Store::Double(set) = &mut *store else {
+            unreachable!("the run tests use the double backup")
+        };
+        let state = (|| {
+            set.invalidate(1)?;
+            for (&id, image) in THREE_RUNS.iter().zip(data.chunks_exact(obj_size)) {
+                ctx.retry
+                    .run(&mut counters, || set.write_object(1, ObjectId(id), image))?;
+            }
+            Ok(PendingDurability::Double { target: 1, tick: 9 })
+        })();
+        let inflight = InFlight {
+            counters,
+            ..InFlight::new(
+                0,
+                Instant::now(),
+                THREE_RUNS.len() as u32,
+                None,
+                state,
+                None,
+            )
+        };
+        complete_job(ctx, &mut store, inflight, 1)
+    }
+
+    /// A crash on the k-th object of a job, for every k, freezes the
+    /// files exactly where the per-object loop froze them: the k-1
+    /// objects before it and 40 bytes of the k-th, whichever run of the
+    /// job the k-th object falls in.
+    #[test]
+    fn crash_mid_run_tears_where_the_per_object_loop_did() {
+        use crate::crash::{CrashAction, CrashPlan, CrashState};
+        for sweep in [false, true] {
+            for hit in 1..=THREE_RUNS.len() as u64 {
+                let root = tempfile::tempdir().unwrap();
+                let armed = |label: &str| {
+                    let dir = root.path().join(label);
+                    let (mut ctx, _rx) =
+                        make_ctx_over(&dir, run_geometry(), DiskOrg::DoubleBackup, 3);
+                    let state = Arc::new(CrashState::armed(CrashPlan {
+                        point: CrashPoint::BackupWriteObject,
+                        hit,
+                        torn: 40,
+                        action: CrashAction::Crash,
+                    }));
+                    ctx.store.lock().attach_crash(Some(Arc::clone(&state)));
+                    ctx.crash = Some(state);
+                    (ctx, dir)
+                };
+                let (runs, runs_dir) = armed("runs");
+                let (reference, reference_dir) = armed("reference");
+                let (job, data) = three_run_job(&runs, sweep);
+                run_job(&runs, job).result.unwrap();
+                per_object_reference(&reference, &data).result.unwrap();
+                for ctx in [&runs, &reference] {
+                    assert!(ctx.crash.as_ref().unwrap().is_down(), "hit {hit}: fired");
+                }
+                assert_eq!(
+                    file_bytes(&runs_dir),
+                    file_bytes(&reference_dir),
+                    "sweep={sweep} hit {hit}"
+                );
+            }
+        }
+    }
+
+    /// A short-write burst on the second run is repaired by re-issuing
+    /// that run (the image ends byte-identical to the fault-free
+    /// per-object loop's); with no retry budget the job fails and its
+    /// target stays invalidated.
+    #[test]
+    fn short_write_mid_job_retries_the_run_or_fails_uncommitted() {
+        use crate::fault::{fault_spec, FaultState, RetryPolicy};
+        for sweep in [false, true] {
+            for budget in [3u32, 0] {
+                let root = tempfile::tempdir().unwrap();
+                let dir = |label: &str| root.path().join(label);
+                let (mut runs, _rx) =
+                    make_ctx_over(&dir("runs"), run_geometry(), DiskOrg::DoubleBackup, 3);
+                let plan = fault_spec("backup-write:2:short-write:2").unwrap();
+                let fault = Arc::new(FaultState::armed(plan));
+                runs.store.lock().attach_fault(Some(Arc::clone(&fault)));
+                runs.retry = RetryPolicy {
+                    max: budget,
+                    ..RetryPolicy::default()
+                };
+                let (job, data) = three_run_job(&runs, sweep);
+                let done = run_job(&runs, job);
+                if budget == 0 {
+                    assert!(done.result.is_err(), "sweep={sweep}: no budget, no job");
+                    assert_eq!((done.retries, done.retry_exhausted), (0, 0));
+                    drop(runs);
+                    let set = crate::files::BackupSet::open(&dir("runs"), run_geometry()).unwrap();
+                    assert_eq!(set.newest_consistent(), Some((0, 0)), "no metadata commit");
+                    continue;
+                }
+                done.result.unwrap();
+                assert_eq!(
+                    (done.retries, done.retry_exhausted),
+                    (2, 0),
+                    "sweep={sweep}"
+                );
+                // Three runs plus the two re-issues of the second.
+                assert_eq!(fault.reach_count(FaultSite::BackupWrite), 5);
+                if sweep {
+                    // Still published object by object, through the last.
+                    assert_eq!(runs.frontier.load(Ordering::Acquire), 11);
+                }
+                let (reference, _rx) =
+                    make_ctx_over(&dir("reference"), run_geometry(), DiskOrg::DoubleBackup, 3);
+                per_object_reference(&reference, &data).result.unwrap();
+                assert_eq!(file_bytes(&dir("runs")), file_bytes(&dir("reference")));
             }
         }
     }

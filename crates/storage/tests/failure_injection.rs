@@ -91,7 +91,7 @@ fn crash_before_meta_commit_is_ignored() {
     let mut set = BackupSet::create(dir.path(), g, &image_with(3)).unwrap();
     set.commit(1, 42).unwrap();
     set.invalidate(0).unwrap();
-    set.write_full(0, &image_with(7)).unwrap();
+    set.write_run(0, ObjectId(0), &image_with(7)).unwrap();
     set.sync(0).unwrap();
     // No commit(0, ...) — crash here.
     drop(set);
