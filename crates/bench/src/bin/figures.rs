@@ -14,8 +14,6 @@
 //!   fig6      Figure 6: simulation vs. real implementation
 //!   ablations ablation-objsize, ablation-sort, ext-hardware
 //!   shards    shard scaling: overhead + recovery vs N ∈ {1,2,4,8}
-//!   writers   writer durability: backends × shard counts × batch windows
-//!   recovery  recovery tiers: disk restore+replay vs peer-memory replica fetch
 //!   batching  driver-level update batching at 256k updates/tick
 //!
 //! OPTIONS
@@ -23,9 +21,6 @@
 //!   --out DIR   CSV output directory (default results/)
 //!   --paced HZ  pace the fig6 real engine at HZ ticks/sec (default unpaced)
 //!   --quick     shorthand for --ticks 120 and a reduced fig6 grid
-//!   --json      also write machine-readable perf results
-//!               (writers -> OUT/BENCH_writers.json,
-//!                recovery -> OUT/BENCH_recovery.json)
 //! ```
 
 use mmoc_bench::experiments::{self, SweepRow};
@@ -34,6 +29,29 @@ use mmoc_core::Algorithm;
 use mmoc_game::GameConfig;
 use std::collections::BTreeSet;
 use std::path::PathBuf;
+use std::process::ExitCode;
+
+/// Every command, in the order `figures` with no command runs them.
+const COMMANDS: [&str; 11] = [
+    "tables",
+    "table3",
+    "table5",
+    "fig2",
+    "fig3",
+    "fig4",
+    "fig5",
+    "fig6",
+    "ablations",
+    "shards",
+    "batching",
+];
+
+fn usage() -> String {
+    format!(
+        "usage: figures [{}]* [--ticks N] [--out DIR] [--paced HZ] [--quick]",
+        COMMANDS.join("|")
+    )
+}
 
 struct Options {
     commands: BTreeSet<String>,
@@ -41,71 +59,47 @@ struct Options {
     out: PathBuf,
     paced_hz: Option<f64>,
     quick: bool,
-    json: bool,
 }
 
-fn parse_args() -> Options {
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, String> {
     let mut opts = Options {
         commands: BTreeSet::new(),
         ticks: 1_000,
         out: PathBuf::from("results"),
         paced_hz: None,
         quick: false,
-        json: false,
     };
-    let mut args = std::env::args().skip(1);
+    let mut args = args.into_iter();
     while let Some(arg) = args.next() {
+        let mut value = || {
+            args.next()
+                .ok_or_else(|| format!("{arg} needs a value\n{}", usage()))
+        };
         match arg.as_str() {
             "--ticks" => {
-                opts.ticks = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--ticks needs a number");
+                let v = value()?;
+                opts.ticks = v.parse().map_err(|_| format!("bad --ticks value {v:?}"))?;
             }
-            "--out" => {
-                opts.out = PathBuf::from(args.next().expect("--out needs a path"));
-            }
+            "--out" => opts.out = PathBuf::from(value()?),
             "--paced" => {
-                opts.paced_hz = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--paced needs a frequency"),
-                );
+                let v = value()?;
+                opts.paced_hz = Some(v.parse().map_err(|_| format!("bad --paced value {v:?}"))?);
             }
             "--quick" => opts.quick = true,
-            "--json" => opts.json = true,
-            "--help" | "-h" => {
-                println!("usage: figures [tables|table3|table5|fig2|fig3|fig4|fig5|fig6|ablations|shards|writers|recovery|batching]* [--ticks N] [--out DIR] [--paced HZ] [--quick] [--json]");
-                std::process::exit(0);
-            }
-            cmd => {
+            "--help" | "-h" => return Err(usage()),
+            cmd if COMMANDS.contains(&cmd) => {
                 opts.commands.insert(cmd.to_string());
             }
+            other => return Err(format!("unknown command {other:?}\n{}", usage())),
         }
     }
     if opts.quick {
         opts.ticks = opts.ticks.min(120);
     }
     if opts.commands.is_empty() {
-        for c in [
-            "tables",
-            "table3",
-            "table5",
-            "fig2",
-            "fig3",
-            "fig4",
-            "fig5",
-            "fig6",
-            "ablations",
-            "shards",
-            "writers",
-            "recovery",
-            "batching",
-        ] {
-            opts.commands.insert(c.to_string());
-        }
+        opts.commands = COMMANDS.iter().map(ToString::to_string).collect();
     }
-    opts
+    Ok(opts)
 }
 
 /// Render a sweep as per-metric CSVs (one column per algorithm) and a
@@ -170,8 +164,14 @@ fn emit_sweep(out: &std::path::Path, name: &str, x_label: &str, rows: &[SweepRow
     );
 }
 
-fn main() {
-    let opts = parse_args();
+fn main() -> ExitCode {
+    let opts = match parse_args(std::env::args().skip(1)) {
+        Ok(opts) => opts,
+        Err(msg) => {
+            eprintln!("{msg}");
+            return ExitCode::from(2);
+        }
+    };
     let has = |c: &str| opts.commands.contains(c);
     let t0 = std::time::Instant::now();
 
@@ -515,218 +515,6 @@ fn main() {
         let _ = std::fs::remove_dir_all(&scratch);
     }
 
-    if has("writers") {
-        let shard_counts = [1u32, 4];
-        let windows_us: &[u64] = if opts.quick {
-            &[0, 500]
-        } else {
-            &[0, 250, 1000]
-        };
-        let depths: &[u32] = if opts.quick { &[1, 4] } else { &[1, 2, 4] };
-        let ticks = opts.ticks.min(if opts.quick { 30 } else { 60 });
-        println!(
-            "\n=== Writer durability: backends x shards {{1, 4}} x batch windows \
-             {windows_us:?} us x pipeline depths {depths:?} ({ticks} ticks, same \
-             bookkeeping) ==="
-        );
-        let scratch = std::env::temp_dir().join("mmoc_writers");
-        let rows = experiments::writer_backends(&shard_counts, windows_us, depths, ticks, &scratch)
-            .expect("writer backend comparison");
-        let header = [
-            "backend",
-            "effective_backend",
-            "algorithm",
-            "n_shards",
-            "window_us",
-            "pipeline_depth",
-            "overhead_s",
-            "checkpoint_s",
-            "recovery_s",
-            "run_wall_s",
-            "checkpoints",
-            "data_fsyncs",
-            "device_syncs",
-            "fsyncs_per_checkpoint",
-            "avg_batch_jobs",
-            "avg_sqe_batch",
-            "bytes_written",
-            "ack_p50_s",
-            "ack_p99_s",
-            "throughput_cps",
-            "retries",
-            "retry_exhausted",
-            "degraded_from",
-            "verified",
-        ];
-        let data: Vec<Vec<String>> = rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.backend.label().to_string(),
-                    r.effective_backend.label().to_string(),
-                    r.algorithm.short_name().to_string(),
-                    r.n_shards.to_string(),
-                    r.window_us.to_string(),
-                    r.pipeline_depth.to_string(),
-                    csv::fnum(r.overhead_s),
-                    csv::fnum(r.checkpoint_s),
-                    csv::fnum(r.recovery_s),
-                    csv::fnum(r.run_wall_s),
-                    r.checkpoints.to_string(),
-                    r.data_fsyncs.to_string(),
-                    r.device_syncs.to_string(),
-                    csv::fnum(r.fsyncs_per_checkpoint),
-                    csv::fnum(r.avg_batch_jobs),
-                    csv::fnum(r.avg_sqe_batch),
-                    r.bytes_written.to_string(),
-                    csv::fnum(r.ack_p50_s),
-                    csv::fnum(r.ack_p99_s),
-                    csv::fnum(r.throughput_cps),
-                    r.retries.to_string(),
-                    r.retry_exhausted.to_string(),
-                    r.degraded_from
-                        .map_or_else(|| "none".to_string(), |b| b.label().to_string()),
-                    r.verified.to_string(),
-                ]
-            })
-            .collect();
-        csv::write_csv(&opts.out.join("writer_backends.csv"), &header, data).expect("write csv");
-        if opts.json {
-            let path = opts.out.join("BENCH_writers.json");
-            experiments::write_writers_json(&path, &rows).expect("write BENCH_writers.json");
-            println!("wrote {}", path.display());
-        }
-        println!(
-            "{:>8} {:<16} {:<14} {:>7} {:>5} {:>13} {:>11} {:>9} {:>11} {:>11} {:>11} {:>7} {:>9}",
-            "shards",
-            "algorithm",
-            "backend",
-            "win[us]",
-            "depth",
-            "fsync/ckpt",
-            "batch occ",
-            "sqe occ",
-            "p50 [ms]",
-            "p99 [ms]",
-            "ckpt/s",
-            "retries",
-            "verified"
-        );
-        for r in &rows {
-            // A trailing `*` marks a cell the probe-gated ring handed to
-            // its batched fallback; a trailing `!` marks one that started
-            // on the requested backend and degraded away mid-run
-            // (effective_backend / degraded_from columns in the CSV).
-            let backend = if r.degraded_from.is_some() {
-                format!("{}!", r.backend.label())
-            } else if r.effective_backend == r.backend {
-                r.backend.label().to_string()
-            } else {
-                format!("{}*", r.backend.label())
-            };
-            println!(
-                "{:>8} {:<16} {:<14} {:>7} {:>5} {:>13.3} {:>11.2} {:>9.2} {:>11.2} {:>11.2} {:>11.2} {:>7} {:>9}",
-                r.n_shards,
-                r.algorithm.short_name(),
-                backend,
-                r.window_us,
-                r.pipeline_depth,
-                r.fsyncs_per_checkpoint,
-                r.avg_batch_jobs,
-                r.avg_sqe_batch,
-                r.ack_p50_s * 1e3,
-                r.ack_p99_s * 1e3,
-                r.throughput_cps,
-                r.retries,
-                r.verified
-            );
-        }
-        if rows.iter().any(|r| r.effective_backend != r.backend) {
-            println!(
-                "* io_uring unavailable on this kernel: ring cells ran under \
-                 the async-batched fallback (effective_backend column in the CSV)"
-            );
-        }
-        if rows.iter().any(|r| r.degraded_from.is_some()) {
-            println!(
-                "! ring latched dead mid-run after retry exhaustion: jobs \
-                 finished on the synchronous redo path (degraded_from column \
-                 in the CSV)"
-            );
-        }
-        let _ = std::fs::remove_dir_all(&scratch);
-    }
-
-    if has("recovery") {
-        let ticks = opts.ticks.min(if opts.quick { 120 } else { 400 });
-        println!(
-            "\n=== Recovery tiers: disk restore+replay vs peer-memory replica \
-             fetch, {{2, 4}} shards ({ticks} ticks) ==="
-        );
-        let scratch = std::env::temp_dir().join("mmoc_recovery");
-        let rows = experiments::recovery_tiers(ticks, &scratch).expect("recovery tier comparison");
-        let header = [
-            "algorithm",
-            "n_shards",
-            "disk_restore_s",
-            "disk_replay_s",
-            "disk_total_s",
-            "replica_restore_s",
-            "replica_replay_s",
-            "replica_total_s",
-            "speedup",
-            "state_matches",
-        ];
-        let data: Vec<Vec<String>> = rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.algorithm.short_name().to_string(),
-                    r.n_shards.to_string(),
-                    csv::fnum(r.disk_restore_s),
-                    csv::fnum(r.disk_replay_s),
-                    csv::fnum(r.disk_total_s),
-                    csv::fnum(r.replica_restore_s),
-                    csv::fnum(r.replica_replay_s),
-                    csv::fnum(r.replica_total_s),
-                    csv::fnum(r.speedup),
-                    r.state_matches.to_string(),
-                ]
-            })
-            .collect();
-        csv::write_csv(&opts.out.join("recovery_tiers.csv"), &header, data).expect("write csv");
-        if opts.json {
-            let path = opts.out.join("BENCH_recovery.json");
-            experiments::write_recovery_json(&path, &rows).expect("write BENCH_recovery.json");
-            println!("wrote {}", path.display());
-        }
-        println!(
-            "{:>8} {:<16} {:>13} {:>13} {:>16} {:>16} {:>9} {:>8}",
-            "shards",
-            "algorithm",
-            "disk [ms]",
-            "replica [ms]",
-            "disk rest [ms]",
-            "repl rest [ms]",
-            "speedup",
-            "match"
-        );
-        for r in &rows {
-            println!(
-                "{:>8} {:<16} {:>13.3} {:>13.3} {:>16.3} {:>16.3} {:>8.1}x {:>8}",
-                r.n_shards,
-                r.algorithm.short_name(),
-                r.disk_total_s * 1e3,
-                r.replica_total_s * 1e3,
-                r.disk_restore_s * 1e3,
-                r.replica_restore_s * 1e3,
-                r.speedup,
-                r.state_matches
-            );
-        }
-        let _ = std::fs::remove_dir_all(&scratch);
-    }
-
     if has("batching") {
         println!("\n=== Driver-level update batching (256k updates/tick) ===");
         let ticks = if opts.quick { 8 } else { 20 };
@@ -771,4 +559,44 @@ fn main() {
         t0.elapsed(),
         opts.out.display()
     );
+    ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Options, String> {
+        parse_args(args.iter().map(ToString::to_string))
+    }
+
+    #[test]
+    fn no_command_means_every_command() {
+        let opts = parse(&["--quick", "--out", "/tmp/o"]).unwrap();
+        assert_eq!(opts.commands.len(), COMMANDS.len());
+        assert_eq!(opts.ticks, 120);
+        let opts = parse(&["fig6", "--ticks", "1"]).unwrap();
+        assert_eq!(opts.commands.len(), 1);
+        assert_eq!(opts.ticks, 1);
+    }
+
+    /// A retired or mistyped command and a flag missing its value are
+    /// usage errors naming the valid commands — not a silent no-op run
+    /// or a panic.
+    #[test]
+    fn unknown_commands_and_missing_values_are_usage_errors() {
+        for args in [
+            &["writers"][..],
+            &["fig2", "--json"],
+            &["--ticks"],
+            &["--out"],
+            &["--paced"],
+        ] {
+            let Err(msg) = parse(args) else {
+                panic!("{args:?} must be rejected")
+            };
+            assert!(msg.contains("usage: figures [tables|"), "{msg}");
+        }
+        assert!(parse(&["--ticks", "many"]).is_err());
+    }
 }

@@ -5,8 +5,8 @@
 //! tick counts are overridable because the full 1,000-tick sweeps take
 //! minutes.
 
-use mmoc_core::run::{EngineDetail, RunReport, TraceSpec, WriterBackend};
-use mmoc_core::{Algorithm, DiskOrg, Run};
+use mmoc_core::run::{EngineDetail, RunReport, TraceSpec};
+use mmoc_core::{Algorithm, Run};
 use mmoc_game::{GameConfig, GameServer};
 use mmoc_sim::{HardwareParams, SimConfig};
 use mmoc_storage::RealConfig;
@@ -436,500 +436,6 @@ pub fn shard_scaling_real(
     Ok(rows)
 }
 
-/// One writer-durability measurement: one algorithm at one shard count
-/// under one flush-writer implementation and one adaptive batch window.
-#[derive(Debug, Clone, Copy, Serialize)]
-pub struct WriterBackendRow {
-    /// Writer backend this grid cell requested.
-    pub backend: WriterBackend,
-    /// Backend that actually executed the flush jobs: equal to `backend`
-    /// except when the probe-gated io_uring ring fell back to the batched
-    /// engine on a kernel without `io_uring`, so a fallback never
-    /// masquerades as a ring measurement in the tracked artifact.
-    pub effective_backend: WriterBackend,
-    /// Algorithm measured.
-    pub algorithm: Algorithm,
-    /// Number of shards the world was split into.
-    pub n_shards: u32,
-    /// Adaptive batch window, microseconds (always 0 for the thread
-    /// pool, which has no batches).
-    pub window_us: u64,
-    /// Checkpoint pipeline depth the run executed at (1 = the historical
-    /// stop-and-wait write path).
-    pub pipeline_depth: u32,
-    /// World average overhead per tick, seconds.
-    pub overhead_s: f64,
-    /// Average time to checkpoint, seconds.
-    pub checkpoint_s: f64,
-    /// Measured parallel recovery time, seconds.
-    pub recovery_s: f64,
-    /// Wall-clock duration of the whole run, seconds.
-    pub run_wall_s: f64,
-    /// Completed checkpoints (identical to the writer's flush jobs).
-    pub checkpoints: u64,
-    /// Data `fsync` calls the writer issued across the run.
-    pub data_fsyncs: u64,
-    /// `syncfs`-style whole-device barriers issued in place of per-file
-    /// fsyncs (zero unless the device barrier is enabled and usable).
-    pub device_syncs: u64,
-    /// Data fsync calls per completed checkpoint: 1.0 under per-job
-    /// durability, below 1.0 when the scheduler coalesced targets.
-    pub fsyncs_per_checkpoint: f64,
-    /// Job-weighted average batch occupancy (1.0 for the thread pool).
-    pub avg_batch_jobs: f64,
-    /// Job-weighted average occupancy of the io_uring submission rounds
-    /// that carried each job's data writes — 0.0 for the
-    /// syscall-per-write backends, so a nonzero value doubles as ground
-    /// truth that the ring actually ran.
-    pub avg_sqe_batch: f64,
-    /// Checkpoint payload bytes the writer flushed across the run.
-    pub bytes_written: u64,
-    /// Median checkpoint ack latency, seconds: from the flush job's
-    /// enqueue at the writer to its durable ack (the record's duration
-    /// minus the mutator-side synchronous pause), so a batched run's
-    /// figure includes any channel wait and adaptive-window hold — the
-    /// latency the window trades away — without charging the writer for
-    /// eager copy pauses it never sees.
-    pub ack_p50_s: f64,
-    /// 99th-percentile checkpoint ack latency, seconds.
-    pub ack_p99_s: f64,
-    /// Checkpoints acked durable per second of *run* wall-clock (the
-    /// end-of-run recovery measurement is excluded, so the tracked
-    /// figure moves only when the checkpoint path does).
-    pub throughput_cps: f64,
-    /// Retry attempts the writer spent masking transient I/O faults —
-    /// each re-issue of a failed data write / fsync / meta commit. Zero
-    /// on a healthy disk or when the retry budget is 0.
-    pub retries: u64,
-    /// Operations whose retry budget ran out: the error took the
-    /// degradation ladder instead of being masked.
-    pub retry_exhausted: u64,
-    /// Backend the run degraded *away from* mid-run: `Some(IoUring)`
-    /// when the ring latched its dead flag after retry exhaustion and
-    /// jobs finished on the synchronous redo path. Distinct from
-    /// `effective_backend`, which records the up-front capability-probe
-    /// fallback — a degraded cell *did* run the requested backend until
-    /// the fault burst killed it.
-    pub degraded_from: Option<WriterBackend>,
-    /// Whether the end-of-run recovery reproduced the crash state.
-    pub verified: bool,
-}
-
-/// Writer-durability comparison: the thread pool, the batched-submission
-/// engine, and the real io_uring ring across a (shard count × batch
-/// window × pipeline depth) grid, on the **same bookkeeping** — identical trace,
-/// identical algorithm spec, identical shard map per cell; only flush-job
-/// scheduling and durability policy differ. Runs every algorithm per cell
-/// on the real engine (scaled-down state so it fits test and CI budgets)
-/// and reports the paper's three metrics plus the durability-scheduler
-/// instrumentation: fsyncs per checkpoint, batch occupancy, ack-latency
-/// percentiles, and checkpoint throughput. The thread pool has no
-/// batches, so it runs only at window 0; depths above 1 run only the
-/// log-organized algorithms (the driver clamps copy-organized checkpoints
-/// to one in flight, so those cells would duplicate depth 1).
-pub fn writer_backends(
-    shard_counts: &[u32],
-    windows_us: &[u64],
-    depths: &[u32],
-    ticks: u64,
-    scratch: &Path,
-) -> io::Result<Vec<WriterBackendRow>> {
-    let trace = SyntheticConfig {
-        geometry: mmoc_core::StateGeometry::small(8_192, 8), // 256 KB state, 4,096 objects
-        ticks,
-        updates_per_tick: 2_000,
-        skew: 0.8,
-        seed: 91,
-    };
-    let mut rows = Vec::new();
-    for &n in shard_counts {
-        for alg in Algorithm::ALL {
-            for backend in WriterBackend::ALL {
-                for &window_us in windows_us {
-                    for &depth in depths {
-                        if depth != 1 && alg.spec().disk_org != DiskOrg::Log {
-                            // Copy-organized checkpoints never overlap
-                            // (the driver caps them at one in flight), so
-                            // a deep cell repeats the depth-1 measurement.
-                            continue;
-                        }
-                        if window_us != 0
-                            && (backend == WriterBackend::ThreadPool || (n == 1 && depth == 1))
-                        {
-                            // The pool has no batches to hold open, and a
-                            // 1-shard depth-1 batch is full from its first
-                            // job (the window waits while batch < shards ×
-                            // depth), so these cells would duplicate the
-                            // window-0 row. At depth > 1 a 1-shard window
-                            // can hold several of the shard's segments, so
-                            // those cells stay.
-                            continue;
-                        }
-                        let dir = scratch.join(format!(
-                            "{}_{n}_{}_{window_us}_d{depth}",
-                            alg.short_name(),
-                            backend.label()
-                        ));
-                        let t0 = std::time::Instant::now();
-                        let report = Run::algorithm(alg)
-                            .engine(RealConfig::new(dir))
-                            .trace(trace)
-                            .shards(n)
-                            .writer(backend)
-                            .batch_window(std::time::Duration::from_micros(window_us))
-                            .pipeline_depth(depth)
-                            .execute()
-                            .map_err(|e| io::Error::other(e.to_string()))?;
-                        let run_wall_s = t0.elapsed().as_secs_f64();
-                        let EngineDetail::Real(detail) = report.detail else {
-                            return Err(io::Error::other("real-engine detail expected"));
-                        };
-                        // Writer-side ack latency: the record's duration
-                        // spans enqueue → durable ack plus the mutator's
-                        // synchronous pause (driver adds sync_pause_s);
-                        // strip the pause so the percentiles isolate the
-                        // writer path.
-                        let mut acks: Vec<f64> = report
-                            .world
-                            .metrics
-                            .checkpoints
-                            .iter()
-                            .map(|c| (c.duration_s - c.sync_pause_s).max(0.0))
-                            .collect();
-                        let checkpoints = report.world.checkpoints_completed;
-                        // Throughput over the run itself: execute() also
-                        // spans the end-of-run recovery measurement, which
-                        // says nothing about the writer.
-                        let run_only_s = run_wall_s - detail.recovery_wall_s.unwrap_or(0.0);
-                        rows.push(WriterBackendRow {
-                            backend,
-                            effective_backend: detail.writer_backend,
-                            algorithm: alg,
-                            n_shards: n,
-                            window_us,
-                            pipeline_depth: detail.pipeline_depth,
-                            overhead_s: report.world.avg_overhead_s,
-                            checkpoint_s: report.world.avg_checkpoint_s,
-                            recovery_s: report.recovery_s().unwrap_or(f64::NAN),
-                            run_wall_s,
-                            checkpoints,
-                            data_fsyncs: detail.data_fsyncs,
-                            device_syncs: detail.device_syncs,
-                            fsyncs_per_checkpoint: if checkpoints == 0 {
-                                0.0
-                            } else {
-                                detail.data_fsyncs as f64 / checkpoints as f64
-                            },
-                            avg_batch_jobs: detail.avg_batch_jobs,
-                            avg_sqe_batch: detail.avg_sqe_batch,
-                            bytes_written: detail.bytes_written,
-                            ack_p99_s: mmoc_core::sample_quantile(&mut acks, 0.99),
-                            ack_p50_s: mmoc_core::sample_quantile(&mut acks, 0.50),
-                            throughput_cps: if run_only_s > 0.0 {
-                                checkpoints as f64 / run_only_s
-                            } else {
-                                0.0
-                            },
-                            retries: detail.retries,
-                            retry_exhausted: detail.retry_exhausted,
-                            degraded_from: (detail.degraded_jobs > 0)
-                                .then_some(detail.writer_backend),
-                            verified: report.verified_consistent() == Some(true),
-                        });
-                    }
-                }
-            }
-        }
-    }
-    Ok(rows)
-}
-
-/// One recovery-tier measurement: one algorithm at one shard count,
-/// crash-recovered twice from the same finished run — once from the disk
-/// organization's files, once from the peer-memory replica tier.
-#[derive(Debug, Clone, Copy, Serialize)]
-pub struct RecoveryTierRow {
-    /// Algorithm measured.
-    pub algorithm: Algorithm,
-    /// Number of shards the world was split into.
-    pub n_shards: u32,
-    /// Disk path: wall time reading + installing the newest consistent
-    /// image (for log organizations, the segment-scanning reconstruct),
-    /// slowest shard, seconds.
-    pub disk_restore_s: f64,
-    /// Disk path: wall time replaying the trace tail, slowest shard.
-    pub disk_replay_s: f64,
-    /// Disk path: total recovery wall time, slowest shard (shards
-    /// recover in parallel, so the slowest one is the world figure).
-    pub disk_total_s: f64,
-    /// Replica path: wall time fetching + installing the mirror image
-    /// (a memcpy from peer memory), slowest shard.
-    pub replica_restore_s: f64,
-    /// Replica path: wall time replaying the trace tail, slowest shard.
-    pub replica_replay_s: f64,
-    /// Replica path: total recovery wall time, slowest shard.
-    pub replica_total_s: f64,
-    /// `disk_restore_s / replica_restore_s`: how much faster the replica
-    /// tier materializes the recovery anchor state. The tail replay from
-    /// the anchor to the crash tick is deterministic and *identical* for
-    /// both tiers (both anchor at the last committed checkpoint), so the
-    /// tier's advantage — a memcpy from peer memory instead of replaying
-    /// the on-disk log — lives entirely in the restore phase; folding the
-    /// shared tail into the ratio would only dilute it toward 1.
-    pub speedup: f64,
-    /// Whether both recovered states matched the in-memory ground truth
-    /// on every shard (byte-level via fingerprints).
-    pub state_matches: bool,
-}
-
-/// Recovery-tier comparison: for every (algorithm × shard count) cell,
-/// run the trace once with a retained [`mmoc_storage::ReplicaSet`]
-/// installed, then crash-recover every shard twice — through the
-/// production disk path and through the replica tier — and report both
-/// timing breakdowns plus a fingerprint cross-check against ground
-/// truth. Long traces on purpose: the log organizations' reconstruct
-/// scans every segment since the last full flush, which is exactly the
-/// cost the in-memory tier exists to skip.
-pub fn recovery_tiers(ticks: u64, scratch: &Path) -> io::Result<Vec<RecoveryTierRow>> {
-    use mmoc_core::{ShardFilter, ShardMap};
-    use mmoc_storage::recovery::{
-        recover_and_replay, recover_and_replay_log, recover_from_replica, RecoveryOpts,
-    };
-    use mmoc_storage::{shard_dir, ReplicaSet};
-    use std::sync::Arc;
-
-    // Larger than the writer grid's state on purpose: the disk path's
-    // log reconstruct scales with segment payload, and sub-millisecond
-    // scans would drown the comparison in timer noise. Objects are
-    // deliberately fine-grained (32 B — game-entity scale, the paper's
-    // workload) because the reconstruct pays a per-object parse (id
-    // header + object read) that the replica tier's bulk memcpy skips.
-    let trace = SyntheticConfig {
-        geometry: mmoc_core::StateGeometry {
-            rows: 32_768,
-            cols: 8,
-            cell_size: 4,
-            object_size: 32,
-        }, // 1 MB state, 32,768 atomic objects
-        ticks,
-        updates_per_tick: 16_000,
-        skew: 0.8,
-        seed: 133,
-    };
-    // Sharded worlds only: the tier's contract is recovering a single
-    // crashed shard from its *peers'* memory, so a 1-shard world (where
-    // the lone mirror is self-hosted) is not a configuration anyone
-    // would deploy it in.
-    let mut rows = Vec::new();
-    for &n in &[2_u32, 4] {
-        for alg in Algorithm::ALL {
-            let map = ShardMap::new(trace.geometry, n).map_err(io::Error::other)?;
-            let geometries: Vec<_> = (0..n as usize).map(|s| map.shard_geometry(s)).collect();
-            let set = Arc::new(ReplicaSet::new(1, &geometries));
-            let dir = scratch.join(format!("tier_{}_{n}", alg.short_name()));
-            Run::algorithm(alg)
-                .engine(
-                    RealConfig::new(&dir)
-                        .without_recovery()
-                        .with_replica_set(set.clone()),
-                )
-                .trace(trace)
-                .shards(n)
-                .execute()
-                .map_err(|e| io::Error::other(e.to_string()))?;
-
-            let mut row = RecoveryTierRow {
-                algorithm: alg,
-                n_shards: n,
-                disk_restore_s: 0.0,
-                disk_replay_s: 0.0,
-                disk_total_s: 0.0,
-                replica_restore_s: 0.0,
-                replica_replay_s: 0.0,
-                replica_total_s: 0.0,
-                speedup: f64::NAN,
-                state_matches: true,
-            };
-            for s in 0..n as usize {
-                let g = map.shard_geometry(s);
-                let sdir = shard_dir(&dir, s, n as usize);
-                let mut replay = ShardFilter::new(trace.build(), map.clone(), s);
-                let mut disk = match alg.spec().disk_org {
-                    DiskOrg::DoubleBackup => recover_and_replay(&sdir, g, &mut replay, ticks),
-                    DiskOrg::Log => recover_and_replay_log(&sdir, g, &mut replay, ticks),
-                }?;
-                let mut replay = ShardFilter::new(trace.build(), map.clone(), s);
-                let mut via = recover_from_replica(
-                    &set,
-                    s as u32,
-                    g,
-                    &mut replay,
-                    ticks,
-                    &RecoveryOpts::default(),
-                )
-                .ok_or_else(|| io::Error::other("replica fetch missed after a clean run"))??;
-
-                // Restore phases are sub-millisecond here, so a single
-                // sample is mostly allocator page faults and scheduler
-                // noise. Re-run each restore a few times (crash tick 0
-                // makes a recovery restore-only — the replay loop never
-                // pulls a tick) and keep the fastest, for both tiers
-                // alike.
-                const RESTORE_REPS: usize = 5;
-                for _ in 0..RESTORE_REPS {
-                    let mut idle = ShardFilter::new(trace.build(), map.clone(), s);
-                    let r = match alg.spec().disk_org {
-                        DiskOrg::DoubleBackup => recover_and_replay(&sdir, g, &mut idle, 0),
-                        DiskOrg::Log => recover_and_replay_log(&sdir, g, &mut idle, 0),
-                    }?;
-                    disk.restore_s = disk.restore_s.min(r.restore_s);
-                    let mut idle = ShardFilter::new(trace.build(), map.clone(), s);
-                    let r = recover_from_replica(
-                        &set,
-                        s as u32,
-                        g,
-                        &mut idle,
-                        0,
-                        &RecoveryOpts::default(),
-                    )
-                    .ok_or_else(|| io::Error::other("replica fetch missed on re-run"))??;
-                    via.restore_s = via.restore_s.min(r.restore_s);
-                }
-
-                // Ground truth: the shard's full trace applied in memory.
-                let mut truth = mmoc_core::StateTable::new(g).map_err(io::Error::other)?;
-                let mut src = ShardFilter::new(trace.build(), map.clone(), s);
-                let mut buf = Vec::new();
-                while mmoc_core::TraceSource::next_tick(&mut src, &mut buf) {
-                    for &u in &buf {
-                        truth.apply_unchecked(u);
-                    }
-                }
-                row.state_matches &= disk.table.fingerprint() == truth.fingerprint()
-                    && via.table.fingerprint() == truth.fingerprint();
-
-                row.disk_restore_s = row.disk_restore_s.max(disk.restore_s);
-                row.disk_replay_s = row.disk_replay_s.max(disk.replay_s);
-                row.disk_total_s = row.disk_total_s.max(disk.restore_s + disk.replay_s);
-                row.replica_restore_s = row.replica_restore_s.max(via.restore_s);
-                row.replica_replay_s = row.replica_replay_s.max(via.replay_s);
-                row.replica_total_s = row.replica_total_s.max(via.restore_s + via.replay_s);
-            }
-            row.speedup = if row.replica_restore_s > 0.0 {
-                row.disk_restore_s / row.replica_restore_s
-            } else {
-                f64::NAN
-            };
-            rows.push(row);
-        }
-    }
-    Ok(rows)
-}
-
-/// Render one JSON value for a float: JSON has no NaN/∞, so non-finite
-/// measurements (e.g. recovery when it was not measured) become `null`.
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".into()
-    }
-}
-
-/// Write the machine-readable perf results of [`writer_backends`] as
-/// `BENCH_writers.json`: one object per (backend, algorithm, shards,
-/// window, depth) cell with throughput, fsyncs per checkpoint and
-/// ack-latency percentiles — the artifact CI uploads so the repo's
-/// writer-path perf trajectory is tracked release over release.
-/// Hand-rolled JSON because the offline build's serde is a no-op shim.
-pub fn write_writers_json(path: &Path, rows: &[WriterBackendRow]) -> io::Result<()> {
-    use std::io::Write;
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    let mut f = std::fs::File::create(path)?;
-    writeln!(f, "{{\n  \"bench\": \"writers\",\n  \"rows\": [")?;
-    for (i, r) in rows.iter().enumerate() {
-        let sep = if i + 1 == rows.len() { "" } else { "," };
-        writeln!(
-            f,
-            "    {{\"backend\": \"{}\", \"effective_backend\": \"{}\", \
-             \"algorithm\": \"{}\", \"n_shards\": {}, \
-             \"window_us\": {}, \"pipeline_depth\": {}, \"throughput_cps\": {}, \
-             \"checkpoints\": {}, \"data_fsyncs\": {}, \"device_syncs\": {}, \
-             \"fsyncs_per_checkpoint\": {}, \"avg_batch_jobs\": {}, \
-             \"avg_sqe_batch\": {}, \"bytes_written\": {}, \
-             \"ack_p50_s\": {}, \"ack_p99_s\": {}, \"overhead_s\": {}, \"checkpoint_s\": {}, \
-             \"recovery_s\": {}, \"run_wall_s\": {}, \"retries\": {}, \
-             \"retry_exhausted\": {}, \"degraded_from\": {}, \"verified\": {}}}{sep}",
-            r.backend.label(),
-            r.effective_backend.label(),
-            r.algorithm.short_name(),
-            r.n_shards,
-            r.window_us,
-            r.pipeline_depth,
-            json_num(r.throughput_cps),
-            r.checkpoints,
-            r.data_fsyncs,
-            r.device_syncs,
-            json_num(r.fsyncs_per_checkpoint),
-            json_num(r.avg_batch_jobs),
-            json_num(r.avg_sqe_batch),
-            r.bytes_written,
-            json_num(r.ack_p50_s),
-            json_num(r.ack_p99_s),
-            json_num(r.overhead_s),
-            json_num(r.checkpoint_s),
-            json_num(r.recovery_s),
-            json_num(r.run_wall_s),
-            r.retries,
-            r.retry_exhausted,
-            r.degraded_from
-                .map_or_else(|| "null".to_string(), |b| format!("\"{}\"", b.label())),
-            r.verified,
-        )?;
-    }
-    writeln!(f, "  ]\n}}")?;
-    Ok(())
-}
-
-/// Write the machine-readable results of [`recovery_tiers`] as
-/// `BENCH_recovery.json`: one object per (algorithm, shards) cell with
-/// both tiers' timing breakdowns and the speedup — the artifact CI
-/// uploads so the replica tier's advantage is tracked release over
-/// release. Hand-rolled JSON because the offline build's serde is a
-/// no-op shim.
-pub fn write_recovery_json(path: &Path, rows: &[RecoveryTierRow]) -> io::Result<()> {
-    use std::io::Write;
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    let mut f = std::fs::File::create(path)?;
-    writeln!(f, "{{\n  \"bench\": \"recovery\",\n  \"rows\": [")?;
-    for (i, r) in rows.iter().enumerate() {
-        let sep = if i + 1 == rows.len() { "" } else { "," };
-        writeln!(
-            f,
-            "    {{\"algorithm\": \"{}\", \"n_shards\": {}, \
-             \"disk_restore_s\": {}, \"disk_replay_s\": {}, \"disk_total_s\": {}, \
-             \"replica_restore_s\": {}, \"replica_replay_s\": {}, \
-             \"replica_total_s\": {}, \"speedup\": {}, \"state_matches\": {}}}{sep}",
-            r.algorithm.short_name(),
-            r.n_shards,
-            json_num(r.disk_restore_s),
-            json_num(r.disk_replay_s),
-            json_num(r.disk_total_s),
-            json_num(r.replica_restore_s),
-            json_num(r.replica_replay_s),
-            json_num(r.replica_total_s),
-            json_num(r.speedup),
-            r.state_matches,
-        )?;
-    }
-    writeln!(f, "  ]\n}}")?;
-    Ok(())
-}
-
 /// A reduced-scale geometry check used by tests: every figure function
 /// must run end to end on small inputs.
 #[cfg(test)]
@@ -1028,177 +534,6 @@ mod tests {
         for r in &rows {
             assert!(r.recovery_s > 0.0);
         }
-    }
-
-    #[test]
-    fn writer_backends_compare_on_the_same_bookkeeping() {
-        let dir = tempfile::tempdir().unwrap();
-        let rows = writer_backends(&[1, 2], &[0, 500], &[1, 2], 10, dir.path()).unwrap();
-        assert_eq!(
-            rows.len(),
-            6 * (3 + 5) + 3 * (5 + 5),
-            "depth 1: 6 algorithms x (x1: pool/batched/uring@0; x2: pool@0 + \
-             batched@{{0,500us}} + uring@{{0,500us}}); depth 2: 3 log \
-             algorithms x (x1 and x2 each: pool@0 + batched@{{0,500us}} + \
-             uring@{{0,500us}}) — windowed 1-shard cells duplicate window 0 \
-             only at depth 1, and copy-organized algorithms never pipeline, \
-             so their deep cells are skipped"
-        );
-        for r in &rows {
-            assert!(
-                r.verified,
-                "{} [{}] must round-trip",
-                r.algorithm, r.backend
-            );
-            assert!(r.recovery_s > 0.0, "{r:?}");
-            assert!(r.checkpoint_s > 0.0, "{r:?}");
-            // The instrumentation invariants: one flush job per completed
-            // checkpoint, fsyncs never exceed jobs, and the pool pays
-            // exactly one data fsync per job (sync_data defaults on).
-            assert!(r.checkpoints > 0, "{r:?}");
-            assert!(r.data_fsyncs <= r.checkpoints, "{r:?}");
-            assert!(r.ack_p99_s >= r.ack_p50_s, "{r:?}");
-            assert!(r.throughput_cps > 0.0, "{r:?}");
-            assert!(r.bytes_written > 0, "checkpoints moved bytes: {r:?}");
-            // The bench grid injects no transient faults, so the retry
-            // and degradation counters must read as a healthy disk.
-            assert_eq!(r.retries, 0, "{r:?}");
-            assert_eq!(r.retry_exhausted, 0, "{r:?}");
-            assert_eq!(r.degraded_from, None, "{r:?}");
-            match r.backend {
-                WriterBackend::ThreadPool => {
-                    assert_eq!(r.window_us, 0, "pool runs only at window 0");
-                    assert_eq!(r.data_fsyncs, r.checkpoints, "{r:?}");
-                    assert!((r.avg_batch_jobs - 1.0).abs() < 1e-12, "{r:?}");
-                    assert_eq!(r.effective_backend, r.backend, "{r:?}");
-                    assert_eq!(r.avg_sqe_batch, 0.0, "{r:?}");
-                }
-                WriterBackend::AsyncBatched => {
-                    assert!(r.avg_batch_jobs >= 1.0, "{r:?}");
-                    assert_eq!(r.effective_backend, r.backend, "{r:?}");
-                    assert_eq!(r.avg_sqe_batch, 0.0, "{r:?}");
-                }
-                WriterBackend::IoUring => {
-                    assert!(r.avg_batch_jobs >= 1.0, "{r:?}");
-                    match r.effective_backend {
-                        // On kernels with io_uring the ring must actually
-                        // run — nonzero SQE occupancy is the ground truth.
-                        WriterBackend::IoUring => {
-                            assert!(r.avg_sqe_batch > 0.0, "ring never ran: {r:?}");
-                        }
-                        // The probe-gated fallback is the one permitted
-                        // substitution, and it must be surfaced, not hidden.
-                        WriterBackend::AsyncBatched => {
-                            assert_eq!(r.avg_sqe_batch, 0.0, "{r:?}");
-                        }
-                        WriterBackend::ThreadPool => {
-                            panic!("ring can only fall back to batched: {r:?}")
-                        }
-                    }
-                }
-            }
-        }
-        // Every cell of the grid appears (the windowed cell at 2 shards,
-        // where the window can actually engage).
-        for alg in Algorithm::ALL {
-            for (backend, n, window) in [
-                (WriterBackend::ThreadPool, 1u32, 0u64),
-                (WriterBackend::AsyncBatched, 1, 0),
-                (WriterBackend::IoUring, 1, 0),
-                (WriterBackend::ThreadPool, 2, 0),
-                (WriterBackend::AsyncBatched, 2, 0),
-                (WriterBackend::AsyncBatched, 2, 500),
-                (WriterBackend::IoUring, 2, 0),
-                (WriterBackend::IoUring, 2, 500),
-            ] {
-                assert!(
-                    rows.iter().any(|r| r.algorithm == alg
-                        && r.backend == backend
-                        && r.n_shards == n
-                        && r.window_us == window
-                        && r.pipeline_depth == 1),
-                    "{alg} [{backend} x{n} @{window}us] missing"
-                );
-            }
-            let deep = alg.spec().disk_org == DiskOrg::Log;
-            for (backend, n, window) in [
-                (WriterBackend::ThreadPool, 1u32, 0u64),
-                (WriterBackend::AsyncBatched, 1, 0),
-                (WriterBackend::AsyncBatched, 1, 500),
-                (WriterBackend::IoUring, 1, 0),
-                (WriterBackend::IoUring, 1, 500),
-                (WriterBackend::ThreadPool, 2, 0),
-                (WriterBackend::AsyncBatched, 2, 0),
-                (WriterBackend::AsyncBatched, 2, 500),
-                (WriterBackend::IoUring, 2, 0),
-                (WriterBackend::IoUring, 2, 500),
-            ] {
-                assert_eq!(
-                    rows.iter().any(|r| r.algorithm == alg
-                        && r.backend == backend
-                        && r.n_shards == n
-                        && r.window_us == window
-                        && r.pipeline_depth == 2),
-                    deep,
-                    "{alg} [{backend} x{n} @{window}us d2]: deep cells exist \
-                     exactly for log-organized algorithms"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn writers_json_is_written_and_wellformed() {
-        let dir = tempfile::tempdir().unwrap();
-        let rows = writer_backends(&[1], &[0], &[1], 8, dir.path()).unwrap();
-        let path = dir.path().join("BENCH_writers.json");
-        write_writers_json(&path, &rows).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.starts_with('{') && text.trim_end().ends_with('}'));
-        assert_eq!(
-            text.matches("\"backend\"").count(),
-            rows.len(),
-            "one object per row"
-        );
-        for key in [
-            "\"throughput_cps\"",
-            "\"fsyncs_per_checkpoint\"",
-            "\"ack_p50_s\"",
-            "\"ack_p99_s\"",
-            "\"window_us\"",
-            "\"pipeline_depth\"",
-            "\"device_syncs\"",
-            "\"effective_backend\"",
-            "\"avg_sqe_batch\"",
-            "\"bytes_written\"",
-            "\"retries\"",
-            "\"retry_exhausted\"",
-            "\"degraded_from\"",
-        ] {
-            assert!(text.contains(key), "{key} missing from {text}");
-        }
-        assert!(!text.contains("NaN"), "JSON must not carry NaN");
-    }
-
-    #[test]
-    fn recovery_tiers_compare_and_serialize() {
-        let dir = tempfile::tempdir().unwrap();
-        let rows = recovery_tiers(24, dir.path()).unwrap();
-        assert_eq!(rows.len(), 2 * 6, "{{1,4}} shards x 6 algorithms");
-        for r in &rows {
-            assert!(r.state_matches, "{r:?}: tiers must agree with truth");
-            assert!(r.disk_total_s > 0.0, "{r:?}");
-            assert!(r.replica_total_s > 0.0, "{r:?}");
-        }
-        let path = dir.path().join("BENCH_recovery.json");
-        write_recovery_json(&path, &rows).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.starts_with('{') && text.trim_end().ends_with('}'));
-        assert_eq!(text.matches("\"algorithm\"").count(), rows.len());
-        for key in ["\"disk_total_s\"", "\"replica_total_s\"", "\"speedup\""] {
-            assert!(text.contains(key), "{key} missing");
-        }
-        assert!(!text.contains("NaN"), "JSON must not carry NaN");
     }
 
     #[test]

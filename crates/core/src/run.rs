@@ -111,9 +111,9 @@ impl<T: TraceSpec> TraceSpec for &T {
 /// same durability ordering (data sync before metadata commit), same
 /// published sweep frontier semantics — and differ only in how flush jobs
 /// are scheduled; `crates/storage/tests/writer_equivalence.rs` pins the
-/// equivalence differentially. The selection is interpreted by the real
-/// disk-backed engine; the cost-model simulator prices the writer
-/// analytically and ignores it.
+/// equivalence differentially. The selection is a field of the real
+/// engine's configuration; the type lives here because
+/// [`RealRunDetail`] reports which backend ran.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum WriterBackend {
     /// A pool of writer worker threads, each executing one flush job at a
@@ -183,39 +183,6 @@ pub struct RunSpec {
     /// real engine paces its mutator, sleeping out the remainder of every
     /// global tick. `None` keeps each engine's configured default.
     pub pacing_hz: Option<f64>,
-    /// Writer backend executing the flush jobs (see [`WriterBackend`]).
-    /// `None` keeps the engine's configured default.
-    pub writer: Option<WriterBackend>,
-    /// Adaptive batch window of the batched writer, in microseconds: the
-    /// latency bound under which a shallow batch waits for straggler
-    /// flush jobs so their durability points coalesce (see
-    /// [`Run::batch_window`]). `Some(0)` pins "everything currently
-    /// queued" batches; `None` keeps the engine's configured default.
-    pub batch_window_us: Option<u64>,
-    /// Checkpoint pipeline depth: how many of a shard's checkpoints may
-    /// be in flight in the writer at once (see [`Run::pipeline_depth`]).
-    /// Depth 1 is the historical stop-and-wait write path; `None` keeps
-    /// the engine's configured default.
-    pub pipeline_depth: Option<u32>,
-    /// Replication factor K of the in-memory recovery tier: each shard
-    /// pushes committed checkpoint deltas to K peer-shard memory mirrors
-    /// and recovery tries a replica fetch before the disk path (see
-    /// [`Run::replication`]). `Some(0)` pins the tier off; `None` keeps
-    /// the engine's configured default. Real engine only: the simulator
-    /// rejects a non-zero factor as unsupported.
-    pub replication: Option<u32>,
-    /// Retry budget of the writer backends for transient I/O faults:
-    /// how many times a failed data write / fsync / meta commit is
-    /// re-issued before the error takes the degradation ladder (see
-    /// [`Run::retry_max`]). `Some(0)` pins the historical
-    /// immediate-propagation engine; `None` keeps the engine's
-    /// configured default. Real engine only; the simulator models no
-    /// I/O faults and ignores it.
-    pub retry_max: Option<u32>,
-    /// Linear backoff base between retry attempts, in microseconds
-    /// (attempt `k` sleeps `k × backoff`; see [`Run::retry_backoff`]).
-    /// `None` keeps the engine's configured default.
-    pub retry_backoff_us: Option<u64>,
 }
 
 impl RunSpec {
@@ -228,12 +195,6 @@ impl RunSpec {
             batching: false,
             fidelity_check: false,
             pacing_hz: None,
-            writer: None,
-            batch_window_us: None,
-            pipeline_depth: None,
-            replication: None,
-            retry_max: None,
-            retry_backoff_us: None,
         }
     }
 
@@ -250,11 +211,6 @@ impl RunSpec {
                     "pacing frequency must be positive and finite, got {hz}"
                 )));
             }
-        }
-        if self.pipeline_depth == Some(0) {
-            return Err(RunError::Config(
-                "checkpoint pipeline depth must be at least 1".into(),
-            ));
         }
         Ok(())
     }
@@ -347,71 +303,6 @@ impl<E, T> Run<E, T> {
     /// Run the world at `hz` ticks per second (see [`RunSpec::pacing_hz`]).
     pub fn pacing(mut self, hz: f64) -> Self {
         self.spec.pacing_hz = Some(hz);
-        self
-    }
-
-    /// Select the writer backend flushing checkpoints to stable storage
-    /// (see [`RunSpec::writer`]; interpreted by the real engine, ignored
-    /// by the simulator, default: the engine's configured backend).
-    pub fn writer(mut self, backend: WriterBackend) -> Self {
-        self.spec.writer = Some(backend);
-        self
-    }
-
-    /// Bound the batched writer's adaptive batch window: when the job
-    /// queue is shallow, the submission loop waits up to `window` for
-    /// straggler flush jobs before closing the batch, trading up to
-    /// `window` of ack latency for durability-point (fsync) coalescing.
-    /// `Duration::ZERO` pins today's "everything currently queued"
-    /// batches. Interpreted by the real engine's async-batched writer,
-    /// ignored by the thread pool and the simulator; default: the
-    /// engine's configured window.
-    pub fn batch_window(mut self, window: std::time::Duration) -> Self {
-        self.spec.batch_window_us = Some(u64::try_from(window.as_micros()).unwrap_or(u64::MAX));
-        self
-    }
-
-    /// Allow up to `depth` of a shard's checkpoints in flight in the
-    /// writer at once (default 1, the historical stop-and-wait write
-    /// path). At depth ≥ 2 the real engine's driver starts the next
-    /// checkpoint while the previous one's flush is still queued or
-    /// batching — for the algorithm/flush combinations whose jobs carry
-    /// private copies (log-organized eager plans); sweeping and
-    /// double-backup checkpoints still drain the pipe first. Interpreted
-    /// by the real engine; the simulator rejects depths above 1 as
-    /// unsupported rather than silently pricing a pipeline it does not
-    /// model.
-    pub fn pipeline_depth(mut self, depth: u32) -> Self {
-        self.spec.pipeline_depth = Some(depth);
-        self
-    }
-
-    /// Replicate each shard's committed checkpoint deltas to `k` peer
-    /// shards' memory (publish-on-commit), so single-shard recovery can
-    /// fetch a mirror image instead of replaying from disk; `0` pins the
-    /// tier off. Interpreted by the real engine; the simulator rejects a
-    /// non-zero factor as unsupported rather than silently pricing a
-    /// tier it does not model.
-    pub fn replication(mut self, k: u32) -> Self {
-        self.spec.replication = Some(k);
-        self
-    }
-
-    /// Allow the real engine's writer up to `max` retries per failed
-    /// data write / fsync / meta commit before the error takes the
-    /// degradation ladder (typed `RunError` on the pool/batched
-    /// engines, dead-flag synchronous redo on io_uring). `0` pins the
-    /// historical immediate-propagation engine. Interpreted by the
-    /// real engine; the simulator models no I/O faults.
-    pub fn retry_max(mut self, max: u32) -> Self {
-        self.spec.retry_max = Some(max);
-        self
-    }
-
-    /// Linear backoff base between writer retry attempts (attempt `k`
-    /// sleeps `k × backoff`). Interpreted by the real engine.
-    pub fn retry_backoff(mut self, backoff: std::time::Duration) -> Self {
-        self.spec.retry_backoff_us = Some(u64::try_from(backoff.as_micros()).unwrap_or(u64::MAX));
         self
     }
 
@@ -758,13 +649,6 @@ pub enum RunError {
     Config(String),
     /// The real engine hit a storage failure.
     Io(std::io::Error),
-    /// The selected engine does not support a requested option.
-    Unsupported {
-        /// Engine label (`"sim"`, `"real"`, …).
-        engine: &'static str,
-        /// The unsupported option, human-readable.
-        feature: String,
-    },
 }
 
 impl fmt::Display for RunError {
@@ -773,9 +657,6 @@ impl fmt::Display for RunError {
             RunError::Core(e) => write!(f, "{e}"),
             RunError::Config(msg) => write!(f, "invalid experiment configuration: {msg}"),
             RunError::Io(e) => write!(f, "storage failure: {e}"),
-            RunError::Unsupported { engine, feature } => {
-                write!(f, "the {engine} engine does not support {feature}")
-            }
         }
     }
 }
@@ -785,7 +666,7 @@ impl std::error::Error for RunError {
         match self {
             RunError::Core(e) => Some(e),
             RunError::Io(e) => Some(e),
-            RunError::Config(_) | RunError::Unsupported { .. } => None,
+            RunError::Config(_) => None,
         }
     }
 }
@@ -938,25 +819,13 @@ mod tests {
             .shards(4)
             .batching(true)
             .fidelity_check(true)
-            .pacing(30.0)
-            .writer(WriterBackend::AsyncBatched)
-            .batch_window(std::time::Duration::from_micros(250))
-            .pipeline_depth(2)
-            .replication(1)
-            .retry_max(2)
-            .retry_backoff(std::time::Duration::from_micros(100));
+            .pacing(30.0);
         let spec = run.spec();
-        assert_eq!(spec.retry_max, Some(2));
-        assert_eq!(spec.retry_backoff_us, Some(100));
         assert_eq!(spec.algorithm, Algorithm::CopyOnUpdate);
         assert_eq!(spec.shards, 4);
         assert!(spec.batching);
         assert!(spec.fidelity_check);
         assert_eq!(spec.pacing_hz, Some(30.0));
-        assert_eq!(spec.writer, Some(WriterBackend::AsyncBatched));
-        assert_eq!(spec.batch_window_us, Some(250));
-        assert_eq!(spec.pipeline_depth, Some(2));
-        assert_eq!(spec.replication, Some(1));
         assert_eq!(WriterBackend::default(), WriterBackend::ThreadPool);
         assert_eq!(WriterBackend::AsyncBatched.to_string(), "async-batched");
         assert_eq!(WriterBackend::IoUring.to_string(), "io-uring");
@@ -980,14 +849,6 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, RunError::Config(_)), "{err}");
         assert!(err.to_string().contains("pacing"));
-        let err = Run::algorithm(Algorithm::NaiveSnapshot)
-            .engine(CountingEngine)
-            .trace(tiny_spec())
-            .pipeline_depth(0)
-            .execute()
-            .unwrap_err();
-        assert!(matches!(err, RunError::Config(_)), "{err}");
-        assert!(err.to_string().contains("pipeline depth"));
     }
 
     #[test]
@@ -1075,11 +936,8 @@ mod tests {
         assert!(std::error::Error::source(&e).is_some());
         let e = RunError::from(std::io::Error::other("disk gone"));
         assert!(e.to_string().contains("disk gone"));
-        let e = RunError::Unsupported {
-            engine: "sim",
-            feature: "levitation".into(),
-        };
-        assert!(e.to_string().contains("sim"));
+        let e = RunError::Config("no shards".into());
+        assert!(e.to_string().contains("no shards"));
         assert!(std::error::Error::source(&e).is_none());
     }
 }

@@ -7,10 +7,9 @@
 //! mmoc-fuzz --list-points                        registry + reach counts
 //! ```
 //!
-//! `MMOC_FUZZ_RUNS` and `MMOC_FUZZ_SEED` set the corpus defaults; flags
-//! win over the environment. Exit codes: 0 all cases consistent and
-//! every reachable point fired; 1 divergence or coverage hole; 2 usage
-//! or configuration error.
+//! The corpus defaults to 200 runs from seed 1. Exit codes: 0 all cases
+//! consistent and every reachable point fired; 1 divergence or coverage
+//! hole; 2 usage error.
 
 use std::io::Write as _;
 use std::process::ExitCode;
@@ -22,19 +21,6 @@ fn usage() -> String {
     "usage: mmoc-fuzz [--runs N] [--seed S] [--log FILE] | \
      --repro SEED:ID | --case SPEC | --list-points"
         .to_string()
-}
-
-/// Parse an environment knob the same way the engine's writer knobs are
-/// parsed: absent is fine, garbage is a named, typed error.
-fn env_u64(name: &str) -> Result<Option<u64>, String> {
-    match std::env::var(name) {
-        Err(_) => Ok(None),
-        Ok(v) => {
-            v.trim().parse::<u64>().map(Some).map_err(|_| {
-                format!("unrecognized {name} value {v:?}: expected an unsigned integer")
-            })
-        }
-    }
 }
 
 struct Options {
@@ -53,8 +39,8 @@ enum Mode {
 
 fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
-        runs: env_u64("MMOC_FUZZ_RUNS")?.unwrap_or(200),
-        seed: env_u64("MMOC_FUZZ_SEED")?.unwrap_or(1),
+        runs: 200,
+        seed: 1,
         log: None,
         mode: Mode::Corpus,
     };

@@ -33,6 +33,7 @@ use mmoc_storage::recovery::{
 use mmoc_storage::{shard_dir, RealConfig, ReplicaSet};
 use mmoc_workload::{SyntheticConfig, TraceSource};
 use std::io;
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -178,17 +179,7 @@ pub fn run_case(case: &FuzzCase) -> CaseOutcome {
             .collect();
         Arc::new(ReplicaSet::new(case.replication, &geometries))
     });
-    let mut config = RealConfig::new(dir.path())
-        .without_recovery()
-        .with_query_ops(48)
-        .with_fsync_coalescing(case.coalesce)
-        .with_device_sync(case.device_sync)
-        .with_auto_window(false)
-        .with_retry(case.retry_max, Duration::ZERO)
-        .with_crash_state(state.clone());
-    if let Some(set) = &replicas {
-        config = config.with_replica_set(set.clone());
-    }
+    let mut config = engine_config(case, dir.path(), &state, replicas.as_ref());
     if let Some(f) = &fault {
         config = config.with_fault_state(f.clone());
     }
@@ -196,9 +187,6 @@ pub fn run_case(case: &FuzzCase) -> CaseOutcome {
         .engine(config)
         .trace(trace)
         .shards(case.shards)
-        .writer(case.backend)
-        .pipeline_depth(case.pipeline_depth)
-        .batch_window(Duration::from_micros(case.batch_window_us))
         .pacing(600.0)
         .execute();
 
@@ -313,6 +301,31 @@ pub fn run_case(case: &FuzzCase) -> CaseOutcome {
     outcome
 }
 
+/// The one place a case's knobs become a [`RealConfig`]: every field a
+/// case samples is set explicitly, so no `MMOC_*` default leaks in.
+fn engine_config(
+    case: &FuzzCase,
+    dir: &Path,
+    state: &Arc<CrashState>,
+    replicas: Option<&Arc<ReplicaSet>>,
+) -> RealConfig {
+    let mut config = RealConfig::new(dir)
+        .without_recovery()
+        .with_query_ops(48)
+        .with_writer_backend(case.backend)
+        .with_batch_window(Duration::from_micros(case.batch_window_us))
+        .with_fsync_coalescing(case.coalesce)
+        .with_device_sync(case.device_sync)
+        .with_pipeline_depth(case.pipeline_depth)
+        .with_retry(case.retry_max, Duration::ZERO)
+        .with_replication(case.replication)
+        .with_crash_state(state.clone());
+    if let Some(set) = replicas {
+        config = config.with_replica_set(set.clone());
+    }
+    config
+}
+
 /// True when this case asked for io_uring — used by the coverage check
 /// to excuse ring-only points on kernels without the capability.
 #[must_use]
@@ -337,23 +350,10 @@ pub fn tracking_run(case: &FuzzCase) -> Result<[u64; N_POINTS], String> {
             .collect();
         Arc::new(ReplicaSet::new(case.replication, &geometries))
     });
-    let mut config = RealConfig::new(dir.path())
-        .without_recovery()
-        .with_query_ops(48)
-        .with_fsync_coalescing(case.coalesce)
-        .with_device_sync(case.device_sync)
-        .with_auto_window(false)
-        .with_crash_state(state.clone());
-    if let Some(set) = &replicas {
-        config = config.with_replica_set(set.clone());
-    }
     Run::algorithm(case.algorithm)
-        .engine(config)
+        .engine(engine_config(case, dir.path(), &state, replicas.as_ref()))
         .trace(trace)
         .shards(case.shards)
-        .writer(case.backend)
-        .pipeline_depth(case.pipeline_depth)
-        .batch_window(Duration::from_micros(case.batch_window_us))
         .pacing(600.0)
         .execute()
         .map_err(|e| format!("run error: {e}"))?;

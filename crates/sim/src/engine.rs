@@ -402,30 +402,6 @@ impl ExperimentEngine for SimConfig {
                 config.tick_freq_hz
             )));
         }
-        // The cost model prices one outstanding flush per shard; pricing
-        // a deeper pipeline it does not model would silently misstate
-        // the paper's comparison, so depth > 1 is refused instead.
-        if let Some(depth) = spec.pipeline_depth {
-            if depth > 1 {
-                return Err(RunError::Unsupported {
-                    engine: "sim",
-                    feature: format!("checkpoint pipeline depth {depth} (the cost model prices one in-flight checkpoint per shard)"),
-                });
-            }
-        }
-        // Same policy for the replica tier: the cost model has no notion
-        // of peer-memory mirrors, so a non-zero factor is refused rather
-        // than silently priced as disk-only recovery.
-        if let Some(k) = spec.replication {
-            if k > 0 {
-                return Err(RunError::Unsupported {
-                    engine: "sim",
-                    feature: format!(
-                        "replication factor {k} (the cost model prices disk recovery only)"
-                    ),
-                });
-            }
-        }
         let engine = SimEngine {
             config,
             algorithm: spec.algorithm,

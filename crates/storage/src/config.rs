@@ -8,6 +8,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Configuration for a real (disk-backed) checkpointing run.
+///
+/// Every knob is a public field with its default in [`RealConfig::new`].
+/// Five of them can also be defaulted process-wide from the environment
+/// (the `ENV_KNOBS` table below: the CI matrix's levers); a field
+/// assigned or built explicitly always wins over its environment row.
 #[derive(Debug, Clone)]
 pub struct RealConfig {
     /// Directory holding the backup files (ideally on a dedicated disk, as
@@ -30,152 +35,133 @@ pub struct RealConfig {
     pub sync_data: bool,
     /// After the run, simulate a crash and measure real recovery.
     pub measure_recovery: bool,
-    /// Writer-pool workers serving all shards' flush jobs in sharded
-    /// runs. `0` (the default) picks `min(n_shards, 4)` — the pool is a
-    /// shared resource sized to the storage device, not to the shard
-    /// count. Single-shard runs always use one worker (the historical
-    /// dedicated writer thread). Only meaningful for
-    /// [`WriterBackend::ThreadPool`]; the batched engine always runs one
-    /// submission/completion loop.
+    /// Thread-pool workers serving all shards' flush jobs. `0` picks
+    /// `min(n_shards, 4)` — the pool is sized to the storage device, not
+    /// the shard count. Single-shard runs and the batched backends always
+    /// use one writer thread.
     pub writer_pool_threads: usize,
-    /// The writer backend executing flush jobs: the worker-thread pool,
-    /// the io_uring-style batched-submission engine, or the real
-    /// `io_uring` ring. Defaults to [`WriterBackend::ThreadPool`],
-    /// overridable process-wide through the `MMOC_WRITER_BACKEND`
-    /// environment variable (`thread-pool` / `async-batched` /
-    /// `io-uring`) so whole test suites can run under any backend — the
-    /// CI backend matrix's lever. An unparseable value is **not** a
-    /// panic: it is deferred into [`RealConfig::env_error`] and surfaced
-    /// as a typed `RunError::Config` when a run starts. Explicit settings
-    /// ([`RealConfig::with_writer_backend`], the builder's `.writer(…)`)
-    /// always win over the environment.
+    /// The writer backend executing flush jobs (see [`crate::writer`]).
     pub writer_backend: WriterBackend,
-    /// Adaptive batch window of the async-batched writer: when the job
-    /// queue holds fewer jobs than there are shards, the submission loop
-    /// waits up to this long for stragglers before closing the batch, so
-    /// their durability points coalesce — trading up to one window of ack
-    /// latency per checkpoint for fewer fsyncs. `Duration::ZERO` (the
-    /// default) reproduces the historical "everything currently queued"
-    /// batches exactly. Defaults to the `MMOC_WRITER_BATCH_WINDOW`
-    /// environment variable when set (`250us`, `2ms`, `1s`, a bare
-    /// integer in microseconds, or `auto` — see
-    /// [`RealConfig::auto_window`]); explicit settings
-    /// ([`RealConfig::with_batch_window`], the builder's
-    /// `.batch_window(…)`) win over the environment. An unparseable
-    /// value is **not** a panic: it is deferred into
-    /// [`RealConfig::env_error`] and surfaced as a typed
-    /// `RunError::Config` when a run starts. Ignored by the thread pool,
-    /// which has no batches.
+    /// Batch window of the batched backends: while the job queue holds
+    /// fewer jobs than a full batch, the writer waits up to this long for
+    /// stragglers so their durability points coalesce. `Duration::ZERO`
+    /// closes every batch at once. Ignored by the thread pool (no
+    /// batches) and while [`RealConfig::auto_window`] is on.
     pub batch_window: Duration,
-    /// Occupancy-driven window auto-tuning (`batch_window = auto`):
-    /// ignore the fixed window and derive each round's window from the
-    /// job inter-arrival EWMA the batched writer observes — zero while
-    /// batches close full, the scaled EWMA (capped at 2 ms) otherwise.
-    /// Off by default; enabled by `MMOC_WRITER_BATCH_WINDOW=auto` or
-    /// [`RealConfig::with_auto_window`].
+    /// Derive each round's window from the job inter-arrival EWMA the
+    /// batched writer observes — zero while batches close full, the
+    /// scaled EWMA (capped at 2 ms) otherwise — instead of the fixed
+    /// [`RealConfig::batch_window`].
     pub auto_window: bool,
-    /// Cross-shard fsync coalescing in the async-batched writer's
-    /// durability scheduler: when true (the default), a batch issues one
-    /// data `fsync` per **distinct target file** — all pending data syncs
-    /// before any metadata commit — instead of one per job. Recovery-
-    /// equivalent by construction (the data-sync-before-metadata-commit
-    /// invariant holds batch-globally) and pinned differentially; turn
-    /// off via [`RealConfig::with_fsync_coalescing`] to reproduce the
-    /// historical per-job completion bit for bit. Ignored by the thread
-    /// pool, which completes jobs one at a time.
+    /// The batched backends issue one data `fsync` per **distinct target
+    /// file** of a batch — all data syncs before any metadata commit —
+    /// instead of one per job. Off reproduces per-job completion bit for
+    /// bit. Ignored by the thread pool.
     pub coalesce_fsync: bool,
-    /// Device-level sync barriers in the async-batched writer: when a
-    /// batch holds two or more distinct target files on one device,
-    /// collapse their per-file fsyncs into a single `syncfs` on that
-    /// device. Capability-probed at first use; where `syncfs` is
-    /// unavailable the scheduler silently falls back to per-file fsync.
-    /// Off by default (per-file counts stay exact for the instrumented
-    /// tests); enable via [`RealConfig::with_device_sync`] or
-    /// `MMOC_WRITER_DEVICE_SYNC=1`. Requires `coalesce_fsync`.
+    /// When a batch holds two or more distinct target files on one
+    /// device, collapse their fsyncs into one `syncfs`. Capability-probed
+    /// at first use, falling back to per-file fsync. Requires
+    /// [`RealConfig::coalesce_fsync`].
     pub device_sync: bool,
-    /// Checkpoint pipeline depth: how many checkpoints the driver may
-    /// have in flight per shard before it must wait for the oldest to
-    /// complete. Only log-organization checkpoints without a sweep
-    /// actually overlap (the bookkeeper's safety gate serializes
-    /// everything else regardless of this setting); `1` (the default)
-    /// reproduces the historical one-in-flight engine exactly. Defaults
-    /// to the `MMOC_WRITER_PIPELINE_DEPTH` environment variable when
-    /// set; explicit settings ([`RealConfig::with_pipeline_depth`], the
-    /// builder's `.pipeline_depth(…)`) win over the environment.
+    /// How many checkpoints the driver may have in flight per shard (at
+    /// least 1). Only log-organization checkpoints without a sweep
+    /// overlap; the bookkeeper serializes everything else regardless.
     pub pipeline_depth: u32,
-    /// Crash-point lattice state for this run: `None` (the default) in
-    /// production — every instrumentation site is then a single
-    /// `Option` check — or a per-run [`CrashState`] installed by the
-    /// crash-fuzz harness ([`RealConfig::with_crash_state`]) or the
-    /// `MMOC_FUZZ_CRASH` environment variable
-    /// (`point[:hit[:torn[:action]]]`, see [`crate::crash::plan_spec`]).
-    /// One `Arc` is shared by every shard of the run; a simulated
-    /// crash freezes all shards' disks together.
+    /// Crash-point lattice state shared by every shard of the run.
+    /// `None` in production: every instrumentation site is then a single
+    /// `Option` check.
     pub crash: Option<Arc<CrashState>>,
-    /// Transient-fault failpoint state for this run: `None` (the
-    /// default) in production — every injection seam is then a single
-    /// `Option` check — or a per-run [`FaultState`] installed by the
-    /// fuzz harness ([`RealConfig::with_fault_state`]) or the
-    /// `MMOC_FAULTS` environment variable
-    /// (`site[:hit[:kind[:burst]]]`, see [`crate::fault::fault_spec`]).
-    /// One `Arc` is shared by every shard of the run.
+    /// Transient-fault failpoint state shared by every shard of the run.
+    /// `None` in production.
     pub fault: Option<Arc<FaultState>>,
-    /// Retry budget of the writer backends for transient I/O faults:
-    /// how many times a failed data write / fsync / meta commit is
-    /// re-issued before the error takes the degradation ladder
-    /// (typed `RunError` on the pool/batched engines, dead-flag
-    /// synchronous redo on io_uring). `0` reproduces the historical
-    /// immediate-propagation engine bit for bit. Defaults to 3,
-    /// overridable via `MMOC_WRITER_RETRY_MAX`; explicit settings
-    /// ([`RealConfig::with_retry`]) win over the environment.
+    /// How many times the writer re-issues a failed data write / fsync /
+    /// meta commit before the error takes the degradation ladder (typed
+    /// `RunError` on the syscall backends, synchronous redo on io_uring).
+    /// `0` propagates the first failure.
     pub retry_max: u32,
     /// Linear backoff base between retry attempts (attempt `k` sleeps
-    /// `k × backoff`). Defaults to zero (spin retry — transient
-    /// failpoints clear by reach count, not by time), overridable via
-    /// `MMOC_WRITER_RETRY_BACKOFF` (`250us`, `2ms`, bare integer in
-    /// microseconds).
+    /// `k × backoff`). Zero spins: transient failpoints clear by reach
+    /// count, not by time.
     pub retry_backoff: Duration,
     /// Replication factor K of the in-memory recovery tier: each shard
-    /// pushes its committed checkpoint deltas to K peer-shard mirrors
-    /// (publish-on-commit), and single-shard recovery tries a replica
-    /// fetch before the disk path. `0` (the default) disables the tier.
-    /// Defaults to the `MMOC_REPLICATION` environment variable when set;
-    /// explicit settings ([`RealConfig::with_replication`], the
-    /// builder's `.replication(…)`) win over the environment. An
-    /// unparseable value is deferred into [`RealConfig::env_error`] like
-    /// the other `MMOC_*` knobs.
+    /// publishes its committed checkpoint deltas to K peer-shard mirrors
+    /// and single-shard recovery tries a replica fetch before the disk
+    /// path. `0` disables the tier.
     pub replication_factor: u32,
-    /// A pre-built replica tier installed by a caller that wants to keep
-    /// its own handle — the fuzz harness and the recovery bench retain
-    /// the `Arc` to drive recovery themselves after the run. `Some`
-    /// activates replication regardless of
-    /// [`RealConfig::replication_factor`]; `None` (the default) lets the
-    /// sharded run build an internal set when the factor is non-zero.
+    /// A pre-built replica tier whose `Arc` the caller keeps to drive
+    /// recovery itself after the run. `Some` activates replication
+    /// regardless of [`RealConfig::replication_factor`].
     pub replica_set: Option<Arc<crate::replica::ReplicaSet>>,
-    /// Deferred environment-parsing failure: when one of the
-    /// `MMOC_WRITER_*` (or `MMOC_FUZZ_*`) variables holds garbage,
-    /// construction still succeeds (so `RealConfig::new` stays
-    /// infallible) and the message is surfaced as a typed
-    /// `RunError::Config` the moment the config is used to execute a
-    /// run.
+    /// The first environment row that held garbage, as a message.
+    /// Construction stays infallible; the message surfaces as a typed
+    /// `RunError::Config` the moment the config executes a run, so a typo
+    /// in a CI leg fails loudly instead of re-running the default.
     pub env_error: Option<String>,
 }
 
+/// Parses one environment value into the config; `Err` names the
+/// accepted forms.
+type EnvParser = fn(&mut RealConfig, &str) -> Result<(), String>;
+
+/// The process-wide defaults [`RealConfig::new`] reads from the
+/// environment: one row per variable. A row exists only while something
+/// in the tree sets it (today: the CI writer-backend matrix and the
+/// retry-disabled differential leg).
+const ENV_KNOBS: [(&str, EnvParser); 5] = [
+    ("MMOC_WRITER_BACKEND", |c, v| {
+        c.writer_backend = WriterBackend::ALL
+            .into_iter()
+            .find(|b| b.label() == v)
+            .ok_or(r#"use "thread-pool", "async-batched" or "io-uring""#)?;
+        Ok(())
+    }),
+    ("MMOC_WRITER_BATCH_WINDOW", |c, v| {
+        match v {
+            "auto" => c.auto_window = true,
+            _ => {
+                c.batch_window =
+                    parse_duration(v).ok_or(r#"use e.g. "0", "250us", "2ms", "1s" or "auto""#)?;
+            }
+        }
+        Ok(())
+    }),
+    ("MMOC_WRITER_PIPELINE_DEPTH", |c, v| {
+        c.pipeline_depth = v
+            .parse()
+            .ok()
+            .filter(|&d| d >= 1)
+            .ok_or("use an integer of at least 1")?;
+        Ok(())
+    }),
+    ("MMOC_WRITER_RETRY_MAX", |c, v| {
+        c.retry_max = v
+            .parse()
+            .map_err(|_| "use an unsigned integer (0 disables retries)")?;
+        Ok(())
+    }),
+    ("MMOC_REPLICATION", |c, v| {
+        c.replication_factor = v
+            .parse()
+            .map_err(|_| "use an unsigned integer (0 disables the replica tier)")?;
+        Ok(())
+    }),
+];
+
 impl RealConfig {
-    /// A configuration rooted at `dir` with test-friendly defaults:
-    /// unpaced ticks, light query phase, recovery measurement on.
+    /// A configuration rooted at `dir` with test-friendly defaults —
+    /// unpaced ticks, light query phase, recovery measurement on — under
+    /// the `MMOC_*` rows this process's environment sets.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
-        let (batch_window, auto_window, window_err) = batch_window_from_env();
-        let (pipeline_depth, depth_err) = pipeline_depth_from_env();
-        let (device_sync, device_err) = device_sync_from_env();
-        let (writer_backend, backend_err) = writer_backend_from_env();
-        let (crash, crash_err) = crash_from_env();
-        let (fault, fault_err) = fault_from_env();
-        let (retry_max, retry_max_err) = retry_max_from_env();
-        let (retry_backoff, retry_backoff_err) = retry_backoff_from_env();
-        let (replication_factor, replication_err) = replication_from_env();
-        RealConfig {
-            dir: dir.into(),
+        Self::from_vars(dir.into(), |key| std::env::var(key).ok())
+    }
+
+    /// Every default, then one pass over [`ENV_KNOBS`] reading the
+    /// environment through `var`. Garbage leaves its field alone and is
+    /// deferred into [`RealConfig::env_error`] (the first failure wins)
+    /// instead of panicking in library code.
+    fn from_vars(dir: PathBuf, var: impl Fn(&str) -> Option<String>) -> Self {
+        let mut config = RealConfig {
+            dir,
             tick_period: Duration::from_nanos(33_333_333),
             paced: false,
             query_ops_per_tick: 1_000,
@@ -183,28 +169,29 @@ impl RealConfig {
             sync_data: true,
             measure_recovery: true,
             writer_pool_threads: 0,
-            writer_backend,
-            batch_window,
-            auto_window,
+            writer_backend: WriterBackend::ThreadPool,
+            batch_window: Duration::ZERO,
+            auto_window: false,
             coalesce_fsync: true,
-            device_sync,
-            pipeline_depth,
-            crash,
-            fault,
-            retry_max,
-            retry_backoff,
-            replication_factor,
+            device_sync: false,
+            pipeline_depth: 1,
+            crash: None,
+            fault: None,
+            retry_max: 3,
+            retry_backoff: Duration::ZERO,
+            replication_factor: 0,
             replica_set: None,
-            env_error: backend_err
-                .or(window_err)
-                .or(depth_err)
-                .or(device_err)
-                .or(crash_err)
-                .or(fault_err)
-                .or(retry_max_err)
-                .or(retry_backoff_err)
-                .or(replication_err),
+            env_error: None,
+        };
+        for (key, parse) in ENV_KNOBS {
+            let Some(value) = var(key) else { continue };
+            if let Err(accepted) = parse(&mut config, value.trim()) {
+                config
+                    .env_error
+                    .get_or_insert(format!("unrecognized {key} value {value:?}; {accepted}"));
+            }
         }
+        config
     }
 
     /// Override the writer-pool size for sharded runs (`0` = auto).
@@ -219,22 +206,25 @@ impl RealConfig {
         self
     }
 
-    /// Bound the async-batched writer's adaptive batch window (see
-    /// [`RealConfig::batch_window`]; `Duration::ZERO` = no waiting).
+    /// Fix the batched backends' batch window (see
+    /// [`RealConfig::batch_window`]; `Duration::ZERO` = no waiting),
+    /// turning auto-tuning off: an explicit window wins over an `auto`
+    /// inherited from the environment.
     pub fn with_batch_window(mut self, window: Duration) -> Self {
         self.batch_window = window;
+        self.auto_window = false;
         self
     }
 
-    /// Enable or disable cross-shard fsync coalescing in the
-    /// async-batched writer (see [`RealConfig::coalesce_fsync`]).
+    /// Enable or disable cross-shard fsync coalescing (see
+    /// [`RealConfig::coalesce_fsync`]).
     pub fn with_fsync_coalescing(mut self, on: bool) -> Self {
         self.coalesce_fsync = on;
         self
     }
 
     /// Enable or disable occupancy-driven window auto-tuning (see
-    /// [`RealConfig::auto_window`]). Overrides any fixed window.
+    /// [`RealConfig::auto_window`]). While on, the fixed window is unused.
     pub fn with_auto_window(mut self, on: bool) -> Self {
         self.auto_window = on;
         self
@@ -248,9 +238,9 @@ impl RealConfig {
     }
 
     /// Set the checkpoint pipeline depth (see
-    /// [`RealConfig::pipeline_depth`]; must be at least 1).
+    /// [`RealConfig::pipeline_depth`]). A depth of 0 is a typed
+    /// `RunError::Config` when the run executes.
     pub fn with_pipeline_depth(mut self, depth: u32) -> Self {
-        assert!(depth >= 1, "pipeline depth must be at least 1");
         self.pipeline_depth = depth;
         self
     }
@@ -293,25 +283,23 @@ impl RealConfig {
     }
 
     /// Install a per-run crash-point lattice state (see
-    /// [`RealConfig::crash`]). The fuzz harness keeps a clone of the
-    /// `Arc` to read reach counts and the fired/down latches after
-    /// the run.
+    /// [`RealConfig::crash`]). The caller keeps a clone of the `Arc` to
+    /// read reach counts and the fired/down latches after the run.
     pub fn with_crash_state(mut self, state: Arc<CrashState>) -> Self {
         self.crash = Some(state);
         self
     }
 
     /// Install a per-run transient-fault failpoint state (see
-    /// [`RealConfig::fault`]). The fuzz harness keeps a clone of the
-    /// `Arc` to read the injected-fault tally after the run.
+    /// [`RealConfig::fault`]). The caller keeps a clone of the `Arc` to
+    /// read the injected-fault tally after the run.
     pub fn with_fault_state(mut self, state: Arc<FaultState>) -> Self {
         self.fault = Some(state);
         self
     }
 
     /// Set the writer's transient-fault retry budget and backoff base
-    /// (see [`RealConfig::retry_max`]; `max = 0` is the historical
-    /// immediate-propagation engine).
+    /// (see [`RealConfig::retry_max`]).
     pub fn with_retry(mut self, max: u32, backoff: Duration) -> Self {
         self.retry_max = max;
         self.retry_backoff = backoff;
@@ -335,236 +323,16 @@ impl RealConfig {
     }
 
     /// Install a pre-built replica tier (see
-    /// [`RealConfig::replica_set`]). The caller keeps a clone of the
-    /// `Arc` to fetch mirrors after the run — the fuzz harness and the
-    /// recovery bench drive recovery from the surviving peers' memory
-    /// themselves.
+    /// [`RealConfig::replica_set`]).
     pub fn with_replica_set(mut self, set: Arc<crate::replica::ReplicaSet>) -> Self {
         self.replica_set = Some(set);
         self
     }
 }
 
-/// The process-wide writer-backend default: `MMOC_WRITER_BACKEND` if
-/// set, the thread pool otherwise. Returns `(backend, deferred_error)`:
-/// an unrecognized value is a typed error surfaced as `RunError::Config`
-/// when the config executes a run — like the other `MMOC_WRITER_*`
-/// variables — so a typo in a CI matrix leg still fails loudly (the run
-/// errors, it never silently re-runs the default backend) without making
-/// `RealConfig::new` panic in library code.
-fn writer_backend_from_env() -> (WriterBackend, Option<String>) {
-    match std::env::var("MMOC_WRITER_BACKEND") {
-        Err(_) => (WriterBackend::ThreadPool, None),
-        Ok(v) => match writer_backend_spec(&v) {
-            Ok(backend) => (backend, None),
-            Err(msg) => (WriterBackend::ThreadPool, Some(msg)),
-        },
-    }
-}
-
-/// Parse a `MMOC_WRITER_BACKEND` value. Garbage is a typed error message
-/// naming the variable and the accepted forms, not a panic.
-pub(crate) fn writer_backend_spec(v: &str) -> Result<WriterBackend, String> {
-    match v.trim() {
-        "" | "thread-pool" | "threads" => Ok(WriterBackend::ThreadPool),
-        "async-batched" | "async" => Ok(WriterBackend::AsyncBatched),
-        "io-uring" | "io_uring" | "uring" => Ok(WriterBackend::IoUring),
-        other => Err(format!(
-            "unrecognized MMOC_WRITER_BACKEND value {other:?}; \
-             use \"thread-pool\", \"async-batched\" or \"io-uring\""
-        )),
-    }
-}
-
-/// A parsed `MMOC_WRITER_BATCH_WINDOW` value: a fixed window, or the
-/// auto-tuning sentinel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum WindowSpec {
-    /// Occupancy-driven auto-tuning (`batch_window = auto`).
-    Auto,
-    /// A fixed window (zero = close batches immediately).
-    Fixed(Duration),
-}
-
-/// Parse a `MMOC_WRITER_BATCH_WINDOW` value: `auto`, `250us`, `2ms`,
-/// `1s`, or a bare integer in microseconds. Garbage is a typed error
-/// message (surfaced as `RunError::Config` at run time), not a panic.
-pub(crate) fn window_spec(v: &str) -> Result<WindowSpec, String> {
-    if v.trim() == "auto" {
-        return Ok(WindowSpec::Auto);
-    }
-    parse_window(v).map(WindowSpec::Fixed).ok_or_else(|| {
-        format!(
-            "unrecognized MMOC_WRITER_BATCH_WINDOW value {v:?}; \
-             use e.g. \"0\", \"250us\", \"2ms\", \"1s\" or \"auto\""
-        )
-    })
-}
-
-/// The process-wide adaptive-batch-window default:
-/// `MMOC_WRITER_BATCH_WINDOW` if set, zero (no waiting) otherwise.
-/// Returns `(window, auto, deferred_error)`.
-fn batch_window_from_env() -> (Duration, bool, Option<String>) {
-    match std::env::var("MMOC_WRITER_BATCH_WINDOW") {
-        Err(_) => (Duration::ZERO, false, None),
-        Ok(v) => match window_spec(&v) {
-            Ok(WindowSpec::Auto) => (Duration::ZERO, true, None),
-            Ok(WindowSpec::Fixed(d)) => (d, false, None),
-            Err(msg) => (Duration::ZERO, false, Some(msg)),
-        },
-    }
-}
-
-/// The process-wide pipeline-depth default: `MMOC_WRITER_PIPELINE_DEPTH`
-/// if set, 1 (the historical one-in-flight engine) otherwise. Returns
-/// `(depth, deferred_error)`.
-fn pipeline_depth_from_env() -> (u32, Option<String>) {
-    match std::env::var("MMOC_WRITER_PIPELINE_DEPTH") {
-        Err(_) => (1, None),
-        Ok(v) => match v.trim().parse::<u32>() {
-            Ok(d) if d >= 1 => (d, None),
-            _ => (
-                1,
-                Some(format!(
-                    "unrecognized MMOC_WRITER_PIPELINE_DEPTH value {v:?}; \
-                     use an integer of at least 1"
-                )),
-            ),
-        },
-    }
-}
-
-/// The process-wide device-barrier default: `MMOC_WRITER_DEVICE_SYNC` if
-/// set (`1`/`true` or `0`/`false`), off otherwise. Returns
-/// `(device_sync, deferred_error)`.
-fn device_sync_from_env() -> (bool, Option<String>) {
-    match std::env::var("MMOC_WRITER_DEVICE_SYNC") {
-        Err(_) => (false, None),
-        Ok(v) => match v.trim() {
-            "1" | "true" => (true, None),
-            "" | "0" | "false" => (false, None),
-            _ => (
-                false,
-                Some(format!(
-                    "unrecognized MMOC_WRITER_DEVICE_SYNC value {v:?}; \
-                     use \"1\"/\"true\" or \"0\"/\"false\""
-                )),
-            ),
-        },
-    }
-}
-
-/// The process-wide replication default: `MMOC_REPLICATION` if set
-/// (`K` peer mirrors per shard, `0` = off), off otherwise. Returns
-/// `(factor, deferred_error)`.
-fn replication_from_env() -> (u32, Option<String>) {
-    match std::env::var("MMOC_REPLICATION") {
-        Err(_) => (0, None),
-        Ok(v) => match v.trim().parse::<u32>() {
-            Ok(k) => (k, None),
-            Err(_) => (
-                0,
-                Some(format!(
-                    "unrecognized MMOC_REPLICATION value {v:?}; \
-                     use an unsigned integer (0 disables the replica tier)"
-                )),
-            ),
-        },
-    }
-}
-
-/// The process-wide crash-plan default: an armed [`CrashState`] when
-/// `MMOC_FUZZ_CRASH` holds a valid `point[:hit[:torn[:action]]]` spec,
-/// none otherwise. Garbage is a typed error message naming the
-/// variable (surfaced as `RunError::Config` when the run starts, like
-/// the `MMOC_WRITER_*` knobs), not a panic. Returns
-/// `(state, deferred_error)`.
-fn crash_from_env() -> (Option<Arc<CrashState>>, Option<String>) {
-    match std::env::var("MMOC_FUZZ_CRASH") {
-        Err(_) => (None, None),
-        Ok(v) => crash_from_spec(&v),
-    }
-}
-
-/// The value half of [`crash_from_env`], split out so the error path is
-/// testable without racing parallel tests on the process environment.
-fn crash_from_spec(v: &str) -> (Option<Arc<CrashState>>, Option<String>) {
-    match crate::crash::plan_spec(v.trim()) {
-        Ok(plan) => (Some(Arc::new(CrashState::armed(plan))), None),
-        Err(msg) => (
-            None,
-            Some(format!("unrecognized MMOC_FUZZ_CRASH value {v:?}: {msg}")),
-        ),
-    }
-}
-
-/// The process-wide transient-fault default: an armed [`FaultState`]
-/// when `MMOC_FAULTS` holds a valid `site[:hit[:kind[:burst]]]` spec,
-/// none otherwise. Garbage is a typed error message naming the
-/// variable (surfaced as `RunError::Config` when the run starts, like
-/// the other `MMOC_*` knobs), not a panic. Returns
-/// `(state, deferred_error)`.
-fn fault_from_env() -> (Option<Arc<FaultState>>, Option<String>) {
-    match std::env::var("MMOC_FAULTS") {
-        Err(_) => (None, None),
-        Ok(v) => fault_from_spec(&v),
-    }
-}
-
-/// The value half of [`fault_from_env`], split out so the error path
-/// is testable without racing parallel tests on the process
-/// environment.
-fn fault_from_spec(v: &str) -> (Option<Arc<FaultState>>, Option<String>) {
-    match crate::fault::fault_spec(v.trim()) {
-        Ok(plan) => (Some(Arc::new(FaultState::armed(plan))), None),
-        Err(msg) => (
-            None,
-            Some(format!("unrecognized MMOC_FAULTS value {v:?}: {msg}")),
-        ),
-    }
-}
-
-/// The process-wide retry-budget default: `MMOC_WRITER_RETRY_MAX` if
-/// set, 3 otherwise (`0` = the historical immediate-propagation
-/// engine). Returns `(max, deferred_error)`.
-fn retry_max_from_env() -> (u32, Option<String>) {
-    match std::env::var("MMOC_WRITER_RETRY_MAX") {
-        Err(_) => (3, None),
-        Ok(v) => match v.trim().parse::<u32>() {
-            Ok(n) => (n, None),
-            Err(_) => (
-                3,
-                Some(format!(
-                    "unrecognized MMOC_WRITER_RETRY_MAX value {v:?}; \
-                     use an unsigned integer (0 disables retries)"
-                )),
-            ),
-        },
-    }
-}
-
-/// The process-wide retry-backoff default: `MMOC_WRITER_RETRY_BACKOFF`
-/// if set (`250us`, `2ms`, `1s`, or a bare integer in microseconds),
-/// zero otherwise. Returns `(backoff, deferred_error)`.
-fn retry_backoff_from_env() -> (Duration, Option<String>) {
-    match std::env::var("MMOC_WRITER_RETRY_BACKOFF") {
-        Err(_) => (Duration::ZERO, None),
-        Ok(v) => match parse_window(&v) {
-            Some(d) => (d, None),
-            None => (
-                Duration::ZERO,
-                Some(format!(
-                    "unrecognized MMOC_WRITER_RETRY_BACKOFF value {v:?}; \
-                     use e.g. \"0\", \"250us\", \"2ms\" or \"1s\""
-                )),
-            ),
-        },
-    }
-}
-
-/// Parse a window spec: `250us`, `2ms`, `1s`, or a bare integer
+/// Parse a duration: `250us`, `2ms`, `1s`, or a bare integer
 /// (microseconds).
-fn parse_window(v: &str) -> Option<Duration> {
+fn parse_duration(v: &str) -> Option<Duration> {
     let v = v.trim();
     let (digits, scale_us) = if let Some(n) = v.strip_suffix("us") {
         (n, 1u64)
@@ -583,144 +351,145 @@ fn parse_window(v: &str) -> Option<Duration> {
 mod tests {
     use super::*;
 
+    /// A config built under exactly the given environment, whatever this
+    /// process's own holds (never `set_var`: parallel tests would race).
+    fn under(env: &[(&str, &str)]) -> RealConfig {
+        RealConfig::from_vars("/tmp/x".into(), |key| {
+            let (_, value) = env.iter().find(|(k, _)| *k == key)?;
+            Some((*value).to_string())
+        })
+    }
+
     #[test]
     fn defaults_are_test_friendly() {
-        let cfg = RealConfig::new("/tmp/x");
-        assert!(!cfg.paced);
-        assert!(cfg.measure_recovery);
-        assert!(cfg.sync_data);
+        let cfg = under(&[]);
+        assert!(!cfg.paced && cfg.measure_recovery && cfg.sync_data);
+        assert_eq!(cfg.writer_backend, WriterBackend::ThreadPool);
+        assert_eq!(cfg.batch_window, Duration::ZERO);
+        assert!(!cfg.auto_window && !cfg.device_sync);
         assert!(cfg.coalesce_fsync, "coalescing is the default scheduler");
-    }
-
-    /// `MMOC_FUZZ_CRASH` follows the writer-knob contract: a valid spec
-    /// arms a crash state, garbage becomes a deferred error naming the
-    /// variable (surfaced as `RunError::Config` at execute time), and
-    /// the armed plan round-trips the spec exactly.
-    #[test]
-    fn fuzz_crash_specs_arm_or_defer_a_named_error() {
-        let (state, err) = crash_from_spec(" backup-commit:2:7:crash ");
-        assert!(err.is_none(), "{err:?}");
-        let plan = state.expect("armed").plan().expect("plan");
-        assert_eq!(plan.spec(), "backup-commit:2:7:crash");
-
-        let (state, err) = crash_from_spec("no-such-point:1");
-        assert!(state.is_none());
-        let msg = err.expect("garbage must defer an error");
-        assert!(msg.contains("MMOC_FUZZ_CRASH"), "{msg}");
-        assert!(msg.contains("no-such-point"), "{msg}");
-    }
-
-    /// `MMOC_FAULTS` follows the writer-knob contract: a valid spec
-    /// arms a fault state, garbage becomes a deferred error naming
-    /// the variable, and the armed plan round-trips the spec exactly.
-    #[test]
-    fn fault_specs_arm_or_defer_a_named_error() {
-        let (state, err) = fault_from_spec(" backup-write:2:short-write:3 ");
-        assert!(err.is_none(), "{err:?}");
-        let plan = state.expect("armed").plan().expect("plan");
-        assert_eq!(plan.spec(), "backup-write:2:short-write:3");
-
-        let (state, err) = fault_from_spec("no-such-site:1");
-        assert!(state.is_none());
-        let msg = err.expect("garbage must defer an error");
-        assert!(msg.contains("MMOC_FAULTS"), "{msg}");
-        assert!(msg.contains("no-such-site"), "{msg}");
-    }
-
-    #[test]
-    fn retry_knobs_default_and_build() {
-        let cfg = RealConfig::new("/tmp/x");
+        assert_eq!(cfg.pipeline_depth, 1, "one checkpoint in flight");
+        assert!(cfg.crash.is_none() && cfg.fault.is_none(), "production");
         assert_eq!(cfg.retry_max, 3, "bounded retries by default");
         assert_eq!(cfg.retry_backoff, Duration::ZERO);
-        assert!(cfg.fault.is_none(), "no failpoints in production");
-        let cfg = cfg.with_retry(0, Duration::from_micros(250));
-        assert_eq!(cfg.retry_policy().max, 0, "historical engine");
-        assert_eq!(cfg.retry_policy().backoff, Duration::from_micros(250));
+        assert_eq!(cfg.replication_factor, 0);
+        assert!(cfg.env_error.is_none());
     }
 
+    /// The environment contract, row by row: a valid value lands in its
+    /// field, garbage defers an error naming the key and the value and
+    /// changes nothing else, and some CI leg sets the key — an
+    /// environment route needs a setter.
     #[test]
-    fn batch_window_specs_parse() {
-        assert_eq!(parse_window("0"), Some(Duration::ZERO));
-        assert_eq!(parse_window("250"), Some(Duration::from_micros(250)));
-        assert_eq!(parse_window("250us"), Some(Duration::from_micros(250)));
-        assert_eq!(parse_window(" 2ms "), Some(Duration::from_millis(2)));
-        assert_eq!(parse_window("1s"), Some(Duration::from_secs(1)));
-        assert_eq!(parse_window("fast"), None);
-        assert_eq!(parse_window("1.5ms"), None, "whole numbers only");
-    }
+    fn every_env_knob_lands_defers_garbage_and_has_a_ci_setter() {
+        type Landed = fn(&RealConfig) -> bool;
+        let cases: [(&str, &str, Landed, &str); 5] = [
+            (
+                "MMOC_WRITER_BACKEND",
+                " async-batched ",
+                |c| c.writer_backend == WriterBackend::AsyncBatched,
+                "uring",
+            ),
+            (
+                "MMOC_WRITER_BATCH_WINDOW",
+                "2ms",
+                |c| c.batch_window == Duration::from_millis(2) && !c.auto_window,
+                "fast",
+            ),
+            (
+                "MMOC_WRITER_PIPELINE_DEPTH",
+                "4",
+                |c| c.pipeline_depth == 4,
+                "0",
+            ),
+            ("MMOC_WRITER_RETRY_MAX", "0", |c| c.retry_max == 0, "-1"),
+            (
+                "MMOC_REPLICATION",
+                "2",
+                |c| c.replication_factor == 2,
+                "many",
+            ),
+        ];
+        assert_eq!(cases.map(|c| c.0), ENV_KNOBS.map(|row| row.0));
+        let ci = include_str!("../../../.github/workflows/ci.yml");
+        let defaults = format!("{:?}", under(&[]));
+        for (key, valid, landed, garbage) in cases {
+            let cfg = under(&[(key, valid)]);
+            assert!(landed(&cfg) && cfg.env_error.is_none(), "{key}={valid}");
 
-    /// The env-facing spec: every accepted suffix maps to the right
-    /// window, `auto` selects auto-tuning, and garbage is a typed error
-    /// message — not a panic — naming the variable and the accepted
-    /// forms.
-    #[test]
-    fn window_spec_accepts_every_suffix_and_rejects_garbage() {
-        assert_eq!(
-            window_spec("250"),
-            Ok(WindowSpec::Fixed(Duration::from_micros(250))),
-            "bare integer = microseconds"
-        );
-        assert_eq!(
-            window_spec("250us"),
-            Ok(WindowSpec::Fixed(Duration::from_micros(250)))
-        );
-        assert_eq!(
-            window_spec("2ms"),
-            Ok(WindowSpec::Fixed(Duration::from_millis(2)))
-        );
-        assert_eq!(
-            window_spec("1s"),
-            Ok(WindowSpec::Fixed(Duration::from_secs(1)))
-        );
-        assert_eq!(window_spec(" auto "), Ok(WindowSpec::Auto));
-        let err = window_spec("fast").expect_err("garbage must be rejected");
+            let mut cfg = under(&[(key, garbage)]);
+            let msg = cfg.env_error.take().expect("garbage defers an error");
+            assert!(
+                msg.starts_with(&format!("unrecognized {key} value {garbage:?}; use ")),
+                "{msg}"
+            );
+            assert_eq!(format!("{cfg:?}"), defaults, "{key}={garbage}");
+
+            assert!(
+                ci.contains(&format!("{key}: ")) || ci.contains(&format!("{key}=")),
+                "no CI leg sets {key}: delete the row or add the leg"
+            );
+        }
+
+        let all_garbage = ENV_KNOBS.map(|(key, _)| (key, "?"));
+        let msg = under(&all_garbage).env_error.expect("deferred");
         assert!(
-            err.contains("MMOC_WRITER_BATCH_WINDOW") && err.contains("fast"),
-            "error names the variable and the offending value: {err}"
+            msg.contains(ENV_KNOBS[0].0),
+            "the first failure wins: {msg}"
         );
+
+        for backend in WriterBackend::ALL {
+            let cfg = under(&[("MMOC_WRITER_BACKEND", backend.label())]);
+            assert_eq!(cfg.writer_backend, backend);
+            assert!(cfg.env_error.is_none());
+        }
     }
 
+    /// Regression: `MMOC_WRITER_BATCH_WINDOW=auto` used to outlive an
+    /// explicit `with_batch_window`, because the writer ignores the fixed
+    /// window while `auto_window` is set and nothing cleared it.
     #[test]
-    fn pipeline_depth_defaults_to_one_and_is_configurable() {
-        let cfg = RealConfig::new("/tmp/x");
-        assert_eq!(cfg.pipeline_depth, 1, "historical engine by default");
-        assert!(!cfg.auto_window);
-        assert!(!cfg.device_sync);
-        let cfg = cfg
-            .with_pipeline_depth(4)
-            .with_auto_window(true)
-            .with_device_sync(true);
-        assert_eq!(cfg.pipeline_depth, 4);
-        assert!(cfg.auto_window);
-        assert!(cfg.device_sync);
-    }
-
-    #[test]
-    #[should_panic(expected = "pipeline depth must be at least 1")]
-    fn zero_pipeline_depth_is_rejected() {
-        let _ = RealConfig::new("/tmp/x").with_pipeline_depth(0);
-    }
-
-    #[test]
-    fn batch_window_and_coalescing_are_configurable() {
-        let cfg = RealConfig::new("/tmp/x")
-            .with_batch_window(Duration::from_micros(500))
-            .with_fsync_coalescing(false);
+    fn an_explicit_window_beats_an_auto_environment() {
+        let cfg = under(&[("MMOC_WRITER_BATCH_WINDOW", "auto")]);
+        assert!(cfg.auto_window && cfg.env_error.is_none());
+        let cfg = cfg.with_batch_window(Duration::from_micros(500));
+        assert!(
+            !cfg.auto_window,
+            "explicit settings win over the environment"
+        );
         assert_eq!(cfg.batch_window, Duration::from_micros(500));
-        assert!(!cfg.coalesce_fsync);
+        assert!(cfg.with_auto_window(true).auto_window);
     }
 
     #[test]
-    fn pacing_sets_period() {
-        let cfg = RealConfig::new("/tmp/x").paced_at_hz(30.0);
-        assert!(cfg.paced);
+    fn durations_parse() {
+        assert_eq!(parse_duration("0"), Some(Duration::ZERO));
+        assert_eq!(parse_duration("250"), Some(Duration::from_micros(250)));
+        assert_eq!(parse_duration("250us"), Some(Duration::from_micros(250)));
+        assert_eq!(parse_duration(" 2ms "), Some(Duration::from_millis(2)));
+        assert_eq!(parse_duration("1s"), Some(Duration::from_secs(1)));
+        assert_eq!(parse_duration("fast"), None);
+        assert_eq!(parse_duration("1.5ms"), None, "whole numbers only");
+    }
+
+    #[test]
+    fn builders_set_their_fields() {
+        let cfg = under(&[])
+            .with_fsync_coalescing(false)
+            .with_device_sync(true)
+            .with_pipeline_depth(4)
+            .with_retry(0, Duration::from_micros(250))
+            .paced_at_hz(30.0);
+        assert!(!cfg.coalesce_fsync && cfg.device_sync && cfg.paced);
+        assert_eq!(cfg.pipeline_depth, 4);
+        assert_eq!(cfg.retry_policy().max, 0);
+        assert_eq!(cfg.retry_policy().backoff, Duration::from_micros(250));
         assert!((cfg.tick_period.as_secs_f64() - 1.0 / 30.0).abs() < 1e-9);
     }
 
     #[test]
-    fn writer_backend_is_selectable_and_sizes_the_writer() {
-        let cfg = RealConfig::new("/tmp/x").with_writer_backend(WriterBackend::AsyncBatched);
-        assert_eq!(cfg.writer_backend, WriterBackend::AsyncBatched);
+    fn writer_backend_sizes_the_writer() {
+        let cfg = under(&[]).with_writer_backend(WriterBackend::AsyncBatched);
         assert_eq!(cfg.effective_pool_threads(4), 1, "batched engine: one loop");
         let cfg = cfg.with_writer_backend(WriterBackend::IoUring);
         assert_eq!(cfg.effective_pool_threads(4), 1, "ring engine: one loop");
@@ -728,38 +497,5 @@ mod tests {
         assert_eq!(cfg.effective_pool_threads(1), 1);
         assert_eq!(cfg.effective_pool_threads(8), 4, "auto pool caps at 4");
         assert_eq!(cfg.with_writer_pool(2).effective_pool_threads(8), 2);
-    }
-
-    /// The env-facing spec for backend selection: every label round-trips
-    /// (including the io-uring spellings), and garbage is a typed error
-    /// message — not a panic — naming the variable and the accepted forms.
-    #[test]
-    fn writer_backend_spec_accepts_labels_and_rejects_garbage() {
-        assert_eq!(writer_backend_spec(""), Ok(WriterBackend::ThreadPool));
-        assert_eq!(
-            writer_backend_spec("thread-pool"),
-            Ok(WriterBackend::ThreadPool)
-        );
-        assert_eq!(
-            writer_backend_spec("async-batched"),
-            Ok(WriterBackend::AsyncBatched)
-        );
-        for spelling in ["io-uring", "io_uring", "uring", " io-uring "] {
-            assert_eq!(
-                writer_backend_spec(spelling),
-                Ok(WriterBackend::IoUring),
-                "{spelling:?}"
-            );
-        }
-        for backend in WriterBackend::ALL {
-            assert_eq!(writer_backend_spec(backend.label()), Ok(backend));
-        }
-        let err = writer_backend_spec("turbo").expect_err("garbage must be rejected");
-        assert!(
-            err.contains("MMOC_WRITER_BACKEND")
-                && err.contains("turbo")
-                && err.contains("io-uring"),
-            "error names the variable, the offending value and the accepted forms: {err}"
-        );
     }
 }

@@ -130,7 +130,7 @@ pub const ALL_POINTS: [CrashPoint; N_POINTS] = [
 
 impl CrashPoint {
     /// Stable kebab-case name, used by `mmoc-fuzz --list-points`,
-    /// reproducer lines, and the `MMOC_FUZZ_CRASH` spec.
+    /// reproducer lines, and [`plan_spec`].
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
@@ -359,7 +359,7 @@ impl CrashPlan {
     }
 }
 
-/// Parse a `MMOC_FUZZ_CRASH`-style plan spec.
+/// Parse a crash-plan spec (the `crash=` axis of `mmoc-fuzz --case`).
 ///
 /// Format: `point[:hit[:torn[:action]]]` — e.g. `backup-commit`,
 /// `log-segment-sealed:2:5`, `uring-wave-staged:1:0:ring-death`.

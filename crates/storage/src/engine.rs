@@ -10,7 +10,7 @@
 //! * the **mutator side** of each tick: the query phase (random state
 //!   lookups standing in for game logic), applying updates to the
 //!   [`Shared`] table with the copy-on-update slow path (lock, re-check,
-//!   arena save), and the paced sleep phase;
+//!   arena save);
 //! * the **writer** ([`crate::writer`]) executing every shard's flush
 //!   jobs against its disk organization — the [`BackupSet`] double backup
 //!   (sorted offset-ordered writes) or the [`LogStore`] (sequential
@@ -19,8 +19,7 @@
 //!   one of three configurations — the shared worker-thread pool (a
 //!   single-shard run with one worker is exactly the old dedicated writer
 //!   thread), a batched-submission loop, or that loop over a real
-//!   `io_uring` ring — selected by [`RealConfig::writer_backend`] or the
-//!   builder's `.writer(…)`;
+//!   `io_uring` ring — selected by [`RealConfig::writer_backend`];
 //! * real **durability**: data `fsync` before metadata commit, and a
 //!   wall-clock recovery measurement (restore the newest consistent image,
 //!   replay the deterministic update stream).
@@ -270,8 +269,6 @@ pub(crate) struct RealBackend {
     /// Query-phase RNG state and sink (prevents the loop optimizing away).
     rng_state: u64,
     query_sink: u64,
-    /// Wall-clock start of the current tick (pacing).
-    tick_start: Instant,
     /// Copy-on-update slow-path time accumulated this tick.
     slow_path_s: f64,
     /// Recycled eager-copy buffers (ids, data), cycled through the
@@ -345,7 +342,6 @@ impl CheckpointBackend for RealBackend {
     type Error = io::Error;
 
     fn begin_tick(&mut self, _tick: u64) -> io::Result<()> {
-        self.tick_start = Instant::now();
         self.slow_path_s = 0.0;
         // Query phase: random state lookups standing in for game logic.
         for _ in 0..self.config.query_ops_per_tick {
@@ -468,12 +464,8 @@ impl CheckpointBackend for RealBackend {
     }
 
     fn end_tick(&mut self, _tick: u64) -> io::Result<()> {
-        if self.config.paced {
-            let elapsed = self.tick_start.elapsed();
-            if elapsed < self.config.tick_period {
-                std::thread::sleep(self.config.tick_period.saturating_sub(elapsed));
-            }
-        }
+        // The sleep phase is a per-world concern: the sharded run paces
+        // once per global tick.
         Ok(())
     }
 
@@ -519,14 +511,9 @@ pub(crate) fn make_shard(
     // The completion channel must hold one ack per in-flight checkpoint,
     // or a worker acking checkpoint N would block the mutator from ever
     // polling (deadlock at pipeline depth > 1).
-    let depth = config.pipeline_depth.max(1) as usize;
-    let (done_tx, done_rx) = crossbeam::channel::bounded::<Done>(depth);
+    let (done_tx, done_rx) = crossbeam::channel::bounded::<Done>(config.pipeline_depth as usize);
 
     let mut shard_config = config.clone();
-    // Pacing is a per-world concern (one sleep per global tick); a
-    // multi-shard run executes its shards back to back on the mutator
-    // thread, so only the single-shard configuration keeps it.
-    shard_config.paced = config.paced && n_shards == 1;
     shard_config.query_ops_per_tick = config.query_ops_per_tick / n_shards as u32;
 
     let ctx = ShardCtx {
@@ -552,7 +539,6 @@ pub(crate) fn make_shard(
         done_rx,
         rng_state: 0x9E37_79B9 ^ plan_seed(algorithm) ^ shard_seed(shard),
         query_sink: 0,
-        tick_start: Instant::now(),
         slow_path_s: 0.0,
         spare: None,
         writer_stats: WriterStats::default(),

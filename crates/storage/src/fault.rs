@@ -21,7 +21,7 @@
 //! offset, fsync, whole-segment append checked before any byte lands,
 //! whole-image read), so a retry that re-invokes the full operation is
 //! always safe. The retry loop itself lives in the writer layer
-//! ([`RetryPolicy`], `MMOC_WRITER_RETRY_MAX` / `MMOC_WRITER_RETRY_BACKOFF`):
+//! ([`RetryPolicy`], `RealConfig::with_retry`):
 //! bounded attempts with linear backoff, per-job retry and exhaustion
 //! counters surfaced through `WriterStats`, and a graceful-degradation
 //! ladder when the budget runs out (see `crate::writer`).
@@ -73,8 +73,8 @@ pub const ALL_SITES: [FaultSite; N_SITES] = [
 ];
 
 impl FaultSite {
-    /// Stable kebab-case name, used by reproducer lines and the
-    /// `MMOC_FAULTS` spec.
+    /// Stable kebab-case name, used by reproducer lines and
+    /// [`fault_spec`].
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
@@ -230,7 +230,7 @@ impl FaultPlan {
     }
 }
 
-/// Parse a `MMOC_FAULTS`-style plan spec.
+/// Parse a fault-plan spec (the `fault=` axis of `mmoc-fuzz --case`).
 ///
 /// Format: `site[:hit[:kind[:burst]]]` — e.g. `backup-write`,
 /// `log-sync:2:enospc`, `backup-write:1:short-write:3`.

@@ -26,9 +26,8 @@
 //!   loop, and the same loop issuing its writes through a real `io_uring`
 //!   ring driven by raw syscalls (capability-probed, falling back to the
 //!   batched loop on kernels without it), selected by
-//!   [`RealConfig::writer_backend`] or the builder's `.writer(…)` and
-//!   proven recovery-equivalent by the differential matrix in
-//!   `tests/writer_equivalence.rs`;
+//!   [`RealConfig::writer_backend`] and proven recovery-equivalent by the
+//!   differential matrix in `tests/writer_equivalence.rs`;
 //! * real **crash recovery**: read back the newest consistent image
 //!   (backup file or log reconstruction) and replay the deterministic
 //!   update stream to the crash tick.

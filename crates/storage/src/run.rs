@@ -19,19 +19,15 @@
 //! ```
 //!
 //! Spec options map onto the engine as follows: `.shards(n)` splits the
-//! world over per-shard stores served by the shared writer pool;
-//! `.pacing(hz)` paces the mutator at `hz` (single-shard runs sleep in the
-//! backend, multi-shard runs sleep once per global tick);
-//! `.fidelity_check(true)` forces the end-of-run crash-recovery
-//! measurement on — restore, replay, byte-compare — which is the real
-//! engine's value-level verification; `.batching(true)` coalesces
-//! same-object updates before bookkeeping; `.writer(backend)` selects the
-//! flush-writer implementation (worker-thread pool or the io_uring-style
-//! batched-submission engine, see [`crate::writer`] — recovery-equivalent
-//! by the differential tests in `tests/writer_equivalence.rs`);
-//! `.batch_window(d)` bounds the batched writer's adaptive batch window
-//! (how long a shallow batch waits for straggler flush jobs so their
-//! durability points coalesce, see [`RealConfig::batch_window`]).
+//! world over per-shard stores served by the shared writer;
+//! `.pacing(hz)` paces the mutator, which sleeps out the remainder of
+//! every global tick; `.fidelity_check(true)` forces the end-of-run
+//! crash-recovery measurement on — restore, replay, byte-compare — which
+//! is the real engine's value-level verification; `.batching(true)`
+//! coalesces same-object updates before bookkeeping. Everything only this
+//! engine reads (writer backend, batch window, pipeline depth, retry
+//! budget, replication) is a field of the [`RealConfig`] handed to
+//! `.engine(…)`.
 
 use crate::config::RealConfig;
 use crate::report::{RealReport, RecoveryMeasurement};
@@ -47,12 +43,17 @@ impl ExperimentEngine for RealConfig {
         spec: &RunSpec,
         trace: &T,
     ) -> Result<RunReport, RunError> {
-        // Environment overrides are parsed when the config is built;
-        // garbage surfaces here as a typed error instead of a panic, so
+        // Environment rows are parsed when the config is built; garbage
+        // surfaces here as a typed error instead of a panic, so
         // `MMOC_WRITER_BATCH_WINDOW=fast cargo bench` fails with a
         // message naming the variable rather than a backtrace.
         if let Some(msg) = &self.env_error {
             return Err(RunError::Config(msg.clone()));
+        }
+        if self.pipeline_depth == 0 {
+            return Err(RunError::Config(
+                "checkpoint pipeline depth must be at least 1".into(),
+            ));
         }
         let mut config = self.clone();
         if let Some(hz) = spec.pacing_hz {
@@ -60,25 +61,6 @@ impl ExperimentEngine for RealConfig {
         }
         if spec.fidelity_check {
             config.measure_recovery = true;
-        }
-        if let Some(backend) = spec.writer {
-            config.writer_backend = backend;
-        }
-        if let Some(us) = spec.batch_window_us {
-            config.batch_window = std::time::Duration::from_micros(us);
-        }
-        if let Some(depth) = spec.pipeline_depth {
-            // validate() rejected 0, so the builder's assert cannot fire.
-            config = config.with_pipeline_depth(depth);
-        }
-        if let Some(k) = spec.replication {
-            config = config.with_replication(k);
-        }
-        if let Some(max) = spec.retry_max {
-            config.retry_max = max;
-        }
-        if let Some(us) = spec.retry_backoff_us {
-            config.retry_backoff = std::time::Duration::from_micros(us);
         }
         // Geometry and shard-map validation happen inside the shared run
         // on the cursor the run actually uses; failures surface as typed
@@ -236,18 +218,17 @@ mod tests {
         assert!(matches!(err, RunError::Core(_)), "{err}");
     }
 
-    /// Garbage in a `MMOC_WRITER_*` environment override is recorded in
-    /// the config when it is built and must surface as a typed
-    /// [`RunError::Config`] at execute time — never a panic, and never a
-    /// silently ignored run. Injected directly (instead of via
-    /// `std::env::set_var`) so parallel tests don't race on the process
-    /// environment.
+    /// Garbage in a `MMOC_*` environment row is recorded in the config
+    /// when it is built and must surface as a typed [`RunError::Config`]
+    /// at execute time — never a panic, and never a silently ignored run.
+    /// Injected directly (instead of via `std::env::set_var`) so parallel
+    /// tests don't race on the process environment.
     #[test]
     fn deferred_env_parse_errors_surface_as_typed_config_errors() {
         let dir = tempfile::tempdir().unwrap();
         let mut engine = config(dir.path());
         engine.env_error =
-            Some("MMOC_WRITER_BATCH_WINDOW: could not parse \"fast\" as a window".into());
+            Some("unrecognized MMOC_WRITER_BATCH_WINDOW value \"fast\"; use e.g. \"2ms\"".into());
         let err = Run::algorithm(Algorithm::CopyOnUpdate)
             .engine(engine)
             .trace(trace_spec())
@@ -258,6 +239,26 @@ mod tests {
             err.to_string().contains("MMOC_WRITER_BATCH_WINDOW"),
             "{err}"
         );
+    }
+
+    /// Regression: depth 0 used to be a panic in the builder and a silent
+    /// clamp to 1 when the field was assigned. Either spelling is one
+    /// typed error now.
+    #[test]
+    fn zero_pipeline_depth_is_a_typed_config_error() {
+        let dir = tempfile::tempdir().unwrap();
+        let built = config(dir.path()).with_pipeline_depth(0);
+        let mut assigned = config(dir.path());
+        assigned.pipeline_depth = 0;
+        for engine in [built, assigned] {
+            let err = Run::algorithm(Algorithm::PartialRedo)
+                .engine(engine)
+                .trace(trace_spec())
+                .execute()
+                .unwrap_err();
+            assert!(matches!(err, RunError::Config(_)), "{err}");
+            assert!(err.to_string().contains("pipeline depth"), "{err}");
+        }
     }
 
     #[test]

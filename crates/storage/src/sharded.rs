@@ -135,12 +135,11 @@ impl ShardedRealReport {
 /// experiment that every public entry point — the unified builder, and
 /// with `n_shards == 1` the in-crate single-shard tests — executes.
 ///
-/// When [`RealConfig::paced`] is set, a single-shard run paces inside the
-/// backend (the historical sleep phase), while a multi-shard run paces
-/// **once per global tick** through [`ShardedDriver::run_with`]: all
-/// shards execute the tick back to back, then the mutator sleeps out the
-/// remainder of the tick period — N per-shard sleeps would stretch the
-/// world's tick N-fold.
+/// When [`RealConfig::paced`] is set the run paces **once per global
+/// tick** through [`ShardedDriver::run_with`]: all shards execute the
+/// tick back to back, then the mutator sleeps out the remainder of the
+/// tick period — N per-shard sleeps would stretch the world's tick
+/// N-fold.
 pub(crate) fn run_sharded_impl<S, F>(
     algorithm: Algorithm,
     config: &RealConfig,
@@ -158,7 +157,7 @@ where
     let n = map.n_shards();
     let spec = algorithm.spec();
     let pool_threads = config.effective_pool_threads(n);
-    let pipeline_depth = config.pipeline_depth.max(1);
+    let pipeline_depth = config.pipeline_depth;
 
     // Per-shard live state, stores and backends, sharing one job queue
     // sized to the deepest possible backlog: every shard pipelined to
@@ -217,28 +216,21 @@ where
     let mut backends: Vec<RealBackend> = built;
     drop(job_tx);
 
-    // Drive every shard in lockstep over the global trace. Multi-shard
-    // pacing sleeps once per *global* tick (single-shard runs pace inside
-    // the backend, preserving the historical path exactly).
+    // Drive every shard in lockstep over the global trace, sleeping out
+    // the remainder of each *global* tick when paced.
     let driver = ShardedDriver::new(
         TickDriver::new(spec)
             .with_batching(batching)
             .with_pipeline_depth(pipeline_depth),
         map.clone(),
     );
-    let run = if config.paced && n > 1 {
-        let period = config.tick_period;
-        let mut tick_start = Instant::now();
-        driver.run_with(&mut trace, &mut backends, |_tick| {
-            let elapsed = tick_start.elapsed();
-            if elapsed < period {
-                std::thread::sleep(period.saturating_sub(elapsed));
-            }
+    let mut tick_start = Instant::now();
+    let run = driver.run_with(&mut trace, &mut backends, |_tick| {
+        if config.paced {
+            std::thread::sleep(config.tick_period.saturating_sub(tick_start.elapsed()));
             tick_start = Instant::now();
-        })?
-    } else {
-        driver.run(&mut trace, &mut backends)?
-    };
+        }
+    })?;
 
     // All checkpoints drained: wind the pool down before measuring
     // recovery, so no worker races the files being read back.

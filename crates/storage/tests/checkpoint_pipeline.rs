@@ -78,12 +78,15 @@ fn recover_shard(dir: &Path, disk_org: DiskOrg, map: &ShardMap, shard: usize) ->
 fn deep_pipeline_drops_below_one_fsync_per_checkpoint() {
     let dir = tempfile::tempdir().unwrap();
     let report = Run::algorithm(Algorithm::PartialRedo)
-        .engine(RealConfig::new(dir.path()).with_query_ops(64))
+        .engine(
+            RealConfig::new(dir.path())
+                .with_query_ops(64)
+                .with_writer_backend(WriterBackend::AsyncBatched)
+                .with_batch_window(std::time::Duration::from_millis(1))
+                .with_pipeline_depth(4),
+        )
         .trace(trace_config())
         .shards(4)
-        .writer(WriterBackend::AsyncBatched)
-        .batch_window(std::time::Duration::from_millis(1))
-        .pipeline_depth(4)
         .execute()
         .expect("deep pipelined run");
     assert_eq!(report.verified_consistent(), Some(true));
@@ -126,12 +129,12 @@ fn log_algorithms_recover_identically_at_every_depth_and_backend() {
                     .engine(
                         RealConfig::new(dir.path())
                             .without_recovery()
-                            .with_query_ops(64),
+                            .with_query_ops(64)
+                            .with_writer_backend(backend)
+                            .with_pipeline_depth(depth),
                     )
                     .trace(trace_config())
                     .shards(n)
-                    .writer(backend)
-                    .pipeline_depth(depth)
                     .execute()
                     .unwrap_or_else(|e| panic!("{alg} [{backend} d{depth}]: {e}"));
                 assert_eq!(
@@ -175,11 +178,14 @@ fn copy_organized_algorithms_accept_deep_configs() {
     for alg in copy_algorithms {
         let dir = tempfile::tempdir().unwrap();
         let report = Run::algorithm(alg)
-            .engine(RealConfig::new(dir.path()).with_query_ops(64))
+            .engine(
+                RealConfig::new(dir.path())
+                    .with_query_ops(64)
+                    .with_writer_backend(WriterBackend::AsyncBatched)
+                    .with_pipeline_depth(4),
+            )
             .trace(trace_config())
             .shards(2)
-            .writer(WriterBackend::AsyncBatched)
-            .pipeline_depth(4)
             .execute()
             .unwrap_or_else(|e| panic!("{alg}: {e}"));
         assert_eq!(report.verified_consistent(), Some(true), "{alg}");

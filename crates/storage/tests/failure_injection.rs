@@ -412,11 +412,11 @@ fn async_backend_recovers_from_mid_batch_crashes_for_all_algorithms() {
             .engine(
                 RealConfig::new(dir.path())
                     .without_recovery()
-                    .with_query_ops(64),
+                    .with_query_ops(64)
+                    .with_writer_backend(WriterBackend::AsyncBatched),
             )
             .trace(trace)
             .shards(N as u32)
-            .writer(WriterBackend::AsyncBatched)
             .execute()
             .unwrap_or_else(|e| panic!("{alg}: {e}"));
         for (s, shard) in report.shards.iter().enumerate() {
@@ -506,12 +506,12 @@ fn coalesced_sync_without_commit_falls_back_to_previous_image() {
                 RealConfig::new(dir.path())
                     .without_recovery()
                     .with_query_ops(64)
+                    .with_writer_backend(WriterBackend::AsyncBatched)
+                    .with_batch_window(std::time::Duration::from_micros(400))
                     .with_fsync_coalescing(true),
             )
             .trace(trace)
             .shards(N as u32)
-            .writer(WriterBackend::AsyncBatched)
-            .batch_window(std::time::Duration::from_micros(400))
             .execute()
             .unwrap_or_else(|e| panic!("{alg}: {e}"));
         assert!(report.world.checkpoints_completed >= 1, "{alg}");
@@ -621,12 +621,12 @@ fn pipelined_crash_windows_recover_to_newest_consistent_checkpoint() {
                     .engine(
                         RealConfig::new(dir.path())
                             .without_recovery()
-                            .with_query_ops(64),
+                            .with_query_ops(64)
+                            .with_writer_backend(backend)
+                            .with_pipeline_depth(2),
                     )
                     .trace(trace)
                     .shards(N as u32)
-                    .writer(backend)
-                    .pipeline_depth(2)
                     // Lightly paced so even the full-sweep algorithms
                     // (whose checkpoints never overlap) complete several
                     // checkpoints — the injections below need at least
@@ -757,10 +757,10 @@ fn lattice_reproduces_the_curated_crash_sites() {
                 RealConfig::new(dir.path())
                     .without_recovery()
                     .with_query_ops(64)
+                    .with_writer_backend(backend)
                     .with_crash_state(state.clone()),
             )
             .trace(trace)
-            .writer(backend)
             // Lightly paced, like the fuzzer: the tick cadence leaves the
             // writer room to complete several checkpoints, so hit indexes
             // beyond the first are reachable.

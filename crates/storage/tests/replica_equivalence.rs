@@ -135,7 +135,7 @@ fn replica_recovery_matches_disk_recovery_across_the_matrix() {
     }
 }
 
-/// End-to-end through the builder: `.replication(1)` turns the tier on,
+/// End-to-end through the builder: `with_replication(1)` turns the tier on,
 /// the run's own recovery measurement restores from a mirror (the run
 /// builds and retains the set internally, so the mirrors are alive when
 /// the end-of-run measurement runs), and the recovered state still
@@ -144,10 +144,13 @@ fn replica_recovery_matches_disk_recovery_across_the_matrix() {
 fn builder_replication_recovers_from_the_mirror_tier() {
     let dir = tempfile::tempdir().unwrap();
     let report = Run::algorithm(Algorithm::CopyOnUpdate)
-        .engine(RealConfig::new(dir.path()).with_query_ops(64))
+        .engine(
+            RealConfig::new(dir.path())
+                .with_query_ops(64)
+                .with_replication(1),
+        )
         .trace(trace_config())
         .shards(4)
-        .replication(1)
         .execute()
         .expect("replicated run");
     assert_eq!(report.verified_consistent(), Some(true));

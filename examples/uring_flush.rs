@@ -45,11 +45,13 @@ fn main() {
 
     for backend in WriterBackend::ALL {
         let dir = root.join(backend.label());
+        let config = RealConfig::new(&dir)
+            .with_query_ops(2_000)
+            .with_writer_backend(backend);
         let report = Run::algorithm(Algorithm::CopyOnUpdate)
-            .engine(Engine::Real(RealConfig::new(&dir).with_query_ops(2_000)))
+            .engine(Engine::Real(config))
             .trace(trace)
             .shards(4)
-            .writer(backend)
             .execute()
             .expect("engine run");
 

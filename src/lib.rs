@@ -75,3 +75,28 @@ pub mod prelude {
     pub use mmoc_storage::RealConfig;
     pub use mmoc_workload::{RecordedTrace, SyntheticConfig, TraceSource, TraceStats, ZipfTrace};
 }
+
+#[cfg(test)]
+mod tests {
+    /// The `key = value` lines of a manifest's `[profile.release]` table.
+    fn release_profile(manifest: &str) -> Vec<&str> {
+        manifest
+            .lines()
+            .skip_while(|l| l.trim() != "[profile.release]")
+            .skip(1)
+            .take_while(|l| !l.starts_with('['))
+            .map(str::trim)
+            .filter(|l| !l.is_empty() && !l.starts_with('#'))
+            .collect()
+    }
+
+    /// `ledger/` is a workspace of its own, so it does not inherit this
+    /// manifest's profile and mirrors it by hand; the benchmark must
+    /// measure the engine as the repository builds it.
+    #[test]
+    fn the_ledger_mirrors_the_release_profile() {
+        let root = release_profile(include_str!("../Cargo.toml"));
+        assert!(!root.is_empty(), "no [profile.release] in Cargo.toml");
+        assert_eq!(root, release_profile(include_str!("../ledger/Cargo.toml")));
+    }
+}

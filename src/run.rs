@@ -36,14 +36,9 @@ use mmoc_storage::RealConfig;
 /// Future backends (a ReStore-style replicated store, an NVM-style
 /// arena) appear either as new variants here or as standalone
 /// [`ExperimentEngine`] implementations — the builder accepts both.
-/// Within the real engine, the flush-writer implementation is a further
-/// axis: `.writer(WriterBackend::AsyncBatched)` on the builder (or
-/// `RealConfig::with_writer_backend`) swaps the worker-thread pool for
-/// the io_uring-style batched-submission engine, whose durability
-/// scheduler coalesces a batch's data fsyncs per distinct target file
-/// and whose adaptive batch window (`.batch_window(d)` /
-/// `RealConfig::with_batch_window`) trades bounded ack latency for
-/// deeper batches.
+/// Knobs only one engine reads (the real engine's writer backend, batch
+/// window, pipeline depth, replication) are fields of that engine's
+/// config, set before it is handed to `.engine(…)`.
 #[derive(Debug, Clone)]
 pub enum Engine {
     /// The cost-model simulator (`mmoc-sim`): virtual time, Table 3

@@ -307,7 +307,7 @@ fn partial_redo_pair_cadence_and_overhead_shapes() {
     assert!(normal.iter().any(|c| c.objects_written < g.n_objects()));
 }
 
-/// The paced-multi-shard fix: a paced 2-shard run must respect the global
+/// One pacer for every shard count: a paced run must respect the global
 /// tick period — one sleep per *global* tick — and leave state untouched.
 #[test]
 fn paced_multi_shard_runs_pace_the_global_tick() {
@@ -318,34 +318,29 @@ fn paced_multi_shard_runs_pace_the_global_tick() {
         ..trace_config()
     };
     let hz = 100.0;
-    let t0 = std::time::Instant::now();
-    let paced = Run::algorithm(Algorithm::CopyOnUpdate)
-        .engine(Engine::Real(
-            RealConfig::new(dir.path().join("paced")).with_query_ops(16),
-        ))
-        .trace(quick)
-        .shards(2)
-        .pacing(hz)
-        .execute()
-        .unwrap();
-    let elapsed = t0.elapsed().as_secs_f64();
-    // 12 ticks at 100 Hz: the run must take ≥ 120 ms. Historically pacing
-    // was silently *dropped* for multi-shard runs (the ROADMAP gap), so
-    // the floor alone catches the regression; no upper bound — CI noise
-    // makes one flaky.
-    assert!(
-        elapsed >= 12.0 / hz,
-        "paced run finished in {elapsed:.3}s, below the global tick floor"
-    );
-    assert_eq!(paced.verified_consistent(), Some(true));
+    for shards in [1, 2] {
+        let run = |name: &str| {
+            Run::algorithm(Algorithm::CopyOnUpdate)
+                .engine(Engine::Real(
+                    RealConfig::new(dir.path().join(format!("{name}{shards}"))).with_query_ops(16),
+                ))
+                .trace(quick)
+                .shards(shards)
+        };
+        let t0 = std::time::Instant::now();
+        let paced = run("paced").pacing(hz).execute().unwrap();
+        let elapsed = t0.elapsed().as_secs_f64();
+        // 12 ticks at 100 Hz: the run must take ≥ 120 ms. Historically
+        // pacing was silently *dropped* for multi-shard runs, so the floor
+        // alone catches the regression; no upper bound — CI noise makes
+        // one flaky.
+        assert!(
+            elapsed >= 12.0 / hz,
+            "paced x{shards} run finished in {elapsed:.3}s, below the global tick floor"
+        );
+        assert_eq!(paced.verified_consistent(), Some(true));
 
-    let unpaced = Run::algorithm(Algorithm::CopyOnUpdate)
-        .engine(Engine::Real(
-            RealConfig::new(dir.path().join("unpaced")).with_query_ops(16),
-        ))
-        .trace(quick)
-        .shards(2)
-        .execute()
-        .unwrap();
-    assert_eq!(paced.updates, unpaced.updates, "pacing must not drop work");
+        let unpaced = run("unpaced").execute().unwrap();
+        assert_eq!(paced.updates, unpaced.updates, "pacing must not drop work");
+    }
 }
