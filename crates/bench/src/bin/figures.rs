@@ -23,12 +23,12 @@
 //!   --quick     shorthand for --ticks 120 and a reduced fig6 grid
 //! ```
 
-use mmoc_bench::experiments::{self, SweepRow};
+use mmoc_bench::experiments::{self, Row};
 use mmoc_bench::{csv, micro, tables};
-use mmoc_core::Algorithm;
+use mmoc_core::{Algorithm, RunError};
 use mmoc_game::GameConfig;
 use std::collections::BTreeSet;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 /// Every command, in the order `figures` with no command runs them.
@@ -83,7 +83,15 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, String>
             "--out" => opts.out = PathBuf::from(value()?),
             "--paced" => {
                 let v = value()?;
-                opts.paced_hz = Some(v.parse().map_err(|_| format!("bad --paced value {v:?}"))?);
+                opts.paced_hz = match v.parse::<f64>() {
+                    Ok(hz) if hz > 0.0 && hz.is_finite() => Some(hz),
+                    _ => {
+                        return Err(format!(
+                            "bad --paced value {v:?}: a positive tick rate in Hz\n{}",
+                            usage()
+                        ))
+                    }
+                };
             }
             "--quick" => opts.quick = true,
             "--help" | "-h" => return Err(usage()),
@@ -104,10 +112,10 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, String>
 
 /// Render a sweep as per-metric CSVs (one column per algorithm) and a
 /// paper-style stdout table.
-fn emit_sweep(out: &std::path::Path, name: &str, x_label: &str, rows: &[SweepRow]) {
+fn emit_sweep(out: &Path, name: &str, x_label: &str, rows: &[Row]) {
     let mut xs: Vec<f64> = rows.iter().map(|r| r.x).collect();
     xs.dedup();
-    let metric = |f: fn(&SweepRow) -> f64, file: &str, title: &str| {
+    let metric = |f: fn(&Row) -> f64, file: &str, title: &str| {
         let mut header = vec![x_label.to_string()];
         header.extend(Algorithm::ALL.iter().map(|a| a.short_name().to_string()));
         let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
@@ -164,6 +172,84 @@ fn emit_sweep(out: &std::path::Path, name: &str, x_label: &str, rows: &[SweepRow
     );
 }
 
+/// One column of a long-format table: its CSV header and how a row's
+/// cell is rendered.
+type Column = (&'static str, fn(&Row) -> String);
+
+/// The swept parameter under the name the experiment gives it.
+const fn x(header: &'static str) -> Column {
+    (header, |r| format!("{}", r.x))
+}
+const ALGORITHM: Column = ("algorithm", |r| r.algorithm.short_name().to_string());
+const SOURCE: Column = ("source", |r| r.source.label().to_string());
+const OVERHEAD: Column = ("overhead_s", |r| csv::fnum(r.overhead_s));
+const CHECKPOINT: Column = ("checkpoint_s", |r| csv::fnum(r.checkpoint_s));
+const RECOVERY: Column = ("recovery_s", |r| csv::fnum(r.recovery_s));
+const SERIAL_RECOVERY: Column = ("serial_recovery_s", |r| csv::fnum(r.serial_recovery_s));
+const WALL_CLOCK: Column = ("wall_clock_s", |r| csv::fnum(r.wall_clock_s));
+
+/// A long-format file: its name and its columns.
+type Table = (&'static str, &'static [Column]);
+
+const FIG5_GAME: Table = (
+    "fig5_game.csv",
+    &[ALGORITHM, OVERHEAD, CHECKPOINT, RECOVERY],
+);
+const FIG6_VALIDATION: Table = (
+    "fig6_validation.csv",
+    &[
+        x("updates_per_tick"),
+        ALGORITHM,
+        SOURCE,
+        OVERHEAD,
+        CHECKPOINT,
+        RECOVERY,
+    ],
+);
+const ABLATION_OBJSIZE: Table = (
+    "ablation_objsize.csv",
+    &[x("object_size"), ALGORITHM, OVERHEAD, CHECKPOINT, RECOVERY],
+);
+const EXT_HARDWARE: Table = (
+    "ext_hardware.csv",
+    &[
+        x("disk_bandwidth"),
+        ALGORITHM,
+        OVERHEAD,
+        CHECKPOINT,
+        RECOVERY,
+    ],
+);
+const SHARD_COLUMNS: &[Column] = &[
+    x("n_shards"),
+    ALGORITHM,
+    OVERHEAD,
+    CHECKPOINT,
+    RECOVERY,
+    SERIAL_RECOVERY,
+    WALL_CLOCK,
+];
+const SHARD_SCALING: Table = ("shard_scaling.csv", SHARD_COLUMNS);
+const SHARD_SCALING_REAL: Table = ("shard_scaling_real.csv", SHARD_COLUMNS);
+
+/// Render rows in long format — one line per row, one cell per column —
+/// to the table's CSV file and, aligned, to stdout.
+fn emit_rows(out: &Path, (file, columns): Table, rows: &[Row]) {
+    fn aligned(cells: &[impl std::fmt::Display]) -> String {
+        cells.iter().map(|c| format!("{c:>18}")).collect()
+    }
+    let header: Vec<&str> = columns.iter().map(|c| c.0).collect();
+    let data: Vec<Vec<String>> = rows
+        .iter()
+        .map(|r| columns.iter().map(|c| c.1(r)).collect())
+        .collect();
+    println!("{}", aligned(&header));
+    for cells in &data {
+        println!("{}", aligned(cells));
+    }
+    csv::write_csv(&out.join(file), &header, data).expect("write csv");
+}
+
 fn main() -> ExitCode {
     let opts = match parse_args(std::env::args().skip(1)) {
         Ok(opts) => opts,
@@ -172,6 +258,19 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    match run(&opts) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::from(1)
+        }
+    }
+}
+
+/// Run the selected commands. The simulator's experiments cannot fail on
+/// the paper's parameters; a real-engine one (fig6, shards) can, and its
+/// typed error ends the run.
+fn run(opts: &Options) -> Result<(), RunError> {
     let has = |c: &str| opts.commands.contains(c);
     let t0 = std::time::Instant::now();
 
@@ -271,32 +370,7 @@ fn main() -> ExitCode {
         let cfg = GameConfig::paper().with_ticks(opts.ticks.min(GameConfig::paper().ticks));
         println!("\n=== Figure 5: game trace ({} ticks) ===", cfg.ticks);
         let rows = experiments::fig5(cfg);
-        let header = ["algorithm", "overhead_s", "checkpoint_s", "recovery_s"];
-        let data: Vec<Vec<String>> = rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.algorithm.short_name().to_string(),
-                    csv::fnum(r.overhead_s),
-                    csv::fnum(r.checkpoint_s),
-                    csv::fnum(r.recovery_s),
-                ]
-            })
-            .collect();
-        csv::write_csv(&opts.out.join("fig5_game.csv"), &header, data).expect("write csv");
-        println!(
-            "{:<28} {:>16} {:>16} {:>16}",
-            "algorithm", "overhead [ms]", "checkpoint [s]", "recovery [s]"
-        );
-        for r in &rows {
-            println!(
-                "{:<28} {:>16.4} {:>16.3} {:>16.3}",
-                r.algorithm.name(),
-                r.overhead_s * 1e3,
-                r.checkpoint_s,
-                r.recovery_s
-            );
-        }
+        emit_rows(&opts.out, FIG5_GAME, &rows);
     }
 
     if has("fig6") {
@@ -311,86 +385,16 @@ fn main() -> ExitCode {
             ticks
         );
         let scratch = std::env::temp_dir().join("mmoc_fig6");
-        let rows =
-            experiments::fig6(&rates, ticks, &scratch, opts.paced_hz).expect("fig6 real engine");
-        let header = [
-            "updates_per_tick",
-            "algorithm",
-            "source",
-            "overhead_s",
-            "checkpoint_s",
-            "recovery_s",
-        ];
-        let data: Vec<Vec<String>> = rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.updates_per_tick.to_string(),
-                    r.algorithm.short_name().to_string(),
-                    r.source.label().to_string(),
-                    csv::fnum(r.overhead_s),
-                    csv::fnum(r.checkpoint_s),
-                    csv::fnum(r.recovery_s),
-                ]
-            })
-            .collect();
-        csv::write_csv(&opts.out.join("fig6_validation.csv"), &header, data).expect("write csv");
-        println!(
-            "{:>12} {:<16} {:<16} {:>14} {:>15} {:>13}",
-            "updates/tick",
-            "algorithm",
-            "source",
-            "overhead [ms]",
-            "checkpoint [s]",
-            "recovery [s]"
-        );
-        for r in &rows {
-            println!(
-                "{:>12} {:<16} {:<16} {:>14.4} {:>15.3} {:>13.3}",
-                r.updates_per_tick,
-                r.algorithm.short_name(),
-                r.source.label(),
-                r.overhead_s * 1e3,
-                r.checkpoint_s,
-                r.recovery_s
-            );
-        }
+        let rows = experiments::fig6(&rates, ticks, &scratch, opts.paced_hz);
         let _ = std::fs::remove_dir_all(&scratch);
+        emit_rows(&opts.out, FIG6_VALIDATION, &rows?);
     }
 
     if has("ablations") {
         println!("\n=== Ablation: atomic object size (Naive vs COU) ===");
         let sizes = [64u32, 128, 256, 512, 1024, 2048, 4096];
         let rows = experiments::ablation_objsize(&sizes, opts.ticks.min(200));
-        let header = [
-            "object_size",
-            "algorithm",
-            "overhead_s",
-            "checkpoint_s",
-            "recovery_s",
-        ];
-        let data: Vec<Vec<String>> = rows
-            .iter()
-            .map(|r| {
-                vec![
-                    format!("{}", r.x as u32),
-                    r.algorithm.short_name().to_string(),
-                    csv::fnum(r.overhead_s),
-                    csv::fnum(r.checkpoint_s),
-                    csv::fnum(r.recovery_s),
-                ]
-            })
-            .collect();
-        csv::write_csv(&opts.out.join("ablation_objsize.csv"), &header, data).expect("write csv");
-        for r in &rows {
-            println!(
-                "  Sobj {:>5}  {:<16} overhead {:>9.4} ms  recovery {:>7.3} s",
-                r.x as u32,
-                r.algorithm.short_name(),
-                r.overhead_s * 1e3,
-                r.recovery_s
-            );
-        }
+        emit_rows(&opts.out, ABLATION_OBJSIZE, &rows);
 
         println!("\n=== Ablation: sorted vs unsorted double-backup writes ===");
         let rows = experiments::ablation_sorted_io(&[1_000, 16_000, 64_000], opts.ticks.min(200));
@@ -414,35 +418,7 @@ fn main() -> ExitCode {
         println!("\n=== Extension: disk-bandwidth sweep ===");
         let bws = [60e6, 200e6, 500e6, 2e9];
         let rows = experiments::ext_hardware(&bws, opts.ticks.min(200));
-        let header = [
-            "disk_bandwidth",
-            "algorithm",
-            "overhead_s",
-            "checkpoint_s",
-            "recovery_s",
-        ];
-        let data: Vec<Vec<String>> = rows
-            .iter()
-            .map(|r| {
-                vec![
-                    format!("{}", r.x),
-                    r.algorithm.short_name().to_string(),
-                    csv::fnum(r.overhead_s),
-                    csv::fnum(r.checkpoint_s),
-                    csv::fnum(r.recovery_s),
-                ]
-            })
-            .collect();
-        csv::write_csv(&opts.out.join("ext_hardware.csv"), &header, data).expect("write csv");
-        for r in &rows {
-            println!(
-                "  Bdisk {:>6.0} MB/s  {:<18} checkpoint {:>7.3} s  recovery {:>7.3} s",
-                r.x / 1e6,
-                r.algorithm.short_name(),
-                r.checkpoint_s,
-                r.recovery_s
-            );
-        }
+        emit_rows(&opts.out, EXT_HARDWARE, &rows);
     }
 
     if has("shards") {
@@ -453,66 +429,18 @@ fn main() -> ExitCode {
              ({rate} updates/tick, {ticks} ticks, fixed 40 MB state) ==="
         );
         let rows = experiments::shard_scaling(&experiments::SHARD_COUNTS, rate, ticks);
-        let header = [
-            "n_shards",
-            "algorithm",
-            "overhead_s",
-            "checkpoint_s",
-            "recovery_s",
-            "serial_recovery_s",
-            "wall_clock_s",
-        ];
-        let row_csv = |r: &experiments::ShardScaleRow| {
-            vec![
-                r.n_shards.to_string(),
-                r.algorithm.short_name().to_string(),
-                csv::fnum(r.overhead_s),
-                csv::fnum(r.checkpoint_s),
-                csv::fnum(r.recovery_s),
-                csv::fnum(r.serial_recovery_s),
-                csv::fnum(r.wall_clock_s),
-            ]
-        };
-        let data: Vec<Vec<String>> = rows.iter().map(row_csv).collect();
-        csv::write_csv(&opts.out.join("shard_scaling.csv"), &header, data).expect("write csv");
-        println!(
-            "{:>8} {:<16} {:>14} {:>15} {:>13}",
-            "shards", "algorithm", "overhead [ms]", "checkpoint [s]", "recovery [s]"
-        );
-        for r in &rows {
-            println!(
-                "{:>8} {:<16} {:>14.4} {:>15.3} {:>13.3}",
-                r.n_shards,
-                r.algorithm.short_name(),
-                r.overhead_s * 1e3,
-                r.checkpoint_s,
-                r.recovery_s
-            );
-        }
+        emit_rows(&opts.out, SHARD_SCALING, &rows);
 
         println!("\n--- real engine (scaled-down state, measured parallel recovery) ---");
         let scratch = std::env::temp_dir().join("mmoc_shards");
         let real = experiments::shard_scaling_real(
-            mmoc_core::Algorithm::CopyOnUpdate,
+            Algorithm::CopyOnUpdate,
             &experiments::SHARD_COUNTS,
             ticks.min(60),
             &scratch,
-        )
-        .expect("shard scaling real engine");
-        let data: Vec<Vec<String>> = real.iter().map(row_csv).collect();
-        csv::write_csv(&opts.out.join("shard_scaling_real.csv"), &header, data).expect("write csv");
-        for r in &real {
-            println!(
-                "{:>8} {:<16} overhead {:>9.4} ms   parallel recovery {:>7.3} s \
-                 (serial would be {:>7.3} s)",
-                r.n_shards,
-                r.algorithm.short_name(),
-                r.overhead_s * 1e3,
-                r.recovery_s,
-                r.serial_recovery_s
-            );
-        }
+        );
         let _ = std::fs::remove_dir_all(&scratch);
+        emit_rows(&opts.out, SHARD_SCALING_REAL, &real?);
     }
 
     if has("batching") {
@@ -559,7 +487,7 @@ fn main() -> ExitCode {
         t0.elapsed(),
         opts.out.display()
     );
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 #[cfg(test)]
@@ -598,5 +526,75 @@ mod tests {
             assert!(msg.contains("usage: figures [tables|"), "{msg}");
         }
         assert!(parse(&["--ticks", "many"]).is_err());
+        // Regression: a rate the engine cannot pace at parsed as an `f64`
+        // and panicked in library code (`figures fig6 --paced 0`).
+        for hz in ["0", "-1", "nan", "inf", "fast"] {
+            let Err(msg) = parse(&["fig6", "--paced", hz]) else {
+                panic!("--paced {hz} must be rejected")
+            };
+            assert!(msg.contains("usage: figures [tables|"), "{msg}");
+        }
+        assert_eq!(parse(&["--paced", "30"]).unwrap().paced_hz, Some(30.0));
+    }
+
+    /// The six long-format files keep the names, headers and cell formats
+    /// their plots read: literals copied from the output of the six
+    /// hand-written blocks `emit_rows` replaced.
+    #[test]
+    fn long_format_files_keep_their_names_headers_and_cell_formats() {
+        let row = Row {
+            x: 64_000.0,
+            algorithm: Algorithm::CopyOnUpdate,
+            source: experiments::Source::Implementation,
+            overhead_s: 0.5,
+            checkpoint_s: 1.5,
+            recovery_s: 2.5,
+            serial_recovery_s: 3.5,
+            wall_clock_s: 4.5,
+        };
+        let metrics = "0.500000000,1.500000000,2.500000000";
+        let out = tempfile::tempdir().unwrap();
+        for (table, file, header, cells) in [
+            (
+                FIG5_GAME,
+                "fig5_game.csv",
+                "algorithm,overhead_s,checkpoint_s,recovery_s",
+                format!("cou,{metrics}"),
+            ),
+            (
+                FIG6_VALIDATION,
+                "fig6_validation.csv",
+                "updates_per_tick,algorithm,source,overhead_s,checkpoint_s,recovery_s",
+                format!("64000,cou,implementation,{metrics}"),
+            ),
+            (
+                ABLATION_OBJSIZE,
+                "ablation_objsize.csv",
+                "object_size,algorithm,overhead_s,checkpoint_s,recovery_s",
+                format!("64000,cou,{metrics}"),
+            ),
+            (
+                EXT_HARDWARE,
+                "ext_hardware.csv",
+                "disk_bandwidth,algorithm,overhead_s,checkpoint_s,recovery_s",
+                format!("64000,cou,{metrics}"),
+            ),
+            (
+                SHARD_SCALING,
+                "shard_scaling.csv",
+                "n_shards,algorithm,overhead_s,checkpoint_s,recovery_s,serial_recovery_s,wall_clock_s",
+                format!("64000,cou,{metrics},3.500000000,4.500000000"),
+            ),
+            (
+                SHARD_SCALING_REAL,
+                "shard_scaling_real.csv",
+                "n_shards,algorithm,overhead_s,checkpoint_s,recovery_s,serial_recovery_s,wall_clock_s",
+                format!("64000,cou,{metrics},3.500000000,4.500000000"),
+            ),
+        ] {
+            emit_rows(out.path(), table, &[row]);
+            let written = std::fs::read_to_string(out.path().join(file)).unwrap();
+            assert_eq!(written, format!("{header}\n{cells}\n"), "{file}");
+        }
     }
 }

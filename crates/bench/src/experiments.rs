@@ -5,15 +5,15 @@
 //! tick counts are overridable because the full 1,000-tick sweeps take
 //! minutes.
 
-use mmoc_core::run::{EngineDetail, RunReport, TraceSpec};
+use mmoc_core::run::{EngineDetail, ExperimentEngine, RunError, RunReport, TraceSpec};
 use mmoc_core::{Algorithm, Run};
 use mmoc_game::{GameConfig, GameServer};
 use mmoc_sim::{HardwareParams, SimConfig};
 use mmoc_storage::RealConfig;
 use mmoc_workload::{SyntheticConfig, TraceStats};
 use serde::Serialize;
-use std::io;
 use std::path::Path;
+use std::time::Instant;
 
 /// The Figure 2/6 update-rate grid: 1,000 … 256,000 doubling.
 pub const FIG2_RATES: [u32; 9] = [
@@ -23,31 +23,72 @@ pub const FIG2_RATES: [u32; 9] = [
 /// The Figure 4 skew grid.
 pub const FIG4_SKEWS: [f64; 6] = [0.0, 0.2, 0.4, 0.6, 0.8, 0.99];
 
-/// One sweep measurement: one algorithm at one parameter point.
+/// Which engine a [`Row`] was measured on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+pub enum Source {
+    /// The cost-model simulator.
+    Simulation,
+    /// The real disk-backed engine.
+    Implementation,
+}
+
+impl Source {
+    /// Label used in CSV and stdout.
+    pub fn label(self) -> &'static str {
+        match self {
+            Source::Simulation => "simulation",
+            Source::Implementation => "implementation",
+        }
+    }
+}
+
+/// One measurement: one algorithm at one parameter point on one engine,
+/// as the paper's three quantities.
 #[derive(Debug, Clone, Copy, Serialize)]
-pub struct SweepRow {
-    /// The swept parameter (updates/tick, skew, object size, …).
+pub struct Row {
+    /// The swept parameter (updates/tick, skew, object size, disk
+    /// bandwidth, shard count; 0 where nothing is swept).
     pub x: f64,
     /// Algorithm measured.
     pub algorithm: Algorithm,
-    /// Average overhead per tick, seconds.
+    /// Simulation or implementation.
+    pub source: Source,
+    /// World average overhead per tick, seconds (per-tick max across
+    /// shards, averaged).
     pub overhead_s: f64,
-    /// Average time to checkpoint, seconds.
+    /// Average time to checkpoint across all shards' checkpoints, seconds.
     pub checkpoint_s: f64,
-    /// Estimated recovery time, seconds.
+    /// World recovery time, seconds — shards restore in parallel, so the
+    /// slowest shard's estimate (simulation) or the measured parallel wall
+    /// time (implementation). NaN when recovery was not measured.
     pub recovery_s: f64,
+    /// What a *serial* one-shard-after-another recovery would cost: the
+    /// per-shard recovery times summed.
+    pub serial_recovery_s: f64,
+    /// Wall clock of the run, seconds: the max over shards' virtual clocks
+    /// (simulation) or the measured run duration (implementation).
+    pub wall_clock_s: f64,
 }
 
-impl SweepRow {
-    fn from_report(x: f64, r: &RunReport) -> Self {
-        SweepRow {
-            x,
-            algorithm: r.algorithm,
-            overhead_s: r.world.avg_overhead_s,
-            checkpoint_s: r.world.avg_checkpoint_s,
-            recovery_s: r.recovery_s().unwrap_or(f64::NAN),
-        }
-    }
+/// Execute `run` and project its report into a [`Row`] at `x` — the one
+/// place the harness takes the paper's three quantities out of a report.
+fn measure<E: ExperimentEngine, T: TraceSpec>(x: f64, run: &Run<E, T>) -> Result<Row, RunError> {
+    let t0 = Instant::now();
+    let report = run.execute()?;
+    let (source, wall_clock_s) = match report.detail {
+        EngineDetail::Sim(d) => (Source::Simulation, d.wall_clock_s),
+        EngineDetail::Real(_) => (Source::Implementation, t0.elapsed().as_secs_f64()),
+    };
+    Ok(Row {
+        x,
+        algorithm: report.algorithm,
+        source,
+        overhead_s: report.world.avg_overhead_s,
+        checkpoint_s: report.world.avg_checkpoint_s,
+        recovery_s: report.recovery_s().unwrap_or(f64::NAN),
+        serial_recovery_s: report.serial_recovery_s().unwrap_or(f64::NAN),
+        wall_clock_s,
+    })
 }
 
 /// Run closures on worker threads, at most `width` at a time, preserving
@@ -78,30 +119,40 @@ where
     out
 }
 
-fn run_sim(alg: Algorithm, trace: SyntheticConfig) -> RunReport {
-    run_sim_on(SimConfig::default(), alg, trace)
+/// Measure every `(x, algorithm)` cell of a simulated sweep in parallel:
+/// one row per cell, in grid order, from the run `cell` describes.
+fn sweep<X, T>(
+    xs: &[X],
+    algorithms: &[Algorithm],
+    cell: impl Fn(X, Algorithm) -> Run<SimConfig, T> + Sync,
+) -> Vec<Row>
+where
+    X: Copy + Into<f64> + Send,
+    T: TraceSpec,
+{
+    let cells: Vec<(X, Algorithm)> = xs
+        .iter()
+        .flat_map(|&x| algorithms.iter().map(move |&a| (x, a)))
+        .collect();
+    parallel_map(cells, 8, |(x, alg)| {
+        measure(x.into(), &cell(x, alg)).expect("simulation runs")
+    })
 }
 
-fn run_sim_on(config: SimConfig, alg: Algorithm, trace: impl TraceSpec) -> RunReport {
+fn sim(alg: Algorithm, trace: impl TraceSpec) -> Run<SimConfig, impl TraceSpec> {
     Run::algorithm(alg)
-        .engine(config)
+        .engine(SimConfig::default())
         .trace(trace)
-        .execute()
-        .expect("simulation runs")
 }
 
 /// Figure 2: scaling the number of updates per tick (skew 0.8, 10M cells).
 /// Returns one row per (rate, algorithm).
-pub fn fig2(rates: &[u32], ticks: u64) -> Vec<SweepRow> {
-    let jobs: Vec<(u32, Algorithm)> = rates
-        .iter()
-        .flat_map(|&r| Algorithm::ALL.into_iter().map(move |a| (r, a)))
-        .collect();
-    parallel_map(jobs, 8, |(rate, alg)| {
+pub fn fig2(rates: &[u32], ticks: u64) -> Vec<Row> {
+    sweep(rates, &Algorithm::ALL, |rate, alg| {
         let trace = SyntheticConfig::paper_default()
             .with_updates_per_tick(rate)
             .with_ticks(ticks);
-        SweepRow::from_report(f64::from(rate), &run_sim(alg, trace))
+        sim(alg, trace)
     })
 }
 
@@ -118,13 +169,16 @@ pub struct Fig3Data {
     pub series: Vec<(Algorithm, Vec<f64>)>,
 }
 
+fn run_sim(alg: Algorithm, trace: SyntheticConfig) -> RunReport {
+    sim(alg, trace).execute().expect("simulation runs")
+}
+
 /// Figure 3: the latency analysis at 64,000 updates per tick.
 pub fn fig3(ticks: u64) -> Fig3Data {
-    let config = SimConfig::default();
-    let tick_period_s = config.tick_period_s();
+    let tick_period_s = SimConfig::default().tick_period_s();
     let series = parallel_map(Algorithm::ALL.to_vec(), 6, |alg| {
         let trace = SyntheticConfig::paper_default().with_ticks(ticks);
-        let report = run_sim_on(config, alg, trace);
+        let report = run_sim(alg, trace);
         (alg, report.world.metrics.tick_lengths_s(tick_period_s))
     });
     Fig3Data {
@@ -135,16 +189,12 @@ pub fn fig3(ticks: u64) -> Fig3Data {
 }
 
 /// Figure 4: the skew sweep (64,000 updates/tick).
-pub fn fig4(skews: &[f64], ticks: u64) -> Vec<SweepRow> {
-    let jobs: Vec<(f64, Algorithm)> = skews
-        .iter()
-        .flat_map(|&sk| Algorithm::ALL.into_iter().map(move |a| (sk, a)))
-        .collect();
-    parallel_map(jobs, 8, |(skew, alg)| {
+pub fn fig4(skews: &[f64], ticks: u64) -> Vec<Row> {
+    sweep(skews, &Algorithm::ALL, |skew, alg| {
         let trace = SyntheticConfig::paper_default()
             .with_skew(skew)
             .with_ticks(ticks);
-        SweepRow::from_report(skew, &run_sim(alg, trace))
+        sim(alg, trace)
     })
 }
 
@@ -154,101 +204,40 @@ pub fn table5(config: GameConfig) -> TraceStats {
 }
 
 /// Figure 5: all six algorithms over the game trace. `x` is unused (0).
-pub fn fig5(config: GameConfig) -> Vec<SweepRow> {
-    parallel_map(Algorithm::ALL.to_vec(), 6, |alg| {
-        let report = run_sim_on(SimConfig::default(), alg, config);
-        SweepRow::from_report(0.0, &report)
-    })
+pub fn fig5(config: GameConfig) -> Vec<Row> {
+    sweep(&[0.0], &Algorithm::ALL, |_, alg| sim(alg, config))
 }
 
-/// Where a Figure 6 row came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub enum Source {
-    /// The cost-model simulator.
-    Simulation,
-    /// The real disk-backed engine.
-    Implementation,
-}
-
-impl Source {
-    /// Label used in CSV and stdout.
-    pub fn label(self) -> &'static str {
-        match self {
-            Source::Simulation => "simulation",
-            Source::Implementation => "implementation",
-        }
-    }
-}
-
-/// One Figure 6 measurement.
-#[derive(Debug, Clone, Copy, Serialize)]
-pub struct Fig6Row {
-    /// Updates per tick.
-    pub updates_per_tick: u32,
-    /// Naive-Snapshot or Copy-on-Update.
-    pub algorithm: Algorithm,
-    /// Simulation or implementation.
-    pub source: Source,
-    /// Average overhead per tick, seconds.
-    pub overhead_s: f64,
-    /// Average time to checkpoint, seconds.
-    pub checkpoint_s: f64,
-    /// Recovery time (estimated for simulation, measured for the
-    /// implementation), seconds.
-    pub recovery_s: f64,
-}
-
-/// Figure 6: validate the simulation against the real implementation of
-/// Naive-Snapshot and Copy-on-Update. `scratch` hosts the backup files;
-/// `paced_hz` paces the real mutator (None = run ticks back to back).
+/// Figure 6: validate the simulation against the real implementation.
+/// The paper validated only Naive-Snapshot and Copy-on-Update; the unified
+/// driver lets us validate the entire design space. `scratch` hosts the
+/// backup files; `paced_hz` paces the real mutator (None = run ticks back
+/// to back).
 pub fn fig6(
     rates: &[u32],
     ticks: u64,
     scratch: &Path,
     paced_hz: Option<f64>,
-) -> io::Result<Vec<Fig6Row>> {
+) -> Result<Vec<Row>, RunError> {
     let mut rows = Vec::new();
     for &rate in rates {
+        let x = f64::from(rate);
         let trace = SyntheticConfig::paper_default()
             .with_updates_per_tick(rate)
             .with_ticks(ticks);
-
-        // Simulation side. The paper validated only Naive + COU; the
-        // unified driver lets us validate the entire design space.
         for alg in Algorithm::ALL {
-            let r = run_sim(alg, trace);
-            rows.push(Fig6Row {
-                updates_per_tick: rate,
-                algorithm: alg,
-                source: Source::Simulation,
-                overhead_s: r.world.avg_overhead_s,
-                checkpoint_s: r.world.avg_checkpoint_s,
-                recovery_s: r.recovery_s().unwrap_or(f64::NAN),
-            });
+            rows.push(measure(x, &sim(alg, trace))?);
         }
-
-        // Implementation side: the same six algorithms on real hardware.
-        let real_config = |sub: &str| -> RealConfig {
-            let mut c = RealConfig::new(scratch.join(format!("{sub}_{rate}")));
-            if let Some(hz) = paced_hz {
-                c = c.paced_at_hz(hz);
-            }
-            c
-        };
+        // The same six algorithms on real hardware.
         for alg in Algorithm::ALL {
-            let report = Run::algorithm(alg)
-                .engine(real_config(alg.short_name()))
-                .trace(trace)
-                .execute()
-                .map_err(|e| io::Error::other(e.to_string()))?;
-            rows.push(Fig6Row {
-                updates_per_tick: rate,
-                algorithm: report.algorithm,
-                source: Source::Implementation,
-                overhead_s: report.world.avg_overhead_s,
-                checkpoint_s: report.world.avg_checkpoint_s,
-                recovery_s: report.recovery_s().unwrap_or(f64::NAN),
-            });
+            let dir = scratch.join(format!("{}_{rate}", alg.short_name()));
+            let mut run = Run::algorithm(alg)
+                .engine(RealConfig::new(dir))
+                .trace(trace);
+            if let Some(hz) = paced_hz {
+                run = run.pacing(hz);
+            }
+            rows.push(measure(x, &run)?);
         }
     }
     Ok(rows)
@@ -257,19 +246,12 @@ pub fn fig6(
 /// Ablation: atomic-object size sweep (64 B – 4 KiB) at the Figure 2
 /// defaults. Smaller-than-sector objects inflate double-backup costs
 /// (§4.1); larger objects inflate copy-on-update copies.
-pub fn ablation_objsize(sizes: &[u32], ticks: u64) -> Vec<SweepRow> {
-    let jobs: Vec<(u32, Algorithm)> = sizes
-        .iter()
-        .flat_map(|&s| {
-            [Algorithm::NaiveSnapshot, Algorithm::CopyOnUpdate]
-                .into_iter()
-                .map(move |a| (s, a))
-        })
-        .collect();
-    parallel_map(jobs, 8, |(size, alg)| {
+pub fn ablation_objsize(sizes: &[u32], ticks: u64) -> Vec<Row> {
+    let algorithms = [Algorithm::NaiveSnapshot, Algorithm::CopyOnUpdate];
+    sweep(sizes, &algorithms, |size, alg| {
         let mut trace = SyntheticConfig::paper_default().with_ticks(ticks);
         trace.geometry.object_size = size;
-        SweepRow::from_report(f64::from(size), &run_sim(alg, trace))
+        sim(alg, trace)
     })
 }
 
@@ -297,95 +279,37 @@ pub fn ablation_sorted_io(rates: &[u32], ticks: u64) -> Vec<(u32, f64, f64)> {
 
 /// Extension (the paper's stated future work): how faster hardware shifts
 /// the trade-offs. Sweeps disk bandwidth at the Figure 2 defaults.
-pub fn ext_hardware(disk_bandwidths: &[f64], ticks: u64) -> Vec<SweepRow> {
-    let algs = [
+pub fn ext_hardware(disk_bandwidths: &[f64], ticks: u64) -> Vec<Row> {
+    let algorithms = [
         Algorithm::NaiveSnapshot,
         Algorithm::CopyOnUpdate,
         Algorithm::PartialRedo,
         Algorithm::CopyOnUpdatePartialRedo,
     ];
-    let jobs: Vec<(f64, Algorithm)> = disk_bandwidths
-        .iter()
-        .flat_map(|&bw| algs.into_iter().map(move |a| (bw, a)))
-        .collect();
-    parallel_map(jobs, 8, |(bw, alg)| {
+    sweep(disk_bandwidths, &algorithms, |bw, alg| {
         let config = SimConfig {
             hardware: HardwareParams::paper().with_disk_bandwidth(bw),
             ..SimConfig::default()
         };
         let trace = SyntheticConfig::paper_default().with_ticks(ticks);
-        let report = run_sim_on(config, alg, trace);
-        SweepRow::from_report(bw, &report)
+        sim(alg, trace).engine(config)
     })
 }
 
 /// The shard-count grid of the scaling experiment.
 pub const SHARD_COUNTS: [u32; 4] = [1, 2, 4, 8];
 
-/// One shard-scaling measurement: one algorithm at one shard count, over
-/// fixed total state.
-#[derive(Debug, Clone, Copy, Serialize)]
-pub struct ShardScaleRow {
-    /// Number of shards the (fixed-size) world was split into.
-    pub n_shards: u32,
-    /// Algorithm measured.
-    pub algorithm: Algorithm,
-    /// World average overhead per tick, seconds (per-tick max across
-    /// shards, averaged).
-    pub overhead_s: f64,
-    /// Average time to checkpoint across all shards' checkpoints,
-    /// seconds.
-    pub checkpoint_s: f64,
-    /// World recovery time, seconds: shards restore in parallel, so
-    /// this is the slowest shard (estimated for the simulator, the
-    /// measured parallel wall time for the real engine).
-    pub recovery_s: f64,
-    /// What a *serial* one-shard-after-another recovery would cost:
-    /// the per-shard recovery times summed.
-    pub serial_recovery_s: f64,
-    /// Aggregate wall clock of the run, seconds: the max over shards'
-    /// virtual clocks (simulator) or the measured run duration (real
-    /// engine).
-    pub wall_clock_s: f64,
-}
-
 /// Shard scaling: split the paper's synthetic state into N ∈
 /// [`SHARD_COUNTS`] shards at a fixed total size and update rate, and
-/// measure overhead and recovery time per algorithm. The per-shard flush
-/// shrinks with N while recovery parallelizes — the scale axis the paper
-/// left on the table.
-pub fn shard_scaling(shard_counts: &[u32], rate: u32, ticks: u64) -> Vec<ShardScaleRow> {
-    let jobs: Vec<(u32, Algorithm)> = shard_counts
-        .iter()
-        .flat_map(|&n| Algorithm::ALL.into_iter().map(move |a| (n, a)))
-        .collect();
-    parallel_map(jobs, 8, |(n, alg)| {
+/// measure overhead and recovery time per algorithm (`x` is N). The
+/// per-shard flush shrinks with N while recovery parallelizes — the scale
+/// axis the paper left on the table.
+pub fn shard_scaling(shard_counts: &[u32], rate: u32, ticks: u64) -> Vec<Row> {
+    sweep(shard_counts, &Algorithm::ALL, |n, alg| {
         let trace = SyntheticConfig::paper_default()
             .with_updates_per_tick(rate)
             .with_ticks(ticks);
-        let report = Run::algorithm(alg)
-            .engine(SimConfig::default())
-            .trace(trace)
-            .shards(n)
-            .execute()
-            .expect("sharded simulation runs");
-        let wall_clock_s = match report.detail {
-            EngineDetail::Sim(d) => d.wall_clock_s,
-            _ => f64::NAN,
-        };
-        ShardScaleRow {
-            n_shards: n,
-            algorithm: alg,
-            overhead_s: report.world.avg_overhead_s,
-            checkpoint_s: report.world.avg_checkpoint_s,
-            recovery_s: report.recovery_s().unwrap_or(f64::NAN),
-            serial_recovery_s: report
-                .shards
-                .iter()
-                .filter_map(|s| s.summary.recovery_s)
-                .sum(),
-            wall_clock_s,
-        }
+        sim(alg, trace).shards(n)
     })
 }
 
@@ -397,7 +321,7 @@ pub fn shard_scaling_real(
     shard_counts: &[u32],
     ticks: u64,
     scratch: &Path,
-) -> io::Result<Vec<ShardScaleRow>> {
+) -> Result<Vec<Row>, RunError> {
     let trace = SyntheticConfig {
         geometry: mmoc_core::StateGeometry::small(8_192, 8), // 256 KB state, 4,096 objects
         ticks,
@@ -405,35 +329,16 @@ pub fn shard_scaling_real(
         skew: 0.8,
         seed: 77,
     };
-    let mut rows = Vec::new();
-    for &n in shard_counts {
-        let config = RealConfig::new(scratch.join(format!("shards_{n}")));
-        let t0 = std::time::Instant::now();
-        let report = Run::algorithm(algorithm)
-            .engine(config)
-            .trace(trace)
-            .shards(n)
-            .execute()
-            .map_err(|e| io::Error::other(e.to_string()))?;
-        let run_wall_s = t0.elapsed().as_secs_f64();
-        let (recovery_s, serial_recovery_s) = match report.detail {
-            EngineDetail::Real(d) => (
-                d.recovery_wall_s.expect("recovery measured"),
-                d.serial_recovery_s.expect("recovery measured"),
-            ),
-            _ => (f64::NAN, f64::NAN),
-        };
-        rows.push(ShardScaleRow {
-            n_shards: n,
-            algorithm,
-            overhead_s: report.world.avg_overhead_s,
-            checkpoint_s: report.world.avg_checkpoint_s,
-            recovery_s,
-            serial_recovery_s,
-            wall_clock_s: run_wall_s,
-        });
-    }
-    Ok(rows)
+    shard_counts
+        .iter()
+        .map(|&n| {
+            let run = Run::algorithm(algorithm)
+                .engine(RealConfig::new(scratch.join(format!("shards_{n}"))))
+                .trace(trace)
+                .shards(n);
+            measure(f64::from(n), &run)
+        })
+        .collect()
 }
 
 /// A reduced-scale geometry check used by tests: every figure function
@@ -451,7 +356,7 @@ mod tests {
             assert!(r.recovery_s > 0.0);
         }
         // Naive's overhead is rate-independent.
-        let naive: Vec<&SweepRow> = rows
+        let naive: Vec<&Row> = rows
             .iter()
             .filter(|r| r.algorithm == Algorithm::NaiveSnapshot)
             .collect();
@@ -514,7 +419,7 @@ mod tests {
         for alg in Algorithm::ALL {
             let at = |n: u32| {
                 rows.iter()
-                    .find(|r| r.algorithm == alg && r.n_shards == n)
+                    .find(|r| r.algorithm == alg && r.x == f64::from(n))
                     .unwrap()
             };
             assert!(

@@ -36,7 +36,6 @@
 //!     if fewer than pipeline_depth in flight (and overlap is sound):
 //!         plan = bookkeeper.begin_checkpoint() // Copy-To-Memory decision
 //!         backend.start_checkpoint(plan)       // sync copy + async flush
-//!     backend.end_tick(t)                      // pacing / sleep phase
 //! drain the remaining in-flight checkpoints, oldest first
 //! ```
 //!
@@ -141,18 +140,14 @@ pub trait CheckpointBackend {
         tick: u64,
     ) -> Result<f64, Self::Error>;
 
-    /// The tick is over (metrics recorded): sleep out the tick period
-    /// (paced real engine) or do nothing.
-    fn end_tick(&mut self, tick: u64) -> Result<(), Self::Error>;
-
     /// The trace is exhausted with a checkpoint still in flight: wait for
     /// it to complete (blocking) and report it, or `None` if the backend
     /// abandoned it.
     fn drain(&mut self, bk: &Bookkeeper) -> Result<Option<FlushCompletion>, Self::Error>;
 }
 
-/// Result of one driver run, engine-agnostic. Engines wrap this into
-/// their report types (`SimReport`, `RealReport`).
+/// Result of one driver run, engine-agnostic. Engines wrap it into a
+/// [`crate::run::ShardReport`].
 #[derive(Debug, Clone)]
 pub struct DriverRun {
     /// Ticks executed (1-based count).
@@ -382,7 +377,7 @@ impl DriverStep {
             locks: ops_total.locks,
             copies: ops_total.copies,
         });
-        backend.end_tick(tick)
+        Ok(())
     }
 
     /// The trace is exhausted: drain every in-flight checkpoint (oldest
@@ -527,10 +522,6 @@ mod tests {
             self.ticks_since_start = 0;
             self.started.push(tick);
             Ok(plan.sync_copy.map_or(0.0, |c| f64::from(c.objects) * 1e-6))
-        }
-
-        fn end_tick(&mut self, _tick: u64) -> Result<(), Infallible> {
-            Ok(())
         }
 
         fn drain(&mut self, _bk: &Bookkeeper) -> Result<Option<FlushCompletion>, Infallible> {
@@ -786,10 +777,6 @@ mod tests {
             self.in_flight.push_back(plan.flush.objects());
             self.started.push(tick);
             Ok(0.0)
-        }
-
-        fn end_tick(&mut self, _tick: u64) -> Result<(), Infallible> {
-            Ok(())
         }
 
         fn drain(&mut self, _bk: &Bookkeeper) -> Result<Option<FlushCompletion>, Infallible> {

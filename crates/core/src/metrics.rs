@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// Overhead accounting for one simulation tick.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TickMetrics {
-    /// Tick number (0-based).
+    /// Tick number (1-based: the first tick of a run is tick 1).
     pub tick: u64,
     /// Total recovery-induced overhead added to this tick, in seconds.
     /// Includes the synchronous copy pause if a checkpoint started at the
@@ -253,6 +253,9 @@ mod tests {
         assert_eq!(m.ticks_over_budget(0.0015), 2);
         assert_eq!(m.overhead_at(1), 0.003);
         assert_eq!(m.overhead_at(99), 0.0);
+        let lengths = m.tick_lengths_s(1.0 / 30.0);
+        assert_eq!(lengths.len(), 3);
+        assert!((lengths[2] - (1.0 / 30.0 + 0.002)).abs() < 1e-12);
     }
 
     /// NaN samples (a degenerate run's 0/0 latency ratio) must not abort

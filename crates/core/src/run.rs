@@ -2,10 +2,9 @@
 //!
 //! The paper's contribution is a *controlled comparison* — six algorithms
 //! measured under one cost-model simulator and validated against one real
-//! engine — yet historically every engine grew its own entry points
-//! (`SimEngine::run`, `run_algorithm`, their sharded and checked variants)
-//! and its own report type. [`Run`] replaces all of them with a single
-//! description of an experiment:
+//! engine — so every engine is reached through one entry point and
+//! reports in one shape. [`Run`] is a single description of an
+//! experiment:
 //!
 //! ```text
 //! Run::algorithm(Algorithm::CopyOnUpdate)   // what to measure
@@ -546,12 +545,6 @@ pub struct RealRunDetail {
     /// Largest single submission-queue batch any ring round pushed
     /// (0 for backends that never touch a ring).
     pub max_sqe_batch: u32,
-    /// Wall-clock time of the parallel all-shard restore + replay, when
-    /// recovery was measured.
-    pub recovery_wall_s: Option<f64>,
-    /// What a serial shard-after-shard recovery would have cost (the
-    /// per-shard totals summed), when recovery was measured.
-    pub serial_recovery_s: Option<f64>,
 }
 
 impl RealRunDetail {
@@ -597,6 +590,14 @@ impl RunReport {
     /// Recovery time of the world, in seconds, when known.
     pub fn recovery_s(&self) -> Option<f64> {
         self.world.recovery_s
+    }
+
+    /// What a serial shard-after-shard recovery would cost, in seconds:
+    /// the shards' recovery times summed (the world's
+    /// [`RunSummary::recovery_s`] is their parallel time). `None` when
+    /// recovery was not measured or estimated.
+    pub fn serial_recovery_s(&self) -> Option<f64> {
+        self.shards.iter().map(|s| s.summary.recovery_s).sum()
     }
 
     /// Did every verification the engine performed pass? Covers the
@@ -739,10 +740,6 @@ mod tests {
             _tick: u64,
         ) -> Result<f64, Infallible> {
             Ok(0.0)
-        }
-
-        fn end_tick(&mut self, _t: u64) -> Result<(), Infallible> {
-            Ok(())
         }
 
         fn drain(&mut self, bk: &Bookkeeper) -> Result<Option<FlushCompletion>, Infallible> {

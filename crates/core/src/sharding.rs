@@ -555,10 +555,6 @@ mod tests {
             Ok(0.0)
         }
 
-        fn end_tick(&mut self, _tick: u64) -> Result<(), Self::Error> {
-            Ok(())
-        }
-
         fn drain(
             &mut self,
             _bk: &crate::Bookkeeper,

@@ -19,19 +19,17 @@
 //! 4. Optional **value-level fidelity checking** for tests.
 
 use crate::cost::CostModel;
-use crate::fidelity::{FidelityChecker, FidelityReport};
+use crate::fidelity::FidelityChecker;
 use crate::params::HardwareParams;
-use crate::report::ShardedSimReport;
-use crate::report::SimReport;
-use mmoc_core::algorithms::DEFAULT_FULL_FLUSH_PERIOD;
-use mmoc_core::driver::{CheckpointBackend, FlushCompletion, TickOps};
+use mmoc_core::algorithms::{AlgorithmSpec, DEFAULT_FULL_FLUSH_PERIOD};
+use mmoc_core::driver::{CheckpointBackend, DriverRun, FlushCompletion, TickOps};
 use mmoc_core::run::{
-    EngineDetail, ExperimentEngine, FidelitySummary, RecoveryReport, RunError, RunReport, RunSpec,
-    RunSummary, ShardReport, SimRunDetail, TraceSpec,
+    EngineDetail, ExperimentEngine, RecoveryReport, RunError, RunReport, RunSpec, RunSummary,
+    ShardReport, SimRunDetail, TraceSpec,
 };
 use mmoc_core::{
-    Algorithm, Bookkeeper, CellUpdate, CheckpointPlan, CoreError, FlushCursor, FlushJob, ObjectId,
-    ShardMap, ShardedDriver, TickDriver, TraceSource,
+    Bookkeeper, CellUpdate, CheckpointPlan, FlushCursor, FlushJob, ObjectId, ShardMap,
+    ShardedDriver, TickDriver, TraceSource,
 };
 use serde::{Deserialize, Serialize};
 use std::convert::Infallible;
@@ -85,11 +83,60 @@ struct SimBackend {
 }
 
 impl SimBackend {
+    /// A backend over one shard of `n_objects`, its virtual clock at zero.
+    fn new(
+        config: &SimConfig,
+        cost: &CostModel,
+        n_objects: u32,
+        fidelity: Option<FidelityChecker>,
+    ) -> Self {
+        SimBackend {
+            cost: *cost,
+            tick_period: config.tick_period_s(),
+            frontier_rate: cost.frontier_slots_per_s(),
+            n_objects,
+            clock: 0.0,
+            active: None,
+            fidelity,
+        }
+    }
+
     /// The writer's frontier at virtual time `now`, in sweep slots.
     fn frontier_at(&self, now: f64) -> u64 {
         self.active.as_ref().map_or(0, |a| {
             ((now - a.started_at).max(0.0) * self.frontier_rate) as u64
         })
+    }
+
+    /// This shard's slice of the report: the driver's series plus the
+    /// §4.2 recovery estimate (restore the newest image, then replay about
+    /// one checkpoint's worth of ticks).
+    fn into_shard_report(self, spec: AlgorithmSpec, shard: u32, run: DriverRun) -> ShardReport {
+        let avg_k = run.metrics.avg_objects_per_normal_checkpoint();
+        let restore_s = match spec.full_flush_period {
+            Some(c) => self.cost.restore_partial_redo_s(avg_k, c, self.n_objects),
+            None => self.cost.restore_full_s(self.n_objects),
+        };
+        let replay_s = run.metrics.avg_checkpoint_s();
+        let total_s = restore_s + replay_s;
+        ShardReport {
+            shard,
+            ticks: run.ticks,
+            updates: run.updates,
+            summary: RunSummary::from_metrics(run.metrics, Some(total_s)),
+            recovery: Some(RecoveryReport {
+                restore_s,
+                replay_s,
+                total_s,
+                measured: false,
+                restored_from_tick: None,
+                ticks_replayed: None,
+                updates_replayed: None,
+                state_matches: None,
+                from_replica: None,
+            }),
+            fidelity: self.fidelity.map(FidelityChecker::into_report),
+        }
     }
 }
 
@@ -179,202 +226,12 @@ impl CheckpointBackend for SimBackend {
         Ok(sync_pause)
     }
 
-    fn end_tick(&mut self, _tick: u64) -> Result<(), Infallible> {
-        Ok(())
-    }
-
     fn drain(&mut self, bk: &Bookkeeper) -> Result<Option<FlushCompletion>, Infallible> {
         // Virtual time: let the clock jump to the flush's completion.
         if let Some(a) = &self.active {
             self.clock = self.clock.max(a.started_at + a.async_duration);
         }
         self.poll_completion(bk)
-    }
-}
-
-/// The simulator: drives one algorithm over one trace.
-///
-/// Constructed internally by the [`ExperimentEngine`] implementation on
-/// [`SimConfig`]; experiments go through the unified builder
-/// (`Run::algorithm(alg).engine(sim_config).trace(…).execute()`). The
-/// pre-builder `run*` methods were removed after one deprecation release.
-#[derive(Debug, Clone)]
-pub struct SimEngine {
-    config: SimConfig,
-    algorithm: Algorithm,
-}
-
-impl SimEngine {
-    /// Create an engine for the given configuration and algorithm.
-    pub fn new(config: SimConfig, algorithm: Algorithm) -> Self {
-        config
-            .hardware
-            .validate()
-            .expect("invalid hardware parameters");
-        assert!(
-            config.tick_freq_hz > 0.0 && config.tick_freq_hz.is_finite(),
-            "tick frequency must be positive"
-        );
-        SimEngine { config, algorithm }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &SimConfig {
-        &self.config
-    }
-
-    /// The unsharded run: the exact call sequence `run_sharded_inner`
-    /// performs per shard, on the single-driver path. Kept for the
-    /// in-crate N = 1 bit-equivalence tests.
-    #[cfg(test)]
-    fn run_inner<S: TraceSource>(
-        &self,
-        trace: &mut S,
-        fidelity: Option<FidelityChecker>,
-    ) -> (SimReport, Option<FidelityReport>) {
-        let geometry = trace.geometry();
-        geometry.validate().expect("trace geometry must be valid");
-        let cost = CostModel::new(self.config.hardware, geometry.object_size);
-        let spec = self
-            .algorithm
-            .spec_with_flush_period(self.config.full_flush_period);
-
-        let mut backend = self.make_backend(&cost, geometry.n_objects(), fidelity);
-        let run = match TickDriver::new(spec).run(trace, &mut backend) {
-            Ok(run) => run,
-            Err(infallible) => match infallible {},
-        };
-
-        let report = self.build_report(geometry, &cost, run.ticks, run.updates, run.metrics);
-        (report, backend.fidelity.map(FidelityChecker::into_report))
-    }
-
-    fn make_backend(
-        &self,
-        cost: &CostModel,
-        n_objects: u32,
-        fidelity: Option<FidelityChecker>,
-    ) -> SimBackend {
-        SimBackend {
-            cost: *cost,
-            tick_period: self.config.tick_period_s(),
-            frontier_rate: cost.frontier_slots_per_s(),
-            n_objects,
-            clock: 0.0,
-            active: None,
-            fidelity,
-        }
-    }
-
-    /// The shared sharded run: the single definition the unified builder
-    /// executes — one bookkeeper and one **independent virtual clock**
-    /// per shard, advanced in lockstep over the global trace; the
-    /// aggregate wall clock (and the recovery estimate) is the max over
-    /// shards, because shards run — and restore — in parallel.
-    fn run_sharded_inner<S: TraceSource>(
-        &self,
-        trace: &mut S,
-        n_shards: u32,
-        checked: bool,
-        batching: bool,
-    ) -> Result<(ShardedSimReport, Option<Vec<FidelityReport>>), CoreError> {
-        let geometry = trace.geometry();
-        let map = ShardMap::new(geometry, n_shards)?;
-        let cost = CostModel::new(self.config.hardware, geometry.object_size);
-        let spec = self
-            .algorithm
-            .spec_with_flush_period(self.config.full_flush_period);
-
-        let mut backends: Vec<SimBackend> = (0..map.n_shards())
-            .map(|s| {
-                let fidelity =
-                    checked.then(|| FidelityChecker::new(map.shard_geometry(s), self.algorithm));
-                self.make_backend(&cost, map.shard_geometry(s).n_objects(), fidelity)
-            })
-            .collect();
-
-        let run =
-            match ShardedDriver::new(TickDriver::new(spec).with_batching(batching), map.clone())
-                .run(trace, &mut backends)
-            {
-                Ok(run) => run,
-                Err(infallible) => match infallible {},
-            };
-
-        let wall_clock_s = backends.iter().map(|b| b.clock).fold(0.0f64, f64::max);
-        let fidelity = checked.then(|| {
-            backends
-                .iter_mut()
-                .map(|b| b.fidelity.take().expect("checker installed").into_report())
-                .collect()
-        });
-
-        let metrics = run.merged_metrics();
-        let shards: Vec<SimReport> = run
-            .shards
-            .into_iter()
-            .enumerate()
-            .map(|(s, r)| {
-                self.build_report(map.shard_geometry(s), &cost, r.ticks, r.updates, r.metrics)
-            })
-            .collect();
-        // Shards restore in parallel at recovery: the world is back when
-        // the slowest shard is.
-        let est_recovery_s = shards
-            .iter()
-            .map(|r| r.est_recovery_s)
-            .fold(0.0f64, f64::max);
-        let report = ShardedSimReport {
-            algorithm: self.algorithm,
-            geometry,
-            n_shards,
-            ticks: run.ticks,
-            updates: run.updates,
-            checkpoints_completed: metrics.checkpoints.len() as u64,
-            avg_overhead_s: metrics.avg_overhead_s(),
-            max_overhead_s: metrics.max_overhead_s(),
-            avg_checkpoint_s: metrics.avg_checkpoint_s(),
-            est_recovery_s,
-            wall_clock_s,
-            shards,
-            metrics,
-        };
-        Ok((report, fidelity))
-    }
-
-    fn build_report(
-        &self,
-        geometry: mmoc_core::StateGeometry,
-        cost: &CostModel,
-        ticks: u64,
-        updates: u64,
-        metrics: mmoc_core::RunMetrics,
-    ) -> SimReport {
-        let n = geometry.n_objects();
-        let spec = self
-            .algorithm
-            .spec_with_flush_period(self.config.full_flush_period);
-        let avg_k = metrics.avg_objects_per_normal_checkpoint();
-        let est_restore_s = match spec.full_flush_period {
-            Some(c) => cost.restore_partial_redo_s(avg_k, c, n),
-            None => cost.restore_full_s(n),
-        };
-        let est_replay_s = metrics.avg_checkpoint_s();
-        SimReport {
-            algorithm: self.algorithm,
-            geometry,
-            ticks,
-            updates,
-            checkpoints_completed: metrics.checkpoints.len() as u64,
-            avg_overhead_s: metrics.avg_overhead_s(),
-            max_overhead_s: metrics.max_overhead_s(),
-            avg_checkpoint_s: metrics.avg_checkpoint_s(),
-            est_restore_s,
-            est_replay_s,
-            est_recovery_s: est_restore_s + est_replay_s,
-            avg_objects_per_checkpoint: avg_k,
-            metrics,
-        }
     }
 }
 
@@ -385,6 +242,11 @@ impl SimEngine {
 /// frequency; [`RunSpec::fidelity_check`] enables per-shard shadow-disk
 /// verification; recovery times in the report are the §4.2 analytic
 /// estimates.
+///
+/// Every shard gets its own bookkeeper and **independent virtual clock**,
+/// advanced in lockstep over the global trace; the world's wall clock and
+/// recovery estimate are the max over shards, because shards run — and
+/// restore — in parallel.
 impl ExperimentEngine for SimConfig {
     fn run_experiment<T: TraceSpec + ?Sized>(
         &self,
@@ -402,81 +264,66 @@ impl ExperimentEngine for SimConfig {
                 config.tick_freq_hz
             )));
         }
-        let engine = SimEngine {
-            config,
-            algorithm: spec.algorithm,
-        };
-        let mut src = trace.open();
-        src.geometry().validate()?;
-        let (report, fidelity) =
-            engine.run_sharded_inner(&mut src, spec.shards, spec.fidelity_check, spec.batching)?;
-        Ok(into_run_report(&config, report, fidelity))
-    }
-}
+        let mut trace = trace.open();
+        let geometry = trace.geometry();
+        geometry.validate()?;
+        let map = ShardMap::new(geometry, spec.shards)?;
+        let cost = CostModel::new(config.hardware, geometry.object_size);
+        let alg_spec = spec
+            .algorithm
+            .spec_with_flush_period(config.full_flush_period);
 
-/// Map the simulator's sharded report into the unified cross-engine shape.
-fn into_run_report(
-    config: &SimConfig,
-    report: ShardedSimReport,
-    fidelity: Option<Vec<FidelityReport>>,
-) -> RunReport {
-    let mut fidelity: Vec<Option<FidelitySummary>> = match fidelity {
-        Some(v) => v
-            .into_iter()
-            .map(|f| {
-                Some(FidelitySummary {
-                    checks_passed: f.checks_passed,
-                    errors: f.errors,
-                })
+        let mut backends: Vec<SimBackend> = (0..map.n_shards())
+            .map(|s| {
+                let g = map.shard_geometry(s);
+                let fidelity = spec
+                    .fidelity_check
+                    .then(|| FidelityChecker::new(g, spec.algorithm));
+                SimBackend::new(&config, &cost, g.n_objects(), fidelity)
             })
-            .collect(),
-        None => vec![None; report.shards.len()],
-    };
-    let shards = report
-        .shards
-        .iter()
-        .enumerate()
-        .map(|(s, r)| ShardReport {
-            shard: s as u32,
-            ticks: r.ticks,
-            updates: r.updates,
-            summary: RunSummary::from_metrics(r.metrics.clone(), Some(r.est_recovery_s)),
-            recovery: Some(RecoveryReport {
-                restore_s: r.est_restore_s,
-                replay_s: r.est_replay_s,
-                total_s: r.est_recovery_s,
-                measured: false,
-                restored_from_tick: None,
-                ticks_replayed: None,
-                updates_replayed: None,
-                state_matches: None,
-                from_replica: None,
+            .collect();
+        let driver = TickDriver::new(alg_spec).with_batching(spec.batching);
+        let run = match ShardedDriver::new(driver, map).run(&mut trace, &mut backends) {
+            Ok(run) => run,
+            Err(infallible) => match infallible {},
+        };
+
+        let metrics = run.merged_metrics();
+        let wall_clock_s = backends.iter().map(|b| b.clock).fold(0.0f64, f64::max);
+        let shards: Vec<ShardReport> = backends
+            .into_iter()
+            .zip(run.shards)
+            .enumerate()
+            .map(|(s, (backend, r))| backend.into_shard_report(alg_spec, s as u32, r))
+            .collect();
+        // Shards restore in parallel: the world is back when the slowest is.
+        let recovery_s = shards
+            .iter()
+            .filter_map(|s| s.summary.recovery_s)
+            .fold(0.0f64, f64::max);
+        Ok(RunReport {
+            algorithm: spec.algorithm,
+            engine: "sim",
+            n_shards: spec.shards,
+            ticks: run.ticks,
+            updates: run.updates,
+            world: RunSummary::from_metrics(metrics, Some(recovery_s)),
+            shards,
+            detail: EngineDetail::Sim(SimRunDetail {
+                wall_clock_s,
+                tick_period_s: config.tick_period_s(),
             }),
-            fidelity: fidelity[s].take(),
         })
-        .collect();
-    RunReport {
-        algorithm: report.algorithm,
-        engine: "sim",
-        n_shards: report.n_shards,
-        ticks: report.ticks,
-        updates: report.updates,
-        world: RunSummary::from_metrics(report.metrics, Some(report.est_recovery_s)),
-        shards,
-        detail: EngineDetail::Sim(SimRunDetail {
-            wall_clock_s: report.wall_clock_s,
-            tick_period_s: config.tick_period_s(),
-        }),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mmoc_core::StateGeometry;
-    use mmoc_workload::{SyntheticConfig, TraceSource};
+    use mmoc_core::{Algorithm, Run, StateGeometry};
+    use mmoc_workload::SyntheticConfig;
 
-    fn small_trace(ticks: u64, updates: u32, skew: f64) -> impl TraceSource {
+    fn small_spec(ticks: u64, updates: u32, skew: f64) -> SyntheticConfig {
         SyntheticConfig {
             geometry: StateGeometry::test_small(),
             ticks,
@@ -484,30 +331,65 @@ mod tests {
             skew,
             seed: 99,
         }
-        .build()
     }
 
-    /// The unsharded single-driver path (the call sequence the builder
-    /// executes per shard), reported in the simulator's native shape.
-    fn sim_run(config: SimConfig, alg: Algorithm, trace: &mut impl TraceSource) -> SimReport {
-        SimEngine::new(config, alg).run_inner(trace, None).0
+    /// The bare single-`TickDriver` path — the reference the builder's
+    /// N = 1 sharded run is held to — reported by the same function.
+    fn single_driver_run(
+        config: SimConfig,
+        alg: Algorithm,
+        trace: SyntheticConfig,
+        checked: bool,
+    ) -> ShardReport {
+        let geometry = trace.geometry;
+        let cost = CostModel::new(config.hardware, geometry.object_size);
+        let spec = alg.spec_with_flush_period(config.full_flush_period);
+        let fidelity = checked.then(|| FidelityChecker::new(geometry, alg));
+        let mut backend = SimBackend::new(&config, &cost, geometry.n_objects(), fidelity);
+        let run = match TickDriver::new(spec).run(&mut trace.build(), &mut backend) {
+            Ok(run) => run,
+            Err(infallible) => match infallible {},
+        };
+        backend.into_shard_report(spec, 0, run)
     }
 
-    fn run(alg: Algorithm) -> SimReport {
-        sim_run(SimConfig::default(), alg, &mut small_trace(60, 64, 0.5))
+    fn sim_run(config: SimConfig, alg: Algorithm, trace: SyntheticConfig) -> RunSummary {
+        single_driver_run(config, alg, trace, false).summary
+    }
+
+    fn run(alg: Algorithm) -> RunSummary {
+        sim_run(SimConfig::default(), alg, small_spec(60, 64, 0.5))
+    }
+
+    fn build(alg: Algorithm, trace: SyntheticConfig, shards: u32, checked: bool) -> RunReport {
+        Run::algorithm(alg)
+            .engine(SimConfig::default())
+            .trace(trace)
+            .shards(shards)
+            .fidelity_check(checked)
+            .execute()
+            .expect("builder run")
+    }
+
+    fn wall_clock_s(report: &RunReport) -> f64 {
+        match report.detail {
+            EngineDetail::Sim(d) => d.wall_clock_s,
+            EngineDetail::Real(_) => unreachable!("sim engine"),
+        }
     }
 
     #[test]
     fn all_algorithms_complete_checkpoints() {
         for alg in Algorithm::ALL {
-            let report = run(alg);
+            let report =
+                single_driver_run(SimConfig::default(), alg, small_spec(60, 64, 0.5), false);
             assert!(
-                report.checkpoints_completed > 0,
+                report.summary.checkpoints_completed > 0,
                 "{alg} completed no checkpoints"
             );
             assert_eq!(report.ticks, 60);
             assert_eq!(report.updates, 60 * 64);
-            assert!(report.est_recovery_s > 0.0, "{alg}");
+            assert!(report.summary.recovery_s.unwrap() > 0.0, "{alg}");
         }
     }
 
@@ -553,62 +435,29 @@ mod tests {
     fn full_state_methods_have_constant_checkpoint_time() {
         // Naive writes n objects to the double backup every time: its
         // checkpoint duration is independent of the update rate.
-        let r1 = sim_run(
-            SimConfig::default(),
-            Algorithm::NaiveSnapshot,
-            &mut small_trace(40, 8, 0.5),
-        );
-        let r2 = sim_run(
-            SimConfig::default(),
-            Algorithm::NaiveSnapshot,
-            &mut small_trace(40, 512, 0.5),
-        );
-        assert!(
-            (r1.avg_checkpoint_s - r2.avg_checkpoint_s).abs() < 1e-9,
-            "{} vs {}",
-            r1.avg_checkpoint_s,
-            r2.avg_checkpoint_s
-        );
+        let at = |updates| {
+            sim_run(
+                SimConfig::default(),
+                Algorithm::NaiveSnapshot,
+                small_spec(40, updates, 0.5),
+            )
+            .avg_checkpoint_s
+        };
+        assert!((at(8) - at(512)).abs() < 1e-9, "{} vs {}", at(8), at(512));
     }
 
     #[test]
     fn partial_redo_checkpoints_faster_at_low_rates() {
-        let pr = sim_run(
-            SimConfig::default(),
-            Algorithm::PartialRedo,
-            &mut small_trace(60, 4, 0.5),
-        );
-        let naive = sim_run(
-            SimConfig::default(),
-            Algorithm::NaiveSnapshot,
-            &mut small_trace(60, 4, 0.5),
-        );
-        assert!(
-            pr.avg_checkpoint_s < naive.avg_checkpoint_s,
-            "PR {} !< Naive {}",
-            pr.avg_checkpoint_s,
-            naive.avg_checkpoint_s
-        );
+        let at = |alg| sim_run(SimConfig::default(), alg, small_spec(60, 4, 0.5)).avg_checkpoint_s;
+        let (pr, naive) = (at(Algorithm::PartialRedo), at(Algorithm::NaiveSnapshot));
+        assert!(pr < naive, "PR {pr} !< Naive {naive}");
     }
 
     #[test]
     fn partial_redo_recovery_is_worse_at_high_rates() {
-        let pr = sim_run(
-            SimConfig::default(),
-            Algorithm::PartialRedo,
-            &mut small_trace(60, 2048, 0.5),
-        );
-        let naive = sim_run(
-            SimConfig::default(),
-            Algorithm::NaiveSnapshot,
-            &mut small_trace(60, 2048, 0.5),
-        );
-        assert!(
-            pr.est_recovery_s > naive.est_recovery_s,
-            "PR {} !> Naive {}",
-            pr.est_recovery_s,
-            naive.est_recovery_s
-        );
+        let at = |alg| sim_run(SimConfig::default(), alg, small_spec(60, 2048, 0.5)).recovery_s;
+        let (pr, naive) = (at(Algorithm::PartialRedo), at(Algorithm::NaiveSnapshot));
+        assert!(pr > naive, "PR {pr:?} !> Naive {naive:?}");
     }
 
     #[test]
@@ -621,19 +470,13 @@ mod tests {
             hardware: HardwareParams::paper().with_disk_bandwidth(20e3),
             ..SimConfig::default()
         };
-        let naive = sim_run(
-            config,
-            Algorithm::NaiveSnapshot,
-            &mut small_trace(60, 64, 0.5),
-        );
-        let cou = sim_run(
-            config,
-            Algorithm::CopyOnUpdate,
-            &mut small_trace(60, 64, 0.5),
-        );
         // Naive's max tick is much larger relative to its average.
-        let naive_ratio = naive.max_overhead_s / naive.avg_overhead_s.max(1e-30);
-        let cou_ratio = cou.max_overhead_s / cou.avg_overhead_s.max(1e-30);
+        let peak_ratio = |alg| {
+            let r = sim_run(config, alg, small_spec(60, 64, 0.5));
+            r.max_overhead_s / r.avg_overhead_s.max(1e-30)
+        };
+        let naive_ratio = peak_ratio(Algorithm::NaiveSnapshot);
+        let cou_ratio = peak_ratio(Algorithm::CopyOnUpdate);
         assert!(
             naive_ratio > cou_ratio,
             "naive {naive_ratio} vs cou {cou_ratio}"
@@ -643,7 +486,7 @@ mod tests {
     #[test]
     fn zero_update_trace_still_checkpoints() {
         for alg in Algorithm::ALL {
-            let report = sim_run(SimConfig::default(), alg, &mut small_trace(30, 0, 0.0));
+            let report = sim_run(SimConfig::default(), alg, small_spec(30, 0, 0.0));
             assert!(
                 report.checkpoints_completed > 0,
                 "{alg} must cycle empty checkpoints"
@@ -662,73 +505,87 @@ mod tests {
         }
     }
 
+    /// The builder's N = 1 sharded run against the bare single-driver
+    /// path. The virtual clock is deterministic: every derived number must
+    /// be *exactly* equal, not just close — for the shard's slice and for
+    /// the world summary it collapses to.
     #[test]
-    fn one_shard_is_bit_identical_to_the_single_driver_path() {
+    fn one_shard_builder_run_is_bit_identical_to_the_single_driver_path() {
         for alg in Algorithm::ALL {
-            let engine = SimEngine::new(SimConfig::default(), alg);
-            let single = engine.run_inner(&mut small_trace(60, 96, 0.7), None).0;
-            let sharded = engine
-                .run_sharded_inner(&mut small_trace(60, 96, 0.7), 1, false, false)
-                .expect("shardable geometry")
-                .0;
-            assert_eq!(sharded.n_shards, 1);
-            assert_eq!(sharded.shards.len(), 1);
-            let shard = &sharded.shards[0];
-            // The virtual clock is deterministic: every derived number
-            // must be *exactly* equal, not just close.
+            let single =
+                single_driver_run(SimConfig::default(), alg, small_spec(60, 96, 0.7), false);
+            let report = build(alg, small_spec(60, 96, 0.7), 1, false);
+            assert_eq!(report.engine, "sim");
+            assert_eq!(report.n_shards, 1);
+            assert_eq!(report.shards.len(), 1, "{alg}: trivial shard breakdown");
+            let shard = &report.shards[0];
+            assert_eq!(report.ticks, single.ticks, "{alg}");
+            assert_eq!(report.updates, single.updates, "{alg}");
             assert_eq!(shard.ticks, single.ticks, "{alg}");
             assert_eq!(shard.updates, single.updates, "{alg}");
-            assert_eq!(shard.metrics.ticks, single.metrics.ticks, "{alg}");
-            assert_eq!(
-                shard.metrics.checkpoints, single.metrics.checkpoints,
-                "{alg}"
-            );
-            assert_eq!(shard.avg_overhead_s, single.avg_overhead_s, "{alg}");
-            assert_eq!(shard.est_recovery_s, single.est_recovery_s, "{alg}");
-            // And the world-level aggregates collapse to the shard's.
-            assert_eq!(sharded.avg_overhead_s, single.avg_overhead_s, "{alg}");
-            assert_eq!(sharded.est_recovery_s, single.est_recovery_s, "{alg}");
+            let rec = shard.recovery.as_ref().expect("estimate");
+            let single_rec = single.recovery.as_ref().expect("estimate");
+            assert!(!rec.measured);
+            assert_eq!(rec.restore_s, single_rec.restore_s, "{alg}");
+            assert_eq!(rec.replay_s, single_rec.replay_s, "{alg}");
+            assert_eq!(rec.total_s, single_rec.total_s, "{alg}");
+            for summary in [&shard.summary, &report.world] {
+                assert_eq!(summary.metrics.ticks, single.summary.metrics.ticks, "{alg}");
+                assert_eq!(
+                    summary.metrics.checkpoints, single.summary.metrics.checkpoints,
+                    "{alg}"
+                );
+                assert_eq!(
+                    summary.avg_overhead_s, single.summary.avg_overhead_s,
+                    "{alg}"
+                );
+                assert_eq!(summary.recovery_s, Some(single_rec.total_s), "{alg}");
+            }
         }
     }
 
     #[test]
     fn sharded_fidelity_holds_and_clocks_are_independent() {
         for alg in Algorithm::ALL {
-            let engine = SimEngine::new(SimConfig::default(), alg);
-            let (report, fidelity) = engine
-                .run_sharded_inner(&mut small_trace(60, 96, 0.7), 4, true, false)
-                .expect("shardable geometry");
-            let fidelity = fidelity.expect("fidelity checkers were installed");
+            let report = build(alg, small_spec(60, 96, 0.7), 4, true);
             assert_eq!(report.n_shards, 4);
             assert_eq!(report.shards.len(), 4);
-            assert_eq!(fidelity.len(), 4);
-            for (s, f) in fidelity.iter().enumerate() {
-                assert!(f.errors.is_empty(), "{alg} shard {s}: {:?}", f.errors);
-                assert!(f.checks_passed > 0, "{alg} shard {s}");
+            for s in &report.shards {
+                let f = s.fidelity.as_ref().expect("fidelity checked");
+                assert!(f.is_clean(), "{alg} shard {}: {:?}", s.shard, f.errors);
+                assert!(f.checks_passed > 0, "{alg} shard {}", s.shard);
             }
+            assert_eq!(report.verified_consistent(), Some(true), "{alg}");
             // Each shard prices its own virtual clock; the aggregate wall
             // clock is the slowest shard's.
             let max_clock = report
                 .shards
                 .iter()
                 .map(|r| {
-                    r.ticks as f64 * engine.config().tick_period_s()
-                        + r.metrics.ticks.iter().map(|t| t.overhead_s).sum::<f64>()
+                    r.ticks as f64 * SimConfig::default().tick_period_s()
+                        + r.summary
+                            .metrics
+                            .ticks
+                            .iter()
+                            .map(|t| t.overhead_s)
+                            .sum::<f64>()
                 })
                 .fold(0.0f64, f64::max);
             assert!(
-                report.wall_clock_s >= max_clock - 1e-9,
+                wall_clock_s(&report) >= max_clock - 1e-9,
                 "{alg}: wall clock {} < slowest shard {}",
-                report.wall_clock_s,
+                wall_clock_s(&report),
                 max_clock
             );
-            // Recovery is parallel: the world estimate is a max, not a sum.
-            let max_rec = report
-                .shards
-                .iter()
-                .map(|r| r.est_recovery_s)
-                .fold(0.0f64, f64::max);
-            assert_eq!(report.est_recovery_s, max_rec, "{alg}");
+            // Recovery is parallel: the world estimate is a max, not a
+            // sum — the sum is what a serial recovery would cost.
+            let shard_rec = || report.shards.iter().map(|r| r.summary.recovery_s.unwrap());
+            assert_eq!(
+                report.recovery_s(),
+                Some(shard_rec().fold(0.0f64, f64::max)),
+                "{alg}"
+            );
+            assert_eq!(report.serial_recovery_s(), Some(shard_rec().sum()), "{alg}");
             // Work is conserved: total updates equal the unsharded trace's.
             assert_eq!(report.updates, 60 * 96, "{alg}");
         }
@@ -738,99 +595,32 @@ mod tests {
     fn sharding_shrinks_per_shard_checkpoints() {
         // Fixed total state split 4 ways: each shard flushes ~1/4 of the
         // full-state write, so Naive's per-shard checkpoint time drops.
-        let engine = SimEngine::new(SimConfig::default(), Algorithm::NaiveSnapshot);
-        let single = engine.run_inner(&mut small_trace(40, 64, 0.5), None).0;
-        let sharded = engine
-            .run_sharded_inner(&mut small_trace(40, 64, 0.5), 4, false, false)
-            .expect("shardable geometry")
-            .0;
-        assert!(
-            sharded.avg_checkpoint_s < single.avg_checkpoint_s,
-            "sharded {} !< single {}",
-            sharded.avg_checkpoint_s,
-            single.avg_checkpoint_s
-        );
-    }
-
-    fn small_spec(ticks: u64, updates: u32, skew: f64) -> SyntheticConfig {
-        SyntheticConfig {
-            geometry: StateGeometry::test_small(),
-            ticks,
-            updates_per_tick: updates,
-            skew,
-            seed: 99,
-        }
-    }
-
-    #[test]
-    fn builder_path_is_bit_identical_to_the_inner_run() {
-        for alg in Algorithm::ALL {
-            let legacy = sim_run(SimConfig::default(), alg, &mut small_trace(60, 96, 0.7));
-            let report = mmoc_core::Run::algorithm(alg)
-                .engine(SimConfig::default())
-                .trace(small_spec(60, 96, 0.7))
-                .execute()
-                .expect("builder run");
-            assert_eq!(report.engine, "sim");
-            assert_eq!(report.n_shards, 1);
-            assert_eq!(report.shards.len(), 1, "{alg}: trivial shard breakdown");
-            assert_eq!(report.ticks, legacy.ticks, "{alg}");
-            assert_eq!(report.updates, legacy.updates, "{alg}");
-            // The virtual clock is deterministic: exact equality.
-            assert_eq!(report.world.metrics.ticks, legacy.metrics.ticks, "{alg}");
-            assert_eq!(
-                report.world.metrics.checkpoints, legacy.metrics.checkpoints,
-                "{alg}"
-            );
-            assert_eq!(report.world.avg_overhead_s, legacy.avg_overhead_s, "{alg}");
-            assert_eq!(
-                report.world.recovery_s,
-                Some(legacy.est_recovery_s),
-                "{alg}"
-            );
-            let rec = report.shards[0].recovery.as_ref().expect("estimate");
-            assert!(!rec.measured);
-            assert_eq!(rec.restore_s, legacy.est_restore_s, "{alg}");
-            assert_eq!(rec.replay_s, legacy.est_replay_s, "{alg}");
-        }
-    }
-
-    #[test]
-    fn builder_fidelity_check_runs_the_shadow_disk() {
-        let report = mmoc_core::Run::algorithm(Algorithm::CopyOnUpdate)
-            .engine(SimConfig::default())
-            .trace(small_spec(60, 96, 0.7))
-            .shards(4)
-            .fidelity_check(true)
-            .execute()
-            .expect("checked run");
-        assert_eq!(report.shards.len(), 4);
-        for s in &report.shards {
-            let f = s.fidelity.as_ref().expect("fidelity checked");
-            assert!(f.is_clean(), "shard {}: {:?}", s.shard, f.errors);
-            assert!(f.checks_passed > 0);
-        }
-        assert_eq!(report.verified_consistent(), Some(true));
+        let at = |shards| {
+            build(
+                Algorithm::NaiveSnapshot,
+                small_spec(40, 64, 0.5),
+                shards,
+                false,
+            )
+            .world
+            .avg_checkpoint_s
+        };
+        assert!(at(4) < at(1), "sharded {} !< single {}", at(4), at(1));
     }
 
     #[test]
     fn builder_pacing_overrides_the_tick_frequency() {
         let at = |hz: f64| {
-            mmoc_core::Run::algorithm(Algorithm::NaiveSnapshot)
+            let report = Run::algorithm(Algorithm::NaiveSnapshot)
                 .engine(SimConfig::default())
                 .trace(small_spec(40, 32, 0.5))
                 .pacing(hz)
                 .execute()
-                .expect("paced run")
-        };
-        let fast = at(60.0);
-        let slow = at(10.0);
-        let wall = |r: &mmoc_core::RunReport| match r.detail {
-            mmoc_core::EngineDetail::Sim(d) => d.wall_clock_s,
-            _ => unreachable!("sim engine"),
+                .expect("paced run");
+            wall_clock_s(&report)
         };
         assert!(
-            wall(&slow) > wall(&fast),
+            at(10.0) > at(60.0),
             "10 Hz world must take longer than the 60 Hz world"
         );
     }
@@ -839,39 +629,37 @@ mod tests {
     fn invalid_configs_are_typed_errors_not_panics() {
         let mut bad = SimConfig::default();
         bad.hardware = bad.hardware.with_disk_bandwidth(-1.0);
-        let err = mmoc_core::Run::algorithm(Algorithm::CopyOnUpdate)
+        let err = Run::algorithm(Algorithm::CopyOnUpdate)
             .engine(bad)
             .trace(small_spec(10, 8, 0.5))
             .execute()
             .unwrap_err();
-        assert!(matches!(err, mmoc_core::RunError::Config(_)), "{err}");
+        assert!(matches!(err, RunError::Config(_)), "{err}");
 
-        let err = mmoc_core::Run::algorithm(Algorithm::CopyOnUpdate)
+        let err = Run::algorithm(Algorithm::CopyOnUpdate)
             .engine(SimConfig::default())
             .trace(small_spec(10, 8, 0.5))
             .shards(1_000_000)
             .execute()
             .unwrap_err();
-        assert!(matches!(err, mmoc_core::RunError::Core(_)), "{err}");
+        assert!(matches!(err, RunError::Core(_)), "{err}");
     }
 
     #[test]
     fn fidelity_holds_for_all_algorithms() {
         for alg in Algorithm::ALL {
-            let mut trace = small_trace(80, 96, 0.7);
-            let checker = FidelityChecker::new(trace.geometry(), alg);
-            let (report, fidelity) =
-                SimEngine::new(SimConfig::default(), alg).run_inner(&mut trace, Some(checker));
-            let fidelity = fidelity.expect("fidelity checker was installed");
-            assert!(report.checkpoints_completed > 1, "{alg}");
+            let report =
+                single_driver_run(SimConfig::default(), alg, small_spec(80, 96, 0.7), true);
+            let fidelity = report.fidelity.expect("fidelity checker was installed");
+            let checkpoints = report.summary.checkpoints_completed;
+            assert!(checkpoints > 1, "{alg}");
             assert!(
-                fidelity.checks_passed >= report.checkpoints_completed,
-                "{alg}: {} checks vs {} checkpoints",
+                fidelity.checks_passed >= checkpoints,
+                "{alg}: {} checks vs {checkpoints} checkpoints",
                 fidelity.checks_passed,
-                report.checkpoints_completed
             );
             assert!(
-                fidelity.errors.is_empty(),
+                fidelity.is_clean(),
                 "{alg} fidelity errors: {:?}",
                 fidelity.errors
             );

@@ -13,25 +13,9 @@
 //! that concurrent updates never leak post-checkpoint values into the
 //! checkpoint image, and that dirty tracking never loses an object.
 
+use mmoc_core::run::FidelitySummary;
 use mmoc_core::{Algorithm, Bookkeeper, CellUpdate, DiskOrg, ObjectId, StateGeometry, StateTable};
 use std::collections::HashMap;
-
-/// Outcome of a checked run.
-#[derive(Debug, Clone)]
-pub struct FidelityReport {
-    /// Number of checkpoint images verified equal to their start state.
-    pub checks_passed: u64,
-    /// Human-readable descriptions of any mismatches (empty on success).
-    pub errors: Vec<String>,
-}
-
-impl FidelityReport {
-    /// True if every completed checkpoint was byte-identical to the state
-    /// at its start tick.
-    pub fn is_clean(&self) -> bool {
-        self.errors.is_empty()
-    }
-}
 
 /// Tracks live state, shadow disks and the copy-on-update buffer.
 #[derive(Debug)]
@@ -187,9 +171,9 @@ impl FidelityChecker {
         self.checkpoint_active = false;
     }
 
-    /// Finish checking and return the report.
-    pub fn into_report(self) -> FidelityReport {
-        FidelityReport {
+    /// Finish checking and return the outcome.
+    pub fn into_report(self) -> FidelitySummary {
+        FidelitySummary {
             checks_passed: self.checks_passed,
             errors: self.errors,
         }

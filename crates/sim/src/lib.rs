@@ -38,9 +38,7 @@ pub mod cost;
 pub mod engine;
 pub mod fidelity;
 pub mod params;
-pub mod report;
 
 pub use cost::CostModel;
-pub use engine::{SimConfig, SimEngine};
+pub use engine::SimConfig;
 pub use params::HardwareParams;
-pub use report::{ShardedSimReport, SimReport};

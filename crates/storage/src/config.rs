@@ -194,12 +194,6 @@ impl RealConfig {
         config
     }
 
-    /// Override the writer-pool size for sharded runs (`0` = auto).
-    pub fn with_writer_pool(mut self, threads: usize) -> Self {
-        self.writer_pool_threads = threads;
-        self
-    }
-
     /// Select the writer backend executing flush jobs.
     pub fn with_writer_backend(mut self, backend: WriterBackend) -> Self {
         self.writer_backend = backend;
@@ -220,13 +214,6 @@ impl RealConfig {
     /// [`RealConfig::coalesce_fsync`]).
     pub fn with_fsync_coalescing(mut self, on: bool) -> Self {
         self.coalesce_fsync = on;
-        self
-    }
-
-    /// Enable or disable occupancy-driven window auto-tuning (see
-    /// [`RealConfig::auto_window`]). While on, the fixed window is unused.
-    pub fn with_auto_window(mut self, on: bool) -> Self {
-        self.auto_window = on;
         self
     }
 
@@ -458,7 +445,6 @@ mod tests {
             "explicit settings win over the environment"
         );
         assert_eq!(cfg.batch_window, Duration::from_micros(500));
-        assert!(cfg.with_auto_window(true).auto_window);
     }
 
     #[test]
@@ -493,9 +479,10 @@ mod tests {
         assert_eq!(cfg.effective_pool_threads(4), 1, "batched engine: one loop");
         let cfg = cfg.with_writer_backend(WriterBackend::IoUring);
         assert_eq!(cfg.effective_pool_threads(4), 1, "ring engine: one loop");
-        let cfg = cfg.with_writer_backend(WriterBackend::ThreadPool);
+        let mut cfg = cfg.with_writer_backend(WriterBackend::ThreadPool);
         assert_eq!(cfg.effective_pool_threads(1), 1);
         assert_eq!(cfg.effective_pool_threads(8), 4, "auto pool caps at 4");
-        assert_eq!(cfg.with_writer_pool(2).effective_pool_threads(8), 2);
+        cfg.writer_pool_threads = 2;
+        assert_eq!(cfg.effective_pool_threads(8), 2);
     }
 }

@@ -30,18 +30,19 @@
 //! like the rest, which is the point of the refactor. Experiments reach
 //! this engine through the unified builder
 //! (`Run::algorithm(alg).engine(real_config).trace(…).execute()`, see
-//! [`crate::run`]); the pre-builder free functions were removed after one
-//! deprecation release.
+//! [`crate::run`]).
 
 use crate::config::RealConfig;
 use crate::files::BackupSet;
 use crate::log_store::LogStore;
-use crate::recovery::{recover_and_replay_log_with, recover_and_replay_with, RecoveryOpts};
-use crate::report::{RealReport, RecoveryMeasurement, WriterStats};
+use crate::recovery::{
+    recover_and_replay_log_with, recover_and_replay_with, recover_from_replica, RecoveryOpts,
+};
+use crate::replica::ReplicaSet;
+use crate::report::WriterStats;
 use crate::shared::{Shared, SharedTable};
 use mmoc_core::driver::{CheckpointBackend, FlushCompletion, TickOps};
-#[cfg(test)]
-use mmoc_core::run::RunError;
+use mmoc_core::run::RecoveryReport;
 use mmoc_core::{
     Algorithm, Bookkeeper, CellUpdate, CheckpointPlan, CursorKind, DiskOrg, FlushCursor, FlushJob,
     ObjectId, StateGeometry, TraceSource, UpdateOps,
@@ -143,31 +144,12 @@ pub(crate) enum Job {
 pub(crate) struct Done {
     pub(crate) result: io::Result<f64>,
     pub(crate) objects: u32,
-    pub(crate) bytes: u64,
     /// Eager-job buffers handed back for reuse, so steady-state eager
     /// checkpoints allocate nothing on the mutator thread.
     pub(crate) recycled: Option<(Vec<u32>, Vec<u8>)>,
-    /// Data `fsync` calls attributed to this job by the durability
-    /// scheduler (0 when riding a coalesced call or syncing is off, so
-    /// the per-job sum is the true call count).
-    pub(crate) data_syncs: u32,
-    /// `syncfs`-style whole-device barriers attributed to this job (0
-    /// when riding another job's barrier or the barrier is off).
-    pub(crate) device_syncs: u32,
-    /// Occupancy of the batch this job completed in (1 for the pool).
-    pub(crate) batch_jobs: u32,
-    /// SQEs in the ring submission round that carried this job's data
-    /// writes (0 for the syscall-per-write backends), reporting how well
-    /// the io_uring backend packs the ring.
-    pub(crate) sqe_batch: u32,
-    /// Retry attempts the writer spent on this job's transient I/O
-    /// faults (re-issued writes / fsyncs / meta commits).
-    pub(crate) retries: u64,
-    /// Operations of this job whose retry budget ran out.
-    pub(crate) retry_exhausted: u64,
-    /// The job completed through the degradation ladder (io_uring's
-    /// synchronous redo after the ring's dead flag latched).
-    pub(crate) degraded: bool,
+    /// The job's writer tally (`flush_jobs == 1`), folded into the
+    /// shard's by the mutator side.
+    pub(crate) stats: WriterStats,
 }
 
 /// Per-shard execution ordering for fungible pool workers. Jobs of one
@@ -274,8 +256,7 @@ pub(crate) struct RealBackend {
     /// Recycled eager-copy buffers (ids, data), cycled through the
     /// writer so the steady state allocates nothing per checkpoint.
     spare: Option<(Vec<u32>, Vec<u8>)>,
-    /// Writer-side durability instrumentation accumulated from this
-    /// shard's completions (fsync calls, batch occupancy).
+    /// The shard's writer tally: its completions' tallies merged.
     writer_stats: WriterStats,
     /// Shard-local submission counter stamping [`PoolJob::order`].
     jobs_sent: u64,
@@ -309,26 +290,23 @@ impl RealBackend {
         self.job_tx = None;
     }
 
-    /// Fold one completion's writer instrumentation into the shard's
-    /// running stats.
-    fn note_done(&mut self, done: &Done) {
-        let s = &mut self.writer_stats;
-        s.flush_jobs += 1;
-        s.data_fsyncs += u64::from(done.data_syncs);
-        s.device_syncs += u64::from(done.device_syncs);
-        s.batch_jobs_sum += u64::from(done.batch_jobs);
-        s.max_batch_jobs = s.max_batch_jobs.max(done.batch_jobs);
-        s.bytes_written += done.bytes;
-        s.sqe_batch_sum += u64::from(done.sqe_batch);
-        s.max_sqe_batch = s.max_sqe_batch.max(done.sqe_batch);
-        s.retries += done.retries;
-        s.retry_exhausted += done.retry_exhausted;
-        s.degraded_jobs += u64::from(done.degraded);
-    }
-
-    /// The shard's accumulated writer instrumentation.
+    /// The shard's accumulated writer tally.
     pub(crate) fn writer_stats(&self) -> WriterStats {
         self.writer_stats
+    }
+
+    /// Book one completion: fold its tally into the shard's and hand the
+    /// driver what it records.
+    fn completion(&mut self, done: Done) -> io::Result<Option<FlushCompletion>> {
+        self.writer_stats.merge(done.stats);
+        if done.recycled.is_some() {
+            self.spare = done.recycled;
+        }
+        Ok(Some(FlushCompletion {
+            duration_s: done.result?,
+            objects_written: done.objects,
+            bytes_written: done.stats.bytes_written,
+        }))
     }
 }
 
@@ -394,17 +372,7 @@ impl CheckpointBackend for RealBackend {
 
     fn poll_completion(&mut self, _bk: &Bookkeeper) -> io::Result<Option<FlushCompletion>> {
         match self.done_rx.try_recv() {
-            Ok(mut done) => {
-                self.note_done(&done);
-                if done.recycled.is_some() {
-                    self.spare = done.recycled.take();
-                }
-                Ok(Some(FlushCompletion {
-                    duration_s: done.result?,
-                    objects_written: done.objects,
-                    bytes_written: done.bytes,
-                }))
-            }
+            Ok(done) => self.completion(done),
             Err(_) => Ok(None),
         }
     }
@@ -463,20 +431,9 @@ impl CheckpointBackend for RealBackend {
         }
     }
 
-    fn end_tick(&mut self, _tick: u64) -> io::Result<()> {
-        // The sleep phase is a per-world concern: the sharded run paces
-        // once per global tick.
-        Ok(())
-    }
-
     fn drain(&mut self, _bk: &Bookkeeper) -> io::Result<Option<FlushCompletion>> {
         let done = self.done_rx.recv().expect("writer alive");
-        self.note_done(&done);
-        Ok(Some(FlushCompletion {
-            duration_s: done.result?,
-            objects_written: done.objects,
-            bytes_written: done.bytes,
-        }))
+        self.completion(done)
     }
 }
 
@@ -552,44 +509,6 @@ pub(crate) fn live_fingerprint(backend: &RealBackend) -> u64 {
     backend.shared.table.fingerprint()
 }
 
-/// Assemble one shard's [`RealReport`] from its driver run.
-pub(crate) fn shard_report(
-    algorithm: Algorithm,
-    run: mmoc_core::DriverRun,
-    writer: WriterStats,
-    recovery: Option<RecoveryMeasurement>,
-) -> RealReport {
-    RealReport {
-        algorithm,
-        ticks: run.ticks,
-        updates: run.updates,
-        checkpoints_completed: run.metrics.checkpoints.len() as u64,
-        avg_overhead_s: run.metrics.avg_overhead_s(),
-        max_overhead_s: run.metrics.max_overhead_s(),
-        avg_checkpoint_s: run.metrics.avg_checkpoint_s(),
-        metrics: run.metrics,
-        writer,
-        recovery,
-    }
-}
-
-/// The single-shard specialization of
-/// [`crate::sharded::run_sharded_impl`]: one shard served by a writer of
-/// one. Used by in-crate tests; experiments go through the `Run` builder.
-#[cfg(test)]
-pub(crate) fn run_single<S, F>(
-    algorithm: Algorithm,
-    config: &RealConfig,
-    make_trace: F,
-) -> Result<RealReport, RunError>
-where
-    S: TraceSource,
-    F: Fn() -> S + Sync,
-{
-    let mut report = crate::sharded::run_sharded_impl(algorithm, config, 1, false, make_trace)?;
-    Ok(report.shards.remove(0))
-}
-
 /// A per-algorithm constant decorrelating the query phases of different
 /// algorithms run over the same trace.
 fn plan_seed(algorithm: Algorithm) -> u64 {
@@ -602,10 +521,13 @@ fn shard_seed(shard: usize) -> u64 {
     (shard as u64).wrapping_mul(0xD6E8_FEB8_6659_FD93)
 }
 
-/// Measure one real crash recovery of one shard (or the whole world, for
-/// single-shard runs): restore the newest consistent image from the
-/// organization's files under `dir`, replay the stream, compare
-/// fingerprints.
+/// Measure one real crash recovery of one shard (the whole world, for
+/// single-shard runs): restore the newest consistent image, replay the
+/// stream to `crash_tick`, compare fingerprints. Tiered: the replica tier
+/// first (a memcpy of a peer mirror plus a bounded tail replay), the
+/// organization's files under `dir` when replication is off or no mirror
+/// is complete. The replica fetch consumes nothing from `trace` on a
+/// miss, so the disk path replays from an untouched cursor.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn measure_recovery<S: TraceSource>(
     disk_org: DiskOrg,
@@ -614,78 +536,55 @@ pub(crate) fn measure_recovery<S: TraceSource>(
     trace: &mut S,
     crash_tick: u64,
     live_fingerprint: u64,
+    replicas: Option<&ReplicaSet>,
+    shard: u32,
     opts: &RecoveryOpts,
-) -> io::Result<RecoveryMeasurement> {
-    let rec = match disk_org {
-        DiskOrg::DoubleBackup => recover_and_replay_with(dir, geometry, trace, crash_tick, opts)?,
-        DiskOrg::Log => recover_and_replay_log_with(dir, geometry, trace, crash_tick, opts)?,
+) -> io::Result<RecoveryReport> {
+    let mirrored = replicas
+        .and_then(|set| recover_from_replica(set, shard, geometry, trace, crash_tick, opts));
+    let from_replica = mirrored.is_some();
+    let rec = match (mirrored, disk_org) {
+        (Some(rec), _) => rec?,
+        (None, DiskOrg::DoubleBackup) => {
+            recover_and_replay_with(dir, geometry, trace, crash_tick, opts)?
+        }
+        (None, DiskOrg::Log) => {
+            recover_and_replay_log_with(dir, geometry, trace, crash_tick, opts)?
+        }
     };
-    Ok(RecoveryMeasurement {
+    Ok(RecoveryReport {
         restore_s: rec.restore_s,
         replay_s: rec.replay_s,
         total_s: rec.restore_s + rec.replay_s,
-        restored_from_tick: rec.from_tick,
-        ticks_replayed: rec.ticks_replayed,
-        updates_replayed: rec.updates_replayed,
-        state_matches: rec.table.fingerprint() == live_fingerprint,
-        from_replica: false,
+        measured: true,
+        restored_from_tick: Some(rec.from_tick),
+        ticks_replayed: Some(rec.ticks_replayed),
+        updates_replayed: Some(rec.updates_replayed),
+        state_matches: Some(rec.table.fingerprint() == live_fingerprint),
+        from_replica: Some(from_replica),
     })
-}
-
-/// Tiered single-shard recovery: try the replica tier first (a memcpy of
-/// a peer mirror plus a bounded tail replay), fall back to the disk path
-/// when replication is off or no mirror is complete. The replica fetch
-/// consumes nothing from `trace` on a miss, so the fallback replays from
-/// an untouched cursor.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn measure_recovery_tiered<S: TraceSource>(
-    disk_org: DiskOrg,
-    dir: &Path,
-    geometry: StateGeometry,
-    trace: &mut S,
-    crash_tick: u64,
-    live_fingerprint: u64,
-    replicas: Option<&crate::replica::ReplicaSet>,
-    shard: u32,
-    opts: &RecoveryOpts,
-) -> io::Result<RecoveryMeasurement> {
-    if let Some(set) = replicas {
-        if let Some(rec) =
-            crate::recovery::recover_from_replica(set, shard, geometry, trace, crash_tick, opts)
-        {
-            let rec = rec?;
-            return Ok(RecoveryMeasurement {
-                restore_s: rec.restore_s,
-                replay_s: rec.replay_s,
-                total_s: rec.restore_s + rec.replay_s,
-                restored_from_tick: rec.from_tick,
-                ticks_replayed: rec.ticks_replayed,
-                updates_replayed: rec.updates_replayed,
-                state_matches: rec.table.fingerprint() == live_fingerprint,
-                from_replica: true,
-            });
-        }
-    }
-    measure_recovery(
-        disk_org,
-        dir,
-        geometry,
-        trace,
-        crash_tick,
-        live_fingerprint,
-        opts,
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mmoc_core::run::RunReport;
+    use mmoc_core::Run;
     use mmoc_workload::SyntheticConfig;
 
     fn config(dir: &std::path::Path) -> RealConfig {
         let mut c = RealConfig::new(dir);
         c.query_ops_per_tick = 64;
         c
+    }
+
+    /// One shard served by a writer of one, through the builder.
+    fn run_single(alg: Algorithm, config: RealConfig, trace: SyntheticConfig) -> RunReport {
+        Run::algorithm(alg)
+            .engine(config)
+            .trace(trace)
+            .execute()
+            .unwrap_or_else(|e| panic!("{alg}: {e}"))
     }
 
     fn trace_config() -> SyntheticConfig {
@@ -698,23 +597,6 @@ mod tests {
         }
     }
 
-    /// The acceptance criterion of the refactor: every algorithm runs on
-    /// the real engine through the shared driver and recovers exactly.
-    #[test]
-    fn all_six_algorithms_run_and_recover() {
-        for alg in Algorithm::ALL {
-            let dir = tempfile::tempdir().unwrap();
-            let report = run_single(alg, &config(dir.path()), || trace_config().build())
-                .unwrap_or_else(|e| panic!("{alg}: {e}"));
-            assert_eq!(report.algorithm, alg);
-            assert_eq!(report.ticks, 50);
-            assert_eq!(report.updates, 50 * 300);
-            assert!(report.checkpoints_completed > 0, "{alg}");
-            let rec = report.recovery.expect("recovery measured");
-            assert!(rec.state_matches, "{alg}: recovered state diverged");
-        }
-    }
-
     /// Dirty-only algorithms write partial checkpoints; full-state
     /// algorithms always write everything.
     #[test]
@@ -722,12 +604,10 @@ mod tests {
         let g = trace_config().geometry;
         for alg in Algorithm::ALL {
             let dir = tempfile::tempdir().unwrap();
-            let report = run_single(alg, &config(dir.path()).without_recovery(), || {
-                trace_config().build()
-            })
-            .unwrap();
+            let report = run_single(alg, config(dir.path()).without_recovery(), trace_config());
+            let checkpoints = &report.world.metrics.checkpoints;
             let spec = alg.spec();
-            for c in &report.metrics.checkpoints {
+            for c in checkpoints {
                 assert!(c.objects_written <= g.n_objects(), "{alg}");
                 if spec.objects_copied == mmoc_core::ObjectsCopied::All || c.full_flush {
                     assert_eq!(c.objects_written, g.n_objects(), "{alg} seq {}", c.seq);
@@ -735,9 +615,7 @@ mod tests {
             }
             if spec.objects_copied == mmoc_core::ObjectsCopied::Dirty {
                 assert!(
-                    report
-                        .metrics
-                        .checkpoints
+                    checkpoints
                         .iter()
                         .any(|c| c.objects_written < g.n_objects()),
                     "{alg}: 300 updates/tick over 512 objects must leave clean objects"
@@ -852,13 +730,16 @@ mod tests {
                 Algorithm::CopyOnUpdatePartialRedo,
             ] {
                 let dir = tempfile::tempdir().unwrap();
-                let report = run_single(alg, &config(dir.path()), || cfg.build()).unwrap();
-                let rec = report.recovery.expect("recovery measured");
-                assert!(rec.state_matches, "{alg}: hot-contention recovery diverged");
+                let report = run_single(alg, config(dir.path()), cfg);
+                assert_eq!(
+                    report.verified_consistent(),
+                    Some(true),
+                    "{alg}: hot-contention recovery diverged"
+                );
                 // How many flushes finish inside the unpaced
                 // sub-millisecond ticks is the scheduler's call; the drain
                 // path guarantees the one that was started.
-                assert!(report.checkpoints_completed >= 1, "{alg}");
+                assert!(report.world.checkpoints_completed >= 1, "{alg}");
             }
         }
     }

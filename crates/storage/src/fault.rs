@@ -409,8 +409,8 @@ impl RetryPolicy {
     }
 }
 
-/// Per-job retry accounting threaded through the writer's phase
-/// functions into `Done` and summed into `WriterStats`.
+/// Retry accounting [`RetryPolicy::run`] books into: a recovery's own,
+/// or the member of a flush job's `WriterStats`.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct RetryCounters {
     /// Retry attempts performed (each re-issue of a failed op).

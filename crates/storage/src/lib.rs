@@ -10,8 +10,7 @@
 //! driver in `mmoc_core::driver` and plugged into the unified experiment
 //! builder: [`RealConfig`] implements `mmoc_core::ExperimentEngine`, so
 //! `Run::algorithm(alg).engine(real_config).trace(…).execute()` is the one
-//! entry point (see [`run`]; the pre-builder free functions were removed
-//! after one deprecation release):
+//! entry point (see [`run`]) and `mmoc_core::RunReport` the one result:
 //!
 //! * the **mutator** executes each tick in three phases: *query* (random
 //!   lookups sized to fill the tick), *update* (apply the trace's updates
@@ -59,5 +58,5 @@ pub use config::RealConfig;
 pub use fault::{FaultKind, FaultPlan, FaultSite, FaultState, RetryCounters, RetryPolicy};
 pub use recovery::RecoveryOpts;
 pub use replica::ReplicaSet;
-pub use report::{RealReport, RecoveryMeasurement, WriterStats};
-pub use sharded::{shard_dir, ShardedRealReport, ShardedRecovery};
+pub use report::WriterStats;
+pub use sharded::shard_dir;

@@ -1,37 +1,17 @@
-//! Reports from real (wall-clock) runs.
+//! The writer's tally: the one counter block a flush job, a shard and a
+//! run share.
 
-use mmoc_core::{Algorithm, RunMetrics};
+use crate::fault::RetryCounters;
 use serde::{Deserialize, Serialize};
 
-/// Wall-clock measurements of one real crash recovery.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RecoveryMeasurement {
-    /// Time to read and install the newest consistent backup, in seconds.
-    pub restore_s: f64,
-    /// Time to replay the update stream from the checkpoint tick to the
-    /// crash tick, in seconds.
-    pub replay_s: f64,
-    /// Total recovery time (restore + replay).
-    pub total_s: f64,
-    /// Tick the restored backup was consistent as of.
-    pub restored_from_tick: u64,
-    /// Ticks replayed.
-    pub ticks_replayed: u64,
-    /// Individual updates replayed.
-    pub updates_replayed: u64,
-    /// Whether the recovered state's fingerprint equals the live state at
-    /// the crash tick (the whole point of the exercise).
-    pub state_matches: bool,
-    /// True when the restore came from a peer shard's memory mirror (the
-    /// replica tier) rather than the disk organization's files.
-    pub from_replica: bool,
-}
-
-/// Writer-side instrumentation of one run (or one shard's slice of it):
-/// how many flush jobs completed, how many data `fsync` calls reaching
-/// their durability points actually cost, and how full the batches they
-/// completed in were. Threaded from the writer backend through each
-/// job's completion report, so the counts are exact, not sampled.
+/// The writer-side tally of one flush job, one shard or one run: how many
+/// flush jobs completed, how many data `fsync` calls reaching their
+/// durability points actually cost, and how full the batches they
+/// completed in were. The writer counts into a job's tally where the work
+/// happens, the job's completion report carries it whole, and shard and
+/// run totals are [`WriterStats::merge`]s of it — so the counts are exact,
+/// not sampled, and a counter is spelled once between the place it is
+/// counted and the report.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WriterStats {
     /// Flush jobs completed.
@@ -65,91 +45,45 @@ pub struct WriterStats {
     pub max_sqe_batch: u32,
     /// Retry attempts performed on transient I/O faults (each re-issue
     /// of a failed data write / fsync / meta commit under the bounded
-    /// retry policy; zero when nothing failed).
-    pub retries: u64,
-    /// Operations whose retry budget ran out — the error took the
-    /// degradation ladder (typed run error on the pool/batched
-    /// engines, dead-flag redo on io_uring).
-    pub retry_exhausted: u64,
+    /// retry policy) and operations whose budget ran out — the error took
+    /// the degradation ladder (typed run error on the pool/batched
+    /// engines, dead-flag redo on io_uring). [`RetryPolicy::run`] books
+    /// into this member directly.
+    ///
+    /// [`RetryPolicy::run`]: crate::fault::RetryPolicy::run
+    pub retry: RetryCounters,
     /// Jobs completed through the degradation ladder: on io_uring, the
     /// synchronous redo path after the ring's dead flag latched.
     pub degraded_jobs: u64,
 }
 
 impl WriterStats {
-    /// Fold another stats block (e.g. a shard's) into this one.
+    /// Fold another tally (a job's into its shard's, a shard's into the
+    /// run's) into this one. The destructure is exhaustive on purpose: a
+    /// counter added to the struct but not folded here does not compile.
     pub fn merge(&mut self, other: WriterStats) {
-        self.flush_jobs += other.flush_jobs;
-        self.data_fsyncs += other.data_fsyncs;
-        self.device_syncs += other.device_syncs;
-        self.batch_jobs_sum += other.batch_jobs_sum;
-        self.max_batch_jobs = self.max_batch_jobs.max(other.max_batch_jobs);
-        self.bytes_written += other.bytes_written;
-        self.sqe_batch_sum += other.sqe_batch_sum;
-        self.max_sqe_batch = self.max_sqe_batch.max(other.max_sqe_batch);
-        self.retries += other.retries;
-        self.retry_exhausted += other.retry_exhausted;
-        self.degraded_jobs += other.degraded_jobs;
-    }
-
-    /// Job-weighted average batch occupancy (1.0 for the thread pool).
-    pub fn avg_batch_jobs(&self) -> f64 {
-        if self.flush_jobs == 0 {
-            0.0
-        } else {
-            self.batch_jobs_sum as f64 / self.flush_jobs as f64
-        }
-    }
-
-    /// Job-weighted average ring submission-round occupancy (0.0 for the
-    /// syscall-per-write backends and for empty runs).
-    pub fn avg_sqe_batch(&self) -> f64 {
-        if self.flush_jobs == 0 {
-            0.0
-        } else {
-            self.sqe_batch_sum as f64 / self.flush_jobs as f64
-        }
-    }
-}
-
-/// Result of one real engine run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct RealReport {
-    /// Algorithm executed (Naive-Snapshot or Copy-on-Update).
-    pub algorithm: Algorithm,
-    /// Ticks executed.
-    pub ticks: u64,
-    /// Updates applied.
-    pub updates: u64,
-    /// Checkpoints completed (data synced and metadata committed).
-    pub checkpoints_completed: u64,
-    /// Average measured overhead per tick, in seconds.
-    pub avg_overhead_s: f64,
-    /// Worst single-tick overhead, in seconds.
-    pub max_overhead_s: f64,
-    /// Average measured checkpoint duration (sync pause + write + fsync),
-    /// in seconds.
-    pub avg_checkpoint_s: f64,
-    /// Raw per-tick and per-checkpoint series.
-    pub metrics: RunMetrics,
-    /// Writer-side durability instrumentation for this run's flush jobs.
-    pub writer: WriterStats,
-    /// Crash-recovery measurement, when enabled.
-    pub recovery: Option<RecoveryMeasurement>,
-}
-
-impl RealReport {
-    /// One-line human-readable summary.
-    pub fn summary(&self) -> String {
-        let rec = self
-            .recovery
-            .map(|r| format!("{:.3} s (match: {})", r.total_s, r.state_matches))
-            .unwrap_or_else(|| "n/a".into());
-        format!(
-            "{:<28} overhead {:>9.4} ms  checkpoint {:>7.3} s  recovery {rec}",
-            self.algorithm.name(),
-            self.avg_overhead_s * 1e3,
-            self.avg_checkpoint_s,
-        )
+        let WriterStats {
+            flush_jobs,
+            data_fsyncs,
+            device_syncs,
+            batch_jobs_sum,
+            max_batch_jobs,
+            bytes_written,
+            sqe_batch_sum,
+            max_sqe_batch,
+            retry: RetryCounters { retries, exhausted },
+            degraded_jobs,
+        } = other;
+        self.flush_jobs += flush_jobs;
+        self.data_fsyncs += data_fsyncs;
+        self.device_syncs += device_syncs;
+        self.batch_jobs_sum += batch_jobs_sum;
+        self.max_batch_jobs = self.max_batch_jobs.max(max_batch_jobs);
+        self.bytes_written += bytes_written;
+        self.sqe_batch_sum += sqe_batch_sum;
+        self.max_sqe_batch = self.max_sqe_batch.max(max_sqe_batch);
+        self.retry.retries += retries;
+        self.retry.exhausted += exhausted;
+        self.degraded_jobs += degraded_jobs;
     }
 }

@@ -30,12 +30,8 @@
 //! `.engine(…)`.
 
 use crate::config::RealConfig;
-use crate::report::{RealReport, RecoveryMeasurement};
-use crate::sharded::{run_sharded_impl, ShardedRealReport};
-use mmoc_core::run::{
-    EngineDetail, ExperimentEngine, RealRunDetail, RecoveryReport, RunError, RunReport, RunSpec,
-    RunSummary, ShardReport, TraceSpec,
-};
+use crate::sharded::run_sharded_impl;
+use mmoc_core::run::{ExperimentEngine, RunError, RunReport, RunSpec, TraceSpec};
 
 impl ExperimentEngine for RealConfig {
     fn run_experiment<T: TraceSpec + ?Sized>(
@@ -65,79 +61,9 @@ impl ExperimentEngine for RealConfig {
         // Geometry and shard-map validation happen inside the shared run
         // on the cursor the run actually uses; failures surface as typed
         // core errors.
-        let report = run_sharded_impl(spec.algorithm, &config, spec.shards, spec.batching, || {
+        run_sharded_impl(spec.algorithm, &config, spec.shards, spec.batching, || {
             trace.open()
-        })?;
-        Ok(into_run_report(report))
-    }
-}
-
-/// Map the real engine's sharded report into the unified cross-engine
-/// shape.
-fn into_run_report(report: ShardedRealReport) -> RunReport {
-    let shards = report
-        .shards
-        .iter()
-        .enumerate()
-        .map(|(s, r)| shard_report(s as u32, r))
-        .collect();
-    RunReport {
-        algorithm: report.algorithm,
-        engine: "real",
-        n_shards: report.n_shards,
-        ticks: report.ticks,
-        updates: report.updates,
-        // Shards restore in parallel: the world is back when the measured
-        // parallel recovery finishes.
-        world: RunSummary::from_metrics(report.metrics, report.recovery.map(|r| r.wall_s)),
-        shards,
-        detail: EngineDetail::Real(RealRunDetail {
-            writer_backend: report.writer_backend,
-            writer_fallback_from: report.writer_fallback_from,
-            pool_threads: report.pool_threads,
-            pipeline_depth: report.pipeline_depth,
-            replication_factor: report.replication_factor,
-            flush_jobs: report.writer.flush_jobs,
-            data_fsyncs: report.writer.data_fsyncs,
-            device_syncs: report.writer.device_syncs,
-            avg_batch_jobs: report.writer.avg_batch_jobs(),
-            max_batch_jobs: report.writer.max_batch_jobs,
-            bytes_written: report.writer.bytes_written,
-            retries: report.writer.retries,
-            retry_exhausted: report.writer.retry_exhausted,
-            degraded_jobs: report.writer.degraded_jobs,
-            avg_sqe_batch: report.writer.avg_sqe_batch(),
-            max_sqe_batch: report.writer.max_sqe_batch,
-            recovery_wall_s: report.recovery.map(|r| r.wall_s),
-            serial_recovery_s: report.recovery.map(|r| r.sum_shard_total_s),
-        }),
-    }
-}
-
-fn shard_report(shard: u32, r: &RealReport) -> ShardReport {
-    ShardReport {
-        shard,
-        ticks: r.ticks,
-        updates: r.updates,
-        summary: RunSummary::from_metrics(r.metrics.clone(), r.recovery.map(|m| m.total_s)),
-        recovery: r.recovery.map(recovery_report),
-        // The real engine's value-level verification is the recovery
-        // round-trip above; shadow-disk fidelity is simulator-only.
-        fidelity: None,
-    }
-}
-
-fn recovery_report(m: RecoveryMeasurement) -> RecoveryReport {
-    RecoveryReport {
-        restore_s: m.restore_s,
-        replay_s: m.replay_s,
-        total_s: m.total_s,
-        measured: true,
-        restored_from_tick: Some(m.restored_from_tick),
-        ticks_replayed: Some(m.ticks_replayed),
-        updates_replayed: Some(m.updates_replayed),
-        state_matches: Some(m.state_matches),
-        from_replica: Some(m.from_replica),
+        })
     }
 }
 
@@ -159,51 +85,6 @@ mod tests {
 
     fn config(dir: &std::path::Path) -> RealConfig {
         RealConfig::new(dir).with_query_ops(64)
-    }
-
-    #[test]
-    fn builder_runs_the_real_engine_and_recovers() {
-        let dir = tempfile::tempdir().unwrap();
-        let report = Run::algorithm(Algorithm::CopyOnUpdate)
-            .engine(config(dir.path()))
-            .trace(trace_spec())
-            .execute()
-            .expect("real run");
-        assert_eq!(report.engine, "real");
-        assert_eq!(report.n_shards, 1);
-        assert_eq!(report.ticks, 40);
-        assert_eq!(report.updates, 40 * 300);
-        assert_eq!(report.shards.len(), 1, "trivial shard breakdown");
-        let rec = report.shards[0].recovery.as_ref().expect("measured");
-        assert!(rec.measured);
-        assert_eq!(rec.state_matches, Some(true));
-        assert_eq!(report.verified_consistent(), Some(true));
-        // The historical single-shard file layout is preserved.
-        assert!(dir.path().join("backup_0.img").is_file());
-    }
-
-    #[test]
-    fn builder_shards_split_the_world() {
-        let dir = tempfile::tempdir().unwrap();
-        let report = Run::algorithm(Algorithm::NaiveSnapshot)
-            .engine(config(dir.path()))
-            .trace(trace_spec())
-            .shards(4)
-            .execute()
-            .expect("sharded real run");
-        assert_eq!(report.n_shards, 4);
-        assert_eq!(report.shards.len(), 4);
-        assert_eq!(report.verified_consistent(), Some(true));
-        let per_shard: u64 = report.shards.iter().map(|s| s.updates).sum();
-        assert_eq!(per_shard, report.updates);
-        match report.detail {
-            EngineDetail::Real(d) => {
-                assert!(d.pool_threads >= 1);
-                assert!(d.recovery_wall_s.is_some());
-                assert!(d.serial_recovery_s.unwrap() > 0.0);
-            }
-            _ => panic!("real detail expected"),
-        }
     }
 
     #[test]
@@ -271,6 +152,7 @@ mod tests {
             .execute()
             .unwrap();
         assert!(off.recovery_s().is_none());
+        assert!(off.serial_recovery_s().is_none());
         assert!(off.verified_consistent().is_none());
 
         let dir2 = tempfile::tempdir().unwrap();

@@ -18,17 +18,16 @@
 //! injection tests in `tests/shard_failure.rs`).
 
 use crate::config::RealConfig;
-use crate::engine::{
-    live_fingerprint, make_shard, measure_recovery_tiered, shard_report, PoolJob, RealBackend,
-};
+use crate::engine::{live_fingerprint, make_shard, measure_recovery, PoolJob, RealBackend};
+use crate::fault::RetryCounters;
 use crate::recovery::RecoveryOpts;
 use crate::replica::ReplicaSet;
-use crate::report::{RealReport, RecoveryMeasurement, WriterStats};
+use crate::report::WriterStats;
 use crate::writer::{spawn_writer, DurabilityConfig};
-use mmoc_core::run::RunError;
-use mmoc_core::{
-    Algorithm, RunMetrics, ShardFilter, ShardMap, ShardedDriver, TickDriver, WriterBackend,
+use mmoc_core::run::{
+    EngineDetail, RealRunDetail, RecoveryReport, RunError, RunReport, RunSummary, ShardReport,
 };
+use mmoc_core::{Algorithm, ShardFilter, ShardMap, ShardedDriver, TickDriver};
 use mmoc_workload::TraceSource;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -46,94 +45,8 @@ pub fn shard_dir(dir: &Path, shard: usize, n_shards: usize) -> PathBuf {
     }
 }
 
-/// The parallel-recovery measurement of a sharded run.
-#[derive(Debug, Clone, Copy)]
-pub struct ShardedRecovery {
-    /// Wall-clock time of the whole parallel restore+replay: all shards
-    /// recover concurrently, so this tracks the slowest shard, not the
-    /// sum.
-    pub wall_s: f64,
-    /// The slowest single shard's restore+replay time.
-    pub max_shard_total_s: f64,
-    /// Sum of all shards' restore+replay times (what a serial recovery
-    /// would have cost).
-    pub sum_shard_total_s: f64,
-    /// True only if *every* shard's recovered state matches its live
-    /// state at the crash tick.
-    pub state_matches: bool,
-}
-
-/// Result of one sharded real-engine run.
-#[derive(Debug, Clone)]
-pub struct ShardedRealReport {
-    /// Algorithm executed (the same on every shard).
-    pub algorithm: Algorithm,
-    /// Number of shards the world was split into.
-    pub n_shards: u32,
-    /// Writer backend that actually executed the shards' flush jobs.
-    /// Where the requested backend was unavailable (io_uring on a kernel
-    /// without it), this is the substitute, not the request.
-    pub writer_backend: WriterBackend,
-    /// The originally requested backend, when the run fell back to a
-    /// different one ([`ShardedRealReport::writer_backend`]); `None`
-    /// when the request was honored. Surfaced so reports never silently
-    /// attribute results to a backend that did not run.
-    pub writer_fallback_from: Option<WriterBackend>,
-    /// Writer threads that served the shards' flush jobs (pool workers,
-    /// or the batched engine's single submission/completion loop).
-    pub pool_threads: usize,
-    /// Checkpoint pipeline depth the driver ran at (1 = the historical
-    /// one-in-flight engine).
-    pub pipeline_depth: u32,
-    /// Replication factor K of the in-memory recovery tier this run
-    /// pushed checkpoint deltas to (0 = the tier was off and every
-    /// recovery came from disk).
-    pub replication_factor: u32,
-    /// Global ticks executed.
-    pub ticks: u64,
-    /// Total updates routed across all shards.
-    pub updates: u64,
-    /// Checkpoints completed, summed over shards.
-    pub checkpoints_completed: u64,
-    /// Average per-tick overhead of the world (per-tick max across
-    /// shards, averaged over ticks).
-    pub avg_overhead_s: f64,
-    /// Worst single-tick world overhead.
-    pub max_overhead_s: f64,
-    /// Average checkpoint duration over all shards' checkpoints.
-    pub avg_checkpoint_s: f64,
-    /// Merged per-tick and per-checkpoint series
-    /// ([`RunMetrics::merge_shards`]).
-    pub metrics: RunMetrics,
-    /// Writer-side durability instrumentation summed over shards: flush
-    /// jobs, data fsync calls, batch occupancy.
-    pub writer: WriterStats,
-    /// One report per shard (each with its own recovery measurement).
-    pub shards: Vec<RealReport>,
-    /// The parallel-recovery measurement, when enabled.
-    pub recovery: Option<ShardedRecovery>,
-}
-
-impl ShardedRealReport {
-    /// One-line human-readable summary.
-    pub fn summary(&self) -> String {
-        let rec = self
-            .recovery
-            .map(|r| format!("{:.3} s (match: {})", r.wall_s, r.state_matches))
-            .unwrap_or_else(|| "n/a".into());
-        format!(
-            "{:<28} x{:<2} shards  overhead {:>9.4} ms  checkpoint {:>7.3} s  recovery {rec}",
-            self.algorithm.name(),
-            self.n_shards,
-            self.avg_overhead_s * 1e3,
-            self.avg_checkpoint_s,
-        )
-    }
-}
-
 /// The shared sharded run: the single definition of a real-engine
-/// experiment that every public entry point — the unified builder, and
-/// with `n_shards == 1` the in-crate single-shard tests — executes.
+/// experiment, executed by the unified builder at every shard count.
 ///
 /// When [`RealConfig::paced`] is set the run paces **once per global
 /// tick** through [`ShardedDriver::run_with`]: all shards execute the
@@ -146,7 +59,7 @@ pub(crate) fn run_sharded_impl<S, F>(
     n_shards: u32,
     batching: bool,
     make_trace: F,
-) -> Result<ShardedRealReport, RunError>
+) -> Result<RunReport, RunError>
 where
     S: TraceSource,
     F: Fn() -> S + Sync,
@@ -240,8 +153,11 @@ where
     pool.shutdown();
 
     // Parallel per-shard recovery: one thread per shard, each restoring
-    // its own files and replaying its slice of the trace.
-    let recovery = if config.measure_recovery {
+    // its own files and replaying its slice of the trace. Shards restore
+    // in parallel, so the world is back after the measured wall time.
+    let mut recoveries: Vec<Option<RecoveryReport>> = vec![None; n];
+    let mut world_recovery_s = None;
+    if config.measure_recovery {
         let crash_tick = run.ticks;
         let fingerprints: Vec<u64> = backends.iter().map(live_fingerprint).collect();
         // Production recoveries run under the same crash/fault
@@ -252,7 +168,7 @@ where
             retry: config.retry_policy(),
         };
         let t0 = Instant::now();
-        let results: Vec<io::Result<RecoveryMeasurement>> = std::thread::scope(|scope| {
+        let results: Vec<io::Result<RecoveryReport>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..n)
                 .map(|s| {
                     let map = &map;
@@ -263,7 +179,7 @@ where
                     let opts = &opts;
                     scope.spawn(move || {
                         let mut replay = ShardFilter::new(make_trace(), map.clone(), s);
-                        measure_recovery_tiered(
+                        measure_recovery(
                             spec.disk_org,
                             &dir,
                             map.shard_geometry(s),
@@ -282,65 +198,80 @@ where
                 .map(|h| h.join().expect("shard recovery thread"))
                 .collect()
         });
-        let wall_s = t0.elapsed().as_secs_f64();
-        let measurements: Vec<RecoveryMeasurement> =
-            results.into_iter().collect::<io::Result<_>>()?;
-        Some((wall_s, measurements))
-    } else {
-        None
-    };
-
-    // Assemble per-shard and world-level reports.
-    let (sharded_recovery, mut per_shard_rec) = match recovery {
-        Some((wall_s, ms)) => {
-            let max = ms.iter().map(|m| m.total_s).fold(0.0f64, f64::max);
-            let sum = ms.iter().map(|m| m.total_s).sum();
-            let all_match = ms.iter().all(|m| m.state_matches);
-            (
-                Some(ShardedRecovery {
-                    wall_s,
-                    max_shard_total_s: max,
-                    sum_shard_total_s: sum,
-                    state_matches: all_match,
-                }),
-                ms.into_iter().map(Some).collect::<Vec<_>>(),
-            )
+        world_recovery_s = Some(t0.elapsed().as_secs_f64());
+        for (slot, result) in recoveries.iter_mut().zip(results) {
+            *slot = Some(result?);
         }
-        None => (None, vec![None; n]),
+    }
+
+    // The run's writer tally is the shards' merged; its projection into
+    // the report destructures exhaustively, like `WriterStats::merge`, so
+    // a counter that is added but not reported does not compile.
+    let mut writer = WriterStats::default();
+    for b in &backends {
+        writer.merge(b.writer_stats());
+    }
+    let WriterStats {
+        flush_jobs,
+        data_fsyncs,
+        device_syncs,
+        batch_jobs_sum,
+        max_batch_jobs,
+        bytes_written,
+        sqe_batch_sum,
+        max_sqe_batch,
+        retry: RetryCounters { retries, exhausted },
+        degraded_jobs,
+    } = writer;
+    let per_job = |sum: u64| match flush_jobs {
+        0 => 0.0,
+        jobs => sum as f64 / jobs as f64,
     };
 
-    let metrics = run.merged_metrics();
-    let writer_stats: Vec<WriterStats> = backends.iter().map(RealBackend::writer_stats).collect();
-    let mut writer = WriterStats::default();
-    for s in &writer_stats {
-        writer.merge(*s);
-    }
-    let shards: Vec<RealReport> = run
+    let world = RunSummary::from_metrics(run.merged_metrics(), world_recovery_s);
+    let shards = run
         .shards
         .into_iter()
+        .zip(recoveries)
         .enumerate()
-        .map(|(s, r)| shard_report(algorithm, r, writer_stats[s], per_shard_rec[s].take()))
+        .map(|(s, (r, recovery))| ShardReport {
+            shard: s as u32,
+            ticks: r.ticks,
+            updates: r.updates,
+            summary: RunSummary::from_metrics(r.metrics, recovery.as_ref().map(|m| m.total_s)),
+            recovery,
+            // The real engine's value-level verification is the recovery
+            // round-trip above; shadow-disk fidelity is simulator-only.
+            fidelity: None,
+        })
         .collect();
-
-    Ok(ShardedRealReport {
+    Ok(RunReport {
         algorithm,
+        engine: "real",
         n_shards,
-        writer_backend: effective_backend,
-        writer_fallback_from: (config.writer_backend != effective_backend)
-            .then_some(config.writer_backend),
-        pool_threads,
-        pipeline_depth,
-        replication_factor,
-        writer,
         ticks: run.ticks,
         updates: run.updates,
-        checkpoints_completed: metrics.checkpoints.len() as u64,
-        avg_overhead_s: metrics.avg_overhead_s(),
-        max_overhead_s: metrics.max_overhead_s(),
-        avg_checkpoint_s: metrics.avg_checkpoint_s(),
-        metrics,
+        world,
         shards,
-        recovery: sharded_recovery,
+        detail: EngineDetail::Real(RealRunDetail {
+            writer_backend: effective_backend,
+            writer_fallback_from: (config.writer_backend != effective_backend)
+                .then_some(config.writer_backend),
+            pool_threads,
+            pipeline_depth,
+            replication_factor,
+            flush_jobs,
+            data_fsyncs,
+            device_syncs,
+            avg_batch_jobs: per_job(batch_jobs_sum),
+            max_batch_jobs,
+            bytes_written,
+            retries,
+            retry_exhausted: exhausted,
+            degraded_jobs,
+            avg_sqe_batch: per_job(sqe_batch_sum),
+            max_sqe_batch,
+        }),
     })
 }
 
@@ -366,53 +297,77 @@ mod tests {
         }
     }
 
-    #[test]
-    fn four_shards_run_and_recover_for_all_algorithms() {
-        for alg in Algorithm::ALL {
-            let dir = tempfile::tempdir().unwrap();
-            let report = run_sharded_impl(alg, &config(dir.path()), 4, false, || {
-                trace_config().build()
-            })
-            .unwrap_or_else(|e| panic!("{alg}: {e}"));
-            assert_eq!(report.n_shards, 4);
-            assert_eq!(report.shards.len(), 4);
-            assert_eq!(report.ticks, 40, "{alg}");
-            assert_eq!(report.updates, 40 * 300, "{alg}");
-            let rec = report.recovery.expect("recovery measured");
-            assert!(rec.state_matches, "{alg}: some shard diverged");
-            for (s, shard) in report.shards.iter().enumerate() {
-                assert!(
-                    shard.recovery.expect("per-shard recovery").state_matches,
-                    "{alg} shard {s}"
-                );
-                assert!(shard.checkpoints_completed > 0, "{alg} shard {s}");
-            }
-            // Per-shard files are namespaced.
-            for s in 0..4 {
-                assert!(
-                    shard_dir(dir.path(), s, 4).is_dir(),
-                    "{alg}: missing shard dir {s}"
-                );
-            }
+    fn detail(report: &RunReport) -> RealRunDetail {
+        match report.detail {
+            EngineDetail::Real(d) => d,
+            EngineDetail::Sim(_) => panic!("real detail expected"),
         }
     }
 
+    /// Every algorithm runs on the real engine through the shared driver,
+    /// counts its work and recovers byte-exactly — as one shard in the
+    /// historical file layout and as four namespaced ones.
     #[test]
-    fn one_shard_uses_the_historical_layout_and_counts() {
-        let dir = tempfile::tempdir().unwrap();
-        let report = run_sharded_impl(
-            Algorithm::CopyOnUpdate,
-            &config(dir.path()),
-            1,
-            false,
-            || trace_config().build(),
-        )
-        .unwrap();
-        assert_eq!(report.n_shards, 1);
-        assert_eq!(report.pool_threads, 1, "single shard = pool of one");
-        // Files live directly under the run directory, as before.
-        assert!(dir.path().join("backup_0.img").is_file());
-        assert!(report.recovery.unwrap().state_matches);
+    fn all_six_algorithms_run_and_recover_at_1_and_4_shards() {
+        for alg in Algorithm::ALL {
+            for n in [1u32, 4] {
+                let dir = tempfile::tempdir().unwrap();
+                let report = mmoc_core::Run::algorithm(alg)
+                    .engine(config(dir.path()))
+                    .trace(trace_config())
+                    .shards(n)
+                    .execute()
+                    .unwrap_or_else(|e| panic!("{alg} x{n}: {e}"));
+                assert_eq!(report.algorithm, alg);
+                assert_eq!(report.engine, "real");
+                assert_eq!(report.n_shards, n);
+                assert_eq!(report.shards.len(), n as usize, "{alg}");
+                assert_eq!(report.ticks, 40, "{alg} x{n}");
+                assert_eq!(report.updates, 40 * 300, "{alg} x{n}");
+                let per_shard: u64 = report.shards.iter().map(|s| s.updates).sum();
+                assert_eq!(per_shard, report.updates, "{alg} x{n}");
+                for shard in &report.shards {
+                    let rec = shard.recovery.as_ref().expect("per-shard recovery");
+                    assert!(rec.measured);
+                    assert_eq!(
+                        rec.state_matches,
+                        Some(true),
+                        "{alg} x{n} shard {}: recovered state diverged",
+                        shard.shard
+                    );
+                    assert!(
+                        shard.summary.checkpoints_completed > 0,
+                        "{alg} x{n} shard {}",
+                        shard.shard
+                    );
+                }
+                assert_eq!(report.verified_consistent(), Some(true), "{alg} x{n}");
+                // The world's recovery is the measured parallel wall time;
+                // the serial figure is the shards' own totals summed.
+                assert!(report.recovery_s().unwrap() > 0.0, "{alg} x{n}");
+                assert!(report.serial_recovery_s().unwrap() > 0.0, "{alg} x{n}");
+                if n == 1 {
+                    assert_eq!(
+                        detail(&report).pool_threads,
+                        1,
+                        "single shard = pool of one"
+                    );
+                    // Files live directly under the run directory, as before.
+                    if alg.spec().disk_org == mmoc_core::DiskOrg::DoubleBackup {
+                        assert!(dir.path().join("backup_0.img").is_file(), "{alg}");
+                    }
+                } else {
+                    assert!(detail(&report).pool_threads >= 1);
+                    // Per-shard files are namespaced.
+                    for s in 0..n as usize {
+                        assert!(
+                            shard_dir(dir.path(), s, n as usize).is_dir(),
+                            "{alg}: missing shard dir {s}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -424,10 +379,10 @@ mod tests {
             trace_config().build()
         })
         .unwrap();
-        assert_eq!(report.pool_threads, 2);
+        assert_eq!(detail(&report).pool_threads, 2);
         assert_eq!(report.shards.len(), 4);
         for shard in &report.shards {
-            assert!(shard.checkpoints_completed > 0);
+            assert!(shard.summary.checkpoints_completed > 0);
         }
     }
 
@@ -444,7 +399,11 @@ mod tests {
         .unwrap();
         let per_shard: u64 = report.shards.iter().map(|s| s.updates).sum();
         assert_eq!(per_shard, report.updates);
-        let ckpts: u64 = report.shards.iter().map(|s| s.checkpoints_completed).sum();
-        assert_eq!(ckpts, report.checkpoints_completed);
+        let ckpts: u64 = report
+            .shards
+            .iter()
+            .map(|s| s.summary.checkpoints_completed)
+            .sum();
+        assert_eq!(ckpts, report.world.checkpoints_completed);
     }
 }

@@ -31,7 +31,7 @@
 //! `async-batched` instead and returns that kind, so the substitution is
 //! surfaced in every report, never silent. A ring that fails mid-run
 //! finishes its round on synchronous redo and the loop swaps to the
-//! syscall data path for good (`Done::degraded`).
+//! syscall data path for good (its jobs count as `degraded_jobs`).
 //!
 //! The completion phase is shared and the ring reproduces the
 //! submission phase's bytes exactly, so identical job streams produce
@@ -46,8 +46,9 @@
 
 use crate::crash::{CrashAction, CrashPoint, CrashState};
 use crate::engine::{Done, Job, PoolJob, ShardCtx, Store};
-use crate::fault::{FaultSite, RetryCounters};
+use crate::fault::FaultSite;
 use crate::files::SyncTarget;
+use crate::report::WriterStats;
 use crate::uring::{pwrite_all, Iovec, Ring, Sqe};
 use mmoc_core::run::WriterBackend as WriterBackendKind;
 use mmoc_core::{CursorKind, ObjectId};
@@ -209,26 +210,20 @@ pub(crate) struct InFlight {
     /// whole-device barrier) share its outcome: if the call failed, none
     /// of them may commit metadata.
     presync: Option<io::Result<()>>,
-    /// Data `fsync` calls and `syncfs` device barriers attributed to this
-    /// job: 1 for the job that triggered a call, 0 for jobs riding on a
-    /// coalesced one, so summing over jobs counts actual calls. The
-    /// retries behind a scheduled sync are charged to the triggering
-    /// job's `counters` the same way.
-    data_syncs: u32,
-    device_syncs: u32,
     /// The checkpoint delta destined for the shard's peer mirrors, captured
     /// at submission when the run has a replica tier; published by the
     /// completion phase only after the durability point (publish-on-commit).
     replica: Option<ReplicaDelta>,
-    /// Transient-fault bookkeeping accumulated so far (submission-phase
-    /// and scheduled-sync retries; the completion phase adds its own).
-    counters: RetryCounters,
-    /// Occupancy of the ring submission round that carried this job's
-    /// data writes (0 on the syscall data path).
-    sqe_batch: u32,
-    /// The job completed under a degraded backend (the ring died and its
-    /// remaining I/O was redone through the syscall path).
-    degraded: bool,
+    /// The job's tally so far, counted where the work happens and closed
+    /// by [`complete_job`]. A data `fsync` or `syncfs` device barrier is
+    /// attributed to the one job that triggered it — riders on a
+    /// coalesced call count 0, so summing over jobs counts actual calls —
+    /// and the retries behind a scheduled sync are charged the same way.
+    /// `sqe_batch_sum` is the occupancy of the ring round that carried
+    /// the job's writes (0 on the syscall data path); `degraded_jobs` is
+    /// 1 when the ring died and the job's remaining I/O was redone
+    /// through the syscall path.
+    stats: WriterStats,
 }
 
 impl InFlight {
@@ -251,12 +246,8 @@ impl InFlight {
             recycled,
             state,
             presync: None,
-            data_syncs: 0,
-            device_syncs: 0,
             replica,
-            counters: RetryCounters::default(),
-            sqe_batch: 0,
-            degraded: false,
+            stats: WriterStats::default(),
         }
     }
 }
@@ -466,7 +457,7 @@ pub(crate) fn submit_job(
     let obj_size = ctx.geometry.object_size as usize;
     buf.resize(obj_size, 0);
     let max_run = (RUN_BYTES / obj_size).max(1);
-    let mut counters = RetryCounters::default();
+    let mut stats = WriterStats::default();
     let retry = &ctx.retry;
     let (objects, state, recycled, replica) = match job {
         Job::Eager {
@@ -491,7 +482,7 @@ pub(crate) fn submit_job(
                         // re-writing in place is safe.
                         let first = ObjectId(ids[run.start]);
                         let bytes = &data[run.start * obj_size..run.end * obj_size];
-                        retry.run(&mut counters, || set.write_run(target, first, bytes))?;
+                        retry.run(&mut stats.retry, || set.write_run(target, first, bytes))?;
                     }
                     Ok(PendingDurability::Double { target, tick })
                 })(),
@@ -500,7 +491,7 @@ pub(crate) fn submit_job(
                 // retried segment restarts at the same offset (positionally
                 // idempotent — pinned by the retry-equivalence tests).
                 Store::Log(log) => retry
-                    .run(&mut counters, || {
+                    .run(&mut stats.retry, || {
                         log.append_segment(
                             seq,
                             tick,
@@ -542,7 +533,7 @@ pub(crate) fn submit_job(
                             sweep.publish(p, list[p]);
                         }
                         let first = ObjectId(list[run.start]);
-                        retry.run(&mut counters, || set.write_run(target, first, buf))?;
+                        retry.run(&mut stats.retry, || set.write_run(target, first, buf))?;
                     }
                     Ok(PendingDurability::Double { target, tick })
                 })(),
@@ -551,7 +542,7 @@ pub(crate) fn submit_job(
                     // the whole-segment failpoint is pre-flighted under the
                     // retry policy before the segment opens (no byte has
                     // landed when it injects).
-                    retry.run(&mut counters, || log.preflight_append())?;
+                    retry.run(&mut stats.retry, || log.preflight_append())?;
                     let mut seg = log.begin_segment(seq, tick, full_image)?;
                     for (p, &o) in list.iter().enumerate() {
                         sweep.read_object(o, buf);
@@ -570,7 +561,7 @@ pub(crate) fn submit_job(
     // All data writes staged, nothing synced or committed yet.
     crash_at(ctx.crash.as_deref(), CrashPoint::JobSubmitted);
     InFlight {
-        counters,
+        stats,
         ..InFlight::new(shard, queued_at, objects, recycled, state, replica)
     }
 }
@@ -586,8 +577,8 @@ pub(crate) fn submit_job(
 /// happens inline, per job — the historical path, which the thread pool
 /// always takes and the batching configurations take with coalescing
 /// off. `batch_jobs` is the occupancy of the batch this job completed in
-/// (1 for the thread pool), reported through [`Done`] for the writer
-/// instrumentation next to the job's ring-round occupancy.
+/// (1 for the thread pool); it closes the job's tally together with the
+/// job count and the payload bytes.
 pub(crate) fn complete_job(
     ctx: &ShardCtx,
     store: &mut Store,
@@ -599,8 +590,7 @@ pub(crate) fn complete_job(
     let InFlight {
         shard,
         replica,
-        mut counters,
-        mut data_syncs,
+        mut stats,
         ..
     } = inflight;
     let result = inflight.state.and_then(|pending| {
@@ -608,9 +598,9 @@ pub(crate) fn complete_job(
         match inflight.presync {
             Some(synced) => synced?,
             None if ctx.sync_data => {
-                data_syncs = 1;
+                stats.data_fsyncs = 1;
                 ctx.retry
-                    .run(&mut counters, || sync_pending(store, &pending))?;
+                    .run(&mut stats.retry, || sync_pending(store, &pending))?;
             }
             None => {}
         }
@@ -633,7 +623,7 @@ pub(crate) fn complete_job(
         // The commit rewrites the whole metadata record, so a retried
         // commit after a transient fault is idempotent.
         ctx.retry
-            .run(&mut counters, || commit_pending(store, pending))?;
+            .run(&mut stats.retry, || commit_pending(store, pending))?;
         // Step 2: the checkpoint is durable (or the simulated crash
         // froze the disk, re-checked here) — apply the delta to every
         // mirror and mark them complete at the checkpoint's tick.
@@ -651,18 +641,15 @@ pub(crate) fn complete_job(
         }
         Ok(())
     });
+    stats.flush_jobs = 1;
+    stats.batch_jobs_sum = u64::from(batch_jobs);
+    stats.max_batch_jobs = batch_jobs;
+    stats.bytes_written = u64::from(inflight.objects) * u64::from(ctx.geometry.object_size);
     Done {
         result: result.map(|()| inflight.t0.elapsed().as_secs_f64()),
         objects: inflight.objects,
-        bytes: u64::from(inflight.objects) * u64::from(ctx.geometry.object_size),
         recycled: inflight.recycled,
-        data_syncs,
-        device_syncs: inflight.device_syncs,
-        batch_jobs,
-        sqe_batch: inflight.sqe_batch,
-        retries: counters.retries,
-        retry_exhausted: counters.exhausted,
-        degraded: inflight.degraded,
+        stats,
     }
 }
 
@@ -946,7 +933,7 @@ fn schedule_durability(
                 };
                 // Points are in first-naming-job order, so this point's
                 // job is the first on its device: it pays the barrier.
-                queue[points[i].job].device_syncs = 1;
+                queue[points[i].job].stats.device_syncs = 1;
                 barriers.push((dev, outcome));
             }
             points.retain(|p| !barriers.iter().any(|(d, _)| *d == p.target.dev()));
@@ -1050,7 +1037,7 @@ impl DataPath {
             let mut store = ctx.store.lock();
             let buf = &mut self.buf;
             let mut inflight = submit_job(ctx, &mut store, buf, job.shard, job.job, job.queued_at);
-            inflight.degraded = degraded;
+            inflight.stats.degraded_jobs = u64::from(degraded);
             round.queue.push(inflight);
         }
     }
@@ -1075,7 +1062,7 @@ impl DataPath {
             // The first job naming the target is charged the call and
             // the retry attempts behind it; every rider pays nothing.
             let payer = &mut queue[p.job];
-            payer.data_syncs = 1;
+            payer.stats.data_fsyncs = 1;
             if p.outcome.is_none() {
                 let ctx = &ctxs[payer.shard];
                 let Ok(pending) = &payer.state else {
@@ -1084,7 +1071,7 @@ impl DataPath {
                 let store = ctx.store.lock();
                 p.outcome = Some(
                     ctx.retry
-                        .run(&mut payer.counters, || sync_pending(&store, pending)),
+                        .run(&mut payer.stats.retry, || sync_pending(&store, pending)),
                 );
             }
         }
@@ -1336,7 +1323,8 @@ impl RingPath {
             }
             let wave_sqes = ops.len() as u32;
             for inflight in &mut queue[wave_start..] {
-                inflight.sqe_batch = wave_sqes;
+                inflight.stats.sqe_batch_sum = u64::from(wave_sqes);
+                inflight.stats.max_sqe_batch = wave_sqes;
             }
 
             // Submission: push every op (keeping link chains whole),
@@ -1432,7 +1420,7 @@ impl RingPath {
                         _ => continue,
                     };
                     job.presync = Some(result);
-                    job.data_syncs = 1;
+                    job.stats.data_fsyncs = 1;
                     continue;
                 }
                 // Transient-fault injection at the CQE seam: rewrite a
@@ -1470,11 +1458,11 @@ impl RingPath {
                             }
                             continue;
                         }
-                        if job.counters.retries >= u64::from(retry.max) {
-                            job.counters.exhausted += 1;
+                        if job.stats.retry.retries >= u64::from(retry.max) {
+                            job.stats.retry.exhausted += 1;
                             *dead = true;
                         } else {
-                            job.counters.retries += 1;
+                            job.stats.retry.retries += 1;
                         }
                         0 // redo the whole write synchronously
                     }
@@ -1483,7 +1471,7 @@ impl RingPath {
                 if *dead {
                     // Any redo performed after the ring latched dead ran
                     // on the degraded synchronous path.
-                    job.degraded = true;
+                    job.stats.degraded_jobs = 1;
                 }
                 if down {
                     continue; // frozen: the redo path writes nothing
@@ -1947,8 +1935,11 @@ mod tests {
                 for rx in &done_rxs {
                     let done = rx.recv().unwrap();
                     done.result.as_ref().unwrap();
-                    assert_eq!(done.batch_jobs, 8, "all eight jobs share one batch");
-                    fsyncs += u64::from(done.data_syncs);
+                    assert_eq!(
+                        done.stats.max_batch_jobs, 8,
+                        "all eight jobs share one batch"
+                    );
+                    fsyncs += done.stats.data_fsyncs;
                 }
             }
             drop(job_tx);
@@ -2027,10 +2018,10 @@ mod tests {
             let done = rx.recv().unwrap();
             done.result.as_ref().unwrap();
             assert_eq!(
-                done.batch_jobs, 3,
+                done.stats.max_batch_jobs, 3,
                 "stragglers must coalesce into one full batch"
             );
-            assert!(done.data_syncs <= 1);
+            assert!(done.stats.data_fsyncs <= 1);
         }
         drop(job_tx);
         backend.shutdown();
@@ -2170,9 +2161,12 @@ mod tests {
         for rx in &done_rxs {
             let done = rx.recv().unwrap();
             done.result.as_ref().unwrap();
-            assert_eq!(done.batch_jobs, 4, "all four jobs share one batch");
-            fsyncs += u64::from(done.data_syncs);
-            device_syncs += u64::from(done.device_syncs);
+            assert_eq!(
+                done.stats.max_batch_jobs, 4,
+                "all four jobs share one batch"
+            );
+            fsyncs += done.stats.data_fsyncs;
+            device_syncs += done.stats.device_syncs;
         }
         drop(job_tx);
         backend.shutdown();
@@ -2288,7 +2282,7 @@ mod tests {
             for rx in &done_rxs {
                 let done = rx.recv().unwrap();
                 done.result.unwrap();
-                flags.push(done.degraded);
+                flags.push(done.stats.degraded_jobs == 1);
             }
             degraded.push(flags);
         }
@@ -2451,20 +2445,21 @@ mod tests {
     fn per_object_reference(ctx: &ShardCtx, data: &[u8]) -> Done {
         let obj_size = ctx.geometry.object_size as usize;
         let mut store = ctx.store.lock();
-        let mut counters = RetryCounters::default();
+        let mut stats = WriterStats::default();
         let Store::Double(set) = &mut *store else {
             unreachable!("the run tests use the double backup")
         };
         let state = (|| {
             set.invalidate(1)?;
             for (&id, image) in THREE_RUNS.iter().zip(data.chunks_exact(obj_size)) {
-                ctx.retry
-                    .run(&mut counters, || set.write_object(1, ObjectId(id), image))?;
+                ctx.retry.run(&mut stats.retry, || {
+                    set.write_object(1, ObjectId(id), image)
+                })?;
             }
             Ok(PendingDurability::Double { target: 1, tick: 9 })
         })();
         let inflight = InFlight {
-            counters,
+            stats,
             ..InFlight::new(
                 0,
                 Instant::now(),
@@ -2542,7 +2537,10 @@ mod tests {
                 let done = run_job(&runs, job);
                 if budget == 0 {
                     assert!(done.result.is_err(), "sweep={sweep}: no budget, no job");
-                    assert_eq!((done.retries, done.retry_exhausted), (0, 0));
+                    assert_eq!(
+                        (done.stats.retry.retries, done.stats.retry.exhausted),
+                        (0, 0)
+                    );
                     drop(runs);
                     let set = crate::files::BackupSet::open(&dir("runs"), run_geometry()).unwrap();
                     assert_eq!(set.newest_consistent(), Some((0, 0)), "no metadata commit");
@@ -2550,7 +2548,7 @@ mod tests {
                 }
                 done.result.unwrap();
                 assert_eq!(
-                    (done.retries, done.retry_exhausted),
+                    (done.stats.retry.retries, done.stats.retry.exhausted),
                     (2, 0),
                     "sweep={sweep}"
                 );
@@ -2693,8 +2691,8 @@ mod tests {
         let mut fsyncs = 0;
         for job in 0..2 {
             let done = done_rx.recv().unwrap();
-            assert_eq!(done.batch_jobs, 2, "both jobs share one batch");
-            fsyncs += done.data_syncs;
+            assert_eq!(done.stats.max_batch_jobs, 2, "both jobs share one batch");
+            fsyncs += done.stats.data_fsyncs;
             let err = done.result.expect_err("the shared fsync failed");
             assert_eq!(
                 err.raw_os_error(),

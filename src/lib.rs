@@ -67,10 +67,8 @@ pub mod prelude {
         TraceFn, TraceSpec, WriterBackend,
     };
     pub use mmoc_game::{GameConfig, GameServer, World};
-    // Engine-native report types (SimReport, ShardedRealReport, …) left
-    // the prelude with the pre-builder entry points that returned them:
-    // `RunReport` is the one result shape. They remain reachable under
-    // `mmo_checkpoint::{sim, storage}` for code that inspects internals.
+    // `RunReport` is the one result shape; each engine contributes its
+    // configuration type.
     pub use mmoc_sim::{HardwareParams, SimConfig};
     pub use mmoc_storage::RealConfig;
     pub use mmoc_workload::{RecordedTrace, SyntheticConfig, TraceSource, TraceStats, ZipfTrace};

@@ -1,8 +1,7 @@
-//! Builder behaviour pins. The pre-builder entry points
-//! (`SimEngine::run*`, `run_algorithm*`, the per-algorithm `run_*`
-//! wrappers) are gone — `Run::…execute()` is the only path — so the
-//! builder-vs-legacy equivalence this file used to assert has collapsed
-//! into two kinds of coverage:
+//! Builder behaviour pins. The pre-builder entry points (per-engine and
+//! per-algorithm `run_*` functions) are gone — `Run::…execute()` is the
+//! only path — so the builder-vs-legacy equivalence this file used to
+//! assert has collapsed into two kinds of coverage:
 //!
 //! * **Determinism pins**: executing the same described experiment twice
 //!   must reproduce every deterministic output — bit-identically on the
