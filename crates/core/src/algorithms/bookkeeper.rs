@@ -90,12 +90,6 @@ enum SweepKind {
     DirtyByPosition,
 }
 
-#[derive(Debug)]
-struct InFlight {
-    full_flush: bool,
-    sweep: SweepKind,
-}
-
 /// Bookkeeping state machine for one algorithm over one state table.
 #[derive(Debug)]
 pub struct Bookkeeper {
@@ -117,12 +111,13 @@ pub struct Bookkeeper {
     /// Completed checkpoint count; the sequence number of the next
     /// checkpoint to *start* is `seq + in_flight.len()`.
     seq: u64,
-    /// Checkpoints begun but not yet finished, oldest first. More than
+    /// Checkpoints begun but not yet finished (each by the sweep it runs),
+    /// oldest first. More than
     /// one entry only under checkpoint pipelining, which
     /// [`Bookkeeper::can_pipeline_next`] restricts to log-organized
     /// no-sweep checkpoints; sweeps and double-backup checkpoints are
     /// pipeline barriers.
-    in_flight: VecDeque<InFlight>,
+    in_flight: VecDeque<SweepKind>,
 }
 
 impl Bookkeeper {
@@ -196,7 +191,7 @@ impl Bookkeeper {
     ///   frontier, which exist once per bookkeeper.
     pub fn can_pipeline_next(&self) -> bool {
         self.spec.disk_org == DiskOrg::Log
-            && self.in_flight.iter().all(|f| f.sweep == SweepKind::NoSweep)
+            && self.in_flight.iter().all(|&s| s == SweepKind::NoSweep)
             && !self.next_plan_sweeps()
     }
 
@@ -362,7 +357,7 @@ impl Bookkeeper {
             }
         };
 
-        self.in_flight.push_back(InFlight { full_flush, sweep });
+        self.in_flight.push_back(sweep);
         CheckpointPlan {
             seq,
             full_flush,
@@ -406,11 +401,11 @@ impl Bookkeeper {
         // *sole* in-flight checkpoint (sweeps are pipeline barriers), so
         // inspecting the queue front covers every case: pipelined queues
         // hold only no-sweep entries, which return early below.
-        let Some(in_flight) = self.in_flight.front() else {
+        let Some(&sweep) = self.in_flight.front() else {
             return ops;
         };
 
-        let participates = match in_flight.sweep {
+        let participates = match sweep {
             SweepKind::NoSweep => return ops,
             SweepKind::AllByIndex => true,
             SweepKind::DirtyByIndex | SweepKind::DirtyByPosition => self.flush_set.get(obj.0),
@@ -421,7 +416,7 @@ impl Bookkeeper {
             return ops;
         }
 
-        let flushed = match in_flight.sweep {
+        let flushed = match sweep {
             SweepKind::AllByIndex | SweepKind::DirtyByIndex => u64::from(obj.0) < cursor.frontier,
             SweepKind::DirtyByPosition => {
                 let f = cursor.frontier as usize;
@@ -447,8 +442,7 @@ impl Bookkeeper {
     /// per dirty-list entry. Engines use this to maintain value-accurate
     /// shadow disks and to drive the real writer.
     pub fn sweep_object_at(&self, slot: u64) -> Option<ObjectId> {
-        let in_flight = self.in_flight.front()?;
-        match in_flight.sweep {
+        match self.in_flight.front()? {
             SweepKind::NoSweep => None,
             SweepKind::AllByIndex => {
                 (slot < u64::from(self.n_objects)).then_some(ObjectId(slot as u32))
@@ -467,18 +461,11 @@ impl Bookkeeper {
     /// Total slots of the in-flight sweep (`None` if no sweep is active):
     /// the frontier runs from 0 to this value.
     pub fn sweep_slots(&self) -> Option<u64> {
-        let in_flight = self.in_flight.front()?;
-        match in_flight.sweep {
+        match self.in_flight.front()? {
             SweepKind::NoSweep => None,
             SweepKind::AllByIndex | SweepKind::DirtyByIndex => Some(u64::from(self.n_objects)),
             SweepKind::DirtyByPosition => Some(self.flush_list.len() as u64),
         }
-    }
-
-    /// Whether the in-flight checkpoint is a periodic full flush. (Full
-    /// flushes are sweeps, hence always the sole in-flight entry.)
-    pub fn in_flight_full_flush(&self) -> bool {
-        self.in_flight.front().is_some_and(|f| f.full_flush)
     }
 
     /// The set of objects the in-flight checkpoint writes (all bits set

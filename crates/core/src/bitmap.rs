@@ -122,14 +122,6 @@ impl BitVec {
         }
         runs
     }
-
-    /// Bitwise OR with another vector of the same length.
-    pub fn union_with(&mut self, other: &BitVec) {
-        assert_eq!(self.len, other.len, "bitvec length mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= b;
-        }
-    }
 }
 
 struct BitIter {
@@ -230,17 +222,6 @@ mod tests {
             }
             assert_eq!(bv.count_runs(), naive_runs(&bools), "pattern {pat:?}");
         }
-    }
-
-    #[test]
-    fn union_accumulates() {
-        let mut a = BitVec::new(100);
-        let mut b = BitVec::new(100);
-        a.set(1);
-        b.set(2);
-        b.set(99);
-        a.union_with(&b);
-        assert_eq!(a.ones(), vec![1, 2, 99]);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use std::fmt;
 
 /// Errors produced by state-geometry validation, trace application and
-/// recovery replay.
+/// checkpoint restore.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CoreError {
     /// The geometry is internally inconsistent (e.g. the atomic-object size
@@ -18,13 +18,6 @@ pub enum CoreError {
     },
     /// An object id lies outside the state table.
     ObjectOutOfBounds(u32),
-    /// The logical log does not contain the ticks required for replay.
-    MissingLogTicks {
-        /// First tick required (inclusive).
-        from: u64,
-        /// First tick the log actually holds.
-        have: u64,
-    },
     /// Recovery was attempted with no completed checkpoint available.
     NoCheckpoint,
     /// A checkpoint image does not match the geometry it is restored into.
@@ -39,10 +32,6 @@ impl fmt::Display for CoreError {
                 write!(f, "cell ({row}, {col}) is out of bounds")
             }
             CoreError::ObjectOutOfBounds(id) => write!(f, "object {id} is out of bounds"),
-            CoreError::MissingLogTicks { from, have } => write!(
-                f,
-                "logical log is missing ticks: replay needs tick {from} but log starts at {have}"
-            ),
             CoreError::NoCheckpoint => write!(f, "no completed checkpoint is available"),
             CoreError::CheckpointMismatch(msg) => write!(f, "checkpoint mismatch: {msg}"),
         }
@@ -59,9 +48,8 @@ mod tests {
     fn display_is_human_readable() {
         let err = CoreError::CellOutOfBounds { row: 3, col: 9 };
         assert_eq!(err.to_string(), "cell (3, 9) is out of bounds");
-        let err = CoreError::MissingLogTicks { from: 10, have: 20 };
-        assert!(err.to_string().contains("tick 10"));
-        assert!(err.to_string().contains("starts at 20"));
+        let err = CoreError::CheckpointMismatch("image is 10 bytes".into());
+        assert_eq!(err.to_string(), "checkpoint mismatch: image is 10 bytes");
     }
 
     #[test]

@@ -18,11 +18,11 @@
 //!   log-structured organization with periodic full flushes.
 //!
 //! The crate deliberately contains **no timing and no I/O**: it provides the
-//! bookkeeping state machines ([`Bookkeeper`]), the state representation
-//! ([`StateTable`]), the logical action log ([`ActionLog`]) and recovery
-//! replay ([`recovery`]). The cost-model simulator (`mmoc-sim`) and the real
-//! disk-backed engine (`mmoc-storage`) both drive these state machines and
-//! attach their own notion of cost (virtual nanoseconds vs. wall-clock time).
+//! bookkeeping state machines ([`Bookkeeper`]) and the state representation
+//! ([`StateTable`]). The cost-model simulator (`mmoc-sim`) and the real
+//! disk-backed engine (`mmoc-storage`, which also restores checkpoints and
+//! replays the logical log) both drive these state machines and attach
+//! their own notion of cost (virtual nanoseconds vs. wall-clock time).
 //!
 //! ## The framework
 //!
@@ -54,10 +54,8 @@ pub mod dirty;
 pub mod driver;
 pub mod error;
 pub mod geometry;
-pub mod log;
 pub mod metrics;
 pub mod plan;
-pub mod recovery;
 pub mod run;
 pub mod sharding;
 pub mod table;
@@ -68,10 +66,8 @@ pub use algorithms::{Algorithm, AlgorithmSpec, CopyTiming, DiskOrg, ObjectsCopie
 pub use driver::{CheckpointBackend, DriverRun, DriverStep, FlushCompletion, TickDriver, TickOps};
 pub use error::CoreError;
 pub use geometry::{CellAddr, CellUpdate, ObjectId, StateGeometry};
-pub use log::ActionLog;
 pub use metrics::{sample_quantile, CheckpointRecord, RunMetrics, TickMetrics};
 pub use plan::{CheckpointPlan, CursorKind, FlushJob, SyncCopy};
-pub use recovery::{recover, CheckpointImage, RecoveryOutcome};
 pub use run::{
     EngineDetail, ExperimentEngine, FidelitySummary, RealRunDetail, RecoveryReport, Run, RunError,
     RunReport, RunSpec, RunSummary, ShardReport, SimRunDetail, TraceFn, TraceSpec, WriterBackend,

@@ -141,12 +141,6 @@ impl RunMetrics {
         self.checkpoints.iter().map(|c| c.bytes_written).sum()
     }
 
-    /// Number of ticks whose overhead exceeds the given bound, in seconds
-    /// (the paper's half-a-tick "latency limit" analysis, Figure 3).
-    pub fn ticks_over_budget(&self, bound_s: f64) -> usize {
-        self.ticks.iter().filter(|t| t.overhead_s > bound_s).count()
-    }
-
     /// Tick length (base tick period + overhead) series in seconds, as
     /// plotted by Figure 3.
     pub fn tick_lengths_s(&self, tick_period_s: f64) -> Vec<f64> {
@@ -250,7 +244,6 @@ mod tests {
         // Only the normal checkpoint counts for k.
         assert_eq!(m.avg_objects_per_normal_checkpoint(), 100.0);
         assert_eq!(m.total_bytes_written(), 400 * 512);
-        assert_eq!(m.ticks_over_budget(0.0015), 2);
         assert_eq!(m.overhead_at(1), 0.003);
         assert_eq!(m.overhead_at(99), 0.0);
         let lengths = m.tick_lengths_s(1.0 / 30.0);

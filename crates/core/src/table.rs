@@ -114,31 +114,6 @@ impl StateTable {
         Ok(&self.bytes[start..start + self.geometry.object_size as usize])
     }
 
-    /// Copy the bytes of one atomic object into `buf` (which must be
-    /// `object_size` long). This is the real engine's copy-on-update path.
-    pub fn copy_object_into(&self, obj: ObjectId, buf: &mut [u8]) -> Result<(), CoreError> {
-        let src = self.object_bytes(obj)?;
-        buf.copy_from_slice(src);
-        Ok(())
-    }
-
-    /// Overwrite one atomic object from a checkpoint image (recovery path).
-    pub fn restore_object(&mut self, obj: ObjectId, data: &[u8]) -> Result<(), CoreError> {
-        if obj.0 >= self.geometry.n_objects() {
-            return Err(CoreError::ObjectOutOfBounds(obj.0));
-        }
-        if data.len() != self.geometry.object_size as usize {
-            return Err(CoreError::CheckpointMismatch(format!(
-                "object image is {} bytes, expected {}",
-                data.len(),
-                self.geometry.object_size
-            )));
-        }
-        let start = self.geometry.object_offset(obj) as usize;
-        self.bytes[start..start + data.len()].copy_from_slice(data);
-        Ok(())
-    }
-
     /// Overwrite the whole state from a full checkpoint image.
     pub fn restore_all(&mut self, image: &[u8]) -> Result<(), CoreError> {
         if image.len() != self.bytes.len() {
@@ -231,21 +206,11 @@ mod tests {
     }
 
     #[test]
-    fn restore_object_roundtrips() {
-        let mut t = small();
-        t.apply(CellUpdate::new(0, 0, 42)).unwrap();
-        let saved: Vec<u8> = t.object_bytes(ObjectId(0)).unwrap().to_vec();
-        t.apply(CellUpdate::new(0, 0, 43)).unwrap();
-        assert_eq!(t.read(CellAddr::new(0, 0)).unwrap(), 43);
-        t.restore_object(ObjectId(0), &saved).unwrap();
-        assert_eq!(t.read(CellAddr::new(0, 0)).unwrap(), 42);
-    }
-
-    #[test]
     fn restore_rejects_wrong_sizes() {
         let mut t = small();
-        assert!(t.restore_object(ObjectId(0), &[0u8; 10]).is_err());
         assert!(t.restore_all(&[0u8; 10]).is_err());
+        let g = *t.geometry();
+        assert!(StateTable::from_image(g, vec![0u8; 10]).is_err());
     }
 
     #[test]

@@ -115,9 +115,9 @@ impl FuzzCase {
 
         // Backend: clamp to the code path that consults the point.
         // - uring-* points exist only in the ring loop;
-        // - submit_job (and the SegmentWriter/BackupSet write path it
-        //   drives) is bypassed by the ring's serialized staging, so
-        //   mid-write points need the pool or the batched engine;
+        // - submit_job (and the LogStore/BackupSet write path it drives)
+        //   is bypassed by the ring's staging, so mid-write points need
+        //   the pool or the batched engine;
         // - the commit seam and the device barrier belong to the
         //   durability scheduler (batched and ring engines).
         let backend = match point {

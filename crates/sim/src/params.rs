@@ -51,27 +51,9 @@ impl HardwareParams {
         }
     }
 
-    /// A contemporary-hardware variant used by the extension experiments:
-    /// NVMe-class disk bandwidth and DDR5-class memory bandwidth.
-    pub fn modern() -> Self {
-        HardwareParams {
-            mem_bandwidth: 20.0 * 1024.0 * 1024.0 * 1024.0, // 20 GiB/s
-            mem_latency: 80e-9,
-            lock_overhead: 20e-9,
-            bit_overhead: 1e-9,
-            disk_bandwidth: 2e9, // 2 GB/s NVMe
-        }
-    }
-
     /// Scale only the disk bandwidth (hardware-sweep experiments).
     pub fn with_disk_bandwidth(mut self, bytes_per_sec: f64) -> Self {
         self.disk_bandwidth = bytes_per_sec;
-        self
-    }
-
-    /// Scale only the memory bandwidth (hardware-sweep experiments).
-    pub fn with_mem_bandwidth(mut self, bytes_per_sec: f64) -> Self {
-        self.mem_bandwidth = bytes_per_sec;
         self
     }
 
@@ -125,11 +107,9 @@ mod tests {
 
     #[test]
     fn builders_override_single_axes() {
-        let p = HardwareParams::paper()
-            .with_disk_bandwidth(1e9)
-            .with_mem_bandwidth(1e10);
+        let p = HardwareParams::paper().with_disk_bandwidth(1e9);
         assert_eq!(p.disk_bandwidth, 1e9);
-        assert_eq!(p.mem_bandwidth, 1e10);
+        assert_eq!(p.mem_bandwidth, HardwareParams::paper().mem_bandwidth);
         assert_eq!(p.lock_overhead, HardwareParams::paper().lock_overhead);
     }
 }

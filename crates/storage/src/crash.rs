@@ -49,8 +49,8 @@ pub enum CrashPoint {
     /// A single object record appended to an open log segment; the
     /// torn budget tears the record after its object-id header.
     LogAppendObject = 4,
-    /// A log segment was sealed (trailer + length backpatch) but not
-    /// yet synced; the torn budget truncates the sealed tail.
+    /// A log segment was sealed (its trailer written) but not yet
+    /// synced; the torn budget truncates the sealed tail.
     LogSegmentSealed = 5,
     /// `submit_job` finished: all data writes staged, nothing synced
     /// or committed yet.

@@ -628,73 +628,86 @@ mod tests {
     /// pay copies instead. Deterministic: the test *is* the writer — it
     /// holds the job receiver, so the checkpoint tick 1 starts cannot
     /// sweep a single object before tick 2's updates land, and then
-    /// services the queued job itself.
+    /// services the queued job itself. It runs on this module's trace and
+    /// on the facade's cross-engine trace, whose real-engine first-touch
+    /// copies only a held writer can guarantee (a free one may sweep
+    /// every touched object before the next tick).
     #[test]
     fn overhead_shapes_match_copy_timing() {
         use crate::writer::{complete_job, submit_job};
-        let g = trace_config().geometry;
-        let mut trace = trace_config().build();
-        let (mut first, mut second) = (Vec::new(), Vec::new());
-        assert!(trace.next_tick(&mut first) && trace.next_tick(&mut second));
-        for alg in Algorithm::ALL {
-            let dir = tempfile::tempdir().unwrap();
-            let (job_tx, job_rx) = crossbeam::channel::bounded::<PoolJob>(1);
-            let (ctx, mut backend) =
-                make_shard(alg, &config(dir.path()), g, 0, 1, dir.path(), job_tx, None).unwrap();
-            let mut step = mmoc_core::TickDriver::new(alg.spec()).begin(g);
-            step.tick(&first, &mut backend).unwrap();
-            step.tick(&second, &mut backend).unwrap();
-            let queued = job_rx.try_recv().expect("tick 1 starts a checkpoint");
-            // What the in-flight checkpoint must have cost tick 2: one
-            // copy per distinct flush-set object it touched (the frontier
-            // still reads 0), or nothing if the images were copied
-            // eagerly, inside the pause, at checkpoint start.
-            let (eager, objects, copies_due) = match &queued.job {
-                Job::Eager { ids, data, .. } => {
-                    assert_eq!(data.len(), ids.len() * g.object_size as usize, "{alg}");
-                    (true, ids.len(), 0)
-                }
-                Job::Sweep { list, .. } => {
-                    let mut touched: Vec<u32> = second
-                        .iter()
-                        .map(|u| g.object_of_unchecked(u.addr).0)
-                        .filter(|o| list.binary_search(o).is_ok())
-                        .collect();
-                    touched.sort_unstable();
-                    touched.dedup();
-                    (false, list.len(), touched.len() as u64)
-                }
-            };
-            let mut store = ctx.store.lock();
-            let inflight = submit_job(
-                &ctx,
-                &mut store,
-                &mut Vec::new(),
-                0,
-                queued.job,
-                queued.queued_at,
-            );
-            let done = complete_job(&ctx, &mut store, inflight, 1);
-            drop(store);
-            ctx.done_tx.send(done).unwrap();
-            let run = step.finish(&mut backend).unwrap();
-            assert_eq!(run.metrics.checkpoints.len(), 1, "{alg}");
-            assert_eq!(run.metrics.checkpoints[0].objects_written as usize, objects);
-            let copies: Vec<u64> = run.metrics.ticks.iter().map(|t| t.copies).collect();
-            match alg.spec().copy_timing {
-                mmoc_core::CopyTiming::Eager => {
-                    assert!(
-                        eager && objects > 0,
-                        "{alg}: eager methods must pause to copy"
-                    );
-                    assert_eq!(copies, [0, 0], "{alg}: eager methods never copy on update");
-                }
-                mmoc_core::CopyTiming::OnUpdate => {
-                    assert!(!eager, "{alg}: copy-on-update methods sweep live state");
-                    assert!(copies_due > 0, "{alg}: tick 2 must touch the flush set");
-                    assert_eq!(copies, [0, copies_due], "{alg}");
-                    for t in &run.metrics.ticks {
-                        assert_eq!(t.sync_pause_s, 0.0, "{alg}: no eager pauses allowed");
+        let cross_engine = SyntheticConfig {
+            geometry: StateGeometry::small(2_048, 8),
+            ticks: 60,
+            updates_per_tick: 500,
+            skew: 0.8,
+            seed: 33,
+        };
+        for trace_config in [trace_config(), cross_engine] {
+            let g = trace_config.geometry;
+            let mut trace = trace_config.build();
+            let (mut first, mut second) = (Vec::new(), Vec::new());
+            assert!(trace.next_tick(&mut first) && trace.next_tick(&mut second));
+            for alg in Algorithm::ALL {
+                let dir = tempfile::tempdir().unwrap();
+                let (job_tx, job_rx) = crossbeam::channel::bounded::<PoolJob>(1);
+                let (ctx, mut backend) =
+                    make_shard(alg, &config(dir.path()), g, 0, 1, dir.path(), job_tx, None)
+                        .unwrap();
+                let mut step = mmoc_core::TickDriver::new(alg.spec()).begin(g);
+                step.tick(&first, &mut backend).unwrap();
+                step.tick(&second, &mut backend).unwrap();
+                let queued = job_rx.try_recv().expect("tick 1 starts a checkpoint");
+                // What the in-flight checkpoint must have cost tick 2: one
+                // copy per distinct flush-set object it touched (the frontier
+                // still reads 0), or nothing if the images were copied
+                // eagerly, inside the pause, at checkpoint start.
+                let (eager, objects, copies_due) = match &queued.job {
+                    Job::Eager { ids, data, .. } => {
+                        assert_eq!(data.len(), ids.len() * g.object_size as usize, "{alg}");
+                        (true, ids.len(), 0)
+                    }
+                    Job::Sweep { list, .. } => {
+                        let mut touched: Vec<u32> = second
+                            .iter()
+                            .map(|u| g.object_of_unchecked(u.addr).0)
+                            .filter(|o| list.binary_search(o).is_ok())
+                            .collect();
+                        touched.sort_unstable();
+                        touched.dedup();
+                        (false, list.len(), touched.len() as u64)
+                    }
+                };
+                let mut store = ctx.store.lock();
+                let inflight = submit_job(
+                    &ctx,
+                    &mut store,
+                    &mut Vec::new(),
+                    0,
+                    queued.job,
+                    queued.queued_at,
+                );
+                let done = complete_job(&ctx, &mut store, inflight, 1);
+                drop(store);
+                ctx.done_tx.send(done).unwrap();
+                let run = step.finish(&mut backend).unwrap();
+                assert_eq!(run.metrics.checkpoints.len(), 1, "{alg}");
+                assert_eq!(run.metrics.checkpoints[0].objects_written as usize, objects);
+                let copies: Vec<u64> = run.metrics.ticks.iter().map(|t| t.copies).collect();
+                match alg.spec().copy_timing {
+                    mmoc_core::CopyTiming::Eager => {
+                        assert!(
+                            eager && objects > 0,
+                            "{alg}: eager methods must pause to copy"
+                        );
+                        assert_eq!(copies, [0, 0], "{alg}: eager methods never copy on update");
+                    }
+                    mmoc_core::CopyTiming::OnUpdate => {
+                        assert!(!eager, "{alg}: copy-on-update methods sweep live state");
+                        assert!(copies_due > 0, "{alg}: tick 2 must touch the flush set");
+                        assert_eq!(copies, [0, copies_due], "{alg}");
+                        for t in &run.metrics.ticks {
+                            assert_eq!(t.sync_pause_s, 0.0, "{alg}: no eager pauses allowed");
+                        }
                     }
                 }
             }

@@ -44,9 +44,9 @@ pub enum FaultSite {
     /// The 16-byte metadata commit of a double-backup checkpoint
     /// (`BackupSet::commit` — write + sync of the meta file).
     BackupCommit = 2,
-    /// A whole-segment append to the checkpoint log
-    /// (`LogStore::append_segment`; checked before any byte lands, so
-    /// the log length is unchanged and a retry appends cleanly).
+    /// A whole-segment append to the checkpoint log (one consult per
+    /// segment write, `LogStore::write_segment`; checked before any byte
+    /// lands, so a retry rewrites the same bytes at the same offset).
     LogAppend = 3,
     /// A data `fsync` of the checkpoint log (`LogStore::sync`).
     LogSync = 4,
@@ -375,37 +375,24 @@ impl RetryPolicy {
     ) -> std::io::Result<T> {
         let mut attempt = 0u32;
         loop {
-            match op() {
+            let e = match op() {
                 Ok(v) => return Ok(v),
-                Err(e) => {
-                    if !self.note_failure(&mut attempt, counters) {
-                        return Err(e);
-                    }
+                Err(e) => e,
+            };
+            if attempt >= self.max {
+                // max == 0 is the historical engine: the error propagates
+                // without touching the retry books.
+                if self.max > 0 {
+                    counters.exhausted += 1;
                 }
+                return Err(e);
+            }
+            attempt += 1;
+            counters.retries += 1;
+            if !self.backoff.is_zero() {
+                std::thread::sleep(self.backoff * attempt);
             }
         }
-    }
-
-    /// Book one failed attempt: returns `true` when the caller should
-    /// retry (after the backoff sleep this performs), `false` when the
-    /// budget is exhausted and the error must propagate. For call
-    /// sites that cannot express the operation as an [`FnMut`] closure
-    /// (the streamed log append returns a borrow of the store).
-    pub fn note_failure(&self, attempt: &mut u32, counters: &mut RetryCounters) -> bool {
-        if *attempt >= self.max {
-            // max == 0 is the historical engine: the error propagates
-            // without touching the retry books.
-            if self.max > 0 {
-                counters.exhausted += 1;
-            }
-            return false;
-        }
-        *attempt += 1;
-        counters.retries += 1;
-        if !self.backoff.is_zero() {
-            std::thread::sleep(self.backoff * *attempt);
-        }
-        true
     }
 }
 

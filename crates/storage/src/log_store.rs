@@ -14,23 +14,30 @@
 //!               | segment magic-end "SEGE"
 //! ```
 //!
-//! A segment is one checkpoint. Recovery scans segments forward (the file
-//! is replayed into a reconstruction buffer, newest write wins), starting
-//! from the newest *complete* full-flush segment — semantically identical
-//! to the paper's backward read, and it reads the same bytes. Torn tails
-//! (a crash mid-append) are detected by the segment end marker and
-//! discarded.
+//! A segment is one checkpoint, encoded once by `serialize_segment` and
+//! appended as one positional write at the log's length
+//! (`LogStore::write_segment`; the ring data path submits the same
+//! bytes as one WRITEV at the same offset). Recovery scans segments
+//! forward (the file is replayed into a reconstruction buffer, newest
+//! write wins), starting from the newest *complete* full-flush segment —
+//! semantically identical to the paper's backward read, and it reads the
+//! same bytes. Torn tails (a crash mid-append) are detected by the
+//! segment end marker and discarded.
 
 use crate::crash::{CrashPoint, CrashState};
 use crate::fault::{FaultKind, FaultSite, FaultState};
 use mmoc_core::{ObjectId, StateGeometry};
 use std::fs::{File, OpenOptions};
-use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::Arc;
 
 const FILE_MAGIC: &[u8; 8] = b"MMOCLOG1";
 const SEG_END: &[u8; 4] = b"SEGE";
+/// Bytes of a segment header: seq, consistent tick, full-flush flag and
+/// object count.
+const HEADER: usize = 21;
 
 /// An append-only checkpoint log.
 #[derive(Debug)]
@@ -67,6 +74,23 @@ pub struct SegmentInfo {
     pub objects: u32,
     /// Bytes the segment occupies on disk.
     pub bytes: u64,
+}
+
+impl SegmentInfo {
+    /// Decode a segment header (its first [`HEADER`] bytes); `bytes` is
+    /// the whole segment's length as the object count implies it.
+    fn decode(header: &[u8], object_size: u32) -> SegmentInfo {
+        let word = |at: usize| u64::from_le_bytes(header[at..at + 8].try_into().expect("8 bytes"));
+        let objects = u32::from_le_bytes(header[17..HEADER].try_into().expect("4 bytes"));
+        let records = u64::from(objects) * (4 + u64::from(object_size));
+        SegmentInfo {
+            seq: word(0),
+            consistent_tick: word(8),
+            full_flush: header[16] != 0,
+            objects,
+            bytes: (HEADER + SEG_END.len()) as u64 + records,
+        }
+    }
 }
 
 impl LogStore {
@@ -144,62 +168,9 @@ impl LogStore {
         self.fault.as_ref().and_then(|f| f.consult(site))
     }
 
-    /// The whole-segment append failpoint: faults before any byte
-    /// lands, so the log length is unchanged and a retried append
-    /// restarts cleanly at the same offset. Streamed callers
-    /// ([`LogStore::begin_segment`]) consult this *before* opening the
-    /// segment — the streaming writer is not re-entrant mid-segment —
-    /// while [`LogStore::append_segment`] consults it itself. Short
-    /// writes degrade to a plain error here (no partial effect).
-    pub(crate) fn preflight_append(&self) -> io::Result<()> {
-        if let Some(kind) = self.faulted(FaultSite::LogAppend) {
-            return Err(kind.to_error());
-        }
-        Ok(())
-    }
-
-    /// Start appending one checkpoint segment. Write objects through the
-    /// returned [`SegmentWriter`] in increasing id order and call
-    /// [`SegmentWriter::finish`]; dropping it without finishing leaves a
-    /// torn segment that scans will discard (crash-equivalent).
-    pub fn begin_segment(
-        &mut self,
-        seq: u64,
-        consistent_tick: u64,
-        full_flush: bool,
-    ) -> io::Result<SegmentWriter<'_>> {
-        let crash = self.crash.clone();
-        let down = crash.as_ref().is_some_and(|c| c.is_down());
-        self.file.seek(SeekFrom::Start(self.len))?;
-        let start = self.len;
-        let object_size = self.geometry.object_size as usize;
-        let mut w = BufWriter::new(&mut self.file);
-        // A downed log buffers nothing: the writer below no-ops, so
-        // the BufWriter's drop-flush has nothing to leak to disk.
-        if !down {
-            w.write_all(&seq.to_le_bytes())?;
-            w.write_all(&consistent_tick.to_le_bytes())?;
-            w.write_all(&[u8::from(full_flush)])?;
-            // Object count back-patched in finish().
-            w.write_all(&0u32.to_le_bytes())?;
-        }
-        Ok(SegmentWriter {
-            w,
-            len: &mut self.len,
-            start,
-            count_pos: start + 17,
-            count: 0,
-            object_size,
-            seq,
-            consistent_tick,
-            full_flush,
-            crash,
-        })
-    }
-
     /// Append one checkpoint segment from an iterator of `(id, bytes)`
-    /// pairs in increasing id order (convenience over
-    /// [`LogStore::begin_segment`]).
+    /// pairs in increasing id order, and sync it if `sync` is set:
+    /// `serialize_segment`, then `LogStore::write_segment`.
     pub fn append_segment<'a>(
         &mut self,
         seq: u64,
@@ -208,12 +179,65 @@ impl LogStore {
         objects: impl Iterator<Item = (ObjectId, &'a [u8])>,
         sync: bool,
     ) -> io::Result<SegmentInfo> {
-        self.preflight_append()?;
-        let mut seg = self.begin_segment(seq, consistent_tick, full_flush)?;
-        for (id, bytes) in objects {
-            seg.write_object(id, bytes)?;
+        let mut segment = Vec::new();
+        serialize_segment(seq, consistent_tick, full_flush, objects, &mut segment);
+        let info = self.write_segment(&segment)?;
+        if sync && !self.down() {
+            self.file.sync_data()?;
         }
-        seg.finish(sync)
+        Ok(info)
+    }
+
+    /// Append one segment encoded by [`serialize_segment`] with one
+    /// positional write at the log's length; syncing it is the caller's
+    /// ([`LogStore::sync`]). The instrumented failures, per site:
+    ///
+    /// * `log-append` faults once per segment, before any byte lands, so
+    ///   a retry rewrites the same bytes at the same offset;
+    /// * `log-append-object` is reached once per record: the header, the
+    ///   records before it, its id and `torn` bytes of its object land,
+    ///   and the segment never seals (the scan drops it);
+    /// * `log-segment-sealed` is reached once after the trailer: all but
+    ///   the segment's last `torn` bytes land.
+    pub(crate) fn write_segment(&mut self, segment: &[u8]) -> io::Result<SegmentInfo> {
+        if let Some(kind) = self.faulted(FaultSite::LogAppend) {
+            return Err(kind.to_error());
+        }
+        let object_size = self.geometry.object_size as usize;
+        let info = SegmentInfo::decode(segment, self.geometry.object_size);
+        assert_eq!(
+            info.bytes,
+            segment.len() as u64,
+            "every record holds one object_size image"
+        );
+        let mut landed = segment.len();
+        if let Some(c) = &self.crash {
+            if c.is_down() {
+                // Frozen: nothing lands; the info keeps the caller's
+                // accounting flowing.
+                return Ok(SegmentInfo { bytes: 0, ..info });
+            }
+            let torn_at = (0..info.objects as usize)
+                .find_map(|k| {
+                    let plan = c.reach(CrashPoint::LogAppendObject)?;
+                    let torn = (plan.torn as usize).min(object_size);
+                    Some(HEADER + k * (4 + object_size) + 4 + torn)
+                })
+                .or_else(|| {
+                    let plan = c.reach(CrashPoint::LogSegmentSealed)?;
+                    Some(segment.len().saturating_sub(plan.torn as usize))
+                });
+            if let Some(torn_at) = torn_at {
+                c.go_down();
+                landed = torn_at;
+            }
+        }
+        self.file.write_all_at(&segment[..landed], self.len)?;
+        self.len += landed as u64;
+        Ok(SegmentInfo {
+            bytes: landed as u64,
+            ..info
+        })
     }
 
     /// Scan all complete segments, newest last. Torn tails are dropped.
@@ -223,32 +247,22 @@ impl LogStore {
         let file_len = self.file.metadata()?.len();
         let mut r = BufReader::new(&mut self.file);
         let mut pos = FILE_MAGIC.len() as u64;
-        let obj_size = self.geometry.object_size as u64;
-        while pos + 21 <= file_len {
-            let seq = read_u64(&mut r)?;
-            let consistent_tick = read_u64(&mut r)?;
-            let full_flush = read_u8(&mut r)? != 0;
-            let count = read_u32(&mut r)?;
-            let body = u64::from(count) * (4 + obj_size);
-            let seg_len = 21 + body + 4;
-            if pos + seg_len > file_len {
+        let mut header = [0u8; HEADER];
+        while pos + HEADER as u64 <= file_len {
+            r.read_exact(&mut header)?;
+            let info = SegmentInfo::decode(&header, self.geometry.object_size);
+            if pos + info.bytes > file_len {
                 break; // torn tail
             }
             // Skip the body, check the end marker.
-            r.seek_relative(body as i64)?;
+            r.seek_relative((info.bytes - (HEADER + SEG_END.len()) as u64) as i64)?;
             let mut end = [0u8; 4];
             r.read_exact(&mut end)?;
             if &end != SEG_END {
                 break; // torn or corrupt
             }
-            infos.push(SegmentInfo {
-                seq,
-                consistent_tick,
-                full_flush,
-                objects: count,
-                bytes: seg_len,
-            });
-            pos += seg_len;
+            pos += info.bytes;
+            infos.push(info);
         }
         Ok(infos)
     }
@@ -287,7 +301,7 @@ impl LogStore {
         let mut r = BufReader::new(&mut self.file);
         for s in &infos[start_idx..] {
             // Header.
-            let mut hdr = [0u8; 21];
+            let mut hdr = [0u8; HEADER];
             r.read_exact(&mut hdr)?;
             let mut id_buf = [0u8; 4];
             let mut obj_buf = vec![0u8; obj_size];
@@ -305,10 +319,10 @@ impl LogStore {
         Ok((image, consistent_tick, bytes_read))
     }
 
-    /// Flush all appended segments to stable storage. Used by writer
-    /// backends that defer durability past [`SegmentWriter::finish`]
-    /// (`finish(false)` seals the segment in the page cache; a crash
-    /// before this sync leaves a torn tail that scans discard).
+    /// Flush all appended segments to stable storage: the durability
+    /// point of segments written without a sync (sealed in the page
+    /// cache only — a crash before this leaves a torn tail that scans
+    /// discard).
     pub fn sync(&self) -> io::Result<()> {
         if self.down() {
             return Ok(());
@@ -335,10 +349,8 @@ impl LogStore {
         self.file.as_raw_fd()
     }
 
-    /// The offset the next appended segment will start at. Writer
-    /// backends that bypass [`LogStore::begin_segment`] (the uring
-    /// backend serializes segments with [`serialize_segment`] and
-    /// submits them as ring writes) position their writes here.
+    /// The offset the next appended segment will start at: where the
+    /// ring data path positions its WRITEV of an encoded segment.
     pub(crate) fn append_offset(&self) -> u64 {
         self.len
     }
@@ -361,104 +373,9 @@ impl LogStore {
     }
 }
 
-/// Streaming writer for one log segment.
-#[derive(Debug)]
-pub struct SegmentWriter<'a> {
-    w: BufWriter<&'a mut File>,
-    len: &'a mut u64,
-    start: u64,
-    count_pos: u64,
-    count: u32,
-    object_size: usize,
-    seq: u64,
-    consistent_tick: u64,
-    full_flush: bool,
-    crash: Option<Arc<CrashState>>,
-}
-
-impl SegmentWriter<'_> {
-    /// Append one object's bytes (must be `object_size` long, ids in
-    /// increasing order).
-    pub fn write_object(&mut self, id: ObjectId, bytes: &[u8]) -> io::Result<()> {
-        debug_assert_eq!(bytes.len(), self.object_size);
-        if let Some(c) = &self.crash {
-            if c.is_down() {
-                return Ok(());
-            }
-            if let Some(plan) = c.reach(CrashPoint::LogAppendObject) {
-                // Torn record: the id header plus a prefix of the
-                // object's bytes reach disk, the segment never seals,
-                // so the recovery scan discards the torn tail.
-                self.w.write_all(&id.0.to_le_bytes())?;
-                self.w
-                    .write_all(&bytes[..(plan.torn as usize).min(bytes.len())])?;
-                self.w.flush()?;
-                c.go_down();
-                return Ok(());
-            }
-        }
-        self.w.write_all(&id.0.to_le_bytes())?;
-        self.w.write_all(bytes)?;
-        self.count += 1;
-        Ok(())
-    }
-
-    /// Seal the segment: end marker, count patch, optional fsync.
-    pub fn finish(mut self, sync: bool) -> io::Result<SegmentInfo> {
-        use std::os::unix::fs::FileExt;
-        if self.crash.as_ref().is_some_and(|c| c.is_down()) {
-            // Frozen: nothing written, nothing sealed. The fake info
-            // keeps the caller's accounting flowing; the disk holds
-            // whatever the crash instant left.
-            return Ok(SegmentInfo {
-                seq: self.seq,
-                consistent_tick: self.consistent_tick,
-                full_flush: self.full_flush,
-                objects: self.count,
-                bytes: 0,
-            });
-        }
-        self.w.write_all(SEG_END)?;
-        self.w.flush()?;
-        let file: &File = self.w.get_ref();
-        file.write_all_at(&self.count.to_le_bytes(), self.count_pos)?;
-        let end = file.metadata()?.len();
-        if let Some(c) = &self.crash {
-            if let Some(plan) = c.reach(CrashPoint::LogSegmentSealed) {
-                // Sealed but unsynced, with a torn tail: truncate the
-                // final `torn` bytes (never into earlier segments)
-                // and skip the sync the caller asked for.
-                let torn_end = end.saturating_sub(plan.torn).max(self.start);
-                file.set_len(torn_end)?;
-                c.go_down();
-                *self.len = torn_end;
-                return Ok(SegmentInfo {
-                    seq: self.seq,
-                    consistent_tick: self.consistent_tick,
-                    full_flush: self.full_flush,
-                    objects: self.count,
-                    bytes: torn_end - self.start,
-                });
-            }
-        }
-        if sync {
-            file.sync_data()?;
-        }
-        *self.len = end;
-        Ok(SegmentInfo {
-            seq: self.seq,
-            consistent_tick: self.consistent_tick,
-            full_flush: self.full_flush,
-            objects: self.count,
-            bytes: end - self.start,
-        })
-    }
-}
-
-/// Serialize one complete checkpoint segment into `out` — byte-for-byte
-/// what [`LogStore::append_segment`] would write through the file handle,
-/// for backends that submit the segment as a single ring write instead.
-/// `objects` must come in increasing id order (sorted I/O).
+/// Encode one complete checkpoint segment into `out`: the one encoding of
+/// the segment format, appended by [`LogStore::write_segment`] or by the
+/// ring's WRITEV. `objects` must come in increasing id order (sorted I/O).
 pub(crate) fn serialize_segment<'a>(
     seq: u64,
     consistent_tick: u64,
@@ -477,26 +394,8 @@ pub(crate) fn serialize_segment<'a>(
         out.extend_from_slice(bytes);
         count += 1;
     }
-    out[17..21].copy_from_slice(&count.to_le_bytes());
+    out[17..HEADER].copy_from_slice(&count.to_le_bytes());
     out.extend_from_slice(SEG_END);
-}
-
-fn read_u8<R: Read>(r: &mut R) -> io::Result<u8> {
-    let mut b = [0u8; 1];
-    r.read_exact(&mut b)?;
-    Ok(b[0])
-}
-
-fn read_u32<R: Read>(r: &mut R) -> io::Result<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn read_u64<R: Read>(r: &mut R) -> io::Result<u64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
 }
 
 #[cfg(test)]
@@ -677,61 +576,73 @@ mod tests {
         assert!(LogStore::open(dir.path(), geometry()).is_err());
     }
 
-    /// The uring backend's out-of-band append path must produce the
-    /// exact bytes the streamed writer does — serialize a segment, write
-    /// it raw at `append_offset`, and the store must scan/reconstruct it
-    /// as if `append_segment` had written it.
+    /// The one encoder writes exactly the format of the module doc:
+    /// a two-object segment, byte by byte (3-byte objects keep it short;
+    /// the encoder does not know the geometry).
     #[test]
-    fn serialized_segment_is_byte_identical_to_streamed_append() {
-        let streamed_dir = tempfile::tempdir().unwrap();
-        let raw_dir = tempfile::tempdir().unwrap();
-        let full: Vec<(ObjectId, Vec<u8>)> = (0..4).map(|i| (ObjectId(i), obj(i as u8))).collect();
-        let dirty = [(ObjectId(1), obj(9)), (ObjectId(3), obj(8))];
+    fn serialized_segment_matches_the_documented_format() {
+        let mut seg = vec![0xEE; 7]; // stale bytes the encoder must clear
+        let records = [
+            (ObjectId(3), &[0xA1, 0xA2, 0xA3][..]),
+            (ObjectId(0x0100), &[0xB1, 0xB2, 0xB3][..]),
+        ];
+        serialize_segment(0x0102, 0x0A0B, true, records.into_iter(), &mut seg);
+        #[rustfmt::skip]
+        let want: &[u8] = &[
+            0x02, 0x01, 0, 0, 0, 0, 0, 0,     // seq u64
+            0x0B, 0x0A, 0, 0, 0, 0, 0, 0,     // consistent_tick u64
+            1,                                // full_flush u8
+            2, 0, 0, 0,                       // object_count u32
+            3, 0, 0, 0, 0xA1, 0xA2, 0xA3,     // object_id u32 | object bytes
+            0, 1, 0, 0, 0xB1, 0xB2, 0xB3,
+            b'S', b'E', b'G', b'E',           // segment magic-end
+        ];
+        assert_eq!(seg, want);
+    }
 
-        let mut streamed = LogStore::create(streamed_dir.path(), geometry()).unwrap();
-        streamed
-            .append_segment(
-                0,
-                5,
-                true,
-                full.iter().map(|(i, b)| (*i, b.as_slice())),
-                true,
-            )
-            .unwrap();
-        streamed
-            .append_segment(
+    /// A crash inside a segment append leaves exactly the bytes its site
+    /// documents: `log-append-object:k:t` the header, k−1 whole records,
+    /// then the k-th record's id and `t` bytes of its object (at most the
+    /// whole object); `log-segment-sealed:1:t` the sealed segment short
+    /// of its last `t` bytes. Either way the scan drops the torn segment
+    /// and reconstruction returns the previous image.
+    #[test]
+    fn torn_appends_leave_the_documented_geometry() {
+        use crate::crash::{plan_spec, CrashState};
+        let full: Vec<(ObjectId, Vec<u8>)> = (0..4).map(|i| (ObjectId(i), obj(1))).collect();
+        let dirty: Vec<(ObjectId, Vec<u8>)> = (1..4).map(|i| (ObjectId(i), obj(7))).collect();
+        let record = 4 + 64;
+        let sealed = 21 + 3 * record + 4;
+        for (spec, torn_len) in [
+            ("log-append-object:1:0", 21 + 4),
+            ("log-append-object:2:10", 21 + record + 4 + 10),
+            ("log-append-object:3:64", 21 + 2 * record + 4 + 64),
+            ("log-append-object:3:500", 21 + 2 * record + 4 + 64),
+            ("log-segment-sealed:1:1", sealed - 1),
+            ("log-segment-sealed:1:30", sealed - 30),
+        ] {
+            let dir = tempfile::tempdir().unwrap();
+            let mut log = LogStore::create(dir.path(), geometry()).unwrap();
+            log.append_segment(0, 5, true, full.iter().map(|(i, b)| (*i, &b[..])), true)
+                .unwrap();
+            let start = log.len();
+            let plan = plan_spec(spec).unwrap();
+            log.attach_crash(Some(Arc::new(CrashState::armed(plan))));
+            log.append_segment(1, 9, false, dirty.iter().map(|(i, b)| (*i, &b[..])), true)
+                .unwrap();
+            let on_disk = std::fs::metadata(dir.path().join("checkpoint.log"))
+                .unwrap()
+                .len();
+            assert_eq!(on_disk, start + torn_len, "{spec}");
+            assert_eq!(
+                log.segments().unwrap().len(),
                 1,
-                9,
-                false,
-                dirty.iter().map(|(i, b)| (*i, b.as_slice())),
-                true,
-            )
-            .unwrap();
-
-        let mut raw = LogStore::create(raw_dir.path(), geometry()).unwrap();
-        let mut buf = Vec::new();
-        for (seq, tick, is_full, objs) in [(0u64, 5u64, true, &full[..]), (1, 9, false, &dirty[..])]
-        {
-            serialize_segment(
-                seq,
-                tick,
-                is_full,
-                objs.iter().map(|(i, b)| (*i, b.as_slice())),
-                &mut buf,
+                "{spec}: torn segment kept"
             );
-            let offset = raw.append_offset();
-            crate::uring::pwrite_all(raw.sync_fd(), &buf, offset).unwrap();
-            raw.note_appended(buf.len() as u64);
+            let (image, tick, _) = log.reconstruct().unwrap();
+            assert_eq!(tick, 5, "{spec}");
+            assert!(image.iter().all(|&b| b == 1), "{spec}: previous image");
         }
-        raw.sync().unwrap();
-
-        let a = std::fs::read(streamed_dir.path().join("checkpoint.log")).unwrap();
-        let b = std::fs::read(raw_dir.path().join("checkpoint.log")).unwrap();
-        assert_eq!(a, b, "serialized path must be byte-identical");
-        assert_eq!(raw.len(), a.len() as u64, "note_appended tracks length");
-        let (image, tick, _) = raw.reconstruct().unwrap();
-        assert_eq!(tick, 9);
-        assert!(image[64..128].iter().all(|&v| v == 9));
     }
 
     #[test]

@@ -41,7 +41,7 @@ impl ExperimentEngine for RealConfig {
     ) -> Result<RunReport, RunError> {
         // Environment rows are parsed when the config is built; garbage
         // surfaces here as a typed error instead of a panic, so
-        // `MMOC_WRITER_BATCH_WINDOW=fast cargo bench` fails with a
+        // `MMOC_WRITER_BATCH_WINDOW=fast cargo test` fails with a
         // message naming the variable rather than a backtrace.
         if let Some(msg) = &self.env_error {
             return Err(RunError::Config(msg.clone()));

@@ -7,8 +7,8 @@
 //!
 //! * `io_uring_setup(2)` plus the SQ/CQ/SQE `mmap`s (honoring
 //!   `IORING_FEAT_SINGLE_MMAP` on kernels ≥ 5.4),
-//! * `IORING_OP_WRITEV` / `IORING_OP_FSYNC` / `IORING_OP_NOP` submission
-//!   with optional `IOSQE_IO_LINK` chaining,
+//! * `IORING_OP_WRITEV` / `IORING_OP_NOP` submission (the ring carries
+//!   data writes only; every `fdatasync` is a synchronous syscall),
 //! * `io_uring_enter(2)` with `GETEVENTS`, and out-of-order CQE reaping
 //!   keyed by `user_data`.
 //!
@@ -60,16 +60,8 @@ const IORING_FEAT_SINGLE_MMAP: u32 = 1 << 0;
 
 const IORING_OP_NOP: u8 = 0;
 const IORING_OP_WRITEV: u8 = 2;
-const IORING_OP_FSYNC: u8 = 3;
-
-/// Start the next SQE only after this one succeeds (durability chains).
-const IOSQE_IO_LINK: u8 = 1 << 2;
 
 const IORING_ENTER_GETEVENTS: u32 = 1;
-
-/// `fdatasync` semantics for `IORING_OP_FSYNC`, matching the synchronous
-/// backends' `File::sync_data` calls.
-const IORING_FSYNC_DATASYNC: u32 = 1;
 
 mod libc_errno {
     pub const EINTR: i32 = 4;
@@ -172,23 +164,9 @@ impl Sqe {
         s
     }
 
-    /// `fdatasync`-grade flush of `fd`, matching `File::sync_data`.
-    pub(crate) fn fsync_data(fd: RawFd, user_data: u64) -> Sqe {
-        let mut s = Sqe::zeroed(IORING_OP_FSYNC, fd, user_data);
-        s.rw_flags = IORING_FSYNC_DATASYNC;
-        s
-    }
-
     /// No-op, for capability probing.
     pub(crate) fn nop(user_data: u64) -> Sqe {
         Sqe::zeroed(IORING_OP_NOP, -1, user_data)
-    }
-
-    /// Chain the *next* SQE after this one: it starts only once this one
-    /// succeeds, and is cancelled (`ECANCELED`) if this one fails.
-    pub(crate) fn link(mut self) -> Sqe {
-        self.flags |= IOSQE_IO_LINK;
-        self
     }
 }
 
@@ -198,8 +176,8 @@ impl Sqe {
 pub(crate) struct Cqe {
     /// The `user_data` of the SQE this completes.
     pub user_data: u64,
-    /// Result: bytes written for `WRITEV`, 0 for `FSYNC`/`NOP`, negated
-    /// errno on failure.
+    /// Result: bytes written for `WRITEV`, 0 for `NOP`, negated errno on
+    /// failure.
     pub res: i32,
     #[allow(dead_code)]
     flags: u32,
@@ -484,9 +462,6 @@ const UNAVAILABLE: u8 = 2;
 /// Process-global ring-capability verdict, latched by the first probe.
 static CAPABILITY: AtomicU8 = AtomicU8::new(UNKNOWN);
 
-/// Process-global `IOSQE_IO_LINK`-support verdict (5.3+), latched once.
-static LINK_SUPPORT: AtomicU8 = AtomicU8::new(UNKNOWN);
-
 /// One-shot probe: can this process create a ring and drive a NOP
 /// through it? Any failure — `ENOSYS` (pre-5.1 kernel), `EPERM`
 /// (seccomp/sysctl lockdown), resource limits, or an inconsistent ring —
@@ -513,38 +488,6 @@ fn probe_ring() -> bool {
         return false;
     }
     matches!(ring.reap(), Some(c) if c.user_data == 0x70_07 && c.res == 0)
-}
-
-/// One-shot probe for SQE chaining (`IOSQE_IO_LINK`): push a linked NOP
-/// pair through a throwaway ring and require both to succeed. Kernels
-/// that predate links fail the first SQE with `EINVAL`, which simply
-/// keeps the writer on its synchronous-fsync fallback.
-pub(crate) fn links_available() -> bool {
-    match LINK_SUPPORT.load(Ordering::Relaxed) {
-        AVAILABLE => true,
-        UNAVAILABLE => false,
-        _ => {
-            let ok = ring_available() && probe_links();
-            LINK_SUPPORT.store(if ok { AVAILABLE } else { UNAVAILABLE }, Ordering::Relaxed);
-            ok
-        }
-    }
-}
-
-fn probe_links() -> bool {
-    let Ok(mut ring) = Ring::new(2) else {
-        return false;
-    };
-    if ring.push(Sqe::nop(1).link()).is_err()
-        || ring.push(Sqe::nop(2)).is_err()
-        || ring.submit_and_wait(2).is_err()
-    {
-        return false;
-    }
-    let (Some(a), Some(b)) = (ring.reap(), ring.reap()) else {
-        return false;
-    };
-    a.res == 0 && b.res == 0
 }
 
 /// Synchronous positional write of the whole buffer — the repair path
@@ -585,18 +528,14 @@ mod tests {
         let first = ring_available();
         let second = ring_available();
         assert_eq!(first, second, "latched verdict must not flap");
-        // Link support implies ring support.
-        if links_available() {
-            assert!(ring_available());
-        }
     }
 
-    /// The full data path the writer backend relies on: a two-iovec
-    /// WRITEV at an offset, chained to a DATASYNC fsync, reaped by
-    /// user_data. Skipped (vacuously passing) where the kernel has no
-    /// io_uring — exactly the situations the writer falls back in.
+    /// The data path the writer backend relies on: a two-iovec WRITEV at
+    /// an offset, reaped by user_data. Skipped (vacuously passing) where
+    /// the kernel has no io_uring — exactly the situations the writer
+    /// falls back in.
     #[test]
-    fn writev_chained_fsync_round_trip() {
+    fn writev_round_trip() {
         if !ring_available() {
             return;
         }
@@ -621,32 +560,14 @@ mod tests {
                 iov_len: b.len(),
             },
         ];
-        let use_link = links_available();
-        let w = Sqe::writev(file.as_raw_fd(), iov.as_ptr(), 2, 16, 1);
-        ring.push(if use_link { w.link() } else { w }).unwrap();
-        let mut want = 1u32;
-        if use_link {
-            ring.push(Sqe::fsync_data(file.as_raw_fd(), 2)).unwrap();
-            want = 2;
-        }
-        ring.submit_and_wait(want).unwrap();
-        let mut wrote = 0i64;
-        for _ in 0..want {
-            let c = loop {
-                if let Some(c) = ring.reap() {
-                    break c;
-                }
-                ring.submit_and_wait(1).unwrap();
-            };
-            match c.user_data {
-                1 => wrote = i64::from(c.res),
-                2 => assert!(c.res >= 0, "linked fsync failed: {}", c.res),
-                other => panic!("unknown user_data {other}"),
-            }
-        }
-        assert!(wrote > 0, "writev failed: {wrote}");
+        ring.push(Sqe::writev(file.as_raw_fd(), iov.as_ptr(), 2, 16, 1))
+            .unwrap();
+        ring.submit_and_wait(1).unwrap();
+        let c = ring.reap().expect("one completion");
+        assert_eq!(c.user_data, 1);
+        assert!(c.res > 0, "writev failed: {}", c.res);
         // Repair any short write the way the backend would.
-        let done = wrote as usize;
+        let done = c.res as usize;
         if done < 128 {
             let rest: Vec<u8> = a.iter().chain(b.iter()).copied().skip(done).collect();
             pwrite_all(file.as_raw_fd(), &rest, 16 + done as u64).unwrap();

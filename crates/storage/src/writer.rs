@@ -15,11 +15,11 @@
 //! distinct target file, or one `syncfs` barrier per device, all before
 //! any metadata commit) → *ack in reap order* (`ack_in_reap_order`: each
 //! job's completion phase and its `Done`, newest shard first, FIFO
-//! within a shard). Issuing the data writes — and fsyncing a list of
-//! distinct files — is the only strategy point (`DataPath`): one
-//! `pwrite` per run of consecutive objects through `submit_job`, or
-//! per-shard FIFO waves of `IORING_OP_WRITEV` SQEs on a real kernel ring
-//! (`crate::uring`).
+//! within a shard). Issuing the data writes is the only strategy point
+//! (`DataPath`): one `pwrite` per run of consecutive objects (one per
+//! log segment) through `submit_job`, or per-shard FIFO waves of
+//! `IORING_OP_WRITEV` SQEs on a real kernel ring (`crate::uring`). Every
+//! data sync is a synchronous `fdatasync` under every configuration.
 //!
 //! The three `WriterBackendKind`s are configurations of that loop:
 //! `thread-pool` is N loop threads taking one job per round with no
@@ -48,6 +48,7 @@ use crate::crash::{CrashAction, CrashPoint, CrashState};
 use crate::engine::{Done, Job, PoolJob, ShardCtx, Store};
 use crate::fault::FaultSite;
 use crate::files::SyncTarget;
+use crate::log_store::serialize_segment;
 use crate::report::WriterStats;
 use crate::uring::{pwrite_all, Iovec, Ring, Sqe};
 use mmoc_core::run::WriterBackend as WriterBackendKind;
@@ -153,17 +154,13 @@ pub(crate) fn spawn_writer(
     // The ring is created *before* its thread so every failure mode —
     // `ENOSYS`, `EPERM`, memlock limits, fd limits post-probe — surfaces
     // here and the run falls back instead of panicking mid-run. Room
-    // for several WRITEV runs plus a chained fsync per shard; the
-    // submission loop drains mid-wave when a batch wants more.
+    // for several WRITEV runs per shard; the submission loop drains
+    // mid-wave when a batch wants more.
     let entries = (ctxs.len() * 4).clamp(32, 256) as u32;
     let mut ring = (kind == WriterBackendKind::IoUring && crate::uring::ring_available())
         .then(|| Ring::new(entries).ok())
         .flatten()
-        .map(|ring| RingPath {
-            ring,
-            chain_fsync: crate::uring::links_available() && !sched.coalesce_fsync,
-            dead: false,
-        });
+        .map(|ring| RingPath { ring, dead: false });
     let effective = match kind {
         WriterBackendKind::IoUring if ring.is_none() => WriterBackendKind::AsyncBatched,
         kind => kind,
@@ -203,12 +200,11 @@ pub(crate) struct InFlight {
     objects: u32,
     recycled: Option<(Vec<u32>, Vec<u8>)>,
     state: io::Result<PendingDurability>,
-    /// Outcome of a data sync issued for this job ahead of its completion
-    /// phase — by the durability scheduler batch-globally, or by the
-    /// ring's chained fsync; `None` means the completion phase syncs
-    /// inline, per job. Jobs sharing a coalesced `fsync` (or a
-    /// whole-device barrier) share its outcome: if the call failed, none
-    /// of them may commit metadata.
+    /// Outcome of a data sync the durability scheduler issued for this
+    /// job batch-globally, ahead of its completion phase; `None` means
+    /// the completion phase syncs inline, per job. Jobs sharing a
+    /// coalesced `fsync` (or a whole-device barrier) share its outcome:
+    /// if the call failed, none of them may commit metadata.
     presync: Option<io::Result<()>>,
     /// The checkpoint delta destined for the shard's peer mirrors, captured
     /// at submission when the run has a replica tier; published by the
@@ -291,9 +287,9 @@ enum PendingDurability {
 }
 
 /// Identity of the file a pending job's data sync targets, plus its raw
-/// descriptor for the ring's FSYNC SQE and the `syncfs` device barrier
-/// (any fd on the device names the filesystem). Both are cached by the
-/// store at create/open; no syscall.
+/// descriptor for the `syncfs` device barrier (any fd on the device
+/// names the filesystem). Both are cached by the store at create/open;
+/// no syscall.
 fn sync_point_of(store: &Store, pending: &PendingDurability) -> (SyncTarget, RawFd) {
     match (pending, store) {
         (PendingDurability::Double { target, .. }, Store::Double(set)) => {
@@ -398,9 +394,9 @@ fn id_runs(ids: &[u32], max: usize) -> impl Iterator<Item = std::ops::Range<usiz
 const RUN_BYTES: usize = 256 << 10;
 
 /// The copy-on-update sweep protocol, writer side: how a sweep job reads
-/// one live object and publishes its progress. Shared by the streamed
-/// sweep ([`submit_job`]) and the ring's captured one
-/// ([`stage_ring_job`]).
+/// one live object and publishes its progress. The double-backup syscall
+/// path streams a sweep run by run ([`submit_job`]); a log segment and
+/// the ring capture it whole ([`Sweep::capture`]).
 struct Sweep<'a> {
     ctx: &'a ShardCtx,
     cursor: CursorKind,
@@ -431,16 +427,45 @@ impl Sweep<'_> {
         };
         self.ctx.frontier.store(slots, Ordering::Release);
     }
+
+    /// Read every object of `ids` into one packed image, publishing the
+    /// frontier as each is read and queued — "queued" here meaning
+    /// captured for one segment or ring write, the same
+    /// under-approximation the streamed sweep provides.
+    fn capture(&self, ids: &[u32]) -> Vec<u8> {
+        let obj_size = self.ctx.geometry.object_size as usize;
+        let mut image = vec![0u8; ids.len() * obj_size];
+        for ((p, &o), buf) in ids.iter().enumerate().zip(image.chunks_exact_mut(obj_size)) {
+            self.read_object(o, buf);
+            self.publish(p, o);
+        }
+        image
+    }
+}
+
+/// The `(id, image)` records of a packed job payload: `images` holds one
+/// object image per id, in id order.
+fn records<'a>(
+    ids: &'a [u32],
+    images: &'a [u8],
+    obj_size: usize,
+) -> impl Iterator<Item = (ObjectId, &'a [u8])> {
+    ids.iter()
+        .map(|&id| ObjectId(id))
+        .zip(images.chunks_exact(obj_size))
 }
 
 /// Submission phase: issue one flush job's data writes against one
 /// shard's store, durability deferred. Runs on a writer thread; `buf` is
-/// the thread's reusable run buffer (one object for a log sweep, up to
-/// [`RUN_BYTES`] for a double-backup one). For sweep jobs the frontier is
-/// published object by object as each is read into `buf` — frontier
+/// the thread's reusable buffer: a double-backup sweep's run (up to
+/// [`RUN_BYTES`]), or a log job's encoded segment. For sweep jobs the
+/// frontier is published object by object as each is read — frontier
 /// semantics are "read from live state and queued", not "durable", so
-/// neither the buffered run nor the deferred sync changes the
-/// copy-on-update protocol.
+/// neither the buffered write nor the deferred sync changes the
+/// copy-on-update protocol. A log segment's whole write is retried: the
+/// `log-append` failpoint faults before any byte lands, so a retry
+/// rewrites the same bytes at the same offset (pinned by the
+/// retry-equivalence tests).
 ///
 /// `queued_at` is the instant the mutator enqueued the job
 /// ([`PoolJob::queued_at`]); it seeds the job's duration clock here so
@@ -455,7 +480,6 @@ pub(crate) fn submit_job(
     queued_at: Instant,
 ) -> InFlight {
     let obj_size = ctx.geometry.object_size as usize;
-    buf.resize(obj_size, 0);
     let max_run = (RUN_BYTES / obj_size).max(1);
     let mut stats = WriterStats::default();
     let retry = &ctx.retry;
@@ -486,23 +510,12 @@ pub(crate) fn submit_job(
                     }
                     Ok(PendingDurability::Double { target, tick })
                 })(),
-                // The whole append is retried: the failpoint faults before
-                // any byte lands, so the log length is unchanged and the
-                // retried segment restarts at the same offset (positionally
-                // idempotent — pinned by the retry-equivalence tests).
-                Store::Log(log) => retry
-                    .run(&mut stats.retry, || {
-                        log.append_segment(
-                            seq,
-                            tick,
-                            full_image,
-                            ids.iter()
-                                .enumerate()
-                                .map(|(i, &id)| (ObjectId(id), &data[i * obj_size..][..obj_size])),
-                            false,
-                        )
-                    })
-                    .map(|_| PendingDurability::Log),
+                Store::Log(log) => {
+                    serialize_segment(seq, tick, full_image, records(&ids, &data, obj_size), buf);
+                    retry
+                        .run(&mut stats.retry, || log.write_segment(buf))
+                        .map(|_| PendingDurability::Log)
+                }
             };
             (count, state, Some((ids, data)), replica)
         }
@@ -537,23 +550,16 @@ pub(crate) fn submit_job(
                     }
                     Ok(PendingDurability::Double { target, tick })
                 })(),
-                Store::Log(log) => (|| {
-                    // The streamed writer is not re-entrant mid-segment, so
-                    // the whole-segment failpoint is pre-flighted under the
-                    // retry policy before the segment opens (no byte has
-                    // landed when it injects).
-                    retry.run(&mut stats.retry, || log.preflight_append())?;
-                    let mut seg = log.begin_segment(seq, tick, full_image)?;
-                    for (p, &o) in list.iter().enumerate() {
-                        sweep.read_object(o, buf);
-                        if let Some(d) = delta.as_mut() {
-                            d.data.extend_from_slice(buf);
-                        }
-                        seg.write_object(ObjectId(o), buf)?;
-                        sweep.publish(p, o);
+                Store::Log(log) => {
+                    let image = sweep.capture(&list);
+                    if let Some(d) = delta.as_mut() {
+                        d.data.extend_from_slice(&image);
                     }
-                    seg.finish(false).map(|_| PendingDurability::Log)
-                })(),
+                    serialize_segment(seq, tick, full_image, records(&list, &image, obj_size), buf);
+                    retry
+                        .run(&mut stats.retry, || log.write_segment(buf))
+                        .map(|_| PendingDurability::Log)
+                }
             };
             (count, state, None, delta)
         }
@@ -571,14 +577,13 @@ pub(crate) fn submit_job(
 /// correctness argument rests on — and assemble its [`Done`]. The job is
 /// only acked to the mutator after this returns.
 ///
-/// When the job's data has already been synced (`inflight.presync` set —
-/// by the durability scheduler batch-globally, or by the ring's chained
-/// fsync), only the metadata commit remains here; otherwise the sync
-/// happens inline, per job — the historical path, which the thread pool
-/// always takes and the batching configurations take with coalescing
-/// off. `batch_jobs` is the occupancy of the batch this job completed in
-/// (1 for the thread pool); it closes the job's tally together with the
-/// job count and the payload bytes.
+/// When the durability scheduler has already synced the job's data
+/// batch-globally (`inflight.presync` set), only the metadata commit
+/// remains here; otherwise the sync happens inline, per job — the
+/// historical path, which the thread pool always takes and the batching
+/// configurations take with coalescing off. `batch_jobs` is the occupancy
+/// of the batch this job completed in (1 for the thread pool); it closes
+/// the job's tally together with the job count and the payload bytes.
 pub(crate) fn complete_job(
     ctx: &ShardCtx,
     store: &mut Store,
@@ -763,7 +768,7 @@ fn run_rounds(
         // inline in its completion phase, and the scheduler's seam — a
         // lattice point of the batching configurations — does not exist.
         if batching {
-            schedule_durability(ctxs, &sched, &mut round, &mut path);
+            schedule_durability(ctxs, &sched, &mut round);
         }
         ack_in_reap_order(ctxs, &mut round, occupancy);
         if let Some((turn, _)) = gate {
@@ -876,15 +881,9 @@ fn pending_target(ctxs: &[ShardCtx], inflight: &InFlight) -> Option<(SyncTarget,
 /// holds ≥ 2 distinct files on one device and `syncfs` is available, a
 /// single whole-device call replaces all of that device's per-file
 /// fsyncs (it flushes a superset of their dirty pages, so the
-/// sync-before-commit ordering is preserved a fortiori). The barriers
-/// stay on their synchronous capability-probed path under every data
-/// path; the per-file fsyncs go through the data path's hook.
-fn schedule_durability(
-    ctxs: &[ShardCtx],
-    sched: &DurabilityConfig,
-    round: &mut Round,
-    path: &mut DataPath,
-) {
+/// sync-before-commit ordering is preserved a fortiori). Barriers and
+/// per-file fsyncs alike are synchronous syscalls under every data path.
+fn schedule_durability(ctxs: &[ShardCtx], sched: &DurabilityConfig, round: &mut Round) {
     let crash = run_crash(ctxs);
     if sched.coalesce_fsync {
         let Round {
@@ -938,7 +937,7 @@ fn schedule_durability(
             }
             points.retain(|p| !barriers.iter().any(|(d, _)| *d == p.target.dev()));
         }
-        path.fsync_targets(ctxs, queue, points);
+        fsync_points(ctxs, queue, points);
         for (inflight, target) in queue.iter_mut().zip(targets.iter()) {
             let Some(target) = *target else {
                 continue;
@@ -957,6 +956,27 @@ fn schedule_durability(
     // The scheduler's seam: every data sync of the batch is done, no
     // metadata commit has happened yet.
     crash_at(crash, CrashPoint::SchedulerCommitSeam);
+}
+
+/// The durability scheduler's per-file syncs: `fsync` each distinct
+/// target once through the store of the job that pays for the call —
+/// the first job naming it is charged the call and the retry attempts
+/// behind it, every rider pays nothing — recording the shared outcomes
+/// in place.
+fn fsync_points(ctxs: &[ShardCtx], queue: &mut [InFlight], points: &mut [SyncPoint]) {
+    for p in points.iter_mut() {
+        let payer = &mut queue[p.job];
+        payer.stats.data_fsyncs = 1;
+        let ctx = &ctxs[payer.shard];
+        let Ok(pending) = &payer.state else {
+            unreachable!("a sync point names a job with a pending target");
+        };
+        let store = ctx.store.lock();
+        p.outcome = Some(
+            ctx.retry
+                .run(&mut payer.stats.retry, || sync_pending(&store, pending)),
+        );
+    }
 }
 
 /// The order a round's jobs are completed and acked in, as indices into
@@ -1001,12 +1021,11 @@ fn ack_in_reap_order(ctxs: &[ShardCtx], round: &mut Round, occupancy: u32) {
 }
 
 // ---------------------------------------------------------------------------
-// The strategy point: how a batch's data writes (and fsyncs) are issued
+// The strategy point: how a batch's data writes are issued
 // ---------------------------------------------------------------------------
 
-/// How one loop issues a batch's data writes and fsyncs a list of
-/// distinct targets: through syscalls (`pwrite` per run, `fsync` per
-/// file), or through a kernel ring.
+/// How one loop issues a batch's data writes: through syscalls (`pwrite`
+/// per run or segment), or through a kernel ring.
 struct DataPath {
     /// The ring, when this loop drives one. A ring that died stays
     /// parked here: from then on the loop takes the syscall path, and the
@@ -1041,62 +1060,21 @@ impl DataPath {
             round.queue.push(inflight);
         }
     }
-
-    /// The durability scheduler's hook: fsync each of these distinct
-    /// targets once, recording the outcomes in place. The ring carries
-    /// them as one round of FSYNC SQEs; the syscall path — and the
-    /// ring's fallback for ring trouble or an over-capacity tail — is
-    /// the synchronous per-file fsync through the store of the job that
-    /// pays for the call, under its retry budget.
-    fn fsync_targets(
-        &mut self,
-        ctxs: &[ShardCtx],
-        queue: &mut [InFlight],
-        points: &mut [SyncPoint],
-    ) {
-        let down = run_crash(ctxs).is_some_and(CrashState::is_down);
-        if let Some(ring) = self.live_ring().filter(|_| !down) {
-            ring.fsync_round(points);
-        }
-        for p in points.iter_mut() {
-            // The first job naming the target is charged the call and
-            // the retry attempts behind it; every rider pays nothing.
-            let payer = &mut queue[p.job];
-            payer.stats.data_fsyncs = 1;
-            if p.outcome.is_none() {
-                let ctx = &ctxs[payer.shard];
-                let Ok(pending) = &payer.state else {
-                    unreachable!("a sync point names a job with a pending target");
-                };
-                let store = ctx.store.lock();
-                p.outcome = Some(
-                    ctx.retry
-                        .run(&mut payer.stats.retry, || sync_pending(&store, pending)),
-                );
-            }
-        }
-    }
 }
 
 /// The ring data path: data writes are submitted as `IORING_OP_WRITEV`
-/// SQEs and reaped out of order by `user_data`; durability rides the
-/// ring as `IORING_OP_FSYNC` SQEs (chained per job via `IOSQE_IO_LINK`
-/// with coalescing off, one per distinct target file per batch with
-/// coalescing on) or falls back to the synchronous fsync. Within a
-/// batch, each shard's jobs are written in per-shard FIFO *waves* so
-/// same-file appends stack at precomputed offsets.
+/// SQEs and reaped out of order by `user_data`; durability stays on the
+/// synchronous syscall path. Within a batch, each shard's jobs are
+/// written in per-shard FIFO *waves* so same-file appends stack at
+/// precomputed offsets.
 struct RingPath {
     ring: Ring,
-    /// A job's fsync rides the ring chained behind its writes (when the
-    /// whole chain fits the ring): only when links are supported and
-    /// coalescing is off — the scheduler owns durability otherwise.
-    chain_fsync: bool,
     /// Latched on any `io_uring_enter`/push failure: once an enter round
     /// fails, completions for its in-flight SQEs could surface later and
     /// a fresh round would misattribute them by `user_data`, so the loop
     /// stops using the ring for good: the current batch finishes on the
-    /// synchronous redo path (positional rewrites are idempotent; fsyncs
-    /// fall back inline) and later batches take the syscall data path.
+    /// synchronous redo path (positional rewrites are idempotent) and
+    /// later batches take the syscall data path.
     dead: bool,
 }
 
@@ -1110,10 +1088,6 @@ struct RingOp {
     offset: u64,
     ptr: *const u8,
     len: usize,
-    /// A chained `IORING_OP_FSYNC` (no data; `ptr`/`len`/`offset` unused).
-    fsync: bool,
-    /// This SQE links to the next one (same-job durability chain).
-    link: bool,
 }
 
 impl RingOp {
@@ -1126,13 +1100,9 @@ impl RingOp {
             offset,
             ptr: bytes.as_ptr(),
             len: bytes.len(),
-            fsync: false,
-            link: false,
         }
     }
 }
-
-const ECANCELED: i32 = 125;
 
 /// Stage one WRITEV per maximal consecutive-id run of `ids`: each run is
 /// contiguous in `bytes`, the packed object buffer, *and* on disk.
@@ -1200,19 +1170,8 @@ fn stage_ring_job(
     };
     let mut replica = None;
     let state = opened.map(|()| {
-        // Capture a sweep into a wave-local image. The frontier is
-        // published per object once it is read and queued — "queued"
-        // here means captured for ring submission, which is the same
-        // under-approximation the synchronous path provides.
-        let image = cursor.map(|cursor| {
-            let sweep = Sweep { ctx, cursor };
-            let mut image = vec![0u8; ids.len() * obj_size];
-            for (p, &o) in ids.iter().enumerate() {
-                sweep.read_object(o, &mut image[p * obj_size..][..obj_size]);
-                sweep.publish(p, o);
-            }
-            image
-        });
+        // Capture a sweep into a wave-local image.
+        let image = cursor.map(|cursor| Sweep { ctx, cursor }.capture(&ids));
         let bytes = data.as_deref().or(image.as_deref()).unwrap_or_default();
         replica = ReplicaDelta::capture(ctx, tick, &ids, bytes);
         match store {
@@ -1226,13 +1185,11 @@ fn stage_ring_job(
             }
             Store::Log(log) => {
                 let mut seg = Vec::new();
-                crate::log_store::serialize_segment(
+                serialize_segment(
                     seq,
                     tick,
                     full_image,
-                    ids.iter()
-                        .enumerate()
-                        .map(|(p, &o)| (ObjectId(o), &bytes[p * obj_size..][..obj_size])),
+                    records(&ids, bytes, obj_size),
                     &mut seg,
                 );
                 let offset = log.append_offset();
@@ -1257,7 +1214,7 @@ impl RingPath {
     /// Issue a batch's data writes through the ring, wave by wave,
     /// moving the batch into the completion queue (in wave order).
     fn issue_waves(&mut self, ctxs: &[ShardCtx], round: &mut Round) {
-        let RingPath { ring, dead, .. } = self;
+        let RingPath { ring, dead } = self;
         let cap = ring.capacity() as usize;
         let crash = run_crash(ctxs);
         // Transient-fault layer handle and retry budget, likewise
@@ -1296,29 +1253,8 @@ impl RingPath {
                 let job = batch.remove(next);
                 let ctx = &ctxs[job.shard];
                 let mut store = ctx.store.lock();
-                let job_idx = queue.len();
-                let ops_before = ops.len();
-                let inflight = stage_ring_job(ctx, &mut store, job_idx, job, ops, arena);
+                let inflight = stage_ring_job(ctx, &mut store, queue.len(), job, ops, arena);
                 drop(store);
-                // Annotate the job's durability chain: link its writes
-                // and append the trailing fsync when the whole chain
-                // fits the ring.
-                let job_ops = ops.len() - ops_before;
-                if self.chain_fsync
-                    && ctx.sync_data
-                    && inflight.state.is_ok()
-                    && job_ops >= 1
-                    && job_ops < cap
-                {
-                    for op in &mut ops[ops_before..] {
-                        op.link = true;
-                    }
-                    let fd = ops[ops.len() - 1].fd;
-                    ops.push(RingOp {
-                        fsync: true,
-                        ..RingOp::write(job_idx, fd, 0, &[])
-                    });
-                }
                 queue.push(inflight);
             }
             let wave_sqes = ops.len() as u32;
@@ -1327,8 +1263,8 @@ impl RingPath {
                 inflight.stats.max_sqe_batch = wave_sqes;
             }
 
-            // Submission: push every op (keeping link chains whole),
-            // draining completions whenever the ring runs out of room.
+            // Submission: push every op, draining completions whenever
+            // the ring runs out of room.
             // `user_data` is the op index, so out-of-order CQEs land in
             // their `outcomes` slot directly.
             outcomes.clear();
@@ -1345,22 +1281,14 @@ impl RingPath {
                 iovecs.clear();
                 iovecs.reserve(ops.len());
                 let mut awaiting = 0usize;
-                let mut i = 0usize;
-                'submit: while i < ops.len() {
-                    let mut j = i + 1;
-                    while j < ops.len() && ops[j - 1].link {
-                        j += 1;
-                    }
-                    let blk = j - i;
-                    // Make room for the whole chain — a link chain split
-                    // across enter boundaries would break the kernel's
-                    // sequencing — draining completions while waiting.
+                'submit: for (k, op) in ops.iter().enumerate() {
+                    // Make room, draining completions while waiting.
                     loop {
                         while let Some(c) = ring.reap() {
                             outcomes[c.user_data as usize] = Some(c.res);
                             awaiting -= 1;
                         }
-                        if awaiting + blk <= cap && ring.sq_space() as usize >= blk {
+                        if awaiting < cap && ring.sq_space() > 0 {
                             break;
                         }
                         if ring.submit_and_wait(1).is_err() {
@@ -1368,25 +1296,16 @@ impl RingPath {
                             break 'submit;
                         }
                     }
-                    for op in &ops[i..j] {
-                        let k = iovecs.len();
-                        iovecs.push(Iovec {
-                            iov_base: op.ptr.cast_mut().cast(),
-                            iov_len: op.len,
-                        });
-                        let sqe = if op.fsync {
-                            Sqe::fsync_data(op.fd, k as u64)
-                        } else {
-                            Sqe::writev(op.fd, &raw const iovecs[k], 1, op.offset, k as u64)
-                        };
-                        let sqe = if op.link { sqe.link() } else { sqe };
-                        if ring.push(sqe).is_err() {
-                            *dead = true;
-                            break 'submit;
-                        }
-                        awaiting += 1;
+                    iovecs.push(Iovec {
+                        iov_base: op.ptr.cast_mut().cast(),
+                        iov_len: op.len,
+                    });
+                    let sqe = Sqe::writev(op.fd, &raw const iovecs[k], 1, op.offset, k as u64);
+                    if ring.push(sqe).is_err() {
+                        *dead = true;
+                        break;
                     }
-                    i = j;
+                    awaiting += 1;
                 }
                 while !*dead && awaiting > 0 {
                     if ring.submit_and_wait(awaiting as u32).is_err() {
@@ -1400,29 +1319,12 @@ impl RingPath {
                 }
             }
 
-            // Reap bookkeeping: repair short writes, redo cancelled or
-            // unsubmitted writes synchronously (positional writes are
-            // idempotent), surface real errors into the job's state.
+            // Reap bookkeeping: repair short writes, redo unsubmitted
+            // writes synchronously (positional writes are idempotent),
+            // surface real errors into the job's state.
             for (k, op) in ops.iter().enumerate() {
                 let mut outcome = outcomes.get(k).copied().flatten();
                 let job = &mut queue[op.job];
-                if op.fsync {
-                    // Resolve the job's chained fsync into its presync
-                    // slot: ring durability succeeded (or genuinely
-                    // failed) → the completion phase must not sync
-                    // again; a broken chain (`ECANCELED` after a
-                    // repaired short write, or the enter call failed)
-                    // → leave `presync` empty and the completion phase
-                    // syncs inline, the documented fallback.
-                    let result = match outcome {
-                        Some(r) if r >= 0 => Ok(()),
-                        Some(r) if -r != ECANCELED => Err(io::Error::from_raw_os_error(-r)),
-                        _ => continue,
-                    };
-                    job.presync = Some(result);
-                    job.stats.data_fsyncs = 1;
-                    continue;
-                }
                 // Transient-fault injection at the CQE seam: rewrite a
                 // successful write completion into the scheduled errno.
                 // The bytes did land, so the synchronous redo below is
@@ -1442,7 +1344,6 @@ impl RingPath {
                         }
                         done // short write: repair the tail
                     }
-                    Some(r) if -r == ECANCELED => 0, // broken chain: redo whole
                     Some(r) => {
                         // A real CQE error spends the job's retry budget
                         // on the synchronous redo (positional, hence
@@ -1487,32 +1388,6 @@ impl RingPath {
                 }
             }
             ring_crash_at(crash, CrashPoint::UringWaveComplete, dead);
-        }
-    }
-
-    /// One FSYNC SQE per target, all in one submission round. A target
-    /// whose outcome stays `None` (ring trouble, or a tail past the
-    /// ring's capacity) is synced synchronously by the caller.
-    fn fsync_round(&mut self, points: &mut [SyncPoint]) {
-        let cap = self.ring.capacity() as usize;
-        let mut pushed = 0usize;
-        for (k, p) in points.iter().enumerate() {
-            if pushed == cap || self.ring.push(Sqe::fsync_data(p.fd, k as u64)).is_err() {
-                break;
-            }
-            pushed += 1;
-        }
-        if pushed > 0 && self.ring.submit_and_wait(pushed as u32).is_err() {
-            self.dead = true;
-            return;
-        }
-        for _ in 0..pushed {
-            let Some(c) = self.ring.reap() else { break };
-            points[c.user_data as usize].outcome = Some(if c.res >= 0 {
-                Ok(())
-            } else {
-                Err(io::Error::from_raw_os_error(-c.res))
-            });
         }
     }
 }

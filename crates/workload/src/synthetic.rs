@@ -60,8 +60,8 @@ impl SyntheticConfig {
         self
     }
 
-    /// Same configuration over a different number of ticks (benches use
-    /// shorter runs).
+    /// Same configuration over a different number of ticks (quick
+    /// experiment runs use shorter ones).
     pub fn with_ticks(mut self, ticks: u64) -> Self {
         self.ticks = ticks;
         self

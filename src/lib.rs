@@ -10,14 +10,15 @@
 //! This crate is a facade; the pieces live in focused crates:
 //!
 //! * [`core`] — the checkpointing algorithmic framework, the six
-//!   algorithms' bookkeeping, state tables, logical log, recovery replay.
+//!   algorithms' bookkeeping, state tables.
 //! * [`sim`] — the tick-level cost-model simulator (Table 3 hardware
 //!   model; overhead / checkpoint-time / recovery-time metrics).
 //! * [`workload`] — Zipfian trace generation (Table 4), trace files,
 //!   trace statistics (Table 5).
 //! * [`game`] — the Knights and Archers prototype MMO server.
 //! * [`storage`] — the real engine: mutator + writer threads, double
-//!   backup files, actual crash recovery.
+//!   backup files and checkpoint log, crash recovery (restore + logical-log
+//!   replay).
 //!
 //! ## Quickstart
 //!
@@ -60,11 +61,11 @@ pub use run::Engine;
 pub mod prelude {
     pub use crate::run::Engine;
     pub use mmoc_core::{
-        recover, Algorithm, AlgorithmSpec, Bookkeeper, CellAddr, CellUpdate, CheckpointBackend,
-        CheckpointImage, CheckpointPlan, DiskOrg, EngineDetail, ExperimentEngine, FidelitySummary,
-        ObjectId, RecoveryReport, Run, RunError, RunMetrics, RunReport, RunSpec, RunSummary,
-        ShardFilter, ShardMap, ShardReport, ShardedDriver, StateGeometry, StateTable, TickDriver,
-        TraceFn, TraceSpec, WriterBackend,
+        Algorithm, AlgorithmSpec, Bookkeeper, CellAddr, CellUpdate, CheckpointBackend,
+        CheckpointPlan, DiskOrg, EngineDetail, ExperimentEngine, FidelitySummary, ObjectId,
+        RecoveryReport, Run, RunError, RunMetrics, RunReport, RunSpec, RunSummary, ShardFilter,
+        ShardMap, ShardReport, ShardedDriver, StateGeometry, StateTable, TickDriver, TraceFn,
+        TraceSpec, WriterBackend,
     };
     pub use mmoc_game::{GameConfig, GameServer, World};
     // `RunReport` is the one result shape; each engine contributes its

@@ -295,8 +295,11 @@ fn unpaced_and_paced_runs_apply_identical_updates() {
 }
 
 /// The design-space axes survive the trip through the shared driver on
-/// both engines: eager methods pause, copy-on-update methods copy, and
-/// dirty-only methods write less than full-state methods.
+/// both engines: eager methods pause and copy-on-update methods never do;
+/// copy-on-update methods copy. Whether a free-running real writer
+/// leaves any first touch to copy is a race with its sweep, so the
+/// real-engine copies are asserted on this trace with the writer held,
+/// in `mmoc-storage`'s `engine::tests::overhead_shapes_match_copy_timing`.
 #[test]
 fn design_space_shapes_hold_on_both_engines() {
     let dir = tempfile::tempdir().unwrap();
@@ -327,7 +330,6 @@ fn design_space_shapes_hold_on_both_engines() {
             CopyTiming::OnUpdate => {
                 assert_eq!(pause(&real), 0.0, "{alg}: no real eager pause");
                 assert_eq!(pause(&sim), 0.0, "{alg}: no sim eager pause");
-                assert!(copies(&real) > 0, "{alg}: real first-touch copies");
                 assert!(copies(&sim) > 0, "{alg}: sim first-touch copies");
             }
         }

@@ -4,6 +4,8 @@
 //! for all six algorithms, under arbitrary update streams.
 
 use mmo_checkpoint::prelude::*;
+use mmo_checkpoint::storage::files::BackupSet;
+use mmo_checkpoint::storage::recovery::recover_and_replay;
 use mmo_checkpoint::workload::trace::record;
 use proptest::prelude::*;
 
@@ -58,7 +60,9 @@ proptest! {
     }
 
     /// Restore + replay reconstructs the exact crash state, for any crash
-    /// tick and any checkpoint tick at or before it.
+    /// tick and any checkpoint tick at or before it — through the engine's
+    /// own restore path: the checkpoint is committed into a real backup
+    /// pair and recovered with `recover_and_replay`.
     #[test]
     fn logical_log_replay_reconstructs_crash_state(
         trace in arb_trace(),
@@ -70,10 +74,11 @@ proptest! {
         let crash_tick = ((n_ticks as f64 * crash_frac) as u64).min(n_ticks);
         let ckpt_tick = (crash_tick as f64 * ckpt_frac) as u64;
 
-        // Run forward, capturing the checkpoint image and the log.
+        // Run forward; both backups hold the boot image as of tick 0, and
+        // the checkpoint tick's state is committed into backup 1.
+        let dir = tempfile::tempdir().unwrap();
         let mut live = StateTable::new(g).unwrap();
-        let mut log = mmo_checkpoint::core::ActionLog::new();
-        let mut image = CheckpointImage::capture(&live, 0);
+        let mut set = BackupSet::create(dir.path(), g, live.as_bytes()).unwrap();
         let mut replay = trace.replay();
         let mut buf = Vec::new();
         let mut tick = 0u64;
@@ -82,17 +87,19 @@ proptest! {
             for &u in &buf {
                 live.apply(u).unwrap();
             }
-            log.record_tick(tick, &buf);
             if tick == ckpt_tick {
-                image = CheckpointImage::capture(&live, tick);
-                // Durable checkpoint: older log entries may be discarded.
-                log.truncate_before(tick);
+                set.invalidate(1).unwrap();
+                set.write_run(1, ObjectId(0), live.as_bytes()).unwrap();
+                set.sync(1).unwrap();
+                set.commit(1, tick).unwrap();
             }
         }
+        drop(set);
 
-        let outcome = recover(g, &image, &log, tick).unwrap();
-        prop_assert_eq!(outcome.table.fingerprint(), live.fingerprint());
-        prop_assert_eq!(outcome.ticks_replayed, tick - image.consistent_tick);
+        let rec = recover_and_replay(dir.path(), g, &mut trace.replay(), tick).unwrap();
+        prop_assert_eq!(rec.table.fingerprint(), live.fingerprint());
+        prop_assert_eq!(rec.from_tick, ckpt_tick);
+        prop_assert_eq!(rec.ticks_replayed, tick - ckpt_tick);
     }
 
     /// Trace files round-trip arbitrary traces exactly.
