@@ -303,7 +303,8 @@ impl ShardedDriver {
 ///
 /// Used by per-shard recovery replay: a crashed shard re-iterates the
 /// deterministic global trace through its filter, seeing exactly the
-/// updates it owns.
+/// updates it owns. Over a one-shard map the filter is the identity and
+/// passes each inner tick through without copying it.
 #[derive(Debug)]
 pub struct ShardFilter<S> {
     inner: S,
@@ -338,6 +339,11 @@ impl<S: TraceSource> TraceSource for ShardFilter<S> {
     }
 
     fn next_tick(&mut self, buf: &mut Vec<CellUpdate>) -> bool {
+        if self.map.n_shards() == 1 {
+            // The only band starts at row 0: routing rewrites nothing,
+            // so the inner tick passes through untouched.
+            return self.inner.next_tick(buf);
+        }
         buf.clear();
         if !self.inner.next_tick(&mut self.scratch) {
             return false;
@@ -644,39 +650,53 @@ mod tests {
     #[test]
     fn shard_filter_partitions_the_trace() {
         let g = StateGeometry::test_small();
-        let map = ShardMap::new(g, 4).unwrap();
         let make_trace = || TestTrace {
             g,
             ticks: 12,
             per_tick: 64,
             next: 0,
         };
+        for n in [1, 4] {
+            let map = ShardMap::new(g, n).unwrap();
 
-        // Collect every filtered update back into global coordinates.
-        let mut rebuilt: Vec<Vec<CellUpdate>> = vec![Vec::new(); 12];
-        for s in 0..4 {
-            let mut filter = ShardFilter::new(make_trace(), map.clone(), s);
-            assert_eq!(filter.geometry(), map.shard_geometry(s));
+            // Collect every filtered update back into global coordinates.
+            let mut rebuilt: Vec<Vec<CellUpdate>> = vec![Vec::new(); 12];
+            for s in 0..map.n_shards() {
+                let mut filter = ShardFilter::new(make_trace(), map.clone(), s);
+                assert_eq!(filter.geometry(), map.shard_geometry(s));
+                let mut buf = Vec::new();
+                let mut t = 0;
+                while filter.next_tick(&mut buf) {
+                    for &u in &buf {
+                        rebuilt[t].push(map.to_global(s, u));
+                    }
+                    t += 1;
+                }
+                assert_eq!(t, 12, "n={n}: filter preserves tick structure");
+            }
+
+            let mut direct = make_trace();
             let mut buf = Vec::new();
             let mut t = 0;
-            while filter.next_tick(&mut buf) {
-                for &u in &buf {
-                    rebuilt[t].push(map.to_global(s, u));
-                }
+            while direct.next_tick(&mut buf) {
+                let mut expect = buf.clone();
+                expect.sort_by_key(|u| (u.addr.row, u.addr.col, u.value));
+                rebuilt[t].sort_by_key(|u| (u.addr.row, u.addr.col, u.value));
+                assert_eq!(rebuilt[t], expect, "n={n}: tick {t}");
                 t += 1;
             }
-            assert_eq!(t, 12, "filter preserves tick structure");
         }
 
+        // One shard: the filtered stream is the inner stream, tick for
+        // tick and in order, down to the terminating `false`.
+        let map = ShardMap::new(g, 1).unwrap();
+        let mut filter = ShardFilter::new(make_trace(), map, 0);
         let mut direct = make_trace();
-        let mut buf = Vec::new();
-        let mut t = 0;
-        while direct.next_tick(&mut buf) {
-            let mut expect = buf.clone();
-            expect.sort_by_key(|u| (u.addr.row, u.addr.col, u.value));
-            rebuilt[t].sort_by_key(|u| (u.addr.row, u.addr.col, u.value));
-            assert_eq!(rebuilt[t], expect, "tick {t}");
-            t += 1;
+        let (mut got, mut want) = (vec![CellUpdate::new(0, 0, 99)], Vec::new());
+        for t in 0..=12 {
+            let more = direct.next_tick(&mut want);
+            assert_eq!(filter.next_tick(&mut got), more, "tick {t}");
+            assert_eq!(got, want, "tick {t}");
         }
     }
 }

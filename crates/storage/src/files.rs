@@ -18,7 +18,7 @@ use crate::crash::{CrashPoint, CrashState};
 use crate::fault::{FaultKind, FaultSite, FaultState};
 use mmoc_core::{ObjectId, StateGeometry};
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, Read, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -320,16 +320,18 @@ impl BackupSet {
         best
     }
 
-    /// Read backup `idx`'s full image (the restore path).
-    pub fn read_full(&mut self, idx: usize) -> io::Result<Vec<u8>> {
+    /// Read backup `idx`'s full image (the restore path): one positional
+    /// read from offset 0, the read-side twin of [`BackupSet::write_run`],
+    /// into a buffer from the recovered-image allocator (faulted in huge
+    /// pages where the kernel allows). The `image-read` fault site is
+    /// consulted once, before any byte moves.
+    pub fn read_full(&self, idx: usize) -> io::Result<Vec<u8>> {
         if let Some(kind) = self.faulted(FaultSite::ImageRead) {
             return Err(kind.to_error());
         }
-        let len = self.geometry.n_objects() as u64 * u64::from(self.geometry.object_size);
-        let f = &mut self.backups[idx].file;
-        f.seek(SeekFrom::Start(0))?;
-        let mut buf = vec![0u8; len as usize];
-        f.read_exact(&mut buf)?;
+        let len = self.geometry.n_objects() as usize * self.geometry.object_size as usize;
+        let mut buf = crate::recovery::image_buffer(len);
+        self.backups[idx].file.read_exact_at(&mut buf, 0)?;
         Ok(buf)
     }
 }
@@ -375,7 +377,7 @@ mod tests {
     #[test]
     fn create_preloads_both_backups() {
         let dir = tempfile::tempdir().unwrap();
-        let mut set = BackupSet::create(dir.path(), geometry(), &image(7)).unwrap();
+        let set = BackupSet::create(dir.path(), geometry(), &image(7)).unwrap();
         assert_eq!(set.newest_consistent(), Some((0, 0)));
         assert_eq!(set.read_full(0).unwrap(), image(7));
         assert_eq!(set.read_full(1).unwrap(), image(7));
@@ -405,7 +407,7 @@ mod tests {
     #[test]
     fn object_writes_land_at_fixed_offsets() {
         let dir = tempfile::tempdir().unwrap();
-        let mut set = BackupSet::create(dir.path(), geometry(), &image(0)).unwrap();
+        let set = BackupSet::create(dir.path(), geometry(), &image(0)).unwrap();
         let data = vec![9u8; 64];
         set.write_object(0, ObjectId(2), &data).unwrap();
         set.sync(0).unwrap();
@@ -422,7 +424,7 @@ mod tests {
             let mut set = BackupSet::create(dir.path(), geometry(), &image(3)).unwrap();
             set.commit(1, 99).unwrap();
         }
-        let mut set = BackupSet::open(dir.path(), geometry()).unwrap();
+        let set = BackupSet::open(dir.path(), geometry()).unwrap();
         assert_eq!(set.newest_consistent(), Some((1, 99)));
         assert_eq!(set.read_full(1).unwrap(), image(3));
     }
@@ -441,7 +443,7 @@ mod tests {
     #[test]
     fn run_write_lands_consecutive_objects_in_one_transfer() {
         let dir = tempfile::tempdir().unwrap();
-        let mut set = BackupSet::create(dir.path(), geometry(), &image(1)).unwrap();
+        let set = BackupSet::create(dir.path(), geometry(), &image(1)).unwrap();
         set.write_run(0, ObjectId(1), &[8u8; 2 * 64]).unwrap();
         set.sync(0).unwrap();
         let full = set.read_full(0).unwrap();

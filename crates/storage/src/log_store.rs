@@ -271,7 +271,9 @@ impl LogStore {
     /// segment (its `consistent_tick` is the restore point), then apply
     /// all segments from the newest preceding full flush through it.
     ///
-    /// Returns `(image bytes, consistent_tick, bytes_read)`.
+    /// Returns `(image bytes, consistent_tick, bytes_read)`; the image
+    /// comes from the recovered-image allocator. A sealed segment naming
+    /// an object outside the geometry is `InvalidData`.
     pub fn reconstruct(&mut self) -> io::Result<(Vec<u8>, u64, u64)> {
         if let Some(kind) = self.faulted(FaultSite::ImageRead) {
             return Err(kind.to_error());
@@ -289,7 +291,7 @@ impl LogStore {
 
         let obj_size = self.geometry.object_size as usize;
         let n = self.geometry.n_objects();
-        let mut image = vec![0u8; n as usize * obj_size];
+        let mut image = crate::recovery::image_buffer(n as usize * obj_size);
         let mut bytes_read = 0u64;
 
         // Seek to the start segment by summing lengths.
@@ -308,6 +310,15 @@ impl LogStore {
             for _ in 0..s.objects {
                 r.read_exact(&mut id_buf)?;
                 let id = u32::from_le_bytes(id_buf);
+                if id >= n {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!(
+                            "segment {} names object {id}, outside the {n} objects of the log",
+                            s.seq
+                        ),
+                    ));
+                }
                 r.read_exact(&mut obj_buf)?;
                 let at = id as usize * obj_size;
                 image[at..at + obj_size].copy_from_slice(&obj_buf);
@@ -643,6 +654,30 @@ mod tests {
             assert_eq!(tick, 5, "{spec}");
             assert!(image.iter().all(|&b| b == 1), "{spec}: previous image");
         }
+    }
+
+    /// A sealed segment naming an object id past the geometry is corrupt
+    /// data, not a reason to index out of the image.
+    #[test]
+    fn out_of_range_object_id_is_invalid_data() {
+        let dir = tempfile::tempdir().unwrap();
+        let mut log = LogStore::create(dir.path(), geometry()).unwrap();
+        let stray = [(ObjectId(7), obj(5))];
+        log.append_segment(
+            3,
+            4,
+            true,
+            stray.iter().map(|(i, b)| (*i, b.as_slice())),
+            true,
+        )
+        .unwrap();
+        let err = log.reconstruct().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let msg = err.to_string();
+        assert!(
+            msg.contains("segment 3") && msg.contains("object 7"),
+            "{msg}"
+        );
     }
 
     #[test]

@@ -174,10 +174,16 @@ impl ReplicaSet {
     /// Each mirror attempt reaches [`CrashPoint::ReplicaFetch`]; if the
     /// armed plan fires there the hosting peer is considered dead
     /// mid-transfer and that copy is skipped — so `K = 1` falls back to
-    /// disk while `K >= 2` survives a single peer death.
+    /// disk while `K >= 2` survives a single peer death. The copy lands
+    /// in a buffer from the recovered-image allocator, like every disk
+    /// restore.
     #[must_use]
     pub fn fetch(&self, shard: u32, crash: Option<&CrashState>) -> Option<(Vec<u8>, u64)> {
-        self.with_mirror(shard, crash, |image, tick| (image.to_vec(), tick))
+        self.with_mirror(shard, crash, |image, tick| {
+            let mut copy = crate::recovery::image_buffer(image.len());
+            copy.copy_from_slice(image);
+            (copy, tick)
+        })
     }
 
     /// As [`ReplicaSet::fetch`], but runs `f` over the mirror image in
