@@ -1,22 +1,41 @@
 //! Pure case derivation: `(seed, id) -> FuzzCase`.
 //!
-//! Cases are sampled **point-first**: case `id` arms lattice point
-//! `ALL_POINTS[id % N_POINTS]`, so a corpus of `k * N_POINTS` cases arms
-//! every registered point exactly `k` times — coverage by construction,
-//! not by luck. The remaining axes (algorithm, shards, writer backend,
-//! pipeline depth, batch window, hit index, torn offset) are drawn from a
-//! SplitMix64 stream keyed on `(seed, id)` and then clamped to the
-//! point's *compatibility set*: a point that only exists on the io_uring
-//! path is never paired with the thread pool, a log-append point is never
-//! paired with a double-backup algorithm, and so on. Without the clamp a
-//! large fraction of the corpus would arm points the run can never reach.
+//! Cases are sampled **site-first**: case `id` arms the `id % 19`-th of
+//! the sites that accept a crash (in registry order), so a
+//! corpus of `k * 19` cases arms every crash site exactly `k` times —
+//! coverage by construction, not by luck. The remaining axes (algorithm,
+//! shards, writer backend, pipeline depth, batch window, hit index, torn
+//! offset, transient layer) are drawn from a SplitMix64 stream keyed on
+//! `(seed, id)` and then clamped to the site's *compatibility set*: a
+//! site that only exists on the io_uring path is never paired with the
+//! thread pool, a log-append site is never paired with a double-backup
+//! algorithm, and so on. Without the clamp a large fraction of the corpus
+//! would arm sites the run can never reach.
 
 use mmoc_core::{Algorithm, DiskOrg, WriterBackend};
-use mmoc_storage::crash::{plan_spec, CrashAction, CrashPlan, CrashPoint, ALL_POINTS, N_POINTS};
-use mmoc_storage::fault::{fault_spec, FaultPlan, FaultSite, ALL_KINDS};
+use mmoc_storage::inject::{Effect, Kind, Plan, Site};
+
+/// The sites a case's crash plan can arm — those accepting the `crash`
+/// effect, in registry order.
+fn crash_sites() -> Vec<Site> {
+    Site::all()
+        .filter(|s| s.effects().contains(&"crash"))
+        .collect()
+}
+
+/// Parse one layer's plan: `crash=` takes a crash or ring death, `fault=`
+/// a transient schedule.
+fn layer(spec: &str, transient: bool) -> Result<Plan, String> {
+    let plan = Plan::parse(spec)?;
+    if matches!(plan.effect, Effect::Transient { .. }) == transient {
+        Ok(plan)
+    } else {
+        Err(format!("plan `{spec}` belongs to the other layer"))
+    }
+}
 
 /// One fully specified fuzz case: engine configuration, synthetic trace
-/// axes, and the armed crash plan.
+/// axes, and the armed plans.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FuzzCase {
     /// Checkpointing algorithm under test.
@@ -43,11 +62,12 @@ pub struct FuzzCase {
     pub trace_seed: u64,
     /// Replica tier factor (0 disables the in-memory recovery tier).
     pub replication: u32,
-    /// The armed crash plan (point, hit index, torn offset, action).
-    pub plan: CrashPlan,
+    /// The armed terminal plan: a crash site, hit index, and a crash
+    /// (with its torn offset) or, at the ring sites, a ring death.
+    pub plan: Plan,
     /// Optional transient-fault schedule layered over the crash plan:
     /// a burst of injected I/O errors the retry budget must absorb.
-    pub fault: Option<FaultPlan>,
+    pub fault: Option<Plan>,
     /// Writer/recovery retry budget (`MMOC_WRITER_RETRY_MAX` semantics;
     /// derivation keeps any fault burst within it so runs complete).
     pub retry_max: u32,
@@ -102,25 +122,26 @@ impl FuzzCase {
     /// cases on every machine and every run.
     #[must_use]
     pub fn derive(seed: u64, id: u64) -> FuzzCase {
-        use CrashPoint::*;
-        let point = ALL_POINTS[(id % N_POINTS as u64) as usize];
+        use Site::*;
+        let sites = crash_sites();
+        let site = sites[(id % sites.len() as u64) as usize];
         let mut r = Rng::new(seed, id);
 
-        // Algorithm: clamp to the disk organization the point lives in.
-        let algorithm = match point {
+        // Algorithm: clamp to the disk organization the site lives in.
+        let algorithm = match site {
             LogAppendObject | LogSegmentSealed => r.pick(&log_algs()),
             BackupWriteObject | BackupInvalidate | BackupCommit => r.pick(&double_backup_algs()),
             _ => r.pick(&Algorithm::ALL),
         };
 
-        // Backend: clamp to the code path that consults the point.
-        // - uring-* points exist only in the ring loop;
+        // Backend: clamp to the code path that consults the site.
+        // - uring-* sites exist only in the ring loop;
         // - submit_job (and the LogStore/BackupSet write path it drives)
-        //   is bypassed by the ring's staging, so mid-write points need
+        //   is bypassed by the ring's staging, so mid-write sites need
         //   the pool or the batched engine;
         // - the commit seam and the device barrier belong to the
         //   durability scheduler (batched and ring engines).
-        let backend = match point {
+        let backend = match site {
             UringWaveStaged | UringWaveComplete => WriterBackend::IoUring,
             JobSubmitted | BackupWriteObject | LogAppendObject | LogSegmentSealed => {
                 r.pick(&[WriterBackend::ThreadPool, WriterBackend::AsyncBatched])
@@ -134,7 +155,7 @@ impl FuzzCase {
         // The device barrier only arises when several same-device files
         // share one coalesced sync phase: multi-shard, coalescing on,
         // device sync on, and a real batch window.
-        let barrier = point == DeviceBarrier;
+        let barrier = site == DeviceBarrier;
         let shards = if barrier { 4 } else { r.pick(&[1_u32, 4]) };
         let device_sync = barrier || r.chance(4);
         let coalesce = barrier || !r.chance(4);
@@ -146,16 +167,13 @@ impl FuzzCase {
 
         // Ring death (dead-flag latch + synchronous redo, not a crash) is
         // only meaningful at the ring boundaries.
-        let action = match point {
-            UringWaveStaged | UringWaveComplete if r.chance(3) => CrashAction::RingDeath,
-            _ => CrashAction::Crash,
-        };
+        let ring_death = matches!(site, UringWaveStaged | UringWaveComplete) && r.chance(3);
 
-        // The replica push/fetch points only exist when the replica tier
+        // The replica push/fetch sites only exist when the replica tier
         // is on, so those cases force a nonzero factor; everywhere else a
-        // minority of cases carry the tier along so every older point is
+        // minority of cases carry the tier along so every older site is
         // also exercised with mirrors active.
-        let replication = match point {
+        let replication = match site {
             ReplicaPushPreCommit | ReplicaPushPostCommit | ReplicaFetch | ReplicaFetchMid => {
                 1 + r.below(2) as u32
             }
@@ -164,13 +182,13 @@ impl FuzzCase {
         };
 
         // Fetch attempts are bounded by shards × mirrors and recovery
-        // stops at the first surviving copy, so a fetch-point hit index
+        // stops at the first surviving copy, so a fetch-site hit index
         // past the shard count could never be reached. The recovery
-        // re-crash points are likewise bounded by what one restore pass
+        // re-crash sites are likewise bounded by what one restore pass
         // actually reaches: the image read happens once per shard, the
         // replay tail may be short (a checkpoint can land on the last
         // tick), and a mid-fetch death consumes one mirror attempt.
-        let hit = match point {
+        let hit = match site {
             ReplicaFetch | RecoveryReadImage => 1 + r.below(u64::from(shards)),
             RecoveryReplayTick => 1 + r.below(2),
             ReplicaFetchMid => 1,
@@ -185,26 +203,21 @@ impl FuzzCase {
         // retry exhaustion and backend degradation are pinned by unit
         // tests, since the oracle demands runs that finish.
         let (fault, retry_max) = if r.chance(3) {
-            let site = match (backend, algorithm.spec().disk_org) {
-                (WriterBackend::IoUring, _) => r.pick(&[FaultSite::UringCqe, FaultSite::ImageRead]),
-                (_, DiskOrg::DoubleBackup) => r.pick(&[
-                    FaultSite::BackupWrite,
-                    FaultSite::BackupSync,
-                    FaultSite::BackupCommit,
-                    FaultSite::ImageRead,
-                ]),
-                (_, DiskOrg::Log) => r.pick(&[
-                    FaultSite::LogAppend,
-                    FaultSite::LogSync,
-                    FaultSite::ImageRead,
-                ]),
+            let seam = match (backend, algorithm.spec().disk_org) {
+                (WriterBackend::IoUring, _) => r.pick(&[UringCqe, ImageRead]),
+                (_, DiskOrg::DoubleBackup) => {
+                    r.pick(&[BackupWrite, BackupSync, BackupCommitMeta, ImageRead])
+                }
+                (_, DiskOrg::Log) => r.pick(&[LogAppend, LogSync, ImageRead]),
             };
             let retry_max = 1 + r.below(3) as u32;
-            let plan = FaultPlan {
-                site,
+            let plan = Plan {
+                site: seam,
                 hit: 1 + r.below(3),
-                kind: r.pick(&ALL_KINDS),
-                burst: 1 + r.below(u64::from(retry_max)),
+                effect: Effect::Transient {
+                    kind: r.pick(&Kind::ALL),
+                    burst: 1 + r.below(u64::from(retry_max)),
+                },
             };
             (Some(plan), retry_max)
         } else {
@@ -224,11 +237,18 @@ impl FuzzCase {
             skew: r.pick(&[0.0, 0.5, 0.8, 1.1]),
             trace_seed: r.next(),
             replication,
-            plan: CrashPlan {
-                point,
+            plan: Plan {
+                site,
                 hit,
-                torn: r.below(97),
-                action,
+                effect: {
+                    // Drawn for ring deaths too, so the stream stays aligned.
+                    let torn = r.below(97);
+                    if ring_death {
+                        Effect::RingDeath
+                    } else {
+                        Effect::Crash { torn }
+                    }
+                },
             },
             fault,
             retry_max,
@@ -254,7 +274,7 @@ impl FuzzCase {
             self.trace_seed,
             self.replication,
             self.plan.spec(),
-            self.fault.as_ref().map_or_else(|| "none".to_string(), FaultPlan::spec),
+            self.fault.as_ref().map_or_else(|| "none".to_string(), Plan::spec),
             self.retry_max,
         )
     }
@@ -295,14 +315,14 @@ impl FuzzCase {
                 "skew" => case.skew = v.parse().map_err(|_| bad("skew"))?,
                 "tseed" => case.trace_seed = v.parse().map_err(|_| bad("tseed"))?,
                 "repl" => case.replication = v.parse().map_err(|_| bad("repl"))?,
-                "crash" => case.plan = plan_spec(v)?,
+                "crash" => case.plan = layer(v, false)?,
                 // Optional axes (pre-fault specs omit them) — not
                 // counted toward the required-key minimum.
                 "fault" => {
                     case.fault = if v == "none" {
                         None
                     } else {
-                        Some(fault_spec(v)?)
+                        Some(layer(v, true)?)
                     };
                     continue;
                 }
@@ -324,26 +344,29 @@ impl FuzzCase {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mmoc_storage::inject::Phase;
 
     #[test]
-    fn derivation_is_pure_and_point_first() {
+    fn derivation_is_pure_and_site_first() {
+        let sites = crash_sites();
+        assert_eq!(sites.len(), 19);
         for id in 0..64 {
             let a = FuzzCase::derive(8, id);
             let b = FuzzCase::derive(8, id);
             assert_eq!(a, b, "case {id} must be a pure function of (seed, id)");
-            assert_eq!(a.plan.point, ALL_POINTS[(id % N_POINTS as u64) as usize]);
+            assert_eq!(a.plan.site, sites[(id % 19) as usize]);
         }
         assert_ne!(FuzzCase::derive(8, 0), FuzzCase::derive(9, 0));
     }
 
     #[test]
     fn every_case_satisfies_the_compatibility_matrix() {
-        use CrashPoint::*;
+        use Site::*;
         for seed in [1_u64, 8, 1234] {
-            for id in 0..(8 * N_POINTS as u64) {
+            for id in 0..(8 * 19) {
                 let c = FuzzCase::derive(seed, id);
                 let org = c.algorithm.spec().disk_org;
-                match c.plan.point {
+                match c.plan.site {
                     LogAppendObject | LogSegmentSealed => {
                         assert_eq!(org, DiskOrg::Log);
                         assert_ne!(c.backend, WriterBackend::IoUring);
@@ -368,7 +391,7 @@ mod tests {
                             (1..=2).contains(&c.replication),
                             "replica points need the tier on"
                         );
-                        if c.plan.point == ReplicaFetch {
+                        if c.plan.site == ReplicaFetch {
                             assert!(c.plan.hit <= u64::from(c.shards));
                         }
                     }
@@ -380,42 +403,43 @@ mod tests {
                         assert_eq!(c.plan.hit, 1, "one mirror attempt is consumed per fire");
                     }
                     RecoveryReadImage => {
-                        assert!(c.plan.point.is_recovery_point());
+                        assert_eq!(c.plan.site.phase(), Phase::Recovery);
                         assert!(
                             c.plan.hit <= u64::from(c.shards),
                             "one image read per shard restore"
                         );
                     }
                     RecoveryReplayTick => {
-                        assert!(c.plan.point.is_recovery_point());
+                        assert_eq!(c.plan.site.phase(), Phase::Recovery);
                         assert!(c.plan.hit <= 2, "replay tails can be short");
                     }
                     _ => {}
                 }
                 if let Some(f) = c.fault {
+                    let Effect::Transient { burst, .. } = f.effect else {
+                        panic!("the fault layer is transient: {}", f.spec());
+                    };
                     assert!(
-                        f.burst <= u64::from(c.retry_max),
+                        burst <= u64::from(c.retry_max),
                         "derived bursts stay within the retry budget"
                     );
                     match f.site {
-                        FaultSite::UringCqe => assert_eq!(c.backend, WriterBackend::IoUring),
-                        FaultSite::BackupWrite
-                        | FaultSite::BackupSync
-                        | FaultSite::BackupCommit => {
+                        UringCqe => assert_eq!(c.backend, WriterBackend::IoUring),
+                        BackupWrite | BackupSync | BackupCommitMeta => {
                             assert_eq!(org, DiskOrg::DoubleBackup);
                             assert_ne!(c.backend, WriterBackend::IoUring);
                         }
-                        FaultSite::LogAppend | FaultSite::LogSync => {
+                        LogAppend | LogSync => {
                             assert_eq!(org, DiskOrg::Log);
                             assert_ne!(c.backend, WriterBackend::IoUring);
                         }
                         // Recovery reads are backend-independent.
-                        FaultSite::ImageRead => {}
+                        ImageRead => {}
+                        other => panic!("{} is not a transient site", other.name()),
                     }
                 }
                 assert!(
-                    c.plan.action == CrashAction::Crash
-                        || matches!(c.plan.point, UringWaveStaged | UringWaveComplete),
+                    c.plan.site.effects().contains(&c.plan.effect.name()),
                     "ring death only at ring boundaries"
                 );
                 assert!(c.plan.hit >= 1);
@@ -425,7 +449,7 @@ mod tests {
 
     #[test]
     fn specs_round_trip() {
-        for id in 0..(2 * N_POINTS as u64) {
+        for id in 0..(2 * 19) {
             let c = FuzzCase::derive(42, id);
             let back = FuzzCase::parse(&c.spec()).expect("own spec must parse");
             assert_eq!(c, back, "spec {} did not round-trip", c.spec());
@@ -435,12 +459,27 @@ mod tests {
             "partial specs rejected"
         );
         assert!(FuzzCase::parse("nonsense").is_err());
+        // Each layer takes only its own kind of plan (case 42:0 has both).
+        let c = FuzzCase::derive(42, 0);
+        for (from, to) in [
+            (
+                format!("crash={}", c.plan.spec()),
+                "crash=backup-write:1:eio:1",
+            ),
+            (
+                format!("fault={}", c.fault.unwrap().spec()),
+                "fault=backup-commit",
+            ),
+        ] {
+            let err = FuzzCase::parse(&c.spec().replace(&from, to)).unwrap_err();
+            assert!(err.contains("other layer"), "{err}");
+        }
     }
 
     /// Specs written before the fault axes existed (13 keys, no
     /// `fault=`/`retrymax=`) still parse, with production defaults.
     #[test]
-    fn pre_fault_specs_parse_with_defaults() {
+    fn specs_without_fault_keys_parse_with_defaults() {
         let full = FuzzCase::derive(42, 1).spec();
         let legacy = full.split(",fault=").next().unwrap();
         let back = FuzzCase::parse(legacy).expect("13-key spec must parse");
@@ -450,5 +489,27 @@ mod tests {
             FuzzCase::parse("fault=none,retrymax=3").is_err(),
             "optional keys do not count toward the required minimum"
         );
+    }
+
+    /// The derived corpus is pinned: these specs were captured before
+    /// the crash and fault registries merged (only the `crash=` grammar
+    /// translated, `hit:torn:crash` → `hit:crash:torn`, and a ring
+    /// death's unused torn count dropped). They cover a log site, a ring
+    /// death with a uring-cqe transient layer, transient layers on other
+    /// seams, and both recovery re-crash sites.
+    #[test]
+    fn derived_corpus_is_pinned() {
+        for (id, want) in [
+            (0, "alg=atomic-copy,shards=4,backend=thread-pool,depth=2,window=100,dsync=1,coalesce=1,ticks=10,upt=126,skew=0.5,tseed=2487590534359734178,repl=0,crash=job-enqueued:2:crash:37,fault=none,retrymax=3"),
+            (4, "alg=cou-partial-redo,shards=4,backend=thread-pool,depth=2,window=0,dsync=0,coalesce=1,ticks=16,upt=133,skew=0,tseed=17325615395165278667,repl=1,crash=log-append-object:1:crash:93,fault=none,retrymax=3"),
+            (5, "alg=partial-redo,shards=4,backend=thread-pool,depth=2,window=0,dsync=0,coalesce=1,ticks=23,upt=130,skew=0.5,tseed=13629623784796972306,repl=0,crash=log-segment-sealed:1:crash:20,fault=none,retrymax=3"),
+            (11, "alg=cou-partial-redo,shards=1,backend=io-uring,depth=2,window=0,dsync=0,coalesce=1,ticks=21,upt=110,skew=0.5,tseed=18070647197857446915,repl=0,crash=uring-wave-staged:3:ring-death,fault=uring-cqe:2:short-write:1,retrymax=1"),
+            (12, "alg=atomic-copy,shards=4,backend=io-uring,depth=1,window=100,dsync=1,coalesce=1,ticks=21,upt=167,skew=0.8,tseed=7343591775661958372,repl=0,crash=uring-wave-complete:1:crash:2,fault=image-read:3:short-write:1,retrymax=1"),
+            (15, "alg=naive,shards=1,backend=async-batched,depth=1,window=0,dsync=1,coalesce=1,ticks=10,upt=164,skew=0.8,tseed=10547722765080927258,repl=2,crash=replica-fetch:1:crash:51,fault=backup-sync:2:short-write:1,retrymax=2"),
+            (16, "alg=partial-redo,shards=1,backend=thread-pool,depth=1,window=250,dsync=0,coalesce=1,ticks=13,upt=127,skew=0.5,tseed=15578901282202552589,repl=1,crash=recovery-read-image:1:crash:19,fault=none,retrymax=3"),
+            (17, "alg=atomic-copy,shards=4,backend=async-batched,depth=2,window=0,dsync=1,coalesce=1,ticks=10,upt=90,skew=0,tseed=8460996655311771567,repl=0,crash=recovery-replay-tick:2:crash:58,fault=none,retrymax=3"),
+        ] {
+            assert_eq!(FuzzCase::derive(8, id).spec(), want, "case 8:{id}");
+        }
     }
 }

@@ -7,12 +7,11 @@
 //! suite could not reach from outside.
 
 use mmoc_core::{Algorithm, WriterBackend};
-use mmoc_storage::crash::{CrashAction, CrashPlan, CrashPoint};
-use mmoc_storage::fault::{FaultKind, FaultPlan, FaultSite};
+use mmoc_storage::inject::{Effect, Kind, Plan, Site};
 
 use crate::case::FuzzCase;
 
-fn base(algorithm: Algorithm, backend: WriterBackend, point: CrashPoint) -> FuzzCase {
+fn base(algorithm: Algorithm, backend: WriterBackend, site: Site) -> FuzzCase {
     FuzzCase {
         algorithm,
         shards: 1,
@@ -26,7 +25,7 @@ fn base(algorithm: Algorithm, backend: WriterBackend, point: CrashPoint) -> Fuzz
         skew: 0.8,
         trace_seed: 0xC0FF_EE00,
         replication: 0,
-        plan: CrashPlan::at(point),
+        plan: Plan::at(site),
         fault: None,
         retry_max: 3,
     }
@@ -36,18 +35,18 @@ fn base(algorithm: Algorithm, backend: WriterBackend, point: CrashPoint) -> Fuzz
 #[must_use]
 pub fn named_seeds() -> Vec<(&'static str, FuzzCase)> {
     use Algorithm::*;
-    use CrashPoint::*;
+    use Site::*;
     use WriterBackend::*;
 
     // Crash mid object write: torn 40-of-64-byte object, the curated
     // `crash_mid_write_falls_back_to_older_backup` site.
     let mut mid_write = base(AtomicCopyDirtyObjects, ThreadPool, BackupWriteObject);
-    mid_write.plan.torn = 40;
+    mid_write.plan.effect = Effect::Crash { torn: 40 };
 
     // Crash after data sync, before the metadata commit: torn 7-of-16
     // byte meta, the curated `crash_before_meta_commit_is_ignored` site.
     let mut pre_commit = base(CopyOnUpdate, AsyncBatched, BackupCommit);
-    pre_commit.plan.torn = 7;
+    pre_commit.plan.effect = Effect::Crash { torn: 7 };
 
     // Crash right after invalidating the next target backup (a
     // double-backup algorithm: the dribble variant logs instead).
@@ -56,11 +55,11 @@ pub fn named_seeds() -> Vec<(&'static str, FuzzCase)> {
 
     // Torn log record tail, the curated torn-tail site.
     let mut log_tail = base(PartialRedo, ThreadPool, LogAppendObject);
-    log_tail.plan.torn = 13;
+    log_tail.plan.effect = Effect::Crash { torn: 13 };
 
     // Segment seal torn off the end of the file.
     let mut seal_tear = base(CopyOnUpdatePartialRedo, AsyncBatched, LogSegmentSealed);
-    seal_tear.plan.torn = 33;
+    seal_tear.plan.effect = Effect::Crash { torn: 33 };
 
     // Mid-batch crash at the scheduler's sync-to-commit seam across four
     // shards, the curated `mid_batch_crash_recovers_every_shard` site.
@@ -83,7 +82,7 @@ pub fn named_seeds() -> Vec<(&'static str, FuzzCase)> {
     // Ring dies mid-batch and latches the dead flag: the synchronous
     // redo path must still produce a consistent disk.
     let mut ring_dead = base(AtomicCopyDirtyObjects, IoUring, UringWaveStaged);
-    ring_dead.plan.action = CrashAction::RingDeath;
+    ring_dead.plan.effect = Effect::RingDeath;
 
     // Crash at the enqueue boundary with the job already queued.
     let mut enqueued = base(NaiveSnapshot, ThreadPool, JobEnqueued);
@@ -127,11 +126,13 @@ pub fn named_seeds() -> Vec<(&'static str, FuzzCase)> {
     // curated pre-commit crash: the retry budget absorbs the burst and
     // the crash semantics must be unchanged.
     let mut flaky_write = base(CopyOnUpdate, AsyncBatched, BackupCommit);
-    flaky_write.fault = Some(FaultPlan {
-        site: FaultSite::BackupWrite,
+    flaky_write.fault = Some(Plan {
+        site: BackupWrite,
         hit: 2,
-        kind: FaultKind::Eio,
-        burst: 2,
+        effect: Effect::Transient {
+            kind: Kind::Eio,
+            burst: 2,
+        },
     });
     flaky_write.retry_max = 2;
 
@@ -140,23 +141,27 @@ pub fn named_seeds() -> Vec<(&'static str, FuzzCase)> {
     // a transient schedule and a crash plan on the same segment
     // lifecycle.
     let mut flaky_log = base(PartialRedo, ThreadPool, LogSegmentSealed);
-    flaky_log.plan.torn = 13;
-    flaky_log.fault = Some(FaultPlan {
-        site: FaultSite::LogSync,
+    flaky_log.plan.effect = Effect::Crash { torn: 13 };
+    flaky_log.fault = Some(Plan {
+        site: LogSync,
         hit: 1,
-        kind: FaultKind::Enospc,
-        burst: 1,
+        effect: Effect::Transient {
+            kind: Kind::Enospc,
+            burst: 1,
+        },
     });
     flaky_log.retry_max = 1;
 
     // Short reads while restoring the image *and* a re-crash after the
     // read completes: both recovery attempts fight the same flaky disk.
     let mut flaky_restore = base(CopyOnUpdate, ThreadPool, RecoveryReadImage);
-    flaky_restore.fault = Some(FaultPlan {
-        site: FaultSite::ImageRead,
+    flaky_restore.fault = Some(Plan {
+        site: ImageRead,
         hit: 1,
-        kind: FaultKind::ShortWrite,
-        burst: 2,
+        effect: Effect::Transient {
+            kind: Kind::ShortWrite,
+            burst: 2,
+        },
     });
     flaky_restore.retry_max = 3;
 

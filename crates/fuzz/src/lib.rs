@@ -1,8 +1,9 @@
-//! Crash-point lattice fuzzer for the real storage engine.
+//! Fault-injection fuzzer for the real storage engine.
 //!
 //! The storage crate instruments every phase boundary of its write path
-//! with a named [`mmoc_storage::crash::CrashPoint`]. This crate drives
-//! seeded, deterministic runs that arm one point per case, simulate the
+//! with a named [`mmoc_storage::inject::Site`]. This crate drives
+//! seeded, deterministic runs that arm one crash site per case (plus, in a
+//! third of cases, a transient-fault schedule), simulate the
 //! crash (freeze the disk, finish the run), then perform *real* recovery
 //! from the frozen directory and compare the recovered state against an
 //! in-memory oracle replay of the full trace. Any divergence is a

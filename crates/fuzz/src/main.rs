@@ -1,4 +1,4 @@
-//! `mmoc-fuzz` — the crash-point lattice fuzzer CLI.
+//! `mmoc-fuzz` — the fault-injection fuzzer CLI.
 //!
 //! ```text
 //! mmoc-fuzz [--runs N] [--seed S] [--log FILE]   seeded corpus run
@@ -8,14 +8,14 @@
 //! ```
 //!
 //! The corpus defaults to 200 runs from seed 1. Exit codes: 0 all cases
-//! consistent and every reachable point fired; 1 divergence or coverage
-//! hole; 2 usage error.
+//! consistent, every crash site fired and every transient site injected;
+//! 1 divergence or coverage hole; 2 usage error.
 
 use std::io::Write as _;
 use std::process::ExitCode;
 
 use mmoc_fuzz::{named_seeds, run_case, shrink, FuzzCase};
-use mmoc_storage::crash::{ring_available, CrashPhase, CrashPoint, ALL_POINTS, N_POINTS};
+use mmoc_storage::inject::{ring_available, Phase, Site};
 
 fn usage() -> String {
     "usage: mmoc-fuzz [--runs N] [--seed S] [--log FILE] | \
@@ -121,8 +121,10 @@ fn run_corpus(opts: &Options) -> ExitCode {
         }
     };
 
-    let mut fired_points = [false; N_POINTS];
-    let mut reach_totals = [0_u64; N_POINTS];
+    // Per site: a crash site counts when its plan fired, a transient
+    // site when its schedule injected at least once.
+    let mut covered = vec![false; Site::all().count()];
+    let mut reach_totals = vec![0_u64; Site::all().count()];
     let mut ring_requested = 0_u64;
     let mut ring_native = 0_u64;
     let mut fired_cases = 0_u64;
@@ -159,7 +161,10 @@ fn run_corpus(opts: &Options) -> ExitCode {
         }
         if out.fired {
             fired_cases += 1;
-            fired_points[case.plan.point as usize] = true;
+            covered[case.plan.site as usize] = true;
+        }
+        if let Some(f) = case.fault.filter(|_| out.faults_injected > 0) {
+            covered[f.site as usize] = true;
         }
         faults_injected += out.faults_injected;
         if out.recovery_retried {
@@ -204,29 +209,33 @@ fn run_corpus(opts: &Options) -> ExitCode {
          {recoveries_retried} recoveries re-crashed and restarted",
         failures.len()
     );
-    println!("lattice coverage (crashes fired per point):");
+    println!("site coverage (crash sites must fire, transient sites must inject):");
     let ring_excused = !ring_available() || (ring_requested > 0 && ring_native == 0);
     let mut holes = Vec::new();
-    for p in ALL_POINTS {
-        let i = p as usize;
-        let is_ring_point = matches!(
-            p,
-            CrashPoint::UringWaveStaged | CrashPoint::UringWaveComplete
+    for s in Site::all() {
+        let i = s as usize;
+        let crash_site = s.effects().contains(&"crash");
+        let ring_site = matches!(
+            s,
+            Site::UringWaveStaged | Site::UringWaveComplete | Site::UringCqe
         );
-        let mark = if fired_points[i] {
-            "fired"
-        } else if is_ring_point && ring_excused {
+        let mark = if covered[i] {
+            if crash_site {
+                "fired"
+            } else {
+                "injected"
+            }
+        } else if ring_site && ring_excused {
             "excused (io_uring unavailable)"
         } else {
-            holes.push(p.name());
-            "NEVER FIRED"
+            holes.push(s.name());
+            if crash_site {
+                "NEVER FIRED"
+            } else {
+                "NEVER INJECTED"
+            }
         };
-        println!(
-            "  {:<22} reaches {:>8}  {}",
-            p.name(),
-            reach_totals[i],
-            mark
-        );
+        println!("  {:<24} reaches {:>8}  {mark}", s.name(), reach_totals[i]);
     }
 
     if !failures.is_empty() {
@@ -238,12 +247,12 @@ fn run_corpus(opts: &Options) -> ExitCode {
     }
     if !holes.is_empty() {
         eprintln!(
-            "\ncoverage hole: point(s) never fired: {}",
+            "\ncoverage hole: site(s) never fired or injected: {}",
             holes.join(", ")
         );
         return ExitCode::from(1);
     }
-    println!("all cases consistent; every reachable crash point fired");
+    println!("all cases consistent; every reachable site fired or injected");
     ExitCode::SUCCESS
 }
 
@@ -294,7 +303,7 @@ fn list_points() -> ExitCode {
             0,
         ),
     ];
-    let mut totals = [0_u64; N_POINTS];
+    let mut totals = vec![0_u64; Site::all().count()];
     for (alg, backend, shards, replication) in sweep {
         let mut case = FuzzCase::derive(0, 0);
         case.algorithm = alg;
@@ -322,21 +331,14 @@ fn list_points() -> ExitCode {
             }
         }
     }
-    println!("{:<22} {:>8}  description", "point", "reaches");
-    for phase in [
-        CrashPhase::Submit,
-        CrashPhase::Complete,
-        CrashPhase::Recovery,
-    ] {
+    println!("{:<24} {:>8}  description", "site", "reaches");
+    for phase in [Phase::Submit, Phase::Complete, Phase::Recovery] {
         println!("[{} phase]", phase.label());
-        for p in ALL_POINTS.into_iter().filter(|p| p.phase() == phase) {
-            println!(
-                "  {:<20} {:>8}  {}",
-                p.name(),
-                totals[p as usize],
-                p.describe()
-            );
-            println!("  {:<20} {:>8}  compat: {}", "", "", p.compat());
+        for s in Site::all().filter(|s| s.phase() == phase) {
+            let (reaches, name) = (totals[s as usize], s.name());
+            println!("  {name:<22} {reaches:>8}  {}", s.describe());
+            println!("  {:<31}  effects: {}", "", s.effects().join(", "));
+            println!("  {:<31}  compat: {}", "", s.compat());
         }
     }
     if !ring_available() {

@@ -1,6 +1,6 @@
 //! Execute one case and judge it against the in-memory oracle.
 //!
-//! The armed [`CrashState`] freezes the disk at the planned point (every
+//! The armed [`Inject`] freezes the disk at the planned site (every
 //! instrumented mutation thereafter is suppressed) while the run itself
 //! continues to the end of the trace — completions still acknowledge, so
 //! the driver never deadlocks. Afterwards we run the *production*
@@ -16,17 +16,16 @@
 //!   run's engine *and* on the recovery reads, whose burst the retry
 //!   budget must absorb without the oracle noticing;
 //! - **recovery-phase crash plans** (the `recovery-*`/`replica-fetch*`
-//!   points), armed on a *separate* [`CrashState`] consulted by the
-//!   recovery pass itself. An injected re-crash aborts the attempt; the
-//!   oracle then restarts recovery from a fresh trace cursor — the
-//!   process-restart model — and requires the second attempt to succeed
-//!   and still match the in-memory truth.
+//!   sites), armed on the recovery pass's *own* [`Inject`]. An injected
+//!   re-crash ([`InjectedCrash`]) aborts the attempt; the oracle then
+//!   restarts recovery from a fresh trace cursor — the process-restart
+//!   model — and requires the second attempt to succeed and still match
+//!   the in-memory truth.
 
 use mmoc_core::{
     DiskOrg, EngineDetail, Run, ShardFilter, ShardMap, StateGeometry, StateTable, WriterBackend,
 };
-use mmoc_storage::crash::{CrashState, N_POINTS};
-use mmoc_storage::fault::{FaultState, RetryPolicy};
+use mmoc_storage::inject::{Inject, InjectedCrash, Phase, Plan, RetryPolicy, Site};
 use mmoc_storage::recovery::{
     recover_and_replay_log_with, recover_and_replay_with, recover_from_replica, RecoveryOpts,
 };
@@ -46,9 +45,9 @@ pub struct CaseOutcome {
     pub fired: bool,
     /// Did a requested io_uring backend fall back (kernel probe failed)?
     pub fell_back: bool,
-    /// Lattice reach counters, registry order — run and recovery-pass
+    /// Reach counters per site, registry order — run and recovery-pass
     /// states merged.
-    pub counts: [u64; N_POINTS],
+    pub counts: Vec<u64>,
     /// Transient faults actually injected by the armed schedule.
     pub faults_injected: u64,
     /// Did an injected re-crash abort a recovery attempt, forcing the
@@ -90,68 +89,55 @@ fn truth_of(mut src: impl TraceSource) -> StateTable {
     truth
 }
 
-/// True when `e` is the recovery lattice's injected re-crash (the
+/// True when `e` is an injected re-crash of the recovery pass (the
 /// attempt died mid-restore; a restarted attempt is expected to pass).
 fn injected_recrash(e: &io::Error) -> bool {
-    e.to_string().contains("injected re-crash during recovery")
+    e.get_ref().is_some_and(|e| e.is::<InjectedCrash>())
 }
 
-/// Run one case end to end: execute with the armed lattice, then recover
+/// Run one case end to end: execute with the armed plans, then recover
 /// every shard from the frozen directory and compare fingerprints.
 #[must_use]
 pub fn run_case(case: &FuzzCase) -> CaseOutcome {
-    // Recovery-phase plans fire during the oracle's recovery pass, on a
-    // separate lattice state: the run's own latch models the *first*
-    // process death, this one the re-crash of the restarted process.
-    // For the disk-path re-crash points the first death is a generic
-    // early freeze (the universally-compatible enqueue boundary), so
-    // recovery has a real checkpoint-plus-tail to work through — after
-    // a *clean* run the newest checkpoint can cover the whole trace,
-    // leaving no replay tick for the re-crash to land on. The replica
-    // fetch points instead need the mirrors a completed run publishes,
-    // so those cases run clean.
-    use mmoc_storage::crash::{CrashAction, CrashPlan, CrashPoint};
-    let run_plan = match case.plan.point {
-        CrashPoint::RecoveryReadImage | CrashPoint::RecoveryReplayTick => CrashPlan {
-            point: CrashPoint::JobEnqueued,
-            hit: 1,
-            torn: 0,
-            action: CrashAction::Crash,
-        },
+    // Recovery-phase plans fire during the oracle's recovery pass, on its
+    // own injection state: the run's latch models the *first* process
+    // death, this one the re-crash of the restarted process. For the
+    // disk-path re-crash sites the first death is a generic early freeze
+    // (the universally-compatible enqueue boundary), so recovery has a
+    // real checkpoint-plus-tail to work through — after a *clean* run the
+    // newest checkpoint can cover the whole trace, leaving no replay tick
+    // for the re-crash to land on. The replica fetch sites instead need
+    // the mirrors a completed run publishes, so those cases run clean.
+    // Both states carry the transient schedule; its sites are reached in
+    // one phase only (the image read during recovery, the rest during the
+    // run), so splitting it over two states changes no reach count.
+    let run_plan = match case.plan.site {
+        Site::RecoveryReadImage | Site::RecoveryReplayTick => Plan::at(Site::JobEnqueued),
         _ => case.plan,
     };
-    let state = Arc::new(CrashState::armed(run_plan));
-    let rec_state = case
-        .plan
-        .point
-        .is_recovery_point()
-        .then(|| Arc::new(CrashState::armed(case.plan)));
-    let fault = case.fault.map(|p| Arc::new(FaultState::armed(p)));
+    let rec_plan = (case.plan.site.phase() == Phase::Recovery).then_some(case.plan);
+    let state = Arc::new(Inject::armed([run_plan].into_iter().chain(case.fault)));
+    let rec_state = Arc::new(Inject::armed(rec_plan.into_iter().chain(case.fault)));
     let mut outcome = CaseOutcome {
         fired: false,
         fell_back: false,
-        counts: [0; N_POINTS],
+        counts: Vec::new(),
         faults_injected: 0,
         recovery_retried: false,
         failure: None,
     };
-    // Merge both lattice states (and the fault tally) into the outcome;
-    // called again after the recovery pass, which reaches points the
-    // run-time sample cannot see.
+    // Merge both states into the outcome; called again after the
+    // recovery pass, which reaches sites the run-time sample cannot see.
     let sample = |outcome: &mut CaseOutcome| {
         // A recovery-phase case "fires" only when its own plan does —
         // the auxiliary mid-run freeze doesn't count toward coverage.
-        outcome.fired = match &rec_state {
-            Some(rs) => rs.fired(),
+        outcome.fired = match rec_plan {
+            Some(_) => rec_state.fired(),
             None => state.fired(),
         };
-        outcome.counts = state.counts();
-        if let Some(rs) = &rec_state {
-            for (c, r) in outcome.counts.iter_mut().zip(rs.counts()) {
-                *c += r;
-            }
-        }
-        outcome.faults_injected = fault.as_ref().map_or(0, |f| f.injected());
+        let (run, rec) = (state.counts(), rec_state.counts());
+        outcome.counts = run.iter().zip(rec).map(|(a, b)| a + b).collect();
+        outcome.faults_injected = state.injected() + rec_state.injected();
     };
     let dir = match tempfile::tempdir() {
         Ok(d) => d,
@@ -179,12 +165,8 @@ pub fn run_case(case: &FuzzCase) -> CaseOutcome {
             .collect();
         Arc::new(ReplicaSet::new(case.replication, &geometries))
     });
-    let mut config = engine_config(case, dir.path(), &state, replicas.as_ref());
-    if let Some(f) = &fault {
-        config = config.with_fault_state(f.clone());
-    }
     let report = Run::algorithm(case.algorithm)
-        .engine(config)
+        .engine(engine_config(case, dir.path(), &state, replicas.as_ref()))
         .trace(trace)
         .shards(case.shards)
         .pacing(600.0)
@@ -203,15 +185,14 @@ pub fn run_case(case: &FuzzCase) -> CaseOutcome {
     }
 
     // Per-shard recovery from the frozen directory against the oracle,
-    // under the recovery-phase instrumentation: the re-crash lattice,
-    // the transient-fault layer on the restore reads, and the case's
-    // retry budget. With the replica tier on, each shard is *also*
+    // under the recovery pass's injection state (the re-crash plan and
+    // the transient schedule on the restore reads) and the case's retry
+    // budget. With the replica tier on, each shard is *also*
     // recovered from its peers' mirrors, and the two recovered states
     // must agree byte for byte — the tier is an accelerator, not an
     // alternative history.
     let opts = RecoveryOpts {
-        crash: rec_state.clone(),
-        fault: fault.clone(),
+        inject: Some(rec_state.clone()),
         retry: RetryPolicy {
             max: case.retry_max,
             backoff: Duration::ZERO,
@@ -306,7 +287,7 @@ pub fn run_case(case: &FuzzCase) -> CaseOutcome {
 fn engine_config(
     case: &FuzzCase,
     dir: &Path,
-    state: &Arc<CrashState>,
+    state: &Arc<Inject>,
     replicas: Option<&Arc<ReplicaSet>>,
 ) -> RealConfig {
     let mut config = RealConfig::new(dir)
@@ -319,7 +300,7 @@ fn engine_config(
         .with_pipeline_depth(case.pipeline_depth)
         .with_retry(case.retry_max, Duration::ZERO)
         .with_replication(case.replication)
-        .with_crash_state(state.clone());
+        .with_inject(state.clone());
     if let Some(set) = replicas {
         config = config.with_replica_set(set.clone());
     }
@@ -327,20 +308,20 @@ fn engine_config(
 }
 
 /// True when this case asked for io_uring — used by the coverage check
-/// to excuse ring-only points on kernels without the capability.
+/// to excuse ring-only sites on kernels without the capability.
 #[must_use]
 pub fn wants_ring(case: &FuzzCase) -> bool {
     case.backend == WriterBackend::IoUring
 }
 
-/// Run a case's configuration with a *tracking* (unarmed) lattice and
+/// Run a case's configuration with a *tracking* (unarmed) state and
 /// return the reach counters — `--list-points` uses this to show which
-/// points each configuration actually visits. The clean run is followed
+/// sites each configuration actually visits. The clean run is followed
 /// by a clean recovery pass over its directory (through the same
-/// tracking state), so the recovery-phase points report real reaches
+/// tracking state), so the recovery-phase sites report real reaches
 /// too.
-pub fn tracking_run(case: &FuzzCase) -> Result<[u64; N_POINTS], String> {
-    let state = Arc::new(CrashState::tracking());
+pub fn tracking_run(case: &FuzzCase) -> Result<Vec<u64>, String> {
+    let state = Arc::new(Inject::tracking());
     let dir = tempfile::tempdir().map_err(|e| format!("tempdir: {e}"))?;
     let trace = trace_of(case);
     let map = ShardMap::new(trace.geometry, case.shards).map_err(|e| format!("shard map: {e}"))?;
@@ -358,7 +339,7 @@ pub fn tracking_run(case: &FuzzCase) -> Result<[u64; N_POINTS], String> {
         .execute()
         .map_err(|e| format!("run error: {e}"))?;
     let opts = RecoveryOpts {
-        crash: Some(state.clone()),
+        inject: Some(state.clone()),
         ..RecoveryOpts::default()
     };
     let n = case.shards as usize;
@@ -382,21 +363,21 @@ pub fn tracking_run(case: &FuzzCase) -> Result<[u64; N_POINTS], String> {
             }
         }
     }
-    Ok(state.counts())
+    Ok(state.counts().to_vec())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mmoc_core::Algorithm;
-    use mmoc_storage::crash::{CrashAction, CrashPlan, CrashPoint};
+    use mmoc_storage::inject::{Effect, Kind};
 
     /// One smoke case per disk organization runs clean end to end.
     #[test]
     fn smoke_cases_pass() {
         for (alg, point) in [
-            (Algorithm::CopyOnUpdate, CrashPoint::BackupCommit),
-            (Algorithm::PartialRedo, CrashPoint::LogAppendObject),
+            (Algorithm::CopyOnUpdate, Site::BackupCommit),
+            (Algorithm::PartialRedo, Site::LogAppendObject),
         ] {
             let case = FuzzCase {
                 algorithm: alg,
@@ -411,11 +392,10 @@ mod tests {
                 skew: 0.8,
                 trace_seed: 99,
                 replication: 0,
-                plan: CrashPlan {
-                    point,
+                plan: Plan {
+                    site: point,
                     hit: 1,
-                    torn: 11,
-                    action: CrashAction::Crash,
+                    effect: Effect::Crash { torn: 11 },
                 },
                 fault: None,
                 retry_max: 3,
@@ -433,9 +413,9 @@ mod tests {
     #[test]
     fn replica_smoke_cases_pass() {
         for (point, replication) in [
-            (CrashPoint::ReplicaPushPreCommit, 1),
-            (CrashPoint::ReplicaPushPostCommit, 2),
-            (CrashPoint::ReplicaFetch, 1),
+            (Site::ReplicaPushPreCommit, 1),
+            (Site::ReplicaPushPostCommit, 2),
+            (Site::ReplicaFetch, 1),
         ] {
             let case = FuzzCase {
                 algorithm: Algorithm::CopyOnUpdate,
@@ -450,11 +430,10 @@ mod tests {
                 skew: 0.5,
                 trace_seed: 7,
                 replication,
-                plan: CrashPlan {
-                    point,
+                plan: Plan {
+                    site: point,
                     hit: 1,
-                    torn: 5,
-                    action: CrashAction::Crash,
+                    effect: Effect::Crash { torn: 5 },
                 },
                 fault: None,
                 retry_max: 3,
@@ -473,9 +452,9 @@ mod tests {
     #[test]
     fn recovery_recrash_cases_pass() {
         for (alg, point, replication) in [
-            (Algorithm::CopyOnUpdate, CrashPoint::RecoveryReadImage, 0),
-            (Algorithm::PartialRedo, CrashPoint::RecoveryReplayTick, 0),
-            (Algorithm::CopyOnUpdate, CrashPoint::ReplicaFetchMid, 2),
+            (Algorithm::CopyOnUpdate, Site::RecoveryReadImage, 0),
+            (Algorithm::PartialRedo, Site::RecoveryReplayTick, 0),
+            (Algorithm::CopyOnUpdate, Site::ReplicaFetchMid, 2),
         ] {
             let case = FuzzCase {
                 algorithm: alg,
@@ -490,11 +469,10 @@ mod tests {
                 skew: 0.8,
                 trace_seed: 31,
                 replication,
-                plan: CrashPlan {
-                    point,
+                plan: Plan {
+                    site: point,
                     hit: 1,
-                    torn: 0,
-                    action: CrashAction::Crash,
+                    effect: Effect::Crash { torn: 0 },
                 },
                 fault: None,
                 retry_max: 3,
@@ -502,7 +480,7 @@ mod tests {
             let out = run_case(&case);
             assert!(out.ok(), "{}: {:?}", case.spec(), out.failure);
             assert!(out.fired, "{}: recovery plan never fired", case.spec());
-            if point != CrashPoint::ReplicaFetchMid {
+            if point != Site::ReplicaFetchMid {
                 assert!(
                     out.recovery_retried,
                     "{}: an injected re-crash must force a restarted attempt",
@@ -518,25 +496,24 @@ mod tests {
     /// recovery-time image read itself.
     #[test]
     fn transient_fault_bursts_are_absorbed_by_the_retry_budget() {
-        use mmoc_storage::fault::{FaultKind, FaultPlan, FaultSite};
         for (alg, point, site, kind) in [
             (
                 Algorithm::CopyOnUpdate,
-                CrashPoint::BackupCommit,
-                FaultSite::BackupWrite,
-                FaultKind::Eio,
+                Site::BackupCommit,
+                Site::BackupWrite,
+                Kind::Eio,
             ),
             (
                 Algorithm::PartialRedo,
-                CrashPoint::LogSegmentSealed,
-                FaultSite::LogAppend,
-                FaultKind::Enospc,
+                Site::LogSegmentSealed,
+                Site::LogAppend,
+                Kind::Enospc,
             ),
             (
                 Algorithm::CopyOnUpdate,
-                CrashPoint::RecoveryReadImage,
-                FaultSite::ImageRead,
-                FaultKind::ShortWrite,
+                Site::RecoveryReadImage,
+                Site::ImageRead,
+                Kind::ShortWrite,
             ),
         ] {
             let case = FuzzCase {
@@ -552,17 +529,15 @@ mod tests {
                 skew: 0.8,
                 trace_seed: 47,
                 replication: 0,
-                plan: CrashPlan {
-                    point,
+                plan: Plan {
+                    site: point,
                     hit: 1,
-                    torn: 9,
-                    action: CrashAction::Crash,
+                    effect: Effect::Crash { torn: 9 },
                 },
-                fault: Some(FaultPlan {
+                fault: Some(Plan {
                     site,
                     hit: 1,
-                    kind,
-                    burst: 2,
+                    effect: Effect::Transient { kind, burst: 2 },
                 }),
                 retry_max: 2,
             };

@@ -8,7 +8,7 @@
 //! them. The budget is bounded: at most one re-run per transformation
 //! pass, two passes.
 
-use mmoc_storage::crash::CrashPoint;
+use mmoc_storage::inject::{Effect, Plan, Site};
 
 use crate::case::FuzzCase;
 use crate::oracle::run_case;
@@ -42,7 +42,7 @@ pub fn shrink(case: &FuzzCase) -> (FuzzCase, u32) {
 /// The shrinking moves applicable to `c`, smallest-first.
 fn transforms(c: &FuzzCase) -> Vec<FuzzCase> {
     let mut out = Vec::new();
-    if c.shards > 1 && c.plan.point != CrashPoint::DeviceBarrier {
+    if c.shards > 1 && c.plan.site != Site::DeviceBarrier {
         let mut t = *c;
         t.shards = 1;
         out.push(t);
@@ -62,9 +62,9 @@ fn transforms(c: &FuzzCase) -> Vec<FuzzCase> {
         t.plan.hit = 1;
         out.push(t);
     }
-    if c.plan.torn > 0 {
+    if matches!(c.plan.effect, Effect::Crash { torn } if torn > 0) {
         let mut t = *c;
-        t.plan.torn = 0;
+        t.plan.effect = Effect::Crash { torn: 0 };
         out.push(t);
     }
     if c.pipeline_depth > 1 {
@@ -88,12 +88,20 @@ fn transforms(c: &FuzzCase) -> Vec<FuzzCase> {
         out.push(t);
     }
     // Failing that, a single injected error beats a burst.
-    if c.fault.is_some_and(|f| f.burst > 1) {
-        let mut t = *c;
-        if let Some(f) = &mut t.fault {
-            f.burst = 1;
+    if let Some(
+        f @ Plan {
+            effect: Effect::Transient { kind, burst },
+            ..
+        },
+    ) = c.fault
+    {
+        if burst > 1 {
+            let effect = Effect::Transient { kind, burst: 1 };
+            out.push(FuzzCase {
+                fault: Some(Plan { effect, ..f }),
+                ..*c
+            });
         }
-        out.push(t);
     }
     out
 }
@@ -101,6 +109,20 @@ fn transforms(c: &FuzzCase) -> Vec<FuzzCase> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn torn(p: Plan) -> u64 {
+        match p.effect {
+            Effect::Crash { torn } => torn,
+            _ => 0,
+        }
+    }
+
+    fn burst(p: Plan) -> u64 {
+        match p.effect {
+            Effect::Transient { burst, .. } => burst,
+            _ => 0,
+        }
+    }
 
     #[test]
     fn transforms_only_simplify_and_respect_the_matrix() {
@@ -111,12 +133,12 @@ mod tests {
                 assert!(t.ticks <= c.ticks);
                 assert!(t.updates_per_tick <= c.updates_per_tick);
                 assert!(t.plan.hit <= c.plan.hit);
-                assert!(t.plan.torn <= c.plan.torn);
-                if c.plan.point == CrashPoint::DeviceBarrier {
+                assert!(torn(t.plan) <= torn(c.plan));
+                if c.plan.site == Site::DeviceBarrier {
                     assert_eq!(t.shards, 4, "device barrier keeps its four shards");
                 }
                 if let (Some(tf), Some(cf)) = (t.fault, c.fault) {
-                    assert!(tf.burst <= cf.burst, "fault moves only shrink the burst");
+                    assert!(burst(tf) <= burst(cf), "fault moves only shrink the burst");
                 }
             }
         }

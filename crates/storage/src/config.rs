@@ -1,7 +1,6 @@
 //! Configuration of the real engine.
 
-use crate::crash::CrashState;
-use crate::fault::{FaultState, RetryPolicy};
+use crate::inject::{Inject, RetryPolicy};
 use mmoc_core::WriterBackend;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -67,13 +66,15 @@ pub struct RealConfig {
     /// least 1). Only log-organization checkpoints without a sweep
     /// overlap; the bookkeeper serializes everything else regardless.
     pub pipeline_depth: u32,
-    /// Crash-point lattice state shared by every shard of the run.
-    /// `None` in production: every instrumentation site is then a single
+    /// Vestigial: can hold no value and no engine code reads it. It
+    /// stays only while the frozen benchmark still assigns it; deleting
+    /// it is part of ROADMAP item 1 (thaw the benchmark).
+    pub crash: Option<std::convert::Infallible>,
+    /// Fault-injection state shared by every shard of the run (see
+    /// [`crate::inject`]; set it with [`RealConfig::with_inject`]).
+    /// `None` in production: every injection site is then a single
     /// `Option` check.
-    pub crash: Option<Arc<CrashState>>,
-    /// Transient-fault failpoint state shared by every shard of the run.
-    /// `None` in production.
-    pub fault: Option<Arc<FaultState>>,
+    pub fault: Option<Arc<Inject>>,
     /// How many times the writer re-issues a failed data write / fsync /
     /// meta commit before the error takes the degradation ladder (typed
     /// `RunError` on the syscall backends, synchronous redo on io_uring).
@@ -269,18 +270,11 @@ impl RealConfig {
         self
     }
 
-    /// Install a per-run crash-point lattice state (see
-    /// [`RealConfig::crash`]). The caller keeps a clone of the `Arc` to
-    /// read reach counts and the fired/down latches after the run.
-    pub fn with_crash_state(mut self, state: Arc<CrashState>) -> Self {
-        self.crash = Some(state);
-        self
-    }
-
-    /// Install a per-run transient-fault failpoint state (see
+    /// Install a per-run fault-injection state (see
     /// [`RealConfig::fault`]). The caller keeps a clone of the `Arc` to
-    /// read the injected-fault tally after the run.
-    pub fn with_fault_state(mut self, state: Arc<FaultState>) -> Self {
+    /// read reach counts, the fired/down latches and the injected-fault
+    /// tally after the run.
+    pub fn with_inject(mut self, state: Arc<Inject>) -> Self {
         self.fault = Some(state);
         self
     }

@@ -34,6 +34,7 @@
 
 use crate::config::RealConfig;
 use crate::files::BackupSet;
+use crate::inject::{Inject, RetryPolicy, Site};
 use crate::log_store::LogStore;
 use crate::recovery::{
     recover_and_replay_log_with, recover_and_replay_with, recover_from_replica, RecoveryOpts,
@@ -62,21 +63,12 @@ pub(crate) enum Store {
 }
 
 impl Store {
-    /// Attach a crash-point lattice handle to the underlying store
-    /// (see [`crate::crash`]); a `None` handle detaches.
-    pub(crate) fn attach_crash(&mut self, crash: Option<Arc<crate::crash::CrashState>>) {
+    /// Attach a fault-injection handle to the underlying store (see
+    /// [`crate::inject`]); a `None` handle detaches.
+    pub(crate) fn attach_inject(&mut self, inject: Option<Arc<Inject>>) {
         match self {
-            Store::Double(set) => set.attach_crash(crash),
-            Store::Log(log) => log.attach_crash(crash),
-        }
-    }
-
-    /// Attach a transient-fault failpoint handle to the underlying
-    /// store (see [`crate::fault`]); a `None` handle detaches.
-    pub(crate) fn attach_fault(&mut self, fault: Option<Arc<crate::fault::FaultState>>) {
-        match self {
-            Store::Double(set) => set.attach_fault(fault),
-            Store::Log(log) => log.attach_fault(fault),
+            Store::Double(set) => set.attach_inject(inject),
+            Store::Log(log) => log.attach_inject(inject),
         }
     }
 }
@@ -202,19 +194,14 @@ pub(crate) struct ShardCtx {
     pub(crate) sync_data: bool,
     pub(crate) done_tx: crossbeam::channel::Sender<Done>,
     pub(crate) turn: TurnGate,
-    /// Crash-point lattice handle shared by the whole run (`None` in
+    /// Fault-injection handle shared by the whole run (`None` in
     /// production): writer backends consult it at their scheduler
-    /// seams; the stores inside [`ShardCtx::store`] carry their own
-    /// clone for the mutation sites.
-    pub(crate) crash: Option<Arc<crate::crash::CrashState>>,
-    /// Transient-fault failpoints shared by the whole run (`None` in
-    /// production): the io_uring backend consults it at the CQE seam;
-    /// the stores inside [`ShardCtx::store`] carry their own clone for
-    /// the syscall sites.
-    pub(crate) fault: Option<Arc<crate::fault::FaultState>>,
+    /// seams and the io_uring CQE seam; the stores inside
+    /// [`ShardCtx::store`] carry their own clone for the disk sites.
+    pub(crate) inject: Option<Arc<Inject>>,
     /// Bounded retry policy for transient I/O faults, applied by every
     /// writer backend around the store's fallible operations.
-    pub(crate) retry: crate::fault::RetryPolicy,
+    pub(crate) retry: RetryPolicy,
     /// Replica tier shared by the whole run (`None` when replication is
     /// off): the completion seam pushes each committed checkpoint delta
     /// to the shard's peer mirrors (publish-on-commit).
@@ -264,10 +251,10 @@ pub(crate) struct RealBackend {
 
 impl RealBackend {
     fn send(&mut self, job: Job) {
-        if let Some(c) = &self.config.crash {
+        if let Some(c) = &self.config.fault {
             // The job is enqueued either way: the simulated kill lands
             // at the handoff, before any writer thread touches disk.
-            if c.reach(crate::crash::CrashPoint::JobEnqueued).is_some() {
+            if c.consult(Site::JobEnqueued).is_some() {
                 c.go_down();
             }
         }
@@ -462,8 +449,7 @@ pub(crate) fn make_shard(
         spec.copy_timing == mmoc_core::CopyTiming::OnUpdate || spec.full_flush_period.is_some();
     let shared = Arc::new(Shared::with_protocol(SharedTable::new(geometry), sweeps));
     let mut store = create_store(dir, geometry, spec.disk_org)?;
-    store.attach_crash(config.crash.clone());
-    store.attach_fault(config.fault.clone());
+    store.attach_inject(config.fault.clone());
     let frontier = Arc::new(AtomicU64::new(0));
     // The completion channel must hold one ack per in-flight checkpoint,
     // or a worker acking checkpoint N would block the mutator from ever
@@ -481,8 +467,7 @@ pub(crate) fn make_shard(
         sync_data: config.sync_data,
         done_tx,
         turn: TurnGate::new(),
-        crash: config.crash.clone(),
-        fault: config.fault.clone(),
+        inject: config.fault.clone(),
         retry: config.retry_policy(),
         replicas,
     };

@@ -14,8 +14,7 @@
 //! so a crash mid-checkpoint leaves the other backup's metadata (and thus
 //! a consistent image) intact.
 
-use crate::crash::{CrashPoint, CrashState};
-use crate::fault::{FaultKind, FaultSite, FaultState};
+use crate::inject::{Effect, Inject, Kind, Site};
 use mmoc_core::{ObjectId, StateGeometry};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
@@ -72,16 +71,13 @@ pub struct Backup {
 pub struct BackupSet {
     backups: [Backup; 2],
     geometry: StateGeometry,
-    /// Crash-point lattice handle (see [`crate::crash`]): `None` in
-    /// production. Once the armed point fires and the state goes
-    /// down, every mutation below freezes the files as a process
-    /// kill would have left them.
-    crash: Option<Arc<CrashState>>,
-    /// Transient-fault failpoints (see [`crate::fault`]): `None` in
-    /// production. Consulted at every syscall seam below; an injected
-    /// fault returns an error (after a short write's partial effect)
-    /// and the writer's retry policy re-invokes the operation.
-    fault: Option<Arc<FaultState>>,
+    /// Fault-injection handle (see [`crate::inject`]): `None` in
+    /// production. Once a crash plan fires and the state goes down,
+    /// every mutation below freezes the files as a process kill would
+    /// have left them; a transient fault returns an error (after a
+    /// short write's partial effect) and the writer's retry policy
+    /// re-invokes the operation.
+    inject: Option<Arc<Inject>>,
 }
 
 impl BackupSet {
@@ -119,8 +115,7 @@ impl BackupSet {
         Ok(BackupSet {
             backups: [make(0)?, make(1)?],
             geometry,
-            crash: None,
-            fault: None,
+            inject: None,
         })
     }
 
@@ -142,8 +137,7 @@ impl BackupSet {
         Ok(BackupSet {
             backups: [make(0)?, make(1)?],
             geometry,
-            crash: None,
-            fault: None,
+            inject: None,
         })
     }
 
@@ -152,32 +146,26 @@ impl BackupSet {
         &self.geometry
     }
 
-    /// Attach a crash-point lattice handle. Installed by the engine
-    /// right after store creation when the run carries a
-    /// [`CrashState`]; production stores never pay more than the
-    /// `None` check.
-    pub fn attach_crash(&mut self, crash: Option<Arc<CrashState>>) {
-        self.crash = crash;
+    /// Attach a fault-injection handle. Installed by the engine right
+    /// after store creation when the run carries an [`Inject`];
+    /// production stores never pay more than the `None` check.
+    pub fn attach_inject(&mut self, inject: Option<Arc<Inject>>) {
+        self.inject = inject;
     }
 
     /// True once a simulated crash froze this store's files.
     fn down(&self) -> bool {
-        self.crash.as_ref().is_some_and(|c| c.is_down())
+        self.inject.as_ref().is_some_and(|c| c.is_down())
     }
 
-    /// Attach a transient-fault failpoint handle. Installed by the
-    /// engine right after store creation when the run carries a
-    /// [`FaultState`]; production stores never pay more than the
-    /// `None` check.
-    pub fn attach_fault(&mut self, fault: Option<Arc<FaultState>>) {
-        self.fault = fault;
-    }
-
-    /// Consult the transient-fault layer at `site`. `Some(kind)` means
-    /// this call must fail with `kind` (after applying a short write's
-    /// partial effect at sites that carry a payload).
-    fn faulted(&self, site: FaultSite) -> Option<FaultKind> {
-        self.fault.as_ref().and_then(|f| f.consult(site))
+    /// Consult the injection handle at a transient `site`. `Some(kind)`
+    /// means this call must fail with `kind` (after applying a short
+    /// write's partial effect at sites that carry a payload).
+    fn faulted(&self, site: Site) -> Option<Kind> {
+        match self.inject.as_ref()?.consult(site)? {
+            Effect::Transient { kind, .. } => Some(kind),
+            _ => None,
+        }
     }
 
     /// Write one object's bytes at its fixed offset in backup `idx`: the
@@ -195,16 +183,18 @@ impl BackupSet {
         let obj_size = self.geometry.object_size as usize;
         debug_assert_eq!(bytes.len() % obj_size, 0);
         let mut torn_at = None;
-        if let Some(c) = &self.crash {
+        if let Some(c) = &self.inject {
             if c.is_down() {
                 return Ok(());
             }
-            // The lattice point is reached once per object, in order: a
+            // The crash site is reached once per object, in order: a
             // plan firing on the k-th lands the k-1 objects before it
             // plus `torn` bytes of the k-th, and the store is down.
             torn_at = (0..bytes.len() / obj_size).find_map(|k| {
-                let plan = c.reach(CrashPoint::BackupWriteObject)?;
-                Some(k * obj_size + (plan.torn as usize).min(obj_size))
+                let Some(Effect::Crash { torn }) = c.consult(Site::BackupWriteObject) else {
+                    return None;
+                };
+                Some(k * obj_size + (torn as usize).min(obj_size))
             });
             if torn_at.is_some() {
                 c.go_down();
@@ -212,11 +202,11 @@ impl BackupSet {
         }
         let (landed, outcome) = if let Some(torn_at) = torn_at {
             (torn_at, Ok(()))
-        } else if let Some(kind) = self.faulted(FaultSite::BackupWrite) {
+        } else if let Some(kind) = self.faulted(Site::BackupWrite) {
             // Faults are per issued write. A short write lands half the
             // run; retries rewrite the same fixed offsets, so the repair
             // is positionally idempotent.
-            let half = if kind == FaultKind::ShortWrite {
+            let half = if kind == Kind::ShortWrite {
                 bytes.len() / 2
             } else {
                 0
@@ -236,7 +226,7 @@ impl BackupSet {
         if self.down() {
             return Ok(());
         }
-        if let Some(kind) = self.faulted(FaultSite::BackupSync) {
+        if let Some(kind) = self.faulted(Site::BackupSync) {
             return Err(kind.to_error());
         }
         self.backups[idx].file.sync_data()
@@ -259,24 +249,24 @@ impl BackupSet {
     /// Declare backup `idx` consistent as of `tick` (writes and syncs the
     /// metadata file; call only after [`BackupSet::sync`]).
     pub fn commit(&mut self, idx: usize, tick: u64) -> io::Result<()> {
-        if let Some(c) = &self.crash {
+        if let Some(c) = &self.inject {
             if c.is_down() {
                 return Ok(());
             }
-            if let Some(plan) = c.reach(CrashPoint::BackupCommit) {
+            if let Some(Effect::Crash { torn }) = c.consult(Site::BackupCommit) {
                 // Torn metadata commit: a short, unsynced meta file —
                 // recovery must reject it (magic + length guards).
                 let mut bytes = Vec::with_capacity(16);
                 bytes.extend_from_slice(&META_MAGIC.to_le_bytes());
                 bytes.extend_from_slice(&tick.to_le_bytes());
-                bytes.truncate((plan.torn as usize).min(bytes.len()));
+                bytes.truncate((torn as usize).min(bytes.len()));
                 let mut f = File::create(&self.backups[idx].meta_path)?;
                 f.write_all(&bytes)?;
                 c.go_down();
                 return Ok(());
             }
         }
-        if let Some(kind) = self.faulted(FaultSite::BackupCommit) {
+        if let Some(kind) = self.faulted(Site::BackupCommitMeta) {
             // The meta file is untouched, so the previous commit (or the
             // invalidation) still stands; a retry rewrites it whole.
             return Err(kind.to_error());
@@ -296,10 +286,10 @@ impl BackupSet {
             Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
             Err(e) => Err(e),
         }?;
-        if let Some(c) = &self.crash {
+        if let Some(c) = &self.inject {
             // The crash lands *after* the invalidate took effect: the
             // write window is open and the old image is already gone.
-            if c.reach(CrashPoint::BackupInvalidate).is_some() {
+            if c.consult(Site::BackupInvalidate).is_some() {
                 c.go_down();
             }
         }
@@ -326,7 +316,7 @@ impl BackupSet {
     /// pages where the kernel allows). The `image-read` fault site is
     /// consulted once, before any byte moves.
     pub fn read_full(&self, idx: usize) -> io::Result<Vec<u8>> {
-        if let Some(kind) = self.faulted(FaultSite::ImageRead) {
+        if let Some(kind) = self.faulted(Site::ImageRead) {
             return Err(kind.to_error());
         }
         let len = self.geometry.n_objects() as usize * self.geometry.object_size as usize;

@@ -39,11 +39,10 @@
 #![warn(rust_2018_idioms)]
 
 pub mod config;
-pub mod crash;
 mod device_sync;
 pub mod engine;
-pub mod fault;
 pub mod files;
+pub mod inject;
 pub mod log_store;
 pub mod recovery;
 pub mod replica;
@@ -55,7 +54,7 @@ mod uring;
 pub mod writer;
 
 pub use config::RealConfig;
-pub use fault::{FaultKind, FaultPlan, FaultSite, FaultState, RetryCounters, RetryPolicy};
+pub use inject::{Inject, RetryCounters, RetryPolicy};
 pub use recovery::RecoveryOpts;
 pub use replica::ReplicaSet;
 pub use report::WriterStats;

@@ -24,8 +24,7 @@
 //! same bytes. Torn tails (a crash mid-append) are detected by the
 //! segment end marker and discarded.
 
-use crate::crash::{CrashPoint, CrashState};
-use crate::fault::{FaultKind, FaultSite, FaultState};
+use crate::inject::{Effect, Inject, Kind, Site};
 use mmoc_core::{ObjectId, StateGeometry};
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
@@ -49,16 +48,13 @@ pub struct LogStore {
     /// Cached identity of `file` (stable for the open handle's lifetime),
     /// so the durability scheduler's dedupe costs no syscall per job.
     sync_target: crate::files::SyncTarget,
-    /// Crash-point lattice handle (see [`crate::crash`]): `None` in
-    /// production. Once the armed point fires and the state goes down,
+    /// Fault-injection handle (see [`crate::inject`]): `None` in
+    /// production. Once a crash plan fires and the state goes down,
     /// every append and sync below freezes the log as a process kill
-    /// would have left it.
-    crash: Option<Arc<CrashState>>,
-    /// Transient-fault failpoints (see [`crate::fault`]): `None` in
-    /// production. Appends fault at segment granularity (before any
-    /// byte lands), so a retried append restarts cleanly at the same
-    /// offset.
-    fault: Option<Arc<FaultState>>,
+    /// would have left it. Appends fault transiently at segment
+    /// granularity (before any byte lands), so a retried append
+    /// restarts cleanly at the same offset.
+    inject: Option<Arc<Inject>>,
 }
 
 /// Summary of one appended segment.
@@ -111,8 +107,7 @@ impl LogStore {
             geometry,
             len: FILE_MAGIC.len() as u64,
             sync_target,
-            crash: None,
-            fault: None,
+            inject: None,
         })
     }
 
@@ -137,35 +132,28 @@ impl LogStore {
             geometry,
             len,
             sync_target,
-            crash: None,
-            fault: None,
+            inject: None,
         })
     }
 
-    /// Attach a crash-point lattice handle. Installed by the engine
-    /// right after store creation when the run carries a
-    /// [`CrashState`]; production stores never pay more than the
-    /// `None` check.
-    pub fn attach_crash(&mut self, crash: Option<Arc<CrashState>>) {
-        self.crash = crash;
+    /// Attach a fault-injection handle. Installed by the engine right
+    /// after store creation when the run carries an [`Inject`];
+    /// production stores never pay more than the `None` check.
+    pub fn attach_inject(&mut self, inject: Option<Arc<Inject>>) {
+        self.inject = inject;
     }
 
     /// True once a simulated crash froze this log.
     fn down(&self) -> bool {
-        self.crash.as_ref().is_some_and(|c| c.is_down())
+        self.inject.as_ref().is_some_and(|c| c.is_down())
     }
 
-    /// Attach a transient-fault failpoint handle. Installed by the
-    /// engine right after store creation when the run carries a
-    /// [`FaultState`]; production stores never pay more than the
-    /// `None` check.
-    pub fn attach_fault(&mut self, fault: Option<Arc<FaultState>>) {
-        self.fault = fault;
-    }
-
-    /// Consult the transient-fault layer at `site`.
-    fn faulted(&self, site: FaultSite) -> Option<FaultKind> {
-        self.fault.as_ref().and_then(|f| f.consult(site))
+    /// Consult the injection handle at a transient `site`.
+    fn faulted(&self, site: Site) -> Option<Kind> {
+        match self.inject.as_ref()?.consult(site)? {
+            Effect::Transient { kind, .. } => Some(kind),
+            _ => None,
+        }
     }
 
     /// Append one checkpoint segment from an iterator of `(id, bytes)`
@@ -200,7 +188,7 @@ impl LogStore {
     /// * `log-segment-sealed` is reached once after the trailer: all but
     ///   the segment's last `torn` bytes land.
     pub(crate) fn write_segment(&mut self, segment: &[u8]) -> io::Result<SegmentInfo> {
-        if let Some(kind) = self.faulted(FaultSite::LogAppend) {
+        if let Some(kind) = self.faulted(Site::LogAppend) {
             return Err(kind.to_error());
         }
         let object_size = self.geometry.object_size as usize;
@@ -211,22 +199,22 @@ impl LogStore {
             "every record holds one object_size image"
         );
         let mut landed = segment.len();
-        if let Some(c) = &self.crash {
+        if let Some(c) = &self.inject {
             if c.is_down() {
                 // Frozen: nothing lands; the info keeps the caller's
                 // accounting flowing.
                 return Ok(SegmentInfo { bytes: 0, ..info });
             }
+            let torn = |site| match c.consult(site) {
+                Some(Effect::Crash { torn }) => Some(torn as usize),
+                _ => None,
+            };
             let torn_at = (0..info.objects as usize)
                 .find_map(|k| {
-                    let plan = c.reach(CrashPoint::LogAppendObject)?;
-                    let torn = (plan.torn as usize).min(object_size);
+                    let torn = torn(Site::LogAppendObject)?.min(object_size);
                     Some(HEADER + k * (4 + object_size) + 4 + torn)
                 })
-                .or_else(|| {
-                    let plan = c.reach(CrashPoint::LogSegmentSealed)?;
-                    Some(segment.len().saturating_sub(plan.torn as usize))
-                });
+                .or_else(|| Some(segment.len().saturating_sub(torn(Site::LogSegmentSealed)?)));
             if let Some(torn_at) = torn_at {
                 c.go_down();
                 landed = torn_at;
@@ -275,7 +263,7 @@ impl LogStore {
     /// comes from the recovered-image allocator. A sealed segment naming
     /// an object outside the geometry is `InvalidData`.
     pub fn reconstruct(&mut self) -> io::Result<(Vec<u8>, u64, u64)> {
-        if let Some(kind) = self.faulted(FaultSite::ImageRead) {
+        if let Some(kind) = self.faulted(Site::ImageRead) {
             return Err(kind.to_error());
         }
         let infos = self.segments()?;
@@ -338,7 +326,7 @@ impl LogStore {
         if self.down() {
             return Ok(());
         }
-        if let Some(kind) = self.faulted(FaultSite::LogSync) {
+        if let Some(kind) = self.faulted(Site::LogSync) {
             return Err(kind.to_error());
         }
         self.file.sync_data()
@@ -612,33 +600,33 @@ mod tests {
     }
 
     /// A crash inside a segment append leaves exactly the bytes its site
-    /// documents: `log-append-object:k:t` the header, k−1 whole records,
+    /// documents: `log-append-object:k:crash:t` the header, k−1 whole records,
     /// then the k-th record's id and `t` bytes of its object (at most the
-    /// whole object); `log-segment-sealed:1:t` the sealed segment short
+    /// whole object); `log-segment-sealed:1:crash:t` the sealed segment short
     /// of its last `t` bytes. Either way the scan drops the torn segment
     /// and reconstruction returns the previous image.
     #[test]
     fn torn_appends_leave_the_documented_geometry() {
-        use crate::crash::{plan_spec, CrashState};
+        use crate::inject::{Inject, Plan};
         let full: Vec<(ObjectId, Vec<u8>)> = (0..4).map(|i| (ObjectId(i), obj(1))).collect();
         let dirty: Vec<(ObjectId, Vec<u8>)> = (1..4).map(|i| (ObjectId(i), obj(7))).collect();
         let record = 4 + 64;
         let sealed = 21 + 3 * record + 4;
         for (spec, torn_len) in [
-            ("log-append-object:1:0", 21 + 4),
-            ("log-append-object:2:10", 21 + record + 4 + 10),
-            ("log-append-object:3:64", 21 + 2 * record + 4 + 64),
-            ("log-append-object:3:500", 21 + 2 * record + 4 + 64),
-            ("log-segment-sealed:1:1", sealed - 1),
-            ("log-segment-sealed:1:30", sealed - 30),
+            ("log-append-object:1:crash:0", 21 + 4),
+            ("log-append-object:2:crash:10", 21 + record + 4 + 10),
+            ("log-append-object:3:crash:64", 21 + 2 * record + 4 + 64),
+            ("log-append-object:3:crash:500", 21 + 2 * record + 4 + 64),
+            ("log-segment-sealed:1:crash:1", sealed - 1),
+            ("log-segment-sealed:1:crash:30", sealed - 30),
         ] {
             let dir = tempfile::tempdir().unwrap();
             let mut log = LogStore::create(dir.path(), geometry()).unwrap();
             log.append_segment(0, 5, true, full.iter().map(|(i, b)| (*i, &b[..])), true)
                 .unwrap();
             let start = log.len();
-            let plan = plan_spec(spec).unwrap();
-            log.attach_crash(Some(Arc::new(CrashState::armed(plan))));
+            let plan = Plan::parse(spec).unwrap();
+            log.attach_inject(Some(Arc::new(Inject::armed([plan]))));
             log.append_segment(1, 9, false, dirty.iter().map(|(i, b)| (*i, &b[..])), true)
                 .unwrap();
             let on_disk = std::fs::metadata(dir.path().join("checkpoint.log"))

@@ -17,9 +17,8 @@
 //! `image_buffer`, which advises the kernel to back it with 2 MiB
 //! transparent huge pages before the first byte is written.
 
-use crate::crash::{CrashPoint, CrashState};
-use crate::fault::{FaultState, RetryCounters, RetryPolicy};
 use crate::files::BackupSet;
+use crate::inject::{Inject, InjectedCrash, RetryCounters, RetryPolicy, Site};
 use crate::log_store::LogStore;
 use mmoc_core::{StateGeometry, StateTable};
 use mmoc_workload::TraceSource;
@@ -75,43 +74,37 @@ fn advised_range(start: usize, len: usize) -> Range<usize> {
     first..end.max(first)
 }
 
-/// Instrumentation threaded through one recovery attempt: a crash
-/// lattice for the recovery-phase points (re-crash-during-recovery), a
-/// transient-fault layer for the restore reads, and the retry policy
-/// absorbing injected read faults. `Default` is production: nothing
-/// armed, reads retried under the default bounded policy (a no-op when
-/// nothing fails).
+/// Instrumentation threaded through one recovery attempt: the
+/// injection state consulted at the recovery-phase sites
+/// (re-crash-during-recovery, peer death) and at the restore reads
+/// (transient faults), and the retry policy absorbing injected read
+/// faults. `Default` is production: nothing armed, reads retried under
+/// the default bounded policy (a no-op when nothing fails).
 ///
-/// Re-entrancy contract: a recovery-phase crash point fires **once**
-/// per [`CrashState`] (the fired latch), returning an error from the
-/// recovery function without freezing anything — so re-invoking the
-/// same recovery over the same directory (the process-restart model)
-/// passes the point and must succeed.
+/// Re-entrancy contract: a recovery-phase crash plan fires **once**
+/// per [`Inject`] (the fired latch), returning an [`InjectedCrash`]
+/// error from the recovery function without freezing anything — so
+/// re-invoking the same recovery over the same directory (the
+/// process-restart model) passes the site and must succeed.
 #[derive(Debug, Default, Clone)]
 pub struct RecoveryOpts {
-    /// Crash lattice consulted at the recovery-phase points. For
-    /// re-crash plans this is a *separate* state from the run's (whose
-    /// fired latch the mid-run crash already consumed).
-    pub crash: Option<Arc<CrashState>>,
-    /// Transient-fault layer attached to the store being restored.
-    pub fault: Option<Arc<FaultState>>,
+    /// Injection state for the recovery pass, attached to the store
+    /// being restored. For re-crash plans this is a *separate* state
+    /// from the run's (whose fired latch the mid-run crash already
+    /// consumed).
+    pub inject: Option<Arc<Inject>>,
     /// Bounded retry policy for the restore reads.
     pub retry: RetryPolicy,
 }
 
 impl RecoveryOpts {
-    /// Consult the recovery crash lattice at `point`; firing turns
-    /// into the error a re-crashed recovery attempt would surface.
-    fn recrash(&self, point: CrashPoint) -> io::Result<()> {
-        if let Some(c) = &self.crash {
-            if c.reach(point).is_some() {
-                return Err(io::Error::other(format!(
-                    "injected re-crash during recovery at {}",
-                    point.name()
-                )));
-            }
+    /// Consult the recovery-phase `site`; firing turns into the error a
+    /// re-crashed recovery attempt would surface.
+    fn recrash(&self, site: Site) -> io::Result<()> {
+        match self.inject.as_ref().and_then(|c| c.consult(site)) {
+            Some(_) => Err(io::Error::other(InjectedCrash { site })),
+            None => Ok(()),
         }
-        Ok(())
     }
 }
 
@@ -156,13 +149,13 @@ pub fn recover_and_replay_with<S: TraceSource>(
 ) -> io::Result<RecoveredState> {
     let t0 = Instant::now();
     let mut set = BackupSet::open(dir, geometry)?;
-    set.attach_fault(opts.fault.clone());
+    set.attach_inject(opts.inject.clone());
     let (idx, from_tick) = set
         .newest_consistent()
         .ok_or_else(|| io::Error::other("no consistent backup to restore"))?;
     let mut counters = RetryCounters::default();
     let image = opts.retry.run(&mut counters, || set.read_full(idx))?;
-    opts.recrash(CrashPoint::RecoveryReadImage)?;
+    opts.recrash(Site::RecoveryReadImage)?;
     restore_and_replay(geometry, image, from_tick, t0, trace, crash_tick, opts)
 }
 
@@ -190,10 +183,10 @@ pub fn recover_and_replay_log_with<S: TraceSource>(
 ) -> io::Result<RecoveredState> {
     let t0 = Instant::now();
     let mut log = LogStore::open(dir, geometry)?;
-    log.attach_fault(opts.fault.clone());
+    log.attach_inject(opts.inject.clone());
     let mut counters = RetryCounters::default();
     let (image, from_tick, _bytes_read) = opts.retry.run(&mut counters, || log.reconstruct())?;
-    opts.recrash(CrashPoint::RecoveryReadImage)?;
+    opts.recrash(Site::RecoveryReadImage)?;
     restore_and_replay(geometry, image, from_tick, t0, trace, crash_tick, opts)
 }
 
@@ -203,12 +196,11 @@ pub fn recover_and_replay_log_with<S: TraceSource>(
 ///
 /// Returns `None` when the tier cannot serve — no [`ReplicaSet`] mirror
 /// of the shard is complete (a push transaction was open at crash time,
-/// or every hosting peer died mid-fetch per the armed
-/// [`crash::CrashPoint::ReplicaFetch`] plan) — in which case the caller
-/// falls back to the disk path with the trace cursor untouched.
+/// or every hosting peer died mid-fetch per an armed `replica-fetch`
+/// plan) — in which case the caller falls back to the disk path with
+/// the trace cursor untouched.
 ///
 /// [`ReplicaSet`]: crate::replica::ReplicaSet
-/// [`crash::CrashPoint::ReplicaFetch`]: crate::crash::CrashPoint::ReplicaFetch
 pub fn recover_from_replica<S: TraceSource>(
     replicas: &crate::replica::ReplicaSet,
     shard: u32,
@@ -222,7 +214,7 @@ pub fn recover_from_replica<S: TraceSource>(
     // adopt the clone as the recovered table's backing buffer. The fetch
     // consults the recovery-phase peer-death points (`replica-fetch`,
     // `replica-fetch-mid`) per mirror tried.
-    let (image, from_tick) = replicas.fetch(shard, opts.crash.as_deref())?;
+    let (image, from_tick) = replicas.fetch(shard, opts.inject.as_deref())?;
     Some(
         StateTable::from_image(geometry, image)
             .map_err(|e| io::Error::other(e.to_string()))
@@ -272,7 +264,7 @@ fn replay_tail<S: TraceSource>(
         if tick <= from_tick {
             continue; // already reflected in the checkpoint image
         }
-        opts.recrash(CrashPoint::RecoveryReplayTick)?;
+        opts.recrash(Site::RecoveryReplayTick)?;
         ticks_replayed += 1;
         for &u in &buf {
             table.apply_unchecked(u);

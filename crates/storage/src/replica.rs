@@ -33,7 +33,7 @@ use std::sync::Mutex;
 
 use mmoc_core::StateGeometry;
 
-use crate::crash::{CrashPoint, CrashState};
+use crate::inject::{Inject, Site};
 
 /// One peer-hosted mirror of a shard's checkpointed state.
 struct Mirror {
@@ -171,15 +171,15 @@ impl ReplicaSet {
     /// complete (push transaction in flight at crash time, or every
     /// hosting peer died).
     ///
-    /// Each mirror attempt reaches [`CrashPoint::ReplicaFetch`]; if the
+    /// Each mirror attempt reaches [`Site::ReplicaFetch`]; if the
     /// armed plan fires there the hosting peer is considered dead
     /// mid-transfer and that copy is skipped — so `K = 1` falls back to
     /// disk while `K >= 2` survives a single peer death. The copy lands
     /// in a buffer from the recovered-image allocator, like every disk
     /// restore.
     #[must_use]
-    pub fn fetch(&self, shard: u32, crash: Option<&CrashState>) -> Option<(Vec<u8>, u64)> {
-        self.with_mirror(shard, crash, |image, tick| {
+    pub fn fetch(&self, shard: u32, inject: Option<&Inject>) -> Option<(Vec<u8>, u64)> {
+        self.with_mirror(shard, inject, |image, tick| {
             let mut copy = crate::recovery::image_buffer(image.len());
             copy.copy_from_slice(image);
             (copy, tick)
@@ -193,23 +193,23 @@ impl ReplicaSet {
     pub fn with_mirror<R>(
         &self,
         shard: u32,
-        crash: Option<&CrashState>,
+        inject: Option<&Inject>,
         f: impl FnOnce(&[u8], u64) -> R,
     ) -> Option<R> {
         for m in &self.shards[shard as usize].copies {
-            if let Some(state) = crash {
-                if state.reach(CrashPoint::ReplicaFetch).is_some() {
+            if let Some(state) = inject {
+                if state.consult(Site::ReplicaFetch).is_some() {
                     continue;
                 }
             }
             let mirror = relock(m);
             if mirror.complete {
-                if let Some(state) = crash {
+                if let Some(state) = inject {
                     // Peer died *mid-transfer*: the copy was locked and
                     // streaming when the host went away. Discard the
                     // partial copy and try the next mirror — K >= 2
                     // survives — before the caller's disk fallback.
-                    if state.reach(CrashPoint::ReplicaFetchMid).is_some() {
+                    if state.consult(Site::ReplicaFetchMid).is_some() {
                         continue;
                     }
                 }
@@ -239,7 +239,7 @@ impl ReplicaSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::crash::CrashPlan;
+    use crate::inject::Plan;
     use std::sync::Arc;
 
     /// `objects` atomic objects of `object_size` bytes, one cell per
@@ -280,7 +280,7 @@ mod tests {
 
     #[test]
     fn fetch_crash_skips_one_mirror_per_fire() {
-        let state = Arc::new(CrashState::armed(CrashPlan::at(CrashPoint::ReplicaFetch)));
+        let state = Arc::new(Inject::armed([Plan::at(Site::ReplicaFetch)]));
         let set = ReplicaSet::new(2, &[geom(2, 2), geom(2, 2)]);
         set.publish(0, 5, &[0], &[9, 9], 2);
         // First attempt fires (peer death) and is skipped; the second
@@ -297,9 +297,7 @@ mod tests {
     /// same published state, before any disk fallback.
     #[test]
     fn mid_fetch_peer_death_tries_next_mirror_before_disk() {
-        let state = Arc::new(CrashState::armed(CrashPlan::at(
-            CrashPoint::ReplicaFetchMid,
-        )));
+        let state = Arc::new(Inject::armed([Plan::at(Site::ReplicaFetchMid)]));
         let set = ReplicaSet::new(2, &[geom(2, 2), geom(2, 2)]);
         set.publish(0, 5, &[0], &[9, 9], 2);
         let (image, tick) = set
@@ -308,13 +306,11 @@ mod tests {
         assert_eq!((image, tick), (vec![9, 9, 0, 0], 5));
         assert!(state.fired());
         // Both mirrors were locked: the first fetch died mid-transfer.
-        assert_eq!(state.reach_count(CrashPoint::ReplicaFetchMid), 2);
+        assert_eq!(state.reach_count(Site::ReplicaFetchMid), 2);
 
         // K = 1 has no second mirror: the same plan forces the disk
         // fallback (fetch misses without consuming anything).
-        let state = Arc::new(CrashState::armed(CrashPlan::at(
-            CrashPoint::ReplicaFetchMid,
-        )));
+        let state = Arc::new(Inject::armed([Plan::at(Site::ReplicaFetchMid)]));
         let single = ReplicaSet::new(1, &[geom(2, 2)]);
         assert!(single.fetch(0, Some(&state)).is_none());
     }

@@ -1,7 +1,7 @@
 //! The writer's tally: the one counter block a flush job, a shard and a
 //! run share.
 
-use crate::fault::RetryCounters;
+use crate::inject::RetryCounters;
 use serde::{Deserialize, Serialize};
 
 /// The writer-side tally of one flush job, one shard or one run: how many
@@ -50,7 +50,7 @@ pub struct WriterStats {
     /// engines, dead-flag redo on io_uring). [`RetryPolicy::run`] books
     /// into this member directly.
     ///
-    /// [`RetryPolicy::run`]: crate::fault::RetryPolicy::run
+    /// [`RetryPolicy::run`]: crate::inject::RetryPolicy::run
     pub retry: RetryCounters,
     /// Jobs completed through the degradation ladder: on io_uring, the
     /// synchronous redo path after the ring's dead flag latched.

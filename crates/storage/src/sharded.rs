@@ -19,7 +19,7 @@
 
 use crate::config::RealConfig;
 use crate::engine::{live_fingerprint, make_shard, measure_recovery, PoolJob, RealBackend};
-use crate::fault::RetryCounters;
+use crate::inject::RetryCounters;
 use crate::recovery::RecoveryOpts;
 use crate::replica::ReplicaSet;
 use crate::report::WriterStats;
@@ -160,11 +160,10 @@ where
     if config.measure_recovery {
         let crash_tick = run.ticks;
         let fingerprints: Vec<u64> = backends.iter().map(live_fingerprint).collect();
-        // Production recoveries run under the same crash/fault
-        // instrumentation and retry budget as the writer path.
+        // Production recoveries run under the same injection state and
+        // retry budget as the writer path.
         let opts = RecoveryOpts {
-            crash: config.crash.clone(),
-            fault: config.fault.clone(),
+            inject: config.fault.clone(),
             retry: config.retry_policy(),
         };
         let t0 = Instant::now();

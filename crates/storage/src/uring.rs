@@ -468,7 +468,7 @@ static CAPABILITY: AtomicU8 = AtomicU8::new(UNKNOWN);
 /// latches *unavailable* for the life of the process; deliberately
 /// broader than the errno allowlist in `device_sync` because every
 /// failure mode has the same safe answer here: use the portable backend.
-pub(crate) fn ring_available() -> bool {
+pub fn ring_available() -> bool {
     match CAPABILITY.load(Ordering::Relaxed) {
         AVAILABLE => true,
         UNAVAILABLE => false,

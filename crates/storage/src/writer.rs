@@ -44,10 +44,9 @@
 //! data-write strategy in `DataPath`, not a new loop. See DESIGN.md
 //! § "The writer".
 
-use crate::crash::{CrashAction, CrashPoint, CrashState};
 use crate::engine::{Done, Job, PoolJob, ShardCtx, Store};
-use crate::fault::FaultSite;
 use crate::files::SyncTarget;
+use crate::inject::{Effect, Inject, Site};
 use crate::log_store::serialize_segment;
 use crate::report::WriterStats;
 use crate::uring::{pwrite_all, Iovec, Ring, Sqe};
@@ -336,34 +335,34 @@ fn share_sync_result(r: &io::Result<()>) -> io::Result<()> {
     }
 }
 
-/// Reach `point` on the run's crash lattice (`None` in production) and,
-/// if the armed plan fires there, freeze the disk exactly as the kill
-/// would leave it. Returns whether it fired.
-fn crash_at(crash: Option<&CrashState>, point: CrashPoint) -> bool {
-    let Some(c) = crash else { return false };
-    let fired = c.reach(point).is_some();
+/// Reach crash `site` on the run's injection state (`None` in
+/// production) and, if the armed plan fires there, freeze the disk
+/// exactly as the kill would leave it. Returns whether it fired.
+fn crash_at(inject: Option<&Inject>, site: Site) -> bool {
+    let Some(c) = inject else { return false };
+    let fired = c.consult(site).is_some();
     if fired {
         c.go_down();
     }
     fired
 }
 
-/// Reach one of the ring-boundary crash points, which take either
-/// action: a simulated kill freezes the disk, a ring death latches
-/// `dead` mid-batch *without* crashing.
-fn ring_crash_at(crash: Option<&CrashState>, point: CrashPoint, dead: &mut bool) {
-    let Some(c) = crash else { return };
-    match c.reach(point).map(|plan| plan.action) {
-        Some(CrashAction::RingDeath) => *dead = true,
-        Some(CrashAction::Crash) => c.go_down(),
+/// Reach one of the ring-boundary sites, which take either effect: a
+/// simulated kill freezes the disk, a ring death latches `dead`
+/// mid-batch *without* crashing.
+fn ring_crash_at(inject: Option<&Inject>, site: Site, dead: &mut bool) {
+    let Some(c) = inject else { return };
+    match c.consult(site) {
+        Some(Effect::RingDeath) => *dead = true,
+        Some(_) => c.go_down(),
         None => {}
     }
 }
 
-/// The crash-lattice handle of the run: one state serves the whole run,
+/// The injection handle of the run: one state serves the whole run,
 /// so any shard's clone names it.
-fn run_crash(ctxs: &[ShardCtx]) -> Option<&CrashState> {
-    ctxs.first().and_then(|ctx| ctx.crash.as_deref())
+fn run_inject(ctxs: &[ShardCtx]) -> Option<&Inject> {
+    ctxs.first().and_then(|ctx| ctx.inject.as_deref())
 }
 
 /// Split `ids` (increasing) into maximal runs of consecutive ids, none
@@ -565,7 +564,7 @@ pub(crate) fn submit_job(
         }
     };
     // All data writes staged, nothing synced or committed yet.
-    crash_at(ctx.crash.as_deref(), CrashPoint::JobSubmitted);
+    crash_at(ctx.inject.as_deref(), Site::JobSubmitted);
     InFlight {
         stats,
         ..InFlight::new(shard, queued_at, objects, recycled, state, replica)
@@ -590,8 +589,8 @@ pub(crate) fn complete_job(
     inflight: InFlight,
     batch_jobs: u32,
 ) -> Done {
-    let crash = ctx.crash.as_deref();
-    let is_down = || crash.is_some_and(CrashState::is_down);
+    let crash = ctx.inject.as_deref();
+    let is_down = || crash.is_some_and(Inject::is_down);
     let InFlight {
         shard,
         replica,
@@ -599,7 +598,7 @@ pub(crate) fn complete_job(
         ..
     } = inflight;
     let result = inflight.state.and_then(|pending| {
-        crash_at(crash, CrashPoint::CompleteBeforeSync);
+        crash_at(crash, Site::CompleteBeforeSync);
         match inflight.presync {
             Some(synced) => synced?,
             None if ctx.sync_data => {
@@ -611,7 +610,7 @@ pub(crate) fn complete_job(
         }
         // Data is durable (or frozen), metadata is not committed: the
         // seam the double-backup correctness argument names.
-        crash_at(crash, CrashPoint::CompleteBeforeCommit);
+        crash_at(crash, Site::CompleteBeforeCommit);
         // Publish-on-commit, step 1: open the replica push transaction.
         // The shard's peer mirrors go incomplete *before* the durability
         // point, so a crash between here and the publish below leaves no
@@ -620,7 +619,7 @@ pub(crate) fn complete_job(
         let push_open = match (&ctx.replicas, &replica) {
             (Some(set), Some(_)) if !is_down() => {
                 set.invalidate(shard as u32);
-                crash_at(crash, CrashPoint::ReplicaPushPreCommit);
+                crash_at(crash, Site::ReplicaPushPreCommit);
                 true
             }
             _ => false,
@@ -641,7 +640,7 @@ pub(crate) fn complete_job(
                     &d.data,
                     ctx.geometry.object_size,
                 );
-                crash_at(crash, CrashPoint::ReplicaPushPostCommit);
+                crash_at(crash, Site::ReplicaPushPostCommit);
             }
         }
         Ok(())
@@ -884,7 +883,7 @@ fn pending_target(ctxs: &[ShardCtx], inflight: &InFlight) -> Option<(SyncTarget,
 /// sync-before-commit ordering is preserved a fortiori). Barriers and
 /// per-file fsyncs alike are synchronous syscalls under every data path.
 fn schedule_durability(ctxs: &[ShardCtx], sched: &DurabilityConfig, round: &mut Round) {
-    let crash = run_crash(ctxs);
+    let crash = run_inject(ctxs);
     if sched.coalesce_fsync {
         let Round {
             queue,
@@ -920,9 +919,7 @@ fn schedule_durability(ctxs: &[ShardCtx], sched: &DurabilityConfig, round: &mut 
                 }
                 // The kill lands before the barrier: no device flush,
                 // per-file fallback also frozen — pure page-cache loss.
-                if crash.is_some_and(CrashState::is_down)
-                    || crash_at(crash, CrashPoint::DeviceBarrier)
-                {
+                if crash.is_some_and(Inject::is_down) || crash_at(crash, Site::DeviceBarrier) {
                     continue;
                 }
                 let outcome = match crate::device_sync::sync_device(points[i].fd) {
@@ -955,7 +952,7 @@ fn schedule_durability(ctxs: &[ShardCtx], sched: &DurabilityConfig, round: &mut 
     }
     // The scheduler's seam: every data sync of the batch is done, no
     // metadata commit has happened yet.
-    crash_at(crash, CrashPoint::SchedulerCommitSeam);
+    crash_at(crash, Site::SchedulerCommitSeam);
 }
 
 /// The durability scheduler's per-file syncs: `fsync` each distinct
@@ -1142,7 +1139,7 @@ fn stage_ring_job(
     // Consulted at each staging gate (not cached): a crash point can
     // fire *inside* this function (the invalidate site), and nothing
     // staged after the kill instant may reach the ring.
-    let is_down = || ctx.crash.as_ref().is_some_and(|c| c.is_down());
+    let is_down = || ctx.inject.as_ref().is_some_and(|c| c.is_down());
     // An eager job brings its private copy of the images; a sweep job
     // brings the cursor its frontier is denominated in.
     let (ids, data, cursor, seq, tick, target, full_image) = match job.job {
@@ -1216,10 +1213,8 @@ impl RingPath {
     fn issue_waves(&mut self, ctxs: &[ShardCtx], round: &mut Round) {
         let RingPath { ring, dead } = self;
         let cap = ring.capacity() as usize;
-        let crash = run_crash(ctxs);
-        // Transient-fault layer handle and retry budget, likewise
-        // run-global.
-        let fault = ctxs.first().and_then(|ctx| ctx.fault.as_deref());
+        let inject = run_inject(ctxs);
+        // The retry budget is likewise run-global.
         let retry = ctxs.first().map_or_else(Default::default, |ctx| ctx.retry);
         let Round {
             batch,
@@ -1273,8 +1268,8 @@ impl RingPath {
             // the synchronous redo below must finish the batch
             // byte-identically. A kill here lands between staging and
             // submission: nothing of this wave reaches disk.
-            ring_crash_at(crash, CrashPoint::UringWaveStaged, dead);
-            let down = crash.is_some_and(CrashState::is_down);
+            ring_crash_at(inject, Site::UringWaveStaged, dead);
+            let down = inject.is_some_and(Inject::is_down);
             if !*dead && !down {
                 // One iovec per op, reserved to the final size up front
                 // so the pointers handed to the kernel never move.
@@ -1329,9 +1324,9 @@ impl RingPath {
                 // successful write completion into the scheduled errno.
                 // The bytes did land, so the synchronous redo below is
                 // idempotent — the same contract as short-write repair.
-                if let Some(f) = fault {
+                if let Some(f) = inject {
                     if matches!(outcome, Some(r) if r >= 0) {
-                        if let Some(kind) = f.consult(FaultSite::UringCqe) {
+                        if let Some(Effect::Transient { kind, .. }) = f.consult(Site::UringCqe) {
                             outcome = Some(-kind.errno());
                         }
                     }
@@ -1387,7 +1382,7 @@ impl RingPath {
                     }
                 }
             }
-            ring_crash_at(crash, CrashPoint::UringWaveComplete, dead);
+            ring_crash_at(inject, Site::UringWaveComplete, dead);
         }
     }
 }
@@ -1459,9 +1454,8 @@ mod tests {
             sync_data: true,
             done_tx,
             turn: TurnGate::new(),
-            crash: None,
-            fault: None,
-            retry: crate::fault::RetryPolicy::none(),
+            inject: None,
+            retry: crate::inject::RetryPolicy::none(),
             replicas: None,
         };
         (ctx, done_rx)
@@ -1925,9 +1919,8 @@ mod tests {
                 sync_data: true,
                 done_tx,
                 turn: TurnGate::new(),
-                crash: None,
-                fault: None,
-                retry: crate::fault::RetryPolicy::none(),
+                inject: None,
+                retry: crate::inject::RetryPolicy::none(),
                 replicas: None,
             };
             let ctxs = Arc::new(vec![ctx]);
@@ -2112,20 +2105,19 @@ mod tests {
         disk_org: DiskOrg,
         hit: u64,
     ) -> (Vec<DirBytes>, Vec<Vec<bool>>, bool) {
-        use crate::crash::{CrashAction, CrashPlan, CrashPoint, CrashState};
-        let state = Arc::new(CrashState::armed(CrashPlan {
-            point: CrashPoint::UringWaveStaged,
+        use crate::inject::Plan;
+        let state = Arc::new(Inject::armed([Plan {
+            site: Site::UringWaveStaged,
             hit,
-            torn: 0,
-            action: CrashAction::RingDeath,
-        }));
+            effect: Effect::RingDeath,
+        }]));
         let n = dirs.len();
         let mut ctxs = Vec::new();
         let mut done_rxs = Vec::new();
         for (s, dir) in dirs.iter().enumerate() {
             let (mut ctx, rx) = make_ctx(dir, disk_org, s as u32);
-            ctx.crash = Some(Arc::clone(&state));
-            ctx.store.lock().attach_crash(Some(Arc::clone(&state)));
+            ctx.inject = Some(Arc::clone(&state));
+            ctx.store.lock().attach_inject(Some(Arc::clone(&state)));
             ctxs.push(ctx);
             done_rxs.push(rx);
         }
@@ -2353,7 +2345,7 @@ mod tests {
     /// job the k-th object falls in.
     #[test]
     fn crash_mid_run_tears_where_the_per_object_loop_did() {
-        use crate::crash::{CrashAction, CrashPlan, CrashState};
+        use crate::inject::Plan;
         for sweep in [false, true] {
             for hit in 1..=THREE_RUNS.len() as u64 {
                 let root = tempfile::tempdir().unwrap();
@@ -2361,14 +2353,13 @@ mod tests {
                     let dir = root.path().join(label);
                     let (mut ctx, _rx) =
                         make_ctx_over(&dir, run_geometry(), DiskOrg::DoubleBackup, 3);
-                    let state = Arc::new(CrashState::armed(CrashPlan {
-                        point: CrashPoint::BackupWriteObject,
+                    let state = Arc::new(Inject::armed([Plan {
+                        site: Site::BackupWriteObject,
                         hit,
-                        torn: 40,
-                        action: CrashAction::Crash,
-                    }));
-                    ctx.store.lock().attach_crash(Some(Arc::clone(&state)));
-                    ctx.crash = Some(state);
+                        effect: Effect::Crash { torn: 40 },
+                    }]));
+                    ctx.store.lock().attach_inject(Some(Arc::clone(&state)));
+                    ctx.inject = Some(state);
                     (ctx, dir)
                 };
                 let (runs, runs_dir) = armed("runs");
@@ -2377,7 +2368,7 @@ mod tests {
                 run_job(&runs, job).result.unwrap();
                 per_object_reference(&reference, &data).result.unwrap();
                 for ctx in [&runs, &reference] {
-                    assert!(ctx.crash.as_ref().unwrap().is_down(), "hit {hit}: fired");
+                    assert!(ctx.inject.as_ref().unwrap().is_down(), "hit {hit}: fired");
                 }
                 assert_eq!(
                     file_bytes(&runs_dir),
@@ -2394,16 +2385,16 @@ mod tests {
     /// target stays invalidated.
     #[test]
     fn short_write_mid_job_retries_the_run_or_fails_uncommitted() {
-        use crate::fault::{fault_spec, FaultState, RetryPolicy};
+        use crate::inject::{Plan, RetryPolicy};
         for sweep in [false, true] {
             for budget in [3u32, 0] {
                 let root = tempfile::tempdir().unwrap();
                 let dir = |label: &str| root.path().join(label);
                 let (mut runs, _rx) =
                     make_ctx_over(&dir("runs"), run_geometry(), DiskOrg::DoubleBackup, 3);
-                let plan = fault_spec("backup-write:2:short-write:2").unwrap();
-                let fault = Arc::new(FaultState::armed(plan));
-                runs.store.lock().attach_fault(Some(Arc::clone(&fault)));
+                let plan = Plan::parse("backup-write:2:short-write:2").unwrap();
+                let fault = Arc::new(Inject::armed([plan]));
+                runs.store.lock().attach_inject(Some(Arc::clone(&fault)));
                 runs.retry = RetryPolicy {
                     max: budget,
                     ..RetryPolicy::default()
@@ -2428,7 +2419,7 @@ mod tests {
                     "sweep={sweep}"
                 );
                 // Three runs plus the two re-issues of the second.
-                assert_eq!(fault.reach_count(FaultSite::BackupWrite), 5);
+                assert_eq!(fault.reach_count(Site::BackupWrite), 5);
                 if sweep {
                     // Still published object by object, through the last.
                     assert_eq!(runs.frontier.load(Ordering::Acquire), 11);
@@ -2523,12 +2514,12 @@ mod tests {
     /// `EIO`, and the retry budget is zero so the error propagates.
     #[test]
     fn shared_sync_failure_keeps_its_errno_for_every_job() {
-        use crate::fault::{FaultPlan, FaultState};
+        use crate::inject::Plan;
         let root = tempfile::tempdir().unwrap();
         let (mut ctx, done_rx) = make_ctx(root.path(), DiskOrg::DoubleBackup, 3);
-        let fault = Arc::new(FaultState::armed(FaultPlan::at(FaultSite::BackupSync)));
-        ctx.fault = Some(Arc::clone(&fault));
-        ctx.store.lock().attach_fault(Some(Arc::clone(&fault)));
+        let fault = Arc::new(Inject::armed([Plan::at(Site::BackupSync)]));
+        ctx.inject = Some(Arc::clone(&fault));
+        ctx.store.lock().attach_inject(Some(Arc::clone(&fault)));
         assert_eq!(ctx.retry.max, 0, "the error must propagate unretried");
         let g = geometry();
         let ctxs = Arc::new(vec![ctx]);

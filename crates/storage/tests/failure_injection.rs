@@ -700,7 +700,7 @@ fn pipelined_crash_windows_recover_to_newest_consistent_checkpoint() {
 
 /// Every curated crash site above is also a point on the engine's
 /// crash-point lattice. Arm each site's point through
-/// [`RealConfig::with_crash_state`] and let the *instrumented engine
+/// [`RealConfig::with_inject`] and let the *instrumented engine
 /// itself* produce the torn disk — mid object write, torn metadata
 /// commit, invalidated-but-unwritten target, torn log record, torn
 /// segment seal — then recover for real. This pins the contract the
@@ -710,7 +710,7 @@ fn pipelined_crash_windows_recover_to_newest_consistent_checkpoint() {
 /// instrumented ones prove the same durability story.
 #[test]
 fn lattice_reproduces_the_curated_crash_sites() {
-    use mmoc_storage::crash::{plan_spec, CrashState};
+    use mmoc_storage::inject::{Inject, Plan};
     use std::sync::Arc;
 
     // (algorithm, backend, plan spec) — backends are pinned because the
@@ -719,12 +719,12 @@ fn lattice_reproduces_the_curated_crash_sites() {
         (
             Algorithm::AtomicCopyDirtyObjects,
             WriterBackend::ThreadPool,
-            "backup-write-object:1:40",
+            "backup-write-object:1:crash:40",
         ),
         (
             Algorithm::CopyOnUpdate,
             WriterBackend::AsyncBatched,
-            "backup-commit:1:7",
+            "backup-commit:1:crash:7",
         ),
         (
             Algorithm::NaiveSnapshot,
@@ -734,12 +734,12 @@ fn lattice_reproduces_the_curated_crash_sites() {
         (
             Algorithm::PartialRedo,
             WriterBackend::ThreadPool,
-            "log-append-object:1:13",
+            "log-append-object:1:crash:13",
         ),
         (
             Algorithm::CopyOnUpdatePartialRedo,
             WriterBackend::AsyncBatched,
-            "log-segment-sealed:1:33",
+            "log-segment-sealed:1:crash:33",
         ),
     ];
     let trace = SyntheticConfig {
@@ -751,14 +751,14 @@ fn lattice_reproduces_the_curated_crash_sites() {
     };
     for (alg, backend, spec) in sites {
         let dir = tempfile::tempdir().unwrap();
-        let state = Arc::new(CrashState::armed(plan_spec(spec).unwrap()));
+        let state = Arc::new(Inject::armed([Plan::parse(spec).unwrap()]));
         Run::algorithm(alg)
             .engine(
                 RealConfig::new(dir.path())
                     .without_recovery()
                     .with_query_ops(64)
                     .with_writer_backend(backend)
-                    .with_crash_state(state.clone()),
+                    .with_inject(state.clone()),
             )
             .trace(trace)
             // Lightly paced, like the fuzzer: the tick cadence leaves the

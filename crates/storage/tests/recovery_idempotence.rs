@@ -13,7 +13,7 @@
 //! truth of replaying the full trace in memory.
 
 use mmoc_core::{Algorithm, DiskOrg, ObjectId, Run, ShardFilter, ShardMap, StateTable};
-use mmoc_storage::crash::{CrashPlan, CrashPoint, CrashState};
+use mmoc_storage::inject::{Inject, InjectedCrash, Plan, Site};
 use mmoc_storage::recovery::{recover_and_replay_log_with, recover_and_replay_with, RecoveryOpts};
 use mmoc_storage::{shard_dir, RealConfig};
 use mmoc_workload::SyntheticConfig;
@@ -120,18 +120,15 @@ fn recovery_is_idempotent_and_resumable_across_the_matrix() {
                 // then recover again. The fired latch means the resumed
                 // attempt runs the same code path to completion, and the
                 // bytes must match the undisturbed recoveries above.
-                let crashed = Arc::new(CrashState::armed(CrashPlan::at(
-                    CrashPoint::RecoveryReadImage,
-                )));
+                let crashed = Arc::new(Inject::armed([Plan::at(Site::RecoveryReadImage)]));
                 let opts = RecoveryOpts {
-                    crash: Some(crashed.clone()),
+                    inject: Some(crashed.clone()),
                     ..RecoveryOpts::default()
                 };
                 let err = recover_with(&dir, disk_org, &map, s, &opts)
                     .expect_err("armed recovery must die after the image read");
                 assert!(
-                    err.to_string()
-                        .contains("injected re-crash during recovery"),
+                    err.get_ref().is_some_and(|e| e.is::<InjectedCrash>()),
                     "{label}: unexpected first-attempt error: {err}"
                 );
                 assert!(crashed.fired(), "{label}: the armed re-crash never fired");
@@ -156,12 +153,12 @@ fn replay_tail_recrash_resumes_to_identical_bytes() {
         // Freeze the run at its first enqueued flush job: the newest
         // consistent image then anchors early and recovery must replay a
         // long tail of the trace.
-        let frozen = Arc::new(CrashState::armed(CrashPlan::at(CrashPoint::JobEnqueued)));
+        let frozen = Arc::new(Inject::armed([Plan::at(Site::JobEnqueued)]));
         Run::algorithm(alg)
             .engine(
                 RealConfig::new(dir.path())
                     .without_recovery()
-                    .with_crash_state(frozen.clone()),
+                    .with_inject(frozen.clone()),
             )
             .trace(trace_config())
             .execute()
@@ -180,18 +177,17 @@ fn replay_tail_recrash_resumes_to_identical_bytes() {
         assert_tables_byte_identical(&clean, &truth, &format!("{alg} clean"));
 
         // Die on the second replayed tick, then resume over the same log.
-        let mut plan = CrashPlan::at(CrashPoint::RecoveryReplayTick);
+        let mut plan = Plan::at(Site::RecoveryReplayTick);
         plan.hit = 2;
-        let crashed = Arc::new(CrashState::armed(plan));
+        let crashed = Arc::new(Inject::armed([plan]));
         let opts = RecoveryOpts {
-            crash: Some(crashed.clone()),
+            inject: Some(crashed.clone()),
             ..RecoveryOpts::default()
         };
         let err = recover_with(dir.path(), alg.spec().disk_org, &map, 0, &opts)
             .expect_err("armed recovery must die mid-replay");
         assert!(
-            err.to_string()
-                .contains("injected re-crash during recovery"),
+            err.get_ref().is_some_and(|e| e.is::<InjectedCrash>()),
             "{alg}: unexpected first-attempt error: {err}"
         );
         assert!(
