@@ -1,26 +1,23 @@
 //! Pure case derivation: `(seed, id) -> FuzzCase`.
 //!
-//! Cases are sampled **site-first**: case `id` arms the `id % 19`-th of
-//! the sites that accept a crash (in registry order), so a
-//! corpus of `k * 19` cases arms every crash site exactly `k` times —
-//! coverage by construction, not by luck. The remaining axes (algorithm,
-//! shards, writer backend, pipeline depth, batch window, hit index, torn
-//! offset, transient layer) are drawn from a SplitMix64 stream keyed on
-//! `(seed, id)` and then clamped to the site's *compatibility set*: a
-//! site that only exists on the io_uring path is never paired with the
-//! thread pool, a log-append site is never paired with a double-backup
-//! algorithm, and so on. Without the clamp a large fraction of the corpus
-//! would arm sites the run can never reach.
+//! Cases are sampled **site-first**: with `n` sites accepting a crash
+//! ([`Site::accepts_crash`]), case `id` arms the `id % n`-th of them in
+//! registry order, so a corpus of `k * n` cases arms every crash site
+//! exactly `k` times — coverage by construction, not by luck. The
+//! remaining axes (algorithm, shards, writer backend, pipeline depth,
+//! batch window, hit index, torn offset, transient layer) are drawn from
+//! a SplitMix64 stream keyed on `(seed, id)` and then clamped to the
+//! site's *compatibility set*: a site that only exists on the io_uring
+//! path is never paired with the thread pool, a log-append site is never
+//! paired with a double-backup algorithm, and so on. Without the clamp a
+//! large fraction of the corpus would arm sites the run can never reach.
 
 use mmoc_core::{Algorithm, DiskOrg, WriterBackend};
 use mmoc_storage::inject::{Effect, Kind, Plan, Site};
 
-/// The sites a case's crash plan can arm — those accepting the `crash`
-/// effect, in registry order.
-fn crash_sites() -> Vec<Site> {
-    Site::all()
-        .filter(|s| s.effects().contains(&"crash"))
-        .collect()
+/// The sites a case's crash plan can arm, in registry order.
+fn crash_sites() -> impl Iterator<Item = Site> {
+    Site::all().filter(|s| s.accepts_crash())
 }
 
 /// Parse one layer's plan: `crash=` takes a crash or ring death, `fault=`
@@ -123,8 +120,8 @@ impl FuzzCase {
     #[must_use]
     pub fn derive(seed: u64, id: u64) -> FuzzCase {
         use Site::*;
-        let sites = crash_sites();
-        let site = sites[(id % sites.len() as u64) as usize];
+        let n = crash_sites().count() as u64;
+        let site = crash_sites().nth((id % n) as usize).expect("id % n < n");
         let mut r = Rng::new(seed, id);
 
         // Algorithm: clamp to the disk organization the site lives in.
@@ -348,13 +345,17 @@ mod tests {
 
     #[test]
     fn derivation_is_pure_and_site_first() {
-        let sites = crash_sites();
-        assert_eq!(sites.len(), 19);
+        let sites: Vec<Site> = crash_sites().collect();
+        assert_eq!(
+            sites.len(),
+            19,
+            "the derived corpus is keyed on 19 crash sites"
+        );
         for id in 0..64 {
             let a = FuzzCase::derive(8, id);
             let b = FuzzCase::derive(8, id);
             assert_eq!(a, b, "case {id} must be a pure function of (seed, id)");
-            assert_eq!(a.plan.site, sites[(id % 19) as usize]);
+            assert_eq!(a.plan.site, sites[id as usize % sites.len()]);
         }
         assert_ne!(FuzzCase::derive(8, 0), FuzzCase::derive(9, 0));
     }
@@ -363,7 +364,7 @@ mod tests {
     fn every_case_satisfies_the_compatibility_matrix() {
         use Site::*;
         for seed in [1_u64, 8, 1234] {
-            for id in 0..(8 * 19) {
+            for id in 0..(8 * crash_sites().count() as u64) {
                 let c = FuzzCase::derive(seed, id);
                 let org = c.algorithm.spec().disk_org;
                 match c.plan.site {
@@ -449,7 +450,7 @@ mod tests {
 
     #[test]
     fn specs_round_trip() {
-        for id in 0..(2 * 19) {
+        for id in 0..(2 * crash_sites().count() as u64) {
             let c = FuzzCase::derive(42, id);
             let back = FuzzCase::parse(&c.spec()).expect("own spec must parse");
             assert_eq!(c, back, "spec {} did not round-trip", c.spec());

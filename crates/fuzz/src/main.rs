@@ -214,7 +214,7 @@ fn run_corpus(opts: &Options) -> ExitCode {
     let mut holes = Vec::new();
     for s in Site::all() {
         let i = s as usize;
-        let crash_site = s.effects().contains(&"crash");
+        let crash_site = s.accepts_crash();
         let ring_site = matches!(
             s,
             Site::UringWaveStaged | Site::UringWaveComplete | Site::UringCqe

@@ -220,6 +220,12 @@ impl Site {
     pub fn effects(self) -> &'static [&'static str] {
         self.row().effects
     }
+
+    /// Whether the site takes [`Effect::Crash`] — the sites a fuzz
+    /// case's crash plan arms.
+    pub fn accepts_crash(self) -> bool {
+        self.effects().contains(&"crash")
+    }
 }
 
 /// The transient error a [`Effect::Transient`] plan injects. The
@@ -615,6 +621,8 @@ mod tests {
             }
         }
         assert_eq!(seen.len(), N);
+        let crash = |s: Site| s.accepts_crash() == ((s as usize) < 19);
+        assert!(Site::all().all(crash), "the crash sites are 0-18");
         let recovery = Site::all().filter(|s| s.phase() == Phase::Recovery);
         assert_eq!(recovery.count(), 5, "four re-crash sites + image-read");
         let phases = [
