@@ -520,8 +520,9 @@ pub struct RealRunDetail {
     pub avg_batch_jobs: f64,
     /// Largest batch any flush job completed in.
     pub max_batch_jobs: u32,
-    /// Checkpoint payload bytes the writer put on disk across the run
-    /// (object data and segment records, not metadata commits) — the
+    /// Object image bytes the writer flushed across the run
+    /// (`objects × object_size` per checkpoint under both disk
+    /// organizations: no log segment framing, no metadata commits) — the
     /// write-amplification numerator next to the trace's logical update
     /// volume.
     pub bytes_written: u64,

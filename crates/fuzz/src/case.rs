@@ -133,16 +133,10 @@ impl FuzzCase {
 
         // Backend: clamp to the code path that consults the site.
         // - uring-* sites exist only in the ring loop;
-        // - submit_job (and the LogStore/BackupSet write path it drives)
-        //   is bypassed by the ring's staging, so mid-write sites need
-        //   the pool or the batched engine;
         // - the commit seam and the device barrier belong to the
         //   durability scheduler (batched and ring engines).
         let backend = match site {
             UringWaveStaged | UringWaveComplete => WriterBackend::IoUring,
-            JobSubmitted | BackupWriteObject | LogAppendObject | LogSegmentSealed => {
-                r.pick(&[WriterBackend::ThreadPool, WriterBackend::AsyncBatched])
-            }
             SchedulerCommitSeam | DeviceBarrier => {
                 r.pick(&[WriterBackend::AsyncBatched, WriterBackend::IoUring])
             }
@@ -200,13 +194,19 @@ impl FuzzCase {
         // retry exhaustion and backend degradation are pinned by unit
         // tests, since the oracle demands runs that finish.
         let (fault, retry_max) = if r.chance(3) {
-            let seam = match (backend, algorithm.spec().disk_org) {
-                (WriterBackend::IoUring, _) => r.pick(&[UringCqe, ImageRead]),
-                (_, DiskOrg::DoubleBackup) => {
-                    r.pick(&[BackupWrite, BackupSync, BackupCommitMeta, ImageRead])
-                }
-                (_, DiskOrg::Log) => r.pick(&[LogAppend, LogSync, ImageRead]),
+            let seams: &[Site] = match algorithm.spec().disk_org {
+                DiskOrg::DoubleBackup => &[
+                    BackupWrite,
+                    BackupSync,
+                    BackupCommitMeta,
+                    ImageRead,
+                    UringCqe,
+                ],
+                DiskOrg::Log => &[LogAppend, LogSync, ImageRead, UringCqe],
             };
+            // `uring-cqe`, last, exists only on the ring.
+            let ring = usize::from(backend == WriterBackend::IoUring);
+            let seam = r.pick(&seams[..seams.len() - 1 + ring]);
             let retry_max = 1 + r.below(3) as u32;
             let plan = Plan {
                 site: seam,
@@ -363,24 +363,27 @@ mod tests {
     #[test]
     fn every_case_satisfies_the_compatibility_matrix() {
         use Site::*;
+        // The sites `submit_job` and the stores reach under every data
+        // path, with each backend they were drawn with.
+        let mut staged = Vec::new();
         for seed in [1_u64, 8, 1234] {
             for id in 0..(8 * crash_sites().count() as u64) {
                 let c = FuzzCase::derive(seed, id);
                 let org = c.algorithm.spec().disk_org;
+                if matches!(
+                    c.plan.site,
+                    JobSubmitted | BackupWriteObject | LogAppendObject | LogSegmentSealed
+                ) {
+                    staged.push((c.plan.site, c.backend));
+                }
                 match c.plan.site {
-                    LogAppendObject | LogSegmentSealed => {
-                        assert_eq!(org, DiskOrg::Log);
-                        assert_ne!(c.backend, WriterBackend::IoUring);
-                    }
-                    BackupWriteObject => {
+                    LogAppendObject | LogSegmentSealed => assert_eq!(org, DiskOrg::Log),
+                    BackupWriteObject | BackupInvalidate | BackupCommit => {
                         assert_eq!(org, DiskOrg::DoubleBackup);
-                        assert_ne!(c.backend, WriterBackend::IoUring);
                     }
-                    BackupInvalidate | BackupCommit => assert_eq!(org, DiskOrg::DoubleBackup),
                     UringWaveStaged | UringWaveComplete => {
                         assert_eq!(c.backend, WriterBackend::IoUring);
                     }
-                    JobSubmitted => assert_ne!(c.backend, WriterBackend::IoUring),
                     SchedulerCommitSeam => assert_ne!(c.backend, WriterBackend::ThreadPool),
                     DeviceBarrier => {
                         assert_ne!(c.backend, WriterBackend::ThreadPool);
@@ -428,12 +431,8 @@ mod tests {
                         UringCqe => assert_eq!(c.backend, WriterBackend::IoUring),
                         BackupWrite | BackupSync | BackupCommitMeta => {
                             assert_eq!(org, DiskOrg::DoubleBackup);
-                            assert_ne!(c.backend, WriterBackend::IoUring);
                         }
-                        LogAppend | LogSync => {
-                            assert_eq!(org, DiskOrg::Log);
-                            assert_ne!(c.backend, WriterBackend::IoUring);
-                        }
+                        LogAppend | LogSync => assert_eq!(org, DiskOrg::Log),
                         // Recovery reads are backend-independent.
                         ImageRead => {}
                         other => panic!("{} is not a transient site", other.name()),
@@ -444,6 +443,21 @@ mod tests {
                     "ring death only at ring boundaries"
                 );
                 assert!(c.plan.hit >= 1);
+            }
+        }
+        for site in [
+            JobSubmitted,
+            BackupWriteObject,
+            LogAppendObject,
+            LogSegmentSealed,
+        ] {
+            for backend in WriterBackend::ALL {
+                assert!(
+                    staged.contains(&(site, backend)),
+                    "{} never drawn with {}",
+                    site.name(),
+                    backend.label()
+                );
             }
         }
     }
@@ -495,17 +509,20 @@ mod tests {
     /// The derived corpus is pinned: these specs were captured before
     /// the crash and fault registries merged (only the `crash=` grammar
     /// translated, `hit:torn:crash` → `hit:crash:torn`, and a ring
-    /// death's unused torn count dropped). They cover a log site, a ring
-    /// death with a uring-cqe transient layer, transient layers on other
-    /// seams, and both recovery re-crash sites.
+    /// death's unused torn count dropped), then re-pinned where the
+    /// submit-phase sites and seams opened to the ring: log sites on the
+    /// batched engine (4, 5) and ring cases' seams (11, 12). They cover
+    /// a uring-cqe transient layer, a ring death, transient layers on
+    /// other seams, and both recovery re-crash sites.
     #[test]
     fn derived_corpus_is_pinned() {
         for (id, want) in [
             (0, "alg=atomic-copy,shards=4,backend=thread-pool,depth=2,window=100,dsync=1,coalesce=1,ticks=10,upt=126,skew=0.5,tseed=2487590534359734178,repl=0,crash=job-enqueued:2:crash:37,fault=none,retrymax=3"),
-            (4, "alg=cou-partial-redo,shards=4,backend=thread-pool,depth=2,window=0,dsync=0,coalesce=1,ticks=16,upt=133,skew=0,tseed=17325615395165278667,repl=1,crash=log-append-object:1:crash:93,fault=none,retrymax=3"),
-            (5, "alg=partial-redo,shards=4,backend=thread-pool,depth=2,window=0,dsync=0,coalesce=1,ticks=23,upt=130,skew=0.5,tseed=13629623784796972306,repl=0,crash=log-segment-sealed:1:crash:20,fault=none,retrymax=3"),
-            (11, "alg=cou-partial-redo,shards=1,backend=io-uring,depth=2,window=0,dsync=0,coalesce=1,ticks=21,upt=110,skew=0.5,tseed=18070647197857446915,repl=0,crash=uring-wave-staged:3:ring-death,fault=uring-cqe:2:short-write:1,retrymax=1"),
-            (12, "alg=atomic-copy,shards=4,backend=io-uring,depth=1,window=100,dsync=1,coalesce=1,ticks=21,upt=167,skew=0.8,tseed=7343591775661958372,repl=0,crash=uring-wave-complete:1:crash:2,fault=image-read:3:short-write:1,retrymax=1"),
+            (3, "alg=naive,shards=1,backend=io-uring,depth=2,window=250,dsync=0,coalesce=0,ticks=13,upt=168,skew=0.5,tseed=6251130948614375196,repl=0,crash=backup-commit:3:crash:13,fault=uring-cqe:2:enospc:2,retrymax=2"),
+            (4, "alg=cou-partial-redo,shards=4,backend=async-batched,depth=2,window=0,dsync=0,coalesce=1,ticks=16,upt=133,skew=0,tseed=17325615395165278667,repl=1,crash=log-append-object:1:crash:93,fault=none,retrymax=3"),
+            (5, "alg=partial-redo,shards=4,backend=async-batched,depth=2,window=0,dsync=0,coalesce=1,ticks=23,upt=130,skew=0.5,tseed=13629623784796972306,repl=0,crash=log-segment-sealed:1:crash:20,fault=none,retrymax=3"),
+            (11, "alg=cou-partial-redo,shards=1,backend=io-uring,depth=2,window=0,dsync=0,coalesce=1,ticks=21,upt=110,skew=0.5,tseed=18070647197857446915,repl=0,crash=uring-wave-staged:3:ring-death,fault=image-read:2:short-write:1,retrymax=1"),
+            (12, "alg=atomic-copy,shards=4,backend=io-uring,depth=1,window=100,dsync=1,coalesce=1,ticks=21,upt=167,skew=0.8,tseed=7343591775661958372,repl=0,crash=uring-wave-complete:1:crash:2,fault=backup-sync:3:short-write:1,retrymax=1"),
             (15, "alg=naive,shards=1,backend=async-batched,depth=1,window=0,dsync=1,coalesce=1,ticks=10,upt=164,skew=0.8,tseed=10547722765080927258,repl=2,crash=replica-fetch:1:crash:51,fault=backup-sync:2:short-write:1,retrymax=2"),
             (16, "alg=partial-redo,shards=1,backend=thread-pool,depth=1,window=250,dsync=0,coalesce=1,ticks=13,upt=127,skew=0.5,tseed=15578901282202552589,repl=1,crash=recovery-read-image:1:crash:19,fault=none,retrymax=3"),
             (17, "alg=atomic-copy,shards=4,backend=async-batched,depth=2,window=0,dsync=1,coalesce=1,ticks=10,upt=90,skew=0,tseed=8460996655311771567,repl=0,crash=recovery-replay-tick:2:crash:58,fault=none,retrymax=3"),

@@ -13,9 +13,10 @@
 
 use std::io::Write as _;
 use std::process::ExitCode;
+use std::sync::Arc;
 
 use mmoc_fuzz::{named_seeds, run_case, shrink, FuzzCase};
-use mmoc_storage::inject::{ring_available, Phase, Site};
+use mmoc_storage::inject::{ring_available, Inject, Phase, Site};
 
 fn usage() -> String {
     "usage: mmoc-fuzz [--runs N] [--seed S] [--log FILE] | \
@@ -122,8 +123,10 @@ fn run_corpus(opts: &Options) -> ExitCode {
     };
 
     // Per site: a crash site counts when its plan fired, a transient
-    // site when its schedule injected at least once.
+    // site when its schedule injected at least once; `ring_covered`
+    // counts only cases whose io_uring ring actually ran.
     let mut covered = vec![false; Site::all().count()];
+    let mut ring_covered = vec![false; Site::all().count()];
     let mut reach_totals = vec![0_u64; Site::all().count()];
     let mut ring_requested = 0_u64;
     let mut ring_native = 0_u64;
@@ -150,21 +153,22 @@ fn run_corpus(opts: &Options) -> ExitCode {
     for (origin, case) in cases {
         let out = run_case(&case);
         executed += 1;
-        if mmoc_fuzz::oracle::wants_ring(&case) {
-            ring_requested += 1;
-            if !out.fell_back {
-                ring_native += 1;
-            }
-        }
+        let ring = mmoc_fuzz::oracle::wants_ring(&case);
+        let native_ring = ring && !out.fell_back;
+        ring_requested += u64::from(ring);
+        ring_native += u64::from(native_ring);
         for (i, n) in out.counts.iter().enumerate() {
             reach_totals[i] += n;
         }
-        if out.fired {
-            fired_cases += 1;
-            covered[case.plan.site as usize] = true;
-        }
-        if let Some(f) = case.fault.filter(|_| out.faults_injected > 0) {
-            covered[f.site as usize] = true;
+        let fired = out.fired.then_some(case.plan.site);
+        let injected = case
+            .fault
+            .filter(|_| out.faults_injected > 0)
+            .map(|f| f.site);
+        fired_cases += u64::from(out.fired);
+        for site in fired.into_iter().chain(injected) {
+            covered[site as usize] = true;
+            ring_covered[site as usize] |= native_ring;
         }
         faults_injected += out.faults_injected;
         if out.recovery_retried {
@@ -209,7 +213,10 @@ fn run_corpus(opts: &Options) -> ExitCode {
          {recoveries_retried} recoveries re-crashed and restarted",
         failures.len()
     );
-    println!("site coverage (crash sites must fire, transient sites must inject):");
+    println!(
+        "site coverage (crash sites must fire, transient sites must inject; \
+         submit-phase sites also on a running io_uring ring):"
+    );
     let ring_excused = !ring_available() || (ring_requested > 0 && ring_native == 0);
     let mut holes = Vec::new();
     for s in Site::all() {
@@ -219,21 +226,22 @@ fn run_corpus(opts: &Options) -> ExitCode {
             s,
             Site::UringWaveStaged | Site::UringWaveComplete | Site::UringCqe
         );
-        let mark = if covered[i] {
-            if crash_site {
-                "fired"
-            } else {
-                "injected"
-            }
-        } else if ring_site && ring_excused {
+        // Both data paths stage through the same submission phase, so the
+        // ring must reach every submit-phase site too.
+        let ring_hole = s.phase() == Phase::Submit && !ring_covered[i] && !ring_excused;
+        let mark = if !covered[i] && ring_site && ring_excused {
             "excused (io_uring unavailable)"
-        } else {
+        } else if !covered[i] || ring_hole {
             holes.push(s.name());
-            if crash_site {
-                "NEVER FIRED"
-            } else {
-                "NEVER INJECTED"
+            match (covered[i], crash_site) {
+                (true, _) => "NEVER ON THE RING",
+                (false, true) => "NEVER FIRED",
+                (false, false) => "NEVER INJECTED",
             }
+        } else if crash_site {
+            "fired"
+        } else {
+            "injected"
         };
         println!("  {:<24} reaches {:>8}  {mark}", s.name(), reach_totals[i]);
     }
@@ -247,7 +255,7 @@ fn run_corpus(opts: &Options) -> ExitCode {
     }
     if !holes.is_empty() {
         eprintln!(
-            "\ncoverage hole: site(s) never fired or injected: {}",
+            "\ncoverage hole: site(s) never fired or injected, or never on a running ring: {}",
             holes.join(", ")
         );
         return ExitCode::from(1);
@@ -284,6 +292,8 @@ fn run_one(case: &FuzzCase, origin: &str) -> ExitCode {
 
 /// `--list-points`: print the registry, with reach counts from a small
 /// tracking sweep across both disk organizations and all three backends.
+/// Each sweep run is recovered and judged against the oracle like a
+/// corpus case.
 fn list_points() -> ExitCode {
     use mmoc_core::{Algorithm, WriterBackend};
     let sweep = [
@@ -319,16 +329,15 @@ fn list_points() -> ExitCode {
         case.replication = replication;
         case.fault = None;
         case.retry_max = 3;
-        match mmoc_fuzz::oracle::tracking_run(&case) {
-            Ok(counts) => {
-                for (i, n) in counts.iter().enumerate() {
-                    totals[i] += n;
-                }
-            }
-            Err(e) => {
-                eprintln!("mmoc-fuzz: tracking sweep failed: {e}");
-                return ExitCode::from(2);
-            }
+        let tracking = || Arc::new(Inject::tracking());
+        let out = mmoc_fuzz::oracle::run_and_recover(&case, &tracking(), &tracking());
+        if let Some(why) = out.failure {
+            eprintln!("mmoc-fuzz: tracking sweep failed: {why}");
+            eprintln!("  case: {}", case.spec());
+            return ExitCode::from(2);
+        }
+        for (total, n) in totals.iter_mut().zip(out.counts) {
+            *total += n;
         }
     }
     println!("{:<24} {:>8}  description", "site", "reaches");

@@ -118,6 +118,24 @@ pub fn run_case(case: &FuzzCase) -> CaseOutcome {
     let rec_plan = (case.plan.site.phase() == Phase::Recovery).then_some(case.plan);
     let state = Arc::new(Inject::armed([run_plan].into_iter().chain(case.fault)));
     let rec_state = Arc::new(Inject::armed(rec_plan.into_iter().chain(case.fault)));
+    let mut outcome = run_and_recover(case, &state, &rec_state);
+    // A recovery-phase case "fires" only when its own plan does — the
+    // auxiliary mid-run freeze doesn't count toward coverage.
+    outcome.fired = match rec_plan {
+        Some(_) => rec_state.fired(),
+        None => state.fired(),
+    };
+    outcome
+}
+
+/// Execute `case` under the injection state `run`, then recover every
+/// shard from the directory it left under the state `recovery` and judge
+/// the recovered bytes against the oracle. The outcome's reach counts
+/// and injected faults merge both states; `fired` is left to the caller,
+/// which knows which state's plan is the case's. `--list-points` passes
+/// two tracking states, so its sweep is judged like any case.
+#[must_use]
+pub fn run_and_recover(case: &FuzzCase, run: &Arc<Inject>, recovery: &Arc<Inject>) -> CaseOutcome {
     let mut outcome = CaseOutcome {
         fired: false,
         fell_back: false,
@@ -126,39 +144,27 @@ pub fn run_case(case: &FuzzCase) -> CaseOutcome {
         recovery_retried: false,
         failure: None,
     };
-    // Merge both states into the outcome; called again after the
-    // recovery pass, which reaches sites the run-time sample cannot see.
-    let sample = |outcome: &mut CaseOutcome| {
-        // A recovery-phase case "fires" only when its own plan does —
-        // the auxiliary mid-run freeze doesn't count toward coverage.
-        outcome.fired = match rec_plan {
-            Some(_) => rec_state.fired(),
-            None => state.fired(),
-        };
-        let (run, rec) = (state.counts(), rec_state.counts());
-        outcome.counts = run.iter().zip(rec).map(|(a, b)| a + b).collect();
-        outcome.faults_injected = state.injected() + rec_state.injected();
-    };
-    let dir = match tempfile::tempdir() {
-        Ok(d) => d,
-        Err(e) => {
-            outcome.failure = Some(format!("tempdir: {e}"));
-            return outcome;
-        }
-    };
+    outcome.failure = judge(case, run, recovery, &mut outcome).err();
+    let (a, b) = (run.counts(), recovery.counts());
+    outcome.counts = a.iter().zip(b).map(|(a, b)| a + b).collect();
+    outcome.faults_injected = run.injected() + recovery.injected();
+    outcome
+}
 
+/// The body of [`run_and_recover`]: `Err` is the one-line divergence.
+fn judge(
+    case: &FuzzCase,
+    run: &Arc<Inject>,
+    recovery: &Arc<Inject>,
+    outcome: &mut CaseOutcome,
+) -> Result<(), String> {
+    let dir = tempfile::tempdir().map_err(|e| format!("tempdir: {e}"))?;
     let trace = trace_of(case);
     // The shard map is needed up front when the replica tier is on: the
     // mirrors must be retained across the simulated crash (they model
     // *peer* memory, which survives), so the oracle owns the set and
     // hands the run a handle instead of letting it build a private one.
-    let map = match ShardMap::new(trace.geometry, case.shards) {
-        Ok(m) => m,
-        Err(e) => {
-            outcome.failure = Some(format!("shard map: {e}"));
-            return outcome;
-        }
-    };
+    let map = ShardMap::new(trace.geometry, case.shards).map_err(|e| format!("shard map: {e}"))?;
     let replicas = (case.replication > 0).then(|| {
         let geometries: Vec<_> = (0..case.shards as usize)
             .map(|s| map.shard_geometry(s))
@@ -166,20 +172,12 @@ pub fn run_case(case: &FuzzCase) -> CaseOutcome {
         Arc::new(ReplicaSet::new(case.replication, &geometries))
     });
     let report = Run::algorithm(case.algorithm)
-        .engine(engine_config(case, dir.path(), &state, replicas.as_ref()))
+        .engine(engine_config(case, dir.path(), run, replicas.as_ref()))
         .trace(trace)
         .shards(case.shards)
         .pacing(600.0)
-        .execute();
-
-    sample(&mut outcome);
-    let report = match report {
-        Ok(r) => r,
-        Err(e) => {
-            outcome.failure = Some(format!("run error: {e}"));
-            return outcome;
-        }
-    };
+        .execute()
+        .map_err(|e| format!("run error: {e}"))?;
     if let EngineDetail::Real(d) = &report.detail {
         outcome.fell_back = d.writer_fallback_from.is_some();
     }
@@ -192,7 +190,7 @@ pub fn run_case(case: &FuzzCase) -> CaseOutcome {
     // must agree byte for byte — the tier is an accelerator, not an
     // alternative history.
     let opts = RecoveryOpts {
-        inject: Some(rec_state.clone()),
+        inject: Some(recovery.clone()),
         retry: RetryPolicy {
             max: case.retry_max,
             backoff: Duration::ZERO,
@@ -215,71 +213,51 @@ pub fn run_case(case: &FuzzCase) -> CaseOutcome {
                 // directory, fresh trace cursor — and it must succeed.
                 outcome.recovery_retried = true;
                 let mut replay = ShardFilter::new(trace.build(), map.clone(), s);
-                match recover_disk(&mut replay) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        outcome.failure =
-                            Some(format!("shard {s} recovery failed after a re-crash: {e}"));
-                        return outcome;
-                    }
-                }
+                recover_disk(&mut replay)
+                    .map_err(|e| format!("shard {s} recovery failed after a re-crash: {e}"))?
             }
-            Err(e) => {
-                outcome.failure = Some(format!("shard {s} recovery failed: {e}"));
-                return outcome;
-            }
+            Err(e) => return Err(format!("shard {s} recovery failed: {e}")),
         };
         let truth = truth_of(ShardFilter::new(trace.build(), map.clone(), s));
         if rec.table.fingerprint() != truth.fingerprint() {
-            outcome.failure = Some(format!(
+            return Err(format!(
                 "shard {s} diverged: recovered from tick {} does not match the oracle",
                 rec.from_tick
             ));
-            return outcome;
         }
-        if let Some(set) = &replicas {
-            let mut replay = ShardFilter::new(trace.build(), map.clone(), s);
-            let mut via = recover_from_replica(set, s as u32, g, &mut replay, trace.ticks, &opts);
-            if let Some(Err(e)) = &via {
-                if injected_recrash(e) {
-                    // Same restart contract for a replica-path replay
-                    // that died mid-tail.
-                    outcome.recovery_retried = true;
-                    let mut replay = ShardFilter::new(trace.build(), map.clone(), s);
-                    via = recover_from_replica(set, s as u32, g, &mut replay, trace.ticks, &opts);
+        let Some(set) = &replicas else { continue };
+        let mut replay = ShardFilter::new(trace.build(), map.clone(), s);
+        let mut via = recover_from_replica(set, s as u32, g, &mut replay, trace.ticks, &opts);
+        if let Some(Err(e)) = &via {
+            if injected_recrash(e) {
+                // Same restart contract for a replica-path replay that
+                // died mid-tail.
+                outcome.recovery_retried = true;
+                let mut replay = ShardFilter::new(trace.build(), map.clone(), s);
+                via = recover_from_replica(set, s as u32, g, &mut replay, trace.ticks, &opts);
+            }
+        }
+        match via {
+            Some(Ok(via)) => {
+                if via.table.fingerprint() != truth.fingerprint() {
+                    return Err(format!(
+                        "shard {s} replica recovery from tick {} does not match the oracle",
+                        via.from_tick
+                    ));
+                }
+                if via.table.as_bytes() != rec.table.as_bytes() {
+                    return Err(format!(
+                        "shard {s}: replica-recovered state is not byte-identical to disk"
+                    ));
                 }
             }
-            match via {
-                Some(Ok(via)) => {
-                    if via.table.fingerprint() != truth.fingerprint() {
-                        outcome.failure = Some(format!(
-                            "shard {s} replica recovery from tick {} does not match the oracle",
-                            via.from_tick
-                        ));
-                        return outcome;
-                    }
-                    if via.table.as_bytes() != rec.table.as_bytes() {
-                        outcome.failure = Some(format!(
-                            "shard {s}: replica-recovered state is not byte-identical to disk"
-                        ));
-                        return outcome;
-                    }
-                }
-                Some(Err(e)) => {
-                    outcome.failure = Some(format!("shard {s} replica recovery failed: {e}"));
-                    return outcome;
-                }
-                // No complete mirror (crash froze a push open, or the
-                // planned fetch crash consumed them): disk already won.
-                None => {}
-            }
+            Some(Err(e)) => return Err(format!("shard {s} replica recovery failed: {e}")),
+            // No complete mirror (crash froze a push open, or the
+            // planned fetch crash consumed them): disk already won.
+            None => {}
         }
     }
-    // Recovery-phase reaches (replica fetches, image reads, replay
-    // ticks) happen after the run's own counters were sampled —
-    // resample so coverage sees them.
-    sample(&mut outcome);
-    outcome
+    Ok(())
 }
 
 /// The one place a case's knobs become a [`RealConfig`]: every field a
@@ -312,58 +290,6 @@ fn engine_config(
 #[must_use]
 pub fn wants_ring(case: &FuzzCase) -> bool {
     case.backend == WriterBackend::IoUring
-}
-
-/// Run a case's configuration with a *tracking* (unarmed) state and
-/// return the reach counters — `--list-points` uses this to show which
-/// sites each configuration actually visits. The clean run is followed
-/// by a clean recovery pass over its directory (through the same
-/// tracking state), so the recovery-phase sites report real reaches
-/// too.
-pub fn tracking_run(case: &FuzzCase) -> Result<Vec<u64>, String> {
-    let state = Arc::new(Inject::tracking());
-    let dir = tempfile::tempdir().map_err(|e| format!("tempdir: {e}"))?;
-    let trace = trace_of(case);
-    let map = ShardMap::new(trace.geometry, case.shards).map_err(|e| format!("shard map: {e}"))?;
-    let replicas = (case.replication > 0).then(|| {
-        let geometries: Vec<_> = (0..case.shards as usize)
-            .map(|s| map.shard_geometry(s))
-            .collect();
-        Arc::new(ReplicaSet::new(case.replication, &geometries))
-    });
-    Run::algorithm(case.algorithm)
-        .engine(engine_config(case, dir.path(), &state, replicas.as_ref()))
-        .trace(trace)
-        .shards(case.shards)
-        .pacing(600.0)
-        .execute()
-        .map_err(|e| format!("run error: {e}"))?;
-    let opts = RecoveryOpts {
-        inject: Some(state.clone()),
-        ..RecoveryOpts::default()
-    };
-    let n = case.shards as usize;
-    for s in 0..n {
-        let sdir = shard_dir(dir.path(), s, n);
-        let g = map.shard_geometry(s);
-        let mut replay = ShardFilter::new(trace.build(), map.clone(), s);
-        match case.algorithm.spec().disk_org {
-            DiskOrg::DoubleBackup => {
-                recover_and_replay_with(&sdir, g, &mut replay, trace.ticks, &opts)
-            }
-            DiskOrg::Log => recover_and_replay_log_with(&sdir, g, &mut replay, trace.ticks, &opts),
-        }
-        .map_err(|e| format!("shard {s} tracking recovery: {e}"))?;
-        if let Some(set) = &replicas {
-            let mut replay = ShardFilter::new(trace.build(), map.clone(), s);
-            if let Some(Err(e)) =
-                recover_from_replica(set, s as u32, g, &mut replay, trace.ticks, &opts)
-            {
-                return Err(format!("shard {s} tracking replica recovery: {e}"));
-            }
-        }
-    }
-    Ok(state.counts().to_vec())
 }
 
 #[cfg(test)]

@@ -619,7 +619,7 @@ mod tests {
     /// every touched object before the next tick).
     #[test]
     fn overhead_shapes_match_copy_timing() {
-        use crate::writer::{complete_job, submit_job};
+        use crate::writer::{complete_job, submit_job, Now};
         let cross_engine = SyntheticConfig {
             geometry: StateGeometry::small(2_048, 8),
             ticks: 60,
@@ -663,14 +663,7 @@ mod tests {
                     }
                 };
                 let mut store = ctx.store.lock();
-                let inflight = submit_job(
-                    &ctx,
-                    &mut store,
-                    &mut Vec::new(),
-                    0,
-                    queued.job,
-                    queued.queued_at,
-                );
+                let inflight = submit_job(&ctx, &mut store, &mut Now, &mut Vec::new(), queued);
                 let done = complete_job(&ctx, &mut store, inflight, 1);
                 drop(store);
                 ctx.done_tx.send(done).unwrap();

@@ -15,10 +15,12 @@
 //! a consistent image) intact.
 
 use crate::inject::{Effect, Inject, Kind, Site};
+use crate::uring::pwrite_all;
 use mmoc_core::{ObjectId, StateGeometry};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::os::unix::fs::FileExt;
+use std::os::unix::io::{AsRawFd, RawFd};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -180,6 +182,20 @@ impl BackupSet {
     /// object images, packed in id order). Callers issue runs in
     /// increasing id order for sorted I/O.
     pub fn write_run(&self, idx: usize, first: ObjectId, bytes: &[u8]) -> io::Result<()> {
+        self.stage_run(idx, first, bytes, pwrite_all)
+    }
+
+    /// [`BackupSet::write_run`] with its one positional write handed to
+    /// `put(fd, bytes, offset)`: the writer's issuer, which writes it now
+    /// or stages it on the ring. Every injection decision is taken here;
+    /// `put` only sees the bytes that land.
+    pub(crate) fn stage_run(
+        &self,
+        idx: usize,
+        first: ObjectId,
+        bytes: &[u8],
+        mut put: impl FnMut(RawFd, &[u8], u64) -> io::Result<()>,
+    ) -> io::Result<()> {
         let obj_size = self.geometry.object_size as usize;
         debug_assert_eq!(bytes.len() % obj_size, 0);
         let mut torn_at = None;
@@ -215,9 +231,11 @@ impl BackupSet {
         } else {
             (bytes.len(), Ok(()))
         };
-        self.backups[idx]
-            .file
-            .write_all_at(&bytes[..landed], self.geometry.object_offset(first))?;
+        put(
+            self.sync_fd(idx),
+            &bytes[..landed],
+            self.geometry.object_offset(first),
+        )?;
         outcome
     }
 
@@ -241,8 +259,7 @@ impl BackupSet {
 
     /// Raw descriptor of backup `idx`'s image file, for the `syncfs`
     /// device barrier (any fd on the device names it).
-    pub fn sync_fd(&self, idx: usize) -> std::os::unix::io::RawFd {
-        use std::os::unix::io::AsRawFd;
+    pub fn sync_fd(&self, idx: usize) -> RawFd {
         self.backups[idx].file.as_raw_fd()
     }
 

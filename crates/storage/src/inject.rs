@@ -112,19 +112,19 @@ const TABLE: [Row; N] = {
               compat: "double-backup algorithms, any backend" },
         Row { site: BackupWriteObject, name: "backup-write-object", phase: Submit, effects: CRASH,
               describe: "mid object write into the backup image (torn)",
-              compat: "double-backup algorithms, pool/batched backends" },
+              compat: "double-backup algorithms, any backend" },
         Row { site: BackupCommit, name: "backup-commit", phase: Complete, effects: CRASH,
               describe: "mid 16-byte meta commit, unsynced (torn)",
               compat: "double-backup algorithms, any backend" },
         Row { site: LogAppendObject, name: "log-append-object", phase: Submit, effects: CRASH,
               describe: "mid object record append to an open segment (torn)",
-              compat: "log algorithms, pool/batched backends" },
+              compat: "log algorithms, any backend" },
         Row { site: LogSegmentSealed, name: "log-segment-sealed", phase: Submit, effects: CRASH,
               describe: "segment sealed but unsynced (torn tail)",
-              compat: "log algorithms, pool/batched backends" },
+              compat: "log algorithms, any backend" },
         Row { site: JobSubmitted, name: "job-submitted", phase: Submit, effects: CRASH,
               describe: "submit_job done: staged, nothing committed",
-              compat: "pool/batched backends" },
+              compat: "any backend, any algorithm" },
         Row { site: CompleteBeforeSync, name: "complete-before-sync", phase: Complete,
               effects: CRASH, describe: "complete_job entry, before the data sync",
               compat: "any backend, any algorithm" },
@@ -163,7 +163,7 @@ const TABLE: [Row; N] = {
               compat: "replication >= 1, recovery-time" },
         Row { site: BackupWrite, name: "backup-write", phase: Submit, effects: TRANSIENT,
               describe: "positional data write into a backup image (one per issued write)",
-              compat: "double-backup algorithms, pool/batched backends" },
+              compat: "double-backup algorithms, any backend" },
         Row { site: BackupSync, name: "backup-sync", phase: Complete, effects: TRANSIENT,
               describe: "data fsync of a backup image file",
               compat: "double-backup algorithms, any backend" },
@@ -172,7 +172,7 @@ const TABLE: [Row; N] = {
               compat: "double-backup algorithms, any backend" },
         Row { site: LogAppend, name: "log-append", phase: Submit, effects: TRANSIENT,
               describe: "whole-segment append, before any byte lands",
-              compat: "log algorithms, pool/batched backends" },
+              compat: "log algorithms, any backend" },
         Row { site: LogSync, name: "log-sync", phase: Complete, effects: TRANSIENT,
               describe: "data fsync of the checkpoint log",
               compat: "log algorithms, any backend" },

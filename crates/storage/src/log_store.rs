@@ -16,19 +16,20 @@
 //!
 //! A segment is one checkpoint, encoded once by `serialize_segment` and
 //! appended as one positional write at the log's length
-//! (`LogStore::write_segment`; the ring data path submits the same
-//! bytes as one WRITEV at the same offset). Recovery scans segments
-//! forward (the file is replayed into a reconstruction buffer, newest
-//! write wins), starting from the newest *complete* full-flush segment —
-//! semantically identical to the paper's backward read, and it reads the
-//! same bytes. Torn tails (a crash mid-append) are detected by the
-//! segment end marker and discarded.
+//! (`LogStore::write_segment`, which hands that write to the writer's
+//! issuer: a `pwrite` now, or one WRITEV on the ring). Recovery scans
+//! segments forward (the file is replayed into a reconstruction buffer,
+//! newest write wins), starting from the newest *complete* full-flush
+//! segment — semantically identical to the paper's backward read, and it
+//! reads the same bytes. Torn tails (a crash mid-append) are detected by
+//! the segment end marker and discarded.
 
 use crate::inject::{Effect, Inject, Kind, Site};
+use crate::uring::pwrite_all;
 use mmoc_core::{ObjectId, StateGeometry};
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
-use std::os::unix::fs::FileExt;
+use std::os::unix::io::{AsRawFd, RawFd};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -169,7 +170,7 @@ impl LogStore {
     ) -> io::Result<SegmentInfo> {
         let mut segment = Vec::new();
         serialize_segment(seq, consistent_tick, full_flush, objects, &mut segment);
-        let info = self.write_segment(&segment)?;
+        let info = self.write_segment(&segment, pwrite_all)?;
         if sync && !self.down() {
             self.file.sync_data()?;
         }
@@ -177,8 +178,12 @@ impl LogStore {
     }
 
     /// Append one segment encoded by [`serialize_segment`] with one
-    /// positional write at the log's length; syncing it is the caller's
-    /// ([`LogStore::sync`]). The instrumented failures, per site:
+    /// positional write at the log's length, handed to `put(fd, bytes,
+    /// offset)`: the writer's issuer, which writes it now or stages it on
+    /// the ring. The length advances as the write is handed over, so a
+    /// staged segment reserves its offset and the next one stacks after
+    /// it. Syncing is the caller's ([`LogStore::sync`]). The instrumented
+    /// failures, per site:
     ///
     /// * `log-append` faults once per segment, before any byte lands, so
     ///   a retry rewrites the same bytes at the same offset;
@@ -187,7 +192,11 @@ impl LogStore {
     ///   and the segment never seals (the scan drops it);
     /// * `log-segment-sealed` is reached once after the trailer: all but
     ///   the segment's last `torn` bytes land.
-    pub(crate) fn write_segment(&mut self, segment: &[u8]) -> io::Result<SegmentInfo> {
+    pub(crate) fn write_segment(
+        &mut self,
+        segment: &[u8],
+        mut put: impl FnMut(RawFd, &[u8], u64) -> io::Result<()>,
+    ) -> io::Result<SegmentInfo> {
         if let Some(kind) = self.faulted(Site::LogAppend) {
             return Err(kind.to_error());
         }
@@ -220,7 +229,7 @@ impl LogStore {
                 landed = torn_at;
             }
         }
-        self.file.write_all_at(&segment[..landed], self.len)?;
+        put(self.sync_fd(), &segment[..landed], self.len)?;
         self.len += landed as u64;
         Ok(SegmentInfo {
             bytes: landed as u64,
@@ -343,22 +352,8 @@ impl LogStore {
 
     /// Raw descriptor of the log file, for the `syncfs` device barrier
     /// (any fd on the device names it).
-    pub fn sync_fd(&self) -> std::os::unix::io::RawFd {
-        use std::os::unix::io::AsRawFd;
+    pub fn sync_fd(&self) -> RawFd {
         self.file.as_raw_fd()
-    }
-
-    /// The offset the next appended segment will start at: where the
-    /// ring data path positions its WRITEV of an encoded segment.
-    pub(crate) fn append_offset(&self) -> u64 {
-        self.len
-    }
-
-    /// Record that `bytes` were appended at [`LogStore::append_offset`]
-    /// by an out-of-band write (a reaped ring completion). The next
-    /// segment stacks after them.
-    pub(crate) fn note_appended(&mut self, bytes: u64) {
-        self.len += bytes;
     }
 
     /// Total log size in bytes.
@@ -373,8 +368,8 @@ impl LogStore {
 }
 
 /// Encode one complete checkpoint segment into `out`: the one encoding of
-/// the segment format, appended by [`LogStore::write_segment`] or by the
-/// ring's WRITEV. `objects` must come in increasing id order (sorted I/O).
+/// the segment format, appended by [`LogStore::write_segment`].
+/// `objects` must come in increasing id order (sorted I/O).
 pub(crate) fn serialize_segment<'a>(
     seq: u64,
     consistent_tick: u64,

@@ -33,8 +33,10 @@ pub struct WriterStats {
     pub batch_jobs_sum: u64,
     /// Largest batch any job completed in.
     pub max_batch_jobs: u32,
-    /// Checkpoint payload bytes the writer flushed (object images /
-    /// serialized log segments; excludes metadata commits).
+    /// Object image bytes the writer flushed: `objects × object_size`
+    /// per job under both disk organizations. A log segment's header,
+    /// record ids and end marker are not counted, nor are metadata
+    /// commits.
     pub bytes_written: u64,
     /// Sum over jobs of the SQE count of the ring submission round that
     /// carried each job's data writes. Zero for the syscall-per-write

@@ -490,8 +490,9 @@ fn probe_ring() -> bool {
     matches!(ring.reap(), Some(c) if c.user_data == 0x70_07 && c.res == 0)
 }
 
-/// Synchronous positional write of the whole buffer — the repair path
-/// for short `WRITEV` completions (and the byte-exact equivalent of what
+/// Synchronous positional write of the whole buffer: the one positional
+/// data write — the syscall data path's, the stores' own, and the ring's
+/// redo of a short or failed `WRITEV` (the byte-exact equivalent of what
 /// the ring was asked to do).
 pub(crate) fn pwrite_all(fd: RawFd, mut buf: &[u8], mut offset: u64) -> io::Result<()> {
     while !buf.is_empty() {

@@ -15,11 +15,12 @@
 //! distinct target file, or one `syncfs` barrier per device, all before
 //! any metadata commit) → *ack in reap order* (`ack_in_reap_order`: each
 //! job's completion phase and its `Done`, newest shard first, FIFO
-//! within a shard). Issuing the data writes is the only strategy point
-//! (`DataPath`): one `pwrite` per run of consecutive objects (one per
-//! log segment) through `submit_job`, or per-shard FIFO waves of
-//! `IORING_OP_WRITEV` SQEs on a real kernel ring (`crate::uring`). Every
-//! data sync is a synchronous `fdatasync` under every configuration.
+//! within a shard). Every job's writes are staged by `submit_job` through
+//! the stores; the only strategy point (`DataPath`) is the `Issue`r that
+//! takes them: a `pwrite` now per run of consecutive objects (per log
+//! segment), or per-shard FIFO waves of `IORING_OP_WRITEV` SQEs on a real
+//! kernel ring (`crate::uring`). Every data sync is a synchronous
+//! `fdatasync` under every configuration.
 //!
 //! The three `WriterBackendKind`s are configurations of that loop:
 //! `thread-pool` is N loop threads taking one job per round with no
@@ -33,8 +34,7 @@
 //! finishes its round on synchronous redo and the loop swaps to the
 //! syscall data path for good (its jobs count as `degraded_jobs`).
 //!
-//! The completion phase is shared and the ring reproduces the
-//! submission phase's bytes exactly, so identical job streams produce
+//! Both phases are shared, so identical job streams produce
 //! byte-identical files under every configuration (pinned by the
 //! differential tests below and in `tests/writer_equivalence.rs`): the
 //! durability ordering — data sync *before* metadata commit — is a
@@ -53,6 +53,7 @@ use crate::uring::{pwrite_all, Iovec, Ring, Sqe};
 use mmoc_core::run::WriterBackend as WriterBackendKind;
 use mmoc_core::{CursorKind, ObjectId};
 use std::io;
+use std::ops::Range;
 use std::os::unix::io::RawFd;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -257,19 +258,14 @@ pub(crate) struct ReplicaDelta {
 }
 
 impl ReplicaDelta {
-    /// Capture the delta of the checkpoint at `tick` as a by-product of
-    /// staging its data writes, when the run has a replica tier. `data`
-    /// holds the images known now; a streamed sweep appends the rest as
-    /// it reads them (room for all of them is reserved here).
-    fn capture(ctx: &ShardCtx, tick: u64, ids: &[u32], data: &[u8]) -> Option<ReplicaDelta> {
-        ctx.replicas.as_ref().map(|_| {
-            let mut images = Vec::with_capacity(ids.len() * ctx.geometry.object_size as usize);
-            images.extend_from_slice(data);
-            ReplicaDelta {
-                tick,
-                ids: ids.to_vec(),
-                data: images,
-            }
+    /// Open the delta of the checkpoint at `tick` when the run has a
+    /// replica tier; its images are appended as the job's runs are staged
+    /// (room for all of them is reserved here).
+    fn capture(ctx: &ShardCtx, tick: u64, ids: &[u32]) -> Option<ReplicaDelta> {
+        ctx.replicas.as_ref().map(|_| ReplicaDelta {
+            tick,
+            ids: ids.to_vec(),
+            data: Vec::with_capacity(ids.len() * ctx.geometry.object_size as usize),
         })
     }
 }
@@ -392,10 +388,37 @@ fn id_runs(ids: &[u32], max: usize) -> impl Iterator<Item = std::ops::Range<usiz
 /// ROADMAP item 5).
 const RUN_BYTES: usize = 256 << 10;
 
+/// Where [`submit_job`] sends a job's positional writes once the stores
+/// have taken every injection decision: written now ([`Now`]), or staged
+/// as an operation of the current ring wave ([`Wave`]).
+pub(crate) trait Issue {
+    /// Cap, in bytes, on one run write.
+    fn max_run_bytes(&self) -> usize;
+    /// Issue one positional write of `bytes` at `offset` of `fd`.
+    fn put(&mut self, fd: RawFd, bytes: &[u8], offset: u64) -> io::Result<()>;
+    /// Keep `buf`, which earlier `put`s may point into, alive until those
+    /// writes are done: the ring takes it (leaving `buf` empty), a
+    /// syscall issuer has written already and leaves it for reuse.
+    fn keep(&mut self, buf: &mut Vec<u8>);
+}
+
+/// The syscall data path's issuer: every write is a `pwrite` now.
+pub(crate) struct Now;
+
+impl Issue for Now {
+    fn max_run_bytes(&self) -> usize {
+        RUN_BYTES
+    }
+
+    fn put(&mut self, fd: RawFd, bytes: &[u8], offset: u64) -> io::Result<()> {
+        pwrite_all(fd, bytes, offset)
+    }
+
+    fn keep(&mut self, _buf: &mut Vec<u8>) {}
+}
+
 /// The copy-on-update sweep protocol, writer side: how a sweep job reads
-/// one live object and publishes its progress. The double-backup syscall
-/// path streams a sweep run by run ([`submit_job`]); a log segment and
-/// the ring capture it whole ([`Sweep::capture`]).
+/// its live objects and publishes its progress.
 struct Sweep<'a> {
     ctx: &'a ShardCtx,
     cursor: CursorKind,
@@ -416,29 +439,50 @@ impl Sweep<'_> {
         shared.flushed.set(o);
     }
 
-    /// Publish progress *after* the object is read and queued: the
+    /// Read the objects of `ids[run]` into `buf`, packed in id order,
+    /// publishing progress *after* each is read and queued there: the
     /// frontier must under-approximate what is flushed, so a racing
     /// update copies once too often, never too rarely.
-    fn publish(&self, position: usize, o: u32) {
-        let slots = match self.cursor {
-            CursorKind::ByIndex => u64::from(o) + 1,
-            CursorKind::ByPosition => position as u64 + 1,
-        };
-        self.ctx.frontier.store(slots, Ordering::Release);
-    }
-
-    /// Read every object of `ids` into one packed image, publishing the
-    /// frontier as each is read and queued — "queued" here meaning
-    /// captured for one segment or ring write, the same
-    /// under-approximation the streamed sweep provides.
-    fn capture(&self, ids: &[u32]) -> Vec<u8> {
+    fn read_run(&self, ids: &[u32], run: Range<usize>, buf: &mut Vec<u8>) {
         let obj_size = self.ctx.geometry.object_size as usize;
-        let mut image = vec![0u8; ids.len() * obj_size];
-        for ((p, &o), buf) in ids.iter().enumerate().zip(image.chunks_exact_mut(obj_size)) {
-            self.read_object(o, buf);
-            self.publish(p, o);
+        // Every byte is overwritten below: only growth is zero-filled.
+        buf.resize(run.len() * obj_size, 0);
+        for (p, image) in run.zip(buf.chunks_exact_mut(obj_size)) {
+            let o = ids[p];
+            self.read_object(o, image);
+            let slots = match self.cursor {
+                CursorKind::ByIndex => u64::from(o) + 1,
+                CursorKind::ByPosition => p as u64 + 1,
+            };
+            self.ctx.frontier.store(slots, Ordering::Release);
         }
-        image
+    }
+}
+
+/// A flush job's object images: an eager job's private copy, packed in
+/// id order, or a sweep's live objects.
+enum Images<'a> {
+    Copied(Vec<u8>),
+    Live(Sweep<'a>),
+}
+
+impl Images<'_> {
+    /// The packed images of `ids[run]`: a slice of the copy, or the live
+    /// objects read into `buf`.
+    fn run<'b>(
+        &'b self,
+        ids: &[u32],
+        run: Range<usize>,
+        obj_size: usize,
+        buf: &'b mut Vec<u8>,
+    ) -> &'b [u8] {
+        match self {
+            Images::Copied(data) => &data[run.start * obj_size..run.end * obj_size],
+            Images::Live(sweep) => {
+                sweep.read_run(ids, run, buf);
+                buf
+            }
+        }
     }
 }
 
@@ -454,17 +498,19 @@ fn records<'a>(
         .zip(images.chunks_exact(obj_size))
 }
 
-/// Submission phase: issue one flush job's data writes against one
-/// shard's store, durability deferred. Runs on a writer thread; `buf` is
-/// the thread's reusable buffer: a double-backup sweep's run (up to
-/// [`RUN_BYTES`]), or a log job's encoded segment. For sweep jobs the
-/// frontier is published object by object as each is read — frontier
-/// semantics are "read from live state and queued", not "durable", so
-/// neither the buffered write nor the deferred sync changes the
-/// copy-on-update protocol. A log segment's whole write is retried: the
-/// `log-append` failpoint faults before any byte lands, so a retry
-/// rewrites the same bytes at the same offset (pinned by the
-/// retry-equivalence tests).
+/// Submission phase: stage one flush job's data writes against one
+/// shard's store through `issuer`, durability deferred — the one staging
+/// path of both data paths. The stores take every injection decision and
+/// hand `issuer` only the positional writes that land. `buf` is the
+/// caller's buffer: a double-backup sweep's run (up to
+/// [`Issue::max_run_bytes`]), or a log job's encoded segment; `issuer`
+/// keeps it once written into. For sweep jobs the frontier is published
+/// object by object as each is read — frontier semantics are "read from
+/// live state and queued", not "durable", so neither the buffered write
+/// nor the deferred sync changes the copy-on-update protocol. A log
+/// segment's whole write is retried: the `log-append` failpoint faults
+/// before any byte lands, so a retry rewrites the same bytes at the same
+/// offset (pinned by the retry-equivalence tests).
 ///
 /// `queued_at` is the instant the mutator enqueued the job
 /// ([`PoolJob::queued_at`]); it seeds the job's duration clock here so
@@ -473,16 +519,15 @@ fn records<'a>(
 pub(crate) fn submit_job(
     ctx: &ShardCtx,
     store: &mut Store,
+    issuer: &mut impl Issue,
     buf: &mut Vec<u8>,
-    shard: usize,
-    job: Job,
-    queued_at: Instant,
+    job: PoolJob,
 ) -> InFlight {
     let obj_size = ctx.geometry.object_size as usize;
-    let max_run = (RUN_BYTES / obj_size).max(1);
+    let max_run = (issuer.max_run_bytes() / obj_size).max(1);
     let mut stats = WriterStats::default();
     let retry = &ctx.retry;
-    let (objects, state, recycled, replica) = match job {
+    let (ids, images, seq, tick, target, full_image) = match job.job {
         Job::Eager {
             ids,
             data,
@@ -490,34 +535,7 @@ pub(crate) fn submit_job(
             tick,
             target,
             full_image,
-        } => {
-            let count = ids.len() as u32;
-            let replica = ReplicaDelta::capture(ctx, tick, &ids, &data);
-            let state = match store {
-                Store::Double(set) => (|| {
-                    set.invalidate(target)?;
-                    for run in id_runs(&ids, max_run) {
-                        // Sorted I/O: `data` is packed in id order, so a
-                        // run of consecutive ids is one slice of it and
-                        // one sequential write. Each run is retried
-                        // independently: a transient fault (even a short
-                        // write) leaves the target invalidated, so
-                        // re-writing in place is safe.
-                        let first = ObjectId(ids[run.start]);
-                        let bytes = &data[run.start * obj_size..run.end * obj_size];
-                        retry.run(&mut stats.retry, || set.write_run(target, first, bytes))?;
-                    }
-                    Ok(PendingDurability::Double { target, tick })
-                })(),
-                Store::Log(log) => {
-                    serialize_segment(seq, tick, full_image, records(&ids, &data, obj_size), buf);
-                    retry
-                        .run(&mut stats.retry, || log.write_segment(buf))
-                        .map(|_| PendingDurability::Log)
-                }
-            };
-            (count, state, Some((ids, data)), replica)
-        }
+        } => (ids, Images::Copied(data), seq, tick, target, full_image),
         Job::Sweep {
             list,
             cursor,
@@ -526,48 +544,60 @@ pub(crate) fn submit_job(
             target,
             full_image,
         } => {
-            let count = list.len() as u32;
-            let mut delta = ReplicaDelta::capture(ctx, tick, &list, &[]);
-            let sweep = Sweep { ctx, cursor };
-            let state = match store {
-                Store::Double(set) => (|| {
-                    set.invalidate(target)?;
-                    // Still a stream, at the grain of one run: read its
-                    // objects into the run buffer (publishing each as it
-                    // is queued there), write the buffer, move on.
-                    for run in id_runs(&list, max_run) {
-                        buf.resize(run.len() * obj_size, 0);
-                        for (p, image) in run.clone().zip(buf.chunks_exact_mut(obj_size)) {
-                            sweep.read_object(list[p], image);
-                            if let Some(d) = delta.as_mut() {
-                                d.data.extend_from_slice(image);
-                            }
-                            sweep.publish(p, list[p]);
-                        }
-                        let first = ObjectId(list[run.start]);
-                        retry.run(&mut stats.retry, || set.write_run(target, first, buf))?;
-                    }
-                    Ok(PendingDurability::Double { target, tick })
-                })(),
-                Store::Log(log) => {
-                    let image = sweep.capture(&list);
-                    if let Some(d) = delta.as_mut() {
-                        d.data.extend_from_slice(&image);
-                    }
-                    serialize_segment(seq, tick, full_image, records(&list, &image, obj_size), buf);
-                    retry
-                        .run(&mut stats.retry, || log.write_segment(buf))
-                        .map(|_| PendingDurability::Log)
+            let sweep = Images::Live(Sweep { ctx, cursor });
+            (list, sweep, seq, tick, target, full_image)
+        }
+    };
+    let objects = ids.len() as u32;
+    let mut replica = ReplicaDelta::capture(ctx, tick, &ids);
+    let state = match store {
+        Store::Double(set) => (|| {
+            set.invalidate(target)?;
+            for run in id_runs(&ids, max_run) {
+                // Sorted I/O: a run of consecutive ids is one slice of the
+                // packed images and one sequential write; a sweep streams
+                // at the grain of one run. Each run is retried
+                // independently: a transient fault (even a short write)
+                // leaves the target invalidated, so re-writing in place
+                // is safe.
+                let first = ObjectId(ids[run.start]);
+                let bytes = images.run(&ids, run, obj_size, buf);
+                if let Some(d) = replica.as_mut() {
+                    d.data.extend_from_slice(bytes);
                 }
-            };
-            (count, state, None, delta)
+                let written = retry.run(&mut stats.retry, || {
+                    set.stage_run(target, first, bytes, |fd, b, at| issuer.put(fd, b, at))
+                });
+                if let Images::Live(_) = images {
+                    issuer.keep(buf);
+                }
+                written?;
+            }
+            Ok(PendingDurability::Double { target, tick })
+        })(),
+        Store::Log(log) => {
+            let mut image = Vec::new();
+            let bytes = images.run(&ids, 0..ids.len(), obj_size, &mut image);
+            if let Some(d) = replica.as_mut() {
+                d.data.extend_from_slice(bytes);
+            }
+            serialize_segment(seq, tick, full_image, records(&ids, bytes, obj_size), buf);
+            let written = retry.run(&mut stats.retry, || {
+                log.write_segment(buf, |fd, b, at| issuer.put(fd, b, at))
+            });
+            issuer.keep(buf);
+            written.map(|_| PendingDurability::Log)
         }
     };
     // All data writes staged, nothing synced or committed yet.
     crash_at(ctx.inject.as_deref(), Site::JobSubmitted);
+    let recycled = match images {
+        Images::Copied(data) => Some((ids, data)),
+        Images::Live(_) => None,
+    };
     InFlight {
         stats,
-        ..InFlight::new(shard, queued_at, objects, recycled, state, replica)
+        ..InFlight::new(job.shard, job.queued_at, objects, recycled, state, replica)
     }
 }
 
@@ -686,7 +716,7 @@ struct Round {
     ops: Vec<RingOp>,
     iovecs: Vec<Iovec>,
     outcomes: Vec<Option<i32>>,
-    /// Wave-owned buffers (sweep images, serialized segments) the ops
+    /// Wave-owned buffers (sweep runs, serialized segments) the ops
     /// point into; alive until the next ring round.
     arena: Vec<Vec<u8>>,
 }
@@ -1051,8 +1081,7 @@ impl DataPath {
         for job in round.batch.drain(..) {
             let ctx = &ctxs[job.shard];
             let mut store = ctx.store.lock();
-            let buf = &mut self.buf;
-            let mut inflight = submit_job(ctx, &mut store, buf, job.shard, job.job, job.queued_at);
+            let mut inflight = submit_job(ctx, &mut store, &mut Now, &mut self.buf, job);
             inflight.stats.degraded_jobs = u64::from(degraded);
             round.queue.push(inflight);
         }
@@ -1077,7 +1106,7 @@ struct RingPath {
 
 /// One staged ring operation of the current wave. `ptr`/`len` name a
 /// buffer owned by the wave (a job's eager data, or a wave-arena sweep
-/// image / serialized segment) that outlives the reap by construction.
+/// run / serialized segment) that outlives the reap by construction.
 struct RingOp {
     /// Index into the batch's completion queue.
     job: usize,
@@ -1087,124 +1116,36 @@ struct RingOp {
     len: usize,
 }
 
-impl RingOp {
-    /// A positional write of `bytes` on behalf of completion-queue job
-    /// `job`; the caller keeps `bytes`' buffer alive for the wave.
-    fn write(job: usize, fd: RawFd, offset: u64, bytes: &[u8]) -> RingOp {
-        RingOp {
-            job,
+/// The ring data path's issuer: every write becomes a [`RingOp`] of the
+/// current wave on behalf of completion-queue job `job`. A job's eager
+/// data moves into its in-flight record and every kept buffer into the
+/// wave arena; a `Vec` move never relocates its heap buffer.
+struct Wave<'a> {
+    job: usize,
+    ops: &'a mut Vec<RingOp>,
+    arena: &'a mut Vec<Vec<u8>>,
+}
+
+impl Issue for Wave<'_> {
+    /// Uncapped: one WRITEV per maximal run of consecutive objects.
+    fn max_run_bytes(&self) -> usize {
+        usize::MAX
+    }
+
+    fn put(&mut self, fd: RawFd, bytes: &[u8], offset: u64) -> io::Result<()> {
+        self.ops.push(RingOp {
+            job: self.job,
             fd,
             offset,
             ptr: bytes.as_ptr(),
             len: bytes.len(),
-        }
+        });
+        Ok(())
     }
-}
 
-/// Stage one WRITEV per maximal consecutive-id run of `ids`: each run is
-/// contiguous in `bytes`, the packed object buffer, *and* on disk.
-fn push_runs(
-    ops: &mut Vec<RingOp>,
-    job: usize,
-    ids: &[u32],
-    bytes: &[u8],
-    fd: RawFd,
-    geometry: &mmoc_core::StateGeometry,
-) {
-    let obj_size = geometry.object_size as usize;
-    for run in id_runs(ids, usize::MAX) {
-        let offset = geometry.object_offset(ObjectId(ids[run.start]));
-        let bytes = &bytes[run.start * obj_size..run.end * obj_size];
-        ops.push(RingOp::write(job, fd, offset, bytes));
+    fn keep(&mut self, buf: &mut Vec<u8>) {
+        self.arena.push(std::mem::take(buf));
     }
-}
-
-/// Stage one job's data writes as ring operations, mirroring
-/// [`submit_job`] byte for byte: double-backup writes become one WRITEV
-/// per contiguous-id run at the objects' fixed offsets; log appends
-/// become one WRITEV of the serialized segment at the stacked append
-/// offset (reserved immediately, so a pipelined shard's next segment
-/// lands after it). Sweep jobs run the copy-on-update read protocol —
-/// lock, prefer the saved pre-update image, publish the frontier after
-/// each object is read and queued — into a wave-local image first.
-fn stage_ring_job(
-    ctx: &ShardCtx,
-    store: &mut Store,
-    job_idx: usize,
-    job: PoolJob,
-    ops: &mut Vec<RingOp>,
-    arena: &mut Vec<Vec<u8>>,
-) -> InFlight {
-    let obj_size = ctx.geometry.object_size as usize;
-    // Consulted at each staging gate (not cached): a crash point can
-    // fire *inside* this function (the invalidate site), and nothing
-    // staged after the kill instant may reach the ring.
-    let is_down = || ctx.inject.as_ref().is_some_and(|c| c.is_down());
-    // An eager job brings its private copy of the images; a sweep job
-    // brings the cursor its frontier is denominated in.
-    let (ids, data, cursor, seq, tick, target, full_image) = match job.job {
-        Job::Eager {
-            ids,
-            data,
-            seq,
-            tick,
-            target,
-            full_image,
-        } => (ids, Some(data), None, seq, tick, target, full_image),
-        Job::Sweep {
-            list,
-            cursor,
-            seq,
-            tick,
-            target,
-            full_image,
-        } => (list, None, Some(cursor), seq, tick, target, full_image),
-    };
-    let objects = ids.len() as u32;
-    let opened = match store {
-        Store::Double(set) => set.invalidate(target),
-        Store::Log(_) => Ok(()),
-    };
-    let mut replica = None;
-    let state = opened.map(|()| {
-        // Capture a sweep into a wave-local image.
-        let image = cursor.map(|cursor| Sweep { ctx, cursor }.capture(&ids));
-        let bytes = data.as_deref().or(image.as_deref()).unwrap_or_default();
-        replica = ReplicaDelta::capture(ctx, tick, &ids, bytes);
-        match store {
-            Store::Double(set) => {
-                if !is_down() {
-                    let fd = set.sync_fd(target);
-                    push_runs(ops, job_idx, &ids, bytes, fd, &ctx.geometry);
-                }
-                arena.extend(image);
-                PendingDurability::Double { target, tick }
-            }
-            Store::Log(log) => {
-                let mut seg = Vec::new();
-                serialize_segment(
-                    seq,
-                    tick,
-                    full_image,
-                    records(&ids, bytes, obj_size),
-                    &mut seg,
-                );
-                let offset = log.append_offset();
-                if !is_down() {
-                    log.note_appended(seg.len() as u64);
-                    ops.push(RingOp::write(job_idx, log.sync_fd(), offset, &seg));
-                }
-                arena.push(seg);
-                PendingDurability::Log
-            }
-        }
-    });
-    // An eager job's `data` moves into the in-flight record here (to be
-    // recycled to the mutator); a Vec move never relocates its heap
-    // buffer — nor does moving an image or segment into the arena — so
-    // the op pointers stay valid for the life of the wave.
-    let recycled = data.map(|data| (ids, data));
-    InFlight::new(job.shard, job.queued_at, objects, recycled, state, replica)
 }
 
 impl RingPath {
@@ -1231,8 +1172,8 @@ impl RingPath {
         // are staged (and their append offsets reserved) in submission
         // order, wave by wave.
         while !batch.is_empty() {
-            // Stage every job of this wave: data writes become RingOps
-            // over wave-stable buffers.
+            // Stage every job of this wave through `submit_job`: its data
+            // writes become RingOps over wave-stable buffers.
             ops.clear();
             let wave_start = queue.len();
             let mut next = 0;
@@ -1247,10 +1188,13 @@ impl RingPath {
                 }
                 let job = batch.remove(next);
                 let ctx = &ctxs[job.shard];
-                let mut store = ctx.store.lock();
-                let inflight = stage_ring_job(ctx, &mut store, queue.len(), job, ops, arena);
-                drop(store);
-                queue.push(inflight);
+                let mut wave = Wave {
+                    job: queue.len(),
+                    ops,
+                    arena,
+                };
+                let store = &mut ctx.store.lock();
+                queue.push(submit_job(ctx, store, &mut wave, &mut Vec::new(), job));
             }
             let wave_sqes = ops.len() as u32;
             for inflight in &mut queue[wave_start..] {
@@ -1266,8 +1210,8 @@ impl RingPath {
             outcomes.resize(ops.len(), None);
             // Ring death here: the wave's SQEs never reach the kernel and
             // the synchronous redo below must finish the batch
-            // byte-identically. A kill here lands between staging and
-            // submission: nothing of this wave reaches disk.
+            // byte-identically. A kill here, or at a site inside staging,
+            // lands before submission: nothing of this wave reaches disk.
             ring_crash_at(inject, Site::UringWaveStaged, dead);
             let down = inject.is_some_and(Inject::is_down);
             if !*dead && !down {
@@ -1461,6 +1405,16 @@ mod tests {
         (ctx, done_rx)
     }
 
+    /// `job` for shard 0, enqueued now.
+    fn queued(job: Job) -> PoolJob {
+        PoolJob {
+            shard: 0,
+            job,
+            queued_at: Instant::now(),
+            order: 0,
+        }
+    }
+
     /// A deterministic job stream: alternating eager and sweep jobs per
     /// shard, jobs for all shards interleaved so the batched engine sees
     /// real multi-job batches.
@@ -1507,18 +1461,33 @@ mod tests {
         dirs: &[std::path::PathBuf],
         disk_org: DiskOrg,
     ) -> Vec<io::Result<f64>> {
+        let dones = drive_with(kind, sched, dirs, disk_org, None);
+        dones.into_iter().map(|done| done.result).collect()
+    }
+
+    /// [`drive`] with `inject` attached to every shard and its store,
+    /// returning every job's `Done`, round by round.
+    fn drive_with(
+        kind: WriterBackendKind,
+        sched: DurabilityConfig,
+        dirs: &[std::path::PathBuf],
+        disk_org: DiskOrg,
+        inject: Option<&Arc<Inject>>,
+    ) -> Vec<Done> {
         let n = dirs.len();
         let mut ctxs = Vec::new();
         let mut done_rxs = Vec::new();
         for (s, dir) in dirs.iter().enumerate() {
-            let (ctx, rx) = make_ctx(dir, disk_org, s as u32);
+            let (mut ctx, rx) = make_ctx(dir, disk_org, s as u32);
+            ctx.inject = inject.cloned();
+            ctx.store.lock().attach_inject(inject.cloned());
             ctxs.push(ctx);
             done_rxs.push(rx);
         }
         let ctxs = Arc::new(ctxs);
         let (job_tx, job_rx) = crossbeam::channel::bounded::<PoolJob>(n);
         let (mut backend, _effective) = spawn_writer(kind, Arc::clone(&ctxs), 2, job_rx, sched);
-        let mut results = Vec::new();
+        let mut dones = Vec::new();
         let stream = job_stream(n);
         for (round_idx, round) in stream.chunks(n).enumerate() {
             for (shard, job) in round {
@@ -1535,12 +1504,12 @@ mod tests {
                     .unwrap();
             }
             for rx in &done_rxs {
-                results.push(rx.recv().unwrap().result);
+                dones.push(rx.recv().unwrap());
             }
         }
         drop(job_tx);
         backend.shutdown();
-        results
+        dones
     }
 
     /// The coalescing scheduler with a nonzero adaptive window.
@@ -1808,6 +1777,11 @@ mod tests {
                         done.stats.max_batch_jobs, 8,
                         "all eight jobs share one batch"
                     );
+                    assert_eq!(
+                        done.stats.bytes_written,
+                        u64::from(done.objects) * u64::from(g.object_size),
+                        "object payload only, not the segment framing"
+                    );
                     fsyncs += done.stats.data_fsyncs;
                 }
             }
@@ -2064,22 +2038,15 @@ mod tests {
         let ids: Vec<u32> = (0..g.n_objects()).collect();
         let data = vec![0xAB; ids.len() * g.object_size as usize];
         let mut store = ctx.store.lock();
-        let mut buf = Vec::new();
-        let inflight = submit_job(
-            &ctx,
-            &mut store,
-            &mut buf,
-            0,
-            Job::Eager {
-                ids,
-                data,
-                seq: 0,
-                tick: 9,
-                target: 1,
-                full_image: true,
-            },
-            Instant::now(),
-        );
+        let job = Job::Eager {
+            ids,
+            data,
+            seq: 0,
+            tick: 9,
+            target: 1,
+            full_image: true,
+        };
+        let inflight = submit_job(&ctx, &mut store, &mut Now, &mut Vec::new(), queued(job));
         // "Crash": the job is submitted, never completed.
         drop(inflight);
         drop(store);
@@ -2111,52 +2078,68 @@ mod tests {
             hit,
             effect: Effect::RingDeath,
         }]));
-        let n = dirs.len();
-        let mut ctxs = Vec::new();
-        let mut done_rxs = Vec::new();
-        for (s, dir) in dirs.iter().enumerate() {
-            let (mut ctx, rx) = make_ctx(dir, disk_org, s as u32);
-            ctx.inject = Some(Arc::clone(&state));
-            ctx.store.lock().attach_inject(Some(Arc::clone(&state)));
-            ctxs.push(ctx);
-            done_rxs.push(rx);
-        }
-        let ctxs = Arc::new(ctxs);
-        let (job_tx, job_rx) = crossbeam::channel::bounded::<PoolJob>(n);
-        let (mut backend, _effective) = spawn_writer(
-            WriterBackendKind::IoUring,
-            Arc::clone(&ctxs),
-            2,
-            job_rx,
+        let ring = WriterBackendKind::IoUring;
+        let dones = drive_with(
+            ring,
             coalescing(Duration::ZERO),
+            dirs,
+            disk_org,
+            Some(&state),
         );
-        let stream = job_stream(n);
-        let mut degraded = Vec::new();
-        for (round_idx, round) in stream.chunks(n).enumerate() {
-            for (shard, job) in round {
-                ctxs[*shard].shared.reset_for_checkpoint();
-                ctxs[*shard].frontier.store(0, Ordering::Release);
-                job_tx
-                    .send(PoolJob {
-                        shard: *shard,
-                        job: job.clone(),
-                        queued_at: Instant::now(),
-                        order: round_idx as u64,
-                    })
-                    .unwrap();
-            }
-            let mut flags = Vec::new();
-            for rx in &done_rxs {
-                let done = rx.recv().unwrap();
-                done.result.unwrap();
-                flags.push(done.stats.degraded_jobs == 1);
-            }
-            degraded.push(flags);
-        }
-        drop(job_tx);
-        backend.shutdown();
+        let degraded = dones
+            .chunks(dirs.len())
+            .map(|round| {
+                let degraded = |done: &Done| {
+                    done.result.as_ref().unwrap();
+                    done.stats.degraded_jobs == 1
+                };
+                round.iter().map(degraded).collect()
+            })
+            .collect();
         let snapshots = dirs.iter().map(|d| file_bytes(d)).collect();
         (snapshots, degraded, state.fired())
+    }
+
+    /// Both data paths stage every job through `submit_job` and the
+    /// stores, so over one job stream they reach every submit-phase site
+    /// equally — the ring's own `uring-*` sites aside — and leave
+    /// byte-identical files. The micro geometry's runs fit one syscall
+    /// write, so both paths cut the same runs.
+    #[test]
+    fn both_data_paths_reach_the_stores_sites_equally() {
+        use crate::inject::Phase;
+        if !crate::uring::ring_available() {
+            return;
+        }
+        let sites = || {
+            let ring_only = |s: &Site| s.name().starts_with("uring-");
+            Site::all().filter(move |s| s.phase() == Phase::Submit && !ring_only(s))
+        };
+        for disk_org in [DiskOrg::DoubleBackup, DiskOrg::Log] {
+            let root = tempfile::tempdir().unwrap();
+            let mut runs = Vec::new();
+            for kind in [WriterBackendKind::AsyncBatched, WriterBackendKind::IoUring] {
+                let dirs: Vec<_> = (0..3)
+                    .map(|s| root.path().join(format!("{}_{s}", kind.label())))
+                    .collect();
+                let state = Arc::new(Inject::tracking());
+                let sched = coalescing(Duration::ZERO);
+                for done in drive_with(kind, sched, &dirs, disk_org, Some(&state)) {
+                    done.result.unwrap();
+                }
+                let reaches: Vec<_> = sites().map(|s| (s.name(), state.reach_count(s))).collect();
+                let files: Vec<DirBytes> = dirs.iter().map(|d| file_bytes(d)).collect();
+                runs.push((reaches, files));
+            }
+            let (batched, ring) = (&runs[0], &runs[1]);
+            assert!(
+                batched.0.iter().filter(|(_, n)| *n > 0).count() >= 3,
+                "{disk_org:?}: the store sites were reached: {:?}",
+                batched.0
+            );
+            assert_eq!(batched.0, ring.0, "{disk_org:?}: submit-phase reaches");
+            assert_eq!(batched.1, ring.1, "{disk_org:?}: files diverge");
+        }
     }
 
     /// The uring dead-flag redo path: a fuzz point inside the ring loop
@@ -2301,7 +2284,7 @@ mod tests {
     /// One job through the syscall data path and the completion phase.
     fn run_job(ctx: &ShardCtx, job: Job) -> Done {
         let mut store = ctx.store.lock();
-        let inflight = submit_job(ctx, &mut store, &mut Vec::new(), 0, job, Instant::now());
+        let inflight = submit_job(ctx, &mut store, &mut Now, &mut Vec::new(), queued(job));
         complete_job(ctx, &mut store, inflight, 1)
     }
 
