@@ -508,15 +508,15 @@ pub struct RealRunDetail {
     /// Data `fsync` calls the writer issued across the run. The
     /// durability scheduler attributes every call to exactly one job, so
     /// this is the true call count: equal to [`RealRunDetail::flush_jobs`]
-    /// under per-job durability (the thread pool with data syncing on),
-    /// lower when cross-shard fsync coalescing merged same-file targets.
+    /// under per-job durability (coalescing off, data syncing on), lower
+    /// when fsync coalescing merged same-file targets.
     pub data_fsyncs: u64,
     /// `syncfs`-style whole-device barriers the durability scheduler
     /// issued in place of per-file data fsyncs (zero when the device
     /// barrier is off or the platform probe found `syncfs` unusable).
     pub device_syncs: u64,
     /// Job-weighted average occupancy of the batches jobs completed in
-    /// (1.0 for the thread pool, which completes jobs one by one).
+    /// (1.0 when every writer loop owns one shard at pipeline depth 1).
     pub avg_batch_jobs: f64,
     /// Largest batch any flush job completed in.
     pub max_batch_jobs: u32,

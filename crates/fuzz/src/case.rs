@@ -133,13 +133,12 @@ impl FuzzCase {
 
         // Backend: clamp to the code path that consults the site.
         // - uring-* sites exist only in the ring loop;
-        // - the commit seam and the device barrier belong to the
-        //   durability scheduler (batched and ring engines).
+        // - the device barrier needs one loop syncing two files on one
+        //   device, and the default pool gives each of 4 shards its own
+        //   loop, so it is drawn on the single-loop backends only.
         let backend = match site {
             UringWaveStaged | UringWaveComplete => WriterBackend::IoUring,
-            SchedulerCommitSeam | DeviceBarrier => {
-                r.pick(&[WriterBackend::AsyncBatched, WriterBackend::IoUring])
-            }
+            DeviceBarrier => r.pick(&[WriterBackend::AsyncBatched, WriterBackend::IoUring]),
             _ => r.pick(&WriterBackend::ALL),
         };
 
@@ -363,8 +362,9 @@ mod tests {
     #[test]
     fn every_case_satisfies_the_compatibility_matrix() {
         use Site::*;
-        // The sites `submit_job` and the stores reach under every data
-        // path, with each backend they were drawn with.
+        // The sites every writer loop reaches — `submit_job` and the
+        // stores under every data path, and the scheduler's commit seam
+        // in every round — with each backend they were drawn with.
         let mut staged = Vec::new();
         for seed in [1_u64, 8, 1234] {
             for id in 0..(8 * crash_sites().count() as u64) {
@@ -372,7 +372,11 @@ mod tests {
                 let org = c.algorithm.spec().disk_org;
                 if matches!(
                     c.plan.site,
-                    JobSubmitted | BackupWriteObject | LogAppendObject | LogSegmentSealed
+                    JobSubmitted
+                        | BackupWriteObject
+                        | LogAppendObject
+                        | LogSegmentSealed
+                        | SchedulerCommitSeam
                 ) {
                     staged.push((c.plan.site, c.backend));
                 }
@@ -384,7 +388,6 @@ mod tests {
                     UringWaveStaged | UringWaveComplete => {
                         assert_eq!(c.backend, WriterBackend::IoUring);
                     }
-                    SchedulerCommitSeam => assert_ne!(c.backend, WriterBackend::ThreadPool),
                     DeviceBarrier => {
                         assert_ne!(c.backend, WriterBackend::ThreadPool);
                         assert_eq!(c.shards, 4);
@@ -450,6 +453,7 @@ mod tests {
             BackupWriteObject,
             LogAppendObject,
             LogSegmentSealed,
+            SchedulerCommitSeam,
         ] {
             for backend in WriterBackend::ALL {
                 assert!(

@@ -34,28 +34,27 @@ pub struct RealConfig {
     pub sync_data: bool,
     /// After the run, simulate a crash and measure real recovery.
     pub measure_recovery: bool,
-    /// Thread-pool workers serving all shards' flush jobs. `0` picks
-    /// `min(n_shards, 4)` — the pool is sized to the storage device, not
-    /// the shard count. Single-shard runs and the batched backends always
-    /// use one writer thread.
+    /// Thread-pool loops serving all shards' flush jobs, each owning a
+    /// fixed group of shards. `0` picks 4 — the pool is sized to the
+    /// storage device, not the shard count — and the count is capped at
+    /// the shard count. The batched backends always run one loop.
     pub writer_pool_threads: usize,
     /// The writer backend executing flush jobs (see [`crate::writer`]).
     pub writer_backend: WriterBackend,
-    /// Batch window of the batched backends: while the job queue holds
-    /// fewer jobs than a full batch, the writer waits up to this long for
-    /// stragglers so their durability points coalesce. `Duration::ZERO`
-    /// closes every batch at once. Ignored by the thread pool (no
-    /// batches) and while [`RealConfig::auto_window`] is on.
+    /// Batch window of every writer loop: while its job queue holds
+    /// fewer jobs than a full batch (its shards × pipeline depth), the
+    /// loop waits up to this long for stragglers so their durability
+    /// points coalesce. `Duration::ZERO` closes every batch at once.
+    /// Ignored while [`RealConfig::auto_window`] is on.
     pub batch_window: Duration,
     /// Derive each round's window from the job inter-arrival EWMA the
-    /// batched writer observes — zero while batches close full, the
+    /// writer loop observes — zero while batches close full, the
     /// scaled EWMA (capped at 2 ms) otherwise — instead of the fixed
     /// [`RealConfig::batch_window`].
     pub auto_window: bool,
-    /// The batched backends issue one data `fsync` per **distinct target
-    /// file** of a batch — all data syncs before any metadata commit —
-    /// instead of one per job. Off reproduces per-job completion bit for
-    /// bit. Ignored by the thread pool.
+    /// The writer issues one data `fsync` per **distinct target file**
+    /// of a batch instead of one per job. Either way all data syncs
+    /// precede any metadata commit, and the files are byte-identical.
     pub coalesce_fsync: bool,
     /// When a batch holds two or more distinct target files on one
     /// device, collapse their fsyncs into one `syncfs`. Capability-probed
@@ -201,7 +200,7 @@ impl RealConfig {
         self
     }
 
-    /// Fix the batched backends' batch window (see
+    /// Fix the writer's batch window (see
     /// [`RealConfig::batch_window`]; `Duration::ZERO` = no waiting),
     /// turning auto-tuning off: an explicit window wins over an `auto`
     /// inherited from the environment.
@@ -218,8 +217,8 @@ impl RealConfig {
         self
     }
 
-    /// Enable or disable `syncfs`-style device barriers in the batched
-    /// writer's durability scheduler (see [`RealConfig::device_sync`]).
+    /// Enable or disable `syncfs`-style device barriers in the writer's
+    /// durability scheduler (see [`RealConfig::device_sync`]).
     pub fn with_device_sync(mut self, on: bool) -> Self {
         self.device_sync = on;
         self
@@ -233,20 +232,14 @@ impl RealConfig {
         self
     }
 
-    /// The writer-thread count actually used for an `n_shards`-way run:
-    /// the sized pool, or one for the batched engine's single loop.
+    /// The writer-loop count actually used for an `n_shards`-way run: the
+    /// sized pool capped at one loop per shard, or one for the batched
+    /// engine's single loop.
     pub fn effective_pool_threads(&self, n_shards: usize) -> usize {
-        match self.writer_backend {
-            WriterBackend::AsyncBatched | WriterBackend::IoUring => 1,
-            WriterBackend::ThreadPool => {
-                if n_shards <= 1 {
-                    1
-                } else if self.writer_pool_threads == 0 {
-                    n_shards.min(4)
-                } else {
-                    self.writer_pool_threads
-                }
-            }
+        match (self.writer_backend, self.writer_pool_threads) {
+            (WriterBackend::AsyncBatched | WriterBackend::IoUring, _) => 1,
+            (WriterBackend::ThreadPool, 0) => n_shards.clamp(1, 4),
+            (WriterBackend::ThreadPool, threads) => threads.min(n_shards).max(1),
         }
     }
 
@@ -478,5 +471,7 @@ mod tests {
         assert_eq!(cfg.effective_pool_threads(8), 4, "auto pool caps at 4");
         cfg.writer_pool_threads = 2;
         assert_eq!(cfg.effective_pool_threads(8), 2);
+        cfg.writer_pool_threads = 8;
+        assert_eq!(cfg.effective_pool_threads(4), 4, "a loop per shard");
     }
 }

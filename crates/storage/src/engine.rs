@@ -15,10 +15,10 @@
 //!   jobs against its disk organization — the [`BackupSet`] double backup
 //!   (sorted offset-ordered writes) or the [`LogStore`] (sequential
 //!   segment appends) — publishing each shard's sweep frontier for the
-//!   bookkeeper's copy-on-update decisions. It is one flush-round loop in
-//!   one of three configurations — the shared worker-thread pool (a
-//!   single-shard run with one worker is exactly the old dedicated writer
-//!   thread), a batched-submission loop, or that loop over a real
+//!   bookkeeper's copy-on-update decisions. It is one flush round run by
+//!   one or more loops, each owning a fixed group of shards — N loops
+//!   (one per shard up to the pool size; a single-shard run is exactly
+//!   the old dedicated writer thread), one loop, or one loop over a real
 //!   `io_uring` ring — selected by [`RealConfig::writer_backend`];
 //! * real **durability**: data `fsync` before metadata commit, and a
 //!   wall-clock recovery measurement (restore the newest consistent image,
@@ -54,7 +54,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// The stable-storage organization a pool worker writes for one shard.
+/// The stable-storage organization the writer writes for one shard.
 pub(crate) enum Store {
     /// Two alternating full-size backup files (sorted writes).
     Double(BackupSet),
@@ -144,48 +144,10 @@ pub(crate) struct Done {
     pub(crate) stats: WriterStats,
 }
 
-/// Per-shard execution ordering for fungible pool workers. Jobs of one
-/// shard must hit the store in submission order — under checkpoint
-/// pipelining two of a shard's jobs can sit in the queue at once, and
-/// two workers could otherwise race them into the store out of order
-/// (interleaving log segments, acking completions backwards). Each job
-/// carries its shard-local submission index ([`PoolJob::order`]); a
-/// worker waits its turn before touching the store and advances the
-/// gate after acking. At pipeline depth 1 the gate never waits.
-pub(crate) struct TurnGate {
-    // std::sync directly: the workspace's parking_lot shim has no Condvar.
-    turn: std::sync::Mutex<u64>,
-    ready: std::sync::Condvar,
-}
-
-impl TurnGate {
-    pub(crate) fn new() -> Self {
-        TurnGate {
-            turn: std::sync::Mutex::new(0),
-            ready: std::sync::Condvar::new(),
-        }
-    }
-
-    /// Block until it is `order`'s turn to execute.
-    pub(crate) fn wait_for(&self, order: u64) {
-        let mut turn = self.turn.lock().unwrap_or_else(|e| e.into_inner());
-        while *turn != order {
-            turn = self.ready.wait(turn).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// The current job is fully acked; release the next one.
-    pub(crate) fn advance(&self) {
-        *self.turn.lock().unwrap_or_else(|e| e.into_inner()) += 1;
-        self.ready.notify_all();
-    }
-}
-
-/// Everything a pool worker needs to execute one shard's flush jobs: the
-/// shard's store (a mutex because workers are fungible; contended only
-/// when pipelining queues several of the shard's checkpoints at once),
-/// its shared table/protocol state, and its frontier + completion
-/// channel.
+/// Everything a writer loop needs to execute one shard's flush jobs: the
+/// shard's store (behind a mutex only because the contexts are shared;
+/// the one loop owning the shard is its only user), its shared
+/// table/protocol state, and its frontier + completion channel.
 pub(crate) struct ShardCtx {
     pub(crate) store: parking_lot::Mutex<Store>,
     pub(crate) shared: Arc<Shared>,
@@ -193,7 +155,6 @@ pub(crate) struct ShardCtx {
     pub(crate) geometry: StateGeometry,
     pub(crate) sync_data: bool,
     pub(crate) done_tx: crossbeam::channel::Sender<Done>,
-    pub(crate) turn: TurnGate,
     /// Fault-injection handle shared by the whole run (`None` in
     /// production): writer backends consult it at their scheduler
     /// seams and the io_uring CQE seam; the stores inside
@@ -209,18 +170,15 @@ pub(crate) struct ShardCtx {
 }
 
 /// A flush job tagged with the shard it belongs to and the instant the
-/// mutator handed it to the writer. Every backend backdates the job's
+/// mutator handed it to the writer. The writer backdates the job's
 /// duration clock to `queued_at`, so reported checkpoint durations and
-/// ack latencies span the full queue wait — the pool's channel wait and
-/// the batched engine's adaptive-window hold alike — measured the same
-/// way under every scheduler.
+/// ack latencies span the full queue wait — the channel wait and the
+/// adaptive-window hold alike — measured the same way under every
+/// backend.
 pub(crate) struct PoolJob {
     pub(crate) shard: usize,
     pub(crate) job: Job,
     pub(crate) queued_at: Instant,
-    /// Shard-local submission index (0, 1, 2, …), consumed by the
-    /// pool's [`TurnGate`] to keep same-shard jobs in order.
-    pub(crate) order: u64,
 }
 
 /// The mutator-side backend the [`mmoc_core::TickDriver`] (or, across
@@ -231,8 +189,9 @@ pub(crate) struct RealBackend {
     shard: usize,
     shared: Arc<Shared>,
     frontier: Arc<AtomicU64>,
-    /// `None` after [`RealBackend::release_writer`]: the backend's clone
-    /// of the pool's job sender, dropped so the pool can wind down.
+    /// `None` after [`RealBackend::release_writer`]: the job sender of
+    /// the writer loop owning this shard, dropped so the loop can wind
+    /// down.
     job_tx: Option<crossbeam::channel::Sender<PoolJob>>,
     done_rx: crossbeam::channel::Receiver<Done>,
     /// Query-phase RNG state and sink (prevents the loop optimizing away).
@@ -245,8 +204,6 @@ pub(crate) struct RealBackend {
     spare: Option<(Vec<u32>, Vec<u8>)>,
     /// The shard's writer tally: its completions' tallies merged.
     writer_stats: WriterStats,
-    /// Shard-local submission counter stamping [`PoolJob::order`].
-    jobs_sent: u64,
 }
 
 impl RealBackend {
@@ -258,21 +215,18 @@ impl RealBackend {
                 c.go_down();
             }
         }
-        let order = self.jobs_sent;
-        self.jobs_sent += 1;
         self.job_tx
             .as_ref()
-            .expect("writer pool running")
+            .expect("writer running")
             .send(PoolJob {
                 shard: self.shard,
                 job,
                 queued_at: Instant::now(),
-                order,
             })
-            .expect("writer pool alive");
+            .expect("writer alive");
     }
 
-    /// Drop this backend's job sender so the pool can shut down.
+    /// Drop this backend's job sender so its writer loop can shut down.
     pub(crate) fn release_writer(&mut self) {
         self.job_tx = None;
     }
@@ -452,7 +406,7 @@ pub(crate) fn make_shard(
     store.attach_inject(config.fault.clone());
     let frontier = Arc::new(AtomicU64::new(0));
     // The completion channel must hold one ack per in-flight checkpoint,
-    // or a worker acking checkpoint N would block the mutator from ever
+    // or a writer loop acking checkpoint N would block the mutator from ever
     // polling (deadlock at pipeline depth > 1).
     let (done_tx, done_rx) = crossbeam::channel::bounded::<Done>(config.pipeline_depth as usize);
 
@@ -466,7 +420,6 @@ pub(crate) fn make_shard(
         geometry,
         sync_data: config.sync_data,
         done_tx,
-        turn: TurnGate::new(),
         inject: config.fault.clone(),
         retry: config.retry_policy(),
         replicas,
@@ -484,7 +437,6 @@ pub(crate) fn make_shard(
         slow_path_s: 0.0,
         spare: None,
         writer_stats: WriterStats::default(),
-        jobs_sent: 0,
     };
     Ok((ctx, backend))
 }
@@ -610,16 +562,16 @@ mod tests {
     }
 
     /// Eager algorithms pay synchronous pauses; copy-on-update algorithms
-    /// pay copies instead. Deterministic: the test *is* the writer — it
-    /// holds the job receiver, so the checkpoint tick 1 starts cannot
-    /// sweep a single object before tick 2's updates land, and then
-    /// services the queued job itself. It runs on this module's trace and
+    /// pay copies instead. Deterministic: the test *is* the writer loop —
+    /// it holds the job receiver, so the checkpoint tick 1 starts cannot
+    /// sweep a single object before tick 2's updates land, and then runs
+    /// the writer's flush round on the queued job itself. It runs on this module's trace and
     /// on the facade's cross-engine trace, whose real-engine first-touch
     /// copies only a held writer can guarantee (a free one may sweep
     /// every touched object before the next tick).
     #[test]
     fn overhead_shapes_match_copy_timing() {
-        use crate::writer::{complete_job, submit_job, Now};
+        use crate::writer::{run_round, Round};
         let cross_engine = SyntheticConfig {
             geometry: StateGeometry::small(2_048, 8),
             ticks: 60,
@@ -635,9 +587,9 @@ mod tests {
             for alg in Algorithm::ALL {
                 let dir = tempfile::tempdir().unwrap();
                 let (job_tx, job_rx) = crossbeam::channel::bounded::<PoolJob>(1);
+                let cfg = config(dir.path());
                 let (ctx, mut backend) =
-                    make_shard(alg, &config(dir.path()), g, 0, 1, dir.path(), job_tx, None)
-                        .unwrap();
+                    make_shard(alg, &cfg, g, 0, 1, dir.path(), job_tx, None).unwrap();
                 let mut step = mmoc_core::TickDriver::new(alg.spec()).begin(g);
                 step.tick(&first, &mut backend).unwrap();
                 step.tick(&second, &mut backend).unwrap();
@@ -662,11 +614,9 @@ mod tests {
                         (false, list.len(), touched.len() as u64)
                     }
                 };
-                let mut store = ctx.store.lock();
-                let inflight = submit_job(&ctx, &mut store, &mut Now, &mut Vec::new(), queued);
-                let done = complete_job(&ctx, &mut store, inflight, 1);
-                drop(store);
-                ctx.done_tx.send(done).unwrap();
+                let mut round = Round::default();
+                round.batch.push(queued);
+                run_round(std::slice::from_ref(&ctx), &(&cfg).into(), &mut round);
                 let run = step.finish(&mut backend).unwrap();
                 assert_eq!(run.metrics.checkpoints.len(), 1, "{alg}");
                 assert_eq!(run.metrics.checkpoints[0].objects_written as usize, objects);

@@ -126,14 +126,14 @@ const TABLE: [Row; N] = {
               describe: "submit_job done: staged, nothing committed",
               compat: "any backend, any algorithm" },
         Row { site: CompleteBeforeSync, name: "complete-before-sync", phase: Complete,
-              effects: CRASH, describe: "complete_job entry, before the data sync",
+              effects: CRASH, describe: "complete_job entry, the scheduler's data sync issued",
               compat: "any backend, any algorithm" },
         Row { site: CompleteBeforeCommit, name: "complete-before-commit", phase: Complete,
               effects: CRASH, describe: "after data sync, before the meta/log commit",
               compat: "any backend, any algorithm" },
         Row { site: SchedulerCommitSeam, name: "scheduler-commit-seam", phase: Complete,
               effects: CRASH, describe: "scheduler seam between sync phase and completions",
-              compat: "batched/uring backends" },
+              compat: "any backend" },
         Row { site: DeviceBarrier, name: "device-barrier", phase: Complete, effects: CRASH,
               describe: "before the syncfs-style device barrier",
               compat: "batched/uring backends, multi-shard, device-sync + coalescing on" },

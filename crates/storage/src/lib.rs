@@ -20,11 +20,11 @@
 //!   algorithm's disk organization — a double-backup pair of files with
 //!   sorted (offset-ordered) writes, or an append-only segment log —
 //!   publishing its sweep frontier for copy-on-update coordination. One
-//!   flush-round loop ([`writer`]) runs in three interchangeable
-//!   configurations: a worker-thread pool, a single batched-submission
-//!   loop, and the same loop issuing its writes through a real `io_uring`
-//!   ring driven by raw syscalls (capability-probed, falling back to the
-//!   batched loop on kernels without it), selected by
+//!   flush round ([`writer`]) runs in three interchangeable
+//!   configurations: a pool of loops each owning a group of shards, a
+//!   single loop, and that loop issuing its writes through a real
+//!   `io_uring` ring driven by raw syscalls (capability-probed, falling
+//!   back to the single syscall loop on kernels without it), selected by
 //!   [`RealConfig::writer_backend`] and proven recovery-equivalent by the
 //!   differential matrix in `tests/writer_equivalence.rs`;
 //! * real **crash recovery**: read back the newest consistent image

@@ -21,8 +21,8 @@
 //!
 //! # Consistency of the mirrored image
 //!
-//! Deltas are applied in per-shard submission order (the writer seam's
-//! `TurnGate` already serializes completions per shard), and each delta
+//! Deltas are applied in per-shard submission order (one writer loop
+//! owns each shard and completes its jobs FIFO), and each delta
 //! carries the pre-update ("consistent tick") images the checkpoint
 //! algorithms stage — so after publishing the checkpoint at tick `t`,
 //! the mirror byte-for-byte equals the state a disk recovery would

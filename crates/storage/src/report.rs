@@ -28,8 +28,7 @@ pub struct WriterStats {
     /// device barrier engaged report fewer `data_fsyncs` and a nonzero
     /// count here. Zero when the barrier is off or `syncfs` unavailable.
     pub device_syncs: u64,
-    /// Sum over jobs of the occupancy of the batch each completed in
-    /// (thread-pool jobs count as batches of one).
+    /// Sum over jobs of the occupancy of the batch each completed in.
     pub batch_jobs_sum: u64,
     /// Largest batch any job completed in.
     pub max_batch_jobs: u32,

@@ -6,10 +6,11 @@
 //! [`ShardMap`], gives every shard its own live table, bookkeeper and
 //! disk organization (namespaced under `dir/shard<N>/`), and drives all
 //! shards in lockstep through [`mmoc_core::ShardedDriver`]. Checkpoint
-//! flush work from *all* shards is served by one shared writer backend
-//! ([`crate::writer`], selected by [`RealConfig::writer_backend`]) — the
-//! scaling point: writer threads are a resource shared across the world,
-//! not one dedicated thread per shard.
+//! flush work from *all* shards is served by one writer
+//! ([`crate::writer`], selected by [`RealConfig::writer_backend`]) whose
+//! loops each own a fixed group of shards — the scaling point: writer
+//! threads are a resource sized to the storage device, not one
+//! dedicated thread per shard.
 //!
 //! Because every shard owns disjoint files, shards also **recover
 //! independently and in parallel**: the end-of-run measurement restores
@@ -18,12 +19,12 @@
 //! injection tests in `tests/shard_failure.rs`).
 
 use crate::config::RealConfig;
-use crate::engine::{live_fingerprint, make_shard, measure_recovery, PoolJob, RealBackend};
+use crate::engine::{live_fingerprint, make_shard, measure_recovery, RealBackend};
 use crate::inject::RetryCounters;
 use crate::recovery::RecoveryOpts;
 use crate::replica::ReplicaSet;
 use crate::report::WriterStats;
-use crate::writer::{spawn_writer, DurabilityConfig};
+use crate::writer::{job_channels, spawn_writer};
 use mmoc_core::run::{
     EngineDetail, RealRunDetail, RecoveryReport, RunError, RunReport, RunSummary, ShardReport,
 };
@@ -72,15 +73,14 @@ where
     let pool_threads = config.effective_pool_threads(n);
     let pipeline_depth = config.pipeline_depth;
 
-    // Per-shard live state, stores and backends, sharing one job queue
-    // sized to the deepest possible backlog: every shard pipelined to
-    // the configured depth.
-    let (job_tx, job_rx) = crossbeam::channel::bounded::<PoolJob>(n * pipeline_depth as usize);
+    // Per-shard live state, stores and backends, each shard sending to
+    // the job queue of the writer loop that owns it.
+    let (job_txs, job_rxs) = job_channels(n, pool_threads, pipeline_depth);
 
     // The replica tier: an installed set wins (the caller retains its own
     // handle to drive recovery), else a non-zero factor builds one owned
     // by this run. Each shard's ShardCtx shares the Arc so the writer
-    // completion seam can publish deltas from any worker thread.
+    // completion seam can publish deltas from any loop thread.
     let replicas: Option<Arc<ReplicaSet>> = match &config.replica_set {
         Some(set) => Some(Arc::clone(set)),
         None if config.replication_factor > 0 => {
@@ -96,7 +96,7 @@ where
 
     let mut ctxs = Vec::with_capacity(n);
     let mut built = Vec::with_capacity(n);
-    for s in 0..n {
+    for (s, job_tx) in job_txs.into_iter().enumerate() {
         let (ctx, backend) = make_shard(
             algorithm,
             config,
@@ -104,7 +104,7 @@ where
             s,
             n,
             &shard_dir(&config.dir, s, n),
-            job_tx.clone(),
+            job_tx,
             replicas.clone(),
         )?;
         ctxs.push(ctx);
@@ -114,20 +114,12 @@ where
     let (mut pool, effective_backend) = spawn_writer(
         config.writer_backend,
         Arc::clone(&ctxs),
-        pool_threads,
-        job_rx,
-        DurabilityConfig {
-            batch_window: config.batch_window,
-            auto_window: config.auto_window,
-            coalesce_fsync: config.coalesce_fsync,
-            device_sync: config.device_sync,
-            pipeline_depth,
-        },
+        job_rxs,
+        config.into(),
     );
     // `backends` is declared after `pool`, so on an early `?` return it
     // drops first, releasing its job senders before the writer joins.
     let mut backends: Vec<RealBackend> = built;
-    drop(job_tx);
 
     // Drive every shard in lockstep over the global trace, sleeping out
     // the remainder of each *global* tick when paced.
@@ -145,8 +137,8 @@ where
         }
     })?;
 
-    // All checkpoints drained: wind the pool down before measuring
-    // recovery, so no worker races the files being read back.
+    // All checkpoints drained: wind the writer down before measuring
+    // recovery, so no loop races the files being read back.
     for b in &mut backends {
         b.release_writer();
     }
@@ -372,8 +364,10 @@ mod tests {
     #[test]
     fn writer_pool_is_shared_not_per_shard() {
         let dir = tempfile::tempdir().unwrap();
-        let mut cfg = config(dir.path()).without_recovery();
-        cfg.writer_pool_threads = 2; // 2 workers serving 4 shards
+        let mut cfg = config(dir.path())
+            .without_recovery()
+            .with_writer_backend(mmoc_core::WriterBackend::ThreadPool);
+        cfg.writer_pool_threads = 2; // 2 loops serving 4 shards
         let report = run_sharded_impl(Algorithm::NaiveSnapshot, &cfg, 4, false, || {
             trace_config().build()
         })

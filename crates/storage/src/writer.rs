@@ -3,53 +3,55 @@
 //!
 //! The real engine's mutator side (`crate::engine::RealBackend`) and the
 //! asynchronous writer meet at exactly one interface: tagged flush jobs
-//! (`PoolJob`) go in through a bounded channel, one `Done` per job
-//! comes back through the owning shard's completion channel, and sweep
-//! progress is published through the shard's frontier. Everything the
-//! writer needs to execute a job lives in the shard's `ShardCtx`.
+//! (`PoolJob`) go in through the bounded channel of the loop that owns
+//! the shard, one `Done` per job comes back through the shard's
+//! completion channel, and sweep progress is published through the
+//! shard's frontier. Everything the writer needs to execute a job lives
+//! in the shard's `ShardCtx`.
 //!
-//! Behind that interface runs one loop (`run_rounds`); every round is
-//! *collect a batch* (`collect_batch`: drain the queue, hold a shallow
-//! batch open for the adaptive window) → *issue its data writes* →
-//! *schedule durability* (`schedule_durability`: one data `fsync` per
-//! distinct target file, or one `syncfs` barrier per device, all before
-//! any metadata commit) → *ack in reap order* (`ack_in_reap_order`: each
-//! job's completion phase and its `Done`, newest shard first, FIFO
-//! within a shard). Every job's writes are staged by `submit_job` through
-//! the stores; the only strategy point (`DataPath`) is the `Issue`r that
-//! takes them: a `pwrite` now per run of consecutive objects (per log
-//! segment), or per-shard FIFO waves of `IORING_OP_WRITEV` SQEs on a real
-//! kernel ring (`crate::uring`). Every data sync is a synchronous
-//! `fdatasync` under every configuration.
+//! Behind that interface run one or more loops (`run_rounds`), each
+//! owning a fixed group of shards (shard `s` goes to loop `s mod N`,
+//! `job_channels`), so a shard's jobs stay FIFO by construction. Every
+//! round is *collect a batch* (`collect_batch`: drain the queue, hold a
+//! shallow batch open for the adaptive window) → *issue its data writes*
+//! → *schedule durability* (`schedule_durability`: every data sync —
+//! one per job, or one per distinct target file, or one `syncfs` barrier
+//! per device — before any metadata commit) → *ack in reap order*
+//! (`ack_in_reap_order`: each job's commit and its `Done`, newest shard
+//! first, FIFO within a shard). Every job's writes are staged by
+//! `submit_job` through the stores; the only strategy point is the
+//! `Issue`r that takes them: a `pwrite` now per run of consecutive
+//! objects (per log segment), or per-shard FIFO waves of
+//! `IORING_OP_WRITEV` SQEs on a real kernel ring (`crate::uring`). Every
+//! data sync is a synchronous `fdatasync` under every configuration.
 //!
-//! The three `WriterBackendKind`s are configurations of that loop:
-//! `thread-pool` is N loop threads taking one job per round with no
-//! window and inline per-job durability (the only mode that holds the
-//! shard's `TurnGate`; one shard with one loop is the classic dedicated
-//! writer thread), `async-batched` is one loop on the syscall data path,
-//! `io-uring` one loop on the ring. Ring availability is probed once per
-//! process; where the kernel has no io_uring, `spawn_writer` runs
-//! `async-batched` instead and returns that kind, so the substitution is
-//! surfaced in every report, never silent. A ring that fails mid-run
-//! finishes its round on synchronous redo and the loop swaps to the
-//! syscall data path for good (its jobs count as `degraded_jobs`).
+//! The three `WriterBackendKind`s differ only in loop count and issuer:
+//! `thread-pool` is N loops on the syscall data path (one shard means
+//! one loop: the classic dedicated writer thread), `async-batched` one
+//! such loop, `io-uring` one loop on the ring. Ring availability is
+//! probed once per process; where the kernel has no io_uring,
+//! `spawn_writer` runs `async-batched` instead and returns that kind, so
+//! the substitution is surfaced in every report, never silent. A ring
+//! that fails mid-run finishes its round on synchronous redo and the loop
+//! swaps to the syscall data path for good (its jobs count as
+//! `degraded_jobs`).
 //!
-//! Both phases are shared, so identical job streams produce
-//! byte-identical files under every configuration (pinned by the
-//! differential tests below and in `tests/writer_equivalence.rs`): the
-//! durability ordering — data sync *before* metadata commit — is a
-//! property of the completion machinery, and scheduling only
-//! *strengthens* it from per job to batch-global. A new transport (a
-//! replicated remote store, `O_DIRECT` preallocated images) is a new
-//! data-write strategy in `DataPath`, not a new loop. See DESIGN.md
+//! The round is shared, so identical job streams produce byte-identical
+//! files under every configuration (pinned by the differential tests
+//! below and in `tests/writer_equivalence.rs`): the durability ordering
+//! — data sync *before* metadata commit — holds batch-globally in every
+//! round. A new transport (a replicated remote store, `O_DIRECT`
+//! preallocated images) is a new `Issue`r, not a new loop. See DESIGN.md
 //! § "The writer".
 
+use crate::config::RealConfig;
 use crate::engine::{Done, Job, PoolJob, ShardCtx, Store};
 use crate::files::SyncTarget;
 use crate::inject::{Effect, Inject, Site};
 use crate::log_store::serialize_segment;
 use crate::report::WriterStats;
 use crate::uring::{pwrite_all, Iovec, Ring, Sqe};
+use crossbeam::channel::{Receiver, Sender};
 use mmoc_core::run::WriterBackend as WriterBackendKind;
 use mmoc_core::{CursorKind, ObjectId};
 use std::io;
@@ -59,25 +61,24 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// The durability-scheduling policy the writer runs under. Interpreted
-/// by the batching configurations; the thread pool completes jobs one
-/// at a time and ignores every knob but the depth.
+/// The durability-scheduling policy every writer loop runs under.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct DurabilityConfig {
     /// Adaptive batch window: how long a shallow batch (fewer jobs than
-    /// shards) waits for stragglers before closing. Zero = close
-    /// immediately (the historical "everything currently queued" batch).
+    /// the loop's full batch) waits for stragglers before closing. Zero =
+    /// close immediately (the historical "everything currently queued"
+    /// batch).
     pub(crate) batch_window: Duration,
     /// Occupancy-driven window auto-tuning (`batch_window = auto`):
     /// ignore the fixed window and derive each round's window from the
     /// observed job inter-arrival EWMA — zero after a full batch (the
     /// queue is keeping up; waiting buys nothing), otherwise the EWMA
-    /// times the full-batch size (`n_shards × pipeline_depth`), capped.
-    /// See DESIGN.md § "Checkpoint pipelining".
+    /// times the full-batch size, capped. See DESIGN.md § "Checkpoint
+    /// pipelining".
     pub(crate) auto_window: bool,
     /// Cross-shard fsync coalescing: issue one data sync per distinct
-    /// target file per batch (all data syncs before any metadata commit)
-    /// instead of one per job.
+    /// target file per batch instead of one per job. Either way every
+    /// data sync precedes every metadata commit of the batch.
     pub(crate) coalesce_fsync: bool,
     /// Device-level sync barriers: when a batch holds two or more
     /// distinct target files on one device, collapse their per-file
@@ -85,12 +86,24 @@ pub(crate) struct DurabilityConfig {
     /// falls back to per-file fsync where `syncfs` is unavailable).
     /// Requires `coalesce_fsync`.
     pub(crate) device_sync: bool,
-    /// Checkpoint pipeline depth the engine runs at. A batch is *full*
-    /// at `n_shards × pipeline_depth` jobs — everything the driver can
-    /// possibly have in flight — so at depth ≥ 2 the window keeps a
-    /// batch open past one-job-per-shard and same-file (same-shard) jobs
-    /// coalesce under one fsync.
+    /// Checkpoint pipeline depth the engine runs at. A loop's batch is
+    /// *full* at its shard count × `pipeline_depth` jobs — everything the
+    /// driver can possibly have in flight on it — so at depth ≥ 2 the
+    /// window keeps a batch open past one-job-per-shard and same-file
+    /// (same-shard) jobs coalesce under one fsync.
     pub(crate) pipeline_depth: u32,
+}
+
+impl From<&RealConfig> for DurabilityConfig {
+    fn from(config: &RealConfig) -> Self {
+        DurabilityConfig {
+            batch_window: config.batch_window,
+            auto_window: config.auto_window,
+            coalesce_fsync: config.coalesce_fsync,
+            device_sync: config.device_sync,
+            pipeline_depth: config.pipeline_depth,
+        }
+    }
 }
 
 /// Upper bound on the auto-tuned batch window, so a stalling mutator
@@ -135,9 +148,29 @@ impl Drop for Writer {
     }
 }
 
-/// Spawn the writer configuration `kind` selects, draining `job_rx` over
-/// the given shard contexts. `threads` sizes the thread pool; the
-/// batching configurations always run one loop.
+/// How many of `n_shards` shards loop `l` of `n_loops` owns.
+fn loop_shards(n_shards: usize, n_loops: usize, l: usize) -> usize {
+    (l..n_shards).step_by(n_loops).count()
+}
+
+/// The writer's job channels for `n_loops` loops (at most `n_shards`):
+/// per shard, the sender of the loop that owns it (shard `s` goes to loop
+/// `s mod n_loops`), and per loop its receiver, bounded by the deepest
+/// backlog its shards can queue (`depth` each).
+pub(crate) fn job_channels(
+    n_shards: usize,
+    n_loops: usize,
+    depth: u32,
+) -> (Vec<Sender<PoolJob>>, Vec<Receiver<PoolJob>>) {
+    let (txs, rxs): (Vec<_>, Vec<_>) = (0..n_loops)
+        .map(|l| crossbeam::channel::bounded(loop_shards(n_shards, n_loops, l) * depth as usize))
+        .unzip();
+    let senders = (0..n_shards).map(|s| txs[s % n_loops].clone()).collect();
+    (senders, rxs)
+}
+
+/// Spawn the writer configuration `kind` selects: one loop per receiver
+/// of [`job_channels`], over the given shard contexts.
 ///
 /// Returns the writer together with the kind that **actually** runs:
 /// `io-uring` falls back to `async-batched` when the kernel capability
@@ -147,8 +180,7 @@ impl Drop for Writer {
 pub(crate) fn spawn_writer(
     kind: WriterBackendKind,
     ctxs: Arc<Vec<ShardCtx>>,
-    threads: usize,
-    job_rx: crossbeam::channel::Receiver<PoolJob>,
+    job_rxs: Vec<Receiver<PoolJob>>,
     sched: DurabilityConfig,
 ) -> (Writer, WriterBackendKind) {
     // The ring is created *before* its thread so every failure mode —
@@ -165,18 +197,18 @@ pub(crate) fn spawn_writer(
         WriterBackendKind::IoUring if ring.is_none() => WriterBackendKind::AsyncBatched,
         kind => kind,
     };
-    let batching = effective != WriterBackendKind::ThreadPool;
-    let n_loops = if batching { 1 } else { threads.max(1) };
-    // The loops compete for jobs directly on one MPMC queue (the
-    // channel's `Receiver` is clonable), with no external mutex
-    // serializing the handoff; they exit when every job sender has been
-    // dropped and the queue is empty.
-    let loops = (0..n_loops)
-        .map(|_| {
+    let n_loops = job_rxs.len();
+    let loops = job_rxs
+        .into_iter()
+        .enumerate()
+        .map(|(l, job_rx)| {
             let ctxs = Arc::clone(&ctxs);
-            let job_rx = job_rx.clone();
+            // A batch is full when it holds everything the driver can
+            // possibly have in flight on this loop's shards.
+            let full_batch =
+                loop_shards(ctxs.len(), n_loops, l) * sched.pipeline_depth.max(1) as usize;
             let ring = ring.take();
-            std::thread::spawn(move || run_rounds(&ctxs, &job_rx, batching, sched, ring))
+            std::thread::spawn(move || run_rounds(&ctxs, &job_rx, sched, full_batch, ring))
         })
         .collect();
     (Writer { loops }, effective)
@@ -200,12 +232,12 @@ pub(crate) struct InFlight {
     objects: u32,
     recycled: Option<(Vec<u32>, Vec<u8>)>,
     state: io::Result<PendingDurability>,
-    /// Outcome of a data sync the durability scheduler issued for this
-    /// job batch-globally, ahead of its completion phase; `None` means
-    /// the completion phase syncs inline, per job. Jobs sharing a
-    /// coalesced `fsync` (or a whole-device barrier) share its outcome:
-    /// if the call failed, none of them may commit metadata.
-    presync: Option<io::Result<()>>,
+    /// Outcome of the data sync the durability scheduler issued for this
+    /// job ahead of its completion phase (`Ok` when there was nothing to
+    /// sync). Jobs sharing a coalesced `fsync` (or a whole-device
+    /// barrier) share its outcome: if the call failed, none of them may
+    /// commit metadata.
+    synced: io::Result<()>,
     /// The checkpoint delta destined for the shard's peer mirrors, captured
     /// at submission when the run has a replica tier; published by the
     /// completion phase only after the durability point (publish-on-commit).
@@ -241,7 +273,7 @@ impl InFlight {
             objects,
             recycled,
             state,
-            presync: None,
+            synced: Ok(()),
             replica,
             stats: WriterStats::default(),
         }
@@ -391,7 +423,7 @@ const RUN_BYTES: usize = 256 << 10;
 /// Where [`submit_job`] sends a job's positional writes once the stores
 /// have taken every injection decision: written now ([`Now`]), or staged
 /// as an operation of the current ring wave ([`Wave`]).
-pub(crate) trait Issue {
+trait Issue {
     /// Cap, in bytes, on one run write.
     fn max_run_bytes(&self) -> usize;
     /// Issue one positional write of `bytes` at `offset` of `fd`.
@@ -403,7 +435,7 @@ pub(crate) trait Issue {
 }
 
 /// The syscall data path's issuer: every write is a `pwrite` now.
-pub(crate) struct Now;
+struct Now;
 
 impl Issue for Now {
     fn max_run_bytes(&self) -> usize {
@@ -516,7 +548,7 @@ fn records<'a>(
 /// ([`PoolJob::queued_at`]); it seeds the job's duration clock here so
 /// every configuration reports durations spanning the queue wait and any
 /// batch-window hold by construction.
-pub(crate) fn submit_job(
+fn submit_job(
     ctx: &ShardCtx,
     store: &mut Store,
     issuer: &mut impl Issue,
@@ -601,24 +633,15 @@ pub(crate) fn submit_job(
     }
 }
 
-/// Completion phase: bring a submitted job to its durability point — data
-/// `fsync` *before* metadata commit, the ordering the double-backup
-/// correctness argument rests on — and assemble its [`Done`]. The job is
-/// only acked to the mutator after this returns.
-///
-/// When the durability scheduler has already synced the job's data
-/// batch-globally (`inflight.presync` set), only the metadata commit
-/// remains here; otherwise the sync happens inline, per job — the
-/// historical path, which the thread pool always takes and the batching
-/// configurations take with coalescing off. `batch_jobs` is the occupancy
-/// of the batch this job completed in (1 for the thread pool); it closes
-/// the job's tally together with the job count and the payload bytes.
-pub(crate) fn complete_job(
-    ctx: &ShardCtx,
-    store: &mut Store,
-    inflight: InFlight,
-    batch_jobs: u32,
-) -> Done {
+/// Completion phase: bring a submitted job whose data the durability
+/// scheduler has synced (`inflight.synced`) to its durability point —
+/// the metadata commit, which the double-backup correctness argument
+/// requires to come *after* the data sync — publish it to the replica
+/// tier, and assemble its [`Done`]. The job is only acked to the mutator
+/// after this returns. `batch_jobs` is the occupancy of the batch this
+/// job completed in; it closes the job's tally together with the job
+/// count and the payload bytes.
+fn complete_job(ctx: &ShardCtx, store: &mut Store, inflight: InFlight, batch_jobs: u32) -> Done {
     let crash = ctx.inject.as_deref();
     let is_down = || crash.is_some_and(Inject::is_down);
     let InFlight {
@@ -629,15 +652,7 @@ pub(crate) fn complete_job(
     } = inflight;
     let result = inflight.state.and_then(|pending| {
         crash_at(crash, Site::CompleteBeforeSync);
-        match inflight.presync {
-            Some(synced) => synced?,
-            None if ctx.sync_data => {
-                stats.data_fsyncs = 1;
-                ctx.retry
-                    .run(&mut stats.retry, || sync_pending(store, &pending))?;
-            }
-            None => {}
-        }
+        inflight.synced?;
         // Data is durable (or frozen), metadata is not committed: the
         // seam the double-backup correctness argument names.
         crash_at(crash, Site::CompleteBeforeCommit);
@@ -691,25 +706,32 @@ pub(crate) fn complete_job(
 // The flush round: collect → issue data writes → schedule durability → ack
 // ---------------------------------------------------------------------------
 
-/// Round-to-round scratch space, reused so the steady state allocates
-/// little per batch.
+/// One loop's round state: its data path and the scratch space reused
+/// from round to round, so the steady state allocates little per batch.
 #[derive(Default)]
-struct Round {
+pub(crate) struct Round {
     /// The jobs collected for this round, in queue order.
-    batch: Vec<PoolJob>,
+    pub(crate) batch: Vec<PoolJob>,
     /// The completion queue: the batch's jobs once their data writes are
     /// issued, in issue order.
     queue: Vec<InFlight>,
+    /// The batch's durability targets and their sync outcomes.
+    points: Vec<SyncPoint>,
+    /// Per queued job, the index of its sync point (`None`: nothing to
+    /// sync).
+    job_points: Vec<Option<usize>>,
     /// Shard of each queued job: the input of the reap order.
     shards: Vec<usize>,
-    /// Target each queued job still has to sync, if any.
-    targets: Vec<Option<SyncTarget>>,
-    /// Distinct durability targets of the batch and their sync outcomes.
-    points: Vec<SyncPoint>,
-    /// Per-device barrier outcomes: (dev, shared `syncfs` result).
-    barriers: Vec<(u64, io::Result<()>)>,
     /// Ack scratch: the completion queue, taken from in reap order.
     reaped: Vec<Option<InFlight>>,
+    /// The syscall data path's reusable run buffer.
+    buf: Vec<u8>,
+    /// The ring, when this loop drives one. A ring that died stays
+    /// parked here: from then on the loop takes the syscall path, and the
+    /// parked ring is what flags its jobs `degraded`. (SQEs of the dead
+    /// ring's last round may still be in flight; the buffers they name
+    /// sit in the round's arena, which only a ring round ever clears.)
+    ring: Option<RingPath>,
     // Ring data path only.
     /// The current wave's staged operations, and per op its iovec and
     /// its CQE result.
@@ -721,7 +743,8 @@ struct Round {
     arena: Vec<Vec<u8>>,
 }
 
-/// One distinct durability target of a batch.
+/// One durability target of a batch: a distinct file, or with
+/// coalescing off one job's file.
 struct SyncPoint {
     target: SyncTarget,
     fd: RawFd,
@@ -742,68 +765,32 @@ struct Arrivals {
     last_batch_full: bool,
 }
 
-/// One writer loop thread. With `batching` off this is a thread-pool
-/// worker (one job per round, inline durability, the shard's turn gate
-/// held); with it on, the single submission/completion loop of the
-/// batched and ring configurations. The loop exits when every job sender
-/// has been dropped and the queue is empty.
+/// One writer loop thread: a flush round per collected batch, until
+/// every job sender has been dropped and the queue is empty.
 fn run_rounds(
     ctxs: &[ShardCtx],
-    job_rx: &crossbeam::channel::Receiver<PoolJob>,
-    batching: bool,
+    job_rx: &Receiver<PoolJob>,
     sched: DurabilityConfig,
+    full_batch: usize,
     ring: Option<RingPath>,
 ) {
-    let mut path = DataPath {
+    let mut round = Round {
         ring,
-        buf: Vec::new(),
+        ..Round::default()
     };
-    let mut round = Round::default();
     let mut arrivals = Arrivals::default();
-    // A batch is full when it holds everything the driver can possibly
-    // have in flight: one job per shard at depth 1 (the historical
-    // notion), `depth` per shard when pipelining.
-    let full_batch = ctxs.len() * sched.pipeline_depth.max(1) as usize;
-    while collect_batch(
-        job_rx,
-        batching,
-        &sched,
-        full_batch,
-        &mut arrivals,
-        &mut round.batch,
-    ) {
-        let occupancy = round.batch.len() as u32;
-        // Multi-loop mode only: the channel's FIFO guarantees loop
-        // *pickup* order but not *execution* order, so each loop holds
-        // the shard's `TurnGate` slot for its job's submission index from
-        // store mutation through the ack (see `TurnGate`). A single
-        // batching loop needs no gate: the channel is FIFO per shard and
-        // the loop is single-threaded, so a pipelined shard's jobs enter
-        // the batch — and hit its store — in submission order.
-        //
-        // Deadlock-free: the channel is FIFO, so a loop holding order N
-        // was dispatched before any loop holding order N+1 of the same
-        // shard, and the done channel holds one slot per in-flight
-        // checkpoint — the gate's owner can always finish.
-        let gate = (!batching).then(|| {
-            let job = &round.batch[0];
-            (&ctxs[job.shard].turn, job.order)
-        });
-        if let Some((turn, order)) = gate {
-            turn.wait_for(order);
-        }
-        path.issue_data_writes(ctxs, &mut round);
-        // A one-job round has no batch-global phase: the job syncs
-        // inline in its completion phase, and the scheduler's seam — a
-        // lattice point of the batching configurations — does not exist.
-        if batching {
-            schedule_durability(ctxs, &sched, &mut round);
-        }
-        ack_in_reap_order(ctxs, &mut round, occupancy);
-        if let Some((turn, _)) = gate {
-            turn.advance();
-        }
+    while collect_batch(job_rx, &sched, full_batch, &mut arrivals, &mut round.batch) {
+        run_round(ctxs, &sched, &mut round);
     }
+}
+
+/// The flush round over a collected batch (`round.batch`): issue its data
+/// writes, schedule durability, commit and ack in reap order.
+pub(crate) fn run_round(ctxs: &[ShardCtx], sched: &DurabilityConfig, round: &mut Round) {
+    let occupancy = round.batch.len() as u32;
+    round.issue_data_writes(ctxs);
+    schedule_durability(ctxs, sched, round);
+    ack_in_reap_order(ctxs, round, occupancy);
 }
 
 /// The window a round holds a shallow batch open for. A fixed window
@@ -828,13 +815,11 @@ fn batch_window(
     }
 }
 
-/// Round step 1: block for the first job, then — when `batching` —
-/// coalesce everything that is already queued and wait out the adaptive
-/// window. Returns `false` once every sender is gone and the queue is
-/// empty.
+/// Round step 1: block for the first job, coalesce everything that is
+/// already queued and wait out the adaptive window. Returns `false` once
+/// every sender is gone and the queue is empty.
 fn collect_batch(
-    job_rx: &crossbeam::channel::Receiver<PoolJob>,
-    batching: bool,
+    job_rx: &Receiver<PoolJob>,
     sched: &DurabilityConfig,
     full_batch: usize,
     arrivals: &mut Arrivals,
@@ -844,9 +829,6 @@ fn collect_batch(
         return false;
     };
     batch.push(first);
-    if !batching {
-        return true;
-    }
     while let Ok(job) = job_rx.try_recv() {
         batch.push(job);
     }
@@ -900,11 +882,10 @@ fn pending_target(ctxs: &[ShardCtx], inflight: &InFlight) -> Option<(SyncTarget,
 }
 
 /// Round step 3, the durability scheduler: bring every pending target's
-/// *data* to stable storage — one fsync per distinct file, jobs sharing
-/// a file sharing the call (and its outcome). Runs before any metadata
-/// commit, so the sync-before-commit invariant holds batch-globally.
-/// With coalescing off nothing is scheduled and each job syncs inline in
-/// its completion phase, the historical path.
+/// *data* to stable storage before any metadata commit, so the
+/// sync-before-commit invariant holds batch-globally. With coalescing on
+/// there is one fsync per distinct file, jobs sharing a file sharing the
+/// call (and its outcome); with it off, one fsync per job.
 ///
 /// Device barriers strengthen the collapse one level: when the batch
 /// holds ≥ 2 distinct files on one device and `syncfs` is available, a
@@ -914,70 +895,61 @@ fn pending_target(ctxs: &[ShardCtx], inflight: &InFlight) -> Option<(SyncTarget,
 /// per-file fsyncs alike are synchronous syscalls under every data path.
 fn schedule_durability(ctxs: &[ShardCtx], sched: &DurabilityConfig, round: &mut Round) {
     let crash = run_inject(ctxs);
-    if sched.coalesce_fsync {
-        let Round {
-            queue,
-            targets,
-            points,
-            barriers,
-            ..
-        } = round;
-        targets.clear();
-        points.clear();
-        for (i, inflight) in queue.iter().enumerate() {
-            let pending = pending_target(ctxs, inflight);
-            targets.push(pending.map(|(target, _)| target));
-            let Some((target, fd)) = pending else {
-                continue;
-            };
-            if !points.iter().any(|p| p.target == target) {
+    let Round {
+        queue,
+        points,
+        job_points,
+        ..
+    } = round;
+    points.clear();
+    job_points.clear();
+    for (i, inflight) in queue.iter().enumerate() {
+        let point = pending_target(ctxs, inflight).map(|(target, fd)| {
+            let shared = points
+                .iter()
+                .position(|p| sched.coalesce_fsync && p.target == target);
+            shared.unwrap_or_else(|| {
                 points.push(SyncPoint {
                     target,
                     fd,
                     job: i,
                     outcome: None,
                 });
-            }
-        }
-        barriers.clear();
-        if sched.device_sync {
-            for i in 0..points.len() {
-                let dev = points[i].target.dev();
-                let distinct = points.iter().filter(|p| p.target.dev() == dev).count();
-                if distinct < 2 || barriers.iter().any(|(d, _)| *d == dev) {
-                    continue;
-                }
-                // The kill lands before the barrier: no device flush,
-                // per-file fallback also frozen — pure page-cache loss.
-                if crash.is_some_and(Inject::is_down) || crash_at(crash, Site::DeviceBarrier) {
-                    continue;
-                }
-                let outcome = match crate::device_sync::sync_device(points[i].fd) {
-                    Ok(true) => Ok(()),
-                    Ok(false) => continue, // unavailable: per-file fallback
-                    Err(e) => Err(e),
-                };
-                // Points are in first-naming-job order, so this point's
-                // job is the first on its device: it pays the barrier.
-                queue[points[i].job].stats.device_syncs = 1;
-                barriers.push((dev, outcome));
-            }
-            points.retain(|p| !barriers.iter().any(|(d, _)| *d == p.target.dev()));
-        }
-        fsync_points(ctxs, queue, points);
-        for (inflight, target) in queue.iter_mut().zip(targets.iter()) {
-            let Some(target) = *target else {
+                points.len() - 1
+            })
+        });
+        job_points.push(point);
+    }
+    if sched.coalesce_fsync && sched.device_sync {
+        for i in 0..points.len() {
+            let dev = points[i].target.dev();
+            let distinct = points.iter().filter(|p| p.target.dev() == dev).count();
+            if distinct < 2 || points[i].outcome.is_some() {
                 continue;
+            }
+            // The kill lands before the barrier: no device flush,
+            // per-file fallback also frozen — pure page-cache loss.
+            if crash.is_some_and(Inject::is_down) || crash_at(crash, Site::DeviceBarrier) {
+                continue;
+            }
+            let outcome = match crate::device_sync::sync_device(points[i].fd) {
+                Ok(true) => Ok(()),
+                Ok(false) => continue, // unavailable: per-file fallback
+                Err(e) => Err(e),
             };
-            let outcome = match barriers.iter().find(|(d, _)| *d == target.dev()) {
-                Some((_, outcome)) => outcome,
-                None => points
-                    .iter()
-                    .find(|p| p.target == target)
-                    .and_then(|p| p.outcome.as_ref())
-                    .expect("every distinct target synced"),
-            };
-            inflight.presync = Some(share_sync_result(outcome));
+            // Points are in first-naming-job order, so this point's
+            // job is the first on its device: it pays the barrier.
+            queue[points[i].job].stats.device_syncs = 1;
+            for p in points.iter_mut().filter(|p| p.target.dev() == dev) {
+                p.outcome = Some(share_sync_result(&outcome));
+            }
+        }
+    }
+    fsync_points(ctxs, queue, points);
+    for (inflight, point) in queue.iter_mut().zip(job_points.iter()) {
+        if let Some(p) = *point {
+            let outcome = points[p].outcome.as_ref().expect("every point synced");
+            inflight.synced = share_sync_result(outcome);
         }
     }
     // The scheduler's seam: every data sync of the batch is done, no
@@ -985,13 +957,13 @@ fn schedule_durability(ctxs: &[ShardCtx], sched: &DurabilityConfig, round: &mut 
     crash_at(crash, Site::SchedulerCommitSeam);
 }
 
-/// The durability scheduler's per-file syncs: `fsync` each distinct
-/// target once through the store of the job that pays for the call —
-/// the first job naming it is charged the call and the retry attempts
-/// behind it, every rider pays nothing — recording the shared outcomes
-/// in place.
+/// The durability scheduler's per-file syncs: `fsync` each point no
+/// device barrier covered, once, through the store of the job that pays
+/// for the call — the first job naming it is charged the call and the
+/// retry attempts behind it, every rider pays nothing — recording the
+/// shared outcomes in place.
 fn fsync_points(ctxs: &[ShardCtx], queue: &mut [InFlight], points: &mut [SyncPoint]) {
-    for p in points.iter_mut() {
+    for p in points.iter_mut().filter(|p| p.outcome.is_none()) {
         let payer = &mut queue[p.job];
         payer.stats.data_fsyncs = 1;
         let ctx = &ctxs[payer.shard];
@@ -1051,39 +1023,23 @@ fn ack_in_reap_order(ctxs: &[ShardCtx], round: &mut Round, occupancy: u32) {
 // The strategy point: how a batch's data writes are issued
 // ---------------------------------------------------------------------------
 
-/// How one loop issues a batch's data writes: through syscalls (`pwrite`
-/// per run or segment), or through a kernel ring.
-struct DataPath {
-    /// The ring, when this loop drives one. A ring that died stays
-    /// parked here: from then on the loop takes the syscall path, and the
-    /// parked ring is what flags its jobs `degraded`. (SQEs of the dead
-    /// ring's last round may still be in flight; the buffers they name
-    /// sit in the round's arena, which only a ring round ever clears.)
-    ring: Option<RingPath>,
-    /// The syscall path's reusable run buffer.
-    buf: Vec<u8>,
-}
-
-impl DataPath {
-    fn live_ring(&mut self) -> Option<&mut RingPath> {
-        self.ring.as_mut().filter(|ring| !ring.dead)
-    }
-
-    /// Round step 2: issue every collected job's data writes, moving the
-    /// batch into the completion queue; durability is deferred past the
-    /// whole batch.
-    fn issue_data_writes(&mut self, ctxs: &[ShardCtx], round: &mut Round) {
-        if let Some(ring) = self.live_ring() {
-            ring.issue_waves(ctxs, round);
+impl Round {
+    /// Round step 2: issue every collected job's data writes — through
+    /// the live ring, or `pwrite` now — moving the batch into the
+    /// completion queue; durability is deferred past the whole batch.
+    fn issue_data_writes(&mut self, ctxs: &[ShardCtx]) {
+        if let Some(mut ring) = self.ring.take_if(|ring| !ring.dead) {
+            ring.issue_waves(ctxs, self);
+            self.ring = Some(ring);
             return;
         }
         let degraded = self.ring.is_some();
-        for job in round.batch.drain(..) {
+        for job in self.batch.drain(..) {
             let ctx = &ctxs[job.shard];
             let mut store = ctx.store.lock();
             let mut inflight = submit_job(ctx, &mut store, &mut Now, &mut self.buf, job);
             inflight.stats.degraded_jobs = u64::from(degraded);
-            round.queue.push(inflight);
+            self.queue.push(inflight);
         }
     }
 }
@@ -1342,7 +1298,7 @@ mod tests {
     //! `tests/writer_equivalence.rs`.)
 
     use super::*;
-    use crate::engine::{create_store, TurnGate};
+    use crate::engine::create_store;
     use crate::shared::{Shared, SharedTable};
     use mmoc_core::{CellUpdate, DiskOrg, StateGeometry};
     use std::path::Path;
@@ -1397,7 +1353,6 @@ mod tests {
             geometry: g,
             sync_data: true,
             done_tx,
-            turn: TurnGate::new(),
             inject: None,
             retry: crate::inject::RetryPolicy::none(),
             replicas: None,
@@ -1411,7 +1366,35 @@ mod tests {
             shard: 0,
             job,
             queued_at: Instant::now(),
-            order: 0,
+        }
+    }
+
+    /// A full-image eager job for `shard` (checkpoint `seq` at tick
+    /// `seq * 10 + 1` into `target`), every byte `fill`, enqueued now.
+    fn eager(shard: usize, seq: u64, target: usize, fill: u8) -> PoolJob {
+        let g = geometry();
+        let ids: Vec<u32> = (0..g.n_objects()).collect();
+        let data = vec![fill; ids.len() * g.object_size as usize];
+        let job = Job::Eager {
+            ids,
+            data,
+            seq,
+            tick: seq * 10 + 1,
+            target,
+            full_image: true,
+        };
+        PoolJob {
+            shard,
+            ..queued(job)
+        }
+    }
+
+    /// The loop count a test writer runs `kind` with over `n_shards`: the
+    /// pool's two loops (capped at one per shard), one otherwise.
+    fn loops(kind: WriterBackendKind, n_shards: usize) -> usize {
+        match kind {
+            WriterBackendKind::ThreadPool => n_shards.min(2),
+            _ => 1,
         }
     }
 
@@ -1485,21 +1468,20 @@ mod tests {
             done_rxs.push(rx);
         }
         let ctxs = Arc::new(ctxs);
-        let (job_tx, job_rx) = crossbeam::channel::bounded::<PoolJob>(n);
-        let (mut backend, _effective) = spawn_writer(kind, Arc::clone(&ctxs), 2, job_rx, sched);
+        let (job_txs, job_rxs) = job_channels(n, loops(kind, n), 1);
+        let (mut backend, _effective) = spawn_writer(kind, Arc::clone(&ctxs), job_rxs, sched);
         let mut dones = Vec::new();
         let stream = job_stream(n);
-        for (round_idx, round) in stream.chunks(n).enumerate() {
+        for round in stream.chunks(n) {
             for (shard, job) in round {
                 // Reset per-checkpoint protocol state as the mutator would.
                 ctxs[*shard].shared.reset_for_checkpoint();
                 ctxs[*shard].frontier.store(0, Ordering::Release);
-                job_tx
+                job_txs[*shard]
                     .send(PoolJob {
                         shard: *shard,
                         job: job.clone(),
                         queued_at: Instant::now(),
-                        order: round_idx as u64,
                     })
                     .unwrap();
             }
@@ -1507,7 +1489,7 @@ mod tests {
                 dones.push(rx.recv().unwrap());
             }
         }
-        drop(job_tx);
+        drop(job_txs);
         backend.shutdown();
         dones
     }
@@ -1635,59 +1617,54 @@ mod tests {
         }
     }
 
-    /// The batched engine acks a multi-shard batch out of submission
-    /// order: submit jobs for 3 shards in one batch and observe shard 2's
+    /// Shard contexts over `root/s{s}` for `n` shards, with their
+    /// completion receivers and directories.
+    fn make_ctxs(
+        root: &Path,
+        n: usize,
+        disk_org: DiskOrg,
+    ) -> (
+        Arc<Vec<ShardCtx>>,
+        Vec<crossbeam::channel::Receiver<Done>>,
+        Vec<std::path::PathBuf>,
+    ) {
+        let mut ctxs = Vec::new();
+        let mut done_rxs = Vec::new();
+        let mut dirs = Vec::new();
+        for s in 0..n {
+            let dir = root.join(format!("s{s}"));
+            let (ctx, rx) = make_ctx(&dir, disk_org, s as u32);
+            ctxs.push(ctx);
+            done_rxs.push(rx);
+            dirs.push(dir);
+        }
+        (Arc::new(ctxs), done_rxs, dirs)
+    }
+
+    /// The writer acks a multi-shard batch out of submission order:
+    /// submit jobs for 3 shards in one batch and observe shard 2's
     /// completion arriving no later than shard 0's (newest-first reaping).
     #[test]
     fn batched_engine_acks_out_of_submission_order() {
         let root = tempfile::tempdir().unwrap();
         let n = 3usize;
-        let mut ctxs = Vec::new();
-        let mut done_rxs = Vec::new();
-        for s in 0..n {
-            let (ctx, rx) = make_ctx(
-                &root.path().join(format!("s{s}")),
-                DiskOrg::DoubleBackup,
-                s as u32,
-            );
-            ctxs.push(ctx);
-            done_rxs.push(rx);
-        }
-        let ctxs = Arc::new(ctxs);
-        let (job_tx, job_rx) = crossbeam::channel::bounded::<PoolJob>(n);
+        let (ctxs, done_rxs, _) = make_ctxs(root.path(), n, DiskOrg::DoubleBackup);
+        let (job_txs, job_rxs) = job_channels(n, 1, 1);
         // Queue the whole batch *before* spawning the loop, so one round
         // provably coalesces all three jobs.
-        let g = geometry();
-        for (shard, _) in (0..n).map(|s| (s, ())) {
-            let ids: Vec<u32> = (0..g.n_objects()).collect();
-            let data = vec![shard as u8 + 1; ids.len() * g.object_size as usize];
-            job_tx
-                .send(PoolJob {
-                    shard,
-                    job: Job::Eager {
-                        ids,
-                        data,
-                        seq: 0,
-                        tick: 1,
-                        target: 0,
-                        full_image: true,
-                    },
-                    queued_at: Instant::now(),
-                    order: 0,
-                })
-                .unwrap();
+        for (shard, tx) in job_txs.iter().enumerate() {
+            tx.send(eager(shard, 0, 0, shard as u8 + 1)).unwrap();
         }
         let (mut backend, _) = spawn_writer(
             WriterBackendKind::AsyncBatched,
             Arc::clone(&ctxs),
-            1,
-            job_rx,
+            job_rxs,
             coalescing(Duration::ZERO),
         );
         // Completion within the batch is newest-first. Each job's
         // reported duration spans its own submission through its own
         // completion, so shard 0 — submitted first, completed last —
-        // spans the entire batch (three fsync-bound completions), while
+        // spans the entire batch (three commit-bound completions), while
         // shard 2 — submitted last, completed first — spans roughly one.
         // FIFO reaping would invert the relation.
         let durations: Vec<f64> = done_rxs
@@ -1701,7 +1678,7 @@ mod tests {
             durations[2],
             durations[0]
         );
-        drop(job_tx);
+        drop(job_txs);
         backend.shutdown();
     }
 
@@ -1716,53 +1693,26 @@ mod tests {
     #[test]
     fn coalescing_pays_one_fsync_per_distinct_file() {
         let g = geometry();
-        let obj_size = g.object_size as usize;
         for (sched, expected_fsyncs) in [
             (DurabilityConfig::legacy(), 8u64),
             (coalescing(Duration::ZERO), 4u64),
         ] {
             let root = tempfile::tempdir().unwrap();
             let n = 4usize;
-            let mut ctxs = Vec::new();
-            let mut done_rxs = Vec::new();
-            let mut dirs = Vec::new();
-            for s in 0..n {
-                let dir = root.path().join(format!("s{s}"));
-                let (ctx, rx) = make_ctx(&dir, DiskOrg::Log, s as u32);
-                ctxs.push(ctx);
-                done_rxs.push(rx);
-                dirs.push(dir);
-            }
-            let ctxs = Arc::new(ctxs);
+            let (ctxs, done_rxs, dirs) = make_ctxs(root.path(), n, DiskOrg::Log);
             // Queue two segments per shard *before* spawning the loop, so
             // one round provably coalesces all eight jobs.
-            let (job_tx, job_rx) = crossbeam::channel::bounded::<PoolJob>(2 * n);
+            let (job_txs, job_rxs) = job_channels(n, 1, 2);
             for round in 0u64..2 {
-                for shard in 0..n {
-                    let ids: Vec<u32> = (0..g.n_objects()).collect();
-                    let data = vec![(round * 4 + shard as u64 + 1) as u8; ids.len() * obj_size];
-                    job_tx
-                        .send(PoolJob {
-                            shard,
-                            job: Job::Eager {
-                                ids,
-                                data,
-                                seq: round,
-                                tick: round * 10 + 1,
-                                target: 0,
-                                full_image: true,
-                            },
-                            queued_at: Instant::now(),
-                            order: round,
-                        })
+                for (shard, tx) in job_txs.iter().enumerate() {
+                    tx.send(eager(shard, round, 0, (round * 4 + shard as u64 + 1) as u8))
                         .unwrap();
                 }
             }
             let (mut backend, _) = spawn_writer(
                 WriterBackendKind::AsyncBatched,
                 Arc::clone(&ctxs),
-                1,
-                job_rx,
+                job_rxs,
                 sched,
             );
             // Drain round-robin: each shard's completion channel holds one
@@ -1785,7 +1735,7 @@ mod tests {
                     fsyncs += done.stats.data_fsyncs;
                 }
             }
-            drop(job_tx);
+            drop(job_txs);
             backend.shutdown();
             assert_eq!(
                 fsyncs,
@@ -1818,44 +1768,19 @@ mod tests {
     fn adaptive_window_coalesces_straggler_jobs() {
         let root = tempfile::tempdir().unwrap();
         let n = 3usize;
-        let g = geometry();
-        let mut ctxs = Vec::new();
-        let mut done_rxs = Vec::new();
-        for s in 0..n {
-            let (ctx, rx) = make_ctx(&root.path().join(format!("s{s}")), DiskOrg::Log, s as u32);
-            ctxs.push(ctx);
-            done_rxs.push(rx);
-        }
-        let ctxs = Arc::new(ctxs);
-        let (job_tx, job_rx) = crossbeam::channel::bounded::<PoolJob>(n);
+        let (ctxs, done_rxs, _) = make_ctxs(root.path(), n, DiskOrg::Log);
+        let (job_txs, job_rxs) = job_channels(n, 1, 1);
         // A generous window: the loop stops waiting as soon as the batch
         // holds one job per shard, so the test does not actually sleep
         // this long unless the machine stalls.
         let (mut backend, _) = spawn_writer(
             WriterBackendKind::AsyncBatched,
             Arc::clone(&ctxs),
-            1,
-            job_rx,
+            job_rxs,
             coalescing(Duration::from_secs(2)),
         );
-        for shard in 0..n {
-            let ids: Vec<u32> = (0..g.n_objects()).collect();
-            let data = vec![shard as u8 + 1; ids.len() * g.object_size as usize];
-            job_tx
-                .send(PoolJob {
-                    shard,
-                    job: Job::Eager {
-                        ids,
-                        data,
-                        seq: 0,
-                        tick: 1,
-                        target: 0,
-                        full_image: true,
-                    },
-                    queued_at: Instant::now(),
-                    order: 0,
-                })
-                .unwrap();
+        for (shard, tx) in job_txs.iter().enumerate() {
+            tx.send(eager(shard, 0, 0, shard as u8 + 1)).unwrap();
         }
         for rx in &done_rxs {
             let done = rx.recv().unwrap();
@@ -1866,85 +1791,68 @@ mod tests {
             );
             assert!(done.stats.data_fsyncs <= 1);
         }
-        drop(job_tx);
+        drop(job_txs);
         backend.shutdown();
     }
 
-    /// Two pipelined jobs of *one* shard, raced by two pool workers,
-    /// must hit the store and ack in submission order: the shard's
-    /// [`TurnGate`] serializes them even when the second worker wins the
-    /// race to its channel pickup. The jobs are distinguishable by
-    /// object count, and the log must hold their segments in seq order.
+    /// Two pipelined jobs of *one* shard must hit the store and ack in
+    /// submission order while another loop of the pool serves a second
+    /// shard: a shard's jobs all go to the loop that owns it, whose
+    /// channel is FIFO. The jobs are distinguishable by object count,
+    /// and the log must hold their segments in seq order.
     #[test]
     fn pipelined_same_shard_jobs_ack_in_submission_order() {
-        for _attempt in 0..20 {
-            let root = tempfile::tempdir().unwrap();
-            let g = geometry();
-            let table = SharedTable::new(g);
-            let shared = Arc::new(Shared::new(table));
-            let store = create_store(root.path(), g, DiskOrg::Log).unwrap();
+        let root = tempfile::tempdir().unwrap();
+        let g = geometry();
+        let n = 2usize;
+        let mut ctxs = Vec::new();
+        let mut done_rxs = Vec::new();
+        for s in 0..n {
+            let (mut ctx, _) = make_ctx(&root.path().join(format!("s{s}")), DiskOrg::Log, 0);
             // Depth-2 completion channel, as make_shard sizes it.
             let (done_tx, done_rx) = crossbeam::channel::bounded::<Done>(2);
-            let ctx = ShardCtx {
-                store: parking_lot::Mutex::new(store),
-                shared,
-                frontier: Arc::new(AtomicU64::new(0)),
-                geometry: g,
-                sync_data: true,
-                done_tx,
-                turn: TurnGate::new(),
-                inject: None,
-                retry: crate::inject::RetryPolicy::none(),
-                replicas: None,
-            };
-            let ctxs = Arc::new(vec![ctx]);
-            let (job_tx, job_rx) = crossbeam::channel::bounded::<PoolJob>(2);
-            // Queue both jobs *before* spawning, so both workers grab one
-            // immediately and genuinely race.
-            let obj_size = g.object_size as usize;
-            for (order, count) in [(0u64, g.n_objects()), (1, 2)] {
-                let ids: Vec<u32> = (0..count).collect();
-                let data = vec![order as u8 + 1; ids.len() * obj_size];
-                job_tx
-                    .send(PoolJob {
-                        shard: 0,
-                        job: Job::Eager {
-                            ids,
-                            data,
-                            seq: order,
-                            tick: order * 10 + 1,
-                            target: 0,
-                            full_image: order == 0,
-                        },
-                        queued_at: Instant::now(),
-                        order,
-                    })
-                    .unwrap();
-            }
-            let (mut backend, _) = spawn_writer(
-                WriterBackendKind::ThreadPool,
-                Arc::clone(&ctxs),
-                2,
-                job_rx,
-                DurabilityConfig::legacy(),
-            );
-            let first = done_rx.recv().unwrap();
-            let second = done_rx.recv().unwrap();
-            assert_eq!(first.objects, g.n_objects(), "order-0 job acks first");
-            assert_eq!(second.objects, 2, "order-1 job acks second");
-            first.result.unwrap();
-            second.result.unwrap();
-            drop(job_tx);
-            backend.shutdown();
-            drop(ctxs);
-            let mut log = crate::log_store::LogStore::open(root.path(), g).unwrap();
-            let segs = log.segments().unwrap();
-            // Boot image + the two jobs, appended in submission order.
-            let seqs: Vec<u64> = segs.iter().map(|s| s.seq).collect();
-            assert_eq!(seqs, vec![0, 0, 1], "segments in submission order");
-            let (_, tick, _) = log.reconstruct().unwrap();
-            assert_eq!(tick, 11, "newest segment wins");
+            ctx.done_tx = done_tx;
+            ctxs.push(ctx);
+            done_rxs.push(done_rx);
         }
+        let ctxs = Arc::new(ctxs);
+        let pool = WriterBackendKind::ThreadPool;
+        let (job_txs, job_rxs) = job_channels(n, loops(pool, n), 2);
+        // Queue every job *before* spawning, so both loops start at once.
+        let obj_size = g.object_size as usize;
+        for (seq, count) in [(0u64, g.n_objects()), (1, 2)] {
+            let ids: Vec<u32> = (0..count).collect();
+            let data = vec![seq as u8 + 1; ids.len() * obj_size];
+            let job = Job::Eager {
+                ids,
+                data,
+                seq,
+                tick: seq * 10 + 1,
+                target: 0,
+                full_image: seq == 0,
+            };
+            job_txs[0].send(queued(job)).unwrap();
+        }
+        job_txs[1].send(eager(1, 0, 0, 9)).unwrap();
+        let (mut backend, _) =
+            spawn_writer(pool, Arc::clone(&ctxs), job_rxs, DurabilityConfig::legacy());
+        let first = done_rxs[0].recv().unwrap();
+        let second = done_rxs[0].recv().unwrap();
+        assert_eq!(first.objects, g.n_objects(), "seq-0 job acks first");
+        assert_eq!(second.objects, 2, "seq-1 job acks second");
+        first.result.unwrap();
+        second.result.unwrap();
+        done_rxs[1].recv().unwrap().result.unwrap();
+        drop(job_txs);
+        backend.shutdown();
+        drop(ctxs);
+        let mut log = crate::log_store::LogStore::open(&root.path().join("s0"), g).unwrap();
+        let segs = log.segments().unwrap();
+        // Boot image + the two jobs, appended in submission order.
+        let seqs: Vec<u64> = segs.iter().map(|s| s.seq).collect();
+        assert_eq!(seqs, vec![0, 0, 1], "segments in submission order");
+        let (_, tick, _) = log.reconstruct().unwrap();
+        assert_eq!(tick, 11, "newest segment wins");
     }
 
     /// The device barrier collapses a multi-file batch to one `syncfs`
@@ -1956,36 +1864,10 @@ mod tests {
         let g = geometry();
         let root = tempfile::tempdir().unwrap();
         let n = 4usize;
-        let mut ctxs = Vec::new();
-        let mut done_rxs = Vec::new();
-        let mut dirs = Vec::new();
-        for s in 0..n {
-            let dir = root.path().join(format!("s{s}"));
-            let (ctx, rx) = make_ctx(&dir, DiskOrg::Log, s as u32);
-            ctxs.push(ctx);
-            done_rxs.push(rx);
-            dirs.push(dir);
-        }
-        let ctxs = Arc::new(ctxs);
-        let (job_tx, job_rx) = crossbeam::channel::bounded::<PoolJob>(n);
-        for shard in 0..n {
-            let ids: Vec<u32> = (0..g.n_objects()).collect();
-            let data = vec![shard as u8 + 1; ids.len() * g.object_size as usize];
-            job_tx
-                .send(PoolJob {
-                    shard,
-                    job: Job::Eager {
-                        ids,
-                        data,
-                        seq: 0,
-                        tick: 1,
-                        target: 0,
-                        full_image: true,
-                    },
-                    queued_at: Instant::now(),
-                    order: 0,
-                })
-                .unwrap();
+        let (ctxs, done_rxs, dirs) = make_ctxs(root.path(), n, DiskOrg::Log);
+        let (job_txs, job_rxs) = job_channels(n, 1, 1);
+        for (shard, tx) in job_txs.iter().enumerate() {
+            tx.send(eager(shard, 0, 0, shard as u8 + 1)).unwrap();
         }
         let sched = DurabilityConfig {
             device_sync: true,
@@ -1994,8 +1876,7 @@ mod tests {
         let (mut backend, _) = spawn_writer(
             WriterBackendKind::AsyncBatched,
             Arc::clone(&ctxs),
-            1,
-            job_rx,
+            job_rxs,
             sched,
         );
         let mut fsyncs = 0u64;
@@ -2010,7 +1891,7 @@ mod tests {
             fsyncs += done.stats.data_fsyncs;
             device_syncs += done.stats.device_syncs;
         }
-        drop(job_tx);
+        drop(job_txs);
         backend.shutdown();
         match device_syncs {
             1 => assert_eq!(fsyncs, 0, "barrier replaces every per-file fsync"),
@@ -2100,45 +1981,79 @@ mod tests {
         (snapshots, degraded, state.fired())
     }
 
-    /// Both data paths stage every job through `submit_job` and the
-    /// stores, so over one job stream they reach every submit-phase site
-    /// equally — the ring's own `uring-*` sites aside — and leave
-    /// byte-identical files. The micro geometry's runs fit one syscall
-    /// write, so both paths cut the same runs.
+    /// Every backend runs one flush round and both data paths stage every
+    /// job through `submit_job` and the stores, so over one job stream
+    /// the pool, the batched loop and the ring reach every submit- and
+    /// complete-phase site equally — the ring's own `uring-*` sites aside
+    /// — and leave byte-identical files. The scheduler's commit seam is
+    /// reached once per round, and rounds depend on loop count and
+    /// timing, so it is held to the round count the acks report (a batch
+    /// of k jobs acks each with occupancy k). The micro geometry's runs
+    /// fit one syscall write, so both paths cut the same runs.
     #[test]
     fn both_data_paths_reach_the_stores_sites_equally() {
         use crate::inject::Phase;
-        if !crate::uring::ring_available() {
-            return;
-        }
         let sites = || {
             let ring_only = |s: &Site| s.name().starts_with("uring-");
-            Site::all().filter(move |s| s.phase() == Phase::Submit && !ring_only(s))
+            Site::all().filter(move |s| {
+                s.phase() != Phase::Recovery && !ring_only(s) && *s != Site::SchedulerCommitSeam
+            })
         };
+        let mut backends = vec![
+            WriterBackendKind::AsyncBatched,
+            WriterBackendKind::ThreadPool,
+        ];
+        if crate::uring::ring_available() {
+            backends.push(WriterBackendKind::IoUring);
+        }
         for disk_org in [DiskOrg::DoubleBackup, DiskOrg::Log] {
             let root = tempfile::tempdir().unwrap();
             let mut runs = Vec::new();
-            for kind in [WriterBackendKind::AsyncBatched, WriterBackendKind::IoUring] {
+            for &kind in &backends {
                 let dirs: Vec<_> = (0..3)
                     .map(|s| root.path().join(format!("{}_{s}", kind.label())))
                     .collect();
                 let state = Arc::new(Inject::tracking());
                 let sched = coalescing(Duration::ZERO);
+                let mut rounds = 0.0;
                 for done in drive_with(kind, sched, &dirs, disk_org, Some(&state)) {
                     done.result.unwrap();
+                    rounds += 1.0 / f64::from(done.stats.max_batch_jobs);
                 }
+                assert_eq!(
+                    state.reach_count(Site::SchedulerCommitSeam),
+                    rounds.round() as u64,
+                    "{disk_org:?} [{}]: one commit seam per round",
+                    kind.label()
+                );
                 let reaches: Vec<_> = sites().map(|s| (s.name(), state.reach_count(s))).collect();
                 let files: Vec<DirBytes> = dirs.iter().map(|d| file_bytes(d)).collect();
-                runs.push((reaches, files));
+                runs.push((kind, reaches, files));
             }
-            let (batched, ring) = (&runs[0], &runs[1]);
-            assert!(
-                batched.0.iter().filter(|(_, n)| *n > 0).count() >= 3,
-                "{disk_org:?}: the store sites were reached: {:?}",
-                batched.0
-            );
-            assert_eq!(batched.0, ring.0, "{disk_org:?}: submit-phase reaches");
-            assert_eq!(batched.1, ring.1, "{disk_org:?}: files diverge");
+            let (_, batched, batched_files) = &runs[0];
+            for name in [
+                "job-submitted",
+                "complete-before-sync",
+                "complete-before-commit",
+            ] {
+                assert!(
+                    batched.contains(&(name, 12)),
+                    "{disk_org:?}: {name} once per job: {batched:?}"
+                );
+            }
+            let sync = match disk_org {
+                DiskOrg::DoubleBackup => "backup-sync",
+                DiskOrg::Log => "log-sync",
+            };
+            assert!(batched.contains(&(sync, 12)), "{disk_org:?}: {batched:?}");
+            for (kind, reaches, files) in &runs[1..] {
+                let label = kind.label();
+                assert_eq!(batched, reaches, "{disk_org:?} [{label}]: site reaches");
+                assert_eq!(
+                    batched_files, files,
+                    "{disk_org:?} [{label}]: files diverge"
+                );
+            }
         }
     }
 
@@ -2281,11 +2196,17 @@ mod tests {
         (job, data)
     }
 
-    /// One job through the syscall data path and the completion phase.
-    fn run_job(ctx: &ShardCtx, job: Job) -> Done {
-        let mut store = ctx.store.lock();
-        let inflight = submit_job(ctx, &mut store, &mut Now, &mut Vec::new(), queued(job));
-        complete_job(ctx, &mut store, inflight, 1)
+    /// One job through the writer's flush round on the syscall data
+    /// path; its `Done` arrives on `done_rx`.
+    fn run_job(ctx: &ShardCtx, done_rx: &crossbeam::channel::Receiver<Done>, job: Job) -> Done {
+        let mut round = Round::default();
+        round.batch.push(queued(job));
+        run_round(
+            std::slice::from_ref(ctx),
+            &DurabilityConfig::legacy(),
+            &mut round,
+        );
+        done_rx.recv().unwrap()
     }
 
     /// The reference the run writes are held to: the per-object loop
@@ -2334,7 +2255,7 @@ mod tests {
                 let root = tempfile::tempdir().unwrap();
                 let armed = |label: &str| {
                     let dir = root.path().join(label);
-                    let (mut ctx, _rx) =
+                    let (mut ctx, rx) =
                         make_ctx_over(&dir, run_geometry(), DiskOrg::DoubleBackup, 3);
                     let state = Arc::new(Inject::armed([Plan {
                         site: Site::BackupWriteObject,
@@ -2343,12 +2264,12 @@ mod tests {
                     }]));
                     ctx.store.lock().attach_inject(Some(Arc::clone(&state)));
                     ctx.inject = Some(state);
-                    (ctx, dir)
+                    (ctx, rx, dir)
                 };
-                let (runs, runs_dir) = armed("runs");
-                let (reference, reference_dir) = armed("reference");
+                let (runs, runs_rx, runs_dir) = armed("runs");
+                let (reference, _, reference_dir) = armed("reference");
                 let (job, data) = three_run_job(&runs, sweep);
-                run_job(&runs, job).result.unwrap();
+                run_job(&runs, &runs_rx, job).result.unwrap();
                 per_object_reference(&reference, &data).result.unwrap();
                 for ctx in [&runs, &reference] {
                     assert!(ctx.inject.as_ref().unwrap().is_down(), "hit {hit}: fired");
@@ -2373,7 +2294,7 @@ mod tests {
             for budget in [3u32, 0] {
                 let root = tempfile::tempdir().unwrap();
                 let dir = |label: &str| root.path().join(label);
-                let (mut runs, _rx) =
+                let (mut runs, runs_rx) =
                     make_ctx_over(&dir("runs"), run_geometry(), DiskOrg::DoubleBackup, 3);
                 let plan = Plan::parse("backup-write:2:short-write:2").unwrap();
                 let fault = Arc::new(Inject::armed([plan]));
@@ -2383,7 +2304,7 @@ mod tests {
                     ..RetryPolicy::default()
                 };
                 let (job, data) = three_run_job(&runs, sweep);
-                let done = run_job(&runs, job);
+                let done = run_job(&runs, &runs_rx, job);
                 if budget == 0 {
                     assert!(done.result.is_err(), "sweep={sweep}: no budget, no job");
                     assert_eq!(
@@ -2507,36 +2428,19 @@ mod tests {
         let g = geometry();
         let ctxs = Arc::new(vec![ctx]);
         // Queue both jobs *before* spawning, so one round coalesces them.
-        let (job_tx, job_rx) = crossbeam::channel::bounded::<PoolJob>(2);
-        for order in 0u64..2 {
-            let ids: Vec<u32> = (0..g.n_objects()).collect();
-            let data = vec![order as u8 + 1; ids.len() * g.object_size as usize];
-            job_tx
-                .send(PoolJob {
-                    shard: 0,
-                    job: Job::Eager {
-                        ids,
-                        data,
-                        seq: order,
-                        tick: order * 10 + 1,
-                        target: 1,
-                        full_image: true,
-                    },
-                    queued_at: Instant::now(),
-                    order,
-                })
-                .unwrap();
+        let (job_txs, job_rxs) = job_channels(1, 1, 2);
+        for seq in 0u64..2 {
+            job_txs[0].send(eager(0, seq, 1, seq as u8 + 1)).unwrap();
         }
         let (mut backend, _) = spawn_writer(
             WriterBackendKind::AsyncBatched,
             Arc::clone(&ctxs),
-            1,
-            job_rx,
+            job_rxs,
             coalescing(Duration::ZERO),
         );
         // Senders gone before the first assertion, so a failure unwinds
         // through the writer's joining drop instead of hanging in it.
-        drop(job_tx);
+        drop(job_txs);
         let mut fsyncs = 0;
         for job in 0..2 {
             let done = done_rx.recv().unwrap();

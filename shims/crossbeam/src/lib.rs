@@ -93,9 +93,7 @@ pub mod channel {
     }
 
     /// The receiving half of a bounded channel. Clonable: every clone
-    /// competes for messages from the same queue (MPMC semantics), which
-    /// is what lets a pool of writer workers share one job queue without
-    /// an external mutex.
+    /// competes for messages from the same queue (MPMC semantics).
     pub struct Receiver<T>(Arc<Shared<T>>);
 
     impl<T> std::fmt::Debug for Receiver<T> {
