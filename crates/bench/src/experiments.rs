@@ -11,7 +11,6 @@ use mmoc_game::{GameConfig, GameServer};
 use mmoc_sim::{HardwareParams, SimConfig};
 use mmoc_storage::RealConfig;
 use mmoc_workload::{SyntheticConfig, TraceStats};
-use serde::Serialize;
 use std::path::Path;
 use std::time::Instant;
 
@@ -24,7 +23,7 @@ pub const FIG2_RATES: [u32; 9] = [
 pub const FIG4_SKEWS: [f64; 6] = [0.0, 0.2, 0.4, 0.6, 0.8, 0.99];
 
 /// Which engine a [`Row`] was measured on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Source {
     /// The cost-model simulator.
     Simulation,
@@ -44,7 +43,7 @@ impl Source {
 
 /// One measurement: one algorithm at one parameter point on one engine,
 /// as the paper's three quantities.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Row {
     /// The swept parameter (updates/tick, skew, object size, disk
     /// bandwidth, shard count; 0 where nothing is swept).

@@ -17,9 +17,11 @@
 //! rate of 256,000 updates per tick.
 
 use mmoc_core::{Algorithm, Bookkeeper, FlushCursor, ObjectId};
+use mmoc_storage::shared::relock;
 use mmoc_workload::{SyntheticConfig, TraceSource};
 use std::hint::black_box;
 use std::io::Write;
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Parameters measured on the current machine, in the units of
@@ -78,17 +80,18 @@ pub fn measure_mem_latency(bandwidth: f64) -> f64 {
     (per_op - OBJ as f64 / bandwidth).max(0.0)
 }
 
-/// Measure an uncontested lock acquire+release pair, averaged over a
-/// parking_lot mutex array accessed with mixed stride (as the paper did
-/// with `pthread_spinlock`).
+/// Measure an uncontested lock acquire+release pair, averaged over an
+/// array of the std mutexes the engine's copy-on-update protocol takes,
+/// locked through its `relock`, with mixed stride (as the paper did with
+/// `pthread_spinlock`).
 pub fn measure_lock_overhead() -> f64 {
-    let locks: Vec<parking_lot::Mutex<u32>> = (0..4096).map(parking_lot::Mutex::new).collect();
+    let locks: Vec<Mutex<u32>> = (0..4096).map(Mutex::new).collect();
     let iters = 2_000_000u64;
     let mut idx = 0usize;
     let t0 = Instant::now();
     for i in 0..iters {
         idx = (idx + 40_503 + (i as usize & 0x7)) & 0xFFF;
-        let mut guard = locks[idx].lock();
+        let mut guard = relock(&locks[idx]);
         *guard = guard.wrapping_add(1);
     }
     black_box(&locks);

@@ -9,11 +9,10 @@
 
 pub mod bookkeeper;
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// When in-memory copies of checkpointed objects are taken (Table 1 axis 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CopyTiming {
     /// A synchronous copy at the tick boundary that starts the checkpoint.
     /// Conceptually simple but introduces a pause in the simulation loop.
@@ -24,7 +23,7 @@ pub enum CopyTiming {
 }
 
 /// Which objects are included in a checkpoint (Table 1 axis 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ObjectsCopied {
     /// Every atomic object, every checkpoint.
     All,
@@ -33,7 +32,7 @@ pub enum ObjectsCopied {
 }
 
 /// On-disk checkpoint organization (Table 1 axis 3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DiskOrg {
     /// Two alternating full-state backup files; each object has a fixed
     /// offset, and dirty objects are written in increasing-offset ("sorted
@@ -45,7 +44,7 @@ pub enum DiskOrg {
 }
 
 /// Behaviour of one framework subroutine for a given algorithm (Table 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Subroutine {
     /// The subroutine does nothing for this algorithm.
     NoOp,
@@ -77,7 +76,7 @@ impl fmt::Display for Subroutine {
 
 /// Full classification of a checkpointing algorithm: its position in the
 /// Table 1 design space plus the Table 2 subroutine assignments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AlgorithmSpec {
     /// Which algorithm this is.
     pub algorithm: Algorithm,
@@ -108,7 +107,7 @@ pub struct AlgorithmSpec {
 }
 
 /// The six consistent checkpointing algorithms evaluated in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Algorithm {
     /// Quiesce at a tick boundary and eagerly copy the entire state.
     NaiveSnapshot,

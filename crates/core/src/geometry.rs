@@ -14,14 +14,13 @@
 //! objects).
 
 use crate::error::CoreError;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of an atomic object: its index in disk-offset order.
 ///
 /// Atomic objects have "a well-defined location in the disk-resident
 /// checkpoint" (§3.2); the id doubles as that location divided by the
 /// object size.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ObjectId(pub u32);
 
 impl ObjectId {
@@ -33,7 +32,7 @@ impl ObjectId {
 }
 
 /// Address of a single cell (one attribute of one game object).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CellAddr {
     /// Row (game entity) index.
     pub row: u32,
@@ -54,7 +53,7 @@ impl CellAddr {
 /// Update traces — synthetic or recorded from the game server — are streams
 /// of `CellUpdate`s grouped by tick. The value is carried so that recovery
 /// replay is deterministic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CellUpdate {
     /// The cell being written.
     pub addr: CellAddr,
@@ -74,7 +73,7 @@ impl CellUpdate {
 }
 
 /// Shape of the game-state table and its packing into atomic objects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StateGeometry {
     /// Number of rows (game entities).
     pub rows: u32,

@@ -5,10 +5,8 @@
 //! time*. [`RunMetrics`] collects the raw per-tick and per-checkpoint
 //! series from which all three are derived.
 
-use serde::{Deserialize, Serialize};
-
 /// Overhead accounting for one simulation tick.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TickMetrics {
     /// Tick number (1-based: the first tick of a run is tick 1).
     pub tick: u64,
@@ -27,7 +25,7 @@ pub struct TickMetrics {
 }
 
 /// Summary of one completed (or in-flight at crash) checkpoint.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CheckpointRecord {
     /// Sequence number.
     pub seq: u64,
@@ -51,7 +49,7 @@ pub struct CheckpointRecord {
 
 /// Raw per-run metrics: the per-tick overhead series plus one record per
 /// completed checkpoint.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RunMetrics {
     /// One entry per simulated tick, in order.
     pub ticks: Vec<TickMetrics>,

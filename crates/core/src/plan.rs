@@ -7,14 +7,13 @@
 //! (simulator) or real work (storage engine).
 
 use crate::algorithms::DiskOrg;
-use serde::{Deserialize, Serialize};
 
 /// The synchronous in-memory copy performed by `Copy-To-Memory`.
 ///
 /// Its cost in the paper's model is `runs * Omem + objects * Sobj / Bmem`:
 /// one memory-latency startup charge per contiguous run of objects plus the
 /// bandwidth cost of the bytes themselves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SyncCopy {
     /// Number of atomic objects copied.
     pub objects: u32,
@@ -24,7 +23,7 @@ pub struct SyncCopy {
 
 /// How the engine should interpret the asynchronous writer's progress when
 /// deciding whether a given object has already been flushed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CursorKind {
     /// The writer sweeps the checkpoint file in object-index order (double
     /// backups, and log flushes of *all* objects): an object is flushed iff
@@ -37,7 +36,7 @@ pub enum CursorKind {
 }
 
 /// The asynchronous flush job of one checkpoint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlushJob {
     /// Nothing to write (an eager checkpoint with an empty dirty set).
     None,
@@ -87,7 +86,7 @@ impl FlushJob {
 }
 
 /// Everything the engine needs to know about a newly started checkpoint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckpointPlan {
     /// Sequence number of this checkpoint (0-based).
     pub seq: u64,

@@ -38,7 +38,6 @@ use crate::algorithms::Algorithm;
 use crate::error::CoreError;
 use crate::metrics::RunMetrics;
 use crate::trace::TraceSource;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 // ---------------------------------------------------------------------------
@@ -113,7 +112,7 @@ impl<T: TraceSpec> TraceSpec for &T {
 /// equivalence differentially. The selection is a field of the real
 /// engine's configuration; the type lives here because
 /// [`RealRunDetail`] reports which backend ran.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum WriterBackend {
     /// A pool of writer worker threads, each executing one flush job at a
     /// time end to end (the historical engine; a single-shard run is a
@@ -162,7 +161,7 @@ impl fmt::Display for WriterBackend {
 
 /// The engine-independent description of one experiment, assembled by
 /// [`Run`] and consumed by [`ExperimentEngine`] implementations.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunSpec {
     /// The checkpoint-recovery algorithm to measure.
     pub algorithm: Algorithm,
@@ -359,7 +358,7 @@ impl<E: ExperimentEngine> ExperimentEngine for &E {
 /// The shared metric core of a run, reported at world level and per
 /// shard: the paper's three quantities (overhead, time to checkpoint,
 /// recovery time) over the raw [`RunMetrics`] series they derive from.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunSummary {
     /// Completed checkpoints.
     pub checkpoints_completed: u64,
@@ -396,7 +395,7 @@ impl RunSummary {
 
 /// One recovery measurement or estimate: restore the newest checkpoint,
 /// replay the logical log.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RecoveryReport {
     /// Time to restore the checkpoint image, in seconds.
     pub restore_s: f64,
@@ -425,7 +424,7 @@ pub struct RecoveryReport {
 /// Outcome of the simulator's value-level fidelity checking for one
 /// shard: every completed checkpoint's shadow-disk image compared against
 /// the state at the checkpoint's start tick.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FidelitySummary {
     /// Checkpoint images verified equal to their start state.
     pub checks_passed: u64,
@@ -441,7 +440,7 @@ impl FidelitySummary {
 }
 
 /// One shard's slice of a run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ShardReport {
     /// Shard index (0-based, in [`crate::ShardMap`] band order).
     pub shard: u32,
@@ -460,7 +459,7 @@ pub struct ShardReport {
 
 /// Engine-specific extras of a [`RunReport`]. Each backend contributes
 /// one variant; the shared comparison surface lives in [`RunSummary`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum EngineDetail {
     /// Cost-model simulator extras.
     Sim(SimRunDetail),
@@ -469,7 +468,7 @@ pub enum EngineDetail {
 }
 
 /// Simulator-specific run detail.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SimRunDetail {
     /// Aggregate virtual wall clock, in seconds: the max over the shards'
     /// independent virtual clocks.
@@ -479,7 +478,7 @@ pub struct SimRunDetail {
 }
 
 /// Real-engine-specific run detail.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct RealRunDetail {
     /// Writer backend that **actually executed** the shards' flush jobs.
     /// Normally the backend the run requested; when a requested backend's
@@ -567,7 +566,7 @@ impl RealRunDetail {
 /// The unified result of one experiment, identical in shape across
 /// engines: world-level [`RunSummary`], per-shard breakdown (one entry
 /// even for unsharded runs), and one [`EngineDetail`] variant.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunReport {
     /// Algorithm measured.
     pub algorithm: Algorithm,

@@ -251,7 +251,7 @@ impl FuzzCase {
         }
     }
 
-    /// Serialize to the `--case` spec format: comma-separated `key=value`
+    /// Render as the `--case` spec format: comma-separated `key=value`
     /// pairs, round-tripped exactly by [`FuzzCase::parse`].
     #[must_use]
     pub fn spec(&self) -> String {

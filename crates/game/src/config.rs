@@ -1,10 +1,9 @@
 //! Game configuration.
 
 use mmoc_core::StateGeometry;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a Knights and Archers battle.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GameConfig {
     /// Total units across both teams (the paper uses 400,128).
     pub units: u32,

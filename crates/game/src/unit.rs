@@ -7,8 +7,6 @@
 //! during each tick (possibly only in one dimension), but other attributes
 //! such as health remain relatively stable").
 
-use serde::{Deserialize, Serialize};
-
 /// Attribute column indexes (the 13 columns of the unit table).
 pub mod attr {
     /// X position.
@@ -46,7 +44,7 @@ pub const NO_TARGET: u32 = u32::MAX;
 
 /// Character class. The battle fields roughly 2 knights : 1 archer : 1
 /// healer, mirroring frontline-heavy medieval-combat compositions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UnitClass {
     /// Melee attacker: pursues and engages nearby enemies.
     Knight,
@@ -87,7 +85,7 @@ impl UnitClass {
 }
 
 /// Team affiliation. Each team has a home base in opposite map corners.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Team {
     /// Red team, based in the south-west corner.
     Red,

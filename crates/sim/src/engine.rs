@@ -31,11 +31,10 @@ use mmoc_core::{
     Bookkeeper, CellUpdate, CheckpointPlan, FlushCursor, FlushJob, ObjectId, ShardMap,
     ShardedDriver, TickDriver, TraceSource,
 };
-use serde::{Deserialize, Serialize};
 use std::convert::Infallible;
 
 /// Simulation configuration: hardware model plus game parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
     /// Hardware cost parameters (Table 3).
     pub hardware: HardwareParams,

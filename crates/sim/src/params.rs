@@ -15,10 +15,8 @@
 //! full-state copy of the 40 MB table back-derives to 2.2 · 2³⁰ B/s),
 //! disk bandwidth as decimal MB (0.667 s ≈ the paper's 0.68 s full write).
 
-use serde::{Deserialize, Serialize};
-
 /// The hardware cost parameters of Table 3.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HardwareParams {
     /// Memory bandwidth `Bmem` in bytes per second.
     pub mem_bandwidth: f64,

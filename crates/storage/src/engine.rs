@@ -41,7 +41,7 @@ use crate::recovery::{
 };
 use crate::replica::ReplicaSet;
 use crate::report::WriterStats;
-use crate::shared::{Shared, SharedTable};
+use crate::shared::{relock, Shared, SharedTable};
 use mmoc_core::driver::{CheckpointBackend, FlushCompletion, TickOps};
 use mmoc_core::run::RecoveryReport;
 use mmoc_core::{
@@ -51,7 +51,8 @@ use mmoc_core::{
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// The stable-storage organization the writer writes for one shard.
@@ -149,12 +150,12 @@ pub(crate) struct Done {
 /// the one loop owning the shard is its only user), its shared
 /// table/protocol state, and its frontier + completion channel.
 pub(crate) struct ShardCtx {
-    pub(crate) store: parking_lot::Mutex<Store>,
+    pub(crate) store: Mutex<Store>,
     pub(crate) shared: Arc<Shared>,
     pub(crate) frontier: Arc<AtomicU64>,
     pub(crate) geometry: StateGeometry,
     pub(crate) sync_data: bool,
-    pub(crate) done_tx: crossbeam::channel::Sender<Done>,
+    pub(crate) done_tx: SyncSender<Done>,
     /// Fault-injection handle shared by the whole run (`None` in
     /// production): writer backends consult it at their scheduler
     /// seams and the io_uring CQE seam; the stores inside
@@ -192,8 +193,8 @@ pub(crate) struct RealBackend {
     /// `None` after [`RealBackend::release_writer`]: the job sender of
     /// the writer loop owning this shard, dropped so the loop can wind
     /// down.
-    job_tx: Option<crossbeam::channel::Sender<PoolJob>>,
-    done_rx: crossbeam::channel::Receiver<Done>,
+    job_tx: Option<SyncSender<PoolJob>>,
+    done_rx: Receiver<Done>,
     /// Query-phase RNG state and sink (prevents the loop optimizing away).
     rng_state: u64,
     query_sink: u64,
@@ -292,7 +293,7 @@ impl CheckpointBackend for RealBackend {
             // the writer races ahead of the frontier snapshot.
             let t0 = Instant::now();
             if !self.shared.flushed.get(obj.0) {
-                let _guard = self.shared.locks[obj.index()].lock();
+                let _guard = relock(&self.shared.locks[obj.index()]);
                 if !self.shared.flushed.get(obj.0) {
                     self.shared.save_to_arena(obj);
                     self.shared.copied.set(obj.0);
@@ -391,7 +392,7 @@ pub(crate) fn make_shard(
     shard: usize,
     n_shards: usize,
     dir: &Path,
-    job_tx: crossbeam::channel::Sender<PoolJob>,
+    job_tx: SyncSender<PoolJob>,
     replicas: Option<Arc<crate::replica::ReplicaSet>>,
 ) -> io::Result<(ShardCtx, RealBackend)> {
     let spec = algorithm.spec();
@@ -408,13 +409,13 @@ pub(crate) fn make_shard(
     // The completion channel must hold one ack per in-flight checkpoint,
     // or a writer loop acking checkpoint N would block the mutator from ever
     // polling (deadlock at pipeline depth > 1).
-    let (done_tx, done_rx) = crossbeam::channel::bounded::<Done>(config.pipeline_depth as usize);
+    let (done_tx, done_rx) = sync_channel::<Done>(config.pipeline_depth as usize);
 
     let mut shard_config = config.clone();
     shard_config.query_ops_per_tick = config.query_ops_per_tick / n_shards as u32;
 
     let ctx = ShardCtx {
-        store: parking_lot::Mutex::new(store),
+        store: Mutex::new(store),
         shared: Arc::clone(&shared),
         frontier: Arc::clone(&frontier),
         geometry,
@@ -586,7 +587,7 @@ mod tests {
             assert!(trace.next_tick(&mut first) && trace.next_tick(&mut second));
             for alg in Algorithm::ALL {
                 let dir = tempfile::tempdir().unwrap();
-                let (job_tx, job_rx) = crossbeam::channel::bounded::<PoolJob>(1);
+                let (job_tx, job_rx) = sync_channel::<PoolJob>(1);
                 let cfg = config(dir.path());
                 let (ctx, mut backend) =
                     make_shard(alg, &cfg, g, 0, 1, dir.path(), job_tx, None).unwrap();

@@ -34,6 +34,7 @@ use std::sync::Mutex;
 use mmoc_core::StateGeometry;
 
 use crate::inject::{Inject, Site};
+use crate::shared::relock;
 
 /// One peer-hosted mirror of a shard's checkpointed state.
 struct Mirror {
@@ -71,13 +72,6 @@ impl std::fmt::Debug for ReplicaSet {
             .field("shards", &self.shards.len())
             .finish()
     }
-}
-
-/// Recover a poisoned mirror lock: the poisoning panic belongs to a
-/// writer thread that already took the run down; the mirror data is a
-/// plain byte image and stays usable.
-fn relock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 impl ReplicaSet {

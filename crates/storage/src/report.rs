@@ -2,7 +2,6 @@
 //! run share.
 
 use crate::inject::RetryCounters;
-use serde::{Deserialize, Serialize};
 
 /// The writer-side tally of one flush job, one shard or one run: how many
 /// flush jobs completed, how many data `fsync` calls reaching their
@@ -12,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// run totals are [`WriterStats::merge`]s of it — so the counts are exact,
 /// not sampled, and a counter is spelled once between the place it is
 /// counted and the report.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WriterStats {
     /// Flush jobs completed.
     pub flush_jobs: u64,

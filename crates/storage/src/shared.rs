@@ -8,8 +8,8 @@
 //! compiler — relaxed loads/stores compile to plain moves on x86.
 
 use mmoc_core::{CellUpdate, ObjectId, StateGeometry};
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 /// The game-state table with atomically accessible 4-byte cells.
 ///
@@ -166,6 +166,14 @@ impl AtomicBitmap {
             w.store(0, Ordering::Release);
         }
     }
+}
+
+/// Lock `m`, ignoring poison: the engine's one poison policy for every
+/// lock it takes (shard stores, per-object protocol locks, replica
+/// mirrors). A poisoning panic belongs to a thread that already took the
+/// run down, and the data behind each lock stays usable.
+pub fn relock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Everything the mutator and the asynchronous writer share: the live

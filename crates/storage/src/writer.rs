@@ -50,14 +50,15 @@ use crate::files::SyncTarget;
 use crate::inject::{Effect, Inject, Site};
 use crate::log_store::serialize_segment;
 use crate::report::WriterStats;
+use crate::shared::relock;
 use crate::uring::{pwrite_all, Iovec, Ring, Sqe};
-use crossbeam::channel::{Receiver, Sender};
 use mmoc_core::run::WriterBackend as WriterBackendKind;
 use mmoc_core::{CursorKind, ObjectId};
 use std::io;
 use std::ops::Range;
 use std::os::unix::io::RawFd;
 use std::sync::atomic::Ordering;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -161,9 +162,9 @@ pub(crate) fn job_channels(
     n_shards: usize,
     n_loops: usize,
     depth: u32,
-) -> (Vec<Sender<PoolJob>>, Vec<Receiver<PoolJob>>) {
+) -> (Vec<SyncSender<PoolJob>>, Vec<Receiver<PoolJob>>) {
     let (txs, rxs): (Vec<_>, Vec<_>) = (0..n_loops)
-        .map(|l| crossbeam::channel::bounded(loop_shards(n_shards, n_loops, l) * depth as usize))
+        .map(|l| sync_channel(loop_shards(n_shards, n_loops, l) * depth as usize))
         .unzip();
     let senders = (0..n_shards).map(|s| txs[s % n_loops].clone()).collect();
     (senders, rxs)
@@ -462,7 +463,7 @@ impl Sweep<'_> {
     fn read_object(&self, o: u32, buf: &mut [u8]) {
         let shared = &self.ctx.shared;
         let obj = ObjectId(o);
-        let _guard = shared.locks[o as usize].lock();
+        let _guard = relock(&shared.locks[o as usize]);
         if shared.copied.get(o) {
             shared.read_arena_into(obj, buf);
         } else {
@@ -844,15 +845,19 @@ fn collect_batch(
         sched,
     );
     if !window.is_zero() {
-        let deadline = Instant::now() + window;
+        // A window past `Instant`'s range has no deadline: wait until the
+        // batch fills or the senders are gone.
+        let deadline = Instant::now().checked_add(window);
         while batch.len() < full_batch {
-            let Some(left) = deadline.checked_duration_since(Instant::now()) else {
-                break;
+            let next = match deadline {
+                Some(deadline) => deadline
+                    .checked_duration_since(Instant::now())
+                    .and_then(|left| job_rx.recv_timeout(left).ok()),
+                None => job_rx.recv().ok(),
             };
-            match job_rx.recv_timeout(left) {
-                Ok(job) => batch.push(job),
-                Err(_) => break, // window elapsed, or senders gone
-            }
+            // `None`: the window elapsed, or the senders are gone.
+            let Some(job) = next else { break };
+            batch.push(job);
         }
     }
     // Feed the auto-window estimator from the enqueue timestamps the
@@ -876,7 +881,7 @@ fn collect_batch(
 fn pending_target(ctxs: &[ShardCtx], inflight: &InFlight) -> Option<(SyncTarget, RawFd)> {
     let ctx = &ctxs[inflight.shard];
     match &inflight.state {
-        Ok(pending) if ctx.sync_data => Some(sync_point_of(&ctx.store.lock(), pending)),
+        Ok(pending) if ctx.sync_data => Some(sync_point_of(&relock(&ctx.store), pending)),
         _ => None, // submission failed, or syncing is off: nothing to sync
     }
 }
@@ -970,7 +975,7 @@ fn fsync_points(ctxs: &[ShardCtx], queue: &mut [InFlight], points: &mut [SyncPoi
         let Ok(pending) = &payer.state else {
             unreachable!("a sync point names a job with a pending target");
         };
-        let store = ctx.store.lock();
+        let store = relock(&ctx.store);
         p.outcome = Some(
             ctx.retry
                 .run(&mut payer.stats.retry, || sync_pending(&store, pending)),
@@ -1012,7 +1017,7 @@ fn ack_in_reap_order(ctxs: &[ShardCtx], round: &mut Round, occupancy: u32) {
     for i in reap_order(&round.shards) {
         let inflight = round.reaped[i].take().expect("each job reaped once");
         let ctx = &ctxs[inflight.shard];
-        let mut store = ctx.store.lock();
+        let mut store = relock(&ctx.store);
         let done = complete_job(ctx, &mut store, inflight, occupancy);
         drop(store);
         let _ = ctx.done_tx.send(done);
@@ -1036,7 +1041,7 @@ impl Round {
         let degraded = self.ring.is_some();
         for job in self.batch.drain(..) {
             let ctx = &ctxs[job.shard];
-            let mut store = ctx.store.lock();
+            let mut store = relock(&ctx.store);
             let mut inflight = submit_job(ctx, &mut store, &mut Now, &mut self.buf, job);
             inflight.stats.degraded_jobs = u64::from(degraded);
             self.queue.push(inflight);
@@ -1149,7 +1154,7 @@ impl RingPath {
                     ops,
                     arena,
                 };
-                let store = &mut ctx.store.lock();
+                let store = &mut relock(&ctx.store);
                 queue.push(submit_job(ctx, store, &mut wave, &mut Vec::new(), job));
             }
             let wave_sqes = ops.len() as u32;
@@ -1323,11 +1328,7 @@ mod tests {
 
     /// Build one shard's context + store over `dir`, with a seeded live
     /// table so sweep jobs read non-trivial bytes.
-    fn make_ctx(
-        dir: &Path,
-        disk_org: DiskOrg,
-        seed: u32,
-    ) -> (ShardCtx, crossbeam::channel::Receiver<Done>) {
+    fn make_ctx(dir: &Path, disk_org: DiskOrg, seed: u32) -> (ShardCtx, Receiver<Done>) {
         make_ctx_over(dir, geometry(), disk_org, seed)
     }
 
@@ -1336,7 +1337,7 @@ mod tests {
         g: StateGeometry,
         disk_org: DiskOrg,
         seed: u32,
-    ) -> (ShardCtx, crossbeam::channel::Receiver<Done>) {
+    ) -> (ShardCtx, Receiver<Done>) {
         let table = SharedTable::new(g);
         for i in 0..g.rows {
             for c in 0..g.cols {
@@ -1345,9 +1346,9 @@ mod tests {
         }
         let shared = Arc::new(Shared::new(table));
         let store = create_store(dir, g, disk_org).unwrap();
-        let (done_tx, done_rx) = crossbeam::channel::bounded::<Done>(1);
+        let (done_tx, done_rx) = sync_channel::<Done>(1);
         let ctx = ShardCtx {
-            store: parking_lot::Mutex::new(store),
+            store: std::sync::Mutex::new(store),
             shared,
             frontier: Arc::new(AtomicU64::new(0)),
             geometry: g,
@@ -1463,7 +1464,7 @@ mod tests {
         for (s, dir) in dirs.iter().enumerate() {
             let (mut ctx, rx) = make_ctx(dir, disk_org, s as u32);
             ctx.inject = inject.cloned();
-            ctx.store.lock().attach_inject(inject.cloned());
+            relock(&ctx.store).attach_inject(inject.cloned());
             ctxs.push(ctx);
             done_rxs.push(rx);
         }
@@ -1625,7 +1626,7 @@ mod tests {
         disk_org: DiskOrg,
     ) -> (
         Arc<Vec<ShardCtx>>,
-        Vec<crossbeam::channel::Receiver<Done>>,
+        Vec<Receiver<Done>>,
         Vec<std::path::PathBuf>,
     ) {
         let mut ctxs = Vec::new();
@@ -1810,7 +1811,7 @@ mod tests {
         for s in 0..n {
             let (mut ctx, _) = make_ctx(&root.path().join(format!("s{s}")), DiskOrg::Log, 0);
             // Depth-2 completion channel, as make_shard sizes it.
-            let (done_tx, done_rx) = crossbeam::channel::bounded::<Done>(2);
+            let (done_tx, done_rx) = sync_channel::<Done>(2);
             ctx.done_tx = done_tx;
             ctxs.push(ctx);
             done_rxs.push(done_rx);
@@ -1918,7 +1919,7 @@ mod tests {
         let g = geometry();
         let ids: Vec<u32> = (0..g.n_objects()).collect();
         let data = vec![0xAB; ids.len() * g.object_size as usize];
-        let mut store = ctx.store.lock();
+        let mut store = relock(&ctx.store);
         let job = Job::Eager {
             ids,
             data,
@@ -2198,7 +2199,7 @@ mod tests {
 
     /// One job through the writer's flush round on the syscall data
     /// path; its `Done` arrives on `done_rx`.
-    fn run_job(ctx: &ShardCtx, done_rx: &crossbeam::channel::Receiver<Done>, job: Job) -> Done {
+    fn run_job(ctx: &ShardCtx, done_rx: &Receiver<Done>, job: Job) -> Done {
         let mut round = Round::default();
         round.batch.push(queued(job));
         run_round(
@@ -2215,7 +2216,7 @@ mod tests {
     /// completion phase.
     fn per_object_reference(ctx: &ShardCtx, data: &[u8]) -> Done {
         let obj_size = ctx.geometry.object_size as usize;
-        let mut store = ctx.store.lock();
+        let mut store = relock(&ctx.store);
         let mut stats = WriterStats::default();
         let Store::Double(set) = &mut *store else {
             unreachable!("the run tests use the double backup")
@@ -2262,7 +2263,7 @@ mod tests {
                         hit,
                         effect: Effect::Crash { torn: 40 },
                     }]));
-                    ctx.store.lock().attach_inject(Some(Arc::clone(&state)));
+                    relock(&ctx.store).attach_inject(Some(Arc::clone(&state)));
                     ctx.inject = Some(state);
                     (ctx, rx, dir)
                 };
@@ -2298,7 +2299,7 @@ mod tests {
                     make_ctx_over(&dir("runs"), run_geometry(), DiskOrg::DoubleBackup, 3);
                 let plan = Plan::parse("backup-write:2:short-write:2").unwrap();
                 let fault = Arc::new(Inject::armed([plan]));
-                runs.store.lock().attach_inject(Some(Arc::clone(&fault)));
+                relock(&runs.store).attach_inject(Some(Arc::clone(&fault)));
                 runs.retry = RetryPolicy {
                     max: budget,
                     ..RetryPolicy::default()
@@ -2374,6 +2375,38 @@ mod tests {
         }
     }
 
+    /// A window past `Instant`'s range (`with_batch_window(Duration::MAX)`)
+    /// has no deadline: the batch closes as soon as it is full, and once
+    /// the senders are gone the partial batch comes back, then `false`.
+    #[test]
+    fn an_unbounded_window_closes_on_full_or_on_disconnect() {
+        let sched = coalescing(Duration::MAX);
+        let (tx, rx) = sync_channel(4);
+        let (mut arrivals, mut batch) = (Arrivals::default(), Vec::new());
+        tx.send(eager(0, 0, 1, 1)).unwrap();
+        // The second job may arrive while the window waits. The sender
+        // stays alive throughout, so only a full batch can end the wait.
+        let feeder = std::thread::spawn(move || {
+            tx.send(eager(0, 1, 0, 2)).unwrap();
+            tx
+        });
+        assert!(collect_batch(&rx, &sched, 2, &mut arrivals, &mut batch));
+        assert_eq!(batch.len(), 2, "the batch closes full");
+        let tx = feeder.join().unwrap();
+        batch.clear();
+        tx.send(eager(0, 2, 1, 3)).unwrap();
+        drop(tx);
+        assert!(collect_batch(&rx, &sched, 2, &mut arrivals, &mut batch));
+        assert_eq!(
+            batch.len(),
+            1,
+            "the partial batch, once the senders are gone"
+        );
+        batch.clear();
+        assert!(!collect_batch(&rx, &sched, 2, &mut arrivals, &mut batch));
+        assert!(batch.is_empty());
+    }
+
     /// The ack order, as a pure function of the queued jobs' shards:
     /// FIFO within a shard, every shard's k-th job before any (k+1)-th,
     /// newest shard first within a wave.
@@ -2423,7 +2456,7 @@ mod tests {
         let (mut ctx, done_rx) = make_ctx(root.path(), DiskOrg::DoubleBackup, 3);
         let fault = Arc::new(Inject::armed([Plan::at(Site::BackupSync)]));
         ctx.inject = Some(Arc::clone(&fault));
-        ctx.store.lock().attach_inject(Some(Arc::clone(&fault)));
+        relock(&ctx.store).attach_inject(Some(Arc::clone(&fault)));
         assert_eq!(ctx.retry.max, 0, "the error must propagate unretried");
         let g = geometry();
         let ctxs = Arc::new(vec![ctx]);

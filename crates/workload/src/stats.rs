@@ -8,10 +8,9 @@
 use crate::trace::TraceSource;
 use mmoc_core::bitmap::BitVec;
 use mmoc_core::{CellUpdate, StateGeometry};
-use serde::{Deserialize, Serialize};
 
 /// Summary statistics of one trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceStats {
     /// Geometry the trace targets (rows = units, cols = attributes).
     pub geometry: StateGeometry,

@@ -18,10 +18,9 @@ use crate::zipf::ScrambledZipf;
 use mmoc_core::{CellUpdate, StateGeometry};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a synthetic Zipfian trace.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SyntheticConfig {
     /// State-table geometry (defaults to the paper's 1M × 10 table).
     pub geometry: StateGeometry,

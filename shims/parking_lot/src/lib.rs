@@ -1,100 +1,1 @@
-//! Minimal `parking_lot` shim over `std::sync` for the offline build.
-//!
-//! Same API shape as parking_lot's `Mutex` for the operations the
-//! workspace uses: infallible `lock()` with no poisoning (a poisoned std
-//! mutex is unwrapped into its inner guard, matching parking_lot's
-//! poison-free semantics).
-
-use std::fmt;
-use std::sync::Mutex as StdMutex;
-
-/// A mutual-exclusion lock with parking_lot's infallible `lock()`.
-pub struct Mutex<T: ?Sized>(StdMutex<T>);
-
-/// Guard returned by [`Mutex::lock`].
-pub type MutexGuard<'a, T> = std::sync::MutexGuard<'a, T>;
-
-impl<T> Mutex<T> {
-    /// Create a new mutex guarding `value`.
-    #[inline]
-    pub const fn new(value: T) -> Self {
-        Mutex(StdMutex::new(value))
-    }
-
-    /// Consume the mutex, returning the inner value.
-    #[inline]
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl<T: ?Sized> Mutex<T> {
-    /// Acquire the lock, blocking until it is available. Never fails:
-    /// poisoning is ignored, as in parking_lot.
-    #[inline]
-    pub fn lock(&self) -> MutexGuard<'_, T> {
-        self.0.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Try to acquire the lock without blocking.
-    #[inline]
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.0.try_lock() {
-            Ok(g) => Some(g),
-            Err(std::sync::TryLockError::Poisoned(e)) => Some(e.into_inner()),
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
-    /// Mutable access without locking (requires exclusive ownership).
-    #[inline]
-    pub fn get_mut(&mut self) -> &mut T {
-        self.0.get_mut().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl<T: Default> Default for Mutex<T> {
-    fn default() -> Self {
-        Mutex::new(T::default())
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.0.fmt(f)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::Mutex;
-    use std::sync::Arc;
-
-    #[test]
-    fn lock_is_exclusive_across_threads() {
-        let m = Arc::new(Mutex::new(0u64));
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let m = Arc::clone(&m);
-                std::thread::spawn(move || {
-                    for _ in 0..1000 {
-                        *m.lock() += 1;
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(*m.lock(), 4000);
-    }
-
-    #[test]
-    fn try_lock_contended_returns_none() {
-        let m = Mutex::new(());
-        let g = m.lock();
-        assert!(m.try_lock().is_none());
-        drop(g);
-        assert!(m.try_lock().is_some());
-    }
-}
+//! Empty stub: kept only so `ledger/Cargo.lock` stays unchanged until the benchmark PR (ROADMAP item 1) deletes this crate.

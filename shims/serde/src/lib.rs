@@ -1,15 +1,1 @@
-//! Minimal `serde` facade for the offline build.
-//!
-//! Provides the two names the workspace imports — `Serialize` and
-//! `Deserialize` — in both the macro namespace (no-op derives from the
-//! sibling `serde_derive` shim) and the trait namespace (empty marker
-//! traits). No serialization is performed anywhere in the workspace; the
-//! derives exist so the public types keep their serde-ready shape.
-
-pub use serde_derive::{Deserialize, Serialize};
-
-/// Marker trait standing in for `serde::Serialize`.
-pub trait Serialize {}
-
-/// Marker trait standing in for `serde::Deserialize`.
-pub trait Deserialize<'de>: Sized {}
+//! Empty stub: kept only so `ledger/Cargo.lock` stays unchanged until the benchmark PR (ROADMAP item 1) deletes this crate.

@@ -1,21 +1,1 @@
-//! No-op `#[derive(Serialize)]` / `#[derive(Deserialize)]` macros.
-//!
-//! The repository's types carry serde derives so downstream consumers can
-//! serialize reports, but nothing in the workspace serializes at runtime
-//! and the build environment has no registry access. These derives expand
-//! to nothing; the `serde` shim crate re-exports them next to empty marker
-//! traits of the same names.
-
-use proc_macro::TokenStream;
-
-/// Expands to nothing; satisfies `#[derive(Serialize)]`.
-#[proc_macro_derive(Serialize)]
-pub fn derive_serialize(_input: TokenStream) -> TokenStream {
-    TokenStream::new()
-}
-
-/// Expands to nothing; satisfies `#[derive(Deserialize)]`.
-#[proc_macro_derive(Deserialize)]
-pub fn derive_deserialize(_input: TokenStream) -> TokenStream {
-    TokenStream::new()
-}
+//! Empty stub: kept only so `ledger/Cargo.lock` stays unchanged until the benchmark PR (ROADMAP item 1) deletes this crate.
