@@ -33,8 +33,8 @@
 //! [`crate::run`]).
 
 use crate::config::RealConfig;
-use crate::files::BackupSet;
-use crate::inject::{Inject, RetryPolicy, Site};
+use crate::files::{BackupSet, SyncTarget};
+use crate::inject::{Inject, Site};
 use crate::log_store::LogStore;
 use crate::recovery::{
     recover_and_replay_log_with, recover_and_replay_with, recover_from_replica, RecoveryOpts,
@@ -42,6 +42,7 @@ use crate::recovery::{
 use crate::replica::ReplicaSet;
 use crate::report::WriterStats;
 use crate::shared::{relock, Shared, SharedTable};
+use crate::writer::JobRoute;
 use mmoc_core::driver::{CheckpointBackend, FlushCompletion, TickOps};
 use mmoc_core::run::RecoveryReport;
 use mmoc_core::{
@@ -49,10 +50,11 @@ use mmoc_core::{
     ObjectId, StateGeometry, TraceSource, UpdateOps,
 };
 use std::io;
+use std::os::unix::io::RawFd;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// The stable-storage organization the writer writes for one shard.
@@ -70,6 +72,34 @@ impl Store {
         match self {
             Store::Double(set) => set.attach_inject(inject),
             Store::Log(log) => log.attach_inject(inject),
+        }
+    }
+
+    /// Identity of the file a job into `target` syncs, plus its raw
+    /// descriptor for the `syncfs` device barrier (any fd on the device
+    /// names the filesystem). Both are cached at create/open; no syscall.
+    pub(crate) fn sync_point(&self, target: usize) -> (SyncTarget, RawFd) {
+        match self {
+            Store::Double(set) => (set.sync_target(target), set.sync_fd(target)),
+            Store::Log(log) => (log.sync_target(), log.sync_fd()),
+        }
+    }
+
+    /// Sync a job's data: `fsync` the backup image `target` / the log.
+    pub(crate) fn sync(&self, target: usize) -> io::Result<()> {
+        match self {
+            Store::Double(set) => set.sync(target),
+            Store::Log(log) => log.sync(),
+        }
+    }
+
+    /// Commit a synced job's metadata, declaring checkpoint `tick` in
+    /// `target` durable. The log's durability point *is* the data sync,
+    /// so it has nothing further to do.
+    pub(crate) fn commit(&mut self, target: usize, tick: u64) -> io::Result<()> {
+        match self {
+            Store::Double(set) => set.commit(target, tick),
+            Store::Log(_) => Ok(()),
         }
     }
 }
@@ -145,39 +175,28 @@ pub(crate) struct Done {
     pub(crate) stats: WriterStats,
 }
 
-/// Everything a writer loop needs to execute one shard's flush jobs: the
-/// shard's store (behind a mutex only because the contexts are shared;
-/// the one loop owning the shard is its only user), its shared
-/// table/protocol state, and its frontier + completion channel.
+/// The writer's side of one shard, owned by the one loop serving it: the
+/// shard's store, its shared table/protocol state, and its frontier +
+/// completion channel. Run-wide policy (sync, retry, injection, replica
+/// tier) is the run's [`RealConfig`], read by the loop.
 pub(crate) struct ShardCtx {
-    pub(crate) store: Mutex<Store>,
+    /// The shard's index in the run: its identity in the replica tier.
+    pub(crate) id: usize,
+    pub(crate) store: Store,
     pub(crate) shared: Arc<Shared>,
     pub(crate) frontier: Arc<AtomicU64>,
     pub(crate) geometry: StateGeometry,
-    pub(crate) sync_data: bool,
     pub(crate) done_tx: SyncSender<Done>,
-    /// Fault-injection handle shared by the whole run (`None` in
-    /// production): writer backends consult it at their scheduler
-    /// seams and the io_uring CQE seam; the stores inside
-    /// [`ShardCtx::store`] carry their own clone for the disk sites.
-    pub(crate) inject: Option<Arc<Inject>>,
-    /// Bounded retry policy for transient I/O faults, applied by every
-    /// writer backend around the store's fallible operations.
-    pub(crate) retry: RetryPolicy,
-    /// Replica tier shared by the whole run (`None` when replication is
-    /// off): the completion seam pushes each committed checkpoint delta
-    /// to the shard's peer mirrors (publish-on-commit).
-    pub(crate) replicas: Option<Arc<crate::replica::ReplicaSet>>,
 }
 
-/// A flush job tagged with the shard it belongs to and the instant the
-/// mutator handed it to the writer. The writer backdates the job's
-/// duration clock to `queued_at`, so reported checkpoint durations and
-/// ack latencies span the full queue wait — the channel wait and the
+/// A flush job tagged with its shard's slot in the serving loop and the
+/// instant the mutator handed it to the writer. The writer backdates the
+/// job's duration clock to `queued_at`, so reported checkpoint durations
+/// and ack latencies span the full queue wait — the channel wait and the
 /// adaptive-window hold alike — measured the same way under every
 /// backend.
 pub(crate) struct PoolJob {
-    pub(crate) shard: usize,
+    pub(crate) slot: usize,
     pub(crate) job: Job,
     pub(crate) queued_at: Instant,
 }
@@ -187,7 +206,8 @@ pub(crate) struct PoolJob {
 pub(crate) struct RealBackend {
     config: RealConfig,
     geometry: StateGeometry,
-    shard: usize,
+    /// The shard's slot in its writer loop, which every job carries.
+    slot: usize,
     shared: Arc<Shared>,
     frontier: Arc<AtomicU64>,
     /// `None` after [`RealBackend::release_writer`]: the job sender of
@@ -207,8 +227,14 @@ pub(crate) struct RealBackend {
     writer_stats: WriterStats,
 }
 
+/// The error a backend returns once its writer loop is gone: the loop's
+/// own panic is re-raised when the writer is joined.
+fn writer_gone() -> io::Error {
+    io::Error::new(io::ErrorKind::BrokenPipe, "writer loop exited")
+}
+
 impl RealBackend {
-    fn send(&mut self, job: Job) {
+    fn send(&mut self, job: Job) -> io::Result<()> {
         if let Some(c) = &self.config.fault {
             // The job is enqueued either way: the simulated kill lands
             // at the handoff, before any writer thread touches disk.
@@ -220,11 +246,11 @@ impl RealBackend {
             .as_ref()
             .expect("writer running")
             .send(PoolJob {
-                shard: self.shard,
+                slot: self.slot,
                 job,
                 queued_at: Instant::now(),
             })
-            .expect("writer alive");
+            .map_err(|_| writer_gone())
     }
 
     /// Drop this backend's job sender so its writer loop can shut down.
@@ -342,7 +368,7 @@ impl CheckpointBackend for RealBackend {
                 tick,
                 target,
                 full_image,
-            });
+            })?;
             Ok(0.0)
         } else {
             // Eager job: `Copy-To-Memory` is the synchronous pause this
@@ -368,13 +394,13 @@ impl CheckpointBackend for RealBackend {
                 tick,
                 target,
                 full_image,
-            });
+            })?;
             Ok(sync_pause)
         }
     }
 
     fn drain(&mut self, _bk: &Bookkeeper) -> io::Result<Option<FlushCompletion>> {
-        let done = self.done_rx.recv().expect("writer alive");
+        let done = self.done_rx.recv().map_err(|_| writer_gone())?;
         self.completion(done)
     }
 }
@@ -384,7 +410,6 @@ impl CheckpointBackend for RealBackend {
 /// split) and decorrelates the per-shard query RNG; shard 0 of a
 /// single-shard run reproduces the historical single-engine stream
 /// exactly.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn make_shard(
     algorithm: Algorithm,
     config: &RealConfig,
@@ -392,8 +417,7 @@ pub(crate) fn make_shard(
     shard: usize,
     n_shards: usize,
     dir: &Path,
-    job_tx: SyncSender<PoolJob>,
-    replicas: Option<Arc<crate::replica::ReplicaSet>>,
+    (job_tx, slot): JobRoute,
 ) -> io::Result<(ShardCtx, RealBackend)> {
     let spec = algorithm.spec();
     // Only algorithms that ever run a sweep (copy-on-update handlers, or
@@ -415,20 +439,17 @@ pub(crate) fn make_shard(
     shard_config.query_ops_per_tick = config.query_ops_per_tick / n_shards as u32;
 
     let ctx = ShardCtx {
-        store: Mutex::new(store),
+        id: shard,
+        store,
         shared: Arc::clone(&shared),
         frontier: Arc::clone(&frontier),
         geometry,
-        sync_data: config.sync_data,
         done_tx,
-        inject: config.fault.clone(),
-        retry: config.retry_policy(),
-        replicas,
     };
     let backend = RealBackend {
         config: shard_config,
         geometry,
-        shard,
+        slot,
         shared,
         frontier,
         job_tx: Some(job_tx),
@@ -589,8 +610,8 @@ mod tests {
                 let dir = tempfile::tempdir().unwrap();
                 let (job_tx, job_rx) = sync_channel::<PoolJob>(1);
                 let cfg = config(dir.path());
-                let (ctx, mut backend) =
-                    make_shard(alg, &cfg, g, 0, 1, dir.path(), job_tx, None).unwrap();
+                let (mut ctx, mut backend) =
+                    make_shard(alg, &cfg, g, 0, 1, dir.path(), (job_tx, 0)).unwrap();
                 let mut step = mmoc_core::TickDriver::new(alg.spec()).begin(g);
                 step.tick(&first, &mut backend).unwrap();
                 step.tick(&second, &mut backend).unwrap();
@@ -617,7 +638,7 @@ mod tests {
                 };
                 let mut round = Round::default();
                 round.batch.push(queued);
-                run_round(std::slice::from_ref(&ctx), &(&cfg).into(), &mut round);
+                run_round(std::slice::from_mut(&mut ctx), &cfg, &mut round);
                 let run = step.finish(&mut backend).unwrap();
                 assert_eq!(run.metrics.checkpoints.len(), 1, "{alg}");
                 assert_eq!(run.metrics.checkpoints[0].objects_written as usize, objects);
@@ -641,6 +662,32 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A writer loop that dies fails the run with a typed error, neither
+    /// hanging nor panicking the mutator: with a checkpoint queued, the
+    /// loop's side of the shard (its context and job receiver) goes away,
+    /// and draining the checkpoint returns `Err`.
+    #[test]
+    fn a_dead_writer_loop_fails_the_run_with_an_error() {
+        let trace_config = trace_config();
+        let g = trace_config.geometry;
+        let mut trace = trace_config.build();
+        let mut updates = Vec::new();
+        let dir = tempfile::tempdir().unwrap();
+        let (job_tx, job_rx) = sync_channel::<PoolJob>(1);
+        let alg = Algorithm::NaiveSnapshot;
+        let cfg = config(dir.path());
+        let (ctx, mut backend) = make_shard(alg, &cfg, g, 0, 1, dir.path(), (job_tx, 0)).unwrap();
+        let mut step = mmoc_core::TickDriver::new(alg.spec()).begin(g);
+        for _ in 0..2 {
+            assert!(trace.next_tick(&mut updates));
+            step.tick(&updates, &mut backend).unwrap();
+        }
+        let queued = job_rx.try_recv().expect("tick 1 starts a checkpoint");
+        drop((queued, ctx, job_rx));
+        let err = step.finish(&mut backend).expect_err("the writer is gone");
+        assert_eq!(err.kind(), io::ErrorKind::BrokenPipe, "{err}");
     }
 
     /// Torture the mutator/writer protocol: a hot workload where the same

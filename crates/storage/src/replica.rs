@@ -13,7 +13,7 @@
 //! the push transaction *opens* (all mirrors for the shard are marked
 //! incomplete) before the checkpoint's durability point, and the delta
 //! is *published* (applied and marked complete) only after
-//! `commit_pending` returns. This is the same sync-before-commit
+//! `Store::commit` returns. This is the same sync-before-commit
 //! discipline the scheduler already enforces for the disk tier, lifted
 //! to the replica tier. If the process dies between open and publish,
 //! every mirror is incomplete and recovery falls back to disk — which

@@ -77,46 +77,30 @@ where
     // the job queue of the writer loop that owns it.
     let (job_txs, job_rxs) = job_channels(n, pool_threads, pipeline_depth);
 
-    // The replica tier: an installed set wins (the caller retains its own
-    // handle to drive recovery), else a non-zero factor builds one owned
-    // by this run. Each shard's ShardCtx shares the Arc so the writer
-    // completion seam can publish deltas from any loop thread.
-    let replicas: Option<Arc<ReplicaSet>> = match &config.replica_set {
-        Some(set) => Some(Arc::clone(set)),
-        None if config.replication_factor > 0 => {
-            let geometries: Vec<_> = (0..n).map(|s| map.shard_geometry(s)).collect();
-            Some(Arc::new(ReplicaSet::new(
-                config.replication_factor,
-                &geometries,
-            )))
-        }
-        None => None,
-    };
-    let replication_factor = replicas.as_ref().map_or(0, |r| r.factor());
+    // The replica tier, resolved once into the run's copy of the config
+    // that every writer loop reads: an installed set wins (the caller
+    // retains its own handle to drive recovery), else a non-zero factor
+    // builds one owned by this run.
+    let mut config = config.clone();
+    if config.replica_set.is_none() && config.replication_factor > 0 {
+        let geometries: Vec<_> = (0..n).map(|s| map.shard_geometry(s)).collect();
+        let set = ReplicaSet::new(config.replication_factor, &geometries);
+        config.replica_set = Some(Arc::new(set));
+    }
+    let replication_factor = config.replica_set.as_ref().map_or(0, |r| r.factor());
 
     let mut ctxs = Vec::with_capacity(n);
     let mut built = Vec::with_capacity(n);
     for (s, job_tx) in job_txs.into_iter().enumerate() {
-        let (ctx, backend) = make_shard(
-            algorithm,
-            config,
-            map.shard_geometry(s),
-            s,
-            n,
-            &shard_dir(&config.dir, s, n),
-            job_tx,
-            replicas.clone(),
-        )?;
+        let dir = shard_dir(&config.dir, s, n);
+        let geometry = map.shard_geometry(s);
+        let (ctx, backend) = make_shard(algorithm, &config, geometry, s, n, &dir, job_tx)?;
         ctxs.push(ctx);
         built.push(backend);
     }
-    let ctxs = Arc::new(ctxs);
-    let (mut pool, effective_backend) = spawn_writer(
-        config.writer_backend,
-        Arc::clone(&ctxs),
-        job_rxs,
-        config.into(),
-    );
+    // The loops take the shard contexts, and with them the completion
+    // senders: a loop that dies disconnects its shards' backends.
+    let (mut pool, effective_backend) = spawn_writer(&config, ctxs, job_rxs);
     // `backends` is declared after `pool`, so on an early `?` return it
     // drops first, releasing its job senders before the writer joins.
     let mut backends: Vec<RealBackend> = built;
@@ -166,7 +150,7 @@ where
                     let make_trace = &make_trace;
                     let dir = shard_dir(&config.dir, s, n);
                     let fp = fingerprints[s];
-                    let replicas = replicas.as_deref();
+                    let replicas = config.replica_set.as_deref();
                     let opts = &opts;
                     scope.spawn(move || {
                         let mut replay = ShardFilter::new(make_trace(), map.clone(), s);

@@ -6,8 +6,9 @@
 //! (`PoolJob`) go in through the bounded channel of the loop that owns
 //! the shard, one `Done` per job comes back through the shard's
 //! completion channel, and sweep progress is published through the
-//! shard's frontier. Everything the writer needs to execute a job lives
-//! in the shard's `ShardCtx`.
+//! shard's frontier. Each loop owns the `ShardCtx`s (store, protocol
+//! state, channels) of its shards and reads run-wide policy from the
+//! run's `RealConfig`.
 //!
 //! Behind that interface run one or more loops (`run_rounds`), each
 //! owning a fixed group of shards (shard `s` goes to loop `s mod N`,
@@ -50,62 +51,16 @@ use crate::files::SyncTarget;
 use crate::inject::{Effect, Inject, Site};
 use crate::log_store::serialize_segment;
 use crate::report::WriterStats;
-use crate::shared::relock;
+use crate::shared::{relock, Shared};
 use crate::uring::{pwrite_all, Iovec, Ring, Sqe};
 use mmoc_core::run::WriterBackend as WriterBackendKind;
 use mmoc_core::{CursorKind, ObjectId};
 use std::io;
 use std::ops::Range;
 use std::os::unix::io::RawFd;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// The durability-scheduling policy every writer loop runs under.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct DurabilityConfig {
-    /// Adaptive batch window: how long a shallow batch (fewer jobs than
-    /// the loop's full batch) waits for stragglers before closing. Zero =
-    /// close immediately (the historical "everything currently queued"
-    /// batch).
-    pub(crate) batch_window: Duration,
-    /// Occupancy-driven window auto-tuning (`batch_window = auto`):
-    /// ignore the fixed window and derive each round's window from the
-    /// observed job inter-arrival EWMA — zero after a full batch (the
-    /// queue is keeping up; waiting buys nothing), otherwise the EWMA
-    /// times the full-batch size, capped. See DESIGN.md § "Checkpoint
-    /// pipelining".
-    pub(crate) auto_window: bool,
-    /// Cross-shard fsync coalescing: issue one data sync per distinct
-    /// target file per batch instead of one per job. Either way every
-    /// data sync precedes every metadata commit of the batch.
-    pub(crate) coalesce_fsync: bool,
-    /// Device-level sync barriers: when a batch holds two or more
-    /// distinct target files on one device, collapse their per-file
-    /// fsyncs into a single `syncfs` on that device (capability-probed;
-    /// falls back to per-file fsync where `syncfs` is unavailable).
-    /// Requires `coalesce_fsync`.
-    pub(crate) device_sync: bool,
-    /// Checkpoint pipeline depth the engine runs at. A loop's batch is
-    /// *full* at its shard count × `pipeline_depth` jobs — everything the
-    /// driver can possibly have in flight on it — so at depth ≥ 2 the
-    /// window keeps a batch open past one-job-per-shard and same-file
-    /// (same-shard) jobs coalesce under one fsync.
-    pub(crate) pipeline_depth: u32,
-}
-
-impl From<&RealConfig> for DurabilityConfig {
-    fn from(config: &RealConfig) -> Self {
-        DurabilityConfig {
-            batch_window: config.batch_window,
-            auto_window: config.auto_window,
-            coalesce_fsync: config.coalesce_fsync,
-            device_sync: config.device_sync,
-            pipeline_depth: config.pipeline_depth,
-        }
-    }
-}
 
 /// Upper bound on the auto-tuned batch window, so a stalling mutator
 /// (long pauses between checkpoints) cannot teach the writer to hold
@@ -154,24 +109,32 @@ fn loop_shards(n_shards: usize, n_loops: usize, l: usize) -> usize {
     (l..n_shards).step_by(n_loops).count()
 }
 
+/// A shard's route into the writer: the job sender of the loop owning
+/// the shard, and the shard's slot in that loop, which its jobs carry.
+pub(crate) type JobRoute = (SyncSender<PoolJob>, usize);
+
 /// The writer's job channels for `n_loops` loops (at most `n_shards`):
 /// per shard, the sender of the loop that owns it (shard `s` goes to loop
-/// `s mod n_loops`), and per loop its receiver, bounded by the deepest
-/// backlog its shards can queue (`depth` each).
+/// `s mod n_loops`) and the shard's slot in that loop, and per loop its
+/// receiver, bounded by the deepest backlog its shards can queue (`depth`
+/// each).
 pub(crate) fn job_channels(
     n_shards: usize,
     n_loops: usize,
     depth: u32,
-) -> (Vec<SyncSender<PoolJob>>, Vec<Receiver<PoolJob>>) {
+) -> (Vec<JobRoute>, Vec<Receiver<PoolJob>>) {
     let (txs, rxs): (Vec<_>, Vec<_>) = (0..n_loops)
         .map(|l| sync_channel(loop_shards(n_shards, n_loops, l) * depth as usize))
         .unzip();
-    let senders = (0..n_shards).map(|s| txs[s % n_loops].clone()).collect();
+    let senders = (0..n_shards)
+        .map(|s| (txs[s % n_loops].clone(), s / n_loops))
+        .collect();
     (senders, rxs)
 }
 
-/// Spawn the writer configuration `kind` selects: one loop per receiver
-/// of [`job_channels`], over the given shard contexts.
+/// Spawn the writer `config.writer_backend` selects: one loop per
+/// receiver of [`job_channels`], each taking ownership of the shard
+/// contexts (in shard order) that [`job_channels`] routes to it.
 ///
 /// Returns the writer together with the kind that **actually** runs:
 /// `io-uring` falls back to `async-batched` when the kernel capability
@@ -179,11 +142,11 @@ pub(crate) fn job_channels(
 /// substitution in their reports so results never silently lie about
 /// the backend that produced them.
 pub(crate) fn spawn_writer(
-    kind: WriterBackendKind,
-    ctxs: Arc<Vec<ShardCtx>>,
+    config: &RealConfig,
+    ctxs: Vec<ShardCtx>,
     job_rxs: Vec<Receiver<PoolJob>>,
-    sched: DurabilityConfig,
 ) -> (Writer, WriterBackendKind) {
+    let kind = config.writer_backend;
     // The ring is created *before* its thread so every failure mode —
     // `ENOSYS`, `EPERM`, memlock limits, fd limits post-probe — surfaces
     // here and the run falls back instead of panicking mid-run. Room
@@ -199,17 +162,17 @@ pub(crate) fn spawn_writer(
         kind => kind,
     };
     let n_loops = job_rxs.len();
-    let loops = job_rxs
+    let mut owned: Vec<Vec<ShardCtx>> = (0..n_loops).map(|_| Vec::new()).collect();
+    for (s, ctx) in ctxs.into_iter().enumerate() {
+        owned[s % n_loops].push(ctx);
+    }
+    let loops = owned
         .into_iter()
-        .enumerate()
-        .map(|(l, job_rx)| {
-            let ctxs = Arc::clone(&ctxs);
-            // A batch is full when it holds everything the driver can
-            // possibly have in flight on this loop's shards.
-            let full_batch =
-                loop_shards(ctxs.len(), n_loops, l) * sched.pipeline_depth.max(1) as usize;
+        .zip(job_rxs)
+        .map(|(mut ctxs, job_rx)| {
+            let config = config.clone();
             let ring = ring.take();
-            std::thread::spawn(move || run_rounds(&ctxs, &job_rx, sched, full_batch, ring))
+            std::thread::spawn(move || run_rounds(&mut ctxs, &job_rx, &config, ring))
         })
         .collect();
     (Writer { loops }, effective)
@@ -227,12 +190,12 @@ pub(crate) fn spawn_writer(
 /// target backup invalidated (or the log tail torn) and recovery must
 /// fall back to the previous consistent image.
 pub(crate) struct InFlight {
-    /// The shard whose store this job targets.
-    shard: usize,
+    /// The slot of the shard whose store this job targets.
+    slot: usize,
     t0: Instant,
     objects: u32,
     recycled: Option<(Vec<u32>, Vec<u8>)>,
-    state: io::Result<PendingDurability>,
+    state: io::Result<Pending>,
     /// Outcome of the data sync the durability scheduler issued for this
     /// job ahead of its completion phase (`Ok` when there was nothing to
     /// sync). Jobs sharing a coalesced `fsync` (or a whole-device
@@ -261,15 +224,15 @@ impl InFlight {
     /// duration spans the channel wait and any window hold it sat
     /// through — exactly the latency the window trades away.
     fn new(
-        shard: usize,
+        slot: usize,
         queued_at: Instant,
         objects: u32,
         recycled: Option<(Vec<u32>, Vec<u8>)>,
-        state: io::Result<PendingDurability>,
+        state: io::Result<Pending>,
         replica: Option<ReplicaDelta>,
     ) -> InFlight {
         InFlight {
-            shard,
+            slot,
             t0: queued_at,
             objects,
             recycled,
@@ -294,60 +257,21 @@ impl ReplicaDelta {
     /// Open the delta of the checkpoint at `tick` when the run has a
     /// replica tier; its images are appended as the job's runs are staged
     /// (room for all of them is reserved here).
-    fn capture(ctx: &ShardCtx, tick: u64, ids: &[u32]) -> Option<ReplicaDelta> {
-        ctx.replicas.as_ref().map(|_| ReplicaDelta {
+    fn capture(config: &RealConfig, tick: u64, ids: &[u32], obj_size: usize) -> Option<Self> {
+        config.replica_set.as_ref().map(|_| ReplicaDelta {
             tick,
             ids: ids.to_vec(),
-            data: Vec::with_capacity(ids.len() * ctx.geometry.object_size as usize),
+            data: Vec::with_capacity(ids.len() * obj_size),
         })
     }
 }
 
-/// What remains between a submitted job and its durability point.
-/// `Copy` so the commit can be re-issued under the retry policy.
-#[derive(Clone, Copy)]
-enum PendingDurability {
-    /// Double backup: objects written into `target`; the data sync and
-    /// the `commit(target, tick)` metadata write remain.
-    Double { target: usize, tick: u64 },
-    /// Log: the segment is sealed in the page cache; the log sync remains.
-    Log,
-}
-
-/// Identity of the file a pending job's data sync targets, plus its raw
-/// descriptor for the `syncfs` device barrier (any fd on the device
-/// names the filesystem). Both are cached by the store at create/open;
-/// no syscall.
-fn sync_point_of(store: &Store, pending: &PendingDurability) -> (SyncTarget, RawFd) {
-    match (pending, store) {
-        (PendingDurability::Double { target, .. }, Store::Double(set)) => {
-            (set.sync_target(*target), set.sync_fd(*target))
-        }
-        (PendingDurability::Log, Store::Log(log)) => (log.sync_target(), log.sync_fd()),
-        _ => unreachable!("pending durability matches the shard's disk organization"),
-    }
-}
-
-/// Issue a pending job's data sync (`fsync` the backup image / log file).
-fn sync_pending(store: &Store, pending: &PendingDurability) -> io::Result<()> {
-    match (pending, store) {
-        (PendingDurability::Double { target, .. }, Store::Double(set)) => set.sync(*target),
-        (PendingDurability::Log, Store::Log(log)) => log.sync(),
-        _ => unreachable!("pending durability matches the shard's disk organization"),
-    }
-}
-
-/// Commit a pending job's metadata, declaring it durable. The log
-/// organization's durability point *is* the data sync, so it has nothing
-/// further to do.
-fn commit_pending(store: &mut Store, pending: PendingDurability) -> io::Result<()> {
-    match (pending, store) {
-        (PendingDurability::Double { target, tick }, Store::Double(set)) => {
-            set.commit(target, tick)
-        }
-        (PendingDurability::Log, Store::Log(_)) => Ok(()),
-        _ => unreachable!("pending durability matches the shard's disk organization"),
-    }
+/// What remains between a submitted job and its durability point: the
+/// data sync of `target` and the metadata commit of checkpoint `tick`
+/// (see [`Store::sync`] and [`Store::commit`]).
+struct Pending {
+    target: usize,
+    tick: u64,
 }
 
 /// Duplicate an `io::Result<()>` for jobs sharing one coalesced sync.
@@ -386,12 +310,6 @@ fn ring_crash_at(inject: Option<&Inject>, site: Site, dead: &mut bool) {
         Some(_) => c.go_down(),
         None => {}
     }
-}
-
-/// The injection handle of the run: one state serves the whole run,
-/// so any shard's clone names it.
-fn run_inject(ctxs: &[ShardCtx]) -> Option<&Inject> {
-    ctxs.first().and_then(|ctx| ctx.inject.as_deref())
 }
 
 /// Split `ids` (increasing) into maximal runs of consecutive ids, none
@@ -453,7 +371,8 @@ impl Issue for Now {
 /// The copy-on-update sweep protocol, writer side: how a sweep job reads
 /// its live objects and publishes its progress.
 struct Sweep<'a> {
-    ctx: &'a ShardCtx,
+    shared: &'a Shared,
+    frontier: &'a AtomicU64,
     cursor: CursorKind,
 }
 
@@ -461,7 +380,7 @@ impl Sweep<'_> {
     /// Read one object under the copy-on-update protocol: lock, prefer
     /// the saved pre-update image, mark flushed.
     fn read_object(&self, o: u32, buf: &mut [u8]) {
-        let shared = &self.ctx.shared;
+        let shared = self.shared;
         let obj = ObjectId(o);
         let _guard = relock(&shared.locks[o as usize]);
         if shared.copied.get(o) {
@@ -476,8 +395,7 @@ impl Sweep<'_> {
     /// publishing progress *after* each is read and queued there: the
     /// frontier must under-approximate what is flushed, so a racing
     /// update copies once too often, never too rarely.
-    fn read_run(&self, ids: &[u32], run: Range<usize>, buf: &mut Vec<u8>) {
-        let obj_size = self.ctx.geometry.object_size as usize;
+    fn read_run(&self, ids: &[u32], run: Range<usize>, obj_size: usize, buf: &mut Vec<u8>) {
         // Every byte is overwritten below: only growth is zero-filled.
         buf.resize(run.len() * obj_size, 0);
         for (p, image) in run.zip(buf.chunks_exact_mut(obj_size)) {
@@ -487,7 +405,7 @@ impl Sweep<'_> {
                 CursorKind::ByIndex => u64::from(o) + 1,
                 CursorKind::ByPosition => p as u64 + 1,
             };
-            self.ctx.frontier.store(slots, Ordering::Release);
+            self.frontier.store(slots, Ordering::Release);
         }
     }
 }
@@ -512,7 +430,7 @@ impl Images<'_> {
         match self {
             Images::Copied(data) => &data[run.start * obj_size..run.end * obj_size],
             Images::Live(sweep) => {
-                sweep.read_run(ids, run, buf);
+                sweep.read_run(ids, run, obj_size, buf);
                 buf
             }
         }
@@ -531,7 +449,7 @@ fn records<'a>(
         .zip(images.chunks_exact(obj_size))
 }
 
-/// Submission phase: stage one flush job's data writes against one
+/// Submission phase: stage one flush job's data writes against its
 /// shard's store through `issuer`, durability deferred — the one staging
 /// path of both data paths. The stores take every injection decision and
 /// hand `issuer` only the positional writes that land. `buf` is the
@@ -550,8 +468,8 @@ fn records<'a>(
 /// every configuration reports durations spanning the queue wait and any
 /// batch-window hold by construction.
 fn submit_job(
-    ctx: &ShardCtx,
-    store: &mut Store,
+    ctx: &mut ShardCtx,
+    config: &RealConfig,
     issuer: &mut impl Issue,
     buf: &mut Vec<u8>,
     job: PoolJob,
@@ -559,7 +477,7 @@ fn submit_job(
     let obj_size = ctx.geometry.object_size as usize;
     let max_run = (issuer.max_run_bytes() / obj_size).max(1);
     let mut stats = WriterStats::default();
-    let retry = &ctx.retry;
+    let retry = config.retry_policy();
     let (ids, images, seq, tick, target, full_image) = match job.job {
         Job::Eager {
             ids,
@@ -577,13 +495,17 @@ fn submit_job(
             target,
             full_image,
         } => {
-            let sweep = Images::Live(Sweep { ctx, cursor });
+            let sweep = Images::Live(Sweep {
+                shared: &ctx.shared,
+                frontier: &ctx.frontier,
+                cursor,
+            });
             (list, sweep, seq, tick, target, full_image)
         }
     };
     let objects = ids.len() as u32;
-    let mut replica = ReplicaDelta::capture(ctx, tick, &ids);
-    let state = match store {
+    let mut replica = ReplicaDelta::capture(config, tick, &ids, obj_size);
+    let state = match &mut ctx.store {
         Store::Double(set) => (|| {
             set.invalidate(target)?;
             for run in id_runs(&ids, max_run) {
@@ -606,7 +528,7 @@ fn submit_job(
                 }
                 written?;
             }
-            Ok(PendingDurability::Double { target, tick })
+            Ok(Pending { target, tick })
         })(),
         Store::Log(log) => {
             let mut image = Vec::new();
@@ -619,18 +541,18 @@ fn submit_job(
                 log.write_segment(buf, |fd, b, at| issuer.put(fd, b, at))
             });
             issuer.keep(buf);
-            written.map(|_| PendingDurability::Log)
+            written.map(|_| Pending { target, tick })
         }
     };
     // All data writes staged, nothing synced or committed yet.
-    crash_at(ctx.inject.as_deref(), Site::JobSubmitted);
+    crash_at(config.fault.as_deref(), Site::JobSubmitted);
     let recycled = match images {
         Images::Copied(data) => Some((ids, data)),
         Images::Live(_) => None,
     };
     InFlight {
         stats,
-        ..InFlight::new(job.shard, job.queued_at, objects, recycled, state, replica)
+        ..InFlight::new(job.slot, job.queued_at, objects, recycled, state, replica)
     }
 }
 
@@ -642,16 +564,18 @@ fn submit_job(
 /// after this returns. `batch_jobs` is the occupancy of the batch this
 /// job completed in; it closes the job's tally together with the job
 /// count and the payload bytes.
-fn complete_job(ctx: &ShardCtx, store: &mut Store, inflight: InFlight, batch_jobs: u32) -> Done {
-    let crash = ctx.inject.as_deref();
+fn complete_job(
+    ctx: &mut ShardCtx,
+    config: &RealConfig,
+    inflight: InFlight,
+    batch_jobs: u32,
+) -> Done {
+    let crash = config.fault.as_deref();
     let is_down = || crash.is_some_and(Inject::is_down);
     let InFlight {
-        shard,
-        replica,
-        mut stats,
-        ..
+        replica, mut stats, ..
     } = inflight;
-    let result = inflight.state.and_then(|pending| {
+    let result = inflight.state.and_then(|Pending { target, tick }| {
         crash_at(crash, Site::CompleteBeforeSync);
         inflight.synced?;
         // Data is durable (or frozen), metadata is not committed: the
@@ -662,9 +586,9 @@ fn complete_job(ctx: &ShardCtx, store: &mut Store, inflight: InFlight, batch_job
         // point, so a crash between here and the publish below leaves no
         // mirror claiming a commit the disk never made — recovery falls
         // back to the disk tier, which holds the previous checkpoint.
-        let push_open = match (&ctx.replicas, &replica) {
+        let push_open = match (&config.replica_set, &replica) {
             (Some(set), Some(_)) if !is_down() => {
-                set.invalidate(shard as u32);
+                set.invalidate(ctx.id as u32);
                 crash_at(crash, Site::ReplicaPushPreCommit);
                 true
             }
@@ -672,15 +596,16 @@ fn complete_job(ctx: &ShardCtx, store: &mut Store, inflight: InFlight, batch_job
         };
         // The commit rewrites the whole metadata record, so a retried
         // commit after a transient fault is idempotent.
-        ctx.retry
-            .run(&mut stats.retry, || commit_pending(store, pending))?;
+        config
+            .retry_policy()
+            .run(&mut stats.retry, || ctx.store.commit(target, tick))?;
         // Step 2: the checkpoint is durable (or the simulated crash
         // froze the disk, re-checked here) — apply the delta to every
         // mirror and mark them complete at the checkpoint's tick.
         if push_open && !is_down() {
-            if let (Some(set), Some(d)) = (&ctx.replicas, &replica) {
+            if let (Some(set), Some(d)) = (&config.replica_set, &replica) {
                 set.publish(
-                    shard as u32,
+                    ctx.id as u32,
                     d.tick,
                     &d.ids,
                     &d.data,
@@ -721,7 +646,7 @@ pub(crate) struct Round {
     /// Per queued job, the index of its sync point (`None`: nothing to
     /// sync).
     job_points: Vec<Option<usize>>,
-    /// Shard of each queued job: the input of the reap order.
+    /// Shard slot of each queued job: the input of the reap order.
     shards: Vec<usize>,
     /// Ack scratch: the completion queue, taken from in reap order.
     reaped: Vec<Option<InFlight>>,
@@ -766,32 +691,36 @@ struct Arrivals {
     last_batch_full: bool,
 }
 
-/// One writer loop thread: a flush round per collected batch, until
-/// every job sender has been dropped and the queue is empty.
+/// One writer loop thread over the shards it owns (`ctxs`, indexed by
+/// slot): a flush round per collected batch, until every job sender has
+/// been dropped and the queue is empty.
 fn run_rounds(
-    ctxs: &[ShardCtx],
+    ctxs: &mut [ShardCtx],
     job_rx: &Receiver<PoolJob>,
-    sched: DurabilityConfig,
-    full_batch: usize,
+    config: &RealConfig,
     ring: Option<RingPath>,
 ) {
     let mut round = Round {
         ring,
         ..Round::default()
     };
+    // A batch is full when it holds everything the driver can possibly
+    // have in flight on this loop's shards.
+    let full_batch = ctxs.len() * config.pipeline_depth.max(1) as usize;
     let mut arrivals = Arrivals::default();
-    while collect_batch(job_rx, &sched, full_batch, &mut arrivals, &mut round.batch) {
-        run_round(ctxs, &sched, &mut round);
+    while collect_batch(job_rx, config, full_batch, &mut arrivals, &mut round.batch) {
+        run_round(ctxs, config, &mut round);
     }
 }
 
-/// The flush round over a collected batch (`round.batch`): issue its data
-/// writes, schedule durability, commit and ack in reap order.
-pub(crate) fn run_round(ctxs: &[ShardCtx], sched: &DurabilityConfig, round: &mut Round) {
+/// The flush round over a collected batch (`round.batch`) of the shards
+/// `ctxs` (indexed by slot): issue its data writes, schedule durability,
+/// commit and ack in reap order.
+pub(crate) fn run_round(ctxs: &mut [ShardCtx], config: &RealConfig, round: &mut Round) {
     let occupancy = round.batch.len() as u32;
-    round.issue_data_writes(ctxs);
-    schedule_durability(ctxs, sched, round);
-    ack_in_reap_order(ctxs, round, occupancy);
+    round.issue_data_writes(ctxs, config);
+    schedule_durability(ctxs, config, round);
+    ack_in_reap_order(ctxs, config, round, occupancy);
 }
 
 /// The window a round holds a shallow batch open for. A fixed window
@@ -803,10 +732,10 @@ fn batch_window(
     ewma_gap_s: Option<f64>,
     last_batch_full: bool,
     full_batch: usize,
-    sched: &DurabilityConfig,
+    config: &RealConfig,
 ) -> Duration {
-    if !sched.auto_window {
-        return sched.batch_window;
+    if !config.auto_window {
+        return config.batch_window;
     }
     match ewma_gap_s {
         Some(gap) if !last_batch_full => {
@@ -821,7 +750,7 @@ fn batch_window(
 /// every sender is gone and the queue is empty.
 fn collect_batch(
     job_rx: &Receiver<PoolJob>,
-    sched: &DurabilityConfig,
+    config: &RealConfig,
     full_batch: usize,
     arrivals: &mut Arrivals,
     batch: &mut Vec<PoolJob>,
@@ -842,7 +771,7 @@ fn collect_batch(
         arrivals.ewma_gap_s,
         arrivals.last_batch_full,
         full_batch,
-        sched,
+        config,
     );
     if !window.is_zero() {
         // A window past `Instant`'s range has no deadline: wait until the
@@ -876,16 +805,6 @@ fn collect_batch(
     true
 }
 
-/// The durability target a job in the completion queue still has to
-/// sync, if any: its submission succeeded and the run syncs data.
-fn pending_target(ctxs: &[ShardCtx], inflight: &InFlight) -> Option<(SyncTarget, RawFd)> {
-    let ctx = &ctxs[inflight.shard];
-    match &inflight.state {
-        Ok(pending) if ctx.sync_data => Some(sync_point_of(&relock(&ctx.store), pending)),
-        _ => None, // submission failed, or syncing is off: nothing to sync
-    }
-}
-
 /// Round step 3, the durability scheduler: bring every pending target's
 /// *data* to stable storage before any metadata commit, so the
 /// sync-before-commit invariant holds batch-globally. With coalescing on
@@ -898,8 +817,8 @@ fn pending_target(ctxs: &[ShardCtx], inflight: &InFlight) -> Option<(SyncTarget,
 /// fsyncs (it flushes a superset of their dirty pages, so the
 /// sync-before-commit ordering is preserved a fortiori). Barriers and
 /// per-file fsyncs alike are synchronous syscalls under every data path.
-fn schedule_durability(ctxs: &[ShardCtx], sched: &DurabilityConfig, round: &mut Round) {
-    let crash = run_inject(ctxs);
+fn schedule_durability(ctxs: &[ShardCtx], config: &RealConfig, round: &mut Round) {
+    let crash = config.fault.as_deref();
     let Round {
         queue,
         points,
@@ -909,10 +828,13 @@ fn schedule_durability(ctxs: &[ShardCtx], sched: &DurabilityConfig, round: &mut 
     points.clear();
     job_points.clear();
     for (i, inflight) in queue.iter().enumerate() {
-        let point = pending_target(ctxs, inflight).map(|(target, fd)| {
+        // Nothing to sync when the submission failed or syncing is off.
+        let pending = inflight.state.as_ref().ok().filter(|_| config.sync_data);
+        let point = pending.map(|pending| {
+            let (target, fd) = ctxs[inflight.slot].store.sync_point(pending.target);
             let shared = points
                 .iter()
-                .position(|p| sched.coalesce_fsync && p.target == target);
+                .position(|p| config.coalesce_fsync && p.target == target);
             shared.unwrap_or_else(|| {
                 points.push(SyncPoint {
                     target,
@@ -925,7 +847,7 @@ fn schedule_durability(ctxs: &[ShardCtx], sched: &DurabilityConfig, round: &mut 
         });
         job_points.push(point);
     }
-    if sched.coalesce_fsync && sched.device_sync {
+    if config.coalesce_fsync && config.device_sync {
         for i in 0..points.len() {
             let dev = points[i].target.dev();
             let distinct = points.iter().filter(|p| p.target.dev() == dev).count();
@@ -950,7 +872,7 @@ fn schedule_durability(ctxs: &[ShardCtx], sched: &DurabilityConfig, round: &mut 
             }
         }
     }
-    fsync_points(ctxs, queue, points);
+    fsync_points(ctxs, config, queue, points);
     for (inflight, point) in queue.iter_mut().zip(job_points.iter()) {
         if let Some(p) = *point {
             let outcome = points[p].outcome.as_ref().expect("every point synced");
@@ -967,19 +889,21 @@ fn schedule_durability(ctxs: &[ShardCtx], sched: &DurabilityConfig, round: &mut 
 /// for the call — the first job naming it is charged the call and the
 /// retry attempts behind it, every rider pays nothing — recording the
 /// shared outcomes in place.
-fn fsync_points(ctxs: &[ShardCtx], queue: &mut [InFlight], points: &mut [SyncPoint]) {
+fn fsync_points(
+    ctxs: &[ShardCtx],
+    config: &RealConfig,
+    queue: &mut [InFlight],
+    points: &mut [SyncPoint],
+) {
     for p in points.iter_mut().filter(|p| p.outcome.is_none()) {
         let payer = &mut queue[p.job];
         payer.stats.data_fsyncs = 1;
-        let ctx = &ctxs[payer.shard];
-        let Ok(pending) = &payer.state else {
+        let Ok(Pending { target, .. }) = payer.state else {
             unreachable!("a sync point names a job with a pending target");
         };
-        let store = relock(&ctx.store);
-        p.outcome = Some(
-            ctx.retry
-                .run(&mut payer.stats.retry, || sync_pending(&store, pending)),
-        );
+        let store = &ctxs[payer.slot].store;
+        let retry = config.retry_policy();
+        p.outcome = Some(retry.run(&mut payer.stats.retry, || store.sync(target)));
     }
 }
 
@@ -1009,17 +933,20 @@ fn reap_order(shards: &[usize]) -> Vec<usize> {
 }
 
 /// Round step 4: metadata commits + acks, in [`reap_order`].
-fn ack_in_reap_order(ctxs: &[ShardCtx], round: &mut Round, occupancy: u32) {
+fn ack_in_reap_order(
+    ctxs: &mut [ShardCtx],
+    config: &RealConfig,
+    round: &mut Round,
+    occupancy: u32,
+) {
     round.shards.clear();
-    round.shards.extend(round.queue.iter().map(|f| f.shard));
+    round.shards.extend(round.queue.iter().map(|f| f.slot));
     round.reaped.clear();
     round.reaped.extend(round.queue.drain(..).map(Some));
     for i in reap_order(&round.shards) {
         let inflight = round.reaped[i].take().expect("each job reaped once");
-        let ctx = &ctxs[inflight.shard];
-        let mut store = relock(&ctx.store);
-        let done = complete_job(ctx, &mut store, inflight, occupancy);
-        drop(store);
+        let ctx = &mut ctxs[inflight.slot];
+        let done = complete_job(ctx, config, inflight, occupancy);
         let _ = ctx.done_tx.send(done);
     }
 }
@@ -1032,17 +959,16 @@ impl Round {
     /// Round step 2: issue every collected job's data writes — through
     /// the live ring, or `pwrite` now — moving the batch into the
     /// completion queue; durability is deferred past the whole batch.
-    fn issue_data_writes(&mut self, ctxs: &[ShardCtx]) {
+    fn issue_data_writes(&mut self, ctxs: &mut [ShardCtx], config: &RealConfig) {
         if let Some(mut ring) = self.ring.take_if(|ring| !ring.dead) {
-            ring.issue_waves(ctxs, self);
+            ring.issue_waves(ctxs, config, self);
             self.ring = Some(ring);
             return;
         }
         let degraded = self.ring.is_some();
         for job in self.batch.drain(..) {
-            let ctx = &ctxs[job.shard];
-            let mut store = relock(&ctx.store);
-            let mut inflight = submit_job(ctx, &mut store, &mut Now, &mut self.buf, job);
+            let ctx = &mut ctxs[job.slot];
+            let mut inflight = submit_job(ctx, config, &mut Now, &mut self.buf, job);
             inflight.stats.degraded_jobs = u64::from(degraded);
             self.queue.push(inflight);
         }
@@ -1112,12 +1038,10 @@ impl Issue for Wave<'_> {
 impl RingPath {
     /// Issue a batch's data writes through the ring, wave by wave,
     /// moving the batch into the completion queue (in wave order).
-    fn issue_waves(&mut self, ctxs: &[ShardCtx], round: &mut Round) {
+    fn issue_waves(&mut self, ctxs: &mut [ShardCtx], config: &RealConfig, round: &mut Round) {
         let RingPath { ring, dead } = self;
         let cap = ring.capacity() as usize;
-        let inject = run_inject(ctxs);
-        // The retry budget is likewise run-global.
-        let retry = ctxs.first().map_or_else(Default::default, |ctx| ctx.retry);
+        let inject = config.fault.as_deref();
         let Round {
             batch,
             queue,
@@ -1142,20 +1066,19 @@ impl RingPath {
                 // `queue[wave_start..]` is the wave so far.
                 if queue[wave_start..]
                     .iter()
-                    .any(|staged| staged.shard == batch[next].shard)
+                    .any(|staged| staged.slot == batch[next].slot)
                 {
                     next += 1;
                     continue;
                 }
                 let job = batch.remove(next);
-                let ctx = &ctxs[job.shard];
+                let ctx = &mut ctxs[job.slot];
                 let mut wave = Wave {
                     job: queue.len(),
                     ops,
                     arena,
                 };
-                let store = &mut relock(&ctx.store);
-                queue.push(submit_job(ctx, store, &mut wave, &mut Vec::new(), job));
+                queue.push(submit_job(ctx, config, &mut wave, &mut Vec::new(), job));
             }
             let wave_sqes = ops.len() as u32;
             for inflight in &mut queue[wave_start..] {
@@ -1252,14 +1175,14 @@ impl RingPath {
                         // every later one — finishes on the synchronous
                         // path. A zero budget is the historical engine:
                         // the error propagates into the job's state.
-                        if retry.max == 0 {
+                        if config.retry_max == 0 {
                             let e = io::Error::from_raw_os_error(-r);
                             if job.state.is_ok() {
                                 job.state = Err(e);
                             }
                             continue;
                         }
-                        if job.stats.retry.retries >= u64::from(retry.max) {
+                        if job.stats.retry.retries >= u64::from(config.retry_max) {
                             job.stats.retry.exhausted += 1;
                             *dead = true;
                         } else {
@@ -1304,26 +1227,50 @@ mod tests {
 
     use super::*;
     use crate::engine::create_store;
-    use crate::shared::{Shared, SharedTable};
+    use crate::shared::SharedTable;
     use mmoc_core::{CellUpdate, DiskOrg, StateGeometry};
     use std::path::Path;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::Arc;
 
     fn geometry() -> StateGeometry {
         StateGeometry::test_micro() // 4 objects of 64 B
     }
 
-    impl DurabilityConfig {
-        /// The historical policy: no waiting, per-job durability.
-        fn legacy() -> Self {
-            DurabilityConfig {
-                batch_window: Duration::ZERO,
-                auto_window: false,
-                coalesce_fsync: false,
-                device_sync: false,
-                pipeline_depth: 1,
-            }
-        }
+    /// The base every test's writer config starts from: the historical
+    /// policy — the pool, no waiting, per-job durability, no retries, no
+    /// injection, no replica tier. It sets every field the writer reads,
+    /// so a CI leg's `MMOC_*` defaults never leak into these tests.
+    fn legacy() -> RealConfig {
+        // The writer never reads `dir`.
+        let mut config = RealConfig::new("")
+            .with_writer_backend(WriterBackendKind::ThreadPool)
+            .with_batch_window(Duration::ZERO)
+            .with_fsync_coalescing(false)
+            .with_device_sync(false)
+            .with_pipeline_depth(1)
+            .with_retry(0, Duration::ZERO);
+        config.sync_data = true;
+        config.fault = None;
+        config.replica_set = None;
+        config
+    }
+
+    /// The coalescing scheduler with a fixed batch window.
+    fn coalescing(window: Duration) -> RealConfig {
+        legacy()
+            .with_fsync_coalescing(true)
+            .with_batch_window(window)
+    }
+
+    /// `config` on the single batched loop.
+    fn batched(config: RealConfig) -> RealConfig {
+        config.with_writer_backend(WriterBackendKind::AsyncBatched)
+    }
+
+    /// `config` with the window auto-tuned.
+    fn auto_window(mut config: RealConfig) -> RealConfig {
+        config.auto_window = true;
+        config
     }
 
     /// Build one shard's context + store over `dir`, with a seeded live
@@ -1344,49 +1291,47 @@ mod tests {
                 table.write_cell(CellUpdate::new(i, c, seed.wrapping_mul(31) ^ (i * 8 + c)));
             }
         }
-        let shared = Arc::new(Shared::new(table));
         let store = create_store(dir, g, disk_org).unwrap();
         let (done_tx, done_rx) = sync_channel::<Done>(1);
         let ctx = ShardCtx {
-            store: std::sync::Mutex::new(store),
-            shared,
+            id: 0,
+            store,
+            shared: Arc::new(Shared::new(table)),
             frontier: Arc::new(AtomicU64::new(0)),
             geometry: g,
-            sync_data: true,
             done_tx,
-            inject: None,
-            retry: crate::inject::RetryPolicy::none(),
-            replicas: None,
         };
         (ctx, done_rx)
     }
 
-    /// `job` for shard 0, enqueued now.
-    fn queued(job: Job) -> PoolJob {
+    /// `job` for the shard at `slot` of its loop, enqueued now.
+    fn queued(slot: usize, job: Job) -> PoolJob {
         PoolJob {
-            shard: 0,
+            slot,
             job,
             queued_at: Instant::now(),
         }
     }
 
-    /// A full-image eager job for `shard` (checkpoint `seq` at tick
-    /// `seq * 10 + 1` into `target`), every byte `fill`, enqueued now.
-    fn eager(shard: usize, seq: u64, target: usize, fill: u8) -> PoolJob {
+    /// Enqueue `job` now on one shard's sender of [`job_channels`],
+    /// tagged with the shard's slot.
+    fn send((tx, slot): &JobRoute, job: Job) {
+        tx.send(queued(*slot, job)).unwrap();
+    }
+
+    /// A full-image eager job: checkpoint `seq` at tick `seq * 10 + 1`
+    /// into `target`, every byte `fill`.
+    fn eager(seq: u64, target: usize, fill: u8) -> Job {
         let g = geometry();
         let ids: Vec<u32> = (0..g.n_objects()).collect();
         let data = vec![fill; ids.len() * g.object_size as usize];
-        let job = Job::Eager {
+        Job::Eager {
             ids,
             data,
             seq,
             tick: seq * 10 + 1,
             target,
             full_image: true,
-        };
-        PoolJob {
-            shard,
-            ..queued(job)
         }
     }
 
@@ -1440,51 +1385,46 @@ mod tests {
     /// shard — the driver's one-in-flight-per-shard invariant), then wait
     /// for that round's completions before the next round.
     fn drive(
-        kind: WriterBackendKind,
-        sched: DurabilityConfig,
+        config: &RealConfig,
         dirs: &[std::path::PathBuf],
         disk_org: DiskOrg,
     ) -> Vec<io::Result<f64>> {
-        let dones = drive_with(kind, sched, dirs, disk_org, None);
+        let dones = drive_with(config, dirs, disk_org);
         dones.into_iter().map(|done| done.result).collect()
     }
 
-    /// [`drive`] with `inject` attached to every shard and its store,
+    /// [`drive`] with `config.fault` also attached to every store,
     /// returning every job's `Done`, round by round.
     fn drive_with(
-        kind: WriterBackendKind,
-        sched: DurabilityConfig,
+        config: &RealConfig,
         dirs: &[std::path::PathBuf],
         disk_org: DiskOrg,
-        inject: Option<&Arc<Inject>>,
     ) -> Vec<Done> {
         let n = dirs.len();
         let mut ctxs = Vec::new();
         let mut done_rxs = Vec::new();
         for (s, dir) in dirs.iter().enumerate() {
             let (mut ctx, rx) = make_ctx(dir, disk_org, s as u32);
-            ctx.inject = inject.cloned();
-            relock(&ctx.store).attach_inject(inject.cloned());
+            ctx.store.attach_inject(config.fault.clone());
             ctxs.push(ctx);
             done_rxs.push(rx);
         }
-        let ctxs = Arc::new(ctxs);
-        let (job_txs, job_rxs) = job_channels(n, loops(kind, n), 1);
-        let (mut backend, _effective) = spawn_writer(kind, Arc::clone(&ctxs), job_rxs, sched);
+        // The mutator's handles on each shard's protocol state.
+        let protocol: Vec<_> = ctxs
+            .iter()
+            .map(|ctx| (Arc::clone(&ctx.shared), Arc::clone(&ctx.frontier)))
+            .collect();
+        let (job_txs, job_rxs) = job_channels(n, loops(config.writer_backend, n), 1);
+        let (mut backend, _effective) = spawn_writer(config, ctxs, job_rxs);
         let mut dones = Vec::new();
         let stream = job_stream(n);
         for round in stream.chunks(n) {
             for (shard, job) in round {
                 // Reset per-checkpoint protocol state as the mutator would.
-                ctxs[*shard].shared.reset_for_checkpoint();
-                ctxs[*shard].frontier.store(0, Ordering::Release);
-                job_txs[*shard]
-                    .send(PoolJob {
-                        shard: *shard,
-                        job: job.clone(),
-                        queued_at: Instant::now(),
-                    })
-                    .unwrap();
+                let (shared, frontier) = &protocol[*shard];
+                shared.reset_for_checkpoint();
+                frontier.store(0, Ordering::Release);
+                send(&job_txs[*shard], job.clone());
             }
             for rx in &done_rxs {
                 dones.push(rx.recv().unwrap());
@@ -1493,17 +1433,6 @@ mod tests {
         drop(job_txs);
         backend.shutdown();
         dones
-    }
-
-    /// The coalescing scheduler with a nonzero adaptive window.
-    fn coalescing(window: Duration) -> DurabilityConfig {
-        DurabilityConfig {
-            batch_window: window,
-            auto_window: false,
-            coalesce_fsync: true,
-            device_sync: false,
-            pipeline_depth: 1,
-        }
     }
 
     /// File name → contents snapshot of one shard directory.
@@ -1536,46 +1465,25 @@ mod tests {
     /// exercise the fallback substitution — which must agree too.
     #[test]
     fn identical_job_streams_leave_byte_identical_files() {
-        let batched = WriterBackendKind::AsyncBatched;
-        let configs: [(&str, WriterBackendKind, DurabilityConfig); 8] = [
-            (
-                "pool",
-                WriterBackendKind::ThreadPool,
-                DurabilityConfig::legacy(),
-            ),
-            ("batch_legacy", batched, DurabilityConfig::legacy()),
-            ("batch_coalesced", batched, coalescing(Duration::ZERO)),
+        let uring = |config: RealConfig| config.with_writer_backend(WriterBackendKind::IoUring);
+        let configs: [(&str, RealConfig); 8] = [
+            ("pool", legacy()),
+            ("batch_legacy", batched(legacy())),
+            ("batch_coalesced", batched(coalescing(Duration::ZERO))),
             (
                 "batch_window",
-                batched,
-                coalescing(Duration::from_micros(300)),
+                batched(coalescing(Duration::from_micros(300))),
             ),
             (
                 "batch_auto",
-                batched,
-                DurabilityConfig {
-                    auto_window: true,
-                    ..coalescing(Duration::ZERO)
-                },
+                batched(auto_window(coalescing(Duration::ZERO))),
             ),
             (
                 "batch_device",
-                batched,
-                DurabilityConfig {
-                    device_sync: true,
-                    ..coalescing(Duration::ZERO)
-                },
+                batched(coalescing(Duration::ZERO).with_device_sync(true)),
             ),
-            (
-                "uring_legacy",
-                WriterBackendKind::IoUring,
-                DurabilityConfig::legacy(),
-            ),
-            (
-                "uring_coalesced",
-                WriterBackendKind::IoUring,
-                coalescing(Duration::ZERO),
-            ),
+            ("uring_legacy", uring(legacy())),
+            ("uring_coalesced", uring(coalescing(Duration::ZERO))),
         ];
         for disk_org in [DiskOrg::DoubleBackup, DiskOrg::Log] {
             for n_shards in [1usize, 3] {
@@ -1586,9 +1494,9 @@ mod tests {
                         .collect()
                 };
                 let mut baseline: Option<Vec<DirBytes>> = None;
-                for (label, kind, sched) in configs {
+                for (label, config) in &configs {
                     let dirs = dirs_for(label);
-                    let results = drive(kind, sched, &dirs, disk_org);
+                    let results = drive(config, &dirs, disk_org);
                     for r in &results {
                         assert!(r.is_ok(), "{disk_org:?} x{n_shards} [{label}]: {r:?}");
                     }
@@ -1624,11 +1532,7 @@ mod tests {
         root: &Path,
         n: usize,
         disk_org: DiskOrg,
-    ) -> (
-        Arc<Vec<ShardCtx>>,
-        Vec<Receiver<Done>>,
-        Vec<std::path::PathBuf>,
-    ) {
+    ) -> (Vec<ShardCtx>, Vec<Receiver<Done>>, Vec<std::path::PathBuf>) {
         let mut ctxs = Vec::new();
         let mut done_rxs = Vec::new();
         let mut dirs = Vec::new();
@@ -1639,48 +1543,34 @@ mod tests {
             done_rxs.push(rx);
             dirs.push(dir);
         }
-        (Arc::new(ctxs), done_rxs, dirs)
+        (ctxs, done_rxs, dirs)
     }
 
-    /// The writer acks a multi-shard batch out of submission order:
-    /// submit jobs for 3 shards in one batch and observe shard 2's
-    /// completion arriving no later than shard 0's (newest-first reaping).
+    /// The writer acks a multi-shard batch out of submission order: one
+    /// round over jobs for 3 shards, queued in shard order, acks newest
+    /// shard first — shard 2, then 1, then 0 — on a completion channel
+    /// the three share; each ack names its shard by the fill byte of the
+    /// buffer it hands back.
     #[test]
     fn batched_engine_acks_out_of_submission_order() {
         let root = tempfile::tempdir().unwrap();
-        let n = 3usize;
-        let (ctxs, done_rxs, _) = make_ctxs(root.path(), n, DiskOrg::DoubleBackup);
-        let (job_txs, job_rxs) = job_channels(n, 1, 1);
-        // Queue the whole batch *before* spawning the loop, so one round
-        // provably coalesces all three jobs.
-        for (shard, tx) in job_txs.iter().enumerate() {
-            tx.send(eager(shard, 0, 0, shard as u8 + 1)).unwrap();
+        let (mut ctxs, _, _) = make_ctxs(root.path(), 3, DiskOrg::DoubleBackup);
+        let (done_tx, done_rx) = sync_channel::<Done>(3);
+        let mut round = Round::default();
+        for (slot, ctx) in ctxs.iter_mut().enumerate() {
+            ctx.done_tx = done_tx.clone();
+            round.batch.push(queued(slot, eager(0, 0, slot as u8 + 1)));
         }
-        let (mut backend, _) = spawn_writer(
-            WriterBackendKind::AsyncBatched,
-            Arc::clone(&ctxs),
-            job_rxs,
-            coalescing(Duration::ZERO),
-        );
-        // Completion within the batch is newest-first. Each job's
-        // reported duration spans its own submission through its own
-        // completion, so shard 0 — submitted first, completed last —
-        // spans the entire batch (three commit-bound completions), while
-        // shard 2 — submitted last, completed first — spans roughly one.
-        // FIFO reaping would invert the relation.
-        let durations: Vec<f64> = done_rxs
-            .iter()
-            .map(|rx| rx.recv().unwrap().result.unwrap())
+        run_round(&mut ctxs, &coalescing(Duration::ZERO), &mut round);
+        let fills: Vec<u8> = done_rx
+            .try_iter()
+            .map(|done| {
+                done.result.unwrap();
+                let (_, data) = done.recycled.expect("an eager job's buffers come back");
+                data[0]
+            })
             .collect();
-        assert!(
-            durations[2] < durations[0],
-            "newest-first reaping: shard 2's span ({}) must be shorter \
-             than shard 0's ({})",
-            durations[2],
-            durations[0]
-        );
-        drop(job_txs);
-        backend.shutdown();
+        assert_eq!(fills, [3, 2, 1], "newest shard first");
     }
 
     /// The acceptance criterion of the durability scheduler: on a 4-shard
@@ -1694,9 +1584,9 @@ mod tests {
     #[test]
     fn coalescing_pays_one_fsync_per_distinct_file() {
         let g = geometry();
-        for (sched, expected_fsyncs) in [
-            (DurabilityConfig::legacy(), 8u64),
-            (coalescing(Duration::ZERO), 4u64),
+        for (config, expected_fsyncs) in [
+            (batched(legacy()), 8u64),
+            (batched(coalescing(Duration::ZERO)), 4u64),
         ] {
             let root = tempfile::tempdir().unwrap();
             let n = 4usize;
@@ -1705,17 +1595,11 @@ mod tests {
             // one round provably coalesces all eight jobs.
             let (job_txs, job_rxs) = job_channels(n, 1, 2);
             for round in 0u64..2 {
-                for (shard, tx) in job_txs.iter().enumerate() {
-                    tx.send(eager(shard, round, 0, (round * 4 + shard as u64 + 1) as u8))
-                        .unwrap();
+                for (shard, chan) in job_txs.iter().enumerate() {
+                    send(chan, eager(round, 0, (round * 4 + shard as u64 + 1) as u8));
                 }
             }
-            let (mut backend, _) = spawn_writer(
-                WriterBackendKind::AsyncBatched,
-                Arc::clone(&ctxs),
-                job_rxs,
-                sched,
-            );
+            let (mut backend, _) = spawn_writer(&config, ctxs, job_rxs);
             // Drain round-robin: each shard's completion channel holds one
             // slot, so the writer blocks mid-batch until earlier Dones are
             // consumed.
@@ -1742,8 +1626,8 @@ mod tests {
                 fsyncs,
                 expected_fsyncs,
                 "coalesce={}: one fsync per {} expected",
-                sched.coalesce_fsync,
-                if sched.coalesce_fsync {
+                config.coalesce_fsync,
+                if config.coalesce_fsync {
                     "distinct file"
                 } else {
                     "job"
@@ -1751,7 +1635,6 @@ mod tests {
             );
             // Durability reached either way: every shard's log reconstructs
             // to its second segment.
-            drop(ctxs);
             for (s, dir) in dirs.iter().enumerate() {
                 let mut log = crate::log_store::LogStore::open(dir, g).unwrap();
                 let (_, tick, _) = log.reconstruct().unwrap();
@@ -1774,14 +1657,10 @@ mod tests {
         // A generous window: the loop stops waiting as soon as the batch
         // holds one job per shard, so the test does not actually sleep
         // this long unless the machine stalls.
-        let (mut backend, _) = spawn_writer(
-            WriterBackendKind::AsyncBatched,
-            Arc::clone(&ctxs),
-            job_rxs,
-            coalescing(Duration::from_secs(2)),
-        );
-        for (shard, tx) in job_txs.iter().enumerate() {
-            tx.send(eager(shard, 0, 0, shard as u8 + 1)).unwrap();
+        let config = batched(coalescing(Duration::from_secs(2)));
+        let (mut backend, _) = spawn_writer(&config, ctxs, job_rxs);
+        for (shard, chan) in job_txs.iter().enumerate() {
+            send(chan, eager(0, 0, shard as u8 + 1));
         }
         for rx in &done_rxs {
             let done = rx.recv().unwrap();
@@ -1816,9 +1695,8 @@ mod tests {
             ctxs.push(ctx);
             done_rxs.push(done_rx);
         }
-        let ctxs = Arc::new(ctxs);
-        let pool = WriterBackendKind::ThreadPool;
-        let (job_txs, job_rxs) = job_channels(n, loops(pool, n), 2);
+        let pool = legacy();
+        let (job_txs, job_rxs) = job_channels(n, loops(pool.writer_backend, n), 2);
         // Queue every job *before* spawning, so both loops start at once.
         let obj_size = g.object_size as usize;
         for (seq, count) in [(0u64, g.n_objects()), (1, 2)] {
@@ -1832,11 +1710,10 @@ mod tests {
                 target: 0,
                 full_image: seq == 0,
             };
-            job_txs[0].send(queued(job)).unwrap();
+            send(&job_txs[0], job);
         }
-        job_txs[1].send(eager(1, 0, 0, 9)).unwrap();
-        let (mut backend, _) =
-            spawn_writer(pool, Arc::clone(&ctxs), job_rxs, DurabilityConfig::legacy());
+        send(&job_txs[1], eager(0, 0, 9));
+        let (mut backend, _) = spawn_writer(&pool, ctxs, job_rxs);
         let first = done_rxs[0].recv().unwrap();
         let second = done_rxs[0].recv().unwrap();
         assert_eq!(first.objects, g.n_objects(), "seq-0 job acks first");
@@ -1846,7 +1723,6 @@ mod tests {
         done_rxs[1].recv().unwrap().result.unwrap();
         drop(job_txs);
         backend.shutdown();
-        drop(ctxs);
         let mut log = crate::log_store::LogStore::open(&root.path().join("s0"), g).unwrap();
         let segs = log.segments().unwrap();
         // Boot image + the two jobs, appended in submission order.
@@ -1867,19 +1743,11 @@ mod tests {
         let n = 4usize;
         let (ctxs, done_rxs, dirs) = make_ctxs(root.path(), n, DiskOrg::Log);
         let (job_txs, job_rxs) = job_channels(n, 1, 1);
-        for (shard, tx) in job_txs.iter().enumerate() {
-            tx.send(eager(shard, 0, 0, shard as u8 + 1)).unwrap();
+        for (shard, chan) in job_txs.iter().enumerate() {
+            send(chan, eager(0, 0, shard as u8 + 1));
         }
-        let sched = DurabilityConfig {
-            device_sync: true,
-            ..coalescing(Duration::ZERO)
-        };
-        let (mut backend, _) = spawn_writer(
-            WriterBackendKind::AsyncBatched,
-            Arc::clone(&ctxs),
-            job_rxs,
-            sched,
-        );
+        let config = batched(coalescing(Duration::ZERO).with_device_sync(true));
+        let (mut backend, _) = spawn_writer(&config, ctxs, job_rxs);
         let mut fsyncs = 0u64;
         let mut device_syncs = 0u64;
         for rx in &done_rxs {
@@ -1900,7 +1768,6 @@ mod tests {
             other => panic!("at most one device barrier per batch, got {other}"),
         }
         // Durability reached either way: every shard's log reconstructs.
-        drop(ctxs);
         for (s, dir) in dirs.iter().enumerate() {
             let mut log = crate::log_store::LogStore::open(dir, g).unwrap();
             let (_, tick, _) = log.reconstruct().unwrap();
@@ -1915,11 +1782,10 @@ mod tests {
     #[test]
     fn mid_batch_crash_window_preserves_the_other_backup() {
         let root = tempfile::tempdir().unwrap();
-        let (ctx, _done_rx) = make_ctx(root.path(), DiskOrg::DoubleBackup, 7);
+        let (mut ctx, _done_rx) = make_ctx(root.path(), DiskOrg::DoubleBackup, 7);
         let g = geometry();
         let ids: Vec<u32> = (0..g.n_objects()).collect();
         let data = vec![0xAB; ids.len() * g.object_size as usize];
-        let mut store = relock(&ctx.store);
         let job = Job::Eager {
             ids,
             data,
@@ -1928,10 +1794,10 @@ mod tests {
             target: 1,
             full_image: true,
         };
-        let inflight = submit_job(&ctx, &mut store, &mut Now, &mut Vec::new(), queued(job));
+        let job = queued(0, job);
+        let inflight = submit_job(&mut ctx, &legacy(), &mut Now, &mut Vec::new(), job);
         // "Crash": the job is submitted, never completed.
         drop(inflight);
-        drop(store);
         drop(ctx);
         let set = crate::files::BackupSet::open(root.path(), g).unwrap();
         assert_eq!(
@@ -1960,14 +1826,10 @@ mod tests {
             hit,
             effect: Effect::RingDeath,
         }]));
-        let ring = WriterBackendKind::IoUring;
-        let dones = drive_with(
-            ring,
-            coalescing(Duration::ZERO),
-            dirs,
-            disk_org,
-            Some(&state),
-        );
+        let config = coalescing(Duration::ZERO)
+            .with_writer_backend(WriterBackendKind::IoUring)
+            .with_inject(Arc::clone(&state));
+        let dones = drive_with(&config, dirs, disk_org);
         let degraded = dones
             .chunks(dirs.len())
             .map(|round| {
@@ -2015,9 +1877,11 @@ mod tests {
                     .map(|s| root.path().join(format!("{}_{s}", kind.label())))
                     .collect();
                 let state = Arc::new(Inject::tracking());
-                let sched = coalescing(Duration::ZERO);
+                let config = coalescing(Duration::ZERO)
+                    .with_writer_backend(kind)
+                    .with_inject(Arc::clone(&state));
                 let mut rounds = 0.0;
-                for done in drive_with(kind, sched, &dirs, disk_org, Some(&state)) {
+                for done in drive_with(&config, &dirs, disk_org) {
                     done.result.unwrap();
                     rounds += 1.0 / f64::from(done.stats.max_batch_jobs);
                 }
@@ -2078,12 +1942,7 @@ mod tests {
             let pool_dirs: Vec<_> = (0..2)
                 .map(|s| pool_root.path().join(format!("s{s}")))
                 .collect();
-            for r in drive(
-                WriterBackendKind::ThreadPool,
-                DurabilityConfig::legacy(),
-                &pool_dirs,
-                disk_org,
-            ) {
+            for r in drive(&legacy(), &pool_dirs, disk_org) {
                 r.unwrap();
             }
             let baseline: Vec<DirBytes> = pool_dirs.iter().map(|d| file_bytes(d)).collect();
@@ -2199,36 +2058,36 @@ mod tests {
 
     /// One job through the writer's flush round on the syscall data
     /// path; its `Done` arrives on `done_rx`.
-    fn run_job(ctx: &ShardCtx, done_rx: &Receiver<Done>, job: Job) -> Done {
+    fn run_job(
+        ctx: &mut ShardCtx,
+        config: &RealConfig,
+        done_rx: &Receiver<Done>,
+        job: Job,
+    ) -> Done {
         let mut round = Round::default();
-        round.batch.push(queued(job));
-        run_round(
-            std::slice::from_ref(ctx),
-            &DurabilityConfig::legacy(),
-            &mut round,
-        );
+        round.batch.push(queued(0, job));
+        run_round(std::slice::from_mut(ctx), config, &mut round);
         done_rx.recv().unwrap()
     }
 
     /// The reference the run writes are held to: the per-object loop
     /// `submit_job` ran before it wrote runs — one `write_object` per id
-    /// of [`THREE_RUNS`] under the shard's retry policy — then the shared
+    /// of [`THREE_RUNS`] under the run's retry policy — then the shared
     /// completion phase.
-    fn per_object_reference(ctx: &ShardCtx, data: &[u8]) -> Done {
+    fn per_object_reference(ctx: &mut ShardCtx, config: &RealConfig, data: &[u8]) -> Done {
         let obj_size = ctx.geometry.object_size as usize;
-        let mut store = relock(&ctx.store);
         let mut stats = WriterStats::default();
-        let Store::Double(set) = &mut *store else {
+        let Store::Double(set) = &mut ctx.store else {
             unreachable!("the run tests use the double backup")
         };
         let state = (|| {
             set.invalidate(1)?;
             for (&id, image) in THREE_RUNS.iter().zip(data.chunks_exact(obj_size)) {
-                ctx.retry.run(&mut stats.retry, || {
+                config.retry_policy().run(&mut stats.retry, || {
                     set.write_object(1, ObjectId(id), image)
                 })?;
             }
-            Ok(PendingDurability::Double { target: 1, tick: 9 })
+            Ok(Pending { target: 1, tick: 9 })
         })();
         let inflight = InFlight {
             stats,
@@ -2241,7 +2100,7 @@ mod tests {
                 None,
             )
         };
-        complete_job(ctx, &mut store, inflight, 1)
+        complete_job(ctx, config, inflight, 1)
     }
 
     /// A crash on the k-th object of a job, for every k, freezes the
@@ -2263,17 +2122,20 @@ mod tests {
                         hit,
                         effect: Effect::Crash { torn: 40 },
                     }]));
-                    relock(&ctx.store).attach_inject(Some(Arc::clone(&state)));
-                    ctx.inject = Some(state);
-                    (ctx, rx, dir)
+                    ctx.store.attach_inject(Some(Arc::clone(&state)));
+                    (ctx, rx, dir, legacy().with_inject(state))
                 };
-                let (runs, runs_rx, runs_dir) = armed("runs");
-                let (reference, _, reference_dir) = armed("reference");
+                let (mut runs, runs_rx, runs_dir, runs_config) = armed("runs");
+                let (mut reference, _, reference_dir, reference_config) = armed("reference");
                 let (job, data) = three_run_job(&runs, sweep);
-                run_job(&runs, &runs_rx, job).result.unwrap();
-                per_object_reference(&reference, &data).result.unwrap();
-                for ctx in [&runs, &reference] {
-                    assert!(ctx.inject.as_ref().unwrap().is_down(), "hit {hit}: fired");
+                run_job(&mut runs, &runs_config, &runs_rx, job)
+                    .result
+                    .unwrap();
+                per_object_reference(&mut reference, &reference_config, &data)
+                    .result
+                    .unwrap();
+                for config in [&runs_config, &reference_config] {
+                    assert!(config.fault.as_ref().unwrap().is_down(), "hit {hit}: fired");
                 }
                 assert_eq!(
                     file_bytes(&runs_dir),
@@ -2290,7 +2152,7 @@ mod tests {
     /// target stays invalidated.
     #[test]
     fn short_write_mid_job_retries_the_run_or_fails_uncommitted() {
-        use crate::inject::{Plan, RetryPolicy};
+        use crate::inject::Plan;
         for sweep in [false, true] {
             for budget in [3u32, 0] {
                 let root = tempfile::tempdir().unwrap();
@@ -2299,13 +2161,10 @@ mod tests {
                     make_ctx_over(&dir("runs"), run_geometry(), DiskOrg::DoubleBackup, 3);
                 let plan = Plan::parse("backup-write:2:short-write:2").unwrap();
                 let fault = Arc::new(Inject::armed([plan]));
-                relock(&runs.store).attach_inject(Some(Arc::clone(&fault)));
-                runs.retry = RetryPolicy {
-                    max: budget,
-                    ..RetryPolicy::default()
-                };
+                runs.store.attach_inject(Some(Arc::clone(&fault)));
+                let config = legacy().with_retry(budget, Duration::ZERO);
                 let (job, data) = three_run_job(&runs, sweep);
-                let done = run_job(&runs, &runs_rx, job);
+                let done = run_job(&mut runs, &config, &runs_rx, job);
                 if budget == 0 {
                     assert!(done.result.is_err(), "sweep={sweep}: no budget, no job");
                     assert_eq!(
@@ -2329,9 +2188,11 @@ mod tests {
                     // Still published object by object, through the last.
                     assert_eq!(runs.frontier.load(Ordering::Acquire), 11);
                 }
-                let (reference, _rx) =
+                let (mut reference, _rx) =
                     make_ctx_over(&dir("reference"), run_geometry(), DiskOrg::DoubleBackup, 3);
-                per_object_reference(&reference, &data).result.unwrap();
+                per_object_reference(&mut reference, &legacy(), &data)
+                    .result
+                    .unwrap();
                 assert_eq!(file_bytes(&dir("runs")), file_bytes(&dir("reference")));
             }
         }
@@ -2341,18 +2202,16 @@ mod tests {
     /// estimate and the policy.
     #[test]
     fn batch_window_table() {
-        let fixed = coalescing(Duration::from_micros(300));
-        let auto = DurabilityConfig {
-            auto_window: true,
-            ..fixed
-        };
+        let fixed = &coalescing(Duration::from_micros(300));
+        let auto = &auto_window(fixed.clone());
+        let zero = &coalescing(Duration::ZERO);
         let us = Duration::from_micros;
         // (ewma gap, last batch full, full-batch size, policy) -> window
         let table = [
             // A fixed window passes through, whatever the estimator says.
             (None, false, 4, fixed, us(300)),
             (Some(1e-3), true, 4, fixed, us(300)),
-            (None, false, 4, coalescing(Duration::ZERO), Duration::ZERO),
+            (None, false, 4, zero, Duration::ZERO),
             // Auto: a full previous batch means the queue keeps up.
             (Some(100e-6), true, 4, auto, Duration::ZERO),
             // Auto: no inter-arrival estimate yet.
@@ -2364,13 +2223,13 @@ mod tests {
             (Some(1e-3), false, 4, auto, MAX_AUTO_WINDOW),
             (Some(10.0), false, 8, auto, MAX_AUTO_WINDOW),
         ];
-        for (ewma, last_full, full_batch, sched, want) in table {
+        for (ewma, last_full, full_batch, config, want) in table {
             assert_eq!(
-                batch_window(ewma, last_full, full_batch, &sched),
+                batch_window(ewma, last_full, full_batch, config),
                 want,
                 "ewma {ewma:?}, last_full {last_full}, full_batch {full_batch}, \
                  auto {}",
-                sched.auto_window
+                config.auto_window
             );
         }
     }
@@ -2380,30 +2239,30 @@ mod tests {
     /// the senders are gone the partial batch comes back, then `false`.
     #[test]
     fn an_unbounded_window_closes_on_full_or_on_disconnect() {
-        let sched = coalescing(Duration::MAX);
+        let config = coalescing(Duration::MAX);
         let (tx, rx) = sync_channel(4);
         let (mut arrivals, mut batch) = (Arrivals::default(), Vec::new());
-        tx.send(eager(0, 0, 1, 1)).unwrap();
+        tx.send(queued(0, eager(0, 1, 1))).unwrap();
         // The second job may arrive while the window waits. The sender
         // stays alive throughout, so only a full batch can end the wait.
         let feeder = std::thread::spawn(move || {
-            tx.send(eager(0, 1, 0, 2)).unwrap();
+            tx.send(queued(0, eager(1, 0, 2))).unwrap();
             tx
         });
-        assert!(collect_batch(&rx, &sched, 2, &mut arrivals, &mut batch));
+        assert!(collect_batch(&rx, &config, 2, &mut arrivals, &mut batch));
         assert_eq!(batch.len(), 2, "the batch closes full");
         let tx = feeder.join().unwrap();
         batch.clear();
-        tx.send(eager(0, 2, 1, 3)).unwrap();
+        tx.send(queued(0, eager(2, 1, 3))).unwrap();
         drop(tx);
-        assert!(collect_batch(&rx, &sched, 2, &mut arrivals, &mut batch));
+        assert!(collect_batch(&rx, &config, 2, &mut arrivals, &mut batch));
         assert_eq!(
             batch.len(),
             1,
             "the partial batch, once the senders are gone"
         );
         batch.clear();
-        assert!(!collect_batch(&rx, &sched, 2, &mut arrivals, &mut batch));
+        assert!(!collect_batch(&rx, &config, 2, &mut arrivals, &mut batch));
         assert!(batch.is_empty());
     }
 
@@ -2455,22 +2314,16 @@ mod tests {
         let root = tempfile::tempdir().unwrap();
         let (mut ctx, done_rx) = make_ctx(root.path(), DiskOrg::DoubleBackup, 3);
         let fault = Arc::new(Inject::armed([Plan::at(Site::BackupSync)]));
-        ctx.inject = Some(Arc::clone(&fault));
-        relock(&ctx.store).attach_inject(Some(Arc::clone(&fault)));
-        assert_eq!(ctx.retry.max, 0, "the error must propagate unretried");
+        ctx.store.attach_inject(Some(Arc::clone(&fault)));
+        let config = batched(coalescing(Duration::ZERO)).with_inject(Arc::clone(&fault));
+        assert_eq!(config.retry_max, 0, "the error must propagate unretried");
         let g = geometry();
-        let ctxs = Arc::new(vec![ctx]);
         // Queue both jobs *before* spawning, so one round coalesces them.
         let (job_txs, job_rxs) = job_channels(1, 1, 2);
         for seq in 0u64..2 {
-            job_txs[0].send(eager(0, seq, 1, seq as u8 + 1)).unwrap();
+            send(&job_txs[0], eager(seq, 1, seq as u8 + 1));
         }
-        let (mut backend, _) = spawn_writer(
-            WriterBackendKind::AsyncBatched,
-            Arc::clone(&ctxs),
-            job_rxs,
-            coalescing(Duration::ZERO),
-        );
+        let (mut backend, _) = spawn_writer(&config, vec![ctx], job_rxs);
         // Senders gone before the first assertion, so a failure unwinds
         // through the writer's joining drop instead of hanging in it.
         drop(job_txs);
@@ -2489,7 +2342,6 @@ mod tests {
         assert_eq!(fsyncs, 1, "one fsync for the shared target");
         assert_eq!(fault.injected(), 1);
         backend.shutdown();
-        drop(ctxs);
         let set = crate::files::BackupSet::open(root.path(), g).unwrap();
         assert_eq!(
             set.newest_consistent(),
