@@ -6,14 +6,16 @@
 //! exactly `k` times — coverage by construction, not by luck. The
 //! remaining axes (algorithm, shards, writer backend, pipeline depth,
 //! batch window, hit index, torn offset, transient layer) are drawn from
-//! a SplitMix64 stream keyed on `(seed, id)` and then clamped to the
-//! site's *compatibility set*: a site that only exists on the io_uring
-//! path is never paired with the thread pool, a log-append site is never
-//! paired with a double-backup algorithm, and so on. Without the clamp a
-//! large fraction of the corpus would arm sites the run can never reach.
+//! a SplitMix64 stream keyed on `(seed, id)`, within the site's
+//! [`Site::reach`]: the algorithm from its disk organization, the backend
+//! from its backends, a barrier round and the replica tier where it needs
+//! them, the hit within its `hits`, and the transient layer from the
+//! seams whose reach admits the case. A forced pick (one choice) draws
+//! nothing. Without the reach a large fraction of the corpus would arm
+//! sites the run can never reach.
 
-use mmoc_core::{Algorithm, DiskOrg, WriterBackend};
-use mmoc_storage::inject::{Effect, Kind, Plan, Site};
+use mmoc_core::{Algorithm, WriterBackend};
+use mmoc_storage::inject::{Effect, Hits, Kind, Plan, Site};
 
 /// The sites a case's crash plan can arm, in registry order.
 fn crash_sites() -> impl Iterator<Item = Site> {
@@ -90,28 +92,26 @@ impl Rng {
     fn below(&mut self, n: u64) -> u64 {
         self.next() % n
     }
+    /// A forced pick (one choice) draws nothing.
     fn pick<T: Copy>(&mut self, xs: &[T]) -> T {
-        xs[self.below(xs.len() as u64) as usize]
+        match xs {
+            [x] => *x,
+            _ => xs[self.below(xs.len() as u64) as usize],
+        }
+    }
+    /// A hit index within `hits`.
+    fn hit(&mut self, hits: Hits, shards: u32) -> u64 {
+        match hits {
+            Hits::Many => 1 + self.below(3),
+            // Drawn on one shard too: the derived stream is pinned.
+            Hits::PerShard => 1 + self.below(u64::from(shards)),
+            Hits::Upto(1) => 1,
+            Hits::Upto(n) => 1 + self.below(n),
+        }
     }
     fn chance(&mut self, one_in: u64) -> bool {
         self.below(one_in) == 0
     }
-}
-
-/// Algorithms whose disk organization is the double backup.
-fn double_backup_algs() -> Vec<Algorithm> {
-    Algorithm::ALL
-        .into_iter()
-        .filter(|a| a.spec().disk_org == DiskOrg::DoubleBackup)
-        .collect()
-}
-
-/// Algorithms whose disk organization is the log.
-fn log_algs() -> Vec<Algorithm> {
-    Algorithm::ALL
-        .into_iter()
-        .filter(|a| a.spec().disk_org == DiskOrg::Log)
-        .collect()
 }
 
 impl FuzzCase {
@@ -119,33 +119,18 @@ impl FuzzCase {
     /// cases on every machine and every run.
     #[must_use]
     pub fn derive(seed: u64, id: u64) -> FuzzCase {
-        use Site::*;
         let n = crash_sites().count() as u64;
         let site = crash_sites().nth((id % n) as usize).expect("id % n < n");
+        let reach = site.reach();
         let mut r = Rng::new(seed, id);
 
-        // Algorithm: clamp to the disk organization the site lives in.
-        let algorithm = match site {
-            LogAppendObject | LogSegmentSealed => r.pick(&log_algs()),
-            BackupWriteObject | BackupInvalidate | BackupCommit => r.pick(&double_backup_algs()),
-            _ => r.pick(&Algorithm::ALL),
-        };
-
-        // Backend: clamp to the code path that consults the site.
-        // - uring-* sites exist only in the ring loop;
-        // - the device barrier needs one loop syncing two files on one
-        //   device, and the default pool gives each of 4 shards its own
-        //   loop, so it is drawn on the single-loop backends only.
-        let backend = match site {
-            UringWaveStaged | UringWaveComplete => WriterBackend::IoUring,
-            DeviceBarrier => r.pick(&[WriterBackend::AsyncBatched, WriterBackend::IoUring]),
-            _ => r.pick(&WriterBackend::ALL),
-        };
-
-        // The device barrier only arises when several same-device files
-        // share one coalesced sync phase: multi-shard, coalescing on,
-        // device sync on, and a real batch window.
-        let barrier = site == DeviceBarrier;
+        let algs: Vec<Algorithm> = Algorithm::ALL
+            .into_iter()
+            .filter(|a| reach.org.is_none_or(|o| a.spec().disk_org == o))
+            .collect();
+        let algorithm = r.pick(&algs);
+        let backend = r.pick(reach.backends);
+        let barrier = reach.barrier;
         let shards = if barrier { 4 } else { r.pick(&[1_u32, 4]) };
         let device_sync = barrier || r.chance(4);
         let coalesce = barrier || !r.chance(4);
@@ -154,62 +139,34 @@ impl FuzzCase {
         } else {
             r.pick(&[0_u64, 100, 250])
         };
+        let ring_death = site.effects().contains(&"ring-death") && r.chance(3);
 
-        // Ring death (dead-flag latch + synchronous redo, not a crash) is
-        // only meaningful at the ring boundaries.
-        let ring_death = matches!(site, UringWaveStaged | UringWaveComplete) && r.chance(3);
-
-        // The replica push/fetch sites only exist when the replica tier
-        // is on, so those cases force a nonzero factor; everywhere else a
-        // minority of cases carry the tier along so every older site is
-        // also exercised with mirrors active.
-        let replication = match site {
-            ReplicaPushPreCommit | ReplicaPushPostCommit | ReplicaFetch | ReplicaFetchMid => {
-                1 + r.below(2) as u32
-            }
-            _ if r.chance(3) => r.pick(&[1_u32, 2]),
-            _ => 0,
+        // Where the tier is optional, a minority of cases carry it along
+        // so every other site is also exercised with mirrors active.
+        let replication = if reach.replicas || r.chance(3) {
+            r.pick(&[1_u32, 2])
+        } else {
+            0
         };
-
-        // Fetch attempts are bounded by shards × mirrors and recovery
-        // stops at the first surviving copy, so a fetch-site hit index
-        // past the shard count could never be reached. The recovery
-        // re-crash sites are likewise bounded by what one restore pass
-        // actually reaches: the image read happens once per shard, the
-        // replay tail may be short (a checkpoint can land on the last
-        // tick), and a mid-fetch death consumes one mirror attempt.
-        let hit = match site {
-            ReplicaFetch | RecoveryReadImage => 1 + r.below(u64::from(shards)),
-            RecoveryReplayTick => 1 + r.below(2),
-            ReplicaFetchMid => 1,
-            _ => 1 + r.below(3),
-        };
+        let hit = r.hit(reach.hits, shards);
 
         // Transient-fault schedule: a third of the corpus layers an I/O
         // error burst over the crash plan (crash point × transient
-        // schedule, the multi-fault grid). The site is clamped to a seam
-        // this configuration actually reaches, and the burst never
-        // exceeds the retry budget, so every derived run completes —
-        // retry exhaustion and backend degradation are pinned by unit
-        // tests, since the oracle demands runs that finish.
+        // schedule, the multi-fault grid), on a seam whose reach admits
+        // the case. The burst never exceeds the retry budget, so every
+        // derived run completes — retry exhaustion and backend
+        // degradation are pinned by unit tests, since the oracle demands
+        // runs that finish.
         let (fault, retry_max) = if r.chance(3) {
-            let seams: &[Site] = match algorithm.spec().disk_org {
-                DiskOrg::DoubleBackup => &[
-                    BackupWrite,
-                    BackupSync,
-                    BackupCommitMeta,
-                    ImageRead,
-                    UringCqe,
-                ],
-                DiskOrg::Log => &[LogAppend, LogSync, ImageRead, UringCqe],
-            };
-            // `uring-cqe`, last, exists only on the ring.
-            let ring = usize::from(backend == WriterBackend::IoUring);
-            let seam = r.pick(&seams[..seams.len() - 1 + ring]);
+            let org = algorithm.spec().disk_org;
+            let seams: Vec<Site> = Site::all()
+                .filter(|s| !s.accepts_crash() && s.reach().admits(org, backend, replication))
+                .collect();
+            let seam = r.pick(&seams);
             let retry_max = 1 + r.below(3) as u32;
             let plan = Plan {
                 site: seam,
-                hit: 1 + r.below(3),
+                hit: r.hit(seam.reach().hits, shards),
                 effect: Effect::Transient {
                     kind: r.pick(&Kind::ALL),
                     burst: 1 + r.below(u64::from(retry_max)),
@@ -249,6 +206,21 @@ impl FuzzCase {
             fault,
             retry_max,
         }
+    }
+
+    /// Whether this case's shape can reach `site`: its reach admits the
+    /// disk organization, backend and replica tier, and a barrier site
+    /// gets its coalesced multi-shard round.
+    #[must_use]
+    pub fn admits(&self, site: Site) -> bool {
+        let reach = site.reach();
+        let barrier_round =
+            self.shards > 1 && self.device_sync && self.coalesce && self.batch_window_us > 0;
+        reach.admits(
+            self.algorithm.spec().disk_org,
+            self.backend,
+            self.replication,
+        ) && (!reach.barrier || barrier_round)
     }
 
     /// Render as the `--case` spec format: comma-separated `key=value`
@@ -333,6 +305,15 @@ impl FuzzCase {
         if seen < 13 {
             return Err(format!("spec has {seen} of 13 required keys: {spec:?}"));
         }
+        // A plan the shape cannot reach would pass without testing anything.
+        for plan in std::iter::once(case.plan).chain(case.fault) {
+            if !case.admits(plan.site) {
+                let (name, reach) = (plan.site.name(), plan.site.reach());
+                return Err(format!(
+                    "`{name}` is unreachable in this case (reach: {reach})"
+                ));
+            }
+        }
         Ok(case)
     }
 }
@@ -340,7 +321,6 @@ impl FuzzCase {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mmoc_storage::inject::Phase;
 
     #[test]
     fn derivation_is_pure_and_site_first() {
@@ -359,68 +339,24 @@ mod tests {
         assert_ne!(FuzzCase::derive(8, 0), FuzzCase::derive(9, 0));
     }
 
+    /// Every derived plan lies within its site's reach and `hits`, and
+    /// every crash site is drawn with every backend its reach admits —
+    /// so each always-reached submit-phase site meets all three.
     #[test]
-    fn every_case_satisfies_the_compatibility_matrix() {
-        use Site::*;
-        // The sites every writer loop reaches — `submit_job` and the
-        // stores under every data path, and the scheduler's commit seam
-        // in every round — with each backend they were drawn with.
-        let mut staged = Vec::new();
+    fn every_case_is_admitted_by_its_reach() {
+        let mut drawn = Vec::new();
         for seed in [1_u64, 8, 1234] {
             for id in 0..(8 * crash_sites().count() as u64) {
                 let c = FuzzCase::derive(seed, id);
-                let org = c.algorithm.spec().disk_org;
-                if matches!(
-                    c.plan.site,
-                    JobSubmitted
-                        | BackupWriteObject
-                        | LogAppendObject
-                        | LogSegmentSealed
-                        | SchedulerCommitSeam
-                ) {
-                    staged.push((c.plan.site, c.backend));
-                }
-                match c.plan.site {
-                    LogAppendObject | LogSegmentSealed => assert_eq!(org, DiskOrg::Log),
-                    BackupWriteObject | BackupInvalidate | BackupCommit => {
-                        assert_eq!(org, DiskOrg::DoubleBackup);
-                    }
-                    UringWaveStaged | UringWaveComplete => {
-                        assert_eq!(c.backend, WriterBackend::IoUring);
-                    }
-                    DeviceBarrier => {
-                        assert_ne!(c.backend, WriterBackend::ThreadPool);
-                        assert_eq!(c.shards, 4);
-                        assert!(c.device_sync && c.coalesce && c.batch_window_us > 0);
-                    }
-                    ReplicaPushPreCommit | ReplicaPushPostCommit | ReplicaFetch => {
-                        assert!(
-                            (1..=2).contains(&c.replication),
-                            "replica points need the tier on"
-                        );
-                        if c.plan.site == ReplicaFetch {
-                            assert!(c.plan.hit <= u64::from(c.shards));
-                        }
-                    }
-                    ReplicaFetchMid => {
-                        assert!(
-                            (1..=2).contains(&c.replication),
-                            "a mid-fetch peer death needs mirrors to die"
-                        );
-                        assert_eq!(c.plan.hit, 1, "one mirror attempt is consumed per fire");
-                    }
-                    RecoveryReadImage => {
-                        assert_eq!(c.plan.site.phase(), Phase::Recovery);
-                        assert!(
-                            c.plan.hit <= u64::from(c.shards),
-                            "one image read per shard restore"
-                        );
-                    }
-                    RecoveryReplayTick => {
-                        assert_eq!(c.plan.site.phase(), Phase::Recovery);
-                        assert!(c.plan.hit <= 2, "replay tails can be short");
-                    }
-                    _ => {}
+                for p in std::iter::once(c.plan).chain(c.fault) {
+                    assert!(c.admits(p.site), "{}", c.spec());
+                    let most = match p.site.reach().hits {
+                        Hits::Many => 3,
+                        Hits::PerShard => u64::from(c.shards),
+                        Hits::Upto(n) => n,
+                    };
+                    assert!((1..=most).contains(&p.hit), "{}", c.spec());
+                    assert!(p.site.effects().contains(&p.effect.name()));
                 }
                 if let Some(f) = c.fault {
                     let Effect::Transient { burst, .. } = f.effect else {
@@ -430,39 +366,39 @@ mod tests {
                         burst <= u64::from(c.retry_max),
                         "derived bursts stay within the retry budget"
                     );
-                    match f.site {
-                        UringCqe => assert_eq!(c.backend, WriterBackend::IoUring),
-                        BackupWrite | BackupSync | BackupCommitMeta => {
-                            assert_eq!(org, DiskOrg::DoubleBackup);
-                        }
-                        LogAppend | LogSync => assert_eq!(org, DiskOrg::Log),
-                        // Recovery reads are backend-independent.
-                        ImageRead => {}
-                        other => panic!("{} is not a transient site", other.name()),
-                    }
                 }
-                assert!(
-                    c.plan.site.effects().contains(&c.plan.effect.name()),
-                    "ring death only at ring boundaries"
-                );
-                assert!(c.plan.hit >= 1);
+                drawn.push((c.plan.site, c.backend));
             }
         }
-        for site in [
-            JobSubmitted,
-            BackupWriteObject,
-            LogAppendObject,
-            LogSegmentSealed,
-            SchedulerCommitSeam,
-        ] {
-            for backend in WriterBackend::ALL {
+        for site in crash_sites() {
+            for &backend in site.reach().backends {
                 assert!(
-                    staged.contains(&(site, backend)),
+                    drawn.contains(&(site, backend)),
                     "{} never drawn with {}",
                     site.name(),
                     backend.label()
                 );
             }
+        }
+    }
+
+    /// A spec whose crash or fault site its shape cannot reach is
+    /// rejected, naming the site and its reach.
+    #[test]
+    fn unreachable_specs_are_rejected() {
+        let base = "alg=cou,shards=1,backend=thread-pool,depth=1,window=0,dsync=0,coalesce=1,ticks=12,upt=100,skew=0.5,tseed=7,repl=0";
+        let parse = |extra: &str| FuzzCase::parse(&format!("{base},{extra}"));
+        let ring = parse("crash=uring-wave-staged").unwrap_err();
+        assert!(ring.starts_with("`uring-wave-staged` is") && ring.contains("io-uring,"));
+        let log = parse("crash=job-submitted,fault=log-sync").unwrap_err();
+        assert!(log.starts_with("`log-sync` is") && log.contains("(reach: Log,"));
+        assert!(parse("crash=device-barrier,backend=async-batched").is_err());
+        for ok in [
+            "crash=uring-wave-staged,backend=io-uring",
+            "crash=job-submitted,fault=log-sync,alg=partial-redo",
+            "crash=device-barrier,backend=async-batched,shards=4,window=250,dsync=1",
+        ] {
+            assert!(parse(ok).is_ok(), "{ok}");
         }
     }
 

@@ -11,7 +11,7 @@ use mmoc_storage::inject::{Effect, Kind, Plan, Site};
 
 use crate::case::FuzzCase;
 
-fn base(algorithm: Algorithm, backend: WriterBackend, site: Site) -> FuzzCase {
+pub(crate) fn base(algorithm: Algorithm, backend: WriterBackend, site: Site) -> FuzzCase {
     FuzzCase {
         algorithm,
         shards: 1,
@@ -33,6 +33,7 @@ fn base(algorithm: Algorithm, backend: WriterBackend, site: Site) -> FuzzCase {
 
 /// The named seeds, in replay order.
 #[must_use]
+#[allow(clippy::enum_glob_use)] // the seeds read as rows of variant names
 pub fn named_seeds() -> Vec<(&'static str, FuzzCase)> {
     use Algorithm::*;
     use Site::*;
@@ -203,6 +204,16 @@ mod tests {
             let back = FuzzCase::parse(&case.spec())
                 .unwrap_or_else(|e| panic!("{name}: spec must round-trip: {e}"));
             assert_eq!(*case, back, "{name}");
+        }
+    }
+
+    #[test]
+    fn named_seeds_are_admitted_by_their_reach() {
+        for (name, case) in named_seeds() {
+            for site in std::iter::once(case.plan).chain(case.fault).map(|p| p.site) {
+                let reach = site.reach();
+                assert!(case.admits(site), "{name}: {site:?} outside {reach}");
+            }
         }
     }
 }

@@ -13,10 +13,11 @@
 
 use std::io::Write as _;
 use std::process::ExitCode;
-use std::sync::Arc;
 
+use mmoc_core::WriterBackend;
+use mmoc_fuzz::oracle::{track, tracking_sweep};
 use mmoc_fuzz::{named_seeds, run_case, shrink, FuzzCase};
-use mmoc_storage::inject::{ring_available, Inject, Phase, Site};
+use mmoc_storage::inject::{ring_available, Phase, Site};
 
 fn usage() -> String {
     "usage: mmoc-fuzz [--runs N] [--seed S] [--log FILE] | \
@@ -153,7 +154,7 @@ fn run_corpus(opts: &Options) -> ExitCode {
     for (origin, case) in cases {
         let out = run_case(&case);
         executed += 1;
-        let ring = mmoc_fuzz::oracle::wants_ring(&case);
+        let ring = case.backend == WriterBackend::IoUring;
         let native_ring = ring && !out.fell_back;
         ring_requested += u64::from(ring);
         ring_native += u64::from(native_ring);
@@ -222,10 +223,7 @@ fn run_corpus(opts: &Options) -> ExitCode {
     for s in Site::all() {
         let i = s as usize;
         let crash_site = s.accepts_crash();
-        let ring_site = matches!(
-            s,
-            Site::UringWaveStaged | Site::UringWaveComplete | Site::UringCqe
-        );
+        let ring_site = s.reach().backends == [WriterBackend::IoUring];
         // Both data paths stage through the same submission phase, so the
         // ring must reach every submit-phase site too.
         let ring_hole = s.phase() == Phase::Submit && !ring_covered[i] && !ring_excused;
@@ -290,47 +288,13 @@ fn run_one(case: &FuzzCase, origin: &str) -> ExitCode {
     }
 }
 
-/// `--list-points`: print the registry, with reach counts from a small
-/// tracking sweep across both disk organizations and all three backends.
-/// Each sweep run is recovered and judged against the oracle like a
-/// corpus case.
+/// `--list-points`: print the registry, with reach counts from the
+/// tracking sweep. Each sweep run is recovered and judged against the
+/// oracle like a corpus case.
 fn list_points() -> ExitCode {
-    use mmoc_core::{Algorithm, WriterBackend};
-    let sweep = [
-        (Algorithm::CopyOnUpdate, WriterBackend::ThreadPool, 1_u32, 0),
-        (Algorithm::PartialRedo, WriterBackend::ThreadPool, 1, 0),
-        (
-            Algorithm::CopyOnUpdatePartialRedo,
-            WriterBackend::AsyncBatched,
-            1,
-            0,
-        ),
-        (Algorithm::CopyOnUpdate, WriterBackend::AsyncBatched, 4, 2),
-        (
-            Algorithm::AtomicCopyDirtyObjects,
-            WriterBackend::IoUring,
-            4,
-            0,
-        ),
-    ];
     let mut totals = vec![0_u64; Site::all().count()];
-    for (alg, backend, shards, replication) in sweep {
-        let mut case = FuzzCase::derive(0, 0);
-        case.algorithm = alg;
-        case.backend = backend;
-        case.shards = shards;
-        case.pipeline_depth = 2;
-        case.batch_window_us = 250;
-        case.device_sync = shards > 1;
-        case.coalesce = true;
-        case.ticks = 12;
-        case.updates_per_tick = 120;
-        case.trace_seed = 7;
-        case.replication = replication;
-        case.fault = None;
-        case.retry_max = 3;
-        let tracking = || Arc::new(Inject::tracking());
-        let out = mmoc_fuzz::oracle::run_and_recover(&case, &tracking(), &tracking());
+    for case in tracking_sweep() {
+        let out = track(&case);
         if let Some(why) = out.failure {
             eprintln!("mmoc-fuzz: tracking sweep failed: {why}");
             eprintln!("  case: {}", case.spec());
@@ -347,13 +311,12 @@ fn list_points() -> ExitCode {
             let (reaches, name) = (totals[s as usize], s.name());
             println!("  {name:<22} {reaches:>8}  {}", s.describe());
             println!("  {:<31}  effects: {}", "", s.effects().join(", "));
-            println!("  {:<31}  compat: {}", "", s.compat());
+            println!("  {:<31}  reach: {}", "", s.reach());
         }
     }
     if !ring_available() {
         println!("(io_uring unavailable on this kernel: uring-* reaches are 0 by fallback)");
     }
-    println!("(replica-tier reaches require mirrors: only sweeps with replication > 0 count them)");
     ExitCode::SUCCESS
 }
 

@@ -22,13 +22,9 @@
 //!   model — and requires the second attempt to succeed and still match
 //!   the in-memory truth.
 
-use mmoc_core::{
-    DiskOrg, EngineDetail, Run, ShardFilter, ShardMap, StateGeometry, StateTable, WriterBackend,
-};
+use mmoc_core::{EngineDetail, Run, ShardFilter, ShardMap, StateGeometry, StateTable};
 use mmoc_storage::inject::{Inject, InjectedCrash, Phase, Plan, RetryPolicy, Site};
-use mmoc_storage::recovery::{
-    recover_and_replay_log_with, recover_and_replay_with, recover_from_replica, RecoveryOpts,
-};
+use mmoc_storage::recovery::{recover_from_disk, recover_from_replica, RecoveryOpts};
 use mmoc_storage::{shard_dir, RealConfig, ReplicaSet};
 use mmoc_workload::{SyntheticConfig, TraceSource};
 use std::io;
@@ -39,7 +35,7 @@ use std::time::Duration;
 use crate::case::FuzzCase;
 
 /// What one executed case reported.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CaseOutcome {
     /// Did the armed crash plan actually fire (run or recovery pass)?
     pub fired: bool,
@@ -102,20 +98,23 @@ pub fn run_case(case: &FuzzCase) -> CaseOutcome {
     // Recovery-phase plans fire during the oracle's recovery pass, on its
     // own injection state: the run's latch models the *first* process
     // death, this one the re-crash of the restarted process. For the
-    // disk-path re-crash sites the first death is a generic early freeze
-    // (the universally-compatible enqueue boundary), so recovery has a
-    // real checkpoint-plus-tail to work through — after a *clean* run the
-    // newest checkpoint can cover the whole trace, leaving no replay tick
-    // for the re-crash to land on. The replica fetch sites instead need
-    // the mirrors a completed run publishes, so those cases run clean.
+    // disk-path re-crash sites (recovery phase, no replica tier) the
+    // first death is a generic early freeze (the universally-compatible
+    // enqueue boundary), so recovery has a real checkpoint-plus-tail to
+    // work through — after a *clean* run the newest checkpoint can cover
+    // the whole trace, leaving no replay tick for the re-crash to land
+    // on. The replica fetch sites instead need the mirrors a completed
+    // run publishes, so those cases run clean.
     // Both states carry the transient schedule; its sites are reached in
     // one phase only (the image read during recovery, the rest during the
     // run), so splitting it over two states changes no reach count.
-    let run_plan = match case.plan.site {
-        Site::RecoveryReadImage | Site::RecoveryReplayTick => Plan::at(Site::JobEnqueued),
-        _ => case.plan,
+    let recovery = case.plan.site.phase() == Phase::Recovery;
+    let run_plan = if recovery && !case.plan.site.reach().replicas {
+        Plan::at(Site::JobEnqueued)
+    } else {
+        case.plan
     };
-    let rec_plan = (case.plan.site.phase() == Phase::Recovery).then_some(case.plan);
+    let rec_plan = recovery.then_some(case.plan);
     let state = Arc::new(Inject::armed([run_plan].into_iter().chain(case.fault)));
     let rec_state = Arc::new(Inject::armed(rec_plan.into_iter().chain(case.fault)));
     let mut outcome = run_and_recover(case, &state, &rec_state);
@@ -128,22 +127,54 @@ pub fn run_case(case: &FuzzCase) -> CaseOutcome {
     outcome
 }
 
+/// The tracking sweep `--list-points` counts reaches over: small cases
+/// spanning both disk organizations, all three backends, one and four
+/// shards, and the replica tier.
+#[must_use]
+pub fn tracking_sweep() -> Vec<FuzzCase> {
+    use mmoc_core::{Algorithm as A, WriterBackend as W};
+    [
+        (A::CopyOnUpdate, W::ThreadPool, 1, 0),
+        (A::PartialRedo, W::ThreadPool, 1, 0),
+        (A::CopyOnUpdatePartialRedo, W::AsyncBatched, 1, 0),
+        (A::CopyOnUpdate, W::AsyncBatched, 4, 2),
+        (A::AtomicCopyDirtyObjects, W::IoUring, 4, 0),
+    ]
+    .into_iter()
+    .map(|(algorithm, backend, shards, replication)| FuzzCase {
+        algorithm,
+        shards,
+        backend,
+        pipeline_depth: 2,
+        batch_window_us: 250,
+        device_sync: true,
+        coalesce: true,
+        ticks: 12,
+        updates_per_tick: 120,
+        trace_seed: 7,
+        replication,
+        fault: None,
+        retry_max: 3,
+        ..FuzzCase::derive(0, 0)
+    })
+    .collect()
+}
+
+/// Run `case` with nothing armed, counting every site's reaches, and
+/// judge it like any case.
+#[must_use]
+pub fn track(case: &FuzzCase) -> CaseOutcome {
+    let tracking = || Arc::new(Inject::tracking());
+    run_and_recover(case, &tracking(), &tracking())
+}
+
 /// Execute `case` under the injection state `run`, then recover every
 /// shard from the directory it left under the state `recovery` and judge
 /// the recovered bytes against the oracle. The outcome's reach counts
 /// and injected faults merge both states; `fired` is left to the caller,
-/// which knows which state's plan is the case's. `--list-points` passes
-/// two tracking states, so its sweep is judged like any case.
-#[must_use]
-pub fn run_and_recover(case: &FuzzCase, run: &Arc<Inject>, recovery: &Arc<Inject>) -> CaseOutcome {
-    let mut outcome = CaseOutcome {
-        fired: false,
-        fell_back: false,
-        counts: Vec::new(),
-        faults_injected: 0,
-        recovery_retried: false,
-        failure: None,
-    };
+/// which knows which state's plan is the case's.
+fn run_and_recover(case: &FuzzCase, run: &Arc<Inject>, recovery: &Arc<Inject>) -> CaseOutcome {
+    let mut outcome = CaseOutcome::default();
     outcome.failure = judge(case, run, recovery, &mut outcome).err();
     let (a, b) = (run.counts(), recovery.counts());
     outcome.counts = a.iter().zip(b).map(|(a, b)| a + b).collect();
@@ -200,9 +231,9 @@ fn judge(
     for s in 0..n {
         let sdir = shard_dir(dir.path(), s, n);
         let g = map.shard_geometry(s);
-        let recover_disk = |replay: &mut ShardFilter<_>| match case.algorithm.spec().disk_org {
-            DiskOrg::DoubleBackup => recover_and_replay_with(&sdir, g, replay, trace.ticks, &opts),
-            DiskOrg::Log => recover_and_replay_log_with(&sdir, g, replay, trace.ticks, &opts),
+        let org = case.algorithm.spec().disk_org;
+        let recover_disk = |replay: &mut ShardFilter<_>| {
+            recover_from_disk(org, &sdir, g, replay, trace.ticks, &opts)
         };
         let mut replay = ShardFilter::new(trace.build(), map.clone(), s);
         let rec = match recover_disk(&mut replay) {
@@ -285,18 +316,29 @@ fn engine_config(
     config
 }
 
-/// True when this case asked for io_uring — used by the coverage check
-/// to excuse ring-only sites on kernels without the capability.
-#[must_use]
-pub fn wants_ring(case: &FuzzCase) -> bool {
-    case.backend == WriterBackend::IoUring
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mmoc_core::Algorithm;
+    use crate::corpus::base;
+    use mmoc_core::{Algorithm, WriterBackend};
     use mmoc_storage::inject::{Effect, Kind};
+
+    /// [`base`]'s thread-pool case over a 12-tick, 100-update trace,
+    /// crashing at `site` with `torn` bytes.
+    fn case(algorithm: Algorithm, site: Site, trace_seed: u64, torn: u64) -> FuzzCase {
+        let plan = Plan {
+            effect: Effect::Crash { torn },
+            ..Plan::at(site)
+        };
+        let base = base(algorithm, WriterBackend::ThreadPool, site);
+        FuzzCase {
+            ticks: 12,
+            updates_per_tick: 100,
+            trace_seed,
+            plan,
+            ..base
+        }
+    }
 
     /// One smoke case per disk organization runs clean end to end.
     #[test]
@@ -306,25 +348,9 @@ mod tests {
             (Algorithm::PartialRedo, Site::LogAppendObject),
         ] {
             let case = FuzzCase {
-                algorithm: alg,
-                shards: 1,
-                backend: WriterBackend::ThreadPool,
-                pipeline_depth: 1,
-                batch_window_us: 0,
-                device_sync: false,
-                coalesce: true,
                 ticks: 10,
                 updates_per_tick: 80,
-                skew: 0.8,
-                trace_seed: 99,
-                replication: 0,
-                plan: Plan {
-                    site: point,
-                    hit: 1,
-                    effect: Effect::Crash { torn: 11 },
-                },
-                fault: None,
-                retry_max: 3,
+                ..case(alg, point, 99, 11)
             };
             let out = run_case(&case);
             assert!(out.ok(), "{}: {:?}", case.spec(), out.failure);
@@ -344,25 +370,10 @@ mod tests {
             (Site::ReplicaFetch, 1),
         ] {
             let case = FuzzCase {
-                algorithm: Algorithm::CopyOnUpdate,
                 shards: 4,
-                backend: WriterBackend::ThreadPool,
-                pipeline_depth: 1,
-                batch_window_us: 0,
-                device_sync: false,
-                coalesce: true,
-                ticks: 12,
-                updates_per_tick: 100,
                 skew: 0.5,
-                trace_seed: 7,
                 replication,
-                plan: Plan {
-                    site: point,
-                    hit: 1,
-                    effect: Effect::Crash { torn: 5 },
-                },
-                fault: None,
-                retry_max: 3,
+                ..case(Algorithm::CopyOnUpdate, point, 7, 5)
             };
             let out = run_case(&case);
             assert!(out.ok(), "{}: {:?}", case.spec(), out.failure);
@@ -383,25 +394,8 @@ mod tests {
             (Algorithm::CopyOnUpdate, Site::ReplicaFetchMid, 2),
         ] {
             let case = FuzzCase {
-                algorithm: alg,
-                shards: 1,
-                backend: WriterBackend::ThreadPool,
-                pipeline_depth: 1,
-                batch_window_us: 0,
-                device_sync: false,
-                coalesce: true,
-                ticks: 12,
-                updates_per_tick: 100,
-                skew: 0.8,
-                trace_seed: 31,
                 replication,
-                plan: Plan {
-                    site: point,
-                    hit: 1,
-                    effect: Effect::Crash { torn: 0 },
-                },
-                fault: None,
-                retry_max: 3,
+                ..case(alg, point, 31, 0)
             };
             let out = run_case(&case);
             assert!(out.ok(), "{}: {:?}", case.spec(), out.failure);
@@ -413,6 +407,42 @@ mod tests {
                     case.spec()
                 );
             }
+        }
+    }
+
+    /// The registry checked against the engine. In every sweep row, a
+    /// site the row's shape does not admit reads 0 reaches: disk
+    /// organization, ring-only, replica tier, and the barrier on one
+    /// shard are structural. Every site is reached in some row that
+    /// admits it, except where reaching it depends on more than the shape.
+    #[test]
+    fn the_registry_reach_matches_the_engine() {
+        use mmoc_storage::inject::ring_available;
+        // device-barrier: two shards' jobs must meet in one batch window;
+        // recovery-replay-tick: the newest checkpoint may cover the whole
+        // trace, leaving no tail to replay; the ring-only sites: the
+        // kernel must run io_uring.
+        let excused = |s: Site| match s {
+            Site::DeviceBarrier | Site::RecoveryReplayTick => true,
+            _ => s.reach().backends == [WriterBackend::IoUring] && !ring_available(),
+        };
+        let mut reached = vec![false; Site::all().count()];
+        for case in tracking_sweep() {
+            let (out, spec) = (track(&case), case.spec());
+            assert!(out.ok(), "{spec}: {:?}", out.failure);
+            for s in Site::all() {
+                let n = out.counts[s as usize];
+                if case.admits(s) {
+                    reached[s as usize] |= n > 0;
+                } else {
+                    let (name, reach) = (s.name(), s.reach());
+                    assert_eq!(n, 0, "{name} outside its reach {reach}: {spec}");
+                }
+            }
+        }
+        for s in Site::all() {
+            let name = s.name();
+            assert!(reached[s as usize] || excused(s), "{name} never reached");
         }
     }
 
@@ -443,29 +473,13 @@ mod tests {
             ),
         ] {
             let case = FuzzCase {
-                algorithm: alg,
-                shards: 1,
-                backend: WriterBackend::ThreadPool,
-                pipeline_depth: 1,
-                batch_window_us: 0,
-                device_sync: false,
-                coalesce: true,
-                ticks: 12,
-                updates_per_tick: 100,
-                skew: 0.8,
-                trace_seed: 47,
-                replication: 0,
-                plan: Plan {
-                    site: point,
-                    hit: 1,
-                    effect: Effect::Crash { torn: 9 },
-                },
                 fault: Some(Plan {
                     site,
                     hit: 1,
                     effect: Effect::Transient { kind, burst: 2 },
                 }),
                 retry_max: 2,
+                ..case(alg, point, 47, 9)
             };
             let out = run_case(&case);
             assert!(out.ok(), "{}: {:?}", case.spec(), out.failure);

@@ -3,12 +3,13 @@
 //! Each transformation makes the case strictly smaller or simpler
 //! (fewer shards, fewer ticks, fewer updates, an earlier crash, no torn
 //! tail, no pipeline overlap); a transformation is kept only when the
-//! shrunk case still fails. Transformations respect the compatibility
-//! matrix — the device barrier needs four shards, so that case keeps
-//! them. The budget is bounded: at most one re-run per transformation
-//! pass, two passes.
+//! shrunk case still fails. Transformations stay within the site's
+//! [`Site::reach`](mmoc_storage::inject::Site::reach) — a barrier site
+//! needs its multi-shard round, so that case keeps four shards. The
+//! budget is bounded: at most one re-run per transformation pass, two
+//! passes.
 
-use mmoc_storage::inject::{Effect, Plan, Site};
+use mmoc_storage::inject::{Effect, Plan};
 
 use crate::case::FuzzCase;
 use crate::oracle::run_case;
@@ -42,7 +43,7 @@ pub fn shrink(case: &FuzzCase) -> (FuzzCase, u32) {
 /// The shrinking moves applicable to `c`, smallest-first.
 fn transforms(c: &FuzzCase) -> Vec<FuzzCase> {
     let mut out = Vec::new();
-    if c.shards > 1 && c.plan.site != Site::DeviceBarrier {
+    if c.shards > 1 && !c.plan.site.reach().barrier {
         let mut t = *c;
         t.shards = 1;
         out.push(t);
@@ -134,8 +135,8 @@ mod tests {
                 assert!(t.updates_per_tick <= c.updates_per_tick);
                 assert!(t.plan.hit <= c.plan.hit);
                 assert!(torn(t.plan) <= torn(c.plan));
-                if c.plan.site == Site::DeviceBarrier {
-                    assert_eq!(t.shards, 4, "device barrier keeps its four shards");
+                if c.plan.site.reach().barrier {
+                    assert_eq!(t.shards, 4, "a barrier site keeps its four shards");
                 }
                 if let (Some(tf), Some(cf)) = (t.fault, c.fault) {
                     assert!(burst(tf) <= burst(cf), "fault moves only shrink the burst");

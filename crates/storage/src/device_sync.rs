@@ -17,7 +17,7 @@
 
 use std::io;
 use std::os::unix::io::RawFd;
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 // std already links libc; declaring the one symbol we need avoids a
 // dependency the offline build doesn't have.
@@ -25,12 +25,8 @@ extern "C" {
     fn syncfs(fd: std::ffi::c_int) -> std::ffi::c_int;
 }
 
-const UNKNOWN: u8 = 0;
-const AVAILABLE: u8 = 1;
-const UNAVAILABLE: u8 = 2;
-
-/// Process-global capability verdict, latched by the first probe.
-static CAPABILITY: AtomicU8 = AtomicU8::new(UNKNOWN);
+/// Process-global verdict, latched by the first failed probe.
+static UNAVAILABLE: AtomicBool = AtomicBool::new(false);
 
 /// Flush every dirty page of the filesystem holding `fd`.
 ///
@@ -38,7 +34,7 @@ static CAPABILITY: AtomicU8 = AtomicU8::new(UNKNOWN);
 /// is unavailable on this system (caller must fall back to per-file
 /// `fsync`), and `Err` only for real I/O failures on a working `syncfs`.
 pub(crate) fn sync_device(fd: RawFd) -> io::Result<bool> {
-    sync_device_impl(&CAPABILITY, || {
+    sync_device_impl(&UNAVAILABLE, || {
         // SAFETY: `fd` is a live descriptor owned by the caller's store
         // for the duration of the call; syncfs reads nothing from user
         // memory.
@@ -54,20 +50,20 @@ pub(crate) fn sync_device(fd: RawFd) -> io::Result<bool> {
 /// The capability ladder around one barrier attempt, with the latch and
 /// the syscall injected so the contract is testable without racing the
 /// process-global verdict from parallel tests.
-fn sync_device_impl(cap: &AtomicU8, barrier: impl FnOnce() -> io::Result<()>) -> io::Result<bool> {
-    if cap.load(Ordering::Relaxed) == UNAVAILABLE {
+fn sync_device_impl(
+    unavailable: &AtomicBool,
+    barrier: impl FnOnce() -> io::Result<()>,
+) -> io::Result<bool> {
+    if unavailable.load(Ordering::Relaxed) {
         return Ok(false);
     }
     match barrier() {
-        Ok(()) => {
-            cap.store(AVAILABLE, Ordering::Relaxed);
-            Ok(true)
-        }
+        Ok(()) => Ok(true),
         Err(err) => match err.raw_os_error() {
             // Capability failures: the syscall is filtered, unimplemented,
             // or rejects this fd class. Latch unavailable and fall back.
             Some(libc_errno::ENOSYS | libc_errno::EPERM | libc_errno::EINVAL) => {
-                cap.store(UNAVAILABLE, Ordering::Relaxed);
+                unavailable.store(true, Ordering::Relaxed);
                 Ok(false)
             }
             // A working syncfs reporting an I/O error is a real durability
@@ -132,24 +128,26 @@ mod tests {
     /// latch so parallel tests cannot race the process-global verdict.
     #[test]
     fn forced_enosys_latches_permanent_per_file_fallback() {
-        let cap = AtomicU8::new(UNKNOWN);
-        let first = sync_device_impl(&cap, || {
+        let unavailable = AtomicBool::new(false);
+        let first = sync_device_impl(&unavailable, || {
             Err(io::Error::from_raw_os_error(libc_errno::ENOSYS))
         })
         .expect("capability failure is not an I/O error");
         assert!(!first, "ENOSYS must report the barrier unavailable");
-        assert_eq!(cap.load(Ordering::Relaxed), UNAVAILABLE);
+        assert!(unavailable.load(Ordering::Relaxed));
         // A later batch — even one whose syncfs would succeed — must not
         // re-probe: the verdict is permanent for the process.
-        let again = sync_device_impl(&cap, || panic!("latched-off probe must not call syncfs"))
-            .expect("latched fallback cannot fail");
+        let again = sync_device_impl(&unavailable, || {
+            panic!("latched-off probe must not call syncfs")
+        })
+        .expect("latched fallback cannot fail");
         assert!(!again, "per-file fsyncs resume for every later batch");
 
         // EIO on a working syncfs is a durability failure, not a missing
         // capability: it surfaces and the barrier stays available.
-        let cap = AtomicU8::new(AVAILABLE);
-        let err = sync_device_impl(&cap, || Err(io::Error::from_raw_os_error(5)));
+        let unavailable = AtomicBool::new(false);
+        let err = sync_device_impl(&unavailable, || Err(io::Error::from_raw_os_error(5)));
         assert!(err.is_err(), "real I/O failures must surface");
-        assert_eq!(cap.load(Ordering::Relaxed), AVAILABLE);
+        assert!(!unavailable.load(Ordering::Relaxed));
     }
 }

@@ -36,9 +36,7 @@ use crate::config::RealConfig;
 use crate::files::{BackupSet, SyncTarget};
 use crate::inject::{Inject, Site};
 use crate::log_store::LogStore;
-use crate::recovery::{
-    recover_and_replay_log_with, recover_and_replay_with, recover_from_replica, RecoveryOpts,
-};
+use crate::recovery::{recover_from_disk, recover_from_replica, RecoveryOpts};
 use crate::replica::ReplicaSet;
 use crate::report::WriterStats;
 use crate::shared::{relock, Shared, SharedTable};
@@ -502,14 +500,9 @@ pub(crate) fn measure_recovery<S: TraceSource>(
     let mirrored = replicas
         .and_then(|set| recover_from_replica(set, shard, geometry, trace, crash_tick, opts));
     let from_replica = mirrored.is_some();
-    let rec = match (mirrored, disk_org) {
-        (Some(rec), _) => rec?,
-        (None, DiskOrg::DoubleBackup) => {
-            recover_and_replay_with(dir, geometry, trace, crash_tick, opts)?
-        }
-        (None, DiskOrg::Log) => {
-            recover_and_replay_log_with(dir, geometry, trace, crash_tick, opts)?
-        }
+    let rec = match mirrored {
+        Some(rec) => rec?,
+        None => recover_from_disk(disk_org, dir, geometry, trace, crash_tick, opts)?,
     };
     Ok(RecoveryReport {
         restore_s: rec.restore_s,

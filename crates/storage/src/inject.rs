@@ -3,8 +3,9 @@
 //!
 //! A [`Site`] is a phase boundary of the durability story (where a
 //! simulated process kill can land) or a syscall seam (where a transient
-//! I/O error can be returned). A [`Plan`] names a site, the 1-based
-//! reach at which it takes effect, and the [`Effect`]:
+//! I/O error can be returned); its [`Reach`] states the run shapes that
+//! can visit it at all. A [`Plan`] names a site, the 1-based reach at
+//! which it takes effect, and the [`Effect`]:
 //!
 //! * [`Effect::Crash`] — the site applies its partial effect (`torn`
 //!   bytes of the interrupted write survive) and latches
@@ -23,6 +24,7 @@
 //! (never a process global, so parallel tests cannot arm each other);
 //! disarmed, every site is one `Option` check on a `None` handle.
 
+use mmoc_core::{DiskOrg, WriterBackend};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -89,8 +91,61 @@ struct Row {
     /// Effect names the site accepts; the first is the spec default.
     effects: &'static [&'static str],
     describe: &'static str,
-    /// The run shapes under which the site can be reached at all.
-    compat: &'static str,
+    reach: Reach,
+}
+
+/// The run shapes under which a site can be reached at all — the one
+/// statement the fuzz sampler, shrinker, oracle and coverage check read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Reach {
+    /// The disk organization that consults the site (`None`: either).
+    pub org: Option<DiskOrg>,
+    /// The writer backends whose loop consults it.
+    pub backends: &'static [WriterBackend],
+    /// Only with the replica tier on (replication >= 1).
+    pub replicas: bool,
+    /// Only when several same-device files meet in one coalesced round:
+    /// multi-shard, device sync and coalescing on, and a batch window.
+    pub barrier: bool,
+    /// How many reaches one run offers.
+    pub hits: Hits,
+}
+
+/// How many reaches of a site one run offers: the bound on a plan's
+/// hit index that the sampler draws within.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Hits {
+    /// Once per checkpoint, round or write; the sampler draws 1..=3.
+    Many,
+    /// At most once per shard restore.
+    PerShard,
+    /// At most `n` in one restore pass.
+    Upto(u64),
+}
+
+impl Reach {
+    /// Whether a run of `org` on `backend` with `replication` mirrors
+    /// can reach the site (the barrier shape aside).
+    pub fn admits(&self, org: DiskOrg, backend: WriterBackend, replication: u32) -> bool {
+        self.org.is_none_or(|o| o == org)
+            && self.backends.contains(&backend)
+            && (replication > 0 || !self.replicas)
+    }
+}
+
+impl std::fmt::Display for Reach {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let org = self.org.map_or("any org".to_string(), |o| format!("{o:?}"));
+        let backends: Vec<_> = self.backends.iter().map(|b| b.label()).collect();
+        let backends = backends.join("/");
+        let replicas = if self.replicas { ", replicas" } else { "" };
+        let barrier = if self.barrier { ", barrier round" } else { "" };
+        write!(
+            f,
+            "{org}, {backends}{replicas}{barrier}, hits {:?}",
+            self.hits
+        )
+    }
 }
 
 const CRASH: &[&str] = &["crash"];
@@ -101,87 +156,84 @@ const TRANSIENT: &[&str] = &["eio", "enospc", "short-write"];
 #[rustfmt::skip]
 #[allow(clippy::enum_glob_use)] // every variant is named once, here
 const TABLE: [Row; N] = {
+    use Hits::{PerShard, Upto};
     use Phase::{Complete, Recovery, Submit};
     use Site::*;
+    use WriterBackend::{AsyncBatched, IoUring};
+    const ANY: Reach = Reach { org: None, backends: &WriterBackend::ALL, replicas: false,
+                               barrier: false, hits: Hits::Many };
+    const DOUBLE: Reach = Reach { org: Some(DiskOrg::DoubleBackup), ..ANY };
+    const LOG: Reach = Reach { org: Some(DiskOrg::Log), ..ANY };
+    const RING_ONLY: Reach = Reach { backends: &[IoUring], ..ANY };
+    const REPLICAS: Reach = Reach { replicas: true, ..ANY };
     [
         Row { site: JobEnqueued, name: "job-enqueued", phase: Submit, effects: CRASH,
-              describe: "driver hands the job to the writer backend",
-              compat: "any backend, any algorithm" },
+              describe: "driver hands the job to the writer backend", reach: ANY },
         Row { site: BackupInvalidate, name: "backup-invalidate", phase: Submit, effects: CRASH,
-              describe: "double-backup target meta invalidated",
-              compat: "double-backup algorithms, any backend" },
+              describe: "double-backup target meta invalidated", reach: DOUBLE },
         Row { site: BackupWriteObject, name: "backup-write-object", phase: Submit, effects: CRASH,
-              describe: "mid object write into the backup image (torn)",
-              compat: "double-backup algorithms, any backend" },
+              describe: "mid object write into the backup image (torn)", reach: DOUBLE },
         Row { site: BackupCommit, name: "backup-commit", phase: Complete, effects: CRASH,
-              describe: "mid 16-byte meta commit, unsynced (torn)",
-              compat: "double-backup algorithms, any backend" },
+              describe: "mid 16-byte meta commit, unsynced (torn)", reach: DOUBLE },
         Row { site: LogAppendObject, name: "log-append-object", phase: Submit, effects: CRASH,
-              describe: "mid object record append to an open segment (torn)",
-              compat: "log algorithms, any backend" },
+              describe: "mid object record append to an open segment (torn)", reach: LOG },
         Row { site: LogSegmentSealed, name: "log-segment-sealed", phase: Submit, effects: CRASH,
-              describe: "segment sealed but unsynced (torn tail)",
-              compat: "log algorithms, any backend" },
+              describe: "segment sealed but unsynced (torn tail)", reach: LOG },
         Row { site: JobSubmitted, name: "job-submitted", phase: Submit, effects: CRASH,
-              describe: "submit_job done: staged, nothing committed",
-              compat: "any backend, any algorithm" },
+              describe: "submit_job done: staged, nothing committed", reach: ANY },
         Row { site: CompleteBeforeSync, name: "complete-before-sync", phase: Complete,
               effects: CRASH, describe: "complete_job entry, the scheduler's data sync issued",
-              compat: "any backend, any algorithm" },
+              reach: ANY },
         Row { site: CompleteBeforeCommit, name: "complete-before-commit", phase: Complete,
-              effects: CRASH, describe: "after data sync, before the meta/log commit",
-              compat: "any backend, any algorithm" },
+              effects: CRASH, describe: "after data sync, before the meta/log commit", reach: ANY },
         Row { site: SchedulerCommitSeam, name: "scheduler-commit-seam", phase: Complete,
               effects: CRASH, describe: "scheduler seam between sync phase and completions",
-              compat: "any backend" },
+              reach: ANY },
+        // The default pool gives each of 4 shards its own loop, so no
+        // pool loop syncs two files on one device.
         Row { site: DeviceBarrier, name: "device-barrier", phase: Complete, effects: CRASH,
               describe: "before the syncfs-style device barrier",
-              compat: "batched/uring backends, multi-shard, device-sync + coalescing on" },
+              reach: Reach { backends: &[AsyncBatched, IoUring], barrier: true, ..ANY } },
         Row { site: UringWaveStaged, name: "uring-wave-staged", phase: Submit, effects: RING,
-              describe: "uring wave staged, about to push SQEs",
-              compat: "io-uring backend (ring actually running)" },
+              describe: "uring wave staged, about to push SQEs", reach: RING_ONLY },
         Row { site: UringWaveComplete, name: "uring-wave-complete", phase: Complete, effects: RING,
-              describe: "uring wave reaped and accounted",
-              compat: "io-uring backend (ring actually running)" },
+              describe: "uring wave reaped and accounted", reach: RING_ONLY },
         Row { site: ReplicaPushPreCommit, name: "replica-push-pre-commit", phase: Complete,
               effects: CRASH, describe: "replica push opened, mirrors invalid, not committed",
-              compat: "replication >= 1" },
+              reach: REPLICAS },
         Row { site: ReplicaPushPostCommit, name: "replica-push-post-commit", phase: Complete,
               effects: CRASH, describe: "checkpoint committed and delta published to mirrors",
-              compat: "replication >= 1" },
+              reach: REPLICAS },
+        // Recovery stops at the first surviving copy: one attempt per shard.
         Row { site: ReplicaFetch, name: "replica-fetch", phase: Recovery, effects: CRASH,
               describe: "recovery-time replica fetch attempt (peer death)",
-              compat: "replication >= 1, recovery-time (hit <= mirrors tried)" },
+              reach: Reach { hits: PerShard, ..REPLICAS } },
         Row { site: RecoveryReadImage, name: "recovery-read-image", phase: Recovery,
               effects: CRASH, describe: "re-crash after the restore image was read",
-              compat: "recovery-time, any algorithm (disk or replica path)" },
+              reach: Reach { hits: PerShard, ..ANY } },
+        // A checkpoint can land on the last tick, so the tail may be short.
         Row { site: RecoveryReplayTick, name: "recovery-replay-tick", phase: Recovery,
               effects: CRASH, describe: "re-crash mid tail replay (one reach per tick)",
-              compat: "recovery-time, any algorithm (disk or replica path)" },
+              reach: Reach { hits: Upto(2), ..ANY } },
+        // A mid-fetch death consumes the mirror attempt it interrupts.
         Row { site: ReplicaFetchMid, name: "replica-fetch-mid", phase: Recovery, effects: CRASH,
               describe: "peer death mid mirror transfer (next mirror tried)",
-              compat: "replication >= 1, recovery-time" },
+              reach: Reach { hits: Upto(1), ..REPLICAS } },
         Row { site: BackupWrite, name: "backup-write", phase: Submit, effects: TRANSIENT,
               describe: "positional data write into a backup image (one per issued write)",
-              compat: "double-backup algorithms, any backend" },
+              reach: DOUBLE },
         Row { site: BackupSync, name: "backup-sync", phase: Complete, effects: TRANSIENT,
-              describe: "data fsync of a backup image file",
-              compat: "double-backup algorithms, any backend" },
+              describe: "data fsync of a backup image file", reach: DOUBLE },
         Row { site: BackupCommitMeta, name: "backup-commit-meta", phase: Complete,
-              effects: TRANSIENT, describe: "16-byte meta commit (write + sync)",
-              compat: "double-backup algorithms, any backend" },
+              effects: TRANSIENT, describe: "16-byte meta commit (write + sync)", reach: DOUBLE },
         Row { site: LogAppend, name: "log-append", phase: Submit, effects: TRANSIENT,
-              describe: "whole-segment append, before any byte lands",
-              compat: "log algorithms, any backend" },
+              describe: "whole-segment append, before any byte lands", reach: LOG },
         Row { site: LogSync, name: "log-sync", phase: Complete, effects: TRANSIENT,
-              describe: "data fsync of the checkpoint log",
-              compat: "log algorithms, any backend" },
+              describe: "data fsync of the checkpoint log", reach: LOG },
         Row { site: ImageRead, name: "image-read", phase: Recovery, effects: TRANSIENT,
-              describe: "recovery-time image read / log reconstruction",
-              compat: "recovery-time, disk path, any algorithm" },
+              describe: "recovery-time image read / log reconstruction", reach: ANY },
         Row { site: UringCqe, name: "uring-cqe", phase: Submit, effects: TRANSIENT,
-              describe: "io_uring CQE result of a data write (negative errno)",
-              compat: "io-uring backend (ring actually running)" },
+              describe: "io_uring CQE result of a data write (negative errno)", reach: RING_ONLY },
     ]
 };
 
@@ -207,8 +259,8 @@ impl Site {
     }
 
     /// The run shapes under which the site can be reached at all.
-    pub fn compat(self) -> &'static str {
-        self.row().compat
+    pub fn reach(self) -> Reach {
+        self.row().reach
     }
 
     /// The durability phase the site sits in.
@@ -613,7 +665,7 @@ mod tests {
             assert_eq!(s as usize, i, "registry order matches discriminant");
             assert!(seen.insert(s.name()), "duplicate name {}", s.name());
             assert_eq!(plan(s.name()).site, s);
-            assert!(!s.describe().is_empty() && !s.compat().is_empty());
+            assert!(!s.describe().is_empty() && !s.reach().backends.is_empty());
             for e in s.effects() {
                 let p = plan(&format!("{}:2:{e}", s.name()));
                 assert_eq!((p.site, p.hit, p.effect.name()), (s, 2, *e));

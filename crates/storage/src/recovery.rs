@@ -7,10 +7,11 @@
 //! replay re-iterates the trace source and applies every tick after the
 //! checkpoint's consistent tick.
 //!
-//! Both disk organizations are covered: [`recover_and_replay`] restores
-//! the newest consistent [`BackupSet`] image, and
-//! [`recover_and_replay_log`] reconstructs the newest image from the
-//! [`LogStore`] (reading back through the log to the last full flush).
+//! Both disk organizations go through [`recover_from_disk`]: it restores
+//! the newest consistent [`BackupSet`] image, or reconstructs the newest
+//! image from the [`LogStore`] (reading back through the log to the last
+//! full flush). [`recover_and_replay`] and [`recover_and_replay_log`] are
+//! its uninstrumented forms.
 //!
 //! Every recovered image — a backup read, a log reconstruction, a
 //! replica fetch — lands in a buffer from one allocator,
@@ -20,7 +21,7 @@
 use crate::files::BackupSet;
 use crate::inject::{Inject, InjectedCrash, RetryCounters, RetryPolicy, Site};
 use crate::log_store::LogStore;
-use mmoc_core::{StateGeometry, StateTable};
+use mmoc_core::{DiskOrg, StateGeometry, StateTable};
 use mmoc_workload::TraceSource;
 use std::ffi::{c_int, c_void};
 use std::io;
@@ -133,30 +134,8 @@ pub fn recover_and_replay<S: TraceSource>(
     trace: &mut S,
     crash_tick: u64,
 ) -> io::Result<RecoveredState> {
-    recover_and_replay_with(dir, geometry, trace, crash_tick, &RecoveryOpts::default())
-}
-
-/// [`recover_and_replay`] with explicit instrumentation. Safely
-/// re-entrant: a failed attempt (injected or real) leaves the backup
-/// files untouched, so calling again over the same directory restores
-/// the same image.
-pub fn recover_and_replay_with<S: TraceSource>(
-    dir: &Path,
-    geometry: StateGeometry,
-    trace: &mut S,
-    crash_tick: u64,
-    opts: &RecoveryOpts,
-) -> io::Result<RecoveredState> {
-    let t0 = Instant::now();
-    let mut set = BackupSet::open(dir, geometry)?;
-    set.attach_inject(opts.inject.clone());
-    let (idx, from_tick) = set
-        .newest_consistent()
-        .ok_or_else(|| io::Error::other("no consistent backup to restore"))?;
-    let mut counters = RetryCounters::default();
-    let image = opts.retry.run(&mut counters, || set.read_full(idx))?;
-    opts.recrash(Site::RecoveryReadImage)?;
-    restore_and_replay(geometry, image, from_tick, t0, trace, crash_tick, opts)
+    let (org, opts) = (DiskOrg::DoubleBackup, RecoveryOpts::default());
+    recover_from_disk(org, dir, geometry, trace, crash_tick, &opts)
 }
 
 /// Restore from the checkpoint log under `dir` (reconstructing the newest
@@ -168,13 +147,18 @@ pub fn recover_and_replay_log<S: TraceSource>(
     trace: &mut S,
     crash_tick: u64,
 ) -> io::Result<RecoveredState> {
-    recover_and_replay_log_with(dir, geometry, trace, crash_tick, &RecoveryOpts::default())
+    let opts = RecoveryOpts::default();
+    recover_from_disk(DiskOrg::Log, dir, geometry, trace, crash_tick, &opts)
 }
 
-/// [`recover_and_replay_log`] with explicit instrumentation. Safely
-/// re-entrant: reconstruction only reads, so a failed attempt can be
-/// repeated over the same log.
-pub fn recover_and_replay_log_with<S: TraceSource>(
+/// Restore the newest consistent image of `org`'s store under `dir` — a
+/// backup read, or a log reconstruction back to the last full flush —
+/// and replay `trace` up to and including `crash_tick`, under `opts`'
+/// instrumentation. Safely re-entrant: recovery only reads, so a failed
+/// attempt (injected or real) can be repeated over the same directory
+/// and restores the same image.
+pub fn recover_from_disk<S: TraceSource>(
+    org: DiskOrg,
     dir: &Path,
     geometry: StateGeometry,
     trace: &mut S,
@@ -182,10 +166,24 @@ pub fn recover_and_replay_log_with<S: TraceSource>(
     opts: &RecoveryOpts,
 ) -> io::Result<RecoveredState> {
     let t0 = Instant::now();
-    let mut log = LogStore::open(dir, geometry)?;
-    log.attach_inject(opts.inject.clone());
     let mut counters = RetryCounters::default();
-    let (image, from_tick, _bytes_read) = opts.retry.run(&mut counters, || log.reconstruct())?;
+    let (image, from_tick) = match org {
+        DiskOrg::DoubleBackup => {
+            let mut set = BackupSet::open(dir, geometry)?;
+            set.attach_inject(opts.inject.clone());
+            let (idx, from_tick) = set
+                .newest_consistent()
+                .ok_or_else(|| io::Error::other("no consistent backup to restore"))?;
+            let image = opts.retry.run(&mut counters, || set.read_full(idx))?;
+            (image, from_tick)
+        }
+        DiskOrg::Log => {
+            let mut log = LogStore::open(dir, geometry)?;
+            log.attach_inject(opts.inject.clone());
+            let (image, from_tick, _) = opts.retry.run(&mut counters, || log.reconstruct())?;
+            (image, from_tick)
+        }
+    };
     opts.recrash(Site::RecoveryReadImage)?;
     restore_and_replay(geometry, image, from_tick, t0, trace, crash_tick, opts)
 }

@@ -21,7 +21,8 @@
 use std::ffi::{c_int, c_long, c_void};
 use std::io;
 use std::os::unix::io::RawFd;
-use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::OnceLock;
 
 // std already links libc; declaring the handful of symbols we need
 // avoids a dependency the offline build doesn't have. `io_uring_setup`
@@ -455,13 +456,6 @@ impl Drop for Ring {
 // Capability probes
 // ---------------------------------------------------------------------------
 
-const UNKNOWN: u8 = 0;
-const AVAILABLE: u8 = 1;
-const UNAVAILABLE: u8 = 2;
-
-/// Process-global ring-capability verdict, latched by the first probe.
-static CAPABILITY: AtomicU8 = AtomicU8::new(UNKNOWN);
-
 /// One-shot probe: can this process create a ring and drive a NOP
 /// through it? Any failure — `ENOSYS` (pre-5.1 kernel), `EPERM`
 /// (seccomp/sysctl lockdown), resource limits, or an inconsistent ring —
@@ -469,15 +463,8 @@ static CAPABILITY: AtomicU8 = AtomicU8::new(UNKNOWN);
 /// broader than the errno allowlist in `device_sync` because every
 /// failure mode has the same safe answer here: use the portable backend.
 pub fn ring_available() -> bool {
-    match CAPABILITY.load(Ordering::Relaxed) {
-        AVAILABLE => true,
-        UNAVAILABLE => false,
-        _ => {
-            let ok = probe_ring();
-            CAPABILITY.store(if ok { AVAILABLE } else { UNAVAILABLE }, Ordering::Relaxed);
-            ok
-        }
-    }
+    static AVAILABLE: OnceLock<bool> = OnceLock::new();
+    *AVAILABLE.get_or_init(probe_ring)
 }
 
 fn probe_ring() -> bool {

@@ -1857,7 +1857,7 @@ mod tests {
     fn both_data_paths_reach_the_stores_sites_equally() {
         use crate::inject::Phase;
         let sites = || {
-            let ring_only = |s: &Site| s.name().starts_with("uring-");
+            let ring_only = |s: &Site| s.reach().backends == [mmoc_core::WriterBackend::IoUring];
             Site::all().filter(move |s| {
                 s.phase() != Phase::Recovery && !ring_only(s) && *s != Site::SchedulerCommitSeam
             })

@@ -16,7 +16,9 @@ use mmoc_core::{
     StateTable, TraceSpec, WriterBackend,
 };
 use mmoc_storage::files::BackupSet;
-use mmoc_storage::recovery::{recover_and_replay, recover_and_replay_log};
+use mmoc_storage::recovery::{
+    recover_and_replay, recover_and_replay_log, recover_from_disk, RecoveryOpts,
+};
 use mmoc_storage::{shard_dir, RealConfig};
 use mmoc_workload::{RecordedTrace, SyntheticConfig, TraceSource};
 
@@ -464,11 +466,9 @@ fn async_backend_recovers_from_mid_batch_crashes_for_all_algorithms() {
             let sdir = shard_dir(dir.path(), s, N);
             let g = map.shard_geometry(s);
             let mut replay = ShardFilter::new(trace.build(), map.clone(), s);
-            let rec = match alg.spec().disk_org {
-                DiskOrg::DoubleBackup => recover_and_replay(&sdir, g, &mut replay, 30),
-                DiskOrg::Log => recover_and_replay_log(&sdir, g, &mut replay, 30),
-            }
-            .unwrap_or_else(|e| panic!("{alg} shard {s}: {e}"));
+            let opts = RecoveryOpts::default();
+            let rec = recover_from_disk(alg.spec().disk_org, &sdir, g, &mut replay, 30, &opts)
+                .unwrap_or_else(|e| panic!("{alg} shard {s}: {e}"));
             let truth = truth_of(ShardFilter::new(trace.build(), map.clone(), s));
             assert_eq!(
                 rec.table.fingerprint(),
@@ -559,11 +559,9 @@ fn coalesced_sync_without_commit_falls_back_to_previous_image() {
             let sdir = shard_dir(dir.path(), s, N);
             let g = map.shard_geometry(s);
             let mut replay = ShardFilter::new(trace.build(), map.clone(), s);
-            let rec = match alg.spec().disk_org {
-                DiskOrg::DoubleBackup => recover_and_replay(&sdir, g, &mut replay, 30),
-                DiskOrg::Log => recover_and_replay_log(&sdir, g, &mut replay, 30),
-            }
-            .unwrap_or_else(|e| panic!("{alg} shard {s}: {e}"));
+            let opts = RecoveryOpts::default();
+            let rec = recover_from_disk(alg.spec().disk_org, &sdir, g, &mut replay, 30, &opts)
+                .unwrap_or_else(|e| panic!("{alg} shard {s}: {e}"));
             let truth = truth_of(ShardFilter::new(trace.build(), map.clone(), s));
             assert_eq!(
                 rec.table.fingerprint(),
@@ -774,11 +772,9 @@ fn lattice_reproduces_the_curated_crash_sites() {
 
         let g = trace.geometry;
         let mut replay = trace.build();
-        let rec = match alg.spec().disk_org {
-            DiskOrg::DoubleBackup => recover_and_replay(dir.path(), g, &mut replay, trace.ticks),
-            DiskOrg::Log => recover_and_replay_log(dir.path(), g, &mut replay, trace.ticks),
-        }
-        .unwrap_or_else(|e| panic!("{alg} {spec}: recovery failed: {e}"));
+        let (org, opts) = (alg.spec().disk_org, RecoveryOpts::default());
+        let rec = recover_from_disk(org, dir.path(), g, &mut replay, trace.ticks, &opts)
+            .unwrap_or_else(|e| panic!("{alg} {spec}: recovery failed: {e}"));
         let truth = truth_of(trace.build());
         assert_eq!(
             rec.table.fingerprint(),

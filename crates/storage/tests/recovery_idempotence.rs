@@ -14,7 +14,7 @@
 
 use mmoc_core::{Algorithm, DiskOrg, ObjectId, Run, ShardFilter, ShardMap, StateTable};
 use mmoc_storage::inject::{Inject, InjectedCrash, Plan, Site};
-use mmoc_storage::recovery::{recover_and_replay_log_with, recover_and_replay_with, RecoveryOpts};
+use mmoc_storage::recovery::{recover_from_disk, RecoveryOpts};
 use mmoc_storage::{shard_dir, RealConfig};
 use mmoc_workload::SyntheticConfig;
 use std::path::Path;
@@ -60,15 +60,8 @@ fn recover_with(
 ) -> std::io::Result<StateTable> {
     let sdir = shard_dir(dir, shard, map.n_shards());
     let mut replay = ShardFilter::new(trace_config().build(), map.clone(), shard);
-    let rec = match disk_org {
-        DiskOrg::DoubleBackup => {
-            recover_and_replay_with(&sdir, map.shard_geometry(shard), &mut replay, TICKS, opts)
-        }
-        DiskOrg::Log => {
-            recover_and_replay_log_with(&sdir, map.shard_geometry(shard), &mut replay, TICKS, opts)
-        }
-    }?;
-    Ok(rec.table)
+    let g = map.shard_geometry(shard);
+    Ok(recover_from_disk(disk_org, &sdir, g, &mut replay, TICKS, opts)?.table)
 }
 
 fn assert_tables_byte_identical(a: &StateTable, b: &StateTable, label: &str) {

@@ -17,9 +17,7 @@
 use mmoc_core::{
     Algorithm, DiskOrg, EngineDetail, ObjectId, Run, ShardFilter, ShardMap, StateTable,
 };
-use mmoc_storage::recovery::{
-    recover_and_replay, recover_and_replay_log, recover_from_replica, RecoveryOpts,
-};
+use mmoc_storage::recovery::{recover_from_disk, recover_from_replica, RecoveryOpts};
 use mmoc_storage::{shard_dir, RealConfig, ReplicaSet};
 use mmoc_workload::SyntheticConfig;
 use std::path::Path;
@@ -64,15 +62,9 @@ fn shard_truth(map: &ShardMap, shard: usize) -> StateTable {
 fn disk_recover(dir: &Path, disk_org: DiskOrg, map: &ShardMap, shard: usize) -> StateTable {
     let sdir = shard_dir(dir, shard, map.n_shards());
     let mut replay = ShardFilter::new(trace_config().build(), map.clone(), shard);
-    let rec = match disk_org {
-        DiskOrg::DoubleBackup => {
-            recover_and_replay(&sdir, map.shard_geometry(shard), &mut replay, TICKS)
-        }
-        DiskOrg::Log => {
-            recover_and_replay_log(&sdir, map.shard_geometry(shard), &mut replay, TICKS)
-        }
-    }
-    .unwrap_or_else(|e| panic!("shard {shard} disk recovery: {e}"));
+    let (g, opts) = (map.shard_geometry(shard), RecoveryOpts::default());
+    let rec = recover_from_disk(disk_org, &sdir, g, &mut replay, TICKS, &opts)
+        .unwrap_or_else(|e| panic!("shard {shard} disk recovery: {e}"));
     rec.table
 }
 

@@ -22,7 +22,7 @@ use mmoc_core::{
     Algorithm, DiskOrg, EngineDetail, ObjectId, Run, RunReport, ShardFilter, ShardMap, StateTable,
     WriterBackend,
 };
-use mmoc_storage::recovery::{recover_and_replay, recover_and_replay_log};
+use mmoc_storage::recovery::{recover_from_disk, RecoveryOpts};
 use mmoc_storage::{shard_dir, RealConfig};
 use mmoc_workload::SyntheticConfig;
 use std::path::Path;
@@ -110,11 +110,9 @@ fn recover_shard(dir: &Path, disk_org: DiskOrg, map: &ShardMap, shard: usize) ->
     let sdir = shard_dir(dir, shard, n);
     let g = map.shard_geometry(shard);
     let mut replay = ShardFilter::new(trace_config().build(), map.clone(), shard);
-    let rec = match disk_org {
-        DiskOrg::DoubleBackup => recover_and_replay(&sdir, g, &mut replay, TICKS),
-        DiskOrg::Log => recover_and_replay_log(&sdir, g, &mut replay, TICKS),
-    }
-    .unwrap_or_else(|e| panic!("shard {shard}: {e}"));
+    let opts = RecoveryOpts::default();
+    let rec = recover_from_disk(disk_org, &sdir, g, &mut replay, TICKS, &opts)
+        .unwrap_or_else(|e| panic!("shard {shard}: {e}"));
     rec.table
 }
 
