@@ -107,40 +107,35 @@ impl<T: TraceSpec> TraceSpec for &T {
 ///
 /// The backends are **recovery-equivalent by contract** — same files,
 /// same durability ordering (data sync before metadata commit), same
-/// published sweep frontier semantics — and differ only in how flush jobs
-/// are scheduled; `crates/storage/tests/writer_equivalence.rs` pins the
-/// equivalence differentially. The selection is a field of the real
-/// engine's configuration; the type lives here because
-/// [`RealRunDetail`] reports which backend ran.
+/// published sweep frontier semantics — and run the same flush round,
+/// differing only in loop count;
+/// `crates/storage/tests/writer_equivalence.rs` pins the equivalence
+/// differentially. The selection is a field of the real engine's
+/// configuration; the type lives here because [`RealRunDetail`] reports
+/// which backend ran.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum WriterBackend {
-    /// A pool of writer worker threads, each executing one flush job at a
-    /// time end to end (the historical engine; a single-shard run is a
-    /// pool of one — the classic dedicated writer thread).
+    /// A pool of writer loops, each owning a fixed group of shards (the
+    /// historical engine; a single-shard run is a pool of one — the
+    /// classic dedicated writer thread).
     #[default]
     ThreadPool,
-    /// An io_uring-style batched-submission engine: one loop coalesces
-    /// every queued flush job into a batch, issues all data writes in the
-    /// submission phase, then reaches each job's durability point and
-    /// acks completions **out of submission order** in the completion
-    /// phase (syncs coalesce at the batch tail).
+    /// One loop over every shard: it coalesces every queued flush job
+    /// into a batch, issues all data writes, then reaches each job's
+    /// durability point and acks completions **out of submission order**
+    /// (syncs coalesce at the batch tail).
     AsyncBatched,
-    /// The real `io_uring(7)` ring: the batched engine's scheduling with
-    /// the data writes submitted as `IORING_OP_WRITEV` SQEs and reaped
-    /// out of order from the completion queue. Requires kernel support;
-    /// a one-shot capability probe falls back permanently to
-    /// [`WriterBackend::AsyncBatched`] on kernels without io_uring (the
-    /// report names the backend that actually ran).
+    /// Retired: the name of a removed `io_uring` writer, kept only while
+    /// the frozen benchmark (`ledger/src/workloads.rs`) spells it. A run
+    /// requesting it runs [`WriterBackend::AsyncBatched`] and reports
+    /// `writer_fallback_from = Some(IoUring)`. It is in no matrix
+    /// ([`WriterBackend::ALL`]) and no environment value selects it.
     IoUring,
 }
 
 impl WriterBackend {
-    /// Every writer backend, for comparison matrices.
-    pub const ALL: [WriterBackend; 3] = [
-        WriterBackend::ThreadPool,
-        WriterBackend::AsyncBatched,
-        WriterBackend::IoUring,
-    ];
+    /// Every selectable writer backend, for comparison matrices.
+    pub const ALL: [WriterBackend; 2] = [WriterBackend::ThreadPool, WriterBackend::AsyncBatched];
 
     /// Stable label used in reports, CSV output and the
     /// `MMOC_WRITER_BACKEND` environment override.
@@ -481,15 +476,15 @@ pub struct SimRunDetail {
 #[derive(Debug, Clone, Copy)]
 pub struct RealRunDetail {
     /// Writer backend that **actually executed** the shards' flush jobs.
-    /// Normally the backend the run requested; when a requested backend's
-    /// kernel capability probe failed (io_uring on a kernel without it),
-    /// this is the fallback that ran instead and
+    /// The backend the run requested, except that the retired
+    /// [`WriterBackend::IoUring`] runs as
+    /// [`WriterBackend::AsyncBatched`] and
     /// [`RealRunDetail::writer_fallback_from`] names the request — the
     /// report never silently claims a backend that did not run.
     pub writer_backend: WriterBackend,
-    /// The requested backend this run *fell back from* when its
-    /// capability probe found the kernel lacking (`Some(IoUring)` on a
-    /// kernel without io_uring). `None` when the requested backend ran.
+    /// The requested backend this run *fell back from*: `Some(IoUring)`
+    /// for a run requesting the retired name, `None` when the requested
+    /// backend ran.
     pub writer_fallback_from: Option<WriterBackend>,
     /// Writer threads that served the shards' flush jobs (pool workers,
     /// or the batched engine's single submission/completion loop).
@@ -532,19 +527,14 @@ pub struct RealRunDetail {
     /// Operations whose retry budget ran out: the error took the
     /// degradation ladder instead of being masked.
     pub retry_exhausted: u64,
-    /// Flush jobs completed through the degradation ladder — on
-    /// io_uring, jobs redone synchronously after the ring's dead flag
-    /// latched mid-run (zero elsewhere; a capability-probe fallback
-    /// is reported via [`RealRunDetail::writer_fallback_from`], not
-    /// here).
+    /// Always 0: the removed ring writer was the only path that degraded
+    /// a job. Kept while the frozen benchmark reads it; it
+    /// goes with the next benchmark change.
     pub degraded_jobs: u64,
-    /// Submission-queue entries the io_uring backend pushed per
-    /// `io_uring_enter` round, job-weighted average (0.0 for backends
-    /// that never touch a ring).
+    /// Always 0.0: no writer submits through a ring any more. Kept
+    /// while the frozen benchmark reads it; it goes with the next
+    /// benchmark change.
     pub avg_sqe_batch: f64,
-    /// Largest single submission-queue batch any ring round pushed
-    /// (0 for backends that never touch a ring).
-    pub max_sqe_batch: u32,
 }
 
 impl RealRunDetail {
@@ -826,7 +816,7 @@ mod tests {
         assert_eq!(WriterBackend::default(), WriterBackend::ThreadPool);
         assert_eq!(WriterBackend::AsyncBatched.to_string(), "async-batched");
         assert_eq!(WriterBackend::IoUring.to_string(), "io-uring");
-        assert_eq!(WriterBackend::ALL.len(), 3);
+        assert!(!WriterBackend::ALL.contains(&WriterBackend::IoUring));
     }
 
     #[test]

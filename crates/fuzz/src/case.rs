@@ -22,8 +22,8 @@ fn crash_sites() -> impl Iterator<Item = Site> {
     Site::all().filter(|s| s.accepts_crash())
 }
 
-/// Parse one layer's plan: `crash=` takes a crash or ring death, `fault=`
-/// a transient schedule.
+/// Parse one layer's plan: `crash=` takes a crash, `fault=` a transient
+/// schedule.
 fn layer(spec: &str, transient: bool) -> Result<Plan, String> {
     let plan = Plan::parse(spec)?;
     if matches!(plan.effect, Effect::Transient { .. }) == transient {
@@ -41,7 +41,7 @@ pub struct FuzzCase {
     pub algorithm: Algorithm,
     /// World shard count (1 or 4).
     pub shards: u32,
-    /// Writer backend the run requests (io_uring may fall back).
+    /// Writer backend the run requests.
     pub backend: WriterBackend,
     /// Checkpoint pipeline depth (1 = stop-and-wait).
     pub pipeline_depth: u32,
@@ -61,8 +61,7 @@ pub struct FuzzCase {
     pub trace_seed: u64,
     /// Replica tier factor (0 disables the in-memory recovery tier).
     pub replication: u32,
-    /// The armed terminal plan: a crash site, hit index, and a crash
-    /// (with its torn offset) or, at the ring sites, a ring death.
+    /// The armed crash plan: a crash site, hit index, and torn offset.
     pub plan: Plan,
     /// Optional transient-fault schedule layered over the crash plan:
     /// a burst of injected I/O errors the retry budget must absorb.
@@ -139,7 +138,6 @@ impl FuzzCase {
         } else {
             r.pick(&[0_u64, 100, 250])
         };
-        let ring_death = site.effects().contains(&"ring-death") && r.chance(3);
 
         // Where the tier is optional, a minority of cases carry it along
         // so every other site is also exercised with mirrors active.
@@ -193,15 +191,7 @@ impl FuzzCase {
             plan: Plan {
                 site,
                 hit,
-                effect: {
-                    // Drawn for ring deaths too, so the stream stays aligned.
-                    let torn = r.below(97);
-                    if ring_death {
-                        Effect::RingDeath
-                    } else {
-                        Effect::Crash { torn }
-                    }
-                },
+                effect: Effect::Crash { torn: r.below(97) },
             },
             fault,
             retry_max,
@@ -248,8 +238,10 @@ impl FuzzCase {
     }
 
     /// Parse a `--case` spec produced by [`FuzzCase::spec`] (or written
-    /// by hand). Unknown keys, missing keys, and malformed values are
-    /// reported by name.
+    /// by hand). Unknown keys, missing keys, and malformed values —
+    /// including a flag other than `0`/`1` and a zero shard count or
+    /// pipeline depth, which the engine would refuse — are reported by
+    /// name.
     pub fn parse(spec: &str) -> Result<FuzzCase, String> {
         let mut case = FuzzCase::derive(0, 0);
         // The fault axes are optional keys with production defaults —
@@ -262,22 +254,28 @@ impl FuzzCase {
                 .split_once('=')
                 .ok_or_else(|| format!("expected key=value, got {pair:?}"))?;
             let bad = |what: &str| format!("bad {what} value {v:?}");
+            let flag = |what: &str| match v {
+                "0" => Ok(false),
+                "1" => Ok(true),
+                _ => Err(bad(what)),
+            };
+            let positive = |what: &str| v.parse().ok().filter(|&n| n >= 1).ok_or_else(|| bad(what));
             match k {
                 "alg" => {
                     case.algorithm =
                         Algorithm::parse(v).ok_or_else(|| format!("unknown algorithm {v:?}"))?;
                 }
-                "shards" => case.shards = v.parse().map_err(|_| bad("shards"))?,
+                "shards" => case.shards = positive("shards")?,
                 "backend" => {
                     case.backend = WriterBackend::ALL
                         .into_iter()
                         .find(|b| b.label() == v)
                         .ok_or_else(|| format!("unknown backend {v:?}"))?;
                 }
-                "depth" => case.pipeline_depth = v.parse().map_err(|_| bad("depth"))?,
+                "depth" => case.pipeline_depth = positive("depth")?,
                 "window" => case.batch_window_us = v.parse().map_err(|_| bad("window"))?,
-                "dsync" => case.device_sync = v == "1",
-                "coalesce" => case.coalesce = v == "1",
+                "dsync" => case.device_sync = flag("dsync")?,
+                "coalesce" => case.coalesce = flag("coalesce")?,
                 "ticks" => case.ticks = v.parse().map_err(|_| bad("ticks"))?,
                 "upt" => case.updates_per_tick = v.parse().map_err(|_| bad("upt"))?,
                 "skew" => case.skew = v.parse().map_err(|_| bad("skew"))?,
@@ -327,8 +325,8 @@ mod tests {
         let sites: Vec<Site> = crash_sites().collect();
         assert_eq!(
             sites.len(),
-            19,
-            "the derived corpus is keyed on 19 crash sites"
+            17,
+            "the derived corpus is keyed on 17 crash sites"
         );
         for id in 0..64 {
             let a = FuzzCase::derive(8, id);
@@ -341,7 +339,7 @@ mod tests {
 
     /// Every derived plan lies within its site's reach and `hits`, and
     /// every crash site is drawn with every backend its reach admits —
-    /// so each always-reached submit-phase site meets all three.
+    /// so each always-reached site meets both.
     #[test]
     fn every_case_is_admitted_by_its_reach() {
         let mut drawn = Vec::new();
@@ -382,24 +380,62 @@ mod tests {
         }
     }
 
+    /// A hand-written spec: every required key, with `extra` appended
+    /// (a repeated key overrides the base value).
+    fn parse(extra: &str) -> Result<FuzzCase, String> {
+        let base = "alg=cou,shards=1,backend=thread-pool,depth=1,window=0,dsync=0,coalesce=1,ticks=12,upt=100,skew=0.5,tseed=7,repl=0";
+        FuzzCase::parse(&format!("{base},{extra}"))
+    }
+
     /// A spec whose crash or fault site its shape cannot reach is
-    /// rejected, naming the site and its reach.
+    /// rejected, naming the site and its reach; the retired ring's
+    /// backend and sites are not in the grammar at all.
     #[test]
     fn unreachable_specs_are_rejected() {
-        let base = "alg=cou,shards=1,backend=thread-pool,depth=1,window=0,dsync=0,coalesce=1,ticks=12,upt=100,skew=0.5,tseed=7,repl=0";
-        let parse = |extra: &str| FuzzCase::parse(&format!("{base},{extra}"));
-        let ring = parse("crash=uring-wave-staged").unwrap_err();
-        assert!(ring.starts_with("`uring-wave-staged` is") && ring.contains("io-uring,"));
         let log = parse("crash=job-submitted,fault=log-sync").unwrap_err();
         assert!(log.starts_with("`log-sync` is") && log.contains("(reach: Log,"));
         assert!(parse("crash=device-barrier,backend=async-batched").is_err());
+        let pool = parse("crash=device-barrier,shards=4,window=250,dsync=1").unwrap_err();
+        assert!(pool.contains("(reach: any org, async-batched,"), "{pool}");
+        let ring = parse("crash=job-submitted,backend=io-uring").unwrap_err();
+        assert_eq!(ring, r#"unknown backend "io-uring""#);
+        let site = parse("crash=uring-wave-staged").unwrap_err();
+        assert!(site.contains("unknown injection site"), "{site}");
         for ok in [
-            "crash=uring-wave-staged,backend=io-uring",
             "crash=job-submitted,fault=log-sync,alg=partial-redo",
             "crash=device-barrier,backend=async-batched,shards=4,window=250,dsync=1",
         ] {
             assert!(parse(ok).is_ok(), "{ok}");
         }
+    }
+
+    /// `dsync=` takes only `0` or `1`: a typo must not silently run the
+    /// other configuration.
+    #[test]
+    fn a_dsync_other_than_0_or_1_is_rejected() {
+        assert_eq!(parse("dsync=yes").unwrap_err(), r#"bad dsync value "yes""#);
+    }
+
+    /// `coalesce=` takes only `0` or `1`.
+    #[test]
+    fn a_coalesce_other_than_0_or_1_is_rejected() {
+        assert_eq!(
+            parse("coalesce=2").unwrap_err(),
+            r#"bad coalesce value "2""#
+        );
+    }
+
+    /// Zero shards is a usage error, not a run the engine refuses and
+    /// the fuzzer then reports as a divergence.
+    #[test]
+    fn zero_shards_is_rejected() {
+        assert_eq!(parse("shards=0").unwrap_err(), r#"bad shards value "0""#);
+    }
+
+    /// A zero pipeline depth is a usage error too.
+    #[test]
+    fn zero_depth_is_rejected() {
+        assert_eq!(parse("depth=0").unwrap_err(), r#"bad depth value "0""#);
     }
 
     #[test]
@@ -446,26 +482,23 @@ mod tests {
         );
     }
 
-    /// The derived corpus is pinned: these specs were captured before
-    /// the crash and fault registries merged (only the `crash=` grammar
-    /// translated, `hit:torn:crash` → `hit:crash:torn`, and a ring
-    /// death's unused torn count dropped), then re-pinned where the
-    /// submit-phase sites and seams opened to the ring: log sites on the
-    /// batched engine (4, 5) and ring cases' seams (11, 12). They cover
-    /// a uring-cqe transient layer, a ring death, transient layers on
-    /// other seams, and both recovery re-crash sites.
+    /// The derived corpus is pinned: these specs were re-captured when
+    /// the ring's sites and backend left the registry (17 crash sites,
+    /// two backends). They cover transient layers on both organizations'
+    /// seams, the barrier round, both replica push seams, and both
+    /// recovery re-crash sites.
     #[test]
     fn derived_corpus_is_pinned() {
         for (id, want) in [
-            (0, "alg=atomic-copy,shards=4,backend=thread-pool,depth=2,window=100,dsync=1,coalesce=1,ticks=10,upt=126,skew=0.5,tseed=2487590534359734178,repl=0,crash=job-enqueued:2:crash:37,fault=none,retrymax=3"),
-            (3, "alg=naive,shards=1,backend=io-uring,depth=2,window=250,dsync=0,coalesce=0,ticks=13,upt=168,skew=0.5,tseed=6251130948614375196,repl=0,crash=backup-commit:3:crash:13,fault=uring-cqe:2:enospc:2,retrymax=2"),
-            (4, "alg=cou-partial-redo,shards=4,backend=async-batched,depth=2,window=0,dsync=0,coalesce=1,ticks=16,upt=133,skew=0,tseed=17325615395165278667,repl=1,crash=log-append-object:1:crash:93,fault=none,retrymax=3"),
-            (5, "alg=partial-redo,shards=4,backend=async-batched,depth=2,window=0,dsync=0,coalesce=1,ticks=23,upt=130,skew=0.5,tseed=13629623784796972306,repl=0,crash=log-segment-sealed:1:crash:20,fault=none,retrymax=3"),
-            (11, "alg=cou-partial-redo,shards=1,backend=io-uring,depth=2,window=0,dsync=0,coalesce=1,ticks=21,upt=110,skew=0.5,tseed=18070647197857446915,repl=0,crash=uring-wave-staged:3:ring-death,fault=image-read:2:short-write:1,retrymax=1"),
-            (12, "alg=atomic-copy,shards=4,backend=io-uring,depth=1,window=100,dsync=1,coalesce=1,ticks=21,upt=167,skew=0.8,tseed=7343591775661958372,repl=0,crash=uring-wave-complete:1:crash:2,fault=backup-sync:3:short-write:1,retrymax=1"),
-            (15, "alg=naive,shards=1,backend=async-batched,depth=1,window=0,dsync=1,coalesce=1,ticks=10,upt=164,skew=0.8,tseed=10547722765080927258,repl=2,crash=replica-fetch:1:crash:51,fault=backup-sync:2:short-write:1,retrymax=2"),
-            (16, "alg=partial-redo,shards=1,backend=thread-pool,depth=1,window=250,dsync=0,coalesce=1,ticks=13,upt=127,skew=0.5,tseed=15578901282202552589,repl=1,crash=recovery-read-image:1:crash:19,fault=none,retrymax=3"),
-            (17, "alg=atomic-copy,shards=4,backend=async-batched,depth=2,window=0,dsync=1,coalesce=1,ticks=10,upt=90,skew=0,tseed=8460996655311771567,repl=0,crash=recovery-replay-tick:2:crash:58,fault=none,retrymax=3"),
+            (0, "alg=atomic-copy,shards=4,backend=async-batched,depth=2,window=100,dsync=1,coalesce=1,ticks=10,upt=126,skew=0.5,tseed=2487590534359734178,repl=0,crash=job-enqueued:2:crash:37,fault=none,retrymax=3"),
+            (3, "alg=naive,shards=1,backend=async-batched,depth=2,window=250,dsync=0,coalesce=0,ticks=13,upt=168,skew=0.5,tseed=6251130948614375196,repl=0,crash=backup-commit:3:crash:13,fault=backup-write:2:enospc:2,retrymax=2"),
+            (4, "alg=cou-partial-redo,shards=4,backend=thread-pool,depth=2,window=0,dsync=0,coalesce=1,ticks=16,upt=133,skew=0,tseed=17325615395165278667,repl=1,crash=log-append-object:1:crash:93,fault=none,retrymax=3"),
+            (5, "alg=partial-redo,shards=4,backend=thread-pool,depth=2,window=0,dsync=0,coalesce=1,ticks=23,upt=130,skew=0.5,tseed=13629623784796972306,repl=0,crash=log-segment-sealed:1:crash:20,fault=none,retrymax=3"),
+            (10, "alg=atomic-copy,shards=4,backend=async-batched,depth=1,window=300,dsync=1,coalesce=1,ticks=14,upt=99,skew=0.8,tseed=2716320599119586240,repl=1,crash=device-barrier:2:crash:1,fault=none,retrymax=3"),
+            (11, "alg=cou-partial-redo,shards=1,backend=thread-pool,depth=2,window=0,dsync=0,coalesce=0,ticks=21,upt=110,skew=0.5,tseed=18070647197857446915,repl=2,crash=replica-push-pre-commit:3:crash:21,fault=log-append:2:short-write:1,retrymax=1"),
+            (12, "alg=atomic-copy,shards=1,backend=async-batched,depth=1,window=250,dsync=0,coalesce=1,ticks=21,upt=167,skew=0.8,tseed=7343591775661958372,repl=2,crash=replica-push-post-commit:1:crash:2,fault=backup-sync:3:short-write:1,retrymax=1"),
+            (14, "alg=atomic-copy,shards=4,backend=async-batched,depth=2,window=0,dsync=0,coalesce=1,ticks=15,upt=71,skew=1.1,tseed=1379632832013760060,repl=0,crash=recovery-read-image:2:crash:90,fault=none,retrymax=3"),
+            (15, "alg=naive,shards=1,backend=thread-pool,depth=1,window=0,dsync=1,coalesce=1,ticks=14,upt=78,skew=0,tseed=12541043392508888128,repl=2,crash=recovery-replay-tick:1:crash:82,fault=none,retrymax=3"),
         ] {
             assert_eq!(FuzzCase::derive(8, id).spec(), want, "case 8:{id}");
         }

@@ -3,8 +3,8 @@
 //! corpus run replays these first, so the scenarios that were once
 //! hand-constructed (torn object writes, missing metadata commits, torn
 //! log tails, mid-batch crashes) are continuously re-proven through the
-//! instrumented engine itself — plus the ring-specific sites the curated
-//! suite could not reach from outside.
+//! instrumented engine itself — plus the scheduler, replica and
+//! recovery sites the curated suite could not reach from outside.
 
 use mmoc_core::{Algorithm, WriterBackend};
 use mmoc_storage::inject::{Effect, Kind, Plan, Site};
@@ -74,16 +74,6 @@ pub fn named_seeds() -> Vec<(&'static str, FuzzCase)> {
     barrier.shards = 4;
     barrier.batch_window_us = 250;
     barrier.device_sync = true;
-
-    // Ring wave frozen after staging (crash with SQEs staged but the
-    // wave's durability unfinished).
-    let mut ring_staged = base(CopyOnUpdate, IoUring, UringWaveStaged);
-    ring_staged.shards = 4;
-
-    // Ring dies mid-batch and latches the dead flag: the synchronous
-    // redo path must still produce a consistent disk.
-    let mut ring_dead = base(AtomicCopyDirtyObjects, IoUring, UringWaveStaged);
-    ring_dead.plan.effect = Effect::RingDeath;
 
     // Crash at the enqueue boundary with the job already queued.
     let mut enqueued = base(NaiveSnapshot, ThreadPool, JobEnqueued);
@@ -174,8 +164,6 @@ pub fn named_seeds() -> Vec<(&'static str, FuzzCase)> {
         ("segment-seal-tear", seal_tear),
         ("mid-batch-seam", seam),
         ("device-barrier-loss", barrier),
-        ("ring-wave-frozen", ring_staged),
-        ("ring-dead-redo", ring_dead),
         ("enqueue-down", enqueued),
         ("replica-push-open", push_open),
         ("replica-push-published", push_published),

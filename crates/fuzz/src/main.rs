@@ -8,16 +8,16 @@
 //! ```
 //!
 //! The corpus defaults to 200 runs from seed 1. Exit codes: 0 all cases
-//! consistent, every crash site fired and every transient site injected;
+//! consistent, every crash site fired and every transient site injected
+//! (or the reader closed stdout early, as `--list-points | head` does);
 //! 1 divergence or coverage hole; 2 usage error.
 
-use std::io::Write as _;
+use std::io::{self, Write};
 use std::process::ExitCode;
 
-use mmoc_core::WriterBackend;
 use mmoc_fuzz::oracle::{track, tracking_sweep};
 use mmoc_fuzz::{named_seeds, run_case, shrink, FuzzCase};
-use mmoc_storage::inject::{ring_available, Phase, Site};
+use mmoc_storage::inject::{Phase, Site};
 
 fn usage() -> String {
     "usage: mmoc-fuzz [--runs N] [--seed S] [--log FILE] | \
@@ -114,23 +114,19 @@ impl CaseLog {
     }
 }
 
-fn run_corpus(opts: &Options) -> ExitCode {
+fn run_corpus(opts: &Options, out: &mut impl Write) -> io::Result<ExitCode> {
     let mut log = match CaseLog::open(opts.log.as_deref()) {
         Ok(l) => l,
         Err(e) => {
             eprintln!("mmoc-fuzz: {e}");
-            return ExitCode::from(2);
+            return Ok(ExitCode::from(2));
         }
     };
 
     // Per site: a crash site counts when its plan fired, a transient
-    // site when its schedule injected at least once; `ring_covered`
-    // counts only cases whose io_uring ring actually ran.
+    // site when its schedule injected at least once.
     let mut covered = vec![false; Site::all().count()];
-    let mut ring_covered = vec![false; Site::all().count()];
     let mut reach_totals = vec![0_u64; Site::all().count()];
-    let mut ring_requested = 0_u64;
-    let mut ring_native = 0_u64;
     let mut fired_cases = 0_u64;
     let mut faults_injected = 0_u64;
     let mut recoveries_retried = 0_u64;
@@ -152,38 +148,32 @@ fn run_corpus(opts: &Options) -> ExitCode {
         }));
 
     for (origin, case) in cases {
-        let out = run_case(&case);
+        let outcome = run_case(&case);
         executed += 1;
-        let ring = case.backend == WriterBackend::IoUring;
-        let native_ring = ring && !out.fell_back;
-        ring_requested += u64::from(ring);
-        ring_native += u64::from(native_ring);
-        for (i, n) in out.counts.iter().enumerate() {
+        for (i, n) in outcome.counts.iter().enumerate() {
             reach_totals[i] += n;
         }
-        let fired = out.fired.then_some(case.plan.site);
+        let fired = outcome.fired.then_some(case.plan.site);
         let injected = case
             .fault
-            .filter(|_| out.faults_injected > 0)
+            .filter(|_| outcome.faults_injected > 0)
             .map(|f| f.site);
-        fired_cases += u64::from(out.fired);
+        fired_cases += u64::from(outcome.fired);
         for site in fired.into_iter().chain(injected) {
             covered[site as usize] = true;
-            ring_covered[site as usize] |= native_ring;
         }
-        faults_injected += out.faults_injected;
-        if out.recovery_retried {
+        faults_injected += outcome.faults_injected;
+        if outcome.recovery_retried {
             recoveries_retried += 1;
         }
-        let status = match (&out.failure, out.fired) {
+        let status = match (&outcome.failure, outcome.fired) {
             (Some(_), _) => "FAIL",
-            (None, true) if out.recovery_retried => "recrashed",
+            (None, true) if outcome.recovery_retried => "recrashed",
             (None, true) => "fired",
-            (None, false) if out.fell_back => "fallback",
             (None, false) => "clean",
         };
         log.line(&origin, &case, status);
-        if let Some(why) = out.failure {
+        if let Some(why) = outcome.failure {
             eprintln!("FAIL [{origin}] {why}");
             eprintln!("  case: {}", case.spec());
             if let Some((_, id)) = origin.split_once(':') {
@@ -204,44 +194,42 @@ fn run_corpus(opts: &Options) -> ExitCode {
             }
         }
         if executed.is_multiple_of(100) {
-            println!("... {executed}/{total} cases, {fired_cases} crashes fired");
+            writeln!(
+                out,
+                "... {executed}/{total} cases, {fired_cases} crashes fired"
+            )?;
         }
     }
 
-    println!(
+    writeln!(
+        out,
         "\n{executed} cases: {fired_cases} fired, {} diverged, \
          {faults_injected} transient faults injected, \
          {recoveries_retried} recoveries re-crashed and restarted",
         failures.len()
-    );
-    println!(
-        "site coverage (crash sites must fire, transient sites must inject; \
-         submit-phase sites also on a running io_uring ring):"
-    );
-    let ring_excused = !ring_available() || (ring_requested > 0 && ring_native == 0);
+    )?;
+    writeln!(
+        out,
+        "site coverage (crash sites must fire, transient sites must inject):"
+    )?;
     let mut holes = Vec::new();
     for s in Site::all() {
         let i = s as usize;
-        let crash_site = s.accepts_crash();
-        let ring_site = s.reach().backends == [WriterBackend::IoUring];
-        // Both data paths stage through the same submission phase, so the
-        // ring must reach every submit-phase site too.
-        let ring_hole = s.phase() == Phase::Submit && !ring_covered[i] && !ring_excused;
-        let mark = if !covered[i] && ring_site && ring_excused {
-            "excused (io_uring unavailable)"
-        } else if !covered[i] || ring_hole {
-            holes.push(s.name());
-            match (covered[i], crash_site) {
-                (true, _) => "NEVER ON THE RING",
-                (false, true) => "NEVER FIRED",
-                (false, false) => "NEVER INJECTED",
-            }
-        } else if crash_site {
-            "fired"
-        } else {
-            "injected"
+        let mark = match (covered[i], s.accepts_crash()) {
+            (true, true) => "fired",
+            (true, false) => "injected",
+            (false, true) => "NEVER FIRED",
+            (false, false) => "NEVER INJECTED",
         };
-        println!("  {:<24} reaches {:>8}  {mark}", s.name(), reach_totals[i]);
+        if !covered[i] {
+            holes.push(s.name());
+        }
+        writeln!(
+            out,
+            "  {:<24} reaches {:>8}  {mark}",
+            s.name(),
+            reach_totals[i]
+        )?;
     }
 
     if !failures.is_empty() {
@@ -249,75 +237,90 @@ fn run_corpus(opts: &Options) -> ExitCode {
             "\n{} case(s) diverged — the durability story has a hole",
             failures.len()
         );
-        return ExitCode::from(1);
+        return Ok(ExitCode::from(1));
     }
     if !holes.is_empty() {
         eprintln!(
-            "\ncoverage hole: site(s) never fired or injected, or never on a running ring: {}",
+            "\ncoverage hole: site(s) never fired or injected: {}",
             holes.join(", ")
         );
-        return ExitCode::from(1);
+        return Ok(ExitCode::from(1));
     }
-    println!("all cases consistent; every reachable site fired or injected");
-    ExitCode::SUCCESS
+    writeln!(
+        out,
+        "all cases consistent; every reachable site fired or injected"
+    )?;
+    Ok(ExitCode::SUCCESS)
 }
 
-fn run_one(case: &FuzzCase, origin: &str) -> ExitCode {
-    println!("case: {}", case.spec());
-    let out = run_case(case);
-    match out.failure {
-        Some(why) => {
-            eprintln!("FAIL [{origin}] {why}");
-            let (small, spent) = shrink(case);
-            if small != *case {
-                eprintln!("shrunk ({spent} runs): mmoc-fuzz --case '{}'", small.spec());
-            }
-            ExitCode::from(1)
+fn run_one(case: &FuzzCase, origin: &str, out: &mut impl Write) -> io::Result<ExitCode> {
+    writeln!(out, "case: {}", case.spec())?;
+    let outcome = run_case(case);
+    if let Some(why) = outcome.failure {
+        eprintln!("FAIL [{origin}] {why}");
+        let (small, spent) = shrink(case);
+        if small != *case {
+            eprintln!("shrunk ({spent} runs): mmoc-fuzz --case '{}'", small.spec());
         }
-        None => {
-            let note = if out.fired {
-                "crash fired; recovery matched the oracle"
-            } else if out.fell_back {
-                "backend fell back; clean run matched the oracle"
-            } else {
-                "plan did not fire; clean run matched the oracle"
-            };
-            println!("ok: {note}");
-            ExitCode::SUCCESS
-        }
+        return Ok(ExitCode::from(1));
     }
+    let note = if outcome.fired {
+        "crash fired; recovery matched the oracle"
+    } else {
+        "plan did not fire; clean run matched the oracle"
+    };
+    writeln!(out, "ok: {note}")?;
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `--list-points`: print the registry, with reach counts from the
 /// tracking sweep. Each sweep run is recovered and judged against the
 /// oracle like a corpus case.
-fn list_points() -> ExitCode {
+fn list_points(out: &mut impl Write) -> io::Result<ExitCode> {
     let mut totals = vec![0_u64; Site::all().count()];
     for case in tracking_sweep() {
-        let out = track(&case);
-        if let Some(why) = out.failure {
+        let outcome = track(&case);
+        if let Some(why) = outcome.failure {
             eprintln!("mmoc-fuzz: tracking sweep failed: {why}");
             eprintln!("  case: {}", case.spec());
-            return ExitCode::from(2);
+            return Ok(ExitCode::from(2));
         }
-        for (total, n) in totals.iter_mut().zip(out.counts) {
+        for (total, n) in totals.iter_mut().zip(outcome.counts) {
             *total += n;
         }
     }
-    println!("{:<24} {:>8}  description", "site", "reaches");
+    write_listing(out, &totals)?;
+    Ok(ExitCode::SUCCESS)
+}
+
+/// The registry grouped by phase, each site with its reach count from
+/// `totals` (registry order), effects and reach.
+fn write_listing(out: &mut impl Write, totals: &[u64]) -> io::Result<()> {
+    writeln!(out, "{:<24} {:>8}  description", "site", "reaches")?;
     for phase in [Phase::Submit, Phase::Complete, Phase::Recovery] {
-        println!("[{} phase]", phase.label());
+        writeln!(out, "[{} phase]", phase.label())?;
         for s in Site::all().filter(|s| s.phase() == phase) {
             let (reaches, name) = (totals[s as usize], s.name());
-            println!("  {name:<22} {reaches:>8}  {}", s.describe());
-            println!("  {:<31}  effects: {}", "", s.effects().join(", "));
-            println!("  {:<31}  reach: {}", "", s.reach());
+            writeln!(out, "  {name:<22} {reaches:>8}  {}", s.describe())?;
+            writeln!(out, "  {:<31}  effects: {}", "", s.effects().join(", "))?;
+            writeln!(out, "  {:<31}  reach: {}", "", s.reach())?;
         }
     }
-    if !ring_available() {
-        println!("(io_uring unavailable on this kernel: uring-* reaches are 0 by fallback)");
+    Ok(())
+}
+
+/// The exit code of a run whose output went to `stdout`. A reader that
+/// stops early (`mmoc-fuzz --list-points | head`) closes the pipe: the
+/// run ends quietly with exit 0. Any other write error is exit 2.
+fn exit_code(written: io::Result<ExitCode>) -> ExitCode {
+    match written {
+        Ok(code) => code,
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("mmoc-fuzz: writing to stdout: {e}");
+            ExitCode::from(2)
+        }
     }
-    ExitCode::SUCCESS
 }
 
 fn main() -> ExitCode {
@@ -328,13 +331,47 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    match &opts.mode {
-        Mode::Corpus => run_corpus(&opts),
+    let mut out = io::stdout().lock();
+    exit_code(match &opts.mode {
+        Mode::Corpus => run_corpus(&opts, &mut out),
         Mode::Repro(seed, id) => {
             let case = FuzzCase::derive(*seed, *id);
-            run_one(&case, &format!("{seed}:{id}"))
+            run_one(&case, &format!("{seed}:{id}"), &mut out)
         }
-        Mode::Case(case) => run_one(case, "case"),
-        Mode::ListPoints => list_points(),
+        Mode::Case(case) => run_one(case, "case", &mut out),
+        Mode::ListPoints => list_points(&mut out),
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A reader that has gone away: every write fails with `BrokenPipe`.
+    struct ClosedPipe;
+
+    impl Write for ClosedPipe {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            Err(io::ErrorKind::BrokenPipe.into())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// `--list-points | head`: the listing stops at the closed pipe with
+    /// `BrokenPipe` instead of panicking, and the run exits 0.
+    #[test]
+    fn a_closed_pipe_ends_the_listing_quietly() {
+        let totals = vec![0; Site::all().count()];
+        let err = write_listing(&mut ClosedPipe, &totals).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
+        assert_eq!(exit_code(Err(err)), ExitCode::SUCCESS);
+        let other = io::Error::from(io::ErrorKind::PermissionDenied);
+        assert_eq!(exit_code(Err(other)), ExitCode::from(2));
+        let mut listing = Vec::new();
+        write_listing(&mut listing, &totals).unwrap();
+        let listing = String::from_utf8(listing).unwrap();
+        assert!(listing.contains("  job-enqueued "), "{listing}");
     }
 }

@@ -22,7 +22,7 @@
 //!   model — and requires the second attempt to succeed and still match
 //!   the in-memory truth.
 
-use mmoc_core::{EngineDetail, Run, ShardFilter, ShardMap, StateGeometry, StateTable};
+use mmoc_core::{Run, ShardFilter, ShardMap, StateGeometry, StateTable};
 use mmoc_storage::inject::{Inject, InjectedCrash, Phase, Plan, RetryPolicy, Site};
 use mmoc_storage::recovery::{recover_from_disk, recover_from_replica, RecoveryOpts};
 use mmoc_storage::{shard_dir, RealConfig, ReplicaSet};
@@ -39,8 +39,6 @@ use crate::case::FuzzCase;
 pub struct CaseOutcome {
     /// Did the armed crash plan actually fire (run or recovery pass)?
     pub fired: bool,
-    /// Did a requested io_uring backend fall back (kernel probe failed)?
-    pub fell_back: bool,
     /// Reach counters per site, registry order — run and recovery-pass
     /// states merged.
     pub counts: Vec<u64>,
@@ -128,8 +126,8 @@ pub fn run_case(case: &FuzzCase) -> CaseOutcome {
 }
 
 /// The tracking sweep `--list-points` counts reaches over: small cases
-/// spanning both disk organizations, all three backends, one and four
-/// shards, and the replica tier.
+/// spanning both disk organizations, both backends, one and four shards,
+/// and the replica tier.
 #[must_use]
 pub fn tracking_sweep() -> Vec<FuzzCase> {
     use mmoc_core::{Algorithm as A, WriterBackend as W};
@@ -138,7 +136,7 @@ pub fn tracking_sweep() -> Vec<FuzzCase> {
         (A::PartialRedo, W::ThreadPool, 1, 0),
         (A::CopyOnUpdatePartialRedo, W::AsyncBatched, 1, 0),
         (A::CopyOnUpdate, W::AsyncBatched, 4, 2),
-        (A::AtomicCopyDirtyObjects, W::IoUring, 4, 0),
+        (A::AtomicCopyDirtyObjects, W::AsyncBatched, 4, 0),
     ]
     .into_iter()
     .map(|(algorithm, backend, shards, replication)| FuzzCase {
@@ -202,16 +200,13 @@ fn judge(
             .collect();
         Arc::new(ReplicaSet::new(case.replication, &geometries))
     });
-    let report = Run::algorithm(case.algorithm)
+    Run::algorithm(case.algorithm)
         .engine(engine_config(case, dir.path(), run, replicas.as_ref()))
         .trace(trace)
         .shards(case.shards)
         .pacing(600.0)
         .execute()
         .map_err(|e| format!("run error: {e}"))?;
-    if let EngineDetail::Real(d) = &report.detail {
-        outcome.fell_back = d.writer_fallback_from.is_some();
-    }
 
     // Per-shard recovery from the frozen directory against the oracle,
     // under the recovery pass's injection state (the re-crash plan and
@@ -412,20 +407,15 @@ mod tests {
 
     /// The registry checked against the engine. In every sweep row, a
     /// site the row's shape does not admit reads 0 reaches: disk
-    /// organization, ring-only, replica tier, and the barrier on one
-    /// shard are structural. Every site is reached in some row that
-    /// admits it, except where reaching it depends on more than the shape.
+    /// organization, backend, replica tier, and the barrier on one shard
+    /// are structural. Every site is reached in some row that admits it,
+    /// except where reaching it depends on more than the shape.
     #[test]
     fn the_registry_reach_matches_the_engine() {
-        use mmoc_storage::inject::ring_available;
         // device-barrier: two shards' jobs must meet in one batch window;
         // recovery-replay-tick: the newest checkpoint may cover the whole
-        // trace, leaving no tail to replay; the ring-only sites: the
-        // kernel must run io_uring.
-        let excused = |s: Site| match s {
-            Site::DeviceBarrier | Site::RecoveryReplayTick => true,
-            _ => s.reach().backends == [WriterBackend::IoUring] && !ring_available(),
-        };
+        // trace, leaving no tail to replay.
+        let excused = |s: Site| matches!(s, Site::DeviceBarrier | Site::RecoveryReplayTick);
         let mut reached = vec![false; Site::all().count()];
         for case in tracking_sweep() {
             let (out, spec) = (track(&case), case.spec());

@@ -37,7 +37,7 @@ pub struct RealConfig {
     /// Thread-pool loops serving all shards' flush jobs, each owning a
     /// fixed group of shards. `0` picks 4 — the pool is sized to the
     /// storage device, not the shard count — and the count is capped at
-    /// the shard count. The batched backends always run one loop.
+    /// the shard count. The batched backend always runs one loop.
     pub writer_pool_threads: usize,
     /// The writer backend executing flush jobs (see [`crate::writer`]).
     pub writer_backend: WriterBackend,
@@ -75,8 +75,7 @@ pub struct RealConfig {
     /// `Option` check.
     pub fault: Option<Arc<Inject>>,
     /// How many times the writer re-issues a failed data write / fsync /
-    /// meta commit before the error takes the degradation ladder (typed
-    /// `RunError` on the syscall backends, synchronous redo on io_uring).
+    /// meta commit before the error propagates as a typed `RunError`.
     /// `0` propagates the first failure.
     pub retry_max: u32,
     /// Linear backoff base between retry attempts (attempt `k` sleeps
@@ -112,7 +111,7 @@ const ENV_KNOBS: [(&str, EnvParser); 5] = [
         c.writer_backend = WriterBackend::ALL
             .into_iter()
             .find(|b| b.label() == v)
-            .ok_or(r#"use "thread-pool", "async-batched" or "io-uring""#)?;
+            .ok_or(r#"use "thread-pool" or "async-batched""#)?;
         Ok(())
     }),
     ("MMOC_WRITER_BATCH_WINDOW", |c, v| {
@@ -234,7 +233,7 @@ impl RealConfig {
 
     /// The writer-loop count actually used for an `n_shards`-way run: the
     /// sized pool capped at one loop per shard, or one for the batched
-    /// engine's single loop.
+    /// engine's single loop (which the retired `io-uring` runs).
     pub fn effective_pool_threads(&self, n_shards: usize) -> usize {
         match (self.writer_backend, self.writer_pool_threads) {
             (WriterBackend::AsyncBatched | WriterBackend::IoUring, _) => 1,
@@ -362,7 +361,7 @@ mod tests {
                 "MMOC_WRITER_BACKEND",
                 " async-batched ",
                 |c| c.writer_backend == WriterBackend::AsyncBatched,
-                "uring",
+                "io-uring",
             ),
             (
                 "MMOC_WRITER_BATCH_WINDOW",
@@ -465,7 +464,7 @@ mod tests {
         let cfg = under(&[]).with_writer_backend(WriterBackend::AsyncBatched);
         assert_eq!(cfg.effective_pool_threads(4), 1, "batched engine: one loop");
         let cfg = cfg.with_writer_backend(WriterBackend::IoUring);
-        assert_eq!(cfg.effective_pool_threads(4), 1, "ring engine: one loop");
+        assert_eq!(cfg.effective_pool_threads(4), 1, "retired name: one loop");
         let mut cfg = cfg.with_writer_backend(WriterBackend::ThreadPool);
         assert_eq!(cfg.effective_pool_threads(1), 1);
         assert_eq!(cfg.effective_pool_threads(8), 4, "auto pool caps at 4");

@@ -18,8 +18,8 @@
 //!   bookkeeper's copy-on-update decisions. It is one flush round run by
 //!   one or more loops, each owning a fixed group of shards — N loops
 //!   (one per shard up to the pool size; a single-shard run is exactly
-//!   the old dedicated writer thread), one loop, or one loop over a real
-//!   `io_uring` ring — selected by [`RealConfig::writer_backend`];
+//!   the old dedicated writer thread) or one loop — selected by
+//!   [`RealConfig::writer_backend`];
 //! * real **durability**: data `fsync` before metadata commit, and a
 //!   wall-clock recovery measurement (restore the newest consistent image,
 //!   replay the deterministic update stream).

@@ -7,7 +7,7 @@
 //! offset order (the "sorted I/O" optimization the paper calls crucial):
 //! [`BackupSet::write_run`] moves a run of neighbouring objects as one
 //! sequential transfer, and the writer (`crate::writer`) splits every
-//! flush job's increasing ids into such runs under both data paths.
+//! flush job's increasing ids into such runs.
 //!
 //! Durability protocol: data writes are flushed with `fsync` *before* the
 //! small metadata file naming the backup's consistent tick is rewritten,
@@ -15,7 +15,6 @@
 //! a consistent image) intact.
 
 use crate::inject::{Effect, Inject, Kind, Site};
-use crate::uring::pwrite_all;
 use mmoc_core::{ObjectId, StateGeometry};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
@@ -180,22 +179,9 @@ impl BackupSet {
     /// Write a run of consecutive objects, `first` onwards, into backup
     /// `idx` with one positional write (`bytes` is a whole number of
     /// object images, packed in id order). Callers issue runs in
-    /// increasing id order for sorted I/O.
+    /// increasing id order for sorted I/O. Every injection decision is
+    /// taken here, before the bytes that land are written.
     pub fn write_run(&self, idx: usize, first: ObjectId, bytes: &[u8]) -> io::Result<()> {
-        self.stage_run(idx, first, bytes, pwrite_all)
-    }
-
-    /// [`BackupSet::write_run`] with its one positional write handed to
-    /// `put(fd, bytes, offset)`: the writer's issuer, which writes it now
-    /// or stages it on the ring. Every injection decision is taken here;
-    /// `put` only sees the bytes that land.
-    pub(crate) fn stage_run(
-        &self,
-        idx: usize,
-        first: ObjectId,
-        bytes: &[u8],
-        mut put: impl FnMut(RawFd, &[u8], u64) -> io::Result<()>,
-    ) -> io::Result<()> {
         let obj_size = self.geometry.object_size as usize;
         debug_assert_eq!(bytes.len() % obj_size, 0);
         let mut torn_at = None;
@@ -231,11 +217,9 @@ impl BackupSet {
         } else {
             (bytes.len(), Ok(()))
         };
-        put(
-            self.sync_fd(idx),
-            &bytes[..landed],
-            self.geometry.object_offset(first),
-        )?;
+        self.backups[idx]
+            .file
+            .write_all_at(&bytes[..landed], self.geometry.object_offset(first))?;
         outcome
     }
 

@@ -13,8 +13,6 @@
 //!   while completions still acknowledge, so the run finishes over the
 //!   directory a kill would have left. At the recovery-phase sites
 //!   firing aborts the recovery attempt (or skips a mirror) instead.
-//! * [`Effect::RingDeath`] — latch the io_uring dead flag mid-batch
-//!   without crashing; the synchronous redo path finishes the batch.
 //! * [`Effect::Transient`] — fail `burst` consecutive reaches with
 //!   `kind`'s error. Every instrumented operation is positionally
 //!   idempotent, so the writer's [`RetryPolicy`] absorbs a burst within
@@ -29,7 +27,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Number of registered sites.
-const N: usize = 26;
+const N: usize = 23;
 
 /// A named injection site. The discriminant order is stable and indexes
 /// [`Inject`]'s reach counters; new sites append at the end.
@@ -47,27 +45,24 @@ pub enum Site {
     CompleteBeforeCommit = 8,
     SchedulerCommitSeam = 9,
     DeviceBarrier = 10,
-    UringWaveStaged = 11,
-    UringWaveComplete = 12,
-    ReplicaPushPreCommit = 13,
-    ReplicaPushPostCommit = 14,
-    ReplicaFetch = 15,
-    RecoveryReadImage = 16,
-    RecoveryReplayTick = 17,
-    ReplicaFetchMid = 18,
-    BackupWrite = 19,
-    BackupSync = 20,
-    BackupCommitMeta = 21,
-    LogAppend = 22,
-    LogSync = 23,
-    ImageRead = 24,
-    UringCqe = 25,
+    ReplicaPushPreCommit = 11,
+    ReplicaPushPostCommit = 12,
+    ReplicaFetch = 13,
+    RecoveryReadImage = 14,
+    RecoveryReplayTick = 15,
+    ReplicaFetchMid = 16,
+    BackupWrite = 17,
+    BackupSync = 18,
+    BackupCommitMeta = 19,
+    LogAppend = 20,
+    LogSync = 21,
+    ImageRead = 22,
 }
 
 /// The durability phase a [`Site`] sits in, for grouped listings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
-    /// Submission: data writes staged, nothing durable yet.
+    /// Submission: data writes issued, nothing durable yet.
     Submit,
     /// Completion: durability points, commits, replica publishes.
     Complete,
@@ -149,7 +144,6 @@ impl std::fmt::Display for Reach {
 }
 
 const CRASH: &[&str] = &["crash"];
-const RING: &[&str] = &["crash", "ring-death"];
 const TRANSIENT: &[&str] = &["eio", "enospc", "short-write"];
 
 /// The registry, in discriminant order.
@@ -159,12 +153,11 @@ const TABLE: [Row; N] = {
     use Hits::{PerShard, Upto};
     use Phase::{Complete, Recovery, Submit};
     use Site::*;
-    use WriterBackend::{AsyncBatched, IoUring};
+    use WriterBackend::AsyncBatched;
     const ANY: Reach = Reach { org: None, backends: &WriterBackend::ALL, replicas: false,
                                barrier: false, hits: Hits::Many };
     const DOUBLE: Reach = Reach { org: Some(DiskOrg::DoubleBackup), ..ANY };
     const LOG: Reach = Reach { org: Some(DiskOrg::Log), ..ANY };
-    const RING_ONLY: Reach = Reach { backends: &[IoUring], ..ANY };
     const REPLICAS: Reach = Reach { replicas: true, ..ANY };
     [
         Row { site: JobEnqueued, name: "job-enqueued", phase: Submit, effects: CRASH,
@@ -180,7 +173,7 @@ const TABLE: [Row; N] = {
         Row { site: LogSegmentSealed, name: "log-segment-sealed", phase: Submit, effects: CRASH,
               describe: "segment sealed but unsynced (torn tail)", reach: LOG },
         Row { site: JobSubmitted, name: "job-submitted", phase: Submit, effects: CRASH,
-              describe: "submit_job done: staged, nothing committed", reach: ANY },
+              describe: "submit_job done: written, nothing committed", reach: ANY },
         Row { site: CompleteBeforeSync, name: "complete-before-sync", phase: Complete,
               effects: CRASH, describe: "complete_job entry, the scheduler's data sync issued",
               reach: ANY },
@@ -190,14 +183,11 @@ const TABLE: [Row; N] = {
               effects: CRASH, describe: "scheduler seam between sync phase and completions",
               reach: ANY },
         // The default pool gives each of 4 shards its own loop, so no
-        // pool loop syncs two files on one device.
+        // pool loop syncs two files on one device: only the one loop
+        // over every shard does.
         Row { site: DeviceBarrier, name: "device-barrier", phase: Complete, effects: CRASH,
               describe: "before the syncfs-style device barrier",
-              reach: Reach { backends: &[AsyncBatched, IoUring], barrier: true, ..ANY } },
-        Row { site: UringWaveStaged, name: "uring-wave-staged", phase: Submit, effects: RING,
-              describe: "uring wave staged, about to push SQEs", reach: RING_ONLY },
-        Row { site: UringWaveComplete, name: "uring-wave-complete", phase: Complete, effects: RING,
-              describe: "uring wave reaped and accounted", reach: RING_ONLY },
+              reach: Reach { backends: &[AsyncBatched], barrier: true, ..ANY } },
         Row { site: ReplicaPushPreCommit, name: "replica-push-pre-commit", phase: Complete,
               effects: CRASH, describe: "replica push opened, mirrors invalid, not committed",
               reach: REPLICAS },
@@ -232,8 +222,6 @@ const TABLE: [Row; N] = {
               describe: "data fsync of the checkpoint log", reach: LOG },
         Row { site: ImageRead, name: "image-read", phase: Recovery, effects: TRANSIENT,
               describe: "recovery-time image read / log reconstruction", reach: ANY },
-        Row { site: UringCqe, name: "uring-cqe", phase: Submit, effects: TRANSIENT,
-              describe: "io_uring CQE result of a data write (negative errno)", reach: RING_ONLY },
     ]
 };
 
@@ -310,16 +298,8 @@ impl Kind {
                 std::io::ErrorKind::WriteZero,
                 "injected short write (transient failpoint)",
             ),
-            _ => std::io::Error::from_raw_os_error(self.errno()),
-        }
-    }
-
-    /// The raw errno this kind reports through an io_uring CQE
-    /// (`-errno` in the CQE's `res` field).
-    pub fn errno(self) -> i32 {
-        match self {
-            Kind::Eio | Kind::ShortWrite => 5, // EIO
-            Kind::Enospc => 28,                // ENOSPC
+            Kind::Eio => std::io::Error::from_raw_os_error(5), // EIO
+            Kind::Enospc => std::io::Error::from_raw_os_error(28), // ENOSPC
         }
     }
 }
@@ -335,8 +315,6 @@ pub enum Effect {
         /// Torn-write byte budget.
         torn: u64,
     },
-    /// Latch the io_uring dead flag mid-batch without crashing.
-    RingDeath,
     /// Fail `burst` consecutive reaches with `kind`'s error.
     Transient {
         /// The error to inject.
@@ -347,11 +325,10 @@ pub enum Effect {
 }
 
 impl Effect {
-    /// Stable spec name: `crash`, `ring-death`, or the kind's name.
+    /// Stable spec name: `crash`, or the kind's name.
     pub fn name(self) -> &'static str {
         match self {
             Effect::Crash { .. } => "crash",
-            Effect::RingDeath => "ring-death",
             Effect::Transient { kind, .. } => kind.name(),
         }
     }
@@ -378,8 +355,7 @@ impl Plan {
 
     /// Parse a spec of the form `site[:hit[:effect[:n]]]`, where `n` is
     /// the torn byte count of `crash` and the burst length of a transient
-    /// kind (`ring-death` takes none) — e.g. `backup-commit`,
-    /// `log-segment-sealed:2:crash:5`, `uring-wave-staged:1:ring-death`,
+    /// kind — e.g. `backup-commit`, `log-segment-sealed:2:crash:5`,
     /// `backup-write:1:short-write:3`.
     ///
     /// # Errors
@@ -416,8 +392,6 @@ impl Plan {
             ("crash", n) => Effect::Crash {
                 torn: n.unwrap_or(0),
             },
-            ("ring-death", None) => Effect::RingDeath,
-            ("ring-death", Some(_)) => return Err("`ring-death` takes no count".to_string()),
             (_, Some(0)) => return Err("bad burst length `0` (want >= 1)".to_string()),
             (kind, n) => Effect::Transient {
                 kind: Kind::ALL[TRANSIENT.iter().position(|k| *k == kind).expect("a kind")],
@@ -430,16 +404,18 @@ impl Plan {
     /// Render as the canonical spec string, re-parseable by
     /// [`Plan::parse`].
     pub fn spec(&self) -> String {
-        let head = format!("{}:{}:{}", self.site.name(), self.hit, self.effect.name());
-        match self.effect {
-            Effect::Crash { torn: n } | Effect::Transient { burst: n, .. } => format!("{head}:{n}"),
-            Effect::RingDeath => head,
-        }
+        let (Effect::Crash { torn: n } | Effect::Transient { burst: n, .. }) = self.effect;
+        format!(
+            "{}:{}:{}:{n}",
+            self.site.name(),
+            self.hit,
+            self.effect.name()
+        )
     }
 }
 
-/// Per-run injection state: at most one terminal plan (crash or ring
-/// death) and one transient schedule — the two layers a fuzz case
+/// Per-run injection state: at most one crash plan and one transient
+/// schedule — the two layers a fuzz case
 /// combines — plus one reach counter per site, the fired and down
 /// latches, and the injected-fault tally.
 ///
@@ -501,8 +477,7 @@ impl Inject {
             Effect::Transient { burst, .. } if n >= plan.hit && n - plan.hit < burst => {
                 self.injected.fetch_add(1, Ordering::AcqRel);
             }
-            Effect::Crash { .. } | Effect::RingDeath
-                if n == plan.hit && !self.fired.swap(true, Ordering::AcqRel) => {}
+            Effect::Crash { .. } if n == plan.hit && !self.fired.swap(true, Ordering::AcqRel) => {}
             _ => return None,
         }
         Some(plan.effect)
@@ -561,10 +536,6 @@ impl std::fmt::Display for InjectedCrash {
 }
 
 impl std::error::Error for InjectedCrash {}
-
-/// Whether the io_uring writer backend can actually run on this kernel
-/// (the fuzzer excuses the ring-only sites when it cannot).
-pub use crate::uring::ring_available;
 
 /// The writer layer's bounded retry policy for transient I/O faults.
 ///
@@ -673,8 +644,8 @@ mod tests {
             }
         }
         assert_eq!(seen.len(), N);
-        let crash = |s: Site| s.accepts_crash() == ((s as usize) < 19);
-        assert!(Site::all().all(crash), "the crash sites are 0-18");
+        let crash = |s: Site| s.accepts_crash() == ((s as usize) < 17);
+        assert!(Site::all().all(crash), "the crash sites are 0-16");
         let recovery = Site::all().filter(|s| s.phase() == Phase::Recovery);
         assert_eq!(recovery.count(), 5, "four re-crash sites + image-read");
         let phases = [
@@ -691,7 +662,6 @@ mod tests {
         for (spec, hit, effect) in [
             ("backup-commit", 1, Effect::Crash { torn: 0 }),
             ("log-segment-sealed:2:crash:5", 2, Effect::Crash { torn: 5 }),
-            ("uring-wave-staged:1:ring-death", 1, Effect::RingDeath),
             ("log-sync:2:enospc", 2, transient(Kind::Enospc, 1)),
             ("backup-write", 1, transient(Kind::Eio, 1)),
             ("log-sync:1:eio:3", 1, transient(Kind::Eio, 3)),
@@ -707,9 +677,9 @@ mod tests {
             "backup-commit:1:explode",
             "backup-commit:1:crash:y",
             "backup-commit:1:crash:0:extra",
-            "uring-wave-staged:1:ring-death:0",
             "backup-write:1:eio:0",
             "job-submitted:1:ring-death",
+            "uring-wave-staged",
             "job-enqueued:1:eio",
             "backup-write:1:crash",
         ] {

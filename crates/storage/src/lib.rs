@@ -20,13 +20,12 @@
 //!   algorithm's disk organization — a double-backup pair of files with
 //!   sorted (offset-ordered) writes, or an append-only segment log —
 //!   publishing its sweep frontier for copy-on-update coordination. One
-//!   flush round ([`writer`]) runs in three interchangeable
-//!   configurations: a pool of loops each owning a group of shards, a
-//!   single loop, and that loop issuing its writes through a real
-//!   `io_uring` ring driven by raw syscalls (capability-probed, falling
-//!   back to the single syscall loop on kernels without it), selected by
-//!   [`RealConfig::writer_backend`] and proven recovery-equivalent by the
-//!   differential matrix in `tests/writer_equivalence.rs`;
+//!   flush round ([`writer`]) runs in two interchangeable
+//!   configurations that differ only in loop count — a pool of loops
+//!   each owning a group of shards, or a single loop over every shard —
+//!   selected by [`RealConfig::writer_backend`] and proven
+//!   recovery-equivalent by the differential matrix in
+//!   `tests/writer_equivalence.rs`;
 //! * real **crash recovery**: read back the newest consistent image
 //!   (backup file or log reconstruction) and replay the deterministic
 //!   update stream to the crash tick.
@@ -50,7 +49,6 @@ pub mod report;
 pub mod run;
 pub mod sharded;
 pub mod shared;
-mod uring;
 pub mod writer;
 
 pub use config::RealConfig;

@@ -16,8 +16,7 @@
 //!
 //! A segment is one checkpoint, encoded once by `serialize_segment` and
 //! appended as one positional write at the log's length
-//! (`LogStore::write_segment`, which hands that write to the writer's
-//! issuer: a `pwrite` now, or one WRITEV on the ring). Recovery scans
+//! (`LogStore::write_segment`). Recovery scans
 //! segments forward (the file is replayed into a reconstruction buffer,
 //! newest write wins), starting from the newest *complete* full-flush
 //! segment — semantically identical to the paper's backward read, and it
@@ -25,10 +24,10 @@
 //! the segment end marker and discarded.
 
 use crate::inject::{Effect, Inject, Kind, Site};
-use crate::uring::pwrite_all;
 use mmoc_core::{ObjectId, StateGeometry};
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::path::Path;
 use std::sync::Arc;
@@ -170,7 +169,7 @@ impl LogStore {
     ) -> io::Result<SegmentInfo> {
         let mut segment = Vec::new();
         serialize_segment(seq, consistent_tick, full_flush, objects, &mut segment);
-        let info = self.write_segment(&segment, pwrite_all)?;
+        let info = self.write_segment(&segment)?;
         if sync && !self.down() {
             self.file.sync_data()?;
         }
@@ -178,12 +177,9 @@ impl LogStore {
     }
 
     /// Append one segment encoded by [`serialize_segment`] with one
-    /// positional write at the log's length, handed to `put(fd, bytes,
-    /// offset)`: the writer's issuer, which writes it now or stages it on
-    /// the ring. The length advances as the write is handed over, so a
-    /// staged segment reserves its offset and the next one stacks after
-    /// it. Syncing is the caller's ([`LogStore::sync`]). The instrumented
-    /// failures, per site:
+    /// positional write at the log's length, which then advances past the
+    /// bytes that landed. Syncing is the caller's ([`LogStore::sync`]).
+    /// The instrumented failures, per site:
     ///
     /// * `log-append` faults once per segment, before any byte lands, so
     ///   a retry rewrites the same bytes at the same offset;
@@ -192,11 +188,7 @@ impl LogStore {
     ///   and the segment never seals (the scan drops it);
     /// * `log-segment-sealed` is reached once after the trailer: all but
     ///   the segment's last `torn` bytes land.
-    pub(crate) fn write_segment(
-        &mut self,
-        segment: &[u8],
-        mut put: impl FnMut(RawFd, &[u8], u64) -> io::Result<()>,
-    ) -> io::Result<SegmentInfo> {
+    pub(crate) fn write_segment(&mut self, segment: &[u8]) -> io::Result<SegmentInfo> {
         if let Some(kind) = self.faulted(Site::LogAppend) {
             return Err(kind.to_error());
         }
@@ -229,7 +221,7 @@ impl LogStore {
                 landed = torn_at;
             }
         }
-        put(self.sync_fd(), &segment[..landed], self.len)?;
+        self.file.write_all_at(&segment[..landed], self.len)?;
         self.len += landed as u64;
         Ok(SegmentInfo {
             bytes: landed as u64,

@@ -36,25 +36,14 @@ pub struct WriterStats {
     /// record ids and end marker are not counted, nor are metadata
     /// commits.
     pub bytes_written: u64,
-    /// Sum over jobs of the SQE count of the ring submission round that
-    /// carried each job's data writes. Zero for the syscall-per-write
-    /// backends — nonzero only when the real io_uring backend ran, which
-    /// makes it double as ground truth that the ring was actually used.
-    pub sqe_batch_sum: u64,
-    /// Largest ring submission round any job's writes rode in.
-    pub max_sqe_batch: u32,
     /// Retry attempts performed on transient I/O faults (each re-issue
     /// of a failed data write / fsync / meta commit under the bounded
-    /// retry policy) and operations whose budget ran out — the error took
-    /// the degradation ladder (typed run error on the pool/batched
-    /// engines, dead-flag redo on io_uring). [`RetryPolicy::run`] books
-    /// into this member directly.
+    /// retry policy) and operations whose budget ran out — the error
+    /// propagated as a typed run error. [`RetryPolicy::run`] books into
+    /// this member directly.
     ///
     /// [`RetryPolicy::run`]: crate::inject::RetryPolicy::run
     pub retry: RetryCounters,
-    /// Jobs completed through the degradation ladder: on io_uring, the
-    /// synchronous redo path after the ring's dead flag latched.
-    pub degraded_jobs: u64,
 }
 
 impl WriterStats {
@@ -69,10 +58,7 @@ impl WriterStats {
             batch_jobs_sum,
             max_batch_jobs,
             bytes_written,
-            sqe_batch_sum,
-            max_sqe_batch,
             retry: RetryCounters { retries, exhausted },
-            degraded_jobs,
         } = other;
         self.flush_jobs += flush_jobs;
         self.data_fsyncs += data_fsyncs;
@@ -80,10 +66,7 @@ impl WriterStats {
         self.batch_jobs_sum += batch_jobs_sum;
         self.max_batch_jobs = self.max_batch_jobs.max(max_batch_jobs);
         self.bytes_written += bytes_written;
-        self.sqe_batch_sum += sqe_batch_sum;
-        self.max_sqe_batch = self.max_sqe_batch.max(max_sqe_batch);
         self.retry.retries += retries;
         self.retry.exhausted += exhausted;
-        self.degraded_jobs += degraded_jobs;
     }
 }

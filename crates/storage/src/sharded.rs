@@ -193,10 +193,7 @@ where
         batch_jobs_sum,
         max_batch_jobs,
         bytes_written,
-        sqe_batch_sum,
-        max_sqe_batch,
         retry: RetryCounters { retries, exhausted },
-        degraded_jobs,
     } = writer;
     let per_job = |sum: u64| match flush_jobs {
         0 => 0.0,
@@ -243,9 +240,8 @@ where
             bytes_written,
             retries,
             retry_exhausted: exhausted,
-            degraded_jobs,
-            avg_sqe_batch: per_job(sqe_batch_sum),
-            max_sqe_batch,
+            degraded_jobs: 0,
+            avg_sqe_batch: 0.0,
         }),
     })
 }

@@ -15,44 +15,33 @@
 //! `job_channels`), so a shard's jobs stay FIFO by construction. Every
 //! round is *collect a batch* (`collect_batch`: drain the queue, hold a
 //! shallow batch open for the adaptive window) → *issue its data writes*
-//! → *schedule durability* (`schedule_durability`: every data sync —
-//! one per job, or one per distinct target file, or one `syncfs` barrier
-//! per device — before any metadata commit) → *ack in reap order*
-//! (`ack_in_reap_order`: each job's commit and its `Done`, newest shard
-//! first, FIFO within a shard). Every job's writes are staged by
-//! `submit_job` through the stores; the only strategy point is the
-//! `Issue`r that takes them: a `pwrite` now per run of consecutive
-//! objects (per log segment), or per-shard FIFO waves of
-//! `IORING_OP_WRITEV` SQEs on a real kernel ring (`crate::uring`). Every
-//! data sync is a synchronous `fdatasync` under every configuration.
+//! (`submit_job`: through the stores, one `pwrite` per run of
+//! consecutive objects or per log segment) → *schedule durability*
+//! (`schedule_durability`: every data sync — one per job, or one per
+//! distinct target file, or one `syncfs` barrier per device — before any
+//! metadata commit) → *ack in reap order* (`ack_in_reap_order`: each
+//! job's commit and its `Done`, newest shard first, FIFO within a
+//! shard). Every write and every sync is a synchronous syscall.
 //!
-//! The three `WriterBackendKind`s differ only in loop count and issuer:
-//! `thread-pool` is N loops on the syscall data path (one shard means
-//! one loop: the classic dedicated writer thread), `async-batched` one
-//! such loop, `io-uring` one loop on the ring. Ring availability is
-//! probed once per process; where the kernel has no io_uring,
-//! `spawn_writer` runs `async-batched` instead and returns that kind, so
-//! the substitution is surfaced in every report, never silent. A ring
-//! that fails mid-run finishes its round on synchronous redo and the loop
-//! swaps to the syscall data path for good (its jobs count as
-//! `degraded_jobs`).
+//! The two `WriterBackendKind`s differ only in loop count: `thread-pool`
+//! is N loops (one shard means one loop: the classic dedicated writer
+//! thread), `async-batched` one loop over every shard. `io-uring` is a
+//! retired name that `spawn_writer` runs as `async-batched`, returning
+//! that kind so every report surfaces the substitution.
 //!
 //! The round is shared, so identical job streams produce byte-identical
 //! files under every configuration (pinned by the differential tests
 //! below and in `tests/writer_equivalence.rs`): the durability ordering
 //! — data sync *before* metadata commit — holds batch-globally in every
-//! round. A new transport (a replicated remote store, `O_DIRECT`
-//! preallocated images) is a new `Issue`r, not a new loop. See DESIGN.md
-//! § "The writer".
+//! round. See DESIGN.md § "The writer".
 
 use crate::config::RealConfig;
 use crate::engine::{Done, Job, PoolJob, ShardCtx, Store};
 use crate::files::SyncTarget;
-use crate::inject::{Effect, Inject, Site};
+use crate::inject::{Inject, Site};
 use crate::log_store::serialize_segment;
 use crate::report::WriterStats;
 use crate::shared::{relock, Shared};
-use crate::uring::{pwrite_all, Iovec, Ring, Sqe};
 use mmoc_core::run::WriterBackend as WriterBackendKind;
 use mmoc_core::{CursorKind, ObjectId};
 use std::io;
@@ -137,28 +126,16 @@ pub(crate) fn job_channels(
 /// contexts (in shard order) that [`job_channels`] routes to it.
 ///
 /// Returns the writer together with the kind that **actually** runs:
-/// `io-uring` falls back to `async-batched` when the kernel capability
-/// probe fails (or ring setup errors), and callers surface the
-/// substitution in their reports so results never silently lie about
-/// the backend that produced them.
+/// the retired `io-uring` always runs as `async-batched`, and callers
+/// surface the substitution in their reports (`writer_fallback_from`),
+/// so results never silently name a backend that did not run.
 pub(crate) fn spawn_writer(
     config: &RealConfig,
     ctxs: Vec<ShardCtx>,
     job_rxs: Vec<Receiver<PoolJob>>,
 ) -> (Writer, WriterBackendKind) {
-    let kind = config.writer_backend;
-    // The ring is created *before* its thread so every failure mode —
-    // `ENOSYS`, `EPERM`, memlock limits, fd limits post-probe — surfaces
-    // here and the run falls back instead of panicking mid-run. Room
-    // for several WRITEV runs per shard; the submission loop drains
-    // mid-wave when a batch wants more.
-    let entries = (ctxs.len() * 4).clamp(32, 256) as u32;
-    let mut ring = (kind == WriterBackendKind::IoUring && crate::uring::ring_available())
-        .then(|| Ring::new(entries).ok())
-        .flatten()
-        .map(|ring| RingPath { ring, dead: false });
-    let effective = match kind {
-        WriterBackendKind::IoUring if ring.is_none() => WriterBackendKind::AsyncBatched,
+    let effective = match config.writer_backend {
+        WriterBackendKind::IoUring => WriterBackendKind::AsyncBatched,
         kind => kind,
     };
     let n_loops = job_rxs.len();
@@ -171,8 +148,7 @@ pub(crate) fn spawn_writer(
         .zip(job_rxs)
         .map(|(mut ctxs, job_rx)| {
             let config = config.clone();
-            let ring = ring.take();
-            std::thread::spawn(move || run_rounds(&mut ctxs, &job_rx, &config, ring))
+            std::thread::spawn(move || run_rounds(&mut ctxs, &job_rx, &config))
         })
         .collect();
     (Writer { loops }, effective)
@@ -211,10 +187,6 @@ pub(crate) struct InFlight {
     /// attributed to the one job that triggered it — riders on a
     /// coalesced call count 0, so summing over jobs counts actual calls —
     /// and the retries behind a scheduled sync are charged the same way.
-    /// `sqe_batch_sum` is the occupancy of the ring round that carried
-    /// the job's writes (0 on the syscall data path); `degraded_jobs` is
-    /// 1 when the ring died and the job's remaining I/O was redone
-    /// through the syscall path.
     stats: WriterStats,
 }
 
@@ -255,7 +227,7 @@ pub(crate) struct ReplicaDelta {
 
 impl ReplicaDelta {
     /// Open the delta of the checkpoint at `tick` when the run has a
-    /// replica tier; its images are appended as the job's runs are staged
+    /// replica tier; its images are appended as the job's runs are written
     /// (room for all of them is reserved here).
     fn capture(config: &RealConfig, tick: u64, ids: &[u32], obj_size: usize) -> Option<Self> {
         config.replica_set.as_ref().map(|_| ReplicaDelta {
@@ -300,18 +272,6 @@ fn crash_at(inject: Option<&Inject>, site: Site) -> bool {
     fired
 }
 
-/// Reach one of the ring-boundary sites, which take either effect: a
-/// simulated kill freezes the disk, a ring death latches `dead`
-/// mid-batch *without* crashing.
-fn ring_crash_at(inject: Option<&Inject>, site: Site, dead: &mut bool) {
-    let Some(c) = inject else { return };
-    match c.consult(site) {
-        Some(Effect::RingDeath) => *dead = true,
-        Some(_) => c.go_down(),
-        None => {}
-    }
-}
-
 /// Split `ids` (increasing) into maximal runs of consecutive ids, none
 /// longer than `max` (≥ 1): the index ranges whose objects are contiguous
 /// on disk — and in a buffer packed in id order — so each moves as one
@@ -332,41 +292,12 @@ fn id_runs(ids: &[u32], max: usize) -> impl Iterator<Item = std::ops::Range<usiz
     })
 }
 
-/// Cap, in bytes, on one syscall-path run write — and so the size of a
-/// loop's run buffer, the grain a streamed sweep interleaves reads and
-/// writes at, and the most a retry re-issues or a crash tears. Measured
-/// on the 40 MB `naive-64k` flush: the gain saturates by 256 KiB (see
-/// ROADMAP item 5).
+/// Cap, in bytes, on one run write — and so the size of a loop's run
+/// buffer, the grain a streamed sweep interleaves reads and writes at,
+/// and the most a retry re-issues or a crash tears. Measured on the
+/// 40 MB `naive-64k` flush: the gain saturates by 256 KiB (see ROADMAP
+/// item 5).
 const RUN_BYTES: usize = 256 << 10;
-
-/// Where [`submit_job`] sends a job's positional writes once the stores
-/// have taken every injection decision: written now ([`Now`]), or staged
-/// as an operation of the current ring wave ([`Wave`]).
-trait Issue {
-    /// Cap, in bytes, on one run write.
-    fn max_run_bytes(&self) -> usize;
-    /// Issue one positional write of `bytes` at `offset` of `fd`.
-    fn put(&mut self, fd: RawFd, bytes: &[u8], offset: u64) -> io::Result<()>;
-    /// Keep `buf`, which earlier `put`s may point into, alive until those
-    /// writes are done: the ring takes it (leaving `buf` empty), a
-    /// syscall issuer has written already and leaves it for reuse.
-    fn keep(&mut self, buf: &mut Vec<u8>);
-}
-
-/// The syscall data path's issuer: every write is a `pwrite` now.
-struct Now;
-
-impl Issue for Now {
-    fn max_run_bytes(&self) -> usize {
-        RUN_BYTES
-    }
-
-    fn put(&mut self, fd: RawFd, bytes: &[u8], offset: u64) -> io::Result<()> {
-        pwrite_all(fd, bytes, offset)
-    }
-
-    fn keep(&mut self, _buf: &mut Vec<u8>) {}
-}
 
 /// The copy-on-update sweep protocol, writer side: how a sweep job reads
 /// its live objects and publishes its progress.
@@ -449,19 +380,17 @@ fn records<'a>(
         .zip(images.chunks_exact(obj_size))
 }
 
-/// Submission phase: stage one flush job's data writes against its
-/// shard's store through `issuer`, durability deferred — the one staging
-/// path of both data paths. The stores take every injection decision and
-/// hand `issuer` only the positional writes that land. `buf` is the
-/// caller's buffer: a double-backup sweep's run (up to
-/// [`Issue::max_run_bytes`]), or a log job's encoded segment; `issuer`
-/// keeps it once written into. For sweep jobs the frontier is published
-/// object by object as each is read — frontier semantics are "read from
-/// live state and queued", not "durable", so neither the buffered write
-/// nor the deferred sync changes the copy-on-update protocol. A log
-/// segment's whole write is retried: the `log-append` failpoint faults
-/// before any byte lands, so a retry rewrites the same bytes at the same
-/// offset (pinned by the retry-equivalence tests).
+/// Submission phase: write one flush job's data against its shard's
+/// store, durability deferred. The stores take every injection decision
+/// and write only the bytes that land. `buf` is the loop's buffer: a
+/// double-backup sweep's run (up to [`RUN_BYTES`]), or a log job's
+/// encoded segment. For sweep jobs the frontier is published object by
+/// object as each is read — frontier semantics are "read from live state
+/// and queued", not "durable", so neither the buffered write nor the
+/// deferred sync changes the copy-on-update protocol. A log segment's
+/// whole write is retried: the `log-append` failpoint faults before any
+/// byte lands, so a retry rewrites the same bytes at the same offset
+/// (pinned by the retry-equivalence tests).
 ///
 /// `queued_at` is the instant the mutator enqueued the job
 /// ([`PoolJob::queued_at`]); it seeds the job's duration clock here so
@@ -470,12 +399,11 @@ fn records<'a>(
 fn submit_job(
     ctx: &mut ShardCtx,
     config: &RealConfig,
-    issuer: &mut impl Issue,
     buf: &mut Vec<u8>,
     job: PoolJob,
 ) -> InFlight {
     let obj_size = ctx.geometry.object_size as usize;
-    let max_run = (issuer.max_run_bytes() / obj_size).max(1);
+    let max_run = (RUN_BYTES / obj_size).max(1);
     let mut stats = WriterStats::default();
     let retry = config.retry_policy();
     let (ids, images, seq, tick, target, full_image) = match job.job {
@@ -520,13 +448,7 @@ fn submit_job(
                 if let Some(d) = replica.as_mut() {
                     d.data.extend_from_slice(bytes);
                 }
-                let written = retry.run(&mut stats.retry, || {
-                    set.stage_run(target, first, bytes, |fd, b, at| issuer.put(fd, b, at))
-                });
-                if let Images::Live(_) = images {
-                    issuer.keep(buf);
-                }
-                written?;
+                retry.run(&mut stats.retry, || set.write_run(target, first, bytes))?;
             }
             Ok(Pending { target, tick })
         })(),
@@ -537,14 +459,12 @@ fn submit_job(
                 d.data.extend_from_slice(bytes);
             }
             serialize_segment(seq, tick, full_image, records(&ids, bytes, obj_size), buf);
-            let written = retry.run(&mut stats.retry, || {
-                log.write_segment(buf, |fd, b, at| issuer.put(fd, b, at))
-            });
-            issuer.keep(buf);
-            written.map(|_| Pending { target, tick })
+            retry
+                .run(&mut stats.retry, || log.write_segment(buf))
+                .map(|_| Pending { target, tick })
         }
     };
-    // All data writes staged, nothing synced or committed yet.
+    // All data writes issued, nothing synced or committed yet.
     crash_at(config.fault.as_deref(), Site::JobSubmitted);
     let recycled = match images {
         Images::Copied(data) => Some((ids, data)),
@@ -632,14 +552,14 @@ fn complete_job(
 // The flush round: collect → issue data writes → schedule durability → ack
 // ---------------------------------------------------------------------------
 
-/// One loop's round state: its data path and the scratch space reused
-/// from round to round, so the steady state allocates little per batch.
+/// One loop's round state: the scratch space reused from round to
+/// round, so the steady state allocates little per batch.
 #[derive(Default)]
 pub(crate) struct Round {
     /// The jobs collected for this round, in queue order.
     pub(crate) batch: Vec<PoolJob>,
     /// The completion queue: the batch's jobs once their data writes are
-    /// issued, in issue order.
+    /// issued, in queue order.
     queue: Vec<InFlight>,
     /// The batch's durability targets and their sync outcomes.
     points: Vec<SyncPoint>,
@@ -650,23 +570,8 @@ pub(crate) struct Round {
     shards: Vec<usize>,
     /// Ack scratch: the completion queue, taken from in reap order.
     reaped: Vec<Option<InFlight>>,
-    /// The syscall data path's reusable run buffer.
+    /// The reusable run buffer.
     buf: Vec<u8>,
-    /// The ring, when this loop drives one. A ring that died stays
-    /// parked here: from then on the loop takes the syscall path, and the
-    /// parked ring is what flags its jobs `degraded`. (SQEs of the dead
-    /// ring's last round may still be in flight; the buffers they name
-    /// sit in the round's arena, which only a ring round ever clears.)
-    ring: Option<RingPath>,
-    // Ring data path only.
-    /// The current wave's staged operations, and per op its iovec and
-    /// its CQE result.
-    ops: Vec<RingOp>,
-    iovecs: Vec<Iovec>,
-    outcomes: Vec<Option<i32>>,
-    /// Wave-owned buffers (sweep runs, serialized segments) the ops
-    /// point into; alive until the next ring round.
-    arena: Vec<Vec<u8>>,
 }
 
 /// One durability target of a batch: a distinct file, or with
@@ -694,16 +599,8 @@ struct Arrivals {
 /// One writer loop thread over the shards it owns (`ctxs`, indexed by
 /// slot): a flush round per collected batch, until every job sender has
 /// been dropped and the queue is empty.
-fn run_rounds(
-    ctxs: &mut [ShardCtx],
-    job_rx: &Receiver<PoolJob>,
-    config: &RealConfig,
-    ring: Option<RingPath>,
-) {
-    let mut round = Round {
-        ring,
-        ..Round::default()
-    };
+fn run_rounds(ctxs: &mut [ShardCtx], job_rx: &Receiver<PoolJob>, config: &RealConfig) {
+    let mut round = Round::default();
     // A batch is full when it holds everything the driver can possibly
     // have in flight on this loop's shards.
     let full_batch = ctxs.len() * config.pipeline_depth.max(1) as usize;
@@ -714,11 +611,15 @@ fn run_rounds(
 }
 
 /// The flush round over a collected batch (`round.batch`) of the shards
-/// `ctxs` (indexed by slot): issue its data writes, schedule durability,
+/// `ctxs` (indexed by slot): issue its data writes, moving the batch into
+/// the completion queue, then schedule durability past the whole batch,
 /// commit and ack in reap order.
 pub(crate) fn run_round(ctxs: &mut [ShardCtx], config: &RealConfig, round: &mut Round) {
     let occupancy = round.batch.len() as u32;
-    round.issue_data_writes(ctxs, config);
+    for job in round.batch.drain(..) {
+        let inflight = submit_job(&mut ctxs[job.slot], config, &mut round.buf, job);
+        round.queue.push(inflight);
+    }
     schedule_durability(ctxs, config, round);
     ack_in_reap_order(ctxs, config, round, occupancy);
 }
@@ -815,8 +716,7 @@ fn collect_batch(
 /// holds ≥ 2 distinct files on one device and `syncfs` is available, a
 /// single whole-device call replaces all of that device's per-file
 /// fsyncs (it flushes a superset of their dirty pages, so the
-/// sync-before-commit ordering is preserved a fortiori). Barriers and
-/// per-file fsyncs alike are synchronous syscalls under every data path.
+/// sync-before-commit ordering is preserved a fortiori).
 fn schedule_durability(ctxs: &[ShardCtx], config: &RealConfig, round: &mut Round) {
     let crash = config.fault.as_deref();
     let Round {
@@ -948,270 +848,6 @@ fn ack_in_reap_order(
         let ctx = &mut ctxs[inflight.slot];
         let done = complete_job(ctx, config, inflight, occupancy);
         let _ = ctx.done_tx.send(done);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The strategy point: how a batch's data writes are issued
-// ---------------------------------------------------------------------------
-
-impl Round {
-    /// Round step 2: issue every collected job's data writes — through
-    /// the live ring, or `pwrite` now — moving the batch into the
-    /// completion queue; durability is deferred past the whole batch.
-    fn issue_data_writes(&mut self, ctxs: &mut [ShardCtx], config: &RealConfig) {
-        if let Some(mut ring) = self.ring.take_if(|ring| !ring.dead) {
-            ring.issue_waves(ctxs, config, self);
-            self.ring = Some(ring);
-            return;
-        }
-        let degraded = self.ring.is_some();
-        for job in self.batch.drain(..) {
-            let ctx = &mut ctxs[job.slot];
-            let mut inflight = submit_job(ctx, config, &mut Now, &mut self.buf, job);
-            inflight.stats.degraded_jobs = u64::from(degraded);
-            self.queue.push(inflight);
-        }
-    }
-}
-
-/// The ring data path: data writes are submitted as `IORING_OP_WRITEV`
-/// SQEs and reaped out of order by `user_data`; durability stays on the
-/// synchronous syscall path. Within a batch, each shard's jobs are
-/// written in per-shard FIFO *waves* so same-file appends stack at
-/// precomputed offsets.
-struct RingPath {
-    ring: Ring,
-    /// Latched on any `io_uring_enter`/push failure: once an enter round
-    /// fails, completions for its in-flight SQEs could surface later and
-    /// a fresh round would misattribute them by `user_data`, so the loop
-    /// stops using the ring for good: the current batch finishes on the
-    /// synchronous redo path (positional rewrites are idempotent) and
-    /// later batches take the syscall data path.
-    dead: bool,
-}
-
-/// One staged ring operation of the current wave. `ptr`/`len` name a
-/// buffer owned by the wave (a job's eager data, or a wave-arena sweep
-/// run / serialized segment) that outlives the reap by construction.
-struct RingOp {
-    /// Index into the batch's completion queue.
-    job: usize,
-    fd: RawFd,
-    offset: u64,
-    ptr: *const u8,
-    len: usize,
-}
-
-/// The ring data path's issuer: every write becomes a [`RingOp`] of the
-/// current wave on behalf of completion-queue job `job`. A job's eager
-/// data moves into its in-flight record and every kept buffer into the
-/// wave arena; a `Vec` move never relocates its heap buffer.
-struct Wave<'a> {
-    job: usize,
-    ops: &'a mut Vec<RingOp>,
-    arena: &'a mut Vec<Vec<u8>>,
-}
-
-impl Issue for Wave<'_> {
-    /// Uncapped: one WRITEV per maximal run of consecutive objects.
-    fn max_run_bytes(&self) -> usize {
-        usize::MAX
-    }
-
-    fn put(&mut self, fd: RawFd, bytes: &[u8], offset: u64) -> io::Result<()> {
-        self.ops.push(RingOp {
-            job: self.job,
-            fd,
-            offset,
-            ptr: bytes.as_ptr(),
-            len: bytes.len(),
-        });
-        Ok(())
-    }
-
-    fn keep(&mut self, buf: &mut Vec<u8>) {
-        self.arena.push(std::mem::take(buf));
-    }
-}
-
-impl RingPath {
-    /// Issue a batch's data writes through the ring, wave by wave,
-    /// moving the batch into the completion queue (in wave order).
-    fn issue_waves(&mut self, ctxs: &mut [ShardCtx], config: &RealConfig, round: &mut Round) {
-        let RingPath { ring, dead } = self;
-        let cap = ring.capacity() as usize;
-        let inject = config.fault.as_deref();
-        let Round {
-            batch,
-            queue,
-            ops,
-            iovecs,
-            outcomes,
-            arena,
-            ..
-        } = round;
-        arena.clear();
-        // Per-shard FIFO waves: each wave takes the earliest remaining
-        // job of every shard, so same-file writes of a pipelined shard
-        // are staged (and their append offsets reserved) in submission
-        // order, wave by wave.
-        while !batch.is_empty() {
-            // Stage every job of this wave through `submit_job`: its data
-            // writes become RingOps over wave-stable buffers.
-            ops.clear();
-            let wave_start = queue.len();
-            let mut next = 0;
-            while next < batch.len() {
-                // `queue[wave_start..]` is the wave so far.
-                if queue[wave_start..]
-                    .iter()
-                    .any(|staged| staged.slot == batch[next].slot)
-                {
-                    next += 1;
-                    continue;
-                }
-                let job = batch.remove(next);
-                let ctx = &mut ctxs[job.slot];
-                let mut wave = Wave {
-                    job: queue.len(),
-                    ops,
-                    arena,
-                };
-                queue.push(submit_job(ctx, config, &mut wave, &mut Vec::new(), job));
-            }
-            let wave_sqes = ops.len() as u32;
-            for inflight in &mut queue[wave_start..] {
-                inflight.stats.sqe_batch_sum = u64::from(wave_sqes);
-                inflight.stats.max_sqe_batch = wave_sqes;
-            }
-
-            // Submission: push every op, draining completions whenever
-            // the ring runs out of room.
-            // `user_data` is the op index, so out-of-order CQEs land in
-            // their `outcomes` slot directly.
-            outcomes.clear();
-            outcomes.resize(ops.len(), None);
-            // Ring death here: the wave's SQEs never reach the kernel and
-            // the synchronous redo below must finish the batch
-            // byte-identically. A kill here, or at a site inside staging,
-            // lands before submission: nothing of this wave reaches disk.
-            ring_crash_at(inject, Site::UringWaveStaged, dead);
-            let down = inject.is_some_and(Inject::is_down);
-            if !*dead && !down {
-                // One iovec per op, reserved to the final size up front
-                // so the pointers handed to the kernel never move.
-                iovecs.clear();
-                iovecs.reserve(ops.len());
-                let mut awaiting = 0usize;
-                'submit: for (k, op) in ops.iter().enumerate() {
-                    // Make room, draining completions while waiting.
-                    loop {
-                        while let Some(c) = ring.reap() {
-                            outcomes[c.user_data as usize] = Some(c.res);
-                            awaiting -= 1;
-                        }
-                        if awaiting < cap && ring.sq_space() > 0 {
-                            break;
-                        }
-                        if ring.submit_and_wait(1).is_err() {
-                            *dead = true;
-                            break 'submit;
-                        }
-                    }
-                    iovecs.push(Iovec {
-                        iov_base: op.ptr.cast_mut().cast(),
-                        iov_len: op.len,
-                    });
-                    let sqe = Sqe::writev(op.fd, &raw const iovecs[k], 1, op.offset, k as u64);
-                    if ring.push(sqe).is_err() {
-                        *dead = true;
-                        break;
-                    }
-                    awaiting += 1;
-                }
-                while !*dead && awaiting > 0 {
-                    if ring.submit_and_wait(awaiting as u32).is_err() {
-                        *dead = true;
-                        break;
-                    }
-                    while let Some(c) = ring.reap() {
-                        outcomes[c.user_data as usize] = Some(c.res);
-                        awaiting -= 1;
-                    }
-                }
-            }
-
-            // Reap bookkeeping: repair short writes, redo unsubmitted
-            // writes synchronously (positional writes are idempotent),
-            // surface real errors into the job's state.
-            for (k, op) in ops.iter().enumerate() {
-                let mut outcome = outcomes.get(k).copied().flatten();
-                let job = &mut queue[op.job];
-                // Transient-fault injection at the CQE seam: rewrite a
-                // successful write completion into the scheduled errno.
-                // The bytes did land, so the synchronous redo below is
-                // idempotent — the same contract as short-write repair.
-                if let Some(f) = inject {
-                    if matches!(outcome, Some(r) if r >= 0) {
-                        if let Some(Effect::Transient { kind, .. }) = f.consult(Site::UringCqe) {
-                            outcome = Some(-kind.errno());
-                        }
-                    }
-                }
-                let redo_from = match outcome {
-                    Some(r) if r >= 0 => {
-                        let done = r as usize;
-                        if done >= op.len {
-                            continue; // fully written
-                        }
-                        done // short write: repair the tail
-                    }
-                    Some(r) => {
-                        // A real CQE error spends the job's retry budget
-                        // on the synchronous redo (positional, hence
-                        // idempotent). Exhaustion takes the degradation
-                        // ladder: latch the ring dead so this batch — and
-                        // every later one — finishes on the synchronous
-                        // path. A zero budget is the historical engine:
-                        // the error propagates into the job's state.
-                        if config.retry_max == 0 {
-                            let e = io::Error::from_raw_os_error(-r);
-                            if job.state.is_ok() {
-                                job.state = Err(e);
-                            }
-                            continue;
-                        }
-                        if job.stats.retry.retries >= u64::from(config.retry_max) {
-                            job.stats.retry.exhausted += 1;
-                            *dead = true;
-                        } else {
-                            job.stats.retry.retries += 1;
-                        }
-                        0 // redo the whole write synchronously
-                    }
-                    None => 0, // enter failed before completion: redo whole
-                };
-                if *dead {
-                    // Any redo performed after the ring latched dead ran
-                    // on the degraded synchronous path.
-                    job.stats.degraded_jobs = 1;
-                }
-                if down {
-                    continue; // frozen: the redo path writes nothing
-                }
-                // SAFETY: `ptr`/`len` name a wave-owned buffer (job data
-                // or arena entry) still alive here.
-                let bytes = unsafe { std::slice::from_raw_parts(op.ptr, op.len) };
-                if let Err(e) = pwrite_all(op.fd, &bytes[redo_from..], op.offset + redo_from as u64)
-                {
-                    if job.state.is_ok() {
-                        job.state = Err(e);
-                    }
-                }
-            }
-            ring_crash_at(inject, Site::UringWaveComplete, dead);
-        }
     }
 }
 
@@ -1453,20 +1089,17 @@ mod tests {
         entries
     }
 
-    /// The differential core: identical job streams through all three
+    /// The differential core: identical job streams through both
     /// backends — and through the batched engine under every durability
     /// policy (legacy per-job, coalesced, coalesced + window, auto-tuned
     /// window, device barrier) — leave byte-identical files (images,
     /// metadata, logs) on every shard, for both disk organizations.
     /// Scheduling only reorders syncs, never bytes, and `window=0` +
     /// coalescing off *is* the historical engine, so every
-    /// configuration must agree with the pool. The io-uring rows go
-    /// through `spawn_writer`, so on kernels without io_uring they
-    /// exercise the fallback substitution — which must agree too.
+    /// configuration must agree with the pool.
     #[test]
     fn identical_job_streams_leave_byte_identical_files() {
-        let uring = |config: RealConfig| config.with_writer_backend(WriterBackendKind::IoUring);
-        let configs: [(&str, RealConfig); 8] = [
+        let configs: [(&str, RealConfig); 6] = [
             ("pool", legacy()),
             ("batch_legacy", batched(legacy())),
             ("batch_coalesced", batched(coalescing(Duration::ZERO))),
@@ -1482,8 +1115,6 @@ mod tests {
                 "batch_device",
                 batched(coalescing(Duration::ZERO).with_device_sync(true)),
             ),
-            ("uring_legacy", uring(legacy())),
-            ("uring_coalesced", uring(coalescing(Duration::ZERO))),
         ];
         for disk_org in [DiskOrg::DoubleBackup, DiskOrg::Log] {
             for n_shards in [1usize, 3] {
@@ -1795,7 +1426,7 @@ mod tests {
             full_image: true,
         };
         let job = queued(0, job);
-        let inflight = submit_job(&mut ctx, &legacy(), &mut Now, &mut Vec::new(), job);
+        let inflight = submit_job(&mut ctx, &legacy(), &mut Vec::new(), job);
         // "Crash": the job is submitted, never completed.
         drop(inflight);
         drop(ctx);
@@ -1807,68 +1438,23 @@ mod tests {
         );
     }
 
-    /// Drive the deterministic job stream through the io_uring backend
-    /// with a crash plan that latches the **dead flag** (not a crash) at
-    /// the `hit`-th staged wave: every ring failure from that wave on is
-    /// redone synchronously, and every batch after it takes the syscall
-    /// data path. Returns per-shard file snapshots, each round's
-    /// per-job `degraded` flags, and whether the plan fired (it cannot
-    /// on kernels without io_uring, where `spawn_writer` substitutes the
-    /// batched engine).
-    fn drive_ring_death(
-        dirs: &[std::path::PathBuf],
-        disk_org: DiskOrg,
-        hit: u64,
-    ) -> (Vec<DirBytes>, Vec<Vec<bool>>, bool) {
-        use crate::inject::Plan;
-        let state = Arc::new(Inject::armed([Plan {
-            site: Site::UringWaveStaged,
-            hit,
-            effect: Effect::RingDeath,
-        }]));
-        let config = coalescing(Duration::ZERO)
-            .with_writer_backend(WriterBackendKind::IoUring)
-            .with_inject(Arc::clone(&state));
-        let dones = drive_with(&config, dirs, disk_org);
-        let degraded = dones
-            .chunks(dirs.len())
-            .map(|round| {
-                let degraded = |done: &Done| {
-                    done.result.as_ref().unwrap();
-                    done.stats.degraded_jobs == 1
-                };
-                round.iter().map(degraded).collect()
-            })
-            .collect();
-        let snapshots = dirs.iter().map(|d| file_bytes(d)).collect();
-        (snapshots, degraded, state.fired())
-    }
-
-    /// Every backend runs one flush round and both data paths stage every
-    /// job through `submit_job` and the stores, so over one job stream
-    /// the pool, the batched loop and the ring reach every submit- and
-    /// complete-phase site equally — the ring's own `uring-*` sites aside
-    /// — and leave byte-identical files. The scheduler's commit seam is
-    /// reached once per round, and rounds depend on loop count and
-    /// timing, so it is held to the round count the acks report (a batch
-    /// of k jobs acks each with occupancy k). The micro geometry's runs
-    /// fit one syscall write, so both paths cut the same runs.
+    /// Both backends run one flush round and write every job through
+    /// `submit_job` and the stores, so over one job stream the pool and
+    /// the batched loop reach every submit- and complete-phase site
+    /// equally and leave byte-identical files. The scheduler's commit
+    /// seam is reached once per round, and rounds depend on loop count
+    /// and timing, so it is held to the round count the acks report (a
+    /// batch of k jobs acks each with occupancy k).
     #[test]
-    fn both_data_paths_reach_the_stores_sites_equally() {
+    fn both_backends_reach_the_stores_sites_equally() {
         use crate::inject::Phase;
         let sites = || {
-            let ring_only = |s: &Site| s.reach().backends == [mmoc_core::WriterBackend::IoUring];
-            Site::all().filter(move |s| {
-                s.phase() != Phase::Recovery && !ring_only(s) && *s != Site::SchedulerCommitSeam
-            })
+            Site::all().filter(|s| s.phase() != Phase::Recovery && *s != Site::SchedulerCommitSeam)
         };
-        let mut backends = vec![
+        let backends = [
             WriterBackendKind::AsyncBatched,
             WriterBackendKind::ThreadPool,
         ];
-        if crate::uring::ring_available() {
-            backends.push(WriterBackendKind::IoUring);
-        }
         for disk_org in [DiskOrg::DoubleBackup, DiskOrg::Log] {
             let root = tempfile::tempdir().unwrap();
             let mut runs = Vec::new();
@@ -1922,64 +1508,6 @@ mod tests {
         }
     }
 
-    /// The uring dead-flag redo path: a fuzz point inside the ring loop
-    /// latches `ring_dead` at the `hit`-th staged wave — mid-stream, so
-    /// earlier waves went through the ring and later waves take the
-    /// synchronous redo — and the resulting files must be **byte
-    /// identical** to the thread pool's, for both disk organizations.
-    /// The redo is idempotent re-submission of the same wave, so dying
-    /// at the first wave or in the middle of the stream must not change
-    /// a single byte of images, metadata, or logs. The stream keeps
-    /// going after the death — at least one whole round, so at least one
-    /// whole batch — and those later batches run on the swapped-in
-    /// syscall data path: byte-identical too, and every job of them
-    /// flagged `degraded`.
-    #[test]
-    fn ring_death_mid_batch_redoes_byte_identically() {
-        for disk_org in [DiskOrg::DoubleBackup, DiskOrg::Log] {
-            // Baseline: the thread pool over the same stream.
-            let pool_root = tempfile::tempdir().unwrap();
-            let pool_dirs: Vec<_> = (0..2)
-                .map(|s| pool_root.path().join(format!("s{s}")))
-                .collect();
-            for r in drive(&legacy(), &pool_dirs, disk_org) {
-                r.unwrap();
-            }
-            let baseline: Vec<DirBytes> = pool_dirs.iter().map(|d| file_bytes(d)).collect();
-
-            for hit in [1, 3] {
-                let root = tempfile::tempdir().unwrap();
-                let dirs: Vec<_> = (0..2).map(|s| root.path().join(format!("s{s}"))).collect();
-                let (snapshots, degraded, fired) = drive_ring_death(&dirs, disk_org, hit);
-                if crate::uring::ring_available() {
-                    assert!(fired, "{disk_org:?} hit {hit}: dead-flag plan must fire");
-                    // A round stages at most one wave per job, so the
-                    // third wave is staged in round 2 at the earliest:
-                    // round 1 ran on the live ring, and whichever wave
-                    // died, the last round is a batch after the death.
-                    let last = degraded.last().unwrap();
-                    assert!(
-                        last.iter().all(|&d| d),
-                        "{disk_org:?} hit {hit}: post-death batch not flagged degraded: {last:?}"
-                    );
-                    if hit == 3 {
-                        assert!(
-                            degraded[0].iter().all(|&d| !d),
-                            "{disk_org:?}: jobs before the death flagged degraded"
-                        );
-                    }
-                } else {
-                    assert!(degraded.iter().flatten().all(|&d| !d), "no ring, no death");
-                }
-                for (s, snap) in snapshots.iter().enumerate() {
-                    assert_eq!(
-                        snap, &baseline[s],
-                        "{disk_org:?} hit {hit} shard {s}: dead-ring redo diverged from the pool"
-                    );
-                }
-            }
-        }
-    }
     #[test]
     fn id_runs_table() {
         /// (label, ids, cap, expected runs as (start, end) index pairs)
@@ -2056,8 +1584,8 @@ mod tests {
         (job, data)
     }
 
-    /// One job through the writer's flush round on the syscall data
-    /// path; its `Done` arrives on `done_rx`.
+    /// One job through the writer's flush round; its `Done` arrives on
+    /// `done_rx`.
     fn run_job(
         ctx: &mut ShardCtx,
         config: &RealConfig,
@@ -2109,7 +1637,7 @@ mod tests {
     /// job the k-th object falls in.
     #[test]
     fn crash_mid_run_tears_where_the_per_object_loop_did() {
-        use crate::inject::Plan;
+        use crate::inject::{Effect, Plan};
         for sweep in [false, true] {
             for hit in 1..=THREE_RUNS.len() as u64 {
                 let root = tempfile::tempdir().unwrap();
@@ -2284,7 +1812,7 @@ mod tests {
             // "Newest" is the shard's *last* job: shard 0's job at index
             // 3 makes shard 0 the newest shard of both waves.
             (&[0, 1, 2, 0], &[0, 2, 1, 3]),
-            // Queue already in wave order (how the ring path leaves it).
+            // Queue already in wave order.
             (&[0, 1, 2, 1, 2, 2], &[2, 1, 0, 4, 3, 5]),
         ];
         for (shards, want) in table {

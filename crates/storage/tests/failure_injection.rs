@@ -711,8 +711,8 @@ fn lattice_reproduces_the_curated_crash_sites() {
     use mmoc_storage::inject::{Inject, Plan};
     use std::sync::Arc;
 
-    // (algorithm, backend, plan spec) — backends are pinned because the
-    // io_uring path stages writes without the mid-write points.
+    // (algorithm, backend, plan spec) — the shapes of the fuzzer's named
+    // seeds for the same sites.
     let sites = [
         (
             Algorithm::AtomicCopyDirtyObjects,

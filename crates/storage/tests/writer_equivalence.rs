@@ -1,5 +1,5 @@
-//! Differential backend equivalence: the io_uring-style batched-submission
-//! writer must be **recovery-equivalent** to the historical thread pool.
+//! Differential backend equivalence: the single batched writer loop must
+//! be **recovery-equivalent** to the historical thread pool.
 //!
 //! For every cell of the (algorithm × shard count) matrix, the same trace
 //! runs under every writer configuration — the thread pool, the batched
@@ -54,13 +54,10 @@ struct WriterConfig {
 }
 
 /// The matrix's writer axis: the historical pool, the batched engine
-/// under its default policy (fsync coalescing on, no window), the
-/// batched engine with coalescing *and* a nonzero adaptive batch window,
-/// and the real io_uring ring — every durability-scheduler path must
-/// recover identical state. On kernels without `io_uring` the last cell
-/// runs under the batched fallback and the report says so; the
-/// assertions below accept exactly that surfaced substitution.
-const WRITER_CONFIGS: [WriterConfig; 4] = [
+/// under its default policy (fsync coalescing on, no window), and the
+/// batched engine with coalescing *and* a nonzero adaptive batch window
+/// — every durability-scheduler path must recover identical state.
+const WRITER_CONFIGS: [WriterConfig; 3] = [
     WriterConfig {
         label: "pool",
         backend: WriterBackend::ThreadPool,
@@ -77,12 +74,6 @@ const WRITER_CONFIGS: [WriterConfig; 4] = [
         label: "batched-windowed",
         backend: WriterBackend::AsyncBatched,
         window_us: 400,
-        coalesce: true,
-    },
-    WriterConfig {
-        label: "uring",
-        backend: WriterBackend::IoUring,
-        window_us: 0,
         coalesce: true,
     },
 ];
@@ -173,23 +164,10 @@ fn every_matrix_cell_recovers_identically_under_both_backends() {
                 );
                 match report.detail {
                     EngineDetail::Real(d) => {
-                        // The report must name the backend that actually
-                        // ran: either the requested one, or — only for the
-                        // probe-gated ring on kernels without io_uring —
-                        // the batched fallback with the substitution
-                        // surfaced in `writer_fallback_from`.
-                        let fell_back = d.writer_backend == WriterBackend::AsyncBatched
-                            && d.writer_fallback_from == Some(WriterBackend::IoUring);
-                        assert!(
-                            d.writer_backend == cfg.backend
-                                || (cfg.backend == WriterBackend::IoUring && fell_back),
-                            "{alg} x{n} [{label}]: reported backend {:?} (fallback from {:?})",
-                            d.writer_backend,
-                            d.writer_fallback_from
-                        );
-                        if d.writer_backend == cfg.backend {
-                            assert_eq!(d.writer_fallback_from, None, "{alg} x{n} [{label}]");
-                        }
+                        // The report names the backend that ran: the
+                        // requested one.
+                        assert_eq!(d.writer_backend, cfg.backend, "{alg} x{n} [{label}]");
+                        assert_eq!(d.writer_fallback_from, None, "{alg} x{n} [{label}]");
                         // The durability instrumentation holds across the
                         // whole matrix: every checkpoint is one flush job,
                         // and coalescing can only ever *save* fsyncs.
@@ -214,19 +192,10 @@ fn every_matrix_cell_recovers_identically_under_both_backends() {
                             );
                         }
                         assert!(d.avg_batch_jobs >= 1.0, "{alg} x{n} [{label}]");
-                        // Nonzero SQE occupancy is the ground truth that a
-                        // ring measurement is real: zero under the fallback
-                        // and on the syscall backends.
-                        assert_eq!(
-                            d.avg_sqe_batch > 0.0,
-                            d.writer_backend == WriterBackend::IoUring,
-                            "{alg} x{n} [{label}]: sqe occupancy {}",
-                            d.avg_sqe_batch
-                        );
                         // No faults are injected: a healthy disk.
                         assert_eq!(
-                            (d.retries, d.retry_exhausted, d.degraded_jobs),
-                            (0, 0, 0),
+                            (d.retries, d.retry_exhausted),
+                            (0, 0),
                             "{alg} x{n} [{label}]"
                         );
                         assert!(d.bytes_written > 0, "{alg} x{n} [{label}]");
@@ -250,6 +219,53 @@ fn every_matrix_cell_recovers_identically_under_both_backends() {
                     assert_tables_byte_identical(&tables[s], &truth, &label);
                 }
             }
+        }
+    }
+}
+
+/// The retired `io-uring` name, on every host: a run requesting it runs
+/// the batched loop, says so in its report, and recovers byte-identical
+/// state to a run requesting `async-batched` — for both disk
+/// organizations over four shards.
+#[test]
+fn the_retired_ring_name_runs_and_reports_the_batched_loop() {
+    let root = tempfile::tempdir().unwrap();
+    let n = 4;
+    let map = ShardMap::new(trace_config().geometry, n).unwrap();
+    for alg in [Algorithm::CopyOnUpdate, Algorithm::PartialRedo] {
+        let disk_org = alg.spec().disk_org;
+        let [retired, batched] = [WriterBackend::IoUring, WriterBackend::AsyncBatched].map(
+            |backend| -> Vec<StateTable> {
+                let cfg = WriterConfig {
+                    label: backend.label(),
+                    backend,
+                    window_us: 0,
+                    coalesce: true,
+                };
+                let dir = root
+                    .path()
+                    .join(format!("{}_{}", alg.short_name(), cfg.label));
+                let report = run_with(cfg, alg, n, &dir);
+                let EngineDetail::Real(d) = report.detail else {
+                    panic!("real detail expected")
+                };
+                assert_eq!(
+                    d.writer_backend,
+                    WriterBackend::AsyncBatched,
+                    "{alg} [{backend}]"
+                );
+                let fallback = (backend == WriterBackend::IoUring).then_some(backend);
+                assert_eq!(d.writer_fallback_from, fallback, "{alg} [{backend}]");
+                assert_eq!(d.pool_threads, 1, "{alg} [{backend}]: one loop");
+                (0..n as usize)
+                    .map(|s| recover_shard(&dir, disk_org, &map, s))
+                    .collect()
+            },
+        );
+        for (s, (retired, batched)) in retired.iter().zip(&batched).enumerate() {
+            let label = format!("{alg} shard {s}");
+            assert_tables_byte_identical(retired, batched, &label);
+            assert_tables_byte_identical(retired, &shard_truth(&map, s), &label);
         }
     }
 }

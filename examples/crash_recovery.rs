@@ -2,9 +2,8 @@
 //! every writer backend.
 //!
 //! Runs the actual disk-backed engine (mutator thread + asynchronous
-//! writer + double-backup files) once per backend: the worker-thread
-//! pool, the async batched-submission writer, and the real io_uring ring.
-//! Each run then simulates a crash, restores the newest consistent backup
+//! writer + double-backup files) once per backend: the pool of writer
+//! loops and the single batched loop. Each run then simulates a crash, restores the newest consistent backup
 //! and replays the deterministic update stream — verifying the recovered
 //! state is byte-identical to the pre-crash state, whichever backend
 //! wrote the checkpoints.
@@ -106,7 +105,7 @@ fn main() {
 
     println!(
         "\nevery writer backend recovered the exact crash state — the \
-         batched and ring engines are recovery-equivalent to the thread pool."
+         batched loop is recovery-equivalent to the thread pool."
     );
     let _ = std::fs::remove_dir_all(&root);
 }
